@@ -24,15 +24,8 @@ import (
 
 // TxLogRow is one measured cell of the sweep.
 type TxLogRow struct {
-	Fsync string `json:"fsync"`
-	TxLog bool   `json:"txlog"`
-	// DecisionBatch reports whether the fsync=always coordinator-decision
-	// group commit was active: commit-decision records of concurrent 2PCs
-	// coalesced into one write+fsync instead of one fsync each. Only
-	// meaningful on fsync=always rows with the log on; the sweep runs that
-	// cell twice, batching off then on, so the pair prices the
-	// optimization.
-	DecisionBatch bool    `json:"decision_batch"`
+	Fsync         string  `json:"fsync"`
+	TxLog         bool    `json:"txlog"`
 	Threads       int     `json:"threads"`
 	Commits       uint64  `json:"commits"`
 	CommitsPerSec float64 `json:"commits_per_sec"`
@@ -81,31 +74,22 @@ func RunTxLog(o Options) (*TxLogReport, error) {
 	}
 	for _, fsync := range TxLogFsyncPolicies {
 		for _, withLog := range []bool{false, true} {
-			// Decision batching only changes behaviour on the ack-path
-			// fsync cell; run that one before/after so the pair prices it.
-			variants := []bool{true}
-			if withLog && fsync == "always" {
-				variants = []bool{false, true}
+			row, err := runTxLogCell(o, rep.Partitions, backendName, fsync, withLog, threads)
+			if err != nil {
+				return rep, fmt.Errorf("txlog sweep (%s, txlog=%v): %w", fsync, withLog, err)
 			}
-			for _, batch := range variants {
-				row, err := runTxLogCell(o, rep.Partitions, backendName, fsync, withLog, batch, threads)
-				if err != nil {
-					return rep, fmt.Errorf("txlog sweep (%s, txlog=%v, batch=%v): %w", fsync, withLog, batch, err)
-				}
-				rep.Rows = append(rep.Rows, row)
-			}
+			rep.Rows = append(rep.Rows, row)
 		}
 	}
 	return rep, nil
 }
 
-func runTxLogCell(o Options, partitions int, backendName, fsync string, withLog, batch bool, threads int) (TxLogRow, error) {
+func runTxLogCell(o Options, partitions int, backendName, fsync string, withLog bool, threads int) (TxLogRow, error) {
 	eo := o
 	eo.StoreBackend = backendName
 	eo.FsyncPolicy = fsync
 	cfg := eo.clusterConfig(cluster.Wren, 1, partitions)
 	cfg.DisableTxLog = !withLog
-	cfg.DisableDecisionBatch = !batch
 	cl, err := cluster.New(cfg)
 	if err != nil {
 		return TxLogRow{}, err
@@ -190,7 +174,6 @@ func runTxLogCell(o Options, partitions int, backendName, fsync string, withLog,
 	return TxLogRow{
 		Fsync:         fsync,
 		TxLog:         withLog,
-		DecisionBatch: withLog && fsync == "always" && batch,
 		Threads:       threads,
 		Commits:       committed.Load(),
 		CommitsPerSec: float64(committed.Load()) / secs,
@@ -211,22 +194,15 @@ func FormatTxLog(r *TxLogReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Commit-ack latency: transaction log on vs off (%s/%s, GOMAXPROCS=%d, %dx%d, %d threads)\n",
 		r.Protocol, r.Backend, r.GoMaxProcs, r.DCs, r.Partitions, rowThreads(r))
-	fmt.Fprintf(&b, "%-10s %-6s %-9s %12s %12s %12s %12s\n",
-		"fsync", "txlog", "decbatch", "commits/s", "mean(ms)", "p50(ms)", "p99(ms)")
+	fmt.Fprintf(&b, "%-10s %-6s %12s %12s %12s %12s\n",
+		"fsync", "txlog", "commits/s", "mean(ms)", "p50(ms)", "p99(ms)")
 	for _, row := range r.Rows {
 		on := "off"
 		if row.TxLog {
 			on = "on"
 		}
-		batch := "-"
-		if row.TxLog && row.Fsync == "always" {
-			batch = "off"
-			if row.DecisionBatch {
-				batch = "on"
-			}
-		}
-		fmt.Fprintf(&b, "%-10s %-6s %-9s %12.0f %12.3f %12.3f %12.3f\n",
-			row.Fsync, on, batch, row.CommitsPerSec, row.AckMeanMs, row.AckP50Ms, row.AckP99Ms)
+		fmt.Fprintf(&b, "%-10s %-6s %12.0f %12.3f %12.3f %12.3f\n",
+			row.Fsync, on, row.CommitsPerSec, row.AckMeanMs, row.AckP50Ms, row.AckP99Ms)
 	}
 	return b.String()
 }

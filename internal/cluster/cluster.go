@@ -152,9 +152,6 @@ type Config struct {
 	// Zero selects the replica default; negative disables admission
 	// control.
 	MaxInflightPerConn int
-	// DisableDecisionBatch turns off the fsync=always coordinator-decision
-	// group commit on every server (benchmark ablation).
-	DisableDecisionBatch bool
 }
 
 func (c *Config) fillDefaults() {
@@ -308,8 +305,7 @@ func New(cfg Config) (*Cluster, error) {
 					FsyncPolicy:    cfg.FsyncPolicy,
 					DisableTxLog:   cfg.DisableTxLog,
 
-					MaxInflightPerConn:   cfg.MaxInflightPerConn,
-					DisableDecisionBatch: cfg.DisableDecisionBatch,
+					MaxInflightPerConn: cfg.MaxInflightPerConn,
 				})
 				if err != nil {
 					c.wrenServers = append(c.wrenServers, wrenRow)
@@ -333,8 +329,7 @@ func New(cfg Config) (*Cluster, error) {
 					FsyncPolicy:    cfg.FsyncPolicy,
 					DisableTxLog:   cfg.DisableTxLog,
 
-					MaxInflightPerConn:   cfg.MaxInflightPerConn,
-					DisableDecisionBatch: cfg.DisableDecisionBatch,
+					MaxInflightPerConn: cfg.MaxInflightPerConn,
 				})
 				if err != nil {
 					c.cureServers = append(c.cureServers, cureRow)

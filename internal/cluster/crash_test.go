@@ -110,43 +110,7 @@ func testCrashBetweenAckAndApply(t *testing.T, proto Protocol, backend string) {
 		t.Fatalf("restart: %v", err)
 	}
 	defer cl.Close()
-	client, err := cl.NewClient(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	keys := make([]string, 0, len(want))
-	for k := range want {
-		keys = append(keys, k)
-	}
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		tx, err := client.Begin()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := tx.Read(keys...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		missing := ""
-		for k, v := range want {
-			if string(got[k]) != v {
-				missing = fmt.Sprintf("key %q = %q, want %q", k, got[k], v)
-			}
-		}
-		if missing == "" {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("acknowledged transactions lost across the kill: %s", missing)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	requireReadable(t, cl, want)
 }
 
 func testCrashBeforeReplicate(t *testing.T, proto Protocol, backend string) {

@@ -8,6 +8,7 @@ import (
 
 	"wren/internal/core"
 	"wren/internal/cure"
+	"wren/internal/store"
 	"wren/internal/txlog"
 )
 
@@ -39,6 +40,13 @@ func TestLifecycleConformance(t *testing.T) {
 		// With client failover enabled, a commit refused by a degraded
 		// coordinator lands through a healthy one instead.
 		{"failover-commit", testFailoverCommit},
+		// The durability contract's release side (see
+		// durability_contract_test.go): the engine's unsynced log tail may
+		// die with the machine, a failed engine barrier releases nothing,
+		// and a CommitAck rides on a sync it does not pay for.
+		{"crash-after-apply-before-engine-sync", testCrashAfterApplyBeforeEngineSync},
+		{"engine-sync-fails", testEngineSyncFails},
+		{"lazy-commit-ack", testLazyCommitAck},
 	}
 	for _, proto := range []Protocol{Wren, Cure, HCure} {
 		for _, backend := range []string{"wal", "sst"} {
@@ -56,6 +64,7 @@ func TestLifecycleConformance(t *testing.T) {
 // need; both *core.Server and *cure.Server satisfy it.
 type lifecycleServer interface {
 	TxLog() *txlog.Log
+	Store() store.Engine
 	ReadOnly() bool
 	Healthy() error
 }

@@ -104,11 +104,6 @@ type ServerConfig struct {
 	// replica.DefaultMaxInflightPerConn; negative disables admission
 	// control.
 	MaxInflightPerConn int
-	// DisableDecisionBatch turns off the fsync=always coordinator-decision
-	// group commit (the batching of commit-decision records across the
-	// concurrent commit collections of one tick) so its cost can be
-	// benchmarked. No effect under other fsync policies.
-	DisableDecisionBatch bool
 }
 
 // runtimeConfig maps the public config onto the shared replica runtime's.
@@ -132,8 +127,7 @@ func (c *ServerConfig) runtimeConfig() replica.Config {
 		FsyncPolicy:    c.FsyncPolicy,
 		DisableTxLog:   c.DisableTxLog,
 
-		MaxInflightPerConn:   c.MaxInflightPerConn,
-		DisableDecisionBatch: c.DisableDecisionBatch,
+		MaxInflightPerConn: c.MaxInflightPerConn,
 	}
 }
 
@@ -408,15 +402,29 @@ func (p *wrenProtocol) AfterInstall() {}
 func (p *wrenProtocol) GossipTick() { p.server().gossipTick() }
 
 // OldestActiveSnapshot expires abandoned transaction contexts and returns
-// the oldest local snapshot time a surviving transaction still needs — or
-// the current stable time when idle (paper §IV-B). The GC floor is loaded
-// under the runtime's SnapMu barrier: every in-flight snapshot assignment
-// drains first, so any context the Range below cannot see yet was assigned
-// lt ≥ this floor and needs no protection from it.
+// the oldest snapshot time a surviving transaction still needs — or the
+// current stable time when idle (paper §IV-B). A Wren snapshot is a PAIR:
+// local versions become visible by lt, versions replicated from another DC
+// by rt, which lags lt. With more than one DC the floor is therefore taken
+// over both times; a floor at lt alone would let GC keep a remote version
+// with rt < ut ≤ lt as the newest one "below the snapshot", drop the
+// version under it, and leave the key reading as absent until rt caught
+// up. The kept version is always visible to the snapshot: its update time
+// is at most min(lt, rt) and its dependency time is below its update time.
+// With one DC nothing is ever replicated in and the floor stays lt.
+//
+// The floor is loaded under the runtime's SnapMu barrier: every in-flight
+// snapshot assignment drains first, so any context the Range below cannot
+// see yet was assigned times ≥ this floor and needs no protection from it.
 func (p *wrenProtocol) OldestActiveSnapshot(now time.Time) hlc.Timestamp {
 	s := p.server()
+	multiDC := s.cfg.NumDCs > 1
 	s.rt.SnapMu.Lock()
 	oldest := s.lst.Load()
+	if multiDC {
+		// The rt the next StartTx would assign (see handleStartTx).
+		oldest = hlc.Min(s.rst.Load(), oldest.Prev())
+	}
 	s.rt.SnapMu.Unlock()
 	var expired []uint64
 	s.txCtx.Range(func(id uint64, ctx txContext) bool {
@@ -424,8 +432,9 @@ func (p *wrenProtocol) OldestActiveSnapshot(now time.Time) hlc.Timestamp {
 			expired = append(expired, id)
 			return true
 		}
-		if ctx.lt < oldest {
-			oldest = ctx.lt
+		oldest = hlc.Min(oldest, ctx.lt)
+		if multiDC {
+			oldest = hlc.Min(oldest, ctx.rt)
 		}
 		return true
 	})

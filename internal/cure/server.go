@@ -69,9 +69,6 @@ type ServerConfig struct {
 	// core.ServerConfig.MaxInflightPerConn). Zero selects
 	// replica.DefaultMaxInflightPerConn; negative disables.
 	MaxInflightPerConn int
-	// DisableDecisionBatch turns off the fsync=always coordinator-decision
-	// group commit (see core.ServerConfig.DisableDecisionBatch).
-	DisableDecisionBatch bool
 }
 
 // runtimeConfig maps the public config onto the shared replica runtime's.
@@ -95,8 +92,7 @@ func (c *ServerConfig) runtimeConfig() replica.Config {
 		FsyncPolicy:    c.FsyncPolicy,
 		DisableTxLog:   c.DisableTxLog,
 
-		MaxInflightPerConn:   c.MaxInflightPerConn,
-		DisableDecisionBatch: c.DisableDecisionBatch,
+		MaxInflightPerConn: c.MaxInflightPerConn,
 	}
 }
 

@@ -7,10 +7,11 @@
 // partition server does is protocol-independent and lives here exactly
 // once:
 //
-//   - the durable transaction lifecycle: prepare/commit logging, the
-//     decision-fsynced-before-ack discipline, CommitAck resolution,
-//     cooperative 2PC termination probes, and the periodic redrive of
-//     unresolved decisions;
+//   - the durable transaction lifecycle: prepare/commit logging under the
+//     txlog package's durability contract (the transaction log is the one
+//     fsync-before-ack point; the engine's logs are synced only by the
+//     release barrier), CommitAck resolution, cooperative 2PC termination
+//     probes, and the periodic redrive of unresolved decisions;
 //   - restart recovery: replay of committed-but-unapplied transactions,
 //     per-peer resend of the unreplicated committed tail, and the pinned
 //     replication cursors that make the resend safe;
@@ -47,6 +48,7 @@ import (
 	"wren/internal/stats"
 	"wren/internal/store"
 	"wren/internal/store/backend"
+	"wren/internal/store/wal"
 	"wren/internal/stripemap"
 	"wren/internal/transport"
 	"wren/internal/txlog"
@@ -119,7 +121,10 @@ const liveResyncStallTicks = 3
 // use — an id handed out at StartTx can reach a cohort's durable log even
 // if this server crashes before logging anything itself — and block
 // reservation amortizes that to one log record (one fsync under
-// fsync=always) per million transactions.
+// fsync=always) per million transactions. The lifecycle tick reserves the
+// next block once half of the current one is used, so StartTx — a handler
+// on a connection's reader goroutine — never waits for that fsync unless
+// a server hands out half a million ids within one tick.
 const seqBlockSize = 1 << 20
 
 // Config carries the protocol-independent part of a partition server's
@@ -168,11 +173,6 @@ type Config struct {
 	// connection. Zero selects DefaultMaxInflightPerConn; negative
 	// disables the gate.
 	MaxInflightPerConn int
-	// DisableDecisionBatch turns off the txlog's batched group commit of
-	// coordinator decision records under fsync=always, falling back to
-	// one append+sync per decision. Exists for the before/after rows of
-	// the wren-bench -txlog sweep.
-	DisableDecisionBatch bool
 }
 
 // FillDefaults resolves zero values to the package defaults.
@@ -393,6 +393,15 @@ type Runtime struct {
 	admission map[transport.NodeID]*atomic.Int64
 	shedCount atomic.Uint64
 
+	// unreleased (under relMu) is what the next engine barrier covers: the
+	// ids of transactions written to the engine since the last one, and
+	// per source DC the highest replicated batch end still owed a
+	// ReplicateAck ([1] for resync batches, whose acks lift the sender's
+	// cursor pin). Only Runtime.release lets a log forget a record.
+	relMu      sync.Mutex
+	unreleased []uint64
+	owedAcks   [][2]hlc.Timestamp
+
 	// applyMu serializes ApplyTick end to end. Cure runs the tick from
 	// every parked slice read besides the apply loop, and two overlapping
 	// ticks break the installed-snapshot invariant: tick A takes committed
@@ -470,11 +479,21 @@ type Runtime struct {
 // prefix). proto may rely only on its configuration during New — the
 // runtime pointer is handed to it by its own constructor afterwards.
 func New(cfg Config, proto Protocol, ctr Counters) (*Runtime, error) {
+	// Engine logs are a recovery accelerator; the txlog is the WAL. A
+	// fronted engine therefore never syncs on its own, whatever the policy
+	// (which the transaction log honours): Runtime.release runs its Sync as
+	// a barrier before any log forgets a record. Only an engine without a
+	// transaction log in front keeps the policy for itself.
+	fronted := cfg.StoreBackend != "" && cfg.StoreBackend != backend.Memory && !cfg.DisableTxLog
+	engineFsync := cfg.FsyncPolicy
+	if fronted {
+		engineFsync = wal.FsyncNever
+	}
 	eng, err := backend.Open(backend.Options{
 		Backend: cfg.StoreBackend,
 		Shards:  cfg.StoreShards,
 		DataDir: cfg.EngineDir(),
-		Fsync:   cfg.FsyncPolicy,
+		Fsync:   engineFsync,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%s: open store: %w", cfg.Name, err)
@@ -484,13 +503,12 @@ func New(cfg Config, proto Protocol, ctr Counters) (*Runtime, error) {
 	// lock and engine-type marker. Memory backends have nowhere durable to
 	// recover from, so they run without one.
 	var tl *txlog.Log
-	if cfg.StoreBackend != "" && cfg.StoreBackend != backend.Memory && !cfg.DisableTxLog {
+	if fronted {
 		tl, err = txlog.Open(txlog.Options{
-			Dir:                  filepath.Join(cfg.EngineDir(), "txlog"),
-			NumDCs:               cfg.NumDCs,
-			SelfDC:               cfg.DC,
-			Fsync:                cfg.FsyncPolicy,
-			DisableDecisionBatch: cfg.DisableDecisionBatch,
+			Dir:    filepath.Join(cfg.EngineDir(), "txlog"),
+			NumDCs: cfg.NumDCs,
+			SelfDC: cfg.DC,
+			Fsync:  cfg.FsyncPolicy,
 		})
 		if err != nil {
 			_ = eng.Close()
@@ -517,6 +535,7 @@ func New(cfg Config, proto Protocol, ctr Counters) (*Runtime, error) {
 		replPrev:       hlc.NewAtomicVector(cfg.NumDCs),
 		tailHead:       make([]hlc.Timestamp, cfg.NumDCs),
 		tailStall:      make([]int, cfg.NumDCs),
+		owedAcks:       make([][2]hlc.Timestamp, cfg.NumDCs),
 		stop:           make(chan struct{}),
 	}
 	if tl != nil {
@@ -679,14 +698,20 @@ func (r *Runtime) TxApplied(key string, txID uint64) bool {
 func (r *Runtime) NewTxID() uint64 {
 	seq := r.txSeq.Add(1)
 	if r.tl != nil && seq > r.seqLimit.Load() {
-		r.seqMu.Lock()
-		if seq > r.seqLimit.Load() {
-			r.tl.ReserveSeqs(seq + seqBlockSize)
-			r.seqLimit.Store(seq + seqBlockSize)
-		}
-		r.seqMu.Unlock()
+		r.reserveSeqs(seq)
 	}
 	return uint64(r.cfg.DC)<<56 | uint64(r.cfg.Partition)<<40 | seq
+}
+
+// reserveSeqs durably raises the sequence ceiling to a block past seq,
+// unless a concurrent caller already did.
+func (r *Runtime) reserveSeqs(seq uint64) {
+	r.seqMu.Lock()
+	defer r.seqMu.Unlock()
+	if seq >= r.seqLimit.Load() {
+		r.tl.ReserveSeqs(seq + seqBlockSize)
+		r.seqLimit.Store(seq + seqBlockSize)
+	}
 }
 
 // CoordinatorOf decodes the coordinator server embedded in a transaction
@@ -702,13 +727,13 @@ func CoordinatorOf(txID uint64) (dc, partition int) {
 // the network.
 func (r *Runtime) recoverFromTxLog() {
 	committed := r.tl.Committed()
-	applied := make([]uint64, 0, len(committed))
 	for _, t := range committed {
-		applied = append(applied, t.TxID)
 		r.st.PutBatch(r.proto.AppendLocalPuts(nil, t, r.TxApplied))
 	}
-	// Everything committed in the log is now in the engine.
-	r.tl.MarkApplied(applied)
+	// Everything committed in the log is now in the engine; the barrier
+	// makes it stable there before the log may drop it.
+	r.noteApplied(committed)
+	r.release()
 	probe := time.Now().Add(recoveryGrace)
 	for _, p := range r.tl.Prepared() {
 		r.recovered[p.TxID] = &recoveredPrepare{tx: p, nextProbe: probe}
@@ -739,17 +764,25 @@ func (r *Runtime) redriveRecovered() {
 // others.
 func (r *Runtime) resendTailTo(dc int, tail []*txlog.CommittedTx) {
 	defer r.wg.Done()
+	if r.sendResync(dc, tail, r.sendRetry) {
+		r.resyncTailSent[dc].Store(true)
+	}
+}
+
+// sendResync ships tail to dc as resync batches the receiver deduplicates,
+// stopping at the first one send gives up on; it reports whether all left.
+func (r *Runtime) sendResync(dc int, tail []*txlog.CommittedTx, send func(transport.NodeID, wire.Message) bool) bool {
 	for i := 0; i < len(tail); i += resendBatchSize {
 		batch := &wire.Replicate{SrcDC: uint8(r.cfg.DC), Partition: uint16(r.cfg.Partition), Resync: true}
 		for _, t := range tail[i:min(i+resendBatchSize, len(tail))] {
 			batch.Txs = append(batch.Txs, r.proto.ReplTxRecord(t))
 		}
-		if !r.sendRetry(transport.ServerID(dc, r.cfg.Partition), batch) {
-			return
+		if !send(transport.ServerID(dc, r.cfg.Partition), batch) {
+			return false
 		}
 		r.replPrev.Advance(dc, batch.Txs[len(batch.Txs)-1].CT)
 	}
-	r.resyncTailSent[dc].Store(true)
+	return true
 }
 
 // sendRetry delivers a recovery message, retrying while the destination is
@@ -845,6 +878,7 @@ func (r *Runtime) shutdown(kill bool) {
 		r.mu.Unlock()
 		r.ApplyTick(false)
 		r.flushCommitted()
+		r.release()
 	}
 	if err := r.st.Close(); err != nil {
 		// The engine surfaces its first append/sync failure here; it
@@ -870,9 +904,10 @@ func (r *Runtime) shutdown(kill bool) {
 //
 // Replication is NOT retried here: a transaction flushed this way (or
 // whose Replicate message was dropped by draining peers) persists locally
-// but never reaches remote DCs — there is no replication cursor yet, so a
-// restart can leave DCs durably diverged on the final pre-shutdown
-// transactions (tracked in ROADMAP.md alongside commit-time durability).
+// without reaching the remote DCs in this life. With a transaction log its
+// record stays above every peer's replication cursor, so the next start
+// re-sends it (resendTailTo); only a server without one can be left
+// durably diverged on its final pre-shutdown transactions.
 func (r *Runtime) flushCommitted() {
 	r.mu.Lock()
 	apply := r.committed
@@ -887,19 +922,14 @@ func (r *Runtime) flushCommitted() {
 		puts = r.proto.AppendLocalPuts(puts, t, nil)
 	}
 	r.st.PutBatch(puts)
-	if r.tl != nil {
-		ids := make([]uint64, len(apply))
-		for i, t := range apply {
-			ids[i] = t.TxID
-		}
-		r.tl.MarkApplied(ids)
-	}
+	r.noteApplied(apply)
 }
 
 // GoAsync runs fn on a tracked goroutine unless the server is draining.
-// The commit path uses it for the 2PC response collection and post-append
-// fsyncs, which must not block a delivery link. (Reads do not need it:
-// their fan-in is a completion counter, not a parked goroutine.)
+// The commit path uses it for the 2PC response collection and for the
+// waits on a transaction-log sync, which must not block a delivery link.
+// (Reads do not need it: their fan-in is a completion counter, not a
+// parked goroutine.)
 func (r *Runtime) GoAsync(fn func()) {
 	r.drainMu.Lock()
 	if r.draining {
@@ -927,8 +957,13 @@ func sortCommitted(txs []*txlog.CommittedTx) {
 
 // HandleMessage implements transport.Handler: the runtime dispatches the
 // protocol-independent messages itself and forwards the snapshot-carrying
-// rest to the protocol. Handlers never block (Wren's defining property),
-// so the per-link FIFO delivery goroutines are never stalled.
+// rest to the protocol. Handlers run on the per-link FIFO delivery
+// goroutines, which reads share, so they MUST NOT wait for the disk: they
+// append to the transaction log and write to the engine (neither syncs on
+// this path), and every wait for an fsync happens on a GoAsync goroutine,
+// as a txlog lazy waiter, or in the release barrier. (The one exception is
+// an engine running WITHOUT a transaction log under fsync=always, whose
+// PutBatch is its only durability point.)
 func (r *Runtime) HandleMessage(from transport.NodeID, m wire.Message) {
 	switch msg := m.(type) {
 	case *wire.SliceResp:
@@ -1169,10 +1204,11 @@ func (r *Runtime) Commit(from transport.NodeID, m *wire.CommitReq, makePrepare f
 			for _, c := range cohorts {
 				parts = append(parts, uint16(c.partition))
 			}
-			// Under fsync=always the append AND the fsync are batched
-			// across the concurrent commit collections of one tick: one
-			// leader writes every staged decision record with a single
-			// write+fsync (see txlog.LogCoordCommitSync).
+			// INVARIANT (client ack follows a sync covering every
+			// cohort's PREPARE and the decision): remote cohorts synced
+			// before they voted; this sync covers the decision and, ahead
+			// of it in the same log, this server's own PREPARE. Concurrent
+			// commit collections share it (see txlog.LogCoordCommitSync).
 			r.tl.LogCoordCommitSync(m.TxID, ct, parts)
 			if err := r.tl.Healthy(); err != nil {
 				// The decision never became durable: withdraw it (so a
@@ -1225,10 +1261,13 @@ func (r *Runtime) Prepare(from transport.NodeID, m *wire.PrepareReq, ht hlc.Time
 	resp := &wire.PrepareResp{ReqID: m.ReqID, TxID: m.TxID, PT: pt}
 	if r.tl != nil {
 		r.tl.LogPrepare(p)
-		if r.tl.SyncOnAppend() {
-			// The fsync must not stall the delivery link (reads share it):
-			// the proposal leaves on a tracked goroutine once the prepare
-			// record is stable.
+		// INVARIANT (client ack follows a sync covering every cohort's
+		// PREPARE): a vote for a REMOTE coordinator leaves only once the
+		// record is stable — on a tracked goroutine, so the fsync does not
+		// stall the delivery link. This server's own coordinator needs no
+		// sync of its own: the record sits in the same log ahead of the
+		// decision, whose sync in Commit covers both.
+		if r.tl.SyncOnAppend() && from != r.id {
 			r.GoAsync(func() {
 				r.tl.Sync()
 				r.Send(from, r.checkedPrepareResp(resp))
@@ -1324,28 +1363,21 @@ func (r *Runtime) HandleCommitTx(from transport.NodeID, m *wire.CommitTx) {
 	if committed {
 		r.tl.LogCommit(m.TxID, m.CT)
 	}
-	// The ack states "outcome durable here"; it may only leave after the
-	// commit record is stable (and not on the delivery goroutine), and
-	// never when the append or fsync backing it failed — withholding it
-	// keeps the coordinator's decision pending, to be re-driven rather
-	// than resolved on a broken promise. DUPLICATE outcomes take the same
-	// sync barrier: a re-driven CommitTx can arrive while the first
-	// copy's fsync is still in flight, and acknowledging it early would
-	// resolve the decision against an unsynced record (the group-commit
-	// sync is free once the record is already stable).
+	// INVARIANT (CommitAck follows a sync covering the COMMIT record): the
+	// ack states "outcome durable here", and all it does is release the
+	// coordinator's retained decision — so it does not pay for an fsync but
+	// rides, as a lazy waiter, on the next sync this log runs for anyone
+	// (the lifecycle tick flushes an idle log well inside redriveAfter). It
+	// is never sent when the append or a sync backing it failed: withholding
+	// it keeps the decision pending, to be re-driven rather than resolved on
+	// a broken promise. DUPLICATE outcomes wait the same way: a re-driven
+	// CommitTx can arrive while the first copy's record is still unsynced.
 	ack := &wire.CommitAck{TxID: m.TxID, Partition: uint16(r.cfg.Partition)}
-	if r.tl.SyncOnAppend() {
-		r.GoAsync(func() {
-			r.tl.Sync()
-			if r.tl.Healthy() == nil {
-				r.Send(from, ack)
-			}
-		})
-		return
-	}
-	if r.tl.Healthy() == nil {
-		r.Send(from, ack)
-	}
+	r.tl.AfterSync(func() {
+		if r.tl.Healthy() == nil {
+			r.Send(from, ack)
+		}
+	})
 }
 
 // handleCommitAck releases the coordinator's logged commit decision once
@@ -1389,32 +1421,19 @@ func (r *Runtime) handleHealthReq(from transport.NodeID, m *wire.HealthReq) {
 // deduplicated per transaction against the engine; ordinary batches are
 // deduplicated against the per-sender watermark, so a duplicated frame or
 // a TCP resend across a reconnect is applied exactly once. When the
-// transaction log is enabled the batch is acknowledged so the sender's
-// replication cursor can advance; fully-seen duplicates still re-ack —
-// the duplicate usually means the first acknowledgement was lost.
+// transaction log is enabled the batch is acknowledged — by the next
+// release barrier, not here — so the sender's replication cursor can
+// advance; fully-seen duplicates are acknowledged again, since the
+// duplicate usually means the first acknowledgement was lost.
 func (r *Runtime) handleReplicate(m *wire.Replicate) {
 	if len(m.Txs) == 0 {
 		return
 	}
 	last := m.Txs[len(m.Txs)-1].CT
 	wm := r.replWM.Load(int(m.SrcDC))
-	ack := func() {
-		if r.tl != nil && r.Healthy() == nil {
-			// The engine write honored the fsync policy, so the ack's
-			// durability statement is exactly as strong as every other one
-			// — unless this replica's write path is degraded and the batch
-			// only reached memory: then the ack is withheld, the sender's
-			// cursor stays put, and its retained tail can still resync us
-			// after a restart instead of leaving the DCs durably diverged.
-			// The Resync echo lets the sender's cursor pin distinguish tail
-			// confirmation from ordinary traffic.
-			r.Send(transport.ServerID(int(m.SrcDC), int(m.Partition)),
-				&wire.ReplicateAck{DC: uint8(r.cfg.DC), Partition: m.Partition, UpTo: last, Resync: m.Resync})
-		}
-	}
 	if last <= wm {
 		// Every transaction in the batch was already applied here.
-		ack()
+		r.oweAck(m, last)
 		return
 	}
 	if !m.Resync && m.Prev > wm && r.tl != nil {
@@ -1444,7 +1463,83 @@ func (r *Runtime) handleReplicate(m *wire.Replicate) {
 	r.replWM.Advance(int(m.SrcDC), last)
 	r.VV.Advance(int(m.SrcDC), last)
 	r.proto.AfterInstall()
-	ack()
+	r.oweAck(m, last)
+}
+
+// oweAck queues the acknowledgement of a replicated batch for the next
+// release barrier. The engine write above reached the OS, not the disk,
+// and the ack lets the ORIGIN's transaction log forget the batch, so it
+// must wait for an Engine.Sync that covers the write; the Resync echo lets
+// the sender's cursor pin tell tail confirmation from ordinary traffic.
+func (r *Runtime) oweAck(m *wire.Replicate, upTo hlc.Timestamp) {
+	if r.tl == nil {
+		return
+	}
+	i := 0
+	if m.Resync {
+		i = 1
+	}
+	r.relMu.Lock()
+	r.owedAcks[m.SrcDC][i] = max(r.owedAcks[m.SrcDC][i], upTo)
+	r.relMu.Unlock()
+}
+
+// noteApplied queues transactions just written to the engine for the next
+// release barrier.
+func (r *Runtime) noteApplied(txs []*txlog.CommittedTx) {
+	if r.tl == nil {
+		return
+	}
+	r.relMu.Lock()
+	for _, t := range txs {
+		r.unreleased = append(r.unreleased, t.TxID)
+	}
+	r.relMu.Unlock()
+}
+
+// release is the ONE place a log is allowed to forget a record, and it
+// runs on the lifecycle loop (plus once in recovery and once at Stop),
+// never on a delivery goroutine.
+//
+// INVARIANT (a committed record leaves the txlog only after an
+// Engine.Sync that covers its apply; a ReplicateAck follows such a
+// barrier): everything queued before the barrier started was written to
+// the engine before it started, so Sync covers it. Only then are the
+// local records marked applied — which is also the only trigger of the
+// transaction log's compaction — and the peers' batches acknowledged. If
+// the barrier fails, what it took off the queue is released never: an
+// engine failure is sticky, the server is read-only from here, the
+// records stay in this log and in the origins' (whose live resync keeps
+// offering them), and a restart replays them into the engine.
+func (r *Runtime) release() {
+	if r.tl == nil {
+		return
+	}
+	r.relMu.Lock()
+	ids, acks := r.unreleased, r.owedAcks
+	r.unreleased, r.owedAcks = nil, make([][2]hlc.Timestamp, len(acks))
+	r.relMu.Unlock()
+
+	r.st.Sync()
+	if r.st.Healthy() != nil {
+		return
+	}
+	r.tl.MarkApplied(ids)
+	if r.tl.Healthy() != nil {
+		// A degraded replica's own log cannot vouch for anything; the
+		// sender's retained tail resyncs us after the repair or a restart.
+		return
+	}
+	for dc, owed := range acks {
+		// The resync echo first: it lifts the sender's cursor pin, which
+		// would clamp the ordinary ack behind it.
+		for _, i := range []int{1, 0} {
+			if upTo := owed[i]; upTo > 0 {
+				r.Send(transport.ServerID(dc, r.cfg.Partition), &wire.ReplicateAck{
+					DC: uint8(r.cfg.DC), Partition: uint16(r.cfg.Partition), UpTo: upTo, Resync: i == 1})
+			}
+		}
+	}
 }
 
 // handleHeartbeat advances the version-vector entry of an idle remote
@@ -1517,38 +1612,33 @@ func (r *Runtime) ApplyTick(heartbeat bool) {
 	r.mu.Unlock()
 
 	// Apply in commit-timestamp order, grouping equal timestamps into one
-	// replication message (Algorithm 4 lines 8–16). Each group's writes go
-	// through one shard-grouped PutBatch, and all writes happen before
-	// the version vector is published so no reader can observe a stable
+	// replication message (Algorithm 4 lines 8–16). The whole tick's writes
+	// go through one shard-grouped PutBatch — which appends to the engine's
+	// logs without waiting for the disk — and all of them happen before
+	// the version vector is published, so no reader can observe a stable
 	// time whose versions are missing.
 	sortCommitted(apply)
 	var batches []*wire.Replicate
+	var puts []store.KV
 	for i := 0; i < len(apply); {
 		j := i
 		batch := &wire.Replicate{SrcDC: uint8(r.cfg.DC), Partition: uint16(r.cfg.Partition)}
-		var puts []store.KV
 		for ; j < len(apply) && apply[j].CT == apply[i].CT; j++ {
 			t := apply[j]
 			puts = r.proto.AppendLocalPuts(puts, t, nil)
 			batch.Txs = append(batch.Txs, r.proto.ReplTxRecord(t))
 		}
-		r.st.PutBatch(puts)
 		batches = append(batches, batch)
 		i = j
 	}
+	r.st.PutBatch(puts)
 
 	r.VV.Advance(r.cfg.DC, ub)
-	if r.tl != nil && len(apply) > 0 {
-		// Exactly these transactions are now in the engine; the log may
-		// release their records once replication confirms them. Marked by
-		// id, not by ub: a re-driven recovered commit logged concurrently
-		// can carry an old ct ≤ ub without being in this batch.
-		ids := make([]uint64, len(apply))
-		for i, t := range apply {
-			ids[i] = t.TxID
-		}
-		r.tl.MarkApplied(ids)
-	}
+	// Exactly these transactions are now in the engine; the next release
+	// barrier lets the log drop their records once replication confirms
+	// them. Queued by id, not by ub: a re-driven recovered commit logged
+	// concurrently can carry an old ct ≤ ub without being in this batch.
+	r.noteApplied(apply)
 	r.proto.AfterInstall()
 
 	hb := &wire.Heartbeat{SrcDC: uint8(r.cfg.DC), Partition: uint16(r.cfg.Partition), TS: ub}
@@ -1568,14 +1658,12 @@ func (r *Runtime) ApplyTick(heartbeat bool) {
 			if !r.resyncTailSent[dc].Load() {
 				continue
 			}
-			for i, tail := 0, r.tl.UnreplicatedTail(dc); i < len(tail); i += resendBatchSize {
-				batch := &wire.Replicate{SrcDC: uint8(r.cfg.DC), Partition: uint16(r.cfg.Partition), Resync: true}
-				for _, t := range tail[i:min(i+resendBatchSize, len(tail))] {
-					batch.Txs = append(batch.Txs, r.proto.ReplTxRecord(t))
-				}
-				r.SendBounded(transport.ServerID(dc, r.cfg.Partition), batch)
-				r.replPrev.Advance(dc, batch.Txs[len(batch.Txs)-1].CT)
-			}
+			// A batch SendBounded gives up on is left to live resync; the
+			// rest still go out.
+			r.sendResync(dc, r.tl.UnreplicatedTail(dc), func(to transport.NodeID, m wire.Message) bool {
+				r.SendBounded(to, m)
+				return true
+			})
 			r.resyncDone[dc] = true
 			continue
 		}
@@ -1706,9 +1794,10 @@ func (r *Runtime) handleGCBroadcast(m *wire.GCBroadcast) {
 	r.mu.Unlock()
 }
 
-// lifecycleLoop runs the periodic transaction-lifecycle maintenance —
-// 2PC termination probes, decision re-drives, and the degraded-mode
-// repair probe — on its own timer, independent of the optional GC loop.
+// lifecycleLoop runs the periodic transaction-lifecycle maintenance — the
+// release barrier, the flush of an idle log's lazy waiters, 2PC
+// termination probes, decision re-drives, and the degraded-mode repair
+// probe — on its own timer, independent of the optional GC loop.
 func (r *Runtime) lifecycleLoop() {
 	defer r.wg.Done()
 	ticker := time.NewTicker(lifecycleInterval)
@@ -1717,6 +1806,13 @@ func (r *Runtime) lifecycleLoop() {
 		select {
 		case <-ticker.C:
 			now := time.Now()
+			r.release()
+			// CommitAcks wait for a sync somebody else needs; when nobody
+			// does, this one releases them (a no-op on a synced log).
+			r.tl.Sync()
+			if r.txSeq.Load()+seqBlockSize/2 > r.seqLimit.Load() {
+				r.reserveSeqs(r.seqLimit.Load())
+			}
 			r.maybeRepair(now)
 			r.txLifecycleTick(now)
 		case <-r.stop:
@@ -1813,16 +1909,7 @@ func (r *Runtime) liveResyncTick() {
 			continue
 		}
 		r.tailStall[dc] = 0
-		for i := 0; i < len(tail); i += resendBatchSize {
-			batch := &wire.Replicate{SrcDC: uint8(r.cfg.DC), Partition: uint16(r.cfg.Partition), Resync: true}
-			for _, t := range tail[i:min(i+resendBatchSize, len(tail))] {
-				batch.Txs = append(batch.Txs, r.proto.ReplTxRecord(t))
-			}
-			if !r.SendBounded(transport.ServerID(dc, r.cfg.Partition), batch) {
-				break
-			}
-			r.replPrev.Advance(dc, batch.Txs[len(batch.Txs)-1].CT)
-		}
+		r.sendResync(dc, tail, r.SendBounded)
 	}
 }
 

@@ -58,6 +58,11 @@ type Engine interface {
 	// as immutable — engines that stream blocks from disk materialize the
 	// winning version before invoking fn, so retaining it is safe.
 	Scan(start, end string, visible VisibleFunc, fn func(key string, v *Version) bool) error
+	// Sync forces every write that returned before the call to stable
+	// storage (a no-op for the memory engine). It is the barrier a server
+	// runs before it lets its transaction log — the WAL proper — forget
+	// the records behind those writes; a failure is recorded for Healthy.
+	Sync()
 	// Healthy reports the first write-path failure the engine has hit, or
 	// nil while fully healthy. Durable engines keep serving from memory
 	// after a log or flush failure, so without this signal a silently

@@ -56,34 +56,43 @@ func (s *Shard) AppendLocked(onErr func(error)) {
 	s.Dirty = true
 }
 
-// SyncIfDirty captures the file handle under the shard lock if the shard
-// has unsynced appends and fsyncs it outside the lock, so appends are not
-// stalled behind a sync the interval policy opted out of waiting for.
-func (s *Shard) SyncIfDirty(onErr func(error)) {
+// TakeDirty returns the shard's current log handle and clears Dirty if
+// the shard has unsynced appends, or nil. The handle is captured under the
+// shard lock and synced outside it (SyncDirty), so appends are never
+// stalled behind an fsync; an append racing in re-sets Dirty.
+func (s *Shard) TakeDirty() *os.File {
 	s.Mu.Lock()
-	var f *os.File
-	if s.Dirty {
-		f = s.F
-		s.Dirty = false
+	defer s.Mu.Unlock()
+	if !s.Dirty {
+		return nil
 	}
-	s.Mu.Unlock()
-	if f != nil {
-		syncFile(f, onErr)
+	s.Dirty = false
+	return s.F
+}
+
+// SyncDirty forces every shard log with unsynced appends to stable storage
+// in one SyncFiles phase and returns how many fsyncs that took.
+func SyncDirty[S interface{ TakeDirty() *os.File }](shards []S, onErr func(error)) int {
+	var dirty []*os.File
+	for _, sh := range shards {
+		if f := sh.TakeDirty(); f != nil {
+			dirty = append(dirty, f)
+		}
 	}
+	SyncFiles(dirty, onErr)
+	return len(dirty)
 }
 
 // SyncFiles forces the given log handles to stable storage concurrently:
 // one group-commit sync phase whose latency is the slowest single fsync,
 // not the sum of one serialized fsync per stripe.
 //
-// Callers MUST capture each handle under its shard lock at append time
-// (not at sync time): an engine that rewrites or rotates logs in the
-// background (WAL compaction, SST memtable freeze) may swap the shard's
-// current file between the append and this sync, and syncing the
-// replacement would silently leave the just-appended records volatile. A
-// captured handle the background work has already closed is skipped as
-// success — the file that replaced it was fsynced before the swap, so
-// the records are stable through it.
+// Callers capture each handle under its shard lock (TakeDirty, or the
+// SST freeze handing over the generation it rotates out). A captured
+// handle that background work has closed since — a WAL compaction's
+// rewrite, an SST flush whose run superseded the generation — is skipped
+// as success: what replaced it was fsynced before the swap, so the
+// records are stable through it.
 func SyncFiles(files []*os.File, onErr func(error)) {
 	if len(files) == 1 {
 		syncFile(files[0], onErr)

@@ -9,7 +9,6 @@ import (
 	"wren/internal/store"
 	"wren/internal/store/fsutil"
 	"wren/internal/store/shardlog"
-	"wren/internal/store/wal"
 )
 
 // Flush freezes the active memtable and writes it out as one immutable
@@ -34,7 +33,12 @@ func (e *Engine) flushLocked() error {
 	// Freeze: rotate in a fresh memtable and a fresh WAL generation under
 	// every shard lock, so each write lands wholly in the old tier or
 	// wholly in the new one. The old memtable becomes the frozen tier —
-	// still readable — while its run is written without any lock.
+	// still readable — while its run is written without any lock. syncMu
+	// is held from before the rotation until the rotated-out generation is
+	// stable, so Sync (which takes it) never has to look behind the active
+	// generation: a write that returned before Sync was called is either
+	// in a log Sync reaches through the shards or in one synced here.
+	e.syncMu.Lock()
 	for _, sh := range e.shards {
 		sh.Mu.Lock()
 	}
@@ -70,14 +74,19 @@ func (e *Engine) flushLocked() error {
 		for i := e.nShards - 1; i >= 0; i-- {
 			e.shards[i].Mu.Unlock()
 		}
+		e.syncMu.Unlock()
 		err := fmt.Errorf("sst: rotate wal generation: %w", ferr)
 		e.recordErr(err)
 		return err
 	}
 	frozen := tabs.active
 	oldFiles := make([]*os.File, e.nShards)
+	var unsynced []*os.File
 	for si, sh := range e.shards {
 		oldFiles[si] = sh.F
+		if sh.Dirty {
+			unsynced = append(unsynced, sh.F)
+		}
 		sh.F = newFiles[si]
 		sh.Size = 0
 		sh.Dirty = false
@@ -91,14 +100,14 @@ func (e *Engine) flushLocked() error {
 		e.shards[i].Mu.Unlock()
 	}
 
-	// The rotated-out generation may hold appends the interval policy has
-	// not synced yet, and the fsync loop can no longer reach them (the
-	// shards now point at the new generation). Sync them here so the
-	// interval loss bound stays one interval plus this sync, not the whole
-	// run-write duration; fsync=never keeps its no-promises contract.
-	if e.fsync != wal.FsyncNever {
-		shardlog.SyncFiles(oldFiles, e.onErr)
-	}
+	// The rotated-out generation may hold appends nothing has synced yet,
+	// and neither Sync nor the fsync loop can reach them any more (the
+	// shards now point at the new generation). Sync them here, whatever
+	// the policy: Sync's promise, and the interval policy's loss bound,
+	// must not stretch over the whole run-write duration.
+	e.metrics.syncs.Add(int64(len(unsynced)))
+	shardlog.SyncFiles(unsynced, e.onErr)
+	e.syncMu.Unlock()
 
 	// Write the run. No locks are needed: the frozen memtable is
 	// immutable, and readers keep serving from it through the tables

@@ -2,7 +2,6 @@ package sst
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"wren/internal/store"
@@ -31,28 +30,20 @@ func (e *Engine) Put(key string, v *store.Version) {
 	sh.Enc.Reset()
 	logrec.Append(sh.Enc, key, v)
 	sh.AppendLocked(e.onErr)
-	if e.fsync == wal.FsyncAlways && !sh.Failed {
-		// Syncing inside the shard lock is safe against rotation: the
-		// freeze needs every shard lock, so sh.F cannot change under us.
-		if err := sh.F.Sync(); err != nil {
-			e.recordErr(fmt.Errorf("sst: sync: %w", err))
-		}
-		sh.Dirty = false
-	}
 	// The memtable insert happens under the WAL shard lock, so a freeze
 	// can never interleave between the log append and the insert.
 	e.tabs.Load().active.Put(key, v)
 	sh.Mu.Unlock()
+	if e.fsync == wal.FsyncAlways {
+		e.Sync()
+	}
 	e.noteWrite(writeSize(key, v))
 }
 
 // PutBatch implements store.Engine: all records of one batch destined for
-// the same shard are appended with a single write (group commit). Under
-// fsync=always the batch pays ONE coalesced sync phase across every
-// touched shard log, exactly like the WAL engine; the handles are
-// captured at append time so a concurrent memtable freeze rotating the
-// generation cannot divert the sync onto the fresh empty file (see
-// shardlog.SyncFiles).
+// the same shard are appended with a single write (group commit). Like the
+// WAL engine it never waits for the disk except under fsync=always, where
+// it ends with Sync.
 func (e *Engine) PutBatch(kvs []store.KV) {
 	switch len(kvs) {
 	case 0:
@@ -61,8 +52,6 @@ func (e *Engine) PutBatch(kvs []store.KV) {
 		e.Put(kvs[0].Key, kvs[0].Version)
 		return
 	}
-	groupSync := e.fsync == wal.FsyncAlways
-	var touched []*os.File
 	var bytes int64
 	store.ForEachShardGroup(e.mask, kvs, func(id uint32, group []store.KV) {
 		sh := e.shards[id]
@@ -74,16 +63,24 @@ func (e *Engine) PutBatch(kvs []store.KV) {
 		}
 		sh.AppendLocked(e.onErr)
 		e.tabs.Load().active.PutBatch(group)
-		if groupSync && !sh.Failed {
-			touched = append(touched, sh.F)
-			sh.Dirty = false
-		}
 		sh.Mu.Unlock()
 	})
-	if groupSync {
-		shardlog.SyncFiles(touched, e.onErr)
+	if e.fsync == wal.FsyncAlways {
+		e.Sync()
 	}
 	e.noteWrite(bytes)
+}
+
+// Sync implements store.Engine: every active-generation shard log with
+// unsynced appends is forced to stable storage in one concurrent phase.
+// Appends a memtable freeze rotated out are not its concern — the flush
+// syncs that generation before it releases syncMu (see flushLocked) — and
+// a handle the flush closed since is skipped, its records being stable
+// through the run that superseded it. Failures are recorded for Healthy.
+func (e *Engine) Sync() {
+	e.syncMu.Lock()
+	defer e.syncMu.Unlock()
+	e.metrics.syncs.Add(int64(shardlog.SyncDirty(e.shards, e.onErr)))
 }
 
 // noteWrite tracks the approximate memtable size and schedules a
@@ -118,10 +115,8 @@ func (e *Engine) triggerFlush() {
 	}()
 }
 
-// fsyncLoop flushes dirty shard logs on a timer (interval policy). An
-// append racing in re-sets Dirty, keeping the one-interval loss bound; a
-// handle the freeze closed is skipped — its records are stable through
-// the run that superseded it.
+// fsyncLoop runs Sync on a timer (interval policy). An append racing in
+// re-sets Dirty, keeping the one-interval loss bound.
 func (e *Engine) fsyncLoop(every time.Duration) {
 	defer e.wg.Done()
 	ticker := time.NewTicker(every)
@@ -129,9 +124,7 @@ func (e *Engine) fsyncLoop(every time.Duration) {
 	for {
 		select {
 		case <-ticker.C:
-			for _, sh := range e.shards {
-				sh.SyncIfDirty(e.onErr)
-			}
+			e.Sync()
 		case <-e.stop:
 			return
 		}

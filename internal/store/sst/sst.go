@@ -104,9 +104,11 @@ type Options struct {
 	// different value adopts the persisted count.
 	Shards int
 	// Fsync is the WAL group-commit policy for the active memtable's log:
-	// wal.FsyncAlways, wal.FsyncInterval ("" default) or wal.FsyncNever.
-	// Run files are always fsynced before they count as durable,
-	// regardless of policy.
+	// wal.FsyncAlways, wal.FsyncInterval ("" default) or wal.FsyncNever
+	// (same meanings as in package wal: a server whose txlog fronts the
+	// engine opens it with FsyncNever and calls Sync as a barrier). Run
+	// files are always fsynced before they count as durable, regardless of
+	// policy.
 	Fsync string
 	// FsyncInterval overrides the sync timer period for the interval
 	// policy (0 selects DefaultFsyncInterval).
@@ -214,6 +216,13 @@ type Engine struct {
 	gen     uint64 // active WAL generation (flushMu; written under all shard locks)
 	minGen  uint64 // lowest generation whose data lives only in the memtable (flushMu)
 
+	// syncMu serializes Sync with itself — a caller whose dirty logs an
+	// earlier Sync already took must not return before that Sync's fsyncs
+	// have — and with the freeze step of a flush (lock order: syncMu, then
+	// shard locks), which holds it until the generation it rotated out is
+	// stable.
+	syncMu sync.Mutex
+
 	memBytes atomic.Int64 // approximate active-memtable payload size
 	flushing atomic.Bool  // a background flush is scheduled or running
 
@@ -240,7 +249,12 @@ type Metrics struct {
 
 	blockReads atomic.Int64
 	bloomSkips atomic.Int64
+	syncs      atomic.Int64
 }
+
+// Syncs returns how many WAL shard-log fsyncs the engine has issued (Sync,
+// however it was reached, and the rotated-out generation of a flush).
+func (m *Metrics) Syncs() int64 { return m.syncs.Load() }
 
 func (m *Metrics) add(f func(*Metrics)) { m.mu.Lock(); f(m); m.mu.Unlock() }
 
@@ -910,6 +924,11 @@ func sortedMemKeys(s *store.Store, inRange func(string) bool) []string {
 	sort.Strings(keys)
 	return keys
 }
+
+// InjectFailure records err as a write-path failure, flipping Healthy.
+// Test-only, like txlog.InjectFailure: it lets the lifecycle tests
+// exercise a failed engine barrier without arranging a real I/O error.
+func (e *Engine) InjectFailure(err error) { e.recordErr(err) }
 
 // Healthy implements store.Engine: it returns the first WAL append/sync,
 // flush or compaction failure the engine has recorded, or nil while the

@@ -648,3 +648,49 @@ func TestDeletedKeyStaysDeadAcrossFlushCrash(t *testing.T) {
 		t.Fatalf("unrelated key lost: %+v", got)
 	}
 }
+
+// TestSyncBarrier pins the engine's side of "engine logs are a recovery
+// accelerator; the txlog is the WAL": opened the way a txlog-fronted server
+// opens it (FsyncNever), the put path issues no fsync; Sync covers exactly
+// the dirty logs of the active generation; and a flush syncs what it
+// rotates out, so a Sync that runs while the run is still being written
+// need not look behind the active generation.
+func TestSyncBarrier(t *testing.T) {
+	batch := func(base int) []store.KV {
+		var kvs []store.KV
+		for i := 0; i < 64; i++ {
+			kvs = append(kvs, store.KV{Key: fmt.Sprintf("k-%03d", i), Version: v("x", hlc.Timestamp(base+i), uint64(base+i))})
+		}
+		return kvs
+	}
+	e := mustOpen(t, Options{Dir: t.TempDir(), Shards: 8, Fsync: wal.FsyncNever, FlushBytes: -1})
+	defer e.Close()
+	for i := 0; i < 5; i++ {
+		e.PutBatch(batch(1000 * (i + 1)))
+	}
+	if got := e.Metrics().Syncs(); got != 0 {
+		t.Fatalf("put path issued %d fsyncs under FsyncNever", got)
+	}
+	e.Sync()
+	first := e.Metrics().Syncs()
+	if first == 0 || first > 8 {
+		t.Fatalf("Sync issued %d fsyncs, want one per dirty shard log (1..8)", first)
+	}
+	e.Sync()
+	if got := e.Metrics().Syncs(); got != first {
+		t.Fatalf("Sync of a clean engine issued %d fsyncs", got-first)
+	}
+
+	// Unsynced appends rotated out by a flush are synced by the flush.
+	e.PutBatch(batch(9000))
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Metrics().Syncs(); got != 2*first {
+		t.Fatalf("flush synced %d rotated-out logs, want %d", got-first, first)
+	}
+	e.Sync()
+	if got := e.Metrics().Syncs(); got != 2*first {
+		t.Fatalf("Sync after the flush issued %d fsyncs for a clean active generation", got-2*first)
+	}
+}

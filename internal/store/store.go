@@ -511,6 +511,9 @@ func (s *Store) ShardSnapshot(si int) []KV {
 // can fail, so it is always healthy.
 func (s *Store) Healthy() error { return nil }
 
+// Sync implements Engine: nothing in memory can be made stable.
+func (s *Store) Sync() {}
+
 // Close implements Engine. The in-memory engine holds no external
 // resources, so Close is a no-op.
 func (s *Store) Close() error { return nil }

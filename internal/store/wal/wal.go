@@ -7,7 +7,14 @@
 // length-prefixed and CRC32-checksummed, and their payloads reuse the
 // internal/wire encoder. Group commit batches all of a PutBatch's records
 // for one shard into a single write syscall; the fsync policy decides when
-// the OS buffer is forced to disk (per batch, on a timer, or never).
+// the OS buffer is forced to disk (per batch, on a timer, or only when the
+// owner calls Sync).
+//
+// Durability rule: engine logs are a recovery accelerator; the txlog is the
+// WAL. A partition server whose transaction log fronts the engine opens it
+// with FsyncNever and calls Sync as a barrier before it lets the txlog (or a
+// peer DC's replication cursor) forget a record; FsyncAlways and
+// FsyncInterval are for an engine used on its own.
 //
 // On startup the engine replays every shard log into the in-memory shards.
 // A torn final record — the footprint of a crash mid-append — is detected
@@ -24,6 +31,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"wren/internal/hlc"
@@ -36,15 +44,15 @@ import (
 
 // Fsync policies: when an appended record is forced to stable storage.
 const (
-	// FsyncAlways syncs after every Put/PutBatch (group commit): no
-	// committed-and-applied write is ever lost, at one fsync per shard a
-	// batch touches (a batch spread over many stripes pays many fsyncs).
+	// FsyncAlways runs Sync at the end of every Put/PutBatch: the call
+	// returns durable, at one fsync per shard log the batch touched.
 	FsyncAlways = "always"
 	// FsyncInterval syncs dirty logs on a background timer (default 10ms):
 	// a crash loses at most the last interval's writes. The default.
 	FsyncInterval = "interval"
-	// FsyncNever leaves flushing to the OS page cache: fastest, survives
-	// process crashes (the data is in kernel buffers) but not power loss.
+	// FsyncNever leaves flushing to the OS page cache until the owner
+	// calls Sync (or Close): fastest, survives process crashes (the data is
+	// in kernel buffers) but not power loss.
 	FsyncNever = "never"
 )
 
@@ -109,6 +117,10 @@ type Engine struct {
 
 	lock *os.File // exclusive advisory lock on the data directory
 
+	// syncMu serializes Sync: a caller whose dirty logs an earlier Sync
+	// already took must not return before that Sync's fsyncs have.
+	syncMu sync.Mutex
+
 	mu      sync.Mutex // guards err, closed
 	err     error      // first append/sync error, surfaced by Close
 	closed  bool
@@ -123,7 +135,12 @@ type Metrics struct {
 	compactions int
 	recovered   int
 	truncated   int
+	syncs       atomic.Int64
 }
+
+// Syncs returns how many shard-log fsyncs Sync has issued (Put/PutBatch
+// under FsyncAlways and the interval timer go through Sync too).
+func (m *Metrics) Syncs() int64 { return m.syncs.Load() }
 
 // Compactions returns how many shard-log rewrites have run.
 func (m *Metrics) Compactions() int { m.mu.Lock(); defer m.mu.Unlock(); return m.compactions }
@@ -290,44 +307,27 @@ func (e *Engine) recordErr(err error) {
 // name.
 func (e *Engine) onErr(err error) { e.recordErr(fmt.Errorf("wal: %w", err)) }
 
-// appendLocked writes Enc's buffered records to the shard log (rollback
-// on failure, freeze on rollback failure — see shardlog.Shard) and
-// applies the fsync policy. Caller holds sh.Mu. With deferSync set, the
-// FsyncAlways sync is skipped — the caller (PutBatch's group commit)
-// issues one coalesced sync phase for every touched shard after all
-// appends land.
-func (e *Engine) appendLocked(sh *walShard, deferSync bool) {
-	sh.AppendLocked(e.onErr)
-	if e.fsync == FsyncAlways && !deferSync && !sh.Failed {
-		if err := sh.F.Sync(); err != nil {
-			e.recordErr(fmt.Errorf("wal: sync: %w", err))
-		}
-		sh.Dirty = false
-	}
-}
-
 // Put implements store.Engine.
 func (e *Engine) Put(key string, v *store.Version) {
 	sh := e.shards[store.Fingerprint(key)&e.mask]
 	sh.Mu.Lock()
 	sh.Enc.Reset()
 	logrec.Append(sh.Enc, key, v)
-	e.appendLocked(sh, false)
+	sh.AppendLocked(e.onErr)
 	// The memory insert happens under the WAL shard lock so compaction's
 	// snapshot-and-rewrite can never interleave between log and memory.
 	e.mem.Put(key, v)
 	sh.Mu.Unlock()
+	if e.fsync == FsyncAlways {
+		e.Sync()
+	}
 }
 
 // PutBatch implements store.Engine: all records of one batch destined for
-// the same shard are appended with a single write (group commit). Under
-// FsyncAlways the batch pays ONE coalesced sync phase across every touched
-// shard log — the fsyncs run concurrently after all appends land — instead
-// of one serialized fsync per stripe. Versions become readable from the
-// memory stripes as each shard's append lands, before the sync phase
-// completes; this matches the system's durability unit (the applied
-// transaction — servers acknowledge commits before the apply tick), and
-// PutBatch still returns only after every touched log is on stable storage.
+// the same shard are appended with a single write (group commit). Versions
+// become readable from the memory stripes as each shard's append lands.
+// PutBatch itself never waits for the disk except under FsyncAlways, where
+// it ends with Sync.
 func (e *Engine) PutBatch(kvs []store.KV) {
 	switch len(kvs) {
 	case 0:
@@ -336,8 +336,6 @@ func (e *Engine) PutBatch(kvs []store.KV) {
 		e.Put(kvs[0].Key, kvs[0].Version)
 		return
 	}
-	groupSync := e.fsync == FsyncAlways
-	var touched []*os.File
 	store.ForEachShardGroup(e.mask, kvs, func(id uint32, group []store.KV) {
 		sh := e.shards[id]
 		sh.Mu.Lock()
@@ -345,21 +343,24 @@ func (e *Engine) PutBatch(kvs []store.KV) {
 		for _, kv := range group {
 			logrec.Append(sh.Enc, kv.Key, kv.Version)
 		}
-		e.appendLocked(sh, groupSync)
+		sh.AppendLocked(e.onErr)
 		e.mem.PutBatch(group)
-		if groupSync && !sh.Failed {
-			// Capture the handle under the lock, at append time: a
-			// compaction may swap sh.F before the sync phase runs, and the
-			// records must be fsynced through THIS handle (or already be
-			// stable via the rewrite that closed it).
-			touched = append(touched, sh.F)
-			sh.Dirty = false
-		}
 		sh.Mu.Unlock()
 	})
-	if groupSync {
-		shardlog.SyncFiles(touched, e.onErr)
+	if e.fsync == FsyncAlways {
+		e.Sync()
 	}
+}
+
+// Sync implements store.Engine: every shard log with unsynced appends is
+// forced to stable storage in one concurrent phase. Each handle is
+// captured under its shard lock; one a concurrent compaction has closed
+// since is skipped by shardlog — the rewrite that replaced it was fsynced
+// before the swap. Failures are recorded for Healthy.
+func (e *Engine) Sync() {
+	e.syncMu.Lock()
+	defer e.syncMu.Unlock()
+	e.metrics.syncs.Add(int64(shardlog.SyncDirty(e.shards, e.onErr)))
 }
 
 // ReadVisible implements store.Engine.
@@ -498,6 +499,11 @@ func (e *Engine) Scan(start, end string, visible store.VisibleFunc, fn func(key 
 	return e.mem.Scan(start, end, visible, fn)
 }
 
+// InjectFailure records err as a write-path failure, flipping Healthy.
+// Test-only, like txlog.InjectFailure: it lets the lifecycle tests
+// exercise a failed engine barrier without arranging a real I/O error.
+func (e *Engine) InjectFailure(err error) { e.recordErr(err) }
+
 // Healthy implements store.Engine: it returns the first append, sync or
 // compaction failure the engine has recorded, or nil while the write path
 // is fully intact. After a failure the engine keeps serving reads and
@@ -515,7 +521,8 @@ func (e *Engine) Metrics() *Metrics { return &e.metrics }
 // Dir returns the engine's data directory.
 func (e *Engine) Dir() string { return e.dir }
 
-// fsyncLoop flushes dirty shard logs on a timer (FsyncInterval policy).
+// fsyncLoop runs Sync on a timer (FsyncInterval policy). An append racing
+// in re-sets Dirty, keeping the one-interval loss bound.
 func (e *Engine) fsyncLoop(every time.Duration) {
 	defer e.wg.Done()
 	ticker := time.NewTicker(every)
@@ -523,20 +530,10 @@ func (e *Engine) fsyncLoop(every time.Duration) {
 	for {
 		select {
 		case <-ticker.C:
-			e.syncDirty()
+			e.Sync()
 		case <-e.stop:
 			return
 		}
-	}
-}
-
-// syncDirty flushes dirty shard logs (interval policy). An append racing
-// in re-sets Dirty, keeping the one-interval loss bound; a concurrent
-// compaction may close a captured handle, which shardlog skips — the log
-// installed in its place was synced before the swap.
-func (e *Engine) syncDirty() {
-	for _, sh := range e.shards {
-		sh.SyncIfDirty(e.onErr)
 	}
 }
 

@@ -494,3 +494,42 @@ func TestGroupCommitFsyncAlways(t *testing.T) {
 		}
 	}
 }
+
+// TestSyncBarrier pins the engine's side of "engine logs are a recovery
+// accelerator; the txlog is the WAL": opened the way a txlog-fronted server
+// opens it (FsyncNever), the put path issues no fsync however many shard
+// logs it touches; Sync is one phase over exactly the dirty logs; and under
+// FsyncAlways every PutBatch is that same phase.
+func TestSyncBarrier(t *testing.T) {
+	batch := func(base int) []store.KV {
+		var kvs []store.KV
+		for i := 0; i < 64; i++ {
+			kvs = append(kvs, store.KV{Key: fmt.Sprintf("k-%03d", i), Version: v("x", hlc.Timestamp(base+i), uint64(base+i))})
+		}
+		return kvs
+	}
+	e := mustOpen(t, Options{Dir: t.TempDir(), Shards: 8, Fsync: FsyncNever})
+	defer e.Close()
+	for i := 0; i < 5; i++ {
+		e.PutBatch(batch(1000 * (i + 1)))
+	}
+	if got := e.Metrics().Syncs(); got != 0 {
+		t.Fatalf("put path issued %d fsyncs under FsyncNever", got)
+	}
+	e.Sync()
+	first := e.Metrics().Syncs()
+	if first == 0 || first > 8 {
+		t.Fatalf("Sync issued %d fsyncs, want one per dirty shard log (1..8)", first)
+	}
+	e.Sync()
+	if got := e.Metrics().Syncs(); got != first {
+		t.Fatalf("Sync of a clean engine issued %d fsyncs", got-first)
+	}
+
+	a := mustOpen(t, Options{Dir: t.TempDir(), Shards: 8, Fsync: FsyncAlways})
+	defer a.Close()
+	a.PutBatch(batch(1))
+	if got := a.Metrics().Syncs(); got != first {
+		t.Fatalf("FsyncAlways PutBatch issued %d fsyncs, want %d (the same dirty logs)", got, first)
+	}
+}

@@ -1,57 +1,78 @@
 // Package txlog is the durable transaction-lifecycle log of a partition
 // server: an append-only commit-record log that makes the ACKNOWLEDGED
 // transaction — not just the applied one — the system's durability unit,
-// and persists the replication progress toward every peer data center.
+// and persists the replication progress toward every peer data center. It
+// is the partition's write-ahead log, and under fsync=always its only
+// fsync-before-ack point; the storage engine's own logs are a recovery
+// accelerator behind it.
 //
-// The protocol servers (internal/core, internal/cure) write three kinds of
-// lifecycle records before the corresponding acknowledgement leaves the
-// server, under the same fsync policies as the storage engines:
+// Records: a cohort's PREPARE (proposed timestamp, snapshot metadata, the
+// write set), a cohort's COMMIT (final timestamp), the coordinator's
+// COORD-COMMIT decision (timestamp + cohort partitions) with the RESOLVED
+// or ABORT that retires it, a per-DC replicated-up-to CURSOR, and the
+// transaction-sequence floor.
 //
-//   - a PREPARE record (proposed timestamp, snapshot metadata, the write
-//     set) before a cohort answers PrepareResp — so the writes of any
-//     transaction the coordinator could go on to commit are durable at
-//     every cohort;
-//   - a COMMIT record (final commit timestamp) when a cohort learns the
-//     2PC outcome, before it acknowledges the coordinator;
-//   - a COORD-COMMIT record (commit timestamp + cohort partitions) at the
-//     coordinator before the client is acknowledged — the client-visible
-//     durability point. After a crash the coordinator re-drives CommitTx
-//     from these records, so a cohort that crashed between PrepareResp and
-//     CommitTx still learns the outcome.
+// # Durability contract (fsync=always)
 //
-// The log also persists a per-DC replicated-up-to CURSOR, advanced as
-// Replicate batches are acknowledged by the peer replicas; after a restart
-// the server re-sends every committed transaction above a peer's cursor,
-// closing the gap where transactions applied during shutdown (or whose
-// Replicate message died with a draining peer) persisted locally but never
-// reached the remote DCs.
+//   - A PrepareResp to a REMOTE coordinator MUST follow a sync covering the
+//     PREPARE record. The coordinator's own cohort votes after the append:
+//     its PREPARE sits in the same file ahead of the decision, so the
+//     decision's sync covers both, and a crash before that sync leaves an
+//     unacknowledged transaction either way.
+//   - A client acknowledgement, and every CommitTx, MUST follow a sync
+//     covering the COORD-COMMIT record — and through it every cohort's
+//     PREPARE. A commit whose decision failed to reach the disk MUST be
+//     aborted and withdrawn (CoordAbort), never acknowledged.
+//   - A CommitAck MUST follow a sync covering the cohort's COMMIT record,
+//     and MUST NOT be sent while the log is degraded. It MUST NOT pay for a
+//     sync of its own: it only releases the coordinator's retained decision
+//     (re-driven after 5 s), so it waits as a lazy waiter (AfterSync) for
+//     the next sync anyone needs, and the server's 1 s lifecycle tick
+//     flushes stragglers on an idle log.
+//   - A committed record MUST NOT leave the log (MarkApplied, then
+//     compaction) before an Engine.Sync that covers its apply, and a
+//     ReplicateAck — which lets the ORIGIN's log forget the record — MUST
+//     follow such a barrier at the receiver. One loop in the server runs
+//     barrier → MarkApplied → acks → compaction (replica.Runtime.release).
+//   - CURSOR, RESOLVED and ABORT records MUST NOT wait for a sync: losing
+//     one only costs a deduplicated re-send, re-drive or re-abort.
+//   - Handlers running on a connection's reader goroutine MUST NOT fsync:
+//     they append, and leave the waiting to a tracked goroutine or a lazy
+//     waiter.
 //
-// With fsync=always the guarantee is exact: a kill at any point after the
-// client ack loses nothing. With fsync=interval the exposure is bounded by
-// the sync interval, exactly like the storage engines; fsync=never leaves
-// flushing to the OS page cache.
+// With fsync=interval the same records are written at the same points and
+// a timer syncs them, so the exposure is bounded by the interval;
+// fsync=never leaves flushing to the OS page cache. Under both, waiters
+// are released at once.
+//
+// Group commit is one mechanism: records are written to the file as they
+// are appended, and every waiter — urgent (Sync, LogCoordCommitSync) or
+// lazy (AfterSync) — waits for one synced-offset watermark. The first
+// urgent waiter through flushMu fsyncs everything appended so far; those
+// queued behind it find their records covered and return without touching
+// the disk; lazy waiters never fsync and are released by whichever sync
+// passes them.
 //
 // On disk the log is one append-only file (commit.log) of records framed
 // by the exact same rules as every other log in the data directory
 // (internal/store/logrec: length prefix + CRC32, torn tail truncated on
 // recovery), living in a txlog/ subdirectory of the engine's data dir so
 // it is covered by the engine's directory lock and engine-type marker.
-// Group commit batches concurrent fsyncs: each syncer forces everything
-// appended so far, and later syncers whose records are already covered
-// return without touching the disk. Compaction rewrites the file keeping
-// only records still needed — prepares without an outcome, committed
-// transactions not yet both applied and replicated everywhere, unresolved
-// coordinator decisions, and the cursors.
+// Compaction rewrites the file keeping only records still needed —
+// prepares without an outcome, committed transactions not yet both applied
+// and replicated everywhere, unresolved coordinator decisions, and the
+// cursors — without holding the append lock across its I/O.
 package txlog
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"wren/internal/hlc"
@@ -114,11 +135,6 @@ type Options struct {
 	// rewrite (0 selects DefaultCompactThreshold; negative disables
 	// compaction).
 	CompactThreshold int
-	// DisableDecisionBatch makes LogCoordCommitSync fall back to one
-	// append+fsync per coordinator decision instead of batching staged
-	// records across concurrent committers. Only meaningful under
-	// fsync=always; exists for the wren-bench -txlog before/after rows.
-	DisableDecisionBatch bool
 }
 
 // PreparedTx is a logged prepare: the cohort-local write set of a
@@ -192,26 +208,21 @@ type Log struct {
 	pins    []hlc.Timestamp
 	appends int    // records since the last compaction
 	maxSeq  uint64 // reserved/observed tx-sequence watermark (persisted by recSeq)
-	// gen identifies the current log file; Compact bumps it when it swaps
-	// the handle, and synced is only advanced for the generation a sync
-	// actually ran against — without the guard, a Sync that raced a
-	// compaction could stamp the OLD file's (larger) size onto the NEW
-	// file's watermark and permanently suppress every later fsync.
-	gen    uint64
-	synced int64 // bytes of the current generation known stable (under sh.Mu)
+	// base maps file offsets to log sequence numbers: a record ending at
+	// offset o has LSN base+o. Waiters hold LSNs, which stay valid when a
+	// compaction moves the records they name to other offsets (or folds
+	// them into its rewrite); synced is the LSN everything at or below
+	// which is known stable; lazy holds the AfterSync waiters above it, in
+	// LSN order. All under sh.Mu.
+	base   int64
+	synced int64
+	lazy   []lazyWaiter
 
-	// syncMu serializes the group-commit fsyncs themselves; state they
-	// read and write lives under sh.Mu. Lock order: syncMu then sh.Mu.
-	syncMu sync.Mutex
-
-	// decBatch (under sh.Mu) stages encoded coordinator decision records
-	// for LogCoordCommitSync's batched group commit under fsync=always:
-	// records accumulate here while a flush holds syncMu; the next leader
-	// writes them all with one write syscall and one fsync. Compact clears
-	// it — its full rewrite persists the coord map wholesale, staged
-	// records included. noDecBatch pins the unbatched fallback.
-	decBatch   []byte
-	noDecBatch bool
+	// flushMu serializes the fsyncs and a compaction's handle swap, so a
+	// sync never runs against a file being replaced. Lock order: flushMu,
+	// then sh.Mu.
+	flushMu sync.Mutex
+	syncs   atomic.Uint64
 
 	errMu  sync.Mutex
 	err    error
@@ -244,18 +255,17 @@ func Open(opts Options) (*Log, error) {
 		return nil, fmt.Errorf("txlog: create dir: %w", err)
 	}
 	l := &Log{
-		dir:        opts.Dir,
-		fsync:      policy,
-		compat:     compact,
-		numDCs:     opts.NumDCs,
-		selfDC:     opts.SelfDC,
-		prepared:   make(map[uint64]*PreparedTx),
-		committed:  make(map[uint64]*CommittedTx),
-		coord:      make(map[uint64]*CoordTx),
-		cursor:     make([]hlc.Timestamp, opts.NumDCs),
-		pins:       make([]hlc.Timestamp, opts.NumDCs),
-		noDecBatch: opts.DisableDecisionBatch,
-		stop:       make(chan struct{}),
+		dir:       opts.Dir,
+		fsync:     policy,
+		compat:    compact,
+		numDCs:    opts.NumDCs,
+		selfDC:    opts.SelfDC,
+		prepared:  make(map[uint64]*PreparedTx),
+		committed: make(map[uint64]*CommittedTx),
+		coord:     make(map[uint64]*CoordTx),
+		cursor:    make([]hlc.Timestamp, opts.NumDCs),
+		pins:      make([]hlc.Timestamp, opts.NumDCs),
+		stop:      make(chan struct{}),
 	}
 	l.sh.Enc = wire.NewEncoder()
 	if err := l.recover(); err != nil {
@@ -399,6 +409,25 @@ func encodeWrites(e *wire.Encoder, writes []wire.KV) {
 	}
 }
 
+func encodePrepare(e *wire.Encoder, txID uint64, pt, rst hlc.Timestamp, sv []hlc.Timestamp, writes []wire.KV) {
+	e.Byte(recPrepare)
+	e.Uvarint(txID)
+	e.Timestamp(pt)
+	e.Timestamp(rst)
+	e.Timestamps(sv)
+	encodeWrites(e, writes)
+}
+
+func encodeCoordCommit(e *wire.Encoder, c *CoordTx) {
+	e.Byte(recCoordCommit)
+	e.Uvarint(c.TxID)
+	e.Timestamp(c.CT)
+	e.Uvarint(uint64(len(c.Cohorts)))
+	for _, p := range c.Cohorts {
+		e.Uvarint(uint64(p))
+	}
+}
+
 func decodeWrites(d *wire.Decoder) []wire.KV {
 	n := d.Uvarint()
 	if d.Err() != nil || n == 0 || n > 1<<22 {
@@ -511,68 +540,111 @@ func (l *Log) appendLocked(encode func(*wire.Encoder)) {
 	l.appends++
 }
 
-// SyncOnAppend reports whether the fsync policy requires a Sync before a
+// SyncOnAppend reports whether the fsync policy requires a sync before a
 // record-backed acknowledgement may leave the server (fsync=always).
 func (l *Log) SyncOnAppend() bool { return l.fsync == wal.FsyncAlways }
 
-// Sync forces every record appended so far to stable storage. Concurrent
-// callers group-commit: the first syncer covers everything appended at
-// that point, and callers whose records are already covered return
-// without another fsync. Callers needing a durability STATEMENT (an
-// acknowledgement) must consult Healthy afterwards — a failed fsync is
-// recorded, not returned.
-func (l *Log) Sync() {
-	l.syncMu.Lock()
-	defer l.syncMu.Unlock()
-	l.sh.Mu.Lock()
-	size, f, gen, synced := l.sh.Size, l.sh.F, l.gen, l.synced
-	l.sh.Mu.Unlock()
-	if f == nil || synced >= size {
-		return
-	}
-	if err := f.Sync(); err != nil {
-		// A handle closed by a concurrent compaction means the rewrite
-		// already made these records stable through the replacement file;
-		// the generation guard below keeps the stale size from being
-		// stamped onto the new file's watermark either way.
-		if !errors.Is(err, os.ErrClosed) {
-			l.recordErr(fmt.Errorf("txlog: sync: %w", err))
-		}
-		return
-	}
-	l.sh.Mu.Lock()
-	if l.gen == gen && size > l.synced {
-		l.synced = size
-	}
-	l.sh.Mu.Unlock()
+// lazyWaiter is a callback parked until the synced watermark reaches lsn.
+type lazyWaiter struct {
+	lsn int64
+	fn  func()
 }
 
-// LogPrepare records a cohort-side prepare. Under fsync=always the caller
-// must Sync before sending PrepareResp.
+// endLocked is the LSN of the last appended record. Caller holds sh.Mu.
+func (l *Log) endLocked() int64 { return l.base + l.sh.Size }
+
+// Syncs returns how many fsyncs of the log file the log has issued
+// (compaction's rewrite not included).
+func (l *Log) Syncs() uint64 { return l.syncs.Load() }
+
+// Sync is the urgent waiter of the group commit: it returns once every
+// record appended before the call is stable. The first caller through
+// flushMu fsyncs everything appended so far; callers queued behind it
+// whose records that covered return without touching the disk. Callers
+// needing a durability STATEMENT (an acknowledgement) must consult Healthy
+// afterwards — a failed fsync is recorded, not returned.
+func (l *Log) Sync() {
+	l.sh.Mu.Lock()
+	target := l.endLocked()
+	l.sh.Mu.Unlock()
+	l.syncTo(target)
+}
+
+func (l *Log) syncTo(target int64) {
+	l.flushMu.Lock()
+	l.sh.Mu.Lock()
+	f, end := l.sh.F, l.endLocked()
+	covered := l.stopped || l.synced >= target
+	l.sh.Mu.Unlock()
+	var ready []lazyWaiter
+	if !covered {
+		l.syncs.Add(1)
+		if err := f.Sync(); err != nil {
+			l.recordErr(fmt.Errorf("txlog: sync: %w", err))
+		} else {
+			ready = l.advanceSynced(end)
+		}
+	}
+	l.flushMu.Unlock()
+	for _, w := range ready {
+		w.fn()
+	}
+}
+
+// advanceSynced raises the stable watermark to lsn and returns the lazy
+// waiters it passed, for the caller to run once it holds no lock.
+func (l *Log) advanceSynced(lsn int64) []lazyWaiter {
+	l.sh.Mu.Lock()
+	defer l.sh.Mu.Unlock()
+	if lsn > l.synced {
+		l.synced = lsn
+	}
+	n := 0
+	for n < len(l.lazy) && l.lazy[n].lsn <= l.synced {
+		n++
+	}
+	ready := l.lazy[:n:n]
+	l.lazy = l.lazy[n:]
+	return ready
+}
+
+// AfterSync is the lazy waiter of the group commit: fn runs once every
+// record appended before the call is stable, on whichever goroutine's sync
+// gets there — it must not block, and it must consult Healthy before
+// making a durability statement. AfterSync never causes an fsync itself;
+// an idle log's stragglers are flushed by the owner's periodic Sync. When
+// the records are already stable, or the policy does not sync before
+// acknowledging, fn runs at once; after Close it is dropped.
+func (l *Log) AfterSync(fn func()) {
+	l.sh.Mu.Lock()
+	if l.stopped {
+		l.sh.Mu.Unlock()
+		return
+	}
+	if end := l.endLocked(); l.SyncOnAppend() && l.synced < end {
+		l.lazy = append(l.lazy, lazyWaiter{lsn: end, fn: fn})
+		l.sh.Mu.Unlock()
+		return
+	}
+	l.sh.Mu.Unlock()
+	fn()
+}
+
+// LogPrepare records a cohort-side prepare. Under fsync=always a vote for
+// a remote coordinator must Sync first (see the package contract).
 func (l *Log) LogPrepare(p *PreparedTx) {
 	l.sh.Mu.Lock()
 	l.prepared[p.TxID] = p
 	l.noteSeq(p.TxID)
-	l.appendLocked(func(e *wire.Encoder) {
-		e.Byte(recPrepare)
-		e.Uvarint(p.TxID)
-		e.Timestamp(p.PT)
-		e.Timestamp(p.RST)
-		e.Timestamps(p.SV)
-		encodeWrites(e, p.Writes)
-	})
-	compact := l.compactNeededLocked()
+	l.appendLocked(func(e *wire.Encoder) { encodePrepare(e, p.TxID, p.PT, p.RST, p.SV, p.Writes) })
 	l.sh.Mu.Unlock()
-	if compact {
-		l.Compact()
-	}
 }
 
 // LogCommit records the 2PC outcome for a prepared transaction, moving it
 // to the committed set. It reports whether the transaction was prepared
 // here and not yet committed — false means the record is a duplicate (a
-// re-driven CommitTx after recovery) and nothing was appended. Under
-// fsync=always the caller must Sync before acknowledging the coordinator.
+// re-driven CommitTx after recovery) and nothing was appended. The
+// coordinator is acknowledged through AfterSync.
 func (l *Log) LogCommit(txID uint64, ct hlc.Timestamp) bool {
 	l.sh.Mu.Lock()
 	p, ok := l.prepared[txID]
@@ -591,132 +663,30 @@ func (l *Log) LogCommit(txID uint64, ct hlc.Timestamp) bool {
 	return true
 }
 
-// LogCoordCommit records a coordinator commit decision — the record whose
-// durability backs the client acknowledgement. The caller must Sync before
-// replying to the client (fsync=always), and should send CommitTx to the
-// cohorts only after this call so a cohort's CommitAck can never arrive
-// before the decision is registered.
-func (l *Log) LogCoordCommit(txID uint64, ct hlc.Timestamp, cohorts []uint16) {
-	c := &CoordTx{TxID: txID, CT: ct, Cohorts: append([]uint16(nil), cohorts...),
-		pending: make(map[uint16]struct{}, len(cohorts)), created: time.Now()}
-	for _, p := range c.Cohorts {
-		c.pending[p] = struct{}{}
-	}
-	l.sh.Mu.Lock()
-	l.coord[txID] = c
-	l.noteSeq(txID)
-	l.appendLocked(func(e *wire.Encoder) {
-		e.Byte(recCoordCommit)
-		e.Uvarint(txID)
-		e.Timestamp(ct)
-		e.Uvarint(uint64(len(c.Cohorts)))
-		for _, p := range c.Cohorts {
-			e.Uvarint(uint64(p))
-		}
-	})
-	l.sh.Mu.Unlock()
-}
-
-// LogCoordCommitSync records a coordinator commit decision and — under
-// fsync=always — makes it stable before returning, batching both the
-// append and the fsync across the concurrent commit collections of one
-// tick: each caller stages its encoded record under sh.Mu, then the first
-// to take syncMu (the leader) writes every staged record with ONE write
-// syscall and ONE fsync; followers, queued on syncMu behind the leader,
-// find the batch already flushed and return without touching the file.
-// Decision records are independent of each other and of interleaved
-// direct appends (each is self-framed and keyed by transaction id), so
-// the file-order reshuffle staging introduces is recovery-safe.
-//
-// Under the other fsync policies this is exactly LogCoordCommit: the
-// interval loop or Close makes the record stable later. Callers needing a
-// durability statement consult Healthy afterwards, as with Sync.
+// LogCoordCommitSync records a coordinator commit decision — the record
+// whose durability backs the client acknowledgement — and, under
+// fsync=always, returns once a sync covers it and everything appended
+// before it (this server's own PREPARE included). Concurrent commit
+// collections share that sync like any other urgent waiters. Under the
+// other policies the interval loop or Close makes the record stable later.
+// Callers needing a durability statement consult Healthy afterwards, as
+// with Sync, and send CommitTx only after this call so a cohort's
+// CommitAck can never arrive before the decision is registered.
 func (l *Log) LogCoordCommitSync(txID uint64, ct hlc.Timestamp, cohorts []uint16) {
-	if !l.SyncOnAppend() {
-		l.LogCoordCommit(txID, ct, cohorts)
-		return
-	}
-	if l.noDecBatch {
-		l.LogCoordCommit(txID, ct, cohorts)
-		l.Sync()
-		return
-	}
-
 	c := &CoordTx{TxID: txID, CT: ct, Cohorts: append([]uint16(nil), cohorts...),
 		pending: make(map[uint16]struct{}, len(cohorts)), created: time.Now()}
 	for _, p := range c.Cohorts {
 		c.pending[p] = struct{}{}
 	}
 	l.sh.Mu.Lock()
-	if l.stopped {
-		l.sh.Mu.Unlock()
-		return
-	}
 	l.coord[txID] = c
 	l.noteSeq(txID)
-	l.sh.Enc.Reset()
-	logrec.AppendFrame(l.sh.Enc, func(e *wire.Encoder) {
-		e.Byte(recCoordCommit)
-		e.Uvarint(txID)
-		e.Timestamp(ct)
-		e.Uvarint(uint64(len(c.Cohorts)))
-		for _, p := range c.Cohorts {
-			e.Uvarint(uint64(p))
-		}
-	})
-	l.decBatch = append(l.decBatch, l.sh.Enc.Bytes()...)
-	l.appends++
+	l.appendLocked(func(e *wire.Encoder) { encodeCoordCommit(e, c) })
+	target := l.endLocked()
 	l.sh.Mu.Unlock()
-
-	l.syncMu.Lock()
-	defer l.syncMu.Unlock()
-	l.sh.Mu.Lock()
-	if len(l.decBatch) == 0 {
-		// Already stable: either a leader flushed the batch holding this
-		// record before we got syncMu, or a compaction's fsynced rewrite
-		// persisted the coord map (staged records included).
-		l.sh.Mu.Unlock()
-		return
+	if l.SyncOnAppend() {
+		l.syncTo(target)
 	}
-	buf := l.decBatch
-	l.decBatch = nil
-	if l.sh.Failed {
-		// Frozen shard: memory stays authoritative, the recorded failure
-		// keeps the server in read-only admission (as with appendLocked).
-		l.sh.Mu.Unlock()
-		return
-	}
-	f := l.sh.F
-	if _, err := f.Write(buf); err != nil {
-		// Same torn-tail discipline as shardlog.AppendLocked: roll the
-		// partial batch back so recovery never stops short of intact
-		// records appended later.
-		l.onErr(fmt.Errorf("append: %w", err))
-		if terr := f.Truncate(l.sh.Size); terr != nil {
-			l.sh.Failed = true
-			l.onErr(fmt.Errorf("append rollback failed, freezing shard log: %w", terr))
-		} else if _, terr = f.Seek(l.sh.Size, 0); terr != nil {
-			l.sh.Failed = true
-			l.onErr(fmt.Errorf("append rollback failed, freezing shard log: %w", terr))
-		}
-		l.sh.Mu.Unlock()
-		return
-	}
-	l.sh.Size += int64(len(buf))
-	size, gen := l.sh.Size, l.gen
-	l.sh.Mu.Unlock()
-
-	if err := f.Sync(); err != nil {
-		if !errors.Is(err, os.ErrClosed) {
-			l.recordErr(fmt.Errorf("txlog: sync: %w", err))
-		}
-		return
-	}
-	l.sh.Mu.Lock()
-	if l.gen == gen && size > l.synced {
-		l.synced = size
-	}
-	l.sh.Mu.Unlock()
 }
 
 // NextSeqFloor returns the reserved/observed transaction-sequence
@@ -918,25 +888,24 @@ func (l *Log) Cursor(dc int) hlc.Timestamp {
 	return l.cursor[dc]
 }
 
-// MarkApplied records that the writes of exactly these transactions have
-// been written to the storage engine. Identified by id, never by a
-// timestamp bound: a re-driven recovered commit can be logged
+// MarkApplied records that the writes of exactly these transactions are
+// in the storage engine AND covered by an Engine.Sync — the caller's
+// barrier is what makes dropping their records safe. Identified by id,
+// never by a timestamp bound: a re-driven recovered commit can be logged
 // concurrently with an apply tick, carrying an old ct the tick's bound
 // already covers, and a bound comparison would mark it applied before the
 // engine ever saw it. Only compaction consults the marks — a committed
 // record may leave the log once the transaction is both applied and
-// replicated everywhere.
+// replicated everywhere — and this is the one place that triggers it, so
+// no rewrite can run ahead of the barrier (or on a delivery goroutine).
 func (l *Log) MarkApplied(txIDs []uint64) {
-	if len(txIDs) == 0 {
-		return
-	}
 	l.sh.Mu.Lock()
 	for _, id := range txIDs {
 		if c, ok := l.committed[id]; ok {
 			c.applied = true
 		}
 	}
-	compact := l.compactNeededLocked()
+	compact := l.compat >= 0 && l.appends >= l.compat
 	l.sh.Mu.Unlock()
 	if compact {
 		l.Compact()
@@ -1028,104 +997,176 @@ func sortCommitted(txs []*CommittedTx) {
 	})
 }
 
-func (l *Log) compactNeededLocked() bool {
-	return l.compat >= 0 && l.appends >= l.compat
-}
-
 // Compact rewrites the log from retained state — prepares, unreleased
 // committed transactions, unresolved coordinator decisions, cursors —
 // dropping everything whose lifecycle has run its course. Same discipline
-// as the engines' compactions: temp file, fsync, atomic rename, directory
-// sync, and the write handle carries over so there is no reopen window.
+// as the engines' compactions (temp file, fsync, atomic rename, directory
+// sync, the write handle carries over), except that appends keep flowing
+// into the old file while the snapshot is written and fsynced: sh.Mu is
+// held only to take the snapshot and, at the end, to copy over what was
+// appended meanwhile and swap the handle. Replaying those records on top
+// of the snapshot rebuilds the same state, because every record is an
+// idempotent transition keyed by transaction id or DC.
 func (l *Log) Compact() {
-	l.sh.Mu.Lock()
-	defer l.sh.Mu.Unlock()
-	if l.stopped {
-		return // a straggler trigger after Close must not resurrect the file
+	l.flushMu.Lock()
+	ready := l.compactFlushLocked()
+	l.flushMu.Unlock()
+	for _, w := range ready {
+		w.fn()
 	}
+}
 
-	// Release committed entries whose records are no longer needed.
+// retained is the snapshot a compaction rewrites. The transaction structs
+// are immutable once logged; decisions are copied because acks edit them.
+type retained struct {
+	maxSeq    uint64
+	prepared  []*PreparedTx
+	committed []*CommittedTx
+	coord     []CoordTx
+	cursor    []hlc.Timestamp
+}
+
+func (l *Log) compactFlushLocked() []lazyWaiter {
+	l.sh.Mu.Lock()
+	if l.stopped {
+		l.sh.Mu.Unlock()
+		return nil // a straggler trigger after Close must not resurrect the file
+	}
+	snap := retained{maxSeq: l.maxSeq, cursor: append([]hlc.Timestamp(nil), l.cursor...)}
+	for _, p := range l.prepared {
+		snap.prepared = append(snap.prepared, p)
+	}
 	for id, c := range l.committed {
 		if l.releasableLocked(c) {
 			delete(l.committed, id)
+			continue
 		}
+		snap.committed = append(snap.committed, c)
+	}
+	for _, c := range l.coord {
+		snap.coord = append(snap.coord, CoordTx{TxID: c.TxID, CT: c.CT, Cohorts: c.Cohorts})
+	}
+	old, mark, marked := l.sh.F, l.sh.Size, l.appends
+	// A frozen log drops appends instead of writing them, so there would be
+	// nothing to carry over: keep it locked until the rewrite replaces it.
+	frozen := l.sh.Failed
+	if !frozen {
+		l.sh.Mu.Unlock()
 	}
 
 	path := l.path()
 	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		l.recordErr(fmt.Errorf("txlog: compact: %w", err))
-		return
+	// O_RDWR: the file becomes the append handle, which the next
+	// compaction reads its carry-over from.
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
+	var written int64
+	if err == nil {
+		written, err = snap.writeTo(f)
 	}
-	// Stream the rewrite record by record through a throwaway encoder and
-	// a buffered writer (the WAL engine's compaction discipline): encoding
-	// the whole retained state into one buffer would pin a rewrite-sized
-	// allocation for every burst of retained transactions.
+	if err == nil {
+		err = f.Sync()
+	}
+	if !frozen {
+		l.sh.Mu.Lock()
+	}
+	// sh.Mu is held from here to the swap; abort leaves the old file, and
+	// the state the next attempt will snapshot, in place.
+	abort := func(err error) []lazyWaiter {
+		l.sh.Mu.Unlock()
+		if err != nil {
+			l.recordErr(fmt.Errorf("txlog: compact: %w", err))
+		}
+		if f != nil {
+			_ = f.Close()
+			_ = os.Remove(tmp)
+		}
+		return nil
+	}
+	if err != nil {
+		return abort(err)
+	}
+	if l.stopped || (l.sh.Failed && !frozen) {
+		// Closed, or frozen by a failed append (already recorded), while
+		// the snapshot was being written: a repair's next attempt takes
+		// the locked path.
+		return abort(nil)
+	}
+	// Carry over the records appended since the snapshot, unsynced: their
+	// waiters hold LSNs above it and are served by the next sync.
+	tail := l.sh.Size - mark
+	if tail > 0 {
+		_, err = io.Copy(f, io.NewSectionReader(old, mark, tail))
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		return abort(err)
+	}
+	// f now lives at path (the rename moved the inode), positioned at its
+	// end — it becomes the append handle directly, with no reopen window.
+	snapLSN := l.base + mark
+	l.sh.F = f
+	l.sh.Size = written + tail
+	l.base = snapLSN - written // the carried-over records keep their LSNs
+	l.sh.Failed = false        // the rewrite from retained state repairs a frozen log
+	l.sh.Dirty = tail > 0
+	l.appends -= marked
+	l.sh.Mu.Unlock()
+	// Last close of an unlinked file: the filesystem frees its blocks now,
+	// which takes milliseconds — so not under the append lock.
+	_ = old.Close()
+	// The snapshot is only as stable as the rename that put it in place.
+	if derr := fsutil.SyncDir(l.dir); derr != nil {
+		l.recordErr(fmt.Errorf("txlog: compact: sync dir: %w", derr))
+		return nil
+	}
+	return l.advanceSynced(snapLSN)
+}
+
+// writeTo streams the snapshot record by record through a throwaway
+// encoder and a buffered writer (the WAL engine's compaction discipline):
+// encoding the whole retained state into one buffer would pin a
+// rewrite-sized allocation for every burst of retained transactions.
+func (r *retained) writeTo(f *os.File) (written int64, err error) {
 	w := bufio.NewWriterSize(f, 1<<16)
 	enc := wire.NewEncoder()
-	var written int64
-	var werr error
 	emit := func(encode func(*wire.Encoder)) {
-		if werr != nil {
+		if err != nil {
 			return
 		}
 		enc.Reset()
 		logrec.AppendFrame(enc, encode)
-		if _, err := w.Write(enc.Bytes()); err != nil {
-			werr = err
-			return
+		if _, err = w.Write(enc.Bytes()); err == nil {
+			written += int64(len(enc.Bytes()))
 		}
-		written += int64(len(enc.Bytes()))
 	}
 	// The sequence floor first: it outlives the records it was learned
 	// from, so id uniqueness survives the rewrite dropping them.
-	if l.maxSeq > 0 {
+	if r.maxSeq > 0 {
 		emit(func(e *wire.Encoder) {
 			e.Byte(recSeq)
-			e.Uvarint(l.maxSeq)
+			e.Uvarint(r.maxSeq)
 		})
 	}
-	for _, p := range l.prepared {
-		emit(func(e *wire.Encoder) {
-			e.Byte(recPrepare)
-			e.Uvarint(p.TxID)
-			e.Timestamp(p.PT)
-			e.Timestamp(p.RST)
-			e.Timestamps(p.SV)
-			encodeWrites(e, p.Writes)
-		})
+	for _, p := range r.prepared {
+		emit(func(e *wire.Encoder) { encodePrepare(e, p.TxID, p.PT, p.RST, p.SV, p.Writes) })
 	}
-	for _, c := range l.committed {
+	for _, c := range r.committed {
 		// A committed transaction is rewritten as its prepare + commit
 		// pair, so recovery rebuilds it by the same pairing rule as live
 		// records.
-		emit(func(e *wire.Encoder) {
-			e.Byte(recPrepare)
-			e.Uvarint(c.TxID)
-			e.Timestamp(c.CT)
-			e.Timestamp(c.RST)
-			e.Timestamps(c.SV)
-			encodeWrites(e, c.Writes)
-		})
+		emit(func(e *wire.Encoder) { encodePrepare(e, c.TxID, c.CT, c.RST, c.SV, c.Writes) })
 		emit(func(e *wire.Encoder) {
 			e.Byte(recCommit)
 			e.Uvarint(c.TxID)
 			e.Timestamp(c.CT)
 		})
 	}
-	for _, c := range l.coord {
-		emit(func(e *wire.Encoder) {
-			e.Byte(recCoordCommit)
-			e.Uvarint(c.TxID)
-			e.Timestamp(c.CT)
-			e.Uvarint(uint64(len(c.Cohorts)))
-			for _, p := range c.Cohorts {
-				e.Uvarint(uint64(p))
-			}
-		})
+	for i := range r.coord {
+		emit(func(e *wire.Encoder) { encodeCoordCommit(e, &r.coord[i]) })
 	}
-	for dc, upTo := range l.cursor {
+	for dc, upTo := range r.cursor {
 		if upTo == 0 {
 			continue
 		}
@@ -1135,38 +1176,10 @@ func (l *Log) Compact() {
 			e.Timestamp(upTo)
 		})
 	}
-
-	if werr == nil {
-		werr = w.Flush()
+	if err == nil {
+		err = w.Flush()
 	}
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if werr == nil {
-		werr = os.Rename(tmp, path)
-	}
-	if werr != nil {
-		l.recordErr(fmt.Errorf("txlog: compact: %w", werr))
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		return
-	}
-	// f now lives at path (the rename moved the inode), positioned at its
-	// end — it becomes the append handle directly, with no reopen window.
-	_ = l.sh.F.Close()
-	l.sh.F = f
-	l.sh.Size = written
-	l.sh.Failed = false // the rewrite from retained state repairs a frozen log
-	l.sh.Dirty = false
-	l.appends = 0
-	// Staged decision records were rewritten (and fsynced) as part of the
-	// coord map above; flushing them again would only append duplicates.
-	l.decBatch = nil
-	l.gen++            // a racing Sync must not stamp the old file's size on us
-	l.synced = written // the rewrite was fsynced in full
-	if derr := fsutil.SyncDir(l.dir); derr != nil {
-		l.recordErr(fmt.Errorf("txlog: compact: sync dir: %w", derr))
-	}
+	return written, err
 }
 
 // fsyncLoop flushes appended records on a timer (interval policy).
@@ -1200,14 +1213,14 @@ func (l *Log) Close() error {
 	close(l.stop)
 	l.wg.Wait()
 	l.Sync()
+	l.flushMu.Lock() // no sync or compaction is using the handle
 	l.sh.Mu.Lock()
 	l.stopped = true
-	if l.sh.F != nil {
-		if err := l.sh.F.Close(); err != nil {
-			l.recordErr(fmt.Errorf("txlog: close: %w", err))
-		}
+	if err := l.sh.F.Close(); err != nil {
+		l.recordErr(fmt.Errorf("txlog: close: %w", err))
 	}
 	l.sh.Mu.Unlock()
+	l.flushMu.Unlock()
 	l.errMu.Lock()
 	defer l.errMu.Unlock()
 	return l.err

@@ -1,8 +1,11 @@
 package txlog
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -57,8 +60,8 @@ func TestPrepareCommitRecovery(t *testing.T) {
 func TestCoordCommitResolution(t *testing.T) {
 	dir := t.TempDir()
 	l := openLog(t, dir, 1)
-	l.LogCoordCommit(7, ts(200), []uint16{0, 1})
-	l.LogCoordCommit(8, ts(210), []uint16{2})
+	l.LogCoordCommitSync(7, ts(200), []uint16{0, 1})
+	l.LogCoordCommitSync(8, ts(210), []uint16{2})
 	l.CoordAck(7, 0)
 	l.CoordAck(7, 1) // fully acked: resolved
 	if err := l.Close(); err != nil {
@@ -122,41 +125,27 @@ func TestCoordCommitSyncBatchedDurable(t *testing.T) {
 	}
 }
 
-// TestCoordCommitSyncFallback covers the two unbatched paths: interval
-// fsync (records ride the interval sync) and batching disabled under
-// fsync=always (one fsync per decision, the benchmark ablation).
-func TestCoordCommitSyncFallback(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"interval", Options{Fsync: "interval"}},
-		{"always-nobatch", Options{Fsync: "always", DisableDecisionBatch: true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			opts := tc.opts
-			opts.Dir = t.TempDir()
-			opts.NumDCs = 1
-			l, err := Open(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			l.LogCoordCommitSync(5, ts(500), []uint16{0, 1})
-			l.Sync()
-			if err := l.Close(); err != nil {
-				t.Fatal(err)
-			}
-			opts2 := opts
-			r, err := Open(opts2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			pending := r.CoordPending()
-			if len(pending) != 1 || pending[0].TxID != 5 || pending[0].CT != ts(500) {
-				t.Fatalf("pending = %+v, want tx 5 @500", pending)
-			}
-		})
+// TestCoordCommitSyncInterval covers the policy where the decision rides
+// the interval sync instead of its own.
+func TestCoordCommitSyncInterval(t *testing.T) {
+	opts := Options{Dir: t.TempDir(), NumDCs: 1, Fsync: "interval"}
+	l, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.LogCoordCommitSync(5, ts(500), []uint16{0, 1})
+	l.Sync()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	pending := r.CoordPending()
+	if len(pending) != 1 || pending[0].TxID != 5 || pending[0].CT != ts(500) {
+		t.Fatalf("pending = %+v, want tx 5 @500", pending)
 	}
 }
 
@@ -357,7 +346,7 @@ func TestSeqFloorSurvivesCompactionAndRestart(t *testing.T) {
 	id := func(seq uint64) uint64 { return 1<<56 | 2<<40 | seq }
 	l.LogPrepare(&PreparedTx{TxID: id(7), PT: ts(10), Writes: []wire.KV{kv("a", "v")}})
 	l.LogCommit(id(7), ts(10))
-	l.LogCoordCommit(id(9), ts(11), []uint16{0})
+	l.LogCoordCommitSync(id(9), ts(11), []uint16{0})
 	if got := l.NextSeqFloor(); got != 9 {
 		t.Fatalf("floor = %d, want 9", got)
 	}
@@ -386,8 +375,8 @@ func TestRedrivePendingAndCoordAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	l.LogCoordCommit(1, ts(10), []uint16{0, 1})
-	l.LogCoordCommit(2, ts(20), []uint16{3})
+	l.LogCoordCommitSync(1, ts(10), []uint16{0, 1})
+	l.LogCoordCommitSync(2, ts(20), []uint16{3})
 	l.CoordAck(1, 0) // partition 1 still pending
 
 	if got := l.RedrivePending(time.Hour); len(got) != 0 {
@@ -502,5 +491,158 @@ func TestAutoCompactionTriggers(t *testing.T) {
 	// threshold-triggered rewrites only a handful of records remain.
 	if st.Size() > 2048 {
 		t.Fatalf("auto-compaction never ran: log is %d bytes", st.Size())
+	}
+}
+
+// TestGroupCommitWaiters pins the one group-commit mechanism: an urgent
+// waiter pays (at most) one fsync and returns covered; a lazy waiter never
+// causes an fsync and never runs before a sync that covers its record.
+func TestGroupCommitWaiters(t *testing.T) {
+	l := openLog(t, t.TempDir(), 1)
+	defer l.Close()
+	l.LogPrepare(&PreparedTx{TxID: 1, PT: ts(10), Writes: []wire.KV{kv("a", "v")}})
+	l.Sync()
+	base := l.Syncs()
+	l.Sync() // covered: no second fsync
+	if got := l.Syncs(); got != base {
+		t.Fatalf("covered Sync paid an fsync: %d -> %d", base, got)
+	}
+
+	l.LogCommit(1, ts(20))
+	fired := 0
+	l.AfterSync(func() { fired++ })
+	if fired != 0 || l.Syncs() != base {
+		t.Fatalf("lazy waiter ran (%d) or synced (%d -> %d) before any covering sync", fired, base, l.Syncs())
+	}
+	// An urgent waiter for a LATER record covers the lazy one.
+	l.LogCoordCommitSync(2, ts(30), []uint16{0})
+	if fired != 1 || l.Syncs() != base+1 {
+		t.Fatalf("after the covering sync: fired=%d syncs=%d, want 1 and %d", fired, l.Syncs(), base+1)
+	}
+	// Nothing unsynced: a lazy waiter runs at once, a duplicate outcome too.
+	if l.LogCommit(1, ts(20)) {
+		t.Fatal("duplicate LogCommit appended")
+	}
+	l.AfterSync(func() { fired++ })
+	if fired != 2 || l.Syncs() != base+1 {
+		t.Fatalf("covered lazy waiter: fired=%d syncs=%d", fired, l.Syncs())
+	}
+}
+
+// TestLazyWaiterRunsAtOnceWithoutSyncOnAppend: under interval/never the
+// acknowledgement was never tied to an fsync, so the waiter must not park.
+func TestLazyWaiterRunsAtOnceWithoutSyncOnAppend(t *testing.T) {
+	for _, policy := range []string{"interval", "never"} {
+		l, err := Open(Options{Dir: t.TempDir(), NumDCs: 1, Fsync: policy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.LogPrepare(&PreparedTx{TxID: 1, PT: ts(10), Writes: []wire.KV{kv("a", "v")}})
+		l.LogCommit(1, ts(20))
+		fired := false
+		l.AfterSync(func() { fired = true })
+		if !fired {
+			t.Fatalf("%s: lazy waiter parked", policy)
+		}
+		l.Close()
+	}
+}
+
+// TestCompactionCarriesOverConcurrentAppends runs compactions against
+// appenders that never stop: every record must survive a reopen whether it
+// was folded into a rewrite's snapshot or carried over behind it, urgent
+// waiters must come back covered, and lazy waiters parked across a rewrite
+// must all be released.
+func TestCompactionCarriesOverConcurrentAppends(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(Options{Dir: dir, NumDCs: 1, Fsync: "always", CompactThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, perWriter = 4, 60
+	var lazyFired atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				id := uint64(w*perWriter + i + 1)
+				l.LogPrepare(&PreparedTx{TxID: id, PT: ts(id), Writes: []wire.KV{kv(fmt.Sprint("k", id), "v")}})
+				l.LogCoordCommitSync(id, ts(id), []uint16{0})
+				l.LogCommit(id, ts(id))
+				l.AfterSync(func() { lazyFired.Add(1) })
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	compacted := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				compacted <- n
+				return
+			default:
+				l.Compact()
+				n++
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	if n := <-compacted; n == 0 {
+		t.Fatal("no compaction overlapped the appends")
+	}
+	l.Sync()
+	if got := lazyFired.Load(); got != writers*perWriter {
+		t.Fatalf("%d of %d lazy waiters released", got, writers*perWriter)
+	}
+	if err := l.Healthy(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := openLog(t, dir, 1)
+	defer r.Close()
+	if got := len(r.Committed()); got != writers*perWriter {
+		t.Fatalf("recovered %d committed transactions, want %d", got, writers*perWriter)
+	}
+	if got := len(r.CoordPending()); got != writers*perWriter {
+		t.Fatalf("recovered %d decisions, want %d", got, writers*perWriter)
+	}
+	if got := len(r.Prepared()); got != 0 {
+		t.Fatalf("%d prepares lost their outcome across a rewrite", got)
+	}
+}
+
+// TestLogPrepareNeverCompacts: a prepare runs on a connection's reader
+// goroutine; only MarkApplied — the owner's release barrier — may rewrite.
+func TestLogPrepareNeverCompacts(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(Options{Dir: dir, NumDCs: 1, Fsync: "never", CompactThreshold: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var before os.FileInfo
+	for i := uint64(1); i <= 20; i++ {
+		l.LogPrepare(&PreparedTx{TxID: i, PT: ts(i), Writes: []wire.KV{kv("k", "v")}})
+		l.LogAbort(i)
+		st, err := os.Stat(filepath.Join(dir, "commit.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if before != nil && st.Size() <= before.Size() {
+			t.Fatalf("log shrank under LogPrepare at record %d: %d -> %d bytes", i, before.Size(), st.Size())
+		}
+		before = st
+	}
+	l.MarkApplied(nil)
+	after, _ := os.Stat(filepath.Join(dir, "commit.log"))
+	if after.Size() >= before.Size() {
+		t.Fatalf("MarkApplied did not compact a log past its threshold: %d -> %d bytes", before.Size(), after.Size())
 	}
 }
