@@ -221,14 +221,16 @@ func ParseMutexProfile(text string) *MutexReport {
 		// sample — only a transport frame leafward of the handler (frames
 		// are listed leaf-first) means the contended lock itself lives in
 		// the transport.
-		transportOwned := false
+		// Likewise sync.Pool's pinSlow: the runtime's pool-registration lock,
+		// taken the first time a P touches a pool, not a lock of the server.
+		foreignLock := false
 		for i := 0; i < handlerIdx; i++ {
-			if strings.Contains(curFrames[i], "internal/transport") {
-				transportOwned = true
+			if strings.Contains(curFrames[i], "internal/transport") || strings.Contains(curFrames[i], "sync.(*Pool).pinSlow") {
+				foreignLock = true
 				break
 			}
 		}
-		if handlerIdx >= 0 && plainMutex && !rwMutex && !transportOwned {
+		if handlerIdx >= 0 && plainMutex && !rwMutex && !foreignLock {
 			rep.ReadPathSamples++
 			if rep.CyclesPerSecond > 0 {
 				rep.ReadPathDelayMs += float64(curCycles) / float64(rep.CyclesPerSecond) * 1000

@@ -73,13 +73,17 @@ sampling period=1
 #	0x479998	wren/internal/core.(*Server).handleTxRead+0x51	/root/repo/internal/core/server.go:560
 #	0x47cccb	wren/internal/core.(*Server).HandleMessage+0x30	/root/repo/internal/core/server.go:480
 #	0x47dddc	wren/internal/transport.(*link).run+0x88	/root/repo/internal/transport/transport.go:461
+1000000 1 @ 0x44a5fd 0x44b000 0x479999
+#	0x44a5fc	sync.(*Mutex).Unlock+0x7c	/usr/local/go/src/sync/mutex.go:223
+#	0x44afff	sync.(*Pool).pinSlow+0x90	/usr/local/go/src/sync/pool.go:241
+#	0x479998	wren/internal/core.(*Server).handleTxRead+0x51	/root/repo/internal/core/server.go:560
 `
 	rep := ParseMutexProfile(sample)
 	if rep.CyclesPerSecond != 1000000000 {
 		t.Fatalf("cycles/second = %d", rep.CyclesPerSecond)
 	}
-	if rep.TotalSamples != 5 {
-		t.Fatalf("total samples = %d, want 5", rep.TotalSamples)
+	if rep.TotalSamples != 6 {
+		t.Fatalf("total samples = %d, want 6", rep.TotalSamples)
 	}
 	// Sample 1: plain mutex but not in a read handler — excluded.
 	// Sample 2: plain mutex inside handleSliceReq — the regression, counted.
@@ -90,6 +94,8 @@ sampling period=1
 	// transport goroutine (transport frame ROOTWARD of the handler) — the
 	// old server-wide design's exact footprint; MUST be counted, since every
 	// handler runs on a transport delivery goroutine.
+	// Sample 6: the runtime's sync.Pool registration lock under a handler's
+	// Pool.Get — excluded: taken once per P and pool, not a server lock.
 	if rep.ReadPathSamples != 2 {
 		t.Fatalf("read-path samples = %d, want 2", rep.ReadPathSamples)
 	}

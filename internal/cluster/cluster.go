@@ -78,6 +78,10 @@ type Config struct {
 	ApplyInterval  time.Duration
 	GossipInterval time.Duration
 	GCInterval     time.Duration
+	// TxContextTTL bounds how long a coordinator keeps the context of a
+	// transaction nobody finished or released. Zero selects the
+	// replica-runtime default (30s); expiry runs on the GC tick.
+	TxContextTTL time.Duration
 	// RepairInterval paces each server's degraded-mode probation exit
 	// (txlog repair + write readmission). Zero selects the replica-runtime
 	// default; negative disables automatic repair, keeping a degraded
@@ -296,6 +300,7 @@ func New(cfg Config) (*Cluster, error) {
 					ApplyInterval:  cfg.ApplyInterval,
 					GossipInterval: cfg.GossipInterval,
 					GCInterval:     cfg.GCInterval,
+					TxContextTTL:   cfg.TxContextTTL,
 					RepairInterval: cfg.RepairInterval,
 					BlockingCommit: cfg.BlockingCommit,
 					GossipTree:     cfg.GossipTree,
@@ -322,6 +327,7 @@ func New(cfg Config) (*Cluster, error) {
 					ApplyInterval:  cfg.ApplyInterval,
 					GossipInterval: cfg.GossipInterval,
 					GCInterval:     cfg.GCInterval,
+					TxContextTTL:   cfg.TxContextTTL,
 					RepairInterval: cfg.RepairInterval,
 					StoreShards:    cfg.StoreShards,
 					StoreBackend:   cfg.StoreBackend,

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"wren/internal/ctxrelease"
 	"wren/internal/hlc"
 	"wren/internal/transport"
 	"wren/internal/wire"
@@ -22,6 +23,11 @@ var (
 	// ErrTxDone is returned when operating on a committed or aborted
 	// transaction.
 	ErrTxDone = errors.New("core: transaction already finished")
+	// ErrTxExpired is returned by Read when the coordinator no longer holds
+	// the transaction's context — it outlived the server's TxContextTTL, or
+	// was released. Nothing was read; the transaction cannot continue and
+	// should be aborted and re-run. Matched with errors.Is.
+	ErrTxExpired = errors.New("core: transaction context expired on the coordinator")
 	// ErrTimeout is returned when the coordinator does not answer in time.
 	ErrTimeout = errors.New("core: request timed out")
 	// ErrClosed is returned after the client session is closed.
@@ -137,6 +143,10 @@ type Client struct {
 	tx      *Tx
 	closed  bool
 
+	// rel releases the contexts of transactions that ended without a COMMIT
+	// round (see the package comment's release rule).
+	rel *ctxrelease.Releaser
+
 	reqSeq atomic.Uint64
 }
 
@@ -162,6 +172,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		cache:   make(map[string]cacheEntry),
 		pending: make(map[uint64]chan wire.Message),
 	}
+	c.rel = ctxrelease.New(c.releaseCtx)
 	if cfg.Conn == nil {
 		cfg.Network.Register(c.id, c)
 	}
@@ -228,10 +239,6 @@ func (c *Client) Health(partition int) (readOnly bool, detail string, err error)
 func (c *Client) call(to transport.NodeID, reqID uint64, m wire.Message) (wire.Message, error) {
 	ch := make(chan wire.Message, 1)
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
-	}
 	c.pending[reqID] = ch
 	from := c.id
 	c.mu.Unlock()
@@ -255,23 +262,28 @@ func (c *Client) call(to transport.NodeID, reqID uint64, m wire.Message) (wire.M
 	}
 }
 
-// roundTrip performs one request/response round trip: through the
-// session's pooled connection when one is bound (cfg.Conn), over the
-// session's own registered endpoint otherwise. build receives the
-// attempt's request id and returns the message to send. A BusyResp — the
-// server's admission pushback — surfaces as an error matching
-// transport.ErrOverloaded, so retry loops back off and try again instead
-// of hot-looping.
+// roundTrip performs one request/response round trip on behalf of the
+// session's API; it refuses once the session is closed.
 func (c *Client) roundTrip(to transport.NodeID, build func(reqID uint64) wire.Message) (wire.Message, error) {
+	c.mu.Lock()
+	closed := c.closed
+	c.mu.Unlock()
+	if closed {
+		return nil, ErrClosed
+	}
+	return c.exchange(to, build)
+}
+
+// exchange is the round trip itself: through the session's pooled
+// connection when one is bound (cfg.Conn), over the session's own
+// registered endpoint otherwise. build receives the attempt's request id
+// and returns the message to send. A BusyResp — the server's admission
+// pushback — surfaces as an error matching transport.ErrOverloaded, so
+// retry loops back off and try again instead of hot-looping.
+func (c *Client) exchange(to transport.NodeID, build func(reqID uint64) wire.Message) (wire.Message, error) {
 	var resp wire.Message
 	var err error
 	if c.cfg.Conn != nil {
-		c.mu.Lock()
-		closed := c.closed
-		c.mu.Unlock()
-		if closed {
-			return nil, ErrClosed
-		}
 		resp, err = c.cfg.Conn.Call(to, c.cfg.RequestTimeout, build)
 		if err != nil {
 			if errors.Is(err, transport.ErrTimeout) {
@@ -293,6 +305,16 @@ func (c *Client) roundTrip(to transport.NodeID, build func(reqID uint64) wire.Me
 		return nil, fmt.Errorf("%w: %v shed the request at admission", transport.ErrOverloaded, to)
 	}
 	return resp, nil
+}
+
+// releaseCtx is the explicit context release handed to the session's
+// Releaser: one empty CommitReq, sent once. It is best-effort — the
+// coordinator's TTL sweep is the backstop — and must still work on a closed
+// session, whose Close releases through it.
+func (c *Client) releaseCtx(coord transport.NodeID, txID uint64) {
+	_, _ = c.exchange(coord, func(reqID uint64) wire.Message {
+		return &wire.CommitReq{ReqID: reqID, TxID: txID}
+	})
 }
 
 // callRetry performs a round trip, retrying timed-out or transiently
@@ -350,7 +372,10 @@ func (c *Client) BeginAt(coordinator int) (*Tx, error) {
 
 	// Begin is idempotent (an unanswered StartTxReq just leaves an expiring
 	// context behind), so timeouts fail over to an alternate coordinator:
-	// any partition in the DC can serve the snapshot.
+	// any partition in the DC can serve the snapshot. The attempt also
+	// carries the release of the session's previous transaction when that
+	// one ended without a COMMIT round on the same coordinator; an attempt
+	// that fails hands the release to an explicit CommitReq instead.
 	var st *wire.StartTxResp
 	var coord transport.NodeID
 	var coordPartition int
@@ -368,10 +393,12 @@ func (c *Client) BeginAt(coordinator int) (*Tx, error) {
 			coordPartition = (coordinator + attempt) % c.cfg.NumPartitions
 		}
 		coord = transport.ServerID(dc, coordPartition)
+		done := c.rel.Take(coord)
 		resp, err := c.roundTrip(coord, func(reqID uint64) wire.Message {
-			return &wire.StartTxReq{ReqID: reqID, LST: lst, RST: rst}
+			return &wire.StartTxReq{ReqID: reqID, LST: lst, RST: rst, Done: done}
 		})
 		if err != nil {
+			c.rel.Now(coord, done)
 			if errors.Is(err, ErrClosed) {
 				return nil, err
 			}
@@ -381,6 +408,7 @@ func (c *Client) BeginAt(coordinator int) (*Tx, error) {
 		var ok bool
 		st, ok = resp.(*wire.StartTxResp)
 		if !ok {
+			c.rel.Now(coord, done)
 			return nil, fmt.Errorf("core: unexpected response %T to StartTxReq", resp)
 		}
 		break
@@ -412,21 +440,25 @@ func (c *Client) BeginAt(coordinator int) (*Tx, error) {
 		id:        st.TxID,
 		lt:        st.LST,
 		rt:        st.RST,
-		ws:        make(map[string][]byte),
 		rs:        make(map[string][]byte),
-		rsMiss:    make(map[string]struct{}),
 	}
 	c.tx = tx
 	return tx, nil
 }
 
-// Close terminates the session. An open transaction is abandoned (its
-// server-side context expires via the coordinator's TTL sweep).
+// Close terminates the session. An open transaction is abandoned; its
+// coordinator context, and that of a finished transaction still waiting
+// for its release, are released best-effort off the caller's path.
 func (c *Client) Close() {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.closed = true
+	tx := c.tx
 	c.tx = nil
+	c.mu.Unlock()
+	if tx != nil {
+		c.rel.Now(tx.coord, tx.id)
+	}
+	c.rel.Flush()
 }
 
 // CacheSize returns the number of entries in the client-side write cache
@@ -452,9 +484,9 @@ type Tx struct {
 	id        uint64
 	lt        hlc.Timestamp
 	rt        hlc.Timestamp
-	ws        map[string][]byte
-	rs        map[string][]byte
-	rsMiss    map[string]struct{} // keys known absent in this snapshot
+	ws        map[string][]byte   // write set; allocated by the first write
+	rs        map[string][]byte   // read set
+	rsMiss    map[string]struct{} // keys known absent in this snapshot; allocated on first use
 	done      bool
 
 	// BlockedMicros accumulates server-reported read blocking time; always
@@ -507,7 +539,7 @@ func (t *Tx) Read(keys ...string) (map[string][]byte, error) {
 			if e.value == nil {
 				// Own committed delete: the key reads as absent even though
 				// the tombstone may not be in the snapshot yet.
-				t.rsMiss[k] = struct{}{}
+				t.markMissing(k)
 				continue
 			}
 			result[k] = e.value
@@ -531,6 +563,10 @@ func (t *Tx) Read(keys ...string) (map[string][]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: unexpected response %T to TxReadReq", resp)
 	}
+	if rr.Expired {
+		wire.PutTxReadResp(rr)
+		return nil, fmt.Errorf("%w (transaction %d)", ErrTxExpired, t.id)
+	}
 	if rr.BlockedMicros > t.BlockedMicros {
 		t.BlockedMicros = rr.BlockedMicros
 	}
@@ -553,7 +589,7 @@ func (t *Tx) Read(keys ...string) (map[string][]byte, error) {
 	// the absence so repeated reads stay stable.
 	for _, k := range missing {
 		if _, ok := t.rs[k]; !ok {
-			t.rsMiss[k] = struct{}{}
+			t.markMissing(k)
 		}
 	}
 	t.client.mu.Unlock()
@@ -562,6 +598,15 @@ func (t *Tx) Read(keys ...string) (map[string][]byte, error) {
 	// session — the receiving end — releases it.
 	wire.PutTxReadResp(rr)
 	return result, nil
+}
+
+// markMissing records that k is absent in this snapshot. Caller holds the
+// client mutex.
+func (t *Tx) markMissing(k string) {
+	if t.rsMiss == nil {
+		t.rsMiss = make(map[string]struct{})
+	}
+	t.rsMiss[k] = struct{}{}
 }
 
 // ScanKV is one key/value pair yielded by Tx.Scan, in key order.
@@ -700,8 +745,16 @@ func (t *Tx) Write(key string, value []byte) error {
 	if value == nil {
 		value = []byte{}
 	}
-	t.ws[key] = value
+	t.buffer(key, value)
 	return nil
+}
+
+// buffer puts one mutation into the write set; a nil value is a delete.
+func (t *Tx) buffer(key string, value []byte) {
+	if t.ws == nil {
+		t.ws = make(map[string][]byte)
+	}
+	t.ws[key] = value
 }
 
 // Delete buffers a deletion of key: at commit it installs a tombstone that
@@ -713,18 +766,25 @@ func (t *Tx) Delete(key string) error {
 	if t.done {
 		return ErrTxDone
 	}
-	t.ws[key] = nil
+	t.buffer(key, nil)
 	return nil
 }
 
 // Commit makes the write set durable and atomically visible (Algorithm 1,
 // COMMIT). It returns the commit timestamp, or zero for read-only
-// transactions. After Commit the transaction cannot be used.
+// transactions — which, as in the paper, send no COMMIT at all: the
+// transaction ends locally and its coordinator context is released per the
+// package comment's release rule. After Commit the transaction cannot be
+// used.
 func (t *Tx) Commit() (hlc.Timestamp, error) {
 	if t.done {
 		return 0, ErrTxDone
 	}
 	t.done = true
+	if len(t.ws) == 0 {
+		t.endLocal()
+		return 0, nil
+	}
 	defer t.client.clearTx(t)
 
 	writes := make([]wire.KV, 0, len(t.ws))
@@ -769,9 +829,6 @@ func (t *Tx) Commit() (hlc.Timestamp, error) {
 		return 0, fmt.Errorf("%w: %s", ErrAborted, cr.Err)
 	default:
 		return 0, fmt.Errorf("%w: %s", ErrReadOnly, cr.Err)
-	}
-	if len(writes) == 0 {
-		return 0, nil
 	}
 	t.finishCommit(cr.CT)
 	return cr.CT, nil
@@ -829,18 +886,23 @@ func (t *Tx) resolveCommit(cause error) (hlc.Timestamp, error) {
 	return 0, fmt.Errorf("%w: %w", ErrInDoubt, cause)
 }
 
-// Abort abandons the transaction, releasing its coordinator context.
+// Abort abandons the transaction. Nothing is sent: the write set is
+// dropped locally and the coordinator context is released per the package
+// comment's release rule.
 func (t *Tx) Abort() error {
 	if t.done {
 		return ErrTxDone
 	}
 	t.done = true
-	defer t.client.clearTx(t)
-	// An empty commit releases the server-side context without a 2PC.
-	_, err := t.client.roundTrip(t.coord, func(reqID uint64) wire.Message {
-		return &wire.CommitReq{ReqID: reqID, TxID: t.id}
-	})
-	return err
+	t.endLocal()
+	return nil
+}
+
+// endLocal ends a transaction that has nothing to commit without a round
+// trip, leaving its coordinator context to the session's Releaser.
+func (t *Tx) endLocal() {
+	t.client.clearTx(t)
+	t.client.rel.Defer(t.coord, t.id)
 }
 
 func (c *Client) clearTx(t *Tx) {

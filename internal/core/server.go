@@ -324,6 +324,11 @@ func (s *Server) LocalVersionClock() hlc.Timestamp {
 	return s.rt.VV.Load(s.cfg.DC)
 }
 
+// OpenTxContexts returns the number of transaction contexts this
+// coordinator holds: transactions begun here and not yet committed,
+// released or expired. Each one pins the version-GC floor.
+func (s *Server) OpenTxContexts() int { return s.txCtx.Len() }
+
 // newTxID delegates to the runtime's durable id-block reservation.
 func (s *Server) newTxID() uint64 { return s.rt.NewTxID() }
 
@@ -494,8 +499,13 @@ func (p *wrenProtocol) HandleMessage(from transport.NodeID, m wire.Message) {
 // handleStartTx implements Algorithm 2 lines 1–6: refresh the server's
 // stable times with the client's, then assign the transaction snapshot
 // (lst, min(rst, lst−1)). SnapMu is held SHARED around the assignment so
-// GC's exclusive floor load can never miss a context it must protect.
+// GC's exclusive floor load can never miss a context it must protect. The
+// session's previous transaction, when it ended without a COMMIT round,
+// is released first (m.Done), so a session holds one context at a time.
 func (s *Server) handleStartTx(from transport.NodeID, m *wire.StartTxReq) {
+	if m.Done != 0 {
+		s.txCtx.Delete(m.Done)
+	}
 	s.lst.Advance(m.LST)
 	s.rst.Advance(m.RST)
 	id := s.rt.NewTxID()
@@ -517,8 +527,9 @@ func (s *Server) handleStartTx(from transport.NodeID, m *wire.StartTxReq) {
 func (s *Server) handleTxRead(from transport.NodeID, m *wire.TxReadReq) {
 	ctx, ok := s.txCtx.Load(m.TxID)
 	if !ok {
-		// Unknown (expired) transaction: reply empty so the client can fail fast.
-		s.rt.Send(from, &wire.TxReadResp{ReqID: m.ReqID})
+		// Unknown (expired or released) transaction: say so, so the client
+		// fails instead of taking the empty reply for "no key exists".
+		s.rt.Send(from, &wire.TxReadResp{ReqID: m.ReqID, Expired: true})
 		return
 	}
 	lt, rt := ctx.lt, ctx.rt

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"wren/internal/ctxrelease"
 	"wren/internal/hlc"
 	"wren/internal/transport"
 	"wren/internal/wire"
@@ -19,6 +20,10 @@ var (
 	ErrTxDone  = errors.New("cure: transaction already finished")
 	ErrTimeout = errors.New("cure: request timed out")
 	ErrClosed  = errors.New("cure: client closed")
+	// ErrTxExpired is returned by Read when the coordinator no longer holds
+	// the transaction's context (see core.ErrTxExpired). Matched with
+	// errors.Is.
+	ErrTxExpired = errors.New("cure: transaction context expired on the coordinator")
 	// ErrReadOnly is returned by Commit when the server refused the write
 	// because its durability is degraded (read-only admission). Matched
 	// with errors.Is; the transaction did not commit.
@@ -108,6 +113,10 @@ type Client struct {
 	tx      *Tx
 	closed  bool
 
+	// rel releases the contexts of transactions that ended without a COMMIT
+	// round (the release rule in package core's comment).
+	rel *ctxrelease.Releaser
+
 	reqSeq atomic.Uint64
 }
 
@@ -133,6 +142,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		dv:      make([]hlc.Timestamp, cfg.NumDCs),
 		pending: make(map[uint64]chan wire.Message),
 	}
+	c.rel = ctxrelease.New(c.releaseCtx)
 	if cfg.Conn == nil {
 		cfg.Network.Register(c.id, c)
 	}
@@ -192,10 +202,6 @@ func (c *Client) Health(partition int) (readOnly bool, detail string, err error)
 func (c *Client) call(to transport.NodeID, reqID uint64, m wire.Message) (wire.Message, error) {
 	ch := make(chan wire.Message, 1)
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
-	}
 	c.pending[reqID] = ch
 	c.mu.Unlock()
 
@@ -218,22 +224,27 @@ func (c *Client) call(to transport.NodeID, reqID uint64, m wire.Message) (wire.M
 	}
 }
 
-// roundTrip performs one request/response round trip: through the
-// session's pooled connection when one is bound (cfg.Conn), over the
-// session's own registered endpoint otherwise. A BusyResp — the server's
-// admission pushback — surfaces as an error matching
-// transport.ErrOverloaded, so retry loops back off and try again instead
-// of hot-looping.
+// roundTrip performs one request/response round trip on behalf of the
+// session's API; it refuses once the session is closed.
 func (c *Client) roundTrip(to transport.NodeID, build func(reqID uint64) wire.Message) (wire.Message, error) {
+	c.mu.Lock()
+	closed := c.closed
+	c.mu.Unlock()
+	if closed {
+		return nil, ErrClosed
+	}
+	return c.exchange(to, build)
+}
+
+// exchange is the round trip itself: through the session's pooled
+// connection when one is bound (cfg.Conn), over the session's own
+// registered endpoint otherwise. A BusyResp — the server's admission
+// pushback — surfaces as an error matching transport.ErrOverloaded, so
+// retry loops back off and try again instead of hot-looping.
+func (c *Client) exchange(to transport.NodeID, build func(reqID uint64) wire.Message) (wire.Message, error) {
 	var resp wire.Message
 	var err error
 	if c.cfg.Conn != nil {
-		c.mu.Lock()
-		closed := c.closed
-		c.mu.Unlock()
-		if closed {
-			return nil, ErrClosed
-		}
 		resp, err = c.cfg.Conn.Call(to, c.cfg.RequestTimeout, build)
 		if err != nil {
 			if errors.Is(err, transport.ErrTimeout) {
@@ -255,6 +266,15 @@ func (c *Client) roundTrip(to transport.NodeID, build func(reqID uint64) wire.Me
 		return nil, fmt.Errorf("%w: %v shed the request at admission", transport.ErrOverloaded, to)
 	}
 	return resp, nil
+}
+
+// releaseCtx is the explicit context release handed to the session's
+// Releaser: one empty CommitReq, best-effort, usable on a closed session
+// (see core.Client.releaseCtx).
+func (c *Client) releaseCtx(coord transport.NodeID, txID uint64) {
+	_, _ = c.exchange(coord, func(reqID uint64) wire.Message {
+		return &wire.CommitReq{ReqID: reqID, TxID: txID}
+	})
 }
 
 // callRetry performs a round trip, retrying timed-out or transiently
@@ -309,6 +329,9 @@ func (c *Client) BeginAt(coordinator int) (*Tx, error) {
 
 	// Begin is idempotent (an unanswered StartTxReq just leaves an expiring
 	// context behind), so timeouts fail over to an alternate coordinator.
+	// As in package core, the attempt carries the release of the session's
+	// previous transaction when it can, and a failed attempt hands it to an
+	// explicit CommitReq.
 	var st *wire.StartTxResp
 	var coord transport.NodeID
 	var coordPartition int
@@ -326,10 +349,12 @@ func (c *Client) BeginAt(coordinator int) (*Tx, error) {
 			coordPartition = (coordinator + attempt) % c.cfg.NumPartitions
 		}
 		coord = transport.ServerID(c.cfg.DC, coordPartition)
+		done := c.rel.Take(coord)
 		resp, err := c.roundTrip(coord, func(reqID uint64) wire.Message {
-			return &wire.StartTxReq{ReqID: reqID, DV: dv}
+			return &wire.StartTxReq{ReqID: reqID, DV: dv, Done: done}
 		})
 		if err != nil {
+			c.rel.Now(coord, done)
 			if errors.Is(err, ErrClosed) {
 				return nil, err
 			}
@@ -339,6 +364,7 @@ func (c *Client) BeginAt(coordinator int) (*Tx, error) {
 		var ok bool
 		st, ok = resp.(*wire.StartTxResp)
 		if !ok {
+			c.rel.Now(coord, done)
 			return nil, fmt.Errorf("cure: unexpected response %T to StartTxReq", resp)
 		}
 		break
@@ -356,20 +382,25 @@ func (c *Client) BeginAt(coordinator int) (*Tx, error) {
 		partition: coordPartition,
 		id:        st.TxID,
 		sv:        st.SV,
-		ws:        make(map[string][]byte),
 		rs:        make(map[string][]byte),
-		rsMiss:    make(map[string]struct{}),
 	}
 	c.tx = tx
 	return tx, nil
 }
 
-// Close terminates the session.
+// Close terminates the session, releasing the coordinator context of an
+// open transaction, and of a finished one still waiting for its release,
+// best-effort off the caller's path.
 func (c *Client) Close() {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.closed = true
+	tx := c.tx
 	c.tx = nil
+	c.mu.Unlock()
+	if tx != nil {
+		c.rel.Now(tx.coord, tx.id)
+	}
+	c.rel.Flush()
 }
 
 // DependencyVector returns a copy of the client's causal dependency vector.
@@ -386,9 +417,9 @@ type Tx struct {
 	partition int // coordinator partition index
 	id        uint64
 	sv        []hlc.Timestamp
-	ws        map[string][]byte
-	rs        map[string][]byte
-	rsMiss    map[string]struct{}
+	ws        map[string][]byte   // write set; allocated by the first write
+	rs        map[string][]byte   // read set
+	rsMiss    map[string]struct{} // keys known absent in this snapshot; allocated on first use
 	done      bool
 
 	// BlockedMicros is the maximum time any read of this transaction spent
@@ -448,6 +479,10 @@ func (t *Tx) Read(keys ...string) (map[string][]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("cure: unexpected response %T to TxReadReq", resp)
 	}
+	if rr.Expired {
+		wire.PutTxReadResp(rr)
+		return nil, fmt.Errorf("%w (transaction %d)", ErrTxExpired, t.id)
+	}
 	if rr.BlockedMicros > t.BlockedMicros {
 		t.BlockedMicros = rr.BlockedMicros
 	}
@@ -467,6 +502,9 @@ func (t *Tx) Read(keys ...string) (map[string][]byte, error) {
 	}
 	for _, k := range missing {
 		if _, ok := t.rs[k]; !ok {
+			if t.rsMiss == nil {
+				t.rsMiss = make(map[string]struct{})
+			}
 			t.rsMiss[k] = struct{}{}
 		}
 	}
@@ -484,8 +522,16 @@ func (t *Tx) Write(key string, value []byte) error {
 	if value == nil {
 		value = []byte{}
 	}
-	t.ws[key] = value
+	t.buffer(key, value)
 	return nil
+}
+
+// buffer puts one mutation into the write set; a nil value is a delete.
+func (t *Tx) buffer(key string, value []byte) {
+	if t.ws == nil {
+		t.ws = make(map[string][]byte)
+	}
+	t.ws[key] = value
 }
 
 // Delete buffers a deletion of key: at commit it installs a tombstone that
@@ -497,17 +543,22 @@ func (t *Tx) Delete(key string) error {
 	if t.done {
 		return ErrTxDone
 	}
-	t.ws[key] = nil
+	t.buffer(key, nil)
 	return nil
 }
 
 // Commit runs the 2PC and folds the commit timestamp into the client's
-// dependency vector.
+// dependency vector. A transaction that wrote nothing ends locally, with no
+// round trip (see core.Tx.Commit).
 func (t *Tx) Commit() (hlc.Timestamp, error) {
 	if t.done {
 		return 0, ErrTxDone
 	}
 	t.done = true
+	if len(t.ws) == 0 {
+		t.endLocal()
+		return 0, nil
+	}
 	defer t.client.clearTx(t)
 
 	writes := make([]wire.KV, 0, len(t.ws))
@@ -552,9 +603,6 @@ func (t *Tx) Commit() (hlc.Timestamp, error) {
 		return 0, fmt.Errorf("%w: %s", ErrAborted, cr.Err)
 	default:
 		return 0, fmt.Errorf("%w: %s", ErrReadOnly, cr.Err)
-	}
-	if len(writes) == 0 {
-		return 0, nil
 	}
 	t.finishCommit(cr.CT)
 	return cr.CT, nil
@@ -609,17 +657,21 @@ func (t *Tx) resolveCommit(cause error) (hlc.Timestamp, error) {
 	return 0, fmt.Errorf("%w: %w", ErrInDoubt, cause)
 }
 
-// Abort abandons the transaction, releasing its coordinator context.
+// Abort abandons the transaction. Nothing is sent (see core.Tx.Abort).
 func (t *Tx) Abort() error {
 	if t.done {
 		return ErrTxDone
 	}
 	t.done = true
-	defer t.client.clearTx(t)
-	_, err := t.client.roundTrip(t.coord, func(reqID uint64) wire.Message {
-		return &wire.CommitReq{ReqID: reqID, TxID: t.id}
-	})
-	return err
+	t.endLocal()
+	return nil
+}
+
+// endLocal ends a transaction that has nothing to commit without a round
+// trip, leaving its coordinator context to the session's Releaser.
+func (t *Tx) endLocal() {
+	t.client.clearTx(t)
+	t.client.rel.Defer(t.coord, t.id)
 }
 
 func (c *Client) clearTx(t *Tx) {

@@ -22,5 +22,7 @@
 // vector stabilization gossip, heartbeats, GC) so that performance
 // comparisons isolate the protocol difference rather than implementation
 // artifacts — the same approach the paper takes by implementing all three
-// systems in one code base.
+// systems in one code base. That includes how a transaction that wrote
+// nothing ends: locally, with its coordinator context released under the
+// release rule stated in package core's comment.
 package cure

@@ -261,6 +261,10 @@ func (s *Server) Stop() { s.rt.Stop() }
 // recovery tests; see core.Server.Kill.
 func (s *Server) Kill() { s.rt.Kill() }
 
+// OpenTxContexts returns the number of transaction contexts this
+// coordinator holds (see core.Server.OpenTxContexts).
+func (s *Server) OpenTxContexts() int { return s.txCtx.Len() }
+
 // StableVector returns a copy of the server's global stable vector.
 func (s *Server) StableVector() []hlc.Timestamp {
 	return s.gsv.Snapshot(nil)
@@ -491,8 +495,12 @@ func (p *cureProtocol) HandleMessage(from transport.NodeID, m wire.Message) {
 // stable vector, the local entry from the coordinator's CURRENT clock —
 // the design choice that makes Cure reads block — raised to the client's
 // dependency vector. SnapMu is held SHARED around the assignment so GC's
-// exclusive floor load can never miss a context it must protect.
+// exclusive floor load can never miss a context it must protect. As in
+// package core, m.Done releases the session's previous transaction first.
 func (s *Server) handleStartTx(from transport.NodeID, m *wire.StartTxReq) {
+	if m.Done != 0 {
+		s.txCtx.Delete(m.Done)
+	}
 	id := s.rt.NewTxID()
 	s.rt.SnapMu.RLock()
 	sv := s.gsv.Snapshot(nil)
@@ -516,7 +524,7 @@ func (s *Server) handleStartTx(from transport.NodeID, m *wire.StartTxReq) {
 func (s *Server) handleTxRead(from transport.NodeID, m *wire.TxReadReq) {
 	ctx, ok := s.txCtx.Load(m.TxID)
 	if !ok {
-		s.rt.Send(from, &wire.TxReadResp{ReqID: m.ReqID})
+		s.rt.Send(from, &wire.TxReadResp{ReqID: m.ReqID, Expired: true})
 		return
 	}
 	sv := ctx.sv

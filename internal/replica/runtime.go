@@ -1075,9 +1075,12 @@ func (r *Runtime) handleSliceResp(m *wire.SliceResp) {
 // carrying that snapshot; the runtime fills ReqID, TxID and Writes.
 func (r *Runtime) Commit(from transport.NodeID, m *wire.CommitReq, makePrepare func() *wire.PrepareReq) {
 	if len(m.Writes) == 0 {
-		// Read-only transactions just release their context (the paper's
-		// COMMIT is only invoked when WS ≠ ∅). They are admitted even in
-		// read-only degraded mode — nothing about them needs durability.
+		// An empty CommitReq is a client's explicit context release: the
+		// paper's COMMIT is only invoked when WS ≠ ∅, and the clients send
+		// none for a read-only transaction (the release rule in package
+		// core's comment). The protocol handler already dropped the context.
+		// Admitted even in read-only degraded mode — nothing here needs
+		// durability.
 		r.Send(from, &wire.CommitResp{ReqID: m.ReqID, CT: 0})
 		return
 	}

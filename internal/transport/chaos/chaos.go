@@ -223,12 +223,16 @@ func (n *Network) Send(from, to transport.NodeID, m wire.Message) error {
 	}
 	n.mu.Unlock()
 
-	l.enqueue(m, at)
+	// Clone before the original is handed over: once enqueued it can be
+	// delivered, and a pooled message recycled by its receiver, at any time.
+	var dup wire.Message
 	if !dupAt.IsZero() {
-		if c := cloneMessage(m); c != nil {
-			n.duplicated.Add(1)
-			l.enqueue(c, dupAt)
-		}
+		dup = cloneMessage(m)
+	}
+	l.enqueue(m, at)
+	if dup != nil {
+		n.duplicated.Add(1)
+		l.enqueue(dup, dupAt)
 	}
 	return nil
 }

@@ -74,6 +74,15 @@ type Stats struct {
 // returned when it provably has no pending writer (see Call).
 var waiterPool = sync.Pool{New: func() any { return make(chan wire.Message, 1) }}
 
+// timerPool recycles the per-call timeout timers. A timer goes back either
+// stopped or fired-and-received; with the module's Go version neither can
+// deliver a stale tick after the next Reset.
+var timerPool = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}}
+
 // New builds a pool over the given endpoints and registers its response
 // handler on each. Endpoints must not be registered elsewhere.
 func New(eps []Endpoint) (*Pool, error) {
@@ -127,13 +136,16 @@ func (c *Conn) Call(to transport.NodeID, timeout time.Duration, build func(reqID
 		return nil, err
 	}
 	p.calls.Add(1)
-	timer := time.NewTimer(timeout)
+	timer := timerPool.Get().(*time.Timer)
+	timer.Reset(timeout)
 	select {
 	case resp := <-ch:
 		timer.Stop()
+		timerPool.Put(timer)
 		waiterPool.Put(ch)
 		return resp, nil
 	case <-timer.C:
+		timerPool.Put(timer)
 		p.timeouts.Add(1)
 		if _, ok := p.pending.LoadAndDelete(reqID); ok {
 			// We won the race against the demux handler: no writer can

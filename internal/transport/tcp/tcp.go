@@ -10,18 +10,27 @@
 // the inbound connection the request arrived on, so clients need no listen
 // address.
 //
+// Syscalls, not handlers, are what a round costs on loopback, so both
+// directions batch whatever is already there: a connection is read through
+// a 64 KiB buffer, so one read syscall per wake-up drains every frame the
+// socket holds, and a peer's writer encodes every frame queued at wake-up
+// into one buffer and writes the burst with one syscall. The write
+// deadline is re-armed at most once per WriteTimeout/4 rather than per
+// frame.
+//
 // Links self-heal. Each configured peer gets a dedicated writer goroutine
 // draining a bounded outbound queue; when a write or read fails the
 // connection is torn down and the writer redials with capped exponential
 // backoff plus jitter, bumping the link's epoch on every successful
-// (re)establishment. A frame that failed mid-write is resent on the next
-// epoch — delivery is at-least-once across reconnects, and the protocols
-// deduplicate. When the queue is full, Send sheds the message with
+// (re)establishment. A burst that failed mid-write is resent whole on the
+// next epoch — delivery is at-least-once across reconnects, and the
+// protocols deduplicate. When the queue is full, Send sheds the message with
 // transport.ErrOverloaded instead of blocking the caller. Dead learned
 // (inbound) connections are evicted immediately, never poisoning a route.
 package tcp
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -42,6 +51,12 @@ const (
 	// maxRetainedReadBuf caps the per-connection read scratch kept between
 	// frames; a rare huge frame doesn't pin its buffer forever.
 	maxRetainedReadBuf = 1 << 20
+	// readBufSize is the per-connection socket read buffer: one read
+	// syscall fetches every frame already in the socket, up to this much.
+	readBufSize = 64 << 10
+	// maxBurstBytes stops a writer's burst growing once its encoded frames
+	// reach this size; the frames still queued go out in the next burst.
+	maxBurstBytes = 64 << 10
 )
 
 // ErrClosed is returned by Send after Close.
@@ -62,9 +77,9 @@ type Config struct {
 	Peers map[transport.NodeID]string
 	// DialTimeout bounds connection establishment (default 5s).
 	DialTimeout time.Duration
-	// WriteTimeout bounds each frame write (default 10s). A stalled peer
-	// fails the write, tearing the connection down for redial, instead of
-	// wedging the writer goroutine forever.
+	// WriteTimeout bounds how long a write may stall (default 10s). A
+	// stalled peer fails the write, tearing the connection down for redial,
+	// instead of wedging the writer goroutine forever.
 	WriteTimeout time.Duration
 	// MaxQueuedFrames bounds each peer's outbound queue (default 1024).
 	// When full, Send returns transport.ErrOverloaded.
@@ -357,7 +372,8 @@ type peer struct {
 	addr string
 
 	mu     sync.Mutex
-	q      []outMsg
+	q      []outMsg // queued frames are q[head:]
+	head   int
 	conn   *peerConn // current epoch's connection, nil while down
 	epoch  uint64
 	closed bool
@@ -388,10 +404,17 @@ func (p *peer) enqueue(msg outMsg) error {
 		p.mu.Unlock()
 		return ErrClosed
 	}
-	if len(p.q) >= p.n.cfg.MaxQueuedFrames {
+	if len(p.q)-p.head >= p.n.cfg.MaxQueuedFrames {
 		p.mu.Unlock()
 		p.n.overloaded.Add(1)
 		return fmt.Errorf("%w: %d frames queued to %v", transport.ErrOverloaded, p.n.cfg.MaxQueuedFrames, p.to)
+	}
+	if p.head > 0 && len(p.q) == cap(p.q) {
+		// A queue that never runs empty: reclaim the popped prefix before
+		// growing, so capacity stays within twice the frame bound.
+		n := copy(p.q, p.q[p.head:])
+		clear(p.q[n:])
+		p.q, p.head = p.q[:n], 0
 	}
 	p.q = append(p.q, msg)
 	p.mu.Unlock()
@@ -411,7 +434,7 @@ func (p *peer) close() {
 	p.closed = true
 	pc := p.conn
 	p.conn = nil
-	p.q = nil
+	p.q, p.head = nil, 0
 	p.mu.Unlock()
 	close(p.done)
 	if pc != nil {
@@ -419,56 +442,65 @@ func (p *peer) close() {
 	}
 }
 
-// run is the writer loop: peek the head frame, ensure a live connection
-// (redialing with backoff as needed), write, and only then pop — a frame
-// that fails mid-write is retried on the next connection epoch.
+// run is the writer loop: peek every frame queued at wake-up, ensure a
+// live connection (redialing with backoff as needed), write them as one
+// burst, and only then pop — a burst that fails mid-write is retried whole
+// on the next connection epoch.
 func (p *peer) run() {
+	var burst []outMsg
 	for {
-		msg, ok := p.peek()
-		if !ok {
+		var ok bool
+		if burst, ok = p.peek(burst[:0]); !ok {
 			return
 		}
 		pc := p.ensureConn()
 		if pc == nil {
 			return // closed while (re)dialing
 		}
-		if err := pc.write(msg.from, msg.m, p.n.cfg.WriteTimeout); err != nil {
+		sent, err := pc.writeBurst(burst, p.n.cfg.WriteTimeout)
+		clear(burst)
+		if err != nil {
 			p.n.evictions.Add(1)
 			p.n.forgetConn(pc, p)
-			continue // redial and resend the same frame
+			continue // redial and resend the same frames
 		}
-		p.pop()
+		p.pop(sent)
 	}
 }
 
-// peek blocks until a frame is queued, returning false when closed.
-func (p *peer) peek() (outMsg, bool) {
+// peek blocks until a frame is queued and appends a copy of the queue to
+// dst (enqueue may move the queue's backing array while the burst is being
+// written); it returns false when closed.
+func (p *peer) peek(dst []outMsg) ([]outMsg, bool) {
 	for {
 		p.mu.Lock()
 		if p.closed {
 			p.mu.Unlock()
-			return outMsg{}, false
+			return dst, false
 		}
-		if len(p.q) > 0 {
-			msg := p.q[0]
+		if len(p.q) > p.head {
+			dst = append(dst, p.q[p.head:]...)
 			p.mu.Unlock()
-			return msg, true
+			return dst, true
 		}
 		p.mu.Unlock()
 		select {
 		case <-p.notify:
 		case <-p.done:
-			return outMsg{}, false
+			return dst, false
 		}
 	}
 }
 
-func (p *peer) pop() {
+// pop drops the n oldest frames by advancing the head index; the slice is
+// rewound once it runs empty.
+func (p *peer) pop(n int) {
 	p.mu.Lock()
-	if len(p.q) > 0 {
-		copy(p.q, p.q[1:])
-		p.q[len(p.q)-1] = outMsg{}
-		p.q = p.q[:len(p.q)-1]
+	if n = min(n, len(p.q)-p.head); n > 0 { // close() may have emptied q
+		clear(p.q[p.head : p.head+n])
+		if p.head += n; p.head == len(p.q) {
+			p.q, p.head = p.q[:0], 0
+		}
 	}
 	p.mu.Unlock()
 }
@@ -535,14 +567,18 @@ func (p *peer) ensureConn() *peerConn {
 	}
 }
 
-// peerConn wraps one TCP connection with serialized framed writes and a
-// reusable read buffer.
+// peerConn wraps one TCP connection with serialized framed writes, a
+// buffered reader and a reusable frame buffer.
 type peerConn struct {
 	conn net.Conn
 
 	writeMu sync.Mutex
+	// deadlineArmed is when the write deadline was last set; see
+	// armWriteDeadline. Guarded by writeMu.
+	deadlineArmed time.Time
 
 	readMu  sync.Mutex
+	br      *bufio.Reader
 	readBuf []byte // scratch reused across frames; decoded with DecodeCopy
 
 	closeOnce sync.Once
@@ -552,7 +588,7 @@ func newPeerConn(c net.Conn) *peerConn {
 	if tc, ok := c.(*net.TCPConn); ok {
 		_ = tc.SetNoDelay(true)
 	}
-	return &peerConn{conn: c}
+	return &peerConn{conn: c, br: bufio.NewReaderSize(c, readBufSize)}
 }
 
 // encPool recycles frame encoders across connections: steady-state framing
@@ -564,40 +600,78 @@ var encPool = sync.Pool{New: func() any { return wire.NewEncoder() }}
 // [4-byte length][1-byte kind][4-byte from.DC][4-byte from.Node][payload].
 func encodeFrame(enc *wire.Encoder, from transport.NodeID, m wire.Message) []byte {
 	enc.Reset()
-	enc.Reserve(headerLen)
+	appendFrame(enc, from, m)
+	return enc.Bytes()
+}
+
+// appendFrame appends one framed message to whatever enc already holds.
+func appendFrame(enc *wire.Encoder, from transport.NodeID, m wire.Message) {
+	off := enc.Reserve(headerLen)
 	wire.EncodeInto(enc, m)
-	frame := enc.Bytes()
+	frame := enc.Bytes()[off:]
 	payloadLen := len(frame) - headerLen
 	binary.BigEndian.PutUint32(frame[0:4], uint32(1+4+4+payloadLen))
 	frame[4] = byte(m.Kind())
 	binary.BigEndian.PutUint32(frame[5:9], uint32(int32(from.DC)))
 	binary.BigEndian.PutUint32(frame[9:13], uint32(int32(from.Node)))
-	return frame
+}
+
+// armWriteDeadline keeps a write deadline between 3/4 and one timeout
+// ahead, re-arming it at most once per timeout/4: setting a deadline costs
+// a poller-timer update per call, and a stalled peer still fails the write
+// within timeout. Caller holds writeMu.
+func (pc *peerConn) armWriteDeadline(timeout time.Duration) {
+	if timeout <= 0 {
+		return
+	}
+	if now := time.Now(); now.Sub(pc.deadlineArmed) >= timeout/4 {
+		_ = pc.conn.SetWriteDeadline(now.Add(timeout))
+		pc.deadlineArmed = now
+	}
 }
 
 func (pc *peerConn) write(from transport.NodeID, m wire.Message, timeout time.Duration) error {
 	enc := encPool.Get().(*wire.Encoder)
-	frame := encodeFrame(enc, from, m)
+	encodeFrame(enc, from, m)
+	return pc.flush(enc, timeout)
+}
 
-	pc.writeMu.Lock()
-	if timeout > 0 {
-		_ = pc.conn.SetWriteDeadline(time.Now().Add(timeout))
+// writeBurst encodes the leading frames of msgs — all of them unless the
+// buffer reaches maxBurstBytes first — and writes them with one Write. It
+// returns how many frames the burst covered; on error none may be assumed
+// delivered.
+func (pc *peerConn) writeBurst(msgs []outMsg, timeout time.Duration) (int, error) {
+	enc := encPool.Get().(*wire.Encoder)
+	enc.Reset()
+	n := 0
+	for n < len(msgs) && len(enc.Bytes()) < maxBurstBytes {
+		appendFrame(enc, msgs[n].from, msgs[n].m)
+		n++
 	}
-	_, err := pc.conn.Write(frame)
+	return n, pc.flush(enc, timeout)
+}
+
+// flush writes the frames encoded in enc with one Write, under the
+// connection's write lock and deadline, and returns enc to the pool.
+func (pc *peerConn) flush(enc *wire.Encoder, timeout time.Duration) error {
+	pc.writeMu.Lock()
+	pc.armWriteDeadline(timeout)
+	_, err := pc.conn.Write(enc.Bytes())
 	pc.writeMu.Unlock()
 	encPool.Put(enc)
 	return err
 }
 
-// read decodes one frame. The frame body lands in a per-connection scratch
-// buffer reused across frames; the message is decoded with copy semantics
+// read decodes one frame, taking its bytes from the connection's buffered
+// reader. The frame body lands in a per-connection scratch buffer reused
+// across frames; the message is decoded with copy semantics
 // (wire.DecodeCopy) so nothing retained by handlers aliases the scratch.
 func (pc *peerConn) read() (transport.NodeID, wire.Message, error) {
 	pc.readMu.Lock()
 	defer pc.readMu.Unlock()
 
 	var lenBuf [4]byte
-	if _, err := io.ReadFull(pc.conn, lenBuf[:]); err != nil {
+	if _, err := io.ReadFull(pc.br, lenBuf[:]); err != nil {
 		return transport.NodeID{}, nil, err
 	}
 	frameLen := binary.BigEndian.Uint32(lenBuf[:])
@@ -609,7 +683,7 @@ func (pc *peerConn) read() (transport.NodeID, wire.Message, error) {
 		pc.readBuf = make([]byte, frameLen)
 	}
 	body := pc.readBuf[:frameLen]
-	if _, err := io.ReadFull(pc.conn, body); err != nil {
+	if _, err := io.ReadFull(pc.br, body); err != nil {
 		return transport.NodeID{}, nil, err
 	}
 	kind := wire.Kind(body[0])

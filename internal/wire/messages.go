@@ -245,6 +245,11 @@ type StartTxReq struct {
 	LST   hlc.Timestamp
 	RST   hlc.Timestamp
 	DV    []hlc.Timestamp // Cure: client's causal dependency vector
+	// Done, when non-zero, is the id of the session's previous transaction
+	// on this coordinator, which finished without a COMMIT round (empty
+	// write set or abort): the coordinator drops that context before it
+	// assigns the new snapshot. Transaction ids are never zero.
+	Done uint64
 }
 
 // Kind implements Message.
@@ -258,6 +263,7 @@ func (m *StartTxReq) encodeTo(e *Encoder) {
 	e.Timestamp(m.LST)
 	e.Timestamp(m.RST)
 	e.Timestamps(m.DV)
+	e.Uvarint(m.Done)
 }
 
 func (m *StartTxReq) decodeFrom(d *Decoder) {
@@ -265,6 +271,7 @@ func (m *StartTxReq) decodeFrom(d *Decoder) {
 	m.LST = d.Timestamp()
 	m.RST = d.Timestamp()
 	m.DV = d.Timestamps()
+	m.Done = d.Uvarint()
 }
 
 // StartTxResp carries the transaction id and snapshot (Alg. 2 line 6).
@@ -327,7 +334,11 @@ func (m *TxReadReq) decodeFrom(d *Decoder) {
 // Missing keys are simply absent from Items.
 type TxReadResp struct {
 	ReqID uint64
-	Items []Item
+	// Expired reports that the coordinator holds no context for the
+	// transaction (expired, released, or never started there): nothing was
+	// read, and the empty Items say nothing about which keys exist.
+	Expired bool
+	Items   []Item
 	// Chunks are extra item slices folded in by reference for very large
 	// read sets: instead of copying a big SliceResp's items into Items
 	// (one monolithic append), the fan-in detaches the arriving buffer and
@@ -364,12 +375,14 @@ func (m *TxReadResp) encodeTo(e *Encoder) {
 		}
 	}
 	e.Uvarint(uint64(m.BlockedMicros))
+	e.Bool(m.Expired)
 }
 
 func (m *TxReadResp) decodeFrom(d *Decoder) {
 	m.ReqID = d.Uvarint()
 	m.Items = decodeItems(d)
 	m.BlockedMicros = int64(d.Uvarint())
+	m.Expired = d.Bool()
 }
 
 // CommitReq ships the write set to the coordinator (Alg. 1 line 27).

@@ -30,11 +30,12 @@ func ts(p int64, l uint16) hlc.Timestamp { return hlc.New(p, l) }
 func TestRoundTripAllKinds(t *testing.T) {
 	msgs := []Message{
 		&StartTxReq{ReqID: 1, LST: ts(100, 1), RST: ts(90, 0)},
-		&StartTxReq{ReqID: 2, DV: []hlc.Timestamp{ts(1, 0), ts(2, 0), ts(3, 0)}},
+		&StartTxReq{ReqID: 2, DV: []hlc.Timestamp{ts(1, 0), ts(2, 0), ts(3, 0)}, Done: 1<<56 | 7},
 		&StartTxResp{ReqID: 3, TxID: 77, LST: ts(100, 1), RST: ts(90, 0)},
 		&StartTxResp{ReqID: 4, TxID: 78, SV: []hlc.Timestamp{ts(5, 5), ts(6, 6)}},
 		&TxReadReq{ReqID: 5, TxID: 77, Keys: []string{"a", "bb", "ccc"}},
 		&TxReadReq{ReqID: 6, TxID: 78},
+		&TxReadResp{ReqID: 6, Expired: true},
 		&TxReadResp{ReqID: 7, Items: []Item{
 			{Key: "a", Value: []byte{1, 2}, UT: ts(10, 0), RDT: ts(5, 0), TxID: 3, SrcDC: 1},
 			{Key: "b", Value: nil, UT: ts(11, 0), RDT: ts(6, 0), TxID: 4, SrcDC: 2,
