@@ -17,12 +17,14 @@
 //	delete <key>            buffer a delete in the open transaction
 //	commit                  commit the open transaction
 //	abort                   abort the open transaction
+//	resolve                 ask again about the last commit left in doubt
 //	health                  durability state of every partition in the DC
 //	quit
 package main
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -104,7 +106,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 }
 
 func repl(client *core.Client, partitions int, in io.Reader, out io.Writer) error {
-	var tx *core.Tx
+	var tx, doubt *core.Tx // the open transaction; the last commit left in doubt
 	scanner := bufio.NewScanner(in)
 	fmt.Fprint(out, "> ")
 	for scanner.Scan() {
@@ -118,15 +120,15 @@ func repl(client *core.Client, partitions int, in io.Reader, out io.Writer) erro
 		case "quit", "exit":
 			return nil
 		case "help":
-			fmt.Fprintln(out, "commands: get put del scan begin read write delete commit abort health quit")
+			fmt.Fprintln(out, "commands: get put del scan begin read write delete commit abort resolve health quit")
 		case "health":
 			showHealth(client, partitions, out)
 		case "get":
 			oneShotRead(client, out, rest)
 		case "put":
-			oneShotWrite(client, out, rest)
+			doubt = cmp.Or(oneShotWrite(client, out, rest), doubt)
 		case "del":
-			oneShotDelete(client, out, rest)
+			doubt = cmp.Or(oneShotDelete(client, out, rest), doubt)
 		case "scan":
 			if tx != nil {
 				doScan(tx, out, rest)
@@ -181,8 +183,19 @@ func repl(client *core.Client, partitions int, in io.Reader, out io.Writer) erro
 				fmt.Fprintln(out, "error: no open transaction")
 				break
 			}
-			ct, err := tx.Commit()
+			doubt = cmp.Or(commit(tx, out, "committed"), doubt)
 			tx = nil
+		case "resolve":
+			if doubt == nil {
+				fmt.Fprintln(out, "error: no commit in doubt")
+				break
+			}
+			ct, err := doubt.Resolve()
+			if errors.Is(err, core.ErrInDoubt) {
+				printErr(out, err)
+				break
+			}
+			doubt = nil
 			if err != nil {
 				printErr(out, err)
 				break
@@ -231,29 +244,40 @@ func oneShotRead(client *core.Client, out io.Writer, keys []string) {
 	printRead(out, got, nil)
 }
 
-func oneShotWrite(client *core.Client, out io.Writer, kvs []string) {
+// commit commits tx and prints the outcome under verb. It returns tx when
+// the outcome is in doubt — the transaction the resolve command then asks
+// about — and nil otherwise, as do the one-shot commands built on it.
+func commit(tx *core.Tx, out io.Writer, verb string) *core.Tx {
+	ct, err := tx.Commit()
+	if err != nil {
+		printErr(out, err)
+		if errors.Is(err, core.ErrInDoubt) {
+			return tx
+		}
+		return nil
+	}
+	fmt.Fprintf(out, "%s at %v\n", verb, ct)
+	return nil
+}
+
+func oneShotWrite(client *core.Client, out io.Writer, kvs []string) *core.Tx {
 	if len(kvs) == 0 || len(kvs)%2 != 0 {
 		fmt.Fprintln(out, "usage: put <key> <value> [<key> <value>...]")
-		return
+		return nil
 	}
 	tx, err := client.Begin()
 	if err != nil {
 		printErr(out, err)
-		return
+		return nil
 	}
 	for i := 0; i < len(kvs); i += 2 {
 		if err := tx.Write(kvs[i], []byte(kvs[i+1])); err != nil {
 			printErr(out, err)
 			_ = tx.Abort()
-			return
+			return nil
 		}
 	}
-	ct, err := tx.Commit()
-	if err != nil {
-		printErr(out, err)
-		return
-	}
-	fmt.Fprintf(out, "committed at %v\n", ct)
+	return commit(tx, out, "committed")
 }
 
 // oneShotScan runs a range scan in its own read-only transaction.
@@ -305,29 +329,24 @@ func doScan(tx *core.Tx, out io.Writer, args []string) {
 	}
 }
 
-func oneShotDelete(client *core.Client, out io.Writer, keys []string) {
+func oneShotDelete(client *core.Client, out io.Writer, keys []string) *core.Tx {
 	if len(keys) == 0 {
 		fmt.Fprintln(out, "usage: del <key>...")
-		return
+		return nil
 	}
 	tx, err := client.Begin()
 	if err != nil {
 		printErr(out, err)
-		return
+		return nil
 	}
 	for _, k := range keys {
 		if err := tx.Delete(k); err != nil {
 			printErr(out, err)
 			_ = tx.Abort()
-			return
+			return nil
 		}
 	}
-	ct, err := tx.Commit()
-	if err != nil {
-		printErr(out, err)
-		return
-	}
-	fmt.Fprintf(out, "deleted at %v\n", ct)
+	return commit(tx, out, "deleted")
 }
 
 // showHealth probes every partition server of the client's DC for its
@@ -354,7 +373,7 @@ func printErr(out io.Writer, err error) {
 	switch {
 	case errors.Is(err, core.ErrInDoubt):
 		fmt.Fprintln(out, "error (in doubt):", err)
-		fmt.Fprintln(out, "  the commit may or may not have landed; read the keys back before retrying")
+		fmt.Fprintln(out, "  the commit may or may not have landed; 'resolve' asks the coordinator again")
 	case errors.Is(err, core.ErrAborted):
 		fmt.Fprintln(out, "error (aborted):", err)
 		fmt.Fprintln(out, "  the transaction did not commit; safe to retry")

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"wren/internal/core"
+	"wren/internal/session"
 	"wren/internal/store"
 	"wren/internal/transport/chaos"
 )
@@ -323,6 +324,92 @@ func TestChaosFenceDelayedCommit(t *testing.T) {
 	}
 	if n := storeOf(cl, 0, p).VersionsOf("fence-k"); n != 1 {
 		t.Fatalf("fence-k has %d versions, want 1 (fenced commit must never apply)", n)
+	}
+}
+
+// TestChaosInDoubtResolve cuts the client's DC mid-commit, so neither the
+// CommitReq nor any termination probe is answered and Commit can only say
+// ErrInDoubt. After the heal, Resolve on the same transaction must come
+// back with a definite verdict, and a fresh session must read exactly what
+// that verdict says.
+func TestChaosInDoubtResolve(t *testing.T) {
+	for _, proto := range []Protocol{Wren, Cure, HCure} {
+		t.Run(proto.String(), func(t *testing.T) {
+			cfg := chaosConfig(proto, 1, 2)
+			cfg.RetryAttempts = 3
+			cfg.RequestTimeout = 100 * time.Millisecond
+			cl, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			ch := cl.Chaos()
+
+			c, err := cl.NewClient(0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			tx, err := c.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Write("doubt-k", []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+
+			ch.Cut(0, 0)
+			if _, err := tx.Commit(); !errors.Is(err, session.ErrInDoubt) || !errors.Is(err, session.ErrTimeout) {
+				t.Fatalf("commit into a cut link = %v, want ErrInDoubt wrapping ErrTimeout", err)
+			}
+			ch.Heal(0, 0)
+
+			ct, err := tx.(*session.Tx).Resolve()
+			t.Logf("verdict after the heal: ct=%v err=%v", ct, err)
+			committed := err == nil
+			if !committed && !errors.Is(err, session.ErrAborted) {
+				t.Fatalf("Resolve after the heal = %v, want a commit time or ErrAborted", err)
+			}
+			if committed && ct == 0 {
+				t.Fatal("Resolve reported a commit without its timestamp")
+			}
+
+			// Absence proves nothing until the held traffic has drained, so
+			// an aborted verdict is checked after a settle; a committed one
+			// is awaited, since visibility trails the commit.
+			fresh, err := cl.NewClient(0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fresh.Close()
+			if !committed {
+				time.Sleep(300 * time.Millisecond)
+			}
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+				rtx, err := fresh.Begin()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := rtx.Read("doubt-k")
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, _ = rtx.Commit()
+				_, visible := got["doubt-k"]
+				if visible && !committed {
+					t.Fatalf("Resolve said aborted, a fresh session reads %q", got["doubt-k"])
+				}
+				if visible == committed {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("Resolve said committed at %v, a fresh session never read the write", ct)
+				}
+			}
+			if committed {
+				assertExactlyOnce(t, cl, []string{"doubt-k"})
+			}
+		})
 	}
 }
 

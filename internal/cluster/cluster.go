@@ -16,6 +16,7 @@ import (
 	"wren/internal/core"
 	"wren/internal/cure"
 	"wren/internal/hlc"
+	"wren/internal/session"
 	"wren/internal/transport"
 	"wren/internal/transport/chaos"
 	"wren/internal/transport/pool"
@@ -434,54 +435,40 @@ func (c *Cluster) NewClient(dc, coordinator int) (Client, error) {
 	}
 	c.mu.Unlock()
 
-	var sess session
+	cfg := session.Config{
+		DC: dc, ClientIndex: idx,
+		NumDCs:               c.cfg.NumDCs,
+		NumPartitions:        c.cfg.NumPartitions,
+		Network:              c.fabric(),
+		CoordinatorPartition: coordinator,
+		RequestTimeout:       c.cfg.RequestTimeout,
+		Retry: session.RetryPolicy{
+			Attempts: c.cfg.RetryAttempts,
+			Backoff:  c.cfg.RetryBackoff,
+		},
+	}
+	if conn != nil {
+		cfg.Conn = conn
+	}
+	var sess *session.Session
 	switch c.cfg.Protocol {
 	case Wren:
-		cfg := core.ClientConfig{
-			DC: dc, ClientIndex: idx,
-			NumPartitions:        c.cfg.NumPartitions,
-			Network:              c.fabric(),
-			CoordinatorPartition: coordinator,
-			RequestTimeout:       c.cfg.RequestTimeout,
-			Retry: core.RetryPolicy{
-				Attempts: c.cfg.RetryAttempts,
-				Backoff:  c.cfg.RetryBackoff,
-			},
-		}
-		if conn != nil {
-			cfg.Conn = conn
-		}
 		cl, err := core.NewClient(cfg)
 		if err != nil {
 			return nil, err
 		}
-		sess = wrenClient{cl}
+		sess = cl.Session
 	default:
-		cfg := cure.ClientConfig{
-			DC: dc, ClientIndex: idx,
-			NumDCs:               c.cfg.NumDCs,
-			NumPartitions:        c.cfg.NumPartitions,
-			Network:              c.fabric(),
-			CoordinatorPartition: coordinator,
-			RequestTimeout:       c.cfg.RequestTimeout,
-			Retry: cure.RetryPolicy{
-				Attempts: c.cfg.RetryAttempts,
-				Backoff:  c.cfg.RetryBackoff,
-			},
-		}
-		if conn != nil {
-			cfg.Conn = conn
-		}
 		cl, err := cure.NewClient(cfg)
 		if err != nil {
 			return nil, err
 		}
-		sess = cureClient{cl}
+		sess = cl.Session
 	}
 	if c.cfg.ClientFailover {
 		return &failoverClient{sess: sess, numPartitions: c.cfg.NumPartitions}, nil
 	}
-	return sess, nil
+	return sessionClient{sess}, nil
 }
 
 // ClientPool returns the DC's shared connection pool for stats inspection,
@@ -695,73 +682,17 @@ func (c *Cluster) stop(kill bool) {
 	}
 }
 
-// session is the protocol-side surface the failover wrapper needs beyond
-// the public Client interface: explicit-coordinator begins, health probes,
-// and read-only error detection.
-type session interface {
-	Client
-	beginAt(coordinator int) (Tx, error)
-	health(partition int) (readOnly bool, detail string, err error)
-	isReadOnly(err error) bool
-	// isAborted reports a commit that definitely did not land and whose
-	// transaction id the coordinator has fenced — the other replay-safe
-	// refusal besides read-only admission.
-	isAborted(err error) bool
-}
+// sessionClient adapts *session.Session to the Client interface: Begin's
+// concrete transaction becomes the Tx interface.
+type sessionClient struct{ *session.Session }
 
-// wrenClient adapts *core.Client to the Client interface.
-type wrenClient struct{ c *core.Client }
-
-func (w wrenClient) Begin() (Tx, error) {
-	tx, err := w.c.Begin()
+func (c sessionClient) Begin() (Tx, error) {
+	tx, err := c.Session.Begin()
 	if err != nil {
 		return nil, err
 	}
 	return tx, nil
 }
-
-func (w wrenClient) beginAt(coordinator int) (Tx, error) {
-	tx, err := w.c.BeginAt(coordinator)
-	if err != nil {
-		return nil, err
-	}
-	return tx, nil
-}
-
-func (w wrenClient) health(partition int) (bool, string, error) { return w.c.Health(partition) }
-
-func (w wrenClient) isReadOnly(err error) bool { return errors.Is(err, core.ErrReadOnly) }
-
-func (w wrenClient) isAborted(err error) bool { return errors.Is(err, core.ErrAborted) }
-
-func (w wrenClient) Close() { w.c.Close() }
-
-// cureClient adapts *cure.Client to the Client interface.
-type cureClient struct{ c *cure.Client }
-
-func (cc cureClient) Begin() (Tx, error) {
-	tx, err := cc.c.Begin()
-	if err != nil {
-		return nil, err
-	}
-	return tx, nil
-}
-
-func (cc cureClient) beginAt(coordinator int) (Tx, error) {
-	tx, err := cc.c.BeginAt(coordinator)
-	if err != nil {
-		return nil, err
-	}
-	return tx, nil
-}
-
-func (cc cureClient) health(partition int) (bool, string, error) { return cc.c.Health(partition) }
-
-func (cc cureClient) isReadOnly(err error) bool { return errors.Is(err, cure.ErrReadOnly) }
-
-func (cc cureClient) isAborted(err error) bool { return errors.Is(err, cure.ErrAborted) }
-
-func (cc cureClient) Close() { cc.c.Close() }
 
 // failoverClient wraps a session so that a commit refused with a read-only
 // error is retried ONCE against a different healthy coordinator partition
@@ -772,7 +703,7 @@ func (cc cureClient) Close() { cc.c.Close() }
 // vector) guarantees the retried commit still lands strictly after
 // everything the session has observed.
 type failoverClient struct {
-	sess          session
+	sess          *session.Session
 	numPartitions int
 }
 
@@ -826,7 +757,7 @@ func (t *failoverTx) Commit() (hlc.Timestamp, error) {
 	failed := t.Tx.Coordinator()
 	alt := -1
 	switch {
-	case t.f.sess.isReadOnly(err):
+	case errors.Is(err, session.ErrReadOnly):
 		// The refused coordinator is degraded; probe the remaining
 		// partitions for a healthy one and replay there. If none answers
 		// healthy, the original refusal stands.
@@ -834,12 +765,12 @@ func (t *failoverTx) Commit() (hlc.Timestamp, error) {
 			if p == failed {
 				continue
 			}
-			if ro, _, herr := t.f.sess.health(p); herr == nil && !ro {
+			if ro, _, herr := t.f.sess.Health(p); herr == nil && !ro {
 				alt = p
 				break
 			}
 		}
-	case t.f.sess.isAborted(err):
+	case errors.Is(err, session.ErrAborted):
 		// The commit is fenced: it can never land, so replaying is safe.
 		// The coordinator may merely be unreachable rather than unhealthy,
 		// so skip the health hunt and go straight to the next partition —
@@ -851,7 +782,7 @@ func (t *failoverTx) Commit() (hlc.Timestamp, error) {
 	if alt < 0 || alt == failed {
 		return 0, err
 	}
-	retry, berr := t.f.sess.beginAt(alt)
+	retry, berr := t.f.sess.BeginAt(alt)
 	if berr != nil {
 		return 0, err
 	}
@@ -871,8 +802,3 @@ func (t *failoverTx) Commit() (hlc.Timestamp, error) {
 	// failover retries once, it does not hunt.
 	return retry.Commit()
 }
-
-var (
-	_ Tx = (*core.Tx)(nil)
-	_ Tx = (*cure.Tx)(nil)
-)

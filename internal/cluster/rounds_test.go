@@ -212,7 +212,7 @@ func TestContextReleaseInvariants(t *testing.T) {
 				c := newClient()
 				defer c.Close()
 				readOnlyTx(t, c, "k")
-				tx, err := c.(session).beginAt(1)
+				tx, err := c.(sessionClient).BeginAt(1)
 				if err != nil {
 					t.Fatal(err)
 				}

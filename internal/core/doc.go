@@ -27,30 +27,7 @@
 // become visible there once stable, preserving availability under inter-DC
 // network partitions.
 //
-// # Ending a transaction that wrote nothing: the release rule
-//
-// As in Algorithm 1, COMMIT is only sent when WS ≠ ∅. Tx.Commit with an
-// empty write set, and Tx.Abort, return locally; the coordinator still
-// holds the transaction's context (its snapshot, which pins the version-GC
-// floor of the whole DC), and the session gives it back like this:
-//
-//   - The session's next Begin, when it goes to the same coordinator,
-//     carries the finished transaction's id (StartTxReq.Done) and the
-//     coordinator drops that context before it assigns the new snapshot. A
-//     closed-loop read-only transaction is therefore two rounds, Begin and
-//     Read.
-//   - When that cannot happen — the next Begin targets another coordinator,
-//     the carrying attempt fails, the session is closed, or no Begin follows
-//     within ctxrelease.Grace (10 ms) — the client sends one explicit
-//     release, an empty CommitReq, off the caller's path.
-//
-// The rule: a finished transaction's context MUST NOT outlive grace plus
-// one round trip, whatever the session does next (an idle session must
-// never hold the GC floor back for the coordinator's 30 s TxContextTTL, which
-// remains only the backstop for lost messages and dead clients); and a
-// context MUST NOT be released before the Commit or Abort that ends its
-// transaction has returned. The bookkeeping lives once, in
-// internal/ctxrelease, for this client and package cure's. A read that
-// reaches a coordinator without the context fails with ErrTxExpired rather
-// than reporting its keys absent.
+// The client half of this package is the Wren snapshot state plugged into
+// the shared session runtime, internal/session — which also states how a
+// transaction that wrote nothing gives its coordinator context back.
 package core

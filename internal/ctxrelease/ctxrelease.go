@@ -1,8 +1,8 @@
-// Package ctxrelease is the one copy of the client-side bookkeeping that
-// releases the coordinator context of a transaction which ended without a
-// COMMIT round — an empty write set or an abort. Both protocol clients
-// (internal/core, internal/cure) keep one Releaser per session; the rule it
-// enforces is stated in package core's comment.
+// Package ctxrelease is the client-side bookkeeping that releases the
+// coordinator context of a transaction which ended without a COMMIT round
+// — an empty write set, an abort, or a commit shed before it ran. The
+// session runtime (internal/session) keeps one Releaser per session; the
+// rule it enforces is stated in that package's comment.
 //
 // A session runs one transaction at a time, so at most one finished
 // transaction is ever waiting for its release. It leaves by exactly one of

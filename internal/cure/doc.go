@@ -22,7 +22,7 @@
 // vector stabilization gossip, heartbeats, GC) so that performance
 // comparisons isolate the protocol difference rather than implementation
 // artifacts — the same approach the paper takes by implementing all three
-// systems in one code base. That includes how a transaction that wrote
-// nothing ends: locally, with its coordinator context released under the
-// release rule stated in package core's comment.
+// systems in one code base. The client goes further: it is the same
+// session runtime as Wren's (internal/session), with only the dependency
+// vector plugged in.
 package cure
