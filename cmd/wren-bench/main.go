@@ -6,59 +6,25 @@
 //	wren-bench -figure 6a -threads 8
 //	wren-bench -ablation blocking-commit
 //	wren-bench -quick -figure 3a   # reduced topology for a fast look
-//	wren-bench -read-path          # read-path suite -> BENCH_read_path.json
-//	wren-bench -engines memory,wal,sst   # engine sweep -> BENCH_engines.json
-//	wren-bench -txlog              # commit-ack latency sweep -> BENCH_txlog.json
-//	wren-bench -chaos              # client-link loss sweep -> BENCH_chaos.json
-//	wren-bench -clients            # session multiplexing sweep -> BENCH_clients.json
 //
 // Figures: 3a, 3b, 4a, 4b, 5a, 5b, 6a, 6b, 7a, 7b.
-// Ablations: blocking-commit, gossip-interval, snapshot-age.
+// Ablations: blocking-commit, gossip-interval, gossip-topology, snapshot-age.
 //
-// -read-path runs the contention-free read-path suite (reads-only, 95:5
-// and 50:50 mixes at several goroutine counts) with runtime mutex
-// profiling enabled, and writes a machine-readable report (default
-// BENCH_read_path.json) so successive PRs leave a comparable perf
-// trajectory. The run fails if the mutex profile shows contention on a
-// plain mutex inside the server read handlers.
-//
-// -engines sweeps the storage backends (memory vs wal vs sst) under a
-// read-heavy and a write-heavy mix on the same Wren topology, fails if
-// any engine finishes a sweep with a recorded write-path failure, and
-// writes BENCH_engines.json.
-//
-// -txlog prices the durable transaction-lifecycle log: the same
-// write-only closed loop with commit-record logging on vs off, under each
-// fsync policy, reporting client-observed commit-ack latency percentiles
-// (the log writes PREPARE and COMMIT records before the ack, so the ack
-// now carries the logging cost). Writes BENCH_txlog.json.
-//
-// -chaos drives the same closed loop through the fault-injecting chaos
-// transport at increasing client-link loss (0%, 1%, 5%), with the bounded
-// client retry policy recovering dropped frames, and reports the
-// throughput/latency cost of each loss level. Writes BENCH_chaos.json.
-//
-// -clients sweeps concurrent session counts twice per point — legacy
-// one-endpoint-per-session vs all sessions pipelining over the DC's
-// shared connection pool — and reports throughput, latency, admission
-// sheds, and the number of requests that never resolved (which must be
-// zero: a shed or timed-out request retries or errors, never vanishes).
-// Writes BENCH_clients.json; the run fails on unresolved requests or an
-// unhealthy engine.
+// It runs on the simulated network and compares protocols with each other;
+// how fast this implementation is, end to end and per layer, is measured
+// by the benchmark of record (bash benchmark/run.sh).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"wren/internal/bench"
 	"wren/internal/cluster"
-	"wren/internal/store/backend"
 	"wren/internal/ycsb"
 )
 
@@ -70,100 +36,14 @@ func main() {
 }
 
 func run(args []string) error {
-	fs := flag.NewFlagSet("wren-bench", flag.ContinueOnError)
-	var (
-		figure     = fs.String("figure", "", "figure to regenerate: 3a 3b 4a 4b 5a 5b 6a 6b 7a 7b all")
-		ablation   = fs.String("ablation", "", "ablation to run: blocking-commit gossip-interval gossip-topology snapshot-age")
-		dcs        = fs.Int("dcs", 3, "number of DCs")
-		partitions = fs.Int("partitions", 8, "partitions per DC")
-		threads    = fs.String("threads", "1,2,4,8,16", "comma-separated per-process thread counts for sweeps")
-		fixed      = fs.Int("fixed-threads", 4, "thread count for ratio/traffic/visibility figures")
-		warmup     = fs.Duration("warmup", time.Second, "warmup before each measurement window")
-		measure    = fs.Duration("measure", 4*time.Second, "measurement window per load point")
-		keys       = fs.Int("keys", 1000, "keys per partition")
-		skew       = fs.Duration("skew", 2*time.Millisecond, "max clock skew per server")
-		shards     = fs.Int("store-shards", 0, "version-store lock stripes per server (0 = default 64)")
-		storeBack  = fs.String("store-backend", "memory", "storage engine: memory, wal or sst")
-		dataDir    = fs.String("data-dir", "", "root data directory for durable backends; each benchmark cluster uses a fresh subdirectory (empty = per-cluster temp dir)")
-		fsync      = fs.String("fsync", "", "durable-backend fsync policy: always, interval (default) or never")
-		seed       = fs.Int64("seed", 1, "random seed")
-		quick      = fs.Bool("quick", false, "reduced topology and windows for a fast run")
-		readPath   = fs.Bool("read-path", false, "run the read-path suite and emit a JSON report")
-		jsonOut    = fs.String("out", "BENCH_read_path.json", "output path for the -read-path JSON report")
-		engines    = fs.String("engines", "", "comma-separated storage engines to sweep (e.g. memory,wal,sst); emits -engines-out")
-		enginesOut = fs.String("engines-out", "BENCH_engines.json", "output path for the -engines JSON report")
-		txlogSweep = fs.Bool("txlog", false, "run the commit-ack latency sweep (txlog on vs off, per fsync policy); emits -txlog-out")
-		txlogOut   = fs.String("txlog-out", "BENCH_txlog.json", "output path for the -txlog JSON report")
-		chaosSweep = fs.Bool("chaos", false, "run the client-link loss sweep through the chaos transport; emits -chaos-out")
-		chaosOut   = fs.String("chaos-out", "BENCH_chaos.json", "output path for the -chaos JSON report")
-		clientsSwp = fs.Bool("clients", false, "run the session-multiplexing sweep (pooled vs unpooled sessions); emits -clients-out")
-		clientsOut = fs.String("clients-out", "BENCH_clients.json", "output path for the -clients JSON report")
-		poolLinks  = fs.Int("pool-links", bench.DefaultClientPoolLinks, "connection-pool links per DC for the -clients pooled rows")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *figure == "" && *ablation == "" && !*readPath && *engines == "" && !*txlogSweep && !*chaosSweep && !*clientsSwp {
-		fs.Usage()
-		return fmt.Errorf("one of -figure, -ablation, -read-path, -engines, -txlog, -chaos or -clients is required")
-	}
-
-	o := bench.DefaultOptions()
-	o.DCs = *dcs
-	o.Partitions = *partitions
-	o.FixedThreads = *fixed
-	o.Warmup = *warmup
-	o.Measure = *measure
-	o.KeysPerPartition = *keys
-	o.ClockSkew = *skew
-	o.StoreShards = *shards
-	o.StoreBackend = *storeBack
-	o.DataDir = *dataDir
-	o.FsyncPolicy = *fsync
-	o.Seed = *seed
-	var err error
-	o.Threads, err = parseThreads(*threads)
+	o, figure, ablation, err := parseArgs(args)
 	if err != nil {
 		return err
 	}
-	if *quick {
-		q := bench.SmokeOptions()
-		q.DCs = min(o.DCs, 3)
-		o.Partitions = q.Partitions
-		o.Threads = q.Threads
-		o.FixedThreads = q.FixedThreads
-		o.Warmup = q.Warmup
-		o.Measure = q.Measure
-		o.KeysPerPartition = q.KeysPerPartition
+	if ablation != "" {
+		return runAblation(o, ablation)
 	}
-
-	if *clientsSwp {
-		points := bench.ClientsPoints
-		if *quick {
-			points = bench.ClientsQuickPoints
-		}
-		return runClientsSweep(o, points, *poolLinks, *clientsOut)
-	}
-	if *chaosSweep {
-		return runChaosSweep(o, *chaosOut)
-	}
-	if *txlogSweep {
-		return runTxLogSweep(o, *txlogOut)
-	}
-	if *engines != "" {
-		list, err := parseEngines(*engines)
-		if err != nil {
-			return err
-		}
-		return runEngines(o, list, *enginesOut)
-	}
-	if *readPath {
-		return runReadPath(o, *jsonOut)
-	}
-	if *ablation != "" {
-		return runAblation(o, *ablation)
-	}
-	if *figure == "all" {
+	if figure == "all" {
 		for _, f := range []string{"3a", "3b", "4a", "4b", "5a", "5b", "6a", "6b", "7a", "7b"} {
 			if err := runFigure(o, f); err != nil {
 				return fmt.Errorf("figure %s: %w", f, err)
@@ -171,7 +51,51 @@ func run(args []string) error {
 		}
 		return nil
 	}
-	return runFigure(o, *figure)
+	return runFigure(o, figure)
+}
+
+// parseArgs turns the command line into the options every runner reads and
+// the one figure or ablation to run; it builds nothing.
+func parseArgs(args []string) (o bench.Options, figure, ablation string, err error) {
+	fs := flag.NewFlagSet("wren-bench", flag.ContinueOnError)
+	o = bench.DefaultOptions()
+	fs.StringVar(&figure, "figure", "", "figure to regenerate: 3a 3b 4a 4b 5a 5b 6a 6b 7a 7b all")
+	fs.StringVar(&ablation, "ablation", "", "ablation to run: blocking-commit gossip-interval gossip-topology snapshot-age")
+	fs.IntVar(&o.DCs, "dcs", o.DCs, "number of DCs")
+	fs.IntVar(&o.Partitions, "partitions", o.Partitions, "partitions per DC")
+	threads := fs.String("threads", "1,2,4,8,16", "comma-separated per-process thread counts for sweeps")
+	fs.IntVar(&o.FixedThreads, "fixed-threads", o.FixedThreads, "thread count for ratio/traffic/visibility figures")
+	fs.DurationVar(&o.Warmup, "warmup", o.Warmup, "warmup before each measurement window")
+	fs.DurationVar(&o.Measure, "measure", o.Measure, "measurement window per load point")
+	fs.IntVar(&o.KeysPerPartition, "keys", o.KeysPerPartition, "keys per partition")
+	fs.DurationVar(&o.ClockSkew, "skew", o.ClockSkew, "max clock skew per server")
+	fs.IntVar(&o.StoreShards, "store-shards", 0, "version-store lock stripes per server (0 = default 64)")
+	fs.StringVar(&o.StoreBackend, "store-backend", "memory", "storage engine: memory, wal or sst")
+	fs.StringVar(&o.DataDir, "data-dir", "", "root data directory for durable backends; each benchmark cluster uses a fresh subdirectory (empty = per-cluster temp dir)")
+	fs.StringVar(&o.FsyncPolicy, "fsync", "", "durable-backend fsync policy: always, interval (default) or never")
+	fs.Int64Var(&o.Seed, "seed", o.Seed, "random seed")
+	quick := fs.Bool("quick", false, "reduced topology and windows for a fast run")
+	if err := fs.Parse(args); err != nil {
+		return o, "", "", err
+	}
+	if figure == "" && ablation == "" {
+		fs.Usage()
+		return o, "", "", fmt.Errorf("one of -figure or -ablation is required")
+	}
+	if o.Threads, err = parseThreads(*threads); err != nil {
+		return o, "", "", err
+	}
+	if *quick {
+		q := bench.SmokeOptions()
+		o.DCs = min(o.DCs, q.DCs)
+		o.Partitions = q.Partitions
+		o.Threads = q.Threads
+		o.FixedThreads = q.FixedThreads
+		o.Warmup = q.Warmup
+		o.Measure = q.Measure
+		o.KeysPerPartition = q.KeysPerPartition
+	}
+	return o, figure, ablation, nil
 }
 
 func parseThreads(s string) ([]int, error) {
@@ -269,158 +193,6 @@ func runFigure(o bench.Options, figure string) error {
 		fmt.Print(bench.FormatVisibility("Figure 7b: update visibility latency CDF (AWS latency matrix)", results))
 	default:
 		return fmt.Errorf("unknown figure %q", figure)
-	}
-	return nil
-}
-
-func parseEngines(s string) ([]string, error) {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		name := strings.TrimSpace(part)
-		if !slices.Contains(backend.Names, name) {
-			return nil, fmt.Errorf("unknown engine %q (want one of %s)", name, strings.Join(backend.Names, ", "))
-		}
-		out = append(out, name)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no engines given")
-	}
-	return out, nil
-}
-
-func runEngines(o bench.Options, engines []string, out string) error {
-	start := time.Now()
-	// A failed sweep (e.g. the engine-health gate) still returns the rows
-	// measured so far; write them before surfacing the error, so the
-	// failing CI run leaves its partial report as the artifact.
-	rep, err := bench.RunEngines(o, engines, o.Threads)
-	if rep != nil {
-		fmt.Print(bench.FormatEngines(rep))
-		fmt.Printf("[engines done in %v]\n", time.Since(start).Round(time.Second))
-		if out != "" {
-			data, jerr := rep.WriteJSON()
-			if jerr == nil {
-				jerr = os.WriteFile(out, append(data, '\n'), 0o644)
-			}
-			switch {
-			case jerr == nil:
-				fmt.Printf("report written to %s\n", out)
-			case err == nil:
-				err = jerr
-			default:
-				// The sweep error wins, but the missing artifact must not
-				// be a silent mystery.
-				fmt.Fprintf(os.Stderr, "wren-bench: report not written to %s: %v\n", out, jerr)
-			}
-		}
-	}
-	return err
-}
-
-func runChaosSweep(o bench.Options, out string) error {
-	start := time.Now()
-	// A failed sweep still returns the rows measured so far; persist them
-	// before surfacing the error (same discipline as -engines).
-	rep, err := bench.RunChaos(o, bench.ChaosPoints, o.FixedThreads)
-	if rep != nil {
-		fmt.Print(bench.FormatChaos(rep))
-		fmt.Printf("[chaos done in %v]\n", time.Since(start).Round(time.Second))
-		if out != "" {
-			data, jerr := rep.WriteJSON()
-			if jerr == nil {
-				jerr = os.WriteFile(out, append(data, '\n'), 0o644)
-			}
-			switch {
-			case jerr == nil:
-				fmt.Printf("report written to %s\n", out)
-			case err == nil:
-				err = jerr
-			default:
-				fmt.Fprintf(os.Stderr, "wren-bench: report not written to %s: %v\n", out, jerr)
-			}
-		}
-	}
-	return err
-}
-
-func runClientsSweep(o bench.Options, points []int, links int, out string) error {
-	start := time.Now()
-	// A failed sweep still returns the rows measured so far; persist them
-	// before surfacing the error (same discipline as -engines).
-	rep, err := bench.RunClients(o, points, links)
-	if rep != nil {
-		fmt.Print(bench.FormatClients(rep))
-		fmt.Printf("[clients done in %v]\n", time.Since(start).Round(time.Second))
-		if out != "" {
-			data, jerr := rep.WriteJSON()
-			if jerr == nil {
-				jerr = os.WriteFile(out, append(data, '\n'), 0o644)
-			}
-			switch {
-			case jerr == nil:
-				fmt.Printf("report written to %s\n", out)
-			case err == nil:
-				err = jerr
-			default:
-				fmt.Fprintf(os.Stderr, "wren-bench: report not written to %s: %v\n", out, jerr)
-			}
-		}
-		if err == nil {
-			if n := rep.Unresolved(); n > 0 {
-				err = fmt.Errorf("%d requests never resolved (lost to shedding or a stuck retry)", n)
-			}
-		}
-	}
-	return err
-}
-
-func runTxLogSweep(o bench.Options, out string) error {
-	start := time.Now()
-	// A failed sweep still returns the rows measured so far; persist them
-	// before surfacing the error (same discipline as -engines).
-	rep, err := bench.RunTxLog(o)
-	if rep != nil {
-		fmt.Print(bench.FormatTxLog(rep))
-		fmt.Printf("[txlog done in %v]\n", time.Since(start).Round(time.Second))
-		if out != "" {
-			data, jerr := rep.WriteJSON()
-			if jerr == nil {
-				jerr = os.WriteFile(out, append(data, '\n'), 0o644)
-			}
-			switch {
-			case jerr == nil:
-				fmt.Printf("report written to %s\n", out)
-			case err == nil:
-				err = jerr
-			default:
-				fmt.Fprintf(os.Stderr, "wren-bench: report not written to %s: %v\n", out, jerr)
-			}
-		}
-	}
-	return err
-}
-
-func runReadPath(o bench.Options, out string) error {
-	start := time.Now()
-	rep, err := bench.RunReadPath(o, o.Threads)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.FormatReadPath(rep))
-	fmt.Printf("[read-path done in %v]\n", time.Since(start).Round(time.Second))
-	if out != "" {
-		data, err := rep.WriteJSON()
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("report written to %s\n", out)
-	}
-	if !rep.Mutex.Clean() {
-		return fmt.Errorf("read path contended a server-wide mutex: %d samples, first stack: %s",
-			rep.Mutex.ReadPathSamples, rep.Mutex.ReadPathFootprint)
 	}
 	return nil
 }

@@ -53,8 +53,7 @@ func run(args []string) error {
 		shards     = fs.Int("store-shards", 0, "version-store lock stripes (0 = default 64, rounded up to a power of two)")
 		storeBack  = fs.String("store-backend", "memory", "storage engine: memory, wal or sst")
 		dataDir    = fs.String("data-dir", "", "root data directory for durable backends (server writes under dc<m>-p<n>)")
-		fsync      = fs.String("fsync", "", "durable-backend fsync policy: always, interval (default) or never")
-		txlogOn    = fs.Bool("txlog", true, "durable transaction-lifecycle log: commit records ahead of acks + replication cursor (durable backends only)")
+		fsync      = fs.String("fsync", "", "durable-backend fsync policy (honoured by the transaction log, the one fsync-before-ack point): always, interval (default) or never")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -89,7 +88,6 @@ func run(args []string) error {
 			StoreBackend:   *storeBack,
 			DataDir:        *dataDir,
 			FsyncPolicy:    *fsync,
-			DisableTxLog:   !*txlogOn,
 		})
 		if err != nil {
 			return err
@@ -109,7 +107,6 @@ func run(args []string) error {
 			StoreBackend:   *storeBack,
 			DataDir:        *dataDir,
 			FsyncPolicy:    *fsync,
-			DisableTxLog:   !*txlogOn,
 		})
 		if err != nil {
 			return err

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -70,6 +71,35 @@ func TestPreloadAndLoadPoint(t *testing.T) {
 				t.Error("no replication traffic recorded")
 			}
 		})
+	}
+}
+
+// TestLoadPointOnClosedCluster pins RunLoadPoint's error path: a session
+// that cannot be opened fails the load point before any warm-up or
+// measurement window is slept through.
+func TestLoadPointOnClosedCluster(t *testing.T) {
+	o := tinyOptions()
+	cl, err := cluster.New(o.clusterConfig(cluster.Wren, o.DCs, o.Partitions))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := ycsb.NewWorkload(o.workloadConfig(ycsb.Mix95, 2, o.Partitions))
+	if err != nil {
+		cl.Close()
+		t.Fatal(err)
+	}
+	cl.Close()
+
+	start := time.Now()
+	_, err = RunLoadPoint(LoadConfig{
+		Cluster: cl, Workload: w, ThreadsPerClient: 1,
+		Warmup: time.Minute, Measure: time.Minute,
+	})
+	if err == nil || !strings.Contains(err.Error(), "cluster: closed") {
+		t.Fatalf("RunLoadPoint on a closed cluster = %v, want cluster: closed", err)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Fatalf("error took %v; it must not wait for the windows", d)
 	}
 }
 

@@ -8,6 +8,7 @@ package bench
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"wren/internal/cluster"
@@ -17,9 +18,6 @@ import (
 	"wren/internal/wire"
 	"wren/internal/ycsb"
 )
-
-// hlcTS converts a raw int64 back to an hlc.Timestamp.
-func hlcTS(v int64) hlc.Timestamp { return hlc.Timestamp(v) }
 
 // LoadConfig drives one load point: a fixed number of closed-loop client
 // threads per (DC, partition) pair, as in the paper (§V-A: one client
@@ -70,8 +68,9 @@ func Preload(cl *cluster.Cluster, w *ycsb.Workload) error {
 	cfg := cl.Config()
 	value := make([]byte, w.Config().ValueSize)
 	const batch = 64
-	var lastCT, count = int64(0), 0
+	var lastCT hlc.Timestamp
 	var lastKey string
+	count := 0
 	pending := 0
 	tx, err := client.Begin()
 	if err != nil {
@@ -90,7 +89,7 @@ func Preload(cl *cluster.Cluster, w *ycsb.Workload) error {
 				if err != nil {
 					return fmt.Errorf("preload commit: %w", err)
 				}
-				lastCT = int64(ct)
+				lastCT = ct
 				pending = 0
 				if tx, err = client.Begin(); err != nil {
 					return err
@@ -103,7 +102,7 @@ func Preload(cl *cluster.Cluster, w *ycsb.Workload) error {
 		return fmt.Errorf("preload final commit: %w", err)
 	}
 	if pending > 0 {
-		lastCT = int64(ct)
+		lastCT = ct
 	}
 	if count == 0 {
 		return nil
@@ -116,9 +115,9 @@ func Preload(cl *cluster.Cluster, w *ycsb.Workload) error {
 		for {
 			visible := false
 			if dc == 0 {
-				visible = cl.LocalUpdateVisible(0, p, hlcTS(lastCT))
+				visible = cl.LocalUpdateVisible(0, p, lastCT)
 			} else {
-				visible = cl.RemoteUpdateVisible(dc, p, 0, hlcTS(lastCT))
+				visible = cl.RemoteUpdateVisible(dc, p, 0, lastCT)
 			}
 			if visible {
 				break
@@ -150,6 +149,13 @@ func RunLoadPoint(cfg LoadConfig) (Result, error) {
 		gen    *ycsb.Generator
 	}
 	var threads []*threadState
+	// Registered before the first session opens, so a failing NewClient
+	// part-way through closes every session opened before it.
+	defer func() {
+		for _, ts := range threads {
+			ts.client.Close()
+		}
+	}()
 	for dc := 0; dc < ccfg.NumDCs; dc++ {
 		for p := 0; p < ccfg.NumPartitions; p++ {
 			for t := 0; t < cfg.ThreadsPerClient; t++ {
@@ -165,11 +171,6 @@ func RunLoadPoint(cfg LoadConfig) (Result, error) {
 			}
 		}
 	}
-	defer func() {
-		for _, ts := range threads {
-			ts.client.Close()
-		}
-	}()
 
 	var (
 		latHist   = stats.NewHistogram()
@@ -177,7 +178,7 @@ func RunLoadPoint(cfg LoadConfig) (Result, error) {
 		committed stats.Counter
 		blocked   stats.Counter
 		errCount  stats.Counter
-		inWindow  syncFlag
+		inWindow  atomic.Bool
 	)
 
 	stop := make(chan struct{})
@@ -213,7 +214,7 @@ func RunLoadPoint(cfg LoadConfig) (Result, error) {
 					errCount.Inc()
 					continue
 				}
-				if inWindow.get() {
+				if inWindow.Load() {
 					latHist.RecordDuration(time.Since(start))
 					committed.Inc()
 					if b := tx.Blocked(); b > 0 {
@@ -227,10 +228,10 @@ func RunLoadPoint(cfg LoadConfig) (Result, error) {
 
 	time.Sleep(cfg.Warmup)
 	cl.Network().ResetStats()
-	inWindow.set(true)
+	inWindow.Store(true)
 	windowStart := time.Now()
 	time.Sleep(cfg.Measure)
-	inWindow.set(false)
+	inWindow.Store(false)
 	window := time.Since(windowStart)
 	netStats := cl.Network().Stats()
 	close(stop)
@@ -260,22 +261,4 @@ func RunLoadPoint(cfg LoadConfig) (Result, error) {
 		res.BlockedP99Ms = float64(blockHist.Percentile(99)) / 1000
 	}
 	return res, nil
-}
-
-// syncFlag is a tiny atomic boolean.
-type syncFlag struct {
-	mu sync.RWMutex
-	v  bool
-}
-
-func (f *syncFlag) set(v bool) {
-	f.mu.Lock()
-	f.v = v
-	f.mu.Unlock()
-}
-
-func (f *syncFlag) get() bool {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.v
 }

@@ -115,15 +115,12 @@ type Config struct {
 	// temporary directory is created and removed again on Close.
 	DataDir string
 	// FsyncPolicy is the WAL group-commit policy: "always", "interval"
-	// (the "" default) or "never".
-	FsyncPolicy string
-	// DisableTxLog turns off the durable transaction-lifecycle log that
-	// servers with a durable backend keep by default: commit records
+	// (the "" default) or "never". Servers with a durable backend always
+	// keep the transaction-lifecycle log, which honours it: commit records
 	// written before acknowledgements, a persisted per-DC replication
 	// cursor, and restart recovery of acknowledged-but-unapplied
-	// transactions. Disabling it regresses the durability unit to the
-	// applied transaction (used to benchmark the commit-logging cost).
-	DisableTxLog bool
+	// transactions.
+	FsyncPolicy string
 	// Seed makes clock-skew assignment reproducible.
 	Seed int64
 	// RequestTimeout bounds client round trips. Zero selects 10s.
@@ -309,7 +306,6 @@ func New(cfg Config) (*Cluster, error) {
 					StoreBackend:   cfg.StoreBackend,
 					DataDir:        cfg.DataDir,
 					FsyncPolicy:    cfg.FsyncPolicy,
-					DisableTxLog:   cfg.DisableTxLog,
 
 					MaxInflightPerConn: cfg.MaxInflightPerConn,
 				})
@@ -334,7 +330,6 @@ func New(cfg Config) (*Cluster, error) {
 					StoreBackend:   cfg.StoreBackend,
 					DataDir:        cfg.DataDir,
 					FsyncPolicy:    cfg.FsyncPolicy,
-					DisableTxLog:   cfg.DisableTxLog,
 
 					MaxInflightPerConn: cfg.MaxInflightPerConn,
 				})

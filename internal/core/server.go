@@ -86,18 +86,15 @@ type ServerConfig struct {
 	// backend.SST.
 	DataDir string
 	// FsyncPolicy is the WAL group-commit policy: "always", "interval"
-	// (the "" default) or "never". Ignored by the memory backend.
+	// (the "" default) or "never". Ignored by the memory backend, which
+	// has nowhere durable to recover from. A durable backend always runs
+	// behind the transaction-lifecycle log, which is what honours the
+	// policy: PREPARE and COMMIT records are written before the
+	// corresponding acknowledgement leaves the server — the durability
+	// unit is the ACKNOWLEDGED transaction — and a persisted per-DC
+	// replication cursor lets a restarted server re-send the unreplicated
+	// tail.
 	FsyncPolicy string
-	// DisableTxLog turns off the durable transaction-lifecycle log that
-	// durable backends get by default. With the log, PREPARE and
-	// COMMIT records are written before the corresponding acknowledgement
-	// leaves the server — the durability unit becomes the ACKNOWLEDGED
-	// transaction — and a persisted per-DC replication cursor lets a
-	// restarted server re-send the unreplicated tail. Without it the
-	// durability unit regresses to the applied transaction (the pre-txlog
-	// behaviour, kept for benchmarking the commit-logging cost). Ignored
-	// by the memory backend, which has nowhere durable to recover from.
-	DisableTxLog bool
 	// MaxInflightPerConn bounds how many admitted requests a single client
 	// connection may have outstanding on this server; past the bound, new
 	// requests are shed with a BusyResp before any processing. Zero selects
@@ -125,7 +122,6 @@ func (c *ServerConfig) runtimeConfig() replica.Config {
 		StoreBackend:   c.StoreBackend,
 		DataDir:        c.DataDir,
 		FsyncPolicy:    c.FsyncPolicy,
-		DisableTxLog:   c.DisableTxLog,
 
 		MaxInflightPerConn: c.MaxInflightPerConn,
 	}

@@ -57,13 +57,11 @@ type ServerConfig struct {
 	// backends.
 	DataDir string
 	// FsyncPolicy is the WAL group-commit policy: "always", "interval"
-	// (the "" default) or "never".
+	// (the "" default) or "never", honoured by the transaction-lifecycle
+	// log every durable backend runs behind (see
+	// core.ServerConfig.FsyncPolicy: the durability unit is the
+	// ACKNOWLEDGED transaction and replication progress survives restarts).
 	FsyncPolicy string
-	// DisableTxLog turns off the durable transaction-lifecycle log that
-	// durable backends get by default (see core.ServerConfig.DisableTxLog:
-	// with the log, the durability unit is the ACKNOWLEDGED transaction
-	// and replication progress survives restarts).
-	DisableTxLog bool
 	// MaxInflightPerConn bounds how many admitted requests a single client
 	// connection may have outstanding on this server (see
 	// core.ServerConfig.MaxInflightPerConn). Zero selects
@@ -90,7 +88,6 @@ func (c *ServerConfig) runtimeConfig() replica.Config {
 		StoreBackend:   c.StoreBackend,
 		DataDir:        c.DataDir,
 		FsyncPolicy:    c.FsyncPolicy,
-		DisableTxLog:   c.DisableTxLog,
 
 		MaxInflightPerConn: c.MaxInflightPerConn,
 	}

@@ -157,14 +157,13 @@ type Config struct {
 	// disables automatic repair, leaving a degraded server read-only until
 	// restart (the pre-probation behaviour some admission tests pin).
 	RepairInterval time.Duration
-	// StoreShards, StoreBackend, DataDir, FsyncPolicy and DisableTxLog
-	// configure the storage engine and the transaction log, as documented
-	// on the protocol ServerConfigs.
+	// StoreShards, StoreBackend, DataDir and FsyncPolicy configure the
+	// storage engine and the transaction log, as documented on the
+	// protocol ServerConfigs.
 	StoreShards  int
 	StoreBackend string
 	DataDir      string
 	FsyncPolicy  string
-	DisableTxLog bool
 	// MaxInflightPerConn caps the admission-gated client requests
 	// (transactional reads and write commits) outstanding per client
 	// connection. Beyond the cap the request is shed with a BusyResp —
@@ -480,20 +479,16 @@ type Runtime struct {
 // runtime pointer is handed to it by its own constructor afterwards.
 func New(cfg Config, proto Protocol, ctr Counters) (*Runtime, error) {
 	// Engine logs are a recovery accelerator; the txlog is the WAL. A
-	// fronted engine therefore never syncs on its own, whatever the policy
-	// (which the transaction log honours): Runtime.release runs its Sync as
-	// a barrier before any log forgets a record. Only an engine without a
-	// transaction log in front keeps the policy for itself.
-	fronted := cfg.StoreBackend != "" && cfg.StoreBackend != backend.Memory && !cfg.DisableTxLog
-	engineFsync := cfg.FsyncPolicy
-	if fronted {
-		engineFsync = wal.FsyncNever
-	}
+	// durable engine always has the transaction log in front of it and
+	// therefore never syncs on its own, whatever the policy (which the
+	// transaction log honours): Runtime.release runs its Sync as a barrier
+	// before any log forgets a record. (The memory engine has no log and
+	// ignores the policy.)
 	eng, err := backend.Open(backend.Options{
 		Backend: cfg.StoreBackend,
 		Shards:  cfg.StoreShards,
 		DataDir: cfg.EngineDir(),
-		Fsync:   engineFsync,
+		Fsync:   wal.FsyncNever,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%s: open store: %w", cfg.Name, err)
@@ -503,7 +498,7 @@ func New(cfg Config, proto Protocol, ctr Counters) (*Runtime, error) {
 	// lock and engine-type marker. Memory backends have nowhere durable to
 	// recover from, so they run without one.
 	var tl *txlog.Log
-	if fronted {
+	if cfg.StoreBackend != "" && cfg.StoreBackend != backend.Memory {
 		tl, err = txlog.Open(txlog.Options{
 			Dir:    filepath.Join(cfg.EngineDir(), "txlog"),
 			NumDCs: cfg.NumDCs,
@@ -1423,11 +1418,13 @@ func (r *Runtime) handleHealthReq(from transport.NodeID, m *wire.HealthReq) {
 // Resync batches — a sender replaying its unconfirmed tail — are
 // deduplicated per transaction against the engine; ordinary batches are
 // deduplicated against the per-sender watermark, so a duplicated frame or
-// a TCP resend across a reconnect is applied exactly once. When the
-// transaction log is enabled the batch is acknowledged — by the next
-// release barrier, not here — so the sender's replication cursor can
-// advance; fully-seen duplicates are acknowledged again, since the
-// duplicate usually means the first acknowledgement was lost.
+// a TCP resend across a reconnect is applied exactly once. On a durable
+// backend (which always has a transaction log) the batch is acknowledged
+// — by the next release barrier, not here — so the sender's replication
+// cursor can advance; fully-seen duplicates are acknowledged again, since
+// the duplicate usually means the first acknowledgement was lost. A gap
+// in the sender's Prev chain is refused on every durable backend; the
+// memory backend alone accepts it in order (see below).
 func (r *Runtime) handleReplicate(m *wire.Replicate) {
 	if len(m.Txs) == 0 {
 		return
@@ -1446,9 +1443,9 @@ func (r *Runtime) handleReplicate(m *wire.Replicate) {
 		// acknowledgement would move the sender's cursor over the hole,
 		// dropping the lost batch from the retained tail for good. Refuse
 		// it unacknowledged instead: the sender's cursor stalls at the
-		// hole and live resync replays the tail in order. (Without a
-		// transaction log there is no cursor or resync to recover with, so
-		// the legacy accept-in-order behavior stands.)
+		// hole and live resync replays the tail in order. (Every durable
+		// backend has a transaction log; only the memory backend, with no
+		// cursor or resync to recover with, still accepts in order.)
 		return
 	}
 	var skip SkipFunc

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"wren/internal/hlc"
@@ -248,65 +249,58 @@ func TestCrashDuringLevelCompaction(t *testing.T) {
 	}
 }
 
-// TestLegacyRunFormat pins backward compatibility: a run file written in
-// the pre-footer format (bare logrec frames, no trailer) must load by
-// streaming — rebuilding fences, counts and Bloom filter in memory — and
-// serve reads identically; the footer appears when compaction rewrites
-// the file.
-func TestLegacyRunFormat(t *testing.T) {
-	dir := t.TempDir()
-	// Hand-write a legacy run file: sorted keys, chains contiguous,
-	// nothing after the last record.
-	enc := wire.NewEncoder()
-	const keys = 200
-	for i := 0; i < keys; i++ {
-		k := fmt.Sprintf("legacy-%06d", i)
-		logrec.Append(enc, k, &store.Version{Value: []byte("old"), UT: hlc.Timestamp(1 + i), RDT: 1, TxID: uint64(i)})
-		logrec.Append(enc, k, &store.Version{Value: []byte("new"), UT: hlc.Timestamp(1000 + i), RDT: 1, TxID: uint64(keys + i)})
-	}
-	if err := os.WriteFile(filepath.Join(dir, "run-000001-000001.sst"), enc.Bytes(), 0o644); err != nil {
-		t.Fatalf("write legacy run: %v", err)
-	}
-
-	e := mustOpen(t, Options{Dir: dir, Shards: 1, Fsync: wal.FsyncNever, FlushBytes: -1, BlockBytes: 512})
-	defer e.Close()
-	if e.Metrics().RunsLoaded() != 1 || e.Runs() != 1 {
-		t.Fatalf("legacy run not loaded: RunsLoaded=%d Runs=%d", e.Metrics().RunsLoaded(), e.Runs())
-	}
-	if got := e.Versions(); got != 2*keys {
-		t.Fatalf("Versions = %d, want %d", got, 2*keys)
-	}
-	r := e.tabs.Load().runs[0]
-	if len(r.fences) < 2 {
-		t.Fatalf("legacy load built %d fences, want a multi-block index at BlockBytes=512", len(r.fences))
-	}
-	if got := e.ReadVisible("legacy-000137", func(v *store.Version) bool { return v.UT <= 500 }); got == nil || string(got.Value) != "old" {
-		t.Fatalf("snapshot read through legacy run = %+v, want old", got)
-	}
-	if got := e.Latest("legacy-000042"); got == nil || string(got.Value) != "new" {
-		t.Fatalf("Latest through legacy run = %+v, want new", got)
-	}
-	if got := e.ReadVisible("absent", func(*store.Version) bool { return true }); got != nil {
-		t.Fatalf("absent key = %+v", got)
+// TestRunWithoutTrailerRefused pins that a run file missing its trailer
+// fails Open loudly: run files are only ever renamed into place complete,
+// so such a file is corruption — it is neither skipped (silently dropping
+// durable versions) nor served.
+func TestRunWithoutTrailerRefused(t *testing.T) {
+	refused := func(t *testing.T, dir, path string) {
+		t.Helper()
+		e, err := Open(Options{Dir: dir, Shards: 1, Fsync: wal.FsyncNever, FlushBytes: -1})
+		if err == nil {
+			e.Close()
+			t.Fatalf("Open served a data dir whose run %s has no trailer", path)
+		}
+		if !strings.Contains(err.Error(), path) {
+			t.Fatalf("Open error %q does not name the run file %s", err, path)
+		}
+		if _, err := os.Stat(path); err != nil {
+			t.Fatalf("refused run file must be left in place for the operator: %v", err)
+		}
 	}
 
-	// A second run makes Compact a real merge; the rewrite emits the
-	// footered format for the formerly-legacy data.
-	e.Put("legacy-extra", v("x", 5000, 5000))
-	if err := e.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	e.Compact()
-	if got := e.Metrics().Compactions(); got != 1 {
-		t.Fatalf("Compactions = %d, want 1", got)
-	}
-	buf, err := os.ReadFile(e.tabs.Load().runs[0].path)
-	if err != nil {
-		t.Fatalf("read rewritten run: %v", err)
-	}
-	if len(buf) < runTrailerSize || string(buf[len(buf)-len(runMagic):]) != runMagic {
-		t.Fatal("compaction did not write the footered format")
-	}
+	t.Run("bare frames", func(t *testing.T) {
+		// The pre-footer format: sorted version frames, nothing after the
+		// last record.
+		dir := t.TempDir()
+		enc := wire.NewEncoder()
+		for i := 0; i < 20; i++ {
+			logrec.Append(enc, fmt.Sprintf("bare-%06d", i), &store.Version{Value: []byte("x"), UT: hlc.Timestamp(1 + i), RDT: 1, TxID: uint64(i)})
+		}
+		path := filepath.Join(dir, "run-000001-000001.sst")
+		if err := os.WriteFile(path, enc.Bytes(), 0o644); err != nil {
+			t.Fatalf("write bare run: %v", err)
+		}
+		refused(t, dir, path)
+	})
+
+	t.Run("trailer cut", func(t *testing.T) {
+		dir := t.TempDir()
+		e := mustOpen(t, Options{Dir: dir, Shards: 1, Fsync: wal.FsyncNever, FlushBytes: -1})
+		fillRun(t, e, "cut", 20, 8, 1)
+		path := e.tabs.Load().runs[0].path
+		if err := e.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(path, st.Size()-runTrailerSize); err != nil {
+			t.Fatal(err)
+		}
+		refused(t, dir, path)
+	})
 }
 
 // TestScanStreamsAcrossTiers pins Engine.Scan on a tiering that spans

@@ -14,9 +14,8 @@
 // every other record in the data directory. Only the fences and the
 // filter stay resident: a point read binary-searches the fence table,
 // preads one block and scans its frames; startup reads the trailer and
-// footer only. A file without the trailer magic is a legacy (pre-footer)
-// run: it is streamed once at load to rebuild fences, counts and filter
-// in memory, and gains a footer the next time compaction rewrites it.
+// footer only. A file without the trailer magic is corrupt: run files are
+// only ever renamed into place complete.
 package sst
 
 import (
@@ -24,7 +23,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -231,11 +229,11 @@ func (w *runWriter) intoRun(minGen, maxGen uint64, fileSize, dataSize int64) (*r
 }
 
 // loadRun opens a run file and its resident index — fences, Bloom filter
-// and counts from the footer, or for a legacy (pre-footer) file by
-// streaming the records to rebuild them. Run files are only ever renamed
-// into place complete, so any structural violation is real corruption and
-// fails the load rather than silently dropping durable versions.
-func loadRun(path string, minGen, maxGen uint64, blockBytes, bloomBitsPerKey int) (*run, error) {
+// and counts from the footer. Run files are only ever renamed into place
+// complete, so any structural violation (a missing trailer included) is
+// real corruption and fails the load rather than silently dropping
+// durable versions.
+func loadRun(path string, minGen, maxGen uint64) (*run, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("sst: open run %s: %w", path, err)
@@ -247,38 +245,34 @@ func loadRun(path string, minGen, maxGen uint64, blockBytes, bloomBitsPerKey int
 	}
 	r := &run{file: &runFile{f: f}, path: path, minGen: minGen, maxGen: maxGen, fileSize: st.Size()}
 	r.file.refs.Store(1)
-	ok, err := r.loadFooter()
-	if err == nil && !ok {
-		err = r.loadLegacy(blockBytes, bloomBitsPerKey)
-	}
-	if err != nil {
+	if err := r.loadFooter(); err != nil {
 		_ = f.Close()
 		return nil, err
 	}
 	return r, nil
 }
 
-// loadFooter reads the trailer and footer only. It returns (false, nil)
-// when the trailer magic is absent — a legacy file, not corruption.
-func (r *run) loadFooter() (bool, error) {
-	if r.fileSize < runTrailerSize {
-		return false, nil
-	}
+// loadFooter reads the trailer and footer only. A file too short to hold
+// the trailer fails the same check as one whose last bytes are not the
+// magic.
+func (r *run) loadFooter() error {
 	var trailer [runTrailerSize]byte
-	if _, err := r.file.f.ReadAt(trailer[:], r.fileSize-runTrailerSize); err != nil {
-		return false, fmt.Errorf("sst: read run trailer %s: %w", r.path, err)
+	if r.fileSize >= runTrailerSize {
+		if _, err := r.file.f.ReadAt(trailer[:], r.fileSize-runTrailerSize); err != nil {
+			return fmt.Errorf("sst: read run trailer %s: %w", r.path, err)
+		}
 	}
 	if string(trailer[4:]) != runMagic {
-		return false, nil
+		return fmt.Errorf("sst: corrupt run file %s: no trailer magic (truncated, or not a run file)", r.path)
 	}
 	flen := int64(binary.LittleEndian.Uint32(trailer[:4]))
 	if flen <= 0 || flen+runTrailerSize > r.fileSize {
-		return false, fmt.Errorf("sst: corrupt run footer length in %s", r.path)
+		return fmt.Errorf("sst: corrupt run footer length in %s", r.path)
 	}
 	footer := make([]byte, flen)
 	footOff := r.fileSize - runTrailerSize - flen
 	if _, err := r.file.f.ReadAt(footer, footOff); err != nil {
-		return false, fmt.Errorf("sst: read run footer %s: %w", r.path, err)
+		return fmt.Errorf("sst: read run footer %s: %w", r.path, err)
 	}
 	var perr error
 	good := logrec.ScanFrames(footer, func(payload []byte) error {
@@ -309,83 +303,14 @@ func (r *run) loadFooter() (bool, error) {
 		return nil
 	})
 	if perr != nil {
-		return false, perr
+		return perr
 	}
 	if good != int(flen) {
-		return false, fmt.Errorf("sst: corrupt run footer in %s (%d of %d bytes intact)", r.path, good, flen)
+		return fmt.Errorf("sst: corrupt run footer in %s (%d of %d bytes intact)", r.path, good, flen)
 	}
 	if r.dataSize != footOff {
-		return false, fmt.Errorf("sst: run %s blocks cover %d bytes, data region is %d", r.path, r.dataSize, footOff)
+		return fmt.Errorf("sst: run %s blocks cover %d bytes, data region is %d", r.path, r.dataSize, footOff)
 	}
-	return true, nil
-}
-
-// loadLegacy rebuilds the resident index of a pre-footer run file by
-// streaming it twice: once to count distinct keys (sizing the Bloom
-// filter), once to build fences and the filter. Memory stays bounded by
-// record size, and the whole file must scan clean — these files were
-// renamed into place complete.
-func (r *run) loadLegacy(blockBytes, bloomBitsPerKey int) error {
-	count := func(fn func(key []byte, frameLen int)) error {
-		sr := io.NewSectionReader(r.file.f, 0, r.fileSize)
-		var perr error
-		good := logrec.ScanReaderFrames(bufio.NewReaderSize(sr, 1<<16), func(payload []byte) error {
-			d := wire.NewDecoder(payload)
-			k := d.BytesField()
-			if err := d.Err(); err != nil {
-				perr = err
-				return err
-			}
-			fn(k, logrec.HeaderSize+len(payload))
-			return nil
-		})
-		if perr != nil {
-			return fmt.Errorf("sst: corrupt run file %s: %w", r.path, perr)
-		}
-		if good != r.fileSize {
-			return fmt.Errorf("sst: corrupt run file %s (%d of %d bytes intact)", r.path, good, r.fileSize)
-		}
-		return nil
-	}
-	prev, first := "", true
-	if err := count(func(k []byte, _ int) {
-		if first || string(k) != prev {
-			r.keyCount++
-			prev = string(k)
-			first = false
-		}
-		r.versions++
-	}); err != nil {
-		return err
-	}
-	r.filter = newBloomFilter(r.keyCount, bloomBitsPerKey)
-	var off, blockStart int64
-	blockLen := 0
-	blockFirst := ""
-	prev, first = "", true
-	if err := count(func(k []byte, frameLen int) {
-		if first || string(k) != prev {
-			if blockLen >= blockBytes {
-				r.fences = append(r.fences, fence{firstKey: blockFirst, off: blockStart, length: blockLen})
-				blockStart = off
-				blockLen = 0
-			}
-			if blockLen == 0 {
-				blockFirst = string(k)
-			}
-			prev = string(k)
-			first = false
-			r.filter.add(prev)
-		}
-		off += int64(frameLen)
-		blockLen += frameLen
-	}); err != nil {
-		return err
-	}
-	if blockLen > 0 {
-		r.fences = append(r.fences, fence{firstKey: blockFirst, off: blockStart, length: blockLen})
-	}
-	r.dataSize = r.fileSize
 	return nil
 }
 

@@ -472,8 +472,7 @@ func (e *Engine) recover() (retErr error) {
 		}
 		refs = append(refs, r)
 	}
-	// Load surviving run indexes (footer only; a pre-footer legacy file is
-	// streamed once), newest first.
+	// Load surviving run indexes (footer only), newest first.
 	sort.Slice(refs, func(i, j int) bool { return refs[i].hi > refs[j].hi })
 	var runs []*run
 	defer func() {
@@ -485,7 +484,7 @@ func (e *Engine) recover() (retErr error) {
 	}()
 	var maxCovered uint64
 	for _, ref := range refs {
-		r, err := loadRun(ref.path, ref.lo, ref.hi, e.blockBytes, e.bloomBits)
+		r, err := loadRun(ref.path, ref.lo, ref.hi)
 		if err != nil {
 			return err
 		}

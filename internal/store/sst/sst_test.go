@@ -465,8 +465,8 @@ func TestTornWALTail(t *testing.T) {
 
 // TestAppendFailureSurfacesHealth: when the WAL append path breaks, the
 // engine keeps serving from memory but Healthy must report the failure
-// immediately — this is the signal wren-bench and the cluster use to
-// detect a silently-frozen shard log.
+// immediately — this is the signal the cluster uses to detect a
+// silently-frozen shard log.
 func TestAppendFailureSurfacesHealth(t *testing.T) {
 	e := mustOpen(t, Options{Dir: t.TempDir(), Shards: 1, Fsync: wal.FsyncNever, FlushBytes: -1})
 	e.Put("k", v("before", 1, 1))

@@ -6,9 +6,10 @@
 // commits, replication applies or gossip — Wren's nonblocking-read property
 // holds at the implementation level, not just the protocol level.
 //
-// Stripes use RWMutexes deliberately: the read-path benchmark suite asserts
-// (via the runtime mutex profile) that read handlers never contend a plain
-// sync.Mutex, the footprint of server-wide serialization.
+// Stripes use RWMutexes deliberately: internal/bench's
+// TestReadHandlersTakeNoPlainMutex asserts (via the runtime mutex profile)
+// that read handlers never contend a plain sync.Mutex, the footprint of
+// server-wide serialization.
 package stripemap
 
 import "sync"

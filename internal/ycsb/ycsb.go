@@ -22,8 +22,8 @@ type Mix struct {
 }
 
 // Predefined mixes from the paper, plus a read-only mix used by the
-// read-path benchmark suite (the paper's workloads always include writes;
-// reads-only isolates the nonblocking read path itself).
+// read-path mutex-profile gate (the paper's workloads always include
+// writes; reads-only isolates the nonblocking read path itself).
 var (
 	Mix100 = Mix{Reads: 20, Writes: 0}
 	Mix95  = Mix{Reads: 19, Writes: 1}

@@ -113,16 +113,14 @@ type Config struct {
 	DataDir string
 	// FsyncPolicy is the WAL group-commit policy: "always" (fsync every
 	// write batch), "interval" (default: fsync on a 10ms timer) or "never".
+	// A durable backend always runs behind the transaction-lifecycle log,
+	// which is what honours the policy: PREPARE and COMMIT records reach
+	// disk before the corresponding acknowledgement, making the
+	// ACKNOWLEDGED transaction the durability unit (exact under "always",
+	// interval-bounded otherwise), and a persisted per-DC replication
+	// cursor lets a restarted cluster re-send the unreplicated tail so DCs
+	// reconverge.
 	FsyncPolicy string
-	// DisableTxLog turns off the durable transaction-lifecycle log servers
-	// with a durable backend keep by default. With the log, PREPARE and
-	// COMMIT records reach disk before the corresponding acknowledgement,
-	// making the ACKNOWLEDGED transaction the durability unit (exact under
-	// FsyncPolicy "always", interval-bounded otherwise), and a persisted
-	// per-DC replication cursor lets a restarted cluster re-send the
-	// unreplicated tail so DCs reconverge. Disabling it regresses the
-	// durability unit to the applied transaction.
-	DisableTxLog bool
 	// Seed fixes the clock-skew assignment for reproducibility.
 	Seed int64
 }
@@ -164,7 +162,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		StoreBackend:    cfg.StoreBackend,
 		DataDir:         cfg.DataDir,
 		FsyncPolicy:     cfg.FsyncPolicy,
-		DisableTxLog:    cfg.DisableTxLog,
 		Seed:            cfg.Seed,
 	})
 	if err != nil {
