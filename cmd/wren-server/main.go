@@ -47,8 +47,8 @@ func run(args []string) error {
 		listen     = fs.String("listen", "127.0.0.1:7000", "TCP listen address")
 		peersFlag  = fs.String("peers", "", "comma-separated dc/partition=host:port for every server")
 		protocol   = fs.String("protocol", "wren", "protocol: wren, cure or hcure")
-		applyMs    = fs.Duration("apply-interval", 5*time.Millisecond, "ΔR apply/replication period")
-		gossipMs   = fs.Duration("gossip-interval", 5*time.Millisecond, "ΔG stabilization period")
+		applyMs    = fs.Duration("apply-interval", 5*time.Millisecond, "ΔR, idle fallback period of apply/replication and heartbeat pace (commits apply as they are decided)")
+		gossipMs   = fs.Duration("gossip-interval", 5*time.Millisecond, "ΔG, idle fallback period of stabilization gossip (Wren's stable times ride the transaction messages)")
 		gcEvery    = fs.Duration("gc-interval", 500*time.Millisecond, "GC period (negative disables)")
 		shards     = fs.Int("store-shards", 0, "version-store lock stripes (0 = default 64, rounded up to a power of two)")
 		storeBack  = fs.String("store-backend", "memory", "storage engine: memory, wal or sst")

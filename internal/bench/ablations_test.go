@@ -40,7 +40,9 @@ func TestBlockingCommitAblation(t *testing.T) {
 		t.Fatalf("degenerate results: %+v", rows)
 	}
 	// Blocking commits must cost latency: each commit waits for the local
-	// stable snapshot to cover it (at least one apply + gossip round).
+	// stable snapshot to cover it — since stabilization became event-driven
+	// that is an exchange between the partitions (found by a 1 ms poll),
+	// not an apply plus a gossip tick, and still more than no wait at all.
 	if b := durableBackendOverride(); b != "" {
 		t.Logf("latency-ordering assertion skipped under WREN_STORE_BACKEND=%s", b)
 	} else if blocking.MeanLatMs <= cache.MeanLatMs {
@@ -81,12 +83,16 @@ func TestGossipTopologyAblation(t *testing.T) {
 func TestSnapshotAgeAblation(t *testing.T) {
 	o := tinyOptions()
 	o.Measure = 600 * time.Millisecond
-	// Wren's snapshot age is ΔR (apply) plus a BiST round (ΔG); Cure's is
-	// only ΔR at the origin partition. With ΔG == ΔR the tickers, all
-	// started together, fire in near-lockstep and the extra gossip hop
-	// costs mere scheduling noise — the ordering assertion below would
-	// then compare sub-tick minutiae. Spreading the periods makes the
-	// structural difference dominate the measurement.
+	// The prober's cluster is otherwise quiet, so the tickers are still the
+	// carriers here: the marker's origin partition installs it at its
+	// CommitTx (both protocols, event-driven), but Wren's LST also needs
+	// the partitions that took no part in it, which move their clocks on
+	// their ΔR tick and report them on their ΔG broadcast when no
+	// transaction message does it for them. Cure's age is the one hop to
+	// the origin partition. With ΔG == ΔR the tickers, all started
+	// together, fire in near-lockstep and the gossip hop costs mere
+	// scheduling noise; spreading the periods makes the structural
+	// difference dominate the measurement.
 	o.GossipInterval = 4 * o.ApplyInterval
 	rows, err := RunSnapshotAgeAblation(o)
 	if err != nil {
@@ -133,7 +139,9 @@ func TestGossipIntervalAblation(t *testing.T) {
 		t.Errorf("ΔG=8ms traffic (%.0f B/s) should be below ΔG=1ms (%.0f B/s)",
 			slow.StabBytesPS, fast.StabBytesPS)
 	}
-	// ...and increase local visibility latency.
+	// ...and increase local visibility latency: on this quiet cluster the
+	// ΔG broadcast is what carries the idle partitions' clocks (under load
+	// the transaction messages do, and ΔG stops mattering).
 	if slow.ExtraValue < fast.ExtraValue {
 		t.Errorf("ΔG=8ms visibility (%.2fms) should not beat ΔG=1ms (%.2fms)",
 			slow.ExtraValue, fast.ExtraValue)

@@ -74,8 +74,11 @@ type Config struct {
 	// offset uniformly from [-ClockSkew, +ClockSkew].
 	ClockSkew time.Duration
 	// ApplyInterval, GossipInterval, GCInterval are the protocol timers
-	// (ΔR, ΔG, GC period). Zeros select the package defaults; a negative
-	// GCInterval disables GC.
+	// (ΔR, ΔG, GC period). ΔR and ΔG are idle fallback periods, not how
+	// often apply and stabilization run: commits and replicated batches
+	// install themselves and Wren's stable times ride the transaction
+	// messages, so freezing them does not freeze the protocol. Zeros select
+	// the package defaults; a negative GCInterval disables GC.
 	ApplyInterval  time.Duration
 	GossipInterval time.Duration
 	GCInterval     time.Duration

@@ -4,13 +4,16 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"wren/internal/replica/replicatest"
+	"wren/internal/transport"
 )
 
 // These tests crash-torture the two durability gaps the transaction log
 // closes (previously the top open items in ROADMAP.md), on every durable
 // backend with fsync=always:
 //
-//   - a kill between the commit ACK and the apply tick must lose nothing:
+//   - a kill between the commit ACK and the apply pass must lose nothing:
 //     the restarted cluster serves every acknowledged transaction from
 //     its commit-record logs;
 //   - a kill after local apply but before Replicate traffic lands must
@@ -45,9 +48,6 @@ func crashConfig(proto Protocol, dcs int, dataDir string, backend string) Config
 func testCrashBetweenAckAndApply(t *testing.T, proto Protocol, backend string) {
 	dataDir := t.TempDir()
 	cfg := crashConfig(proto, 1, dataDir, backend)
-	// Freeze the apply tick: every acknowledged commit stays on the commit
-	// list, never reaching the engine — the exact ack-to-apply window.
-	cfg.ApplyInterval = time.Hour
 
 	want := map[string]string{}
 	func() {
@@ -56,6 +56,14 @@ func testCrashBetweenAckAndApply(t *testing.T, proto Protocol, backend string) {
 			t.Fatalf("New: %v", err)
 		}
 		defer cl.Kill()
+		// Hold the apply pass on both partitions behind an older prepare
+		// that is never decided: every acknowledged commit stays on the
+		// commit list, never reaching the engine — the exact ack-to-apply
+		// window, as wide as a slow sibling transaction makes it in
+		// production.
+		for p := 0; p < cfg.NumPartitions; p++ {
+			replicatest.HoldApply(t, cl.Network(), transport.ServerID(0, p))
+		}
 		client, err := cl.NewClient(0, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -85,7 +93,7 @@ func testCrashBetweenAckAndApply(t *testing.T, proto Protocol, backend string) {
 		}
 
 		// The gap must be real: nothing acknowledged has reached the
-		// engine (the apply tick is frozen), so without the transaction
+		// engine (the apply pass is held), so without the transaction
 		// log this kill would lose every commit above.
 		for k := range want {
 			p := partitionOf(k, cfg.NumPartitions)
@@ -102,9 +110,9 @@ func testCrashBetweenAckAndApply(t *testing.T, proto Protocol, backend string) {
 		// defer cl.Kill() is the crash.
 	}()
 
-	// Second life: normal apply interval; every acknowledged transaction
-	// must come back through txlog recovery (replay or re-driven outcome).
-	cfg.ApplyInterval = 0
+	// Second life: every acknowledged transaction must come back through
+	// txlog recovery (replay or re-driven outcome). The held prepare comes
+	// back too, as a recovered prepare, which holds nothing.
 	cl, err := New(cfg)
 	if err != nil {
 		t.Fatalf("restart: %v", err)

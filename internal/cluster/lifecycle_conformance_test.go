@@ -25,7 +25,7 @@ func TestLifecycleConformance(t *testing.T) {
 		name string
 		run  func(t *testing.T, proto Protocol, backend string)
 	}{
-		// A kill between the commit ACK and the apply tick must lose
+		// A kill between the commit ACK and the apply pass must lose
 		// nothing: recovery replays the commit-record log.
 		{"crash-between-ack-and-apply", testCrashBetweenAckAndApply},
 		// A kill after local apply but before Replicate traffic lands

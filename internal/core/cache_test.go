@@ -13,8 +13,9 @@ import (
 // the write set into the cache overwrites older duplicates, so the cache
 // always holds the client's freshest version of each key.
 func TestCacheOverwritesDuplicateEntries(t *testing.T) {
-	// Glacial gossip: nothing ever leaves the cache via pruning.
-	tc := newTestCluster(t, clusterOpts{dcs: 1, parts: 2, gossipEvery: time.Hour})
+	// Held stabilization: nothing ever leaves the cache via pruning.
+	tc := newTestCluster(t, clusterOpts{dcs: 1, parts: 2})
+	tc.holdStabilization(0)
 	c := tc.client(0)
 	commitKV(t, c, map[string]string{"dup": "v1"})
 	commitKV(t, c, map[string]string{"dup": "v2"})
@@ -30,7 +31,8 @@ func TestCacheOverwritesDuplicateEntries(t *testing.T) {
 // TestCacheServesManyKeys exercises a cache holding several uninstalled
 // writes at once.
 func TestCacheServesManyKeys(t *testing.T) {
-	tc := newTestCluster(t, clusterOpts{dcs: 1, parts: 4, gossipEvery: time.Hour})
+	tc := newTestCluster(t, clusterOpts{dcs: 1, parts: 4})
+	tc.holdStabilization(0)
 	c := tc.client(0)
 	want := map[string]string{}
 	for i := 0; i < 10; i++ {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"wren/internal/hlc"
+	"wren/internal/replica/replicatest"
 	"wren/internal/transport"
 )
 
@@ -21,24 +22,16 @@ type testCluster struct {
 }
 
 type clusterOpts struct {
-	dcs, parts  int
-	interDC     time.Duration
-	gossipEvery time.Duration
-	applyEvery  time.Duration
-	gcEvery     time.Duration
-	skew        func(dc, partition int) time.Duration
+	dcs, parts int
+	interDC    time.Duration
+	gcEvery    time.Duration
+	skew       func(dc, partition int) time.Duration
 }
 
 func newTestCluster(t *testing.T, opts clusterOpts) *testCluster {
 	t.Helper()
 	if opts.interDC == 0 {
 		opts.interDC = 5 * time.Millisecond
-	}
-	if opts.gossipEvery == 0 {
-		opts.gossipEvery = time.Millisecond
-	}
-	if opts.applyEvery == 0 {
-		opts.applyEvery = time.Millisecond
 	}
 	if opts.gcEvery == 0 {
 		opts.gcEvery = -1 // disabled unless a test opts in
@@ -57,8 +50,8 @@ func newTestCluster(t *testing.T, opts clusterOpts) *testCluster {
 				NumDCs: opts.dcs, NumPartitions: opts.parts,
 				Network:        net,
 				ClockSource:    src,
-				ApplyInterval:  opts.applyEvery,
-				GossipInterval: opts.gossipEvery,
+				ApplyInterval:  time.Millisecond,
+				GossipInterval: time.Millisecond,
 				GCInterval:     opts.gcEvery,
 			})
 			if err != nil {
@@ -80,6 +73,17 @@ func (tc *testCluster) close() {
 		}
 	}
 	tc.net.Close()
+}
+
+// holdStabilization keeps the DC's stable times — and every later commit's
+// apply — where they are, by parking a never-decided prepare on each of its
+// partitions (see replicatest.HoldApply). Freezing the ΔR/ΔG timers does
+// not do that: commits install themselves and BiST rides their messages.
+func (tc *testCluster) holdStabilization(dc int) {
+	tc.t.Helper()
+	for _, s := range tc.servers[dc] {
+		replicatest.HoldApply(tc.t, tc.net, s.ID())
+	}
 }
 
 func (tc *testCluster) client(dc int) *Client {
@@ -165,10 +169,11 @@ func TestCommitAndReadBack(t *testing.T) {
 }
 
 func TestReadYourWritesBeforeStabilization(t *testing.T) {
-	// Gossip is made glacial so the LST cannot advance past the commit:
-	// the value must come from the client-side cache (CANToR's second
-	// snapshot component).
-	tc := newTestCluster(t, clusterOpts{dcs: 1, parts: 2, gossipEvery: time.Hour})
+	// An older undecided prepare on every partition keeps the LST from
+	// advancing past the commit: the value must come from the client-side
+	// cache (CANToR's second snapshot component).
+	tc := newTestCluster(t, clusterOpts{dcs: 1, parts: 2})
+	tc.holdStabilization(0)
 	c := tc.client(0)
 	commitKV(t, c, map[string]string{"k": "v1"})
 	if c.CacheSize() == 0 {

@@ -40,11 +40,15 @@ type ServerConfig struct {
 	// ClockSource supplies physical time; distinct servers get distinct,
 	// possibly skewed sources. Nil means the system clock.
 	ClockSource hlc.Source
-	// ApplyInterval is ΔR: how often committed transactions are applied and
-	// replicated (Algorithm 4). Zero selects DefaultApplyInterval.
+	// ApplyInterval is ΔR, the idle fallback period of the apply pass
+	// (Algorithm 4): commits and replicated batches ask for the pass
+	// themselves, the timer covers a partition that hears nothing and paces
+	// its heartbeats. Zero selects DefaultApplyInterval.
 	ApplyInterval time.Duration
-	// GossipInterval is ΔG: how often BiST stabilization gossip runs.
-	// Zero selects DefaultGossipInterval.
+	// GossipInterval is ΔG, the idle fallback period of BiST: the two
+	// scalars ride every intra-DC transaction message, the timed broadcast
+	// covers partitions that exchange none. Zero selects
+	// DefaultGossipInterval.
 	GossipInterval time.Duration
 	// GCInterval is how often version-chain garbage collection runs.
 	// Zero selects DefaultGCInterval; negative disables GC.
@@ -202,11 +206,18 @@ type Server struct {
 	readPool sync.Pool
 	fanPool  sync.Pool
 
-	// gossipMu guards the BiST aggregation arrays. Protocol-only state:
-	// the runtime's writer mutex is never taken on the gossip path.
-	gossipMu      sync.Mutex
-	peerLocal     []hlc.Timestamp // per-partition gossiped local version clocks
-	peerRemoteMin []hlc.Timestamp // per-partition gossiped min remote entries
+	// peerLocal/peerRemoteMin are the BiST aggregation arrays: the highest
+	// local version clock and minimum remote entry each partition of the DC
+	// has published to this one, by broadcast or on a transaction message.
+	// Entrywise max-merged and folded without a lock (foldPeer), so slice
+	// reads can carry and fold them.
+	peerLocal     hlc.AtomicVector
+	peerRemoteMin hlc.AtomicVector
+	// seen is the highest commit timestamp this partition has heard of —
+	// its own cohort commits and decisions, replicated-in batches, a peer's
+	// seen (wire.Stab.Seen). News above the local version clock is the
+	// demand for an apply pass; see ObserveStable.
+	seen hlc.AtomicTimestamp
 
 	metrics Metrics
 }
@@ -223,8 +234,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s := &Server{
 		cfg:           cfg,
 		txCtx:         stripemap.New[txContext](0),
-		peerLocal:     make([]hlc.Timestamp, cfg.NumPartitions),
-		peerRemoteMin: make([]hlc.Timestamp, cfg.NumPartitions),
+		peerLocal:     hlc.NewAtomicVector(cfg.NumPartitions),
+		peerRemoteMin: hlc.NewAtomicVector(cfg.NumPartitions),
 	}
 	rt, err := replica.New(rcfg, (*wrenProtocol)(s), replica.Counters{
 		TxCommitted:   &s.metrics.TxCommitted,
@@ -287,8 +298,8 @@ func (s *Server) TxLog() *txlog.Log { return s.rt.TxLog() }
 func (s *Server) ShedRequests() uint64 { return s.rt.ShedCount() }
 
 // Start registers the server on the network and launches the shared
-// runtime's apply (ΔR), stabilization (ΔG), garbage-collection and
-// lifecycle loops.
+// runtime's apply, stabilization (ΔG), garbage-collection and lifecycle
+// loops.
 func (s *Server) Start() { s.rt.Start() }
 
 // Stop terminates the background loops, flushes any transactions still on
@@ -307,6 +318,16 @@ func (s *Server) Kill() { s.rt.Kill() }
 // itself).
 func (s *Server) StableTimes() (lst, rst hlc.Timestamp) {
 	return s.lst.Load(), s.rst.Load()
+}
+
+// StableContributions returns what each partition of the DC has
+// contributed to this server's stable times: local[p] and remoteMin[p] are
+// the highest local version clock and minimum remote entry partition p has
+// published here (this server's own at its index), and LST and RST are the
+// minima over them. The partition holding a minimum is the straggler — the
+// per-partition lag gauge, read-only.
+func (s *Server) StableContributions() (local, remoteMin []hlc.Timestamp) {
+	return s.peerLocal.Snapshot(nil), s.peerRemoteMin.Snapshot(nil)
 }
 
 // VersionVector returns a copy of the server's version vector.
@@ -383,21 +404,62 @@ func (p *wrenProtocol) ReplTxRecord(t *txlog.CommittedTx) wire.ReplTx {
 	return wire.ReplTx{TxID: t.TxID, CT: t.CT, RST: t.RST, Writes: t.Writes}
 }
 
-// ApplyBound reads the HLC and pins it, so any later prepare proposes
-// strictly above the bound. Called under the runtime's writer mutex.
+// ApplyBound reads the HLC and pins it — one receive event of the zero
+// timestamp does both — so any later prepare proposes strictly above the
+// bound. Called under the runtime's writer mutex.
 func (p *wrenProtocol) ApplyBound() hlc.Timestamp {
-	s := p.server()
-	ub := s.rt.Clock.Now()
-	s.rt.Clock.Update(ub)
-	return ub
+	return p.server().rt.Clock.Update(0)
 }
 
-// ObserveCommitTS absorbs an incoming commit timestamp into the HLC.
-func (p *wrenProtocol) ObserveCommitTS(ct hlc.Timestamp) { p.server().rt.Clock.Update(ct) }
+// ObserveCommitTS absorbs a commit timestamp this partition heard of into
+// the HLC — the pass that follows can then cover it whatever the clock
+// skew — and into seen, for the partitions that took no part in it.
+func (p *wrenProtocol) ObserveCommitTS(ct hlc.Timestamp) {
+	s := p.server()
+	s.rt.Clock.Update(ct)
+	s.seen.Advance(ct)
+}
 
-// AfterInstall is a no-op: Wren's reads never wait for installation —
-// that is the point of the protocol.
-func (p *wrenProtocol) AfterInstall() {}
+// AfterInstall folds what the pass just published as this partition's own
+// BiST contribution. Wren's reads never wait for installation — that is
+// the point of the protocol — so there is nobody to release.
+func (p *wrenProtocol) AfterInstall() {
+	s := p.server()
+	local, remoteMin := s.localContribution()
+	s.foldPeer(s.cfg.Partition, local, remoteMin)
+}
+
+// StampStable puts this partition's published BiST contribution and the
+// highest commit timestamp it has heard of on an outgoing intra-DC
+// transaction message. Loads only: a stamp is never a clock reading.
+func (p *wrenProtocol) StampStable(st *wire.Stab) { p.server().stampStable(st) }
+
+func (s *Server) stampStable(st *wire.Stab) {
+	st.Local, st.RemoteMin = s.localContribution()
+	st.Seen = s.seen.Load()
+}
+
+// ObserveStable folds a peer partition's stamp: its contribution into the
+// stable times, and its Seen as the demand rule. A commit this partition
+// took no part in reaches it only as a peer's Seen; if that is above the
+// local version clock there is something to install — or just a clock to
+// move — and the DC's LST is waiting for it: let the HLC absorb the
+// timestamp and have the apply goroutine run a pass. Only NEWS fires (seen
+// moved), and after the pass the clock covers it, so nothing more fires
+// until the next commit; a stamp that is late, duplicated or out of order
+// is a no-op, every fold being a max-merge. Lock- and allocation-free:
+// slice reads carry stamps too.
+func (p *wrenProtocol) ObserveStable(fromPartition int, st wire.Stab) {
+	s := p.server()
+	if fromPartition < 0 || fromPartition >= s.cfg.NumPartitions {
+		return
+	}
+	s.foldPeer(fromPartition, st.Local, st.RemoteMin)
+	if s.seen.Advance(st.Seen) && st.Seen > s.rt.VV.Load(s.cfg.DC) {
+		s.rt.Clock.Update(st.Seen)
+		s.rt.KickApply()
+	}
+}
 
 // GossipTick runs one BiST round.
 func (p *wrenProtocol) GossipTick() { p.server().gossipTick() }
@@ -552,6 +614,10 @@ func (s *Server) handleTxRead(from transport.NodeID, m *wire.TxReadReq) {
 	}
 
 	fi := fanin.Start(from, m.ReqID, remote)
+	var stab wire.Stab
+	if remote > 0 {
+		s.stampStable(&stab)
+	}
 
 	// Keys this partition owns are served locally with one batched store
 	// read instead of a self-addressed SliceReq round trip, appending
@@ -569,7 +635,7 @@ func (s *Server) handleTxRead(from transport.NodeID, m *wire.TxReadReq) {
 		}
 		reqID := s.rt.NextReqID()
 		req := wire.GetSliceReq()
-		req.ReqID, req.LT, req.RT = reqID, lt, rt
+		req.ReqID, req.LT, req.RT, req.Stab = reqID, lt, rt, stab
 		req.Keys = append(req.Keys[:0], fo.Groups[p]...)
 		s.rt.TrackRead(reqID, fi)
 		s.rt.Send(transport.ServerID(s.cfg.DC, p), req)
@@ -591,9 +657,11 @@ func (s *Server) handleTxRead(from transport.NodeID, m *wire.TxReadReq) {
 func (s *Server) handleSliceReq(from transport.NodeID, m *wire.SliceReq) {
 	s.lst.Advance(m.LT)
 	s.rst.Advance(m.RT)
+	s.rt.ObserveStable(from, m.Stab)
 
 	resp := wire.GetSliceResp()
 	resp.ReqID = m.ReqID
+	s.stampStable(&resp.Stab)
 	resp.Items = s.readSlice(m.Keys, m.LT, m.RT, resp.Items[:0])
 	s.metrics.SlicesServed.Inc()
 	s.rt.Send(from, resp)
@@ -680,12 +748,13 @@ func (s *Server) handleCommitReq(from transport.NodeID, m *wire.CommitReq) {
 func (s *Server) handlePrepareReq(from transport.NodeID, m *wire.PrepareReq) {
 	s.lst.Advance(m.LT)
 	s.rst.Advance(m.RT)
+	s.rt.ObserveStable(from, m.Stab)
 	s.rt.Prepare(from, m, hlc.Max(m.HT, m.LT, m.RT))
 }
 
-// handleStableBroadcast ingests a peer partition's BiST contribution and
-// recomputes the DC-stable times (Algorithm 4 lines 29–31). Aggregated
-// messages (tree topology) carry the final LST/RST directly.
+// handleStableBroadcast ingests a peer partition's BiST contribution
+// (Algorithm 4 lines 29–31). Aggregated messages (tree topology) carry the
+// final LST/RST directly.
 func (s *Server) handleStableBroadcast(m *wire.StableBroadcast) {
 	if m.Aggregate {
 		s.lst.Advance(m.Local)
@@ -696,30 +765,30 @@ func (s *Server) handleStableBroadcast(m *wire.StableBroadcast) {
 	if p < 0 || p >= s.cfg.NumPartitions {
 		return
 	}
-	s.gossipMu.Lock()
-	if m.Local > s.peerLocal[p] {
-		s.peerLocal[p] = m.Local
-	}
-	if m.RemoteMin > s.peerRemoteMin[p] {
-		s.peerRemoteMin[p] = m.RemoteMin
-	}
-	s.recomputeStableLocked()
-	s.gossipMu.Unlock()
+	s.foldPeer(p, m.Local, m.RemoteMin)
 }
 
-// recomputeStableLocked folds the gossiped per-partition contributions into
-// the published LST and RST. Both are monotone because each peer's
-// contributions are; publication is an atomic max-merge, so readers load
-// them without touching gossipMu.
-func (s *Server) recomputeStableLocked() {
-	lst := s.peerLocal[0]
-	rst := s.peerRemoteMin[0]
+// foldPeer max-merges partition p's contribution into the aggregation
+// arrays and, if it moved either, republishes LST and RST as the minima.
+// It is the one fold behind the timed broadcast, the stamps on transaction
+// messages and this server's own passes, and it takes no lock: entries
+// only grow, so a minimum over entries loaded at slightly different
+// instants is at most the true minimum at the last load, and publication
+// is an atomic max-merge — concurrent folds can neither move a stable time
+// backwards nor past what every partition has published.
+func (s *Server) foldPeer(p int, local, remoteMin hlc.Timestamp) {
+	movedLocal := s.peerLocal[p].Advance(local)
+	movedRemote := s.peerRemoteMin[p].Advance(remoteMin)
+	if !movedLocal && !movedRemote {
+		return
+	}
+	lst, rst := s.peerLocal.Load(0), s.peerRemoteMin.Load(0)
 	for i := 1; i < s.cfg.NumPartitions; i++ {
-		if s.peerLocal[i] < lst {
-			lst = s.peerLocal[i]
+		if t := s.peerLocal.Load(i); t < lst {
+			lst = t
 		}
-		if s.peerRemoteMin[i] < rst {
-			rst = s.peerRemoteMin[i]
+		if t := s.peerRemoteMin.Load(i); t < rst {
+			rst = t
 		}
 	}
 	s.lst.Advance(lst)
@@ -753,18 +822,11 @@ func (s *Server) localContribution() (local, remoteMin hlc.Timestamp) {
 
 // gossipTick runs one BiST exchange: fold in this server's own
 // contribution, then broadcast — all-to-all, or up/down the aggregation
-// tree when GossipTree is on.
+// tree when GossipTree is on. It is the idle fallback: partitions that
+// exchange transaction messages learn the same scalars from those.
 func (s *Server) gossipTick() {
 	local, remoteMin := s.localContribution()
-	s.gossipMu.Lock()
-	if local > s.peerLocal[s.cfg.Partition] {
-		s.peerLocal[s.cfg.Partition] = local
-	}
-	if remoteMin > s.peerRemoteMin[s.cfg.Partition] {
-		s.peerRemoteMin[s.cfg.Partition] = remoteMin
-	}
-	s.recomputeStableLocked()
-	s.gossipMu.Unlock()
+	s.foldPeer(s.cfg.Partition, local, remoteMin)
 	lst, rst := s.lst.Load(), s.rst.Load()
 
 	if s.cfg.GossipTree {

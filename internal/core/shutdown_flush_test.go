@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"wren/internal/hlc"
+	"wren/internal/replica/replicatest"
 	"wren/internal/store/wal"
 	"wren/internal/transport"
 	"wren/internal/wire"
@@ -28,7 +29,8 @@ func TestStopFlushesCommittedDespiteStuckPrepared(t *testing.T) {
 	srv, err := NewServer(ServerConfig{
 		DC: 0, Partition: 0, NumDCs: 1, NumPartitions: 1,
 		Network: net,
-		// Timers long enough that the Stop flush is the only apply tick.
+		// Timers long enough that no tick helps: the held prepare below
+		// leaves Stop's flush as the only pass that can apply the commit.
 		ApplyInterval:  time.Hour,
 		GossipInterval: time.Hour,
 		GCInterval:     -1,
@@ -63,12 +65,11 @@ func TestStopFlushesCommittedDespiteStuckPrepared(t *testing.T) {
 		}
 	}
 
-	// Transaction 2 prepares first (lower proposed timestamp) and stalls
-	// forever — its coordinator never sends CommitTx.
-	send(&wire.PrepareReq{ReqID: 1, TxID: 2, Writes: []wire.KV{{Key: "stuck", Value: []byte("x")}}})
-	_ = waitPT()
+	// Another transaction prepares first (lower proposed timestamp) and
+	// stalls forever — its coordinator never sends CommitTx.
+	replicatest.HoldApply(t, net, srv.ID())
 	// Transaction 1 prepares later and commits at its proposed timestamp,
-	// which is strictly above transaction 2's.
+	// which is strictly above the stalled one's.
 	send(&wire.PrepareReq{ReqID: 2, TxID: 1, Writes: []wire.KV{{Key: "durable", Value: []byte("yes")}}})
 	pt := waitPT()
 	send(&wire.CommitTx{TxID: 1, CT: pt})
@@ -97,7 +98,7 @@ func TestStopFlushesCommittedDespiteStuckPrepared(t *testing.T) {
 	if v := eng.Latest("durable"); v == nil || string(v.Value) != "yes" {
 		t.Fatalf("acknowledged commit lost across shutdown: Latest(durable) = %+v", v)
 	}
-	if v := eng.Latest("stuck"); v != nil {
+	if v := eng.Latest(replicatest.HeldKey); v != nil {
 		t.Fatalf("never-committed prepared write leaked into the store: %+v", v)
 	}
 }

@@ -35,7 +35,11 @@ type ServerConfig struct {
 	// UseHLC selects H-Cure: hybrid logical clocks let a partition's clock
 	// jump forward on message receipt, removing the clock-skew component
 	// of read blocking. False selects plain Cure (physical clocks).
-	UseHLC         bool
+	UseHLC bool
+	// ApplyInterval (ΔR) and GossipInterval (ΔG) are idle fallback periods
+	// as in core.ServerConfig, with one difference: the apply pass is
+	// event-driven here too, but the M-entry vector gossip rides no
+	// transaction message and runs only on its ΔG timer.
 	ApplyInterval  time.Duration
 	GossipInterval time.Duration
 	GCInterval     time.Duration
@@ -364,8 +368,9 @@ func (p *cureProtocol) ApplyBound() hlc.Timestamp {
 	return ub
 }
 
-// ObserveCommitTS absorbs an incoming commit timestamp into the clock —
-// only H-Cure's HLC may jump; plain Cure's physical clock must not.
+// ObserveCommitTS absorbs a commit timestamp this partition heard of into
+// the clock — only H-Cure's HLC may jump; plain Cure's physical clock must
+// not.
 func (p *cureProtocol) ObserveCommitTS(ct hlc.Timestamp) {
 	s := p.server()
 	if s.cfg.UseHLC {
@@ -382,6 +387,14 @@ func (p *cureProtocol) AfterInstall() {
 	s.mu.Unlock()
 	s.serveReady(ready)
 }
+
+// StampStable and ObserveStable are no-ops: Cure's stabilization state is
+// an M-entry vector per partition, which stays on its ΔG broadcast instead
+// of riding the transaction messages.
+func (p *cureProtocol) StampStable(*wire.Stab) {}
+
+// ObserveStable: see StampStable.
+func (p *cureProtocol) ObserveStable(int, wire.Stab) {}
 
 // GossipTick broadcasts the full M-entry version vector — Cure's
 // stabilization messages are M timestamps versus Wren's two (Figure 7a).
@@ -596,10 +609,10 @@ func (s *Server) handleSliceReq(from transport.NodeID, m *wire.SliceReq) {
 	s.mu.Unlock()
 	// Try to install a fresher snapshot right away: if nothing is pending
 	// and the clock allows, the read is served without waiting for the
-	// next apply tick. What remains is genuine blocking: pending
+	// next apply pass. What remains is genuine blocking: pending
 	// transactions below the snapshot, clock skew (Cure only), or missing
 	// remote updates.
-	s.rt.ApplyTick(false)
+	s.rt.ApplyTick()
 }
 
 // serveSlice returns the freshest version of each key whose dependency

@@ -16,9 +16,11 @@
 //     per-peer resend of the unreplicated committed tail, and the pinned
 //     replication cursors that make the resend safe;
 //   - durable transaction-id block reservation;
-//   - the apply (ΔR), gossip (ΔG), GC and lifecycle timer loops, with the
-//     resync gating that keeps ordinary replication from overtaking a
-//     restart resync;
+//   - the install-and-publish pass (Algorithm 4's apply step), run by the
+//     apply goroutine when an event that makes something newly stable wakes
+//     it and on its ΔR tick, the idle fallback; the gossip (ΔG), GC and
+//     lifecycle timer loops; and the resync gating that keeps ordinary
+//     replication from overtaking a restart resync;
 //   - health-driven read-only admission, including the degraded-mode
 //     probation exit that re-verifies and readmits a transiently broken
 //     transaction log.
@@ -56,7 +58,10 @@ import (
 )
 
 // Default protocol timer intervals. The paper runs its stabilization
-// protocols every 5 milliseconds (§V-A).
+// protocols every 5 milliseconds (§V-A); here ΔR and ΔG are idle-fallback
+// periods — what a partition that hears nothing falls back to — because
+// commits and replicated batches ask for the apply pass themselves and BiST's
+// scalars ride the transaction's own messages.
 const (
 	DefaultApplyInterval  = 5 * time.Millisecond
 	DefaultGossipInterval = 5 * time.Millisecond
@@ -145,9 +150,10 @@ type Config struct {
 	Network transport.Network
 	// ClockSource supplies physical time. Nil means the system clock.
 	ClockSource hlc.Source
-	// ApplyInterval (ΔR), GossipInterval (ΔG), GCInterval and TxContextTTL
-	// follow the semantics documented on the protocol ServerConfigs. Zero
-	// selects the defaults; a negative GCInterval disables GC.
+	// ApplyInterval (ΔR) and GossipInterval (ΔG) are idle-fallback periods,
+	// GCInterval and TxContextTTL follow the semantics documented on the
+	// protocol ServerConfigs. Zero selects the defaults; a negative
+	// GCInterval disables GC.
 	ApplyInterval  time.Duration
 	GossipInterval time.Duration
 	GCInterval     time.Duration
@@ -259,12 +265,24 @@ type Protocol interface {
 	// Called with the runtime's writer mutex held.
 	ApplyBound() hlc.Timestamp
 	// ObserveCommitTS lets the protocol's clock absorb a commit timestamp
-	// carried by an incoming CommitTx (Wren always; H-Cure only).
+	// this partition just heard of — an incoming CommitTx, this
+	// coordinator's own decision, the last transaction of a replicated-in
+	// batch (Wren and H-Cure; plain Cure's physical clock must not jump).
+	// The runtime asks for an apply pass right after, so the version clock
+	// covers the timestamp instead of waiting out skew or a tick.
 	ObserveCommitTS(ct hlc.Timestamp)
 	// AfterInstall runs after the runtime advanced the version vector
-	// (apply tick, replication, heartbeat): Cure releases parked readers
-	// whose snapshot is now installed; Wren has nothing to do.
+	// (apply pass, replication, heartbeat), possibly on several goroutines
+	// at once: Cure releases parked readers whose snapshot is now
+	// installed; Wren folds its own BiST contribution.
 	AfterInstall()
+	// StampStable fills the stabilization metadata of an outgoing intra-DC
+	// transaction message, ObserveStable folds a peer partition's (see
+	// wire.Stab). Both run on delivery goroutines, the read path's
+	// included: they MUST NOT lock, allocate or wait. Cure and H-Cure stamp
+	// and fold nothing — their vector gossip stays ticked.
+	StampStable(st *wire.Stab)
+	ObserveStable(fromPartition int, st wire.Stab)
 	// GossipTick emits one round of the protocol's stabilization exchange.
 	GossipTick()
 	// OldestActiveSnapshot returns the oldest snapshot any live transaction
@@ -352,14 +370,14 @@ type Runtime struct {
 	// stays pinned below each tail until its resync is confirmed.
 	resendTails [][]*txlog.CommittedTx
 	// resyncTailSent[dc] flips once resendTailTo has enqueued dc's tail;
-	// resyncDone[dc] (touched only under applyMu) gates ordinary
-	// replication to dc: until the tail is on the FIFO link, no new batch
-	// or heartbeat may overtake it — the peer's version vector would
-	// advance past transactions it has not received, a transient causal
-	// hole. The transition tick ships a dedupe-safe catch-up of everything
-	// still unconfirmed, then normal replication resumes.
+	// resyncDone[dc] (written only by ship) gates ordinary replication to
+	// dc: until the tail is on the FIFO link, no new batch or heartbeat may
+	// overtake it — the peer's version vector would advance past
+	// transactions it has not received, a transient causal hole. The
+	// transition ships a dedupe-safe catch-up of everything still
+	// unconfirmed, then normal replication resumes.
 	resyncTailSent []atomic.Bool
-	resyncDone     []bool
+	resyncDone     []atomic.Bool
 
 	// seqLimit is the durably reserved transaction-sequence ceiling;
 	// seqMu serializes block refills (see seqBlockSize).
@@ -401,17 +419,29 @@ type Runtime struct {
 	unreleased []uint64
 	owedAcks   [][2]hlc.Timestamp
 
-	// applyMu serializes ApplyTick end to end. Cure runs the tick from
-	// every parked slice read besides the apply loop, and two overlapping
-	// ticks break the installed-snapshot invariant: tick A takes committed
-	// transactions up to its bound and is preempted before writing them to
-	// the engine; tick B, finding the commit list empty, computes a LARGER
-	// bound and publishes it while A's writes are still in flight —
-	// readers whose snapshot the new bound "covers" are served without
-	// those versions. mu cannot serve this purpose: the tick must release
-	// it around the engine write, which is exactly the window that must
-	// stay ordered.
+	// applyMu serializes the apply pass end to end (see ApplyTick for the
+	// rules). Passes MUST serialize: pass A takes committed transactions up
+	// to its bound and is preempted before writing them to the engine; pass
+	// B, finding the commit list empty, computes a LARGER bound and
+	// publishes it while A's writes are still in flight — readers whose
+	// snapshot the new bound "covers" are served without those versions. mu
+	// cannot serve this purpose: the pass must release it around the engine
+	// write, which is exactly the window that must stay ordered.
 	applyMu sync.Mutex
+
+	// kick wakes the apply goroutine outside its ΔR tick: it is how an
+	// event — a commit, a decision, a replicated-in batch, news of a commit
+	// on a read — gets a pass run and its batches shipped without the
+	// delivery handler that saw it waiting for either. kicked keeps that to
+	// one atomic load per message while a wake-up is already pending, and
+	// whatever piled up until the goroutine runs goes into one pass.
+	kick   chan struct{}
+	kicked atomic.Bool
+
+	// outbox (under outMu) holds the Replicate batches passes built and
+	// nobody shipped yet, in commit-timestamp order.
+	outMu  sync.Mutex
+	outbox []*wire.Replicate
 
 	mu             sync.Mutex
 	prepared       map[uint64]*txlog.PreparedTx
@@ -531,13 +561,14 @@ func New(cfg Config, proto Protocol, ctr Counters) (*Runtime, error) {
 		tailHead:       make([]hlc.Timestamp, cfg.NumDCs),
 		tailStall:      make([]int, cfg.NumDCs),
 		owedAcks:       make([][2]hlc.Timestamp, cfg.NumDCs),
+		kick:           make(chan struct{}, 1),
 		stop:           make(chan struct{}),
 	}
 	if tl != nil {
 		// Recovery order: the engine replayed its own logs in Open above;
 		// now the txlog's committed-but-unapplied transactions go into the
 		// engine BEFORE the server serves anything, so a kill between the
-		// client ack and the apply tick loses nothing.
+		// client ack and the apply pass loses nothing.
 		r.recoverFromTxLog()
 		// Fresh transaction ids must clear every id of the previous
 		// lives: the log keeps old ids live across restarts (resync
@@ -558,15 +589,16 @@ func New(cfg Config, proto Protocol, ctr Counters) (*Runtime, error) {
 		// tail itself is acknowledged.
 		r.resendTails = make([][]*txlog.CommittedTx, cfg.NumDCs)
 		r.resyncTailSent = make([]atomic.Bool, cfg.NumDCs)
-		r.resyncDone = make([]bool, cfg.NumDCs)
+		r.resyncDone = make([]atomic.Bool, cfg.NumDCs)
 		for dc := 0; dc < cfg.NumDCs; dc++ {
-			r.resyncDone[dc] = true
 			if dc == cfg.DC {
+				r.resyncDone[dc].Store(true)
 				continue
 			}
-			if tail := tl.UnreplicatedTail(dc); len(tail) > 0 {
+			tail := tl.UnreplicatedTail(dc)
+			r.resyncDone[dc].Store(len(tail) == 0)
+			if len(tail) > 0 {
 				r.resendTails[dc] = tail
-				r.resyncDone[dc] = false
 				tl.PinResync(dc, tail[len(tail)-1].CT)
 			}
 		}
@@ -754,9 +786,8 @@ func (r *Runtime) redriveRecovered() {
 // resendTailTo re-sends one peer DC the committed tail above its
 // replication cursor, snapshotted at construction time, as resync batches
 // the receiver deduplicates. Each peer gets its own goroutine — until the
-// tail is on the link, ApplyTick withholds all ordinary replication to
-// that DC, and one unreachable peer must not extend that hold to the
-// others.
+// tail is on the link, ship withholds all ordinary replication to that DC,
+// and one unreachable peer must not extend that hold to the others.
 func (r *Runtime) resendTailTo(dc int, tail []*txlog.CommittedTx) {
 	defer r.wg.Done()
 	if r.sendResync(dc, tail, r.sendRetry) {
@@ -799,8 +830,8 @@ func (r *Runtime) sendRetry(to transport.NodeID, m wire.Message) bool {
 }
 
 // Start registers the runtime as the server's transport handler and
-// launches the apply (ΔR), stabilization (ΔG), garbage-collection and
-// lifecycle loops.
+// launches the apply, stabilization (ΔG), garbage-collection and lifecycle
+// loops.
 func (r *Runtime) Start() {
 	r.startOnce.Do(func() {
 		r.cfg.Network.Register(r.id, r)
@@ -871,7 +902,8 @@ func (r *Runtime) shutdown(kill bool) {
 		r.mu.Lock()
 		r.prepared = make(map[uint64]*txlog.PreparedTx)
 		r.mu.Unlock()
-		r.ApplyTick(false)
+		r.ApplyTick()
+		r.ship(false)
 		r.flushCommitted()
 		r.release()
 	}
@@ -953,18 +985,21 @@ func sortCommitted(txs []*txlog.CommittedTx) {
 // HandleMessage implements transport.Handler: the runtime dispatches the
 // protocol-independent messages itself and forwards the snapshot-carrying
 // rest to the protocol. Handlers run on the per-link FIFO delivery
-// goroutines, which reads share, so they MUST NOT wait for the disk: they
-// append to the transaction log and write to the engine (neither syncs on
-// this path), and every wait for an fsync happens on a GoAsync goroutine,
-// as a txlog lazy waiter, or in the release barrier. (The one exception is
-// an engine running WITHOUT a transaction log under fsync=always, whose
-// PutBatch is its only durability point.)
+// goroutines, which reads share, so they MUST NOT wait — not for the disk,
+// not for a SendBounded backoff, not for a running apply pass: they append
+// to the transaction log and write to the engine (neither syncs on this
+// path), they ask the apply goroutine for a pass instead of running one
+// (KickApply), and every wait for an fsync happens on a GoAsync goroutine,
+// as a txlog lazy waiter, or in the release barrier. (The exceptions: a
+// Cure slice read that has to park runs the pass itself first, as it always
+// has; and an engine running WITHOUT a transaction log under fsync=always
+// has PutBatch as its only durability point.)
 func (r *Runtime) HandleMessage(from transport.NodeID, m wire.Message) {
 	switch msg := m.(type) {
 	case *wire.SliceResp:
-		r.handleSliceResp(msg)
+		r.handleSliceResp(from, msg)
 	case *wire.PrepareResp:
-		r.handlePrepareResp(msg)
+		r.handlePrepareResp(from, msg)
 	case *wire.CommitTx:
 		r.HandleCommitTx(from, msg)
 	case *wire.CommitAck:
@@ -1045,10 +1080,20 @@ func (r *Runtime) admissionCounter(from transport.NodeID) *atomic.Int64 {
 	return ctr
 }
 
+// ObserveStable folds the stabilization metadata a message from `from`
+// carried, if `from` is a partition server of this DC; the protocol checks
+// the partition index. Safe on the read path (see Protocol.ObserveStable).
+func (r *Runtime) ObserveStable(from transport.NodeID, st wire.Stab) {
+	if from.DC == r.cfg.DC {
+		r.proto.ObserveStable(from.Node, st)
+	}
+}
+
 // handleSliceResp folds a remote slice into its read fan-in; the last
 // arriving slice assembles and sends the TxReadResp, releasing the read's
 // admission slot.
-func (r *Runtime) handleSliceResp(m *wire.SliceResp) {
+func (r *Runtime) handleSliceResp(from transport.NodeID, m *wire.SliceResp) {
+	r.ObserveStable(from, m.Stab)
 	if fi, ok := r.pendingSlice.LoadAndDelete(m.ReqID); ok {
 		if fi.Fold(m.Items, m.BlockedMicros) {
 			// The fold stole the items buffer into the response as a
@@ -1100,6 +1145,7 @@ func (r *Runtime) Commit(from transport.NodeID, m *wire.CommitReq, makePrepare f
 	for p, ws := range byPartition {
 		cohorts = append(cohorts, cohortWrites{partition: p, writes: ws})
 	}
+	_, selfCohort := byPartition[r.cfg.Partition]
 
 	call := &prepareCall{
 		ch:   make(chan prepareVote, len(cohorts)),
@@ -1143,6 +1189,7 @@ func (r *Runtime) Commit(from transport.NodeID, m *wire.CommitReq, makePrepare f
 		req.ReqID = r.reqSeq.Add(1)
 		req.TxID = m.TxID
 		req.Writes = c.writes
+		r.proto.StampStable(&req.Stab)
 		r.Send(transport.ServerID(r.cfg.DC, c.partition), req)
 	}
 
@@ -1219,7 +1266,17 @@ func (r *Runtime) Commit(from transport.NodeID, m *wire.CommitReq, makePrepare f
 		}
 		finish(ct)
 		for _, c := range cohorts {
-			r.Send(transport.ServerID(r.cfg.DC, c.partition), &wire.CommitTx{TxID: m.TxID, CT: ct})
+			out := &wire.CommitTx{TxID: m.TxID, CT: ct}
+			r.proto.StampStable(&out.Stab)
+			r.Send(transport.ServerID(r.cfg.DC, c.partition), out)
+		}
+		if !selfCohort {
+			// A coordinator that wrote nothing gets no CommitTx, and its
+			// version clock would sit below ct until the next tick, holding
+			// the DC's stable time under a commit its own client is about
+			// to be told of: treat the decision as the event it is.
+			r.proto.ObserveCommitTS(ct)
+			r.KickApply()
 		}
 		if !r.proto.BeforeCommitReply(ct) {
 			return
@@ -1237,7 +1294,7 @@ func (r *Runtime) Commit(from transport.NodeID, m *wire.CommitReq, makePrepare f
 //
 // The proposal and its registration in the pending list happen atomically
 // under mu, the same mutex ApplyTick holds while computing its apply
-// upper bound. Without that, a tick could interleave between TickPast and
+// upper bound. Without that, a pass could interleave between TickPast and
 // the registration, compute an upper bound at or above the proposal
 // (TickPast has already advanced the clock), publish it as stable — and
 // the transaction would later commit INSIDE the stable region, applied
@@ -1257,6 +1314,7 @@ func (r *Runtime) Prepare(from transport.NodeID, m *wire.PrepareReq, ht hlc.Time
 	r.prepared[m.TxID] = p
 	r.mu.Unlock()
 	resp := &wire.PrepareResp{ReqID: m.ReqID, TxID: m.TxID, PT: pt}
+	r.proto.StampStable(&resp.Stab)
 	if r.tl != nil {
 		r.tl.LogPrepare(p)
 		// INVARIANT (client ack follows a sync covering every cohort's
@@ -1289,7 +1347,8 @@ func (r *Runtime) checkedPrepareResp(resp *wire.PrepareResp) *wire.PrepareResp {
 	return resp
 }
 
-func (r *Runtime) handlePrepareResp(m *wire.PrepareResp) {
+func (r *Runtime) handlePrepareResp(from transport.NodeID, m *wire.PrepareResp) {
+	r.ObserveStable(from, m.Stab)
 	r.mu.Lock()
 	call := r.pendingPrepare[m.TxID]
 	if call != nil {
@@ -1321,8 +1380,14 @@ func (r *Runtime) handlePrepareResp(m *wire.PrepareResp) {
 // resolve recovered prepares, and outcomes already known deduplicate to
 // just the acknowledgement. (Exported because TxStatusResp verdicts flow
 // through the same path.)
+//
+// Either outcome can make something newly stable — the prepare stops
+// holding the apply bound down — so both end by asking for an apply pass:
+// the commit is installed now, not at the next ΔR tick.
 func (r *Runtime) HandleCommitTx(from transport.NodeID, m *wire.CommitTx) {
+	defer r.KickApply()
 	if m.CT == 0 {
+		r.ObserveStable(from, m.Stab)
 		r.mu.Lock()
 		delete(r.prepared, m.TxID)
 		delete(r.recovered, m.TxID)
@@ -1332,7 +1397,10 @@ func (r *Runtime) HandleCommitTx(from transport.NodeID, m *wire.CommitTx) {
 		}
 		return
 	}
+	// The commit timestamp first: what the carrier has seen is then rarely
+	// news, and the kick at the end is the only one this message costs.
 	r.proto.ObserveCommitTS(m.CT)
+	r.ObserveStable(from, m.Stab)
 	r.mu.Lock()
 	committed := false
 	if p, ok := r.prepared[m.TxID]; ok {
@@ -1393,13 +1461,24 @@ func (r *Runtime) handleCommitAck(m *wire.CommitAck) {
 // outstanding the cursor is pinned below the re-sent tail (only the
 // tail's own acknowledgement lifts it) — the txlog clamps the advance.
 func (r *Runtime) handleReplicateAck(m *wire.ReplicateAck) {
-	if r.tl == nil {
+	if r.tl == nil || !r.isPeerReplica(m.DC, m.Partition) {
 		return
 	}
 	r.tl.AdvanceCursor(int(m.DC), m.UpTo)
 	if m.Resync {
 		r.tl.UnpinResync(int(m.DC), m.UpTo)
 	}
+}
+
+// isPeerReplica reports whether (dc, partition), as named by an inter-DC
+// message, is this partition's replica in another DC of this deployment.
+// Replicate, Heartbeat and ReplicateAck index per-DC state with the wire's
+// DC byte, and a heartbeat naming THIS DC would advance the local version
+// clock past unapplied commits, so anything else is refused: a peer
+// configured with a different topology must not be able to crash or
+// corrupt this server.
+func (r *Runtime) isPeerReplica(dc uint8, partition uint16) bool {
+	return int(dc) < r.cfg.NumDCs && int(dc) != r.cfg.DC && int(partition) == r.cfg.Partition
 }
 
 // handleHealthReq answers the operator-facing health probe (wren-cli
@@ -1426,7 +1505,7 @@ func (r *Runtime) handleHealthReq(from transport.NodeID, m *wire.HealthReq) {
 // in the sender's Prev chain is refused on every durable backend; the
 // memory backend alone accepts it in order (see below).
 func (r *Runtime) handleReplicate(m *wire.Replicate) {
-	if len(m.Txs) == 0 {
+	if len(m.Txs) == 0 || !r.isPeerReplica(m.SrcDC, m.Partition) {
 		return
 	}
 	last := m.Txs[len(m.Txs)-1].CT
@@ -1464,6 +1543,11 @@ func (r *Runtime) handleReplicate(m *wire.Replicate) {
 	r.VV.Advance(int(m.SrcDC), last)
 	r.proto.AfterInstall()
 	r.oweAck(m, last)
+	// A remote update is visible here once the REMOTE stable time covers it
+	// and the LOCAL one has passed it (rt = min(rst, lst−1) in Wren): the
+	// local version clock must move too, now rather than at the next tick.
+	r.proto.ObserveCommitTS(last)
+	r.KickApply()
 }
 
 // oweAck queues the acknowledgement of a replicated batch for the next
@@ -1545,33 +1629,79 @@ func (r *Runtime) release() {
 // handleHeartbeat advances the version-vector entry of an idle remote
 // replica (Algorithm 4 lines 27–28).
 func (r *Runtime) handleHeartbeat(m *wire.Heartbeat) {
+	if !r.isPeerReplica(m.SrcDC, m.Partition) {
+		return
+	}
 	r.VV.Advance(int(m.SrcDC), m.TS)
 	r.proto.AfterInstall()
 }
 
-// applyLoop runs Algorithm 4 lines 5–21 every ΔR.
+// applyLoop is the apply goroutine: every ΔR — the idle fallback — and
+// whenever it is kicked it runs an apply pass and ships what the passes
+// queued for the other DCs. It is the only shipper while the server runs,
+// which is what keeps the batches on each link in commit-timestamp order.
 func (r *Runtime) applyLoop() {
 	defer r.wg.Done()
 	ticker := time.NewTicker(r.cfg.ApplyInterval)
 	defer ticker.Stop()
+	// shipped: a batch left since the last tick, so the peers' version
+	// vectors moved without a heartbeat (Algorithm 4 line 20 heartbeats
+	// only an idle partition).
+	shipped := false
 	for {
 		select {
 		case <-ticker.C:
-			r.ApplyTick(true)
+			r.ApplyTick()
+			r.ship(!shipped)
+			shipped = false
+		case <-r.kick:
+			r.kicked.Store(false)
+			r.ApplyTick()
+			shipped = r.ship(false) || shipped
 		case <-r.stop:
 			return
 		}
 	}
 }
 
-// ApplyTick applies committed transactions up to the safe upper bound and
-// replicates them; when called from the apply loop (heartbeat=true) it
-// heartbeats idle peers instead. Protocols may also invoke it
-// (heartbeat=false) to install snapshots eagerly — Cure does from every
-// parked slice read; applyMu keeps those concurrent invocations from
-// publishing a bound whose transactions an earlier, still-running tick
-// has not finished applying.
-func (r *Runtime) ApplyTick(heartbeat bool) {
+// KickApply wakes the apply goroutine to run a pass (and ship) now. It
+// takes no lock and never waits, so every delivery handler — the read
+// path's included — may call it.
+func (r *Runtime) KickApply() {
+	if r.kicked.Load() || r.kicked.Swap(true) {
+		return
+	}
+	select {
+	case r.kick <- struct{}{}:
+	default:
+	}
+}
+
+// ApplyTick runs one apply pass — Algorithm 4 lines 5–21 without the
+// sends: install every committed transaction at or below the safe bound,
+// then publish the bound as the local version clock — and returns once it
+// has run. It is the ONE implementation behind every trigger. The apply
+// goroutine runs it on its ΔR tick and whenever an event that can make
+// something newly stable kicked it (KickApply: a cohort's CommitTx, a
+// coordinator's decision, a replicated-in batch, news of a commit on any
+// intra-DC message); Stop runs it for the final flush, and a Cure slice
+// read runs it before it parks. The rules, whoever runs it:
+//
+//   - A stable time MUST NOT be published before every version at or below
+//     it is in the engine: PutBatch, THEN VV.Advance.
+//   - The bound MUST be computed under mu, the mutex Prepare proposes
+//     under, and MUST pin the HLC (Protocol.ApplyBound), so that no later
+//     prepare can commit inside the published region.
+//   - Passes MUST serialize on applyMu (see the field comment).
+//   - A pass MUST NOT send or sync: its Replicate batches are queued for
+//     ship, which the apply goroutine runs after its own pass and at the
+//     latest on its next tick, and the engine write does not wait for the
+//     disk on this path.
+//
+// Every fold downstream of a pass is a max-merge, so passes run twice, late
+// or out of order relative to the messages that carry their result are
+// harmless.
+func (r *Runtime) ApplyTick() {
 	r.applyMu.Lock()
 	defer r.applyMu.Unlock()
 	r.mu.Lock()
@@ -1596,9 +1726,8 @@ func (r *Runtime) ApplyTick(heartbeat bool) {
 		ub = local
 	}
 
-	hadCommitted := len(r.committed) > 0
 	var apply []*txlog.CommittedTx
-	if hadCommitted {
+	if len(r.committed) > 0 {
 		rest := r.committed[:0]
 		for _, c := range r.committed {
 			if c.CT <= ub {
@@ -1611,50 +1740,95 @@ func (r *Runtime) ApplyTick(heartbeat bool) {
 	}
 	r.mu.Unlock()
 
-	// Apply in commit-timestamp order, grouping equal timestamps into one
-	// replication message (Algorithm 4 lines 8–16). The whole tick's writes
-	// go through one shard-grouped PutBatch — which appends to the engine's
-	// logs without waiting for the disk — and all of them happen before
-	// the version vector is published, so no reader can observe a stable
-	// time whose versions are missing.
-	sortCommitted(apply)
+	if len(apply) > 0 {
+		r.install(apply)
+	}
+	r.VV.Advance(r.cfg.DC, ub)
+	r.proto.AfterInstall()
+}
+
+// install writes one pass's transactions to the engine in commit-timestamp
+// order and, with other DCs to tell, queues them for ship as one Replicate
+// per distinct timestamp (Algorithm 4 lines 8–16). The whole pass goes
+// through one shard-grouped PutBatch, which appends to the engine's logs
+// without waiting for the disk. Caller holds applyMu and publishes the
+// bound afterwards.
+func (r *Runtime) install(apply []*txlog.CommittedTx) {
+	if len(apply) > 1 {
+		sortCommitted(apply)
+	}
+	replicate := r.cfg.NumDCs > 1
 	var batches []*wire.Replicate
 	var puts []store.KV
 	for i := 0; i < len(apply); {
 		j := i
-		batch := &wire.Replicate{SrcDC: uint8(r.cfg.DC), Partition: uint16(r.cfg.Partition)}
+		var batch *wire.Replicate
+		if replicate {
+			batch = &wire.Replicate{SrcDC: uint8(r.cfg.DC), Partition: uint16(r.cfg.Partition)}
+			batches = append(batches, batch)
+		}
 		for ; j < len(apply) && apply[j].CT == apply[i].CT; j++ {
 			t := apply[j]
 			puts = r.proto.AppendLocalPuts(puts, t, nil)
-			batch.Txs = append(batch.Txs, r.proto.ReplTxRecord(t))
+			if replicate {
+				batch.Txs = append(batch.Txs, r.proto.ReplTxRecord(t))
+			}
 		}
-		batches = append(batches, batch)
 		i = j
 	}
 	r.st.PutBatch(puts)
-
-	r.VV.Advance(r.cfg.DC, ub)
 	// Exactly these transactions are now in the engine; the next release
 	// barrier lets the log drop their records once replication confirms
-	// them. Queued by id, not by ub: a re-driven recovered commit logged
-	// concurrently can carry an old ct ≤ ub without being in this batch.
+	// them. Queued by id, not by bound: a re-driven recovered commit logged
+	// concurrently can carry an old ct at or below it without being in this
+	// batch.
 	r.noteApplied(apply)
-	r.proto.AfterInstall()
+	if replicate {
+		// Queued BEFORE the caller publishes the bound: ship reads the
+		// published clock first and the queue second, so a heartbeat can
+		// never overtake a batch at or below its timestamp.
+		r.outMu.Lock()
+		r.outbox = append(r.outbox, batches...)
+		r.outMu.Unlock()
+	}
+}
 
-	hb := &wire.Heartbeat{SrcDC: uint8(r.cfg.DC), Partition: uint16(r.cfg.Partition), TS: ub}
+// ship sends the queued Replicate batches to every other DC and, when
+// asked to and there was none, a heartbeat instead; it reports whether
+// batches left. Only the apply goroutine calls it (and Stop, after that
+// goroutine exited): SendBounded may back off, which a delivery handler
+// must not, and one shipper keeps each link in commit-timestamp order.
+func (r *Runtime) ship(heartbeat bool) bool {
+	if r.cfg.NumDCs == 1 {
+		return false
+	}
+	// The clock before the queue: every batch at or below ts is already
+	// shipped or in the queue taken next (see install).
+	ts := r.VV.Load(r.cfg.DC)
+	r.outMu.Lock()
+	batches := r.outbox
+	r.outbox = nil
+	r.outMu.Unlock()
+	if len(batches) == 0 && !heartbeat {
+		return false
+	}
+
+	var hb *wire.Heartbeat // only an idle partition heartbeats
+	if len(batches) == 0 {
+		hb = &wire.Heartbeat{SrcDC: uint8(r.cfg.DC), Partition: uint16(r.cfg.Partition), TS: ts}
+	}
 	for dc := 0; dc < r.cfg.NumDCs; dc++ {
 		if dc == r.cfg.DC {
 			continue
 		}
-		if r.tl != nil && !r.resyncDone[dc] {
+		if r.tl != nil && !r.resyncDone[dc].Load() {
 			// Replication to this DC is held until the restart resync
 			// tail is on its link: a batch or heartbeat overtaking the
 			// tail would advance the peer's version vector past
 			// transactions still in flight behind it. Once the tail is
-			// enqueued, this tick (applyMu-serialized) ships one
-			// dedupe-safe catch-up of everything still unconfirmed —
-			// including this tick's transactions — and normal replication
-			// resumes next tick.
+			// enqueued, this call ships one dedupe-safe catch-up of
+			// everything still unconfirmed — including the batches it was
+			// handed — and normal replication resumes with the next.
 			if !r.resyncTailSent[dc].Load() {
 				continue
 			}
@@ -1664,7 +1838,7 @@ func (r *Runtime) ApplyTick(heartbeat bool) {
 				r.SendBounded(to, m)
 				return true
 			})
-			r.resyncDone[dc] = true
+			r.resyncDone[dc].Store(true)
 			continue
 		}
 		prev := r.replPrev.Load(dc)
@@ -1682,10 +1856,11 @@ func (r *Runtime) ApplyTick(heartbeat bool) {
 			prev = b.Txs[len(b.Txs)-1].CT
 		}
 		r.replPrev.Advance(dc, prev)
-		if heartbeat && !hadCommitted {
+		if hb != nil {
 			r.Send(transport.ServerID(dc, r.cfg.Partition), hb)
 		}
 	}
+	return len(batches) > 0
 }
 
 // gossipLoop runs the protocol's stabilization exchange every ΔG.
@@ -1887,13 +2062,10 @@ func (r *Runtime) txLifecycleTick(now time.Time) {
 // re-acknowledge, so a stall caused by lost acks alone resolves without
 // moving any data.
 func (r *Runtime) liveResyncTick() {
-	r.applyMu.Lock()
-	ready := append([]bool(nil), r.resyncDone...)
-	r.applyMu.Unlock()
 	for dc := 0; dc < r.cfg.NumDCs; dc++ {
-		// Skip peers whose restart resync is still in flight: ApplyTick
-		// owns that replay and gates ordinary replication behind it.
-		if dc == r.cfg.DC || !ready[dc] {
+		// Skip peers whose restart resync is still in flight: ship owns
+		// that replay and gates ordinary replication behind it.
+		if dc == r.cfg.DC || !r.resyncDone[dc].Load() {
 			continue
 		}
 		tail := r.tl.UnreplicatedTail(dc)

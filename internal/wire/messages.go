@@ -238,6 +238,43 @@ func decodeItems(d *Decoder) []Item {
 	return out
 }
 
+// Stab is the stabilization metadata that rides on the five intra-DC
+// transaction messages (SliceReq, SliceResp, PrepareReq, PrepareResp,
+// CommitTx): BiST's two scalars plus the demand rule that keeps an idle
+// partition from pinning the DC's stable time to its ΔR tick.
+//
+// Local and RemoteMin are the sender's PUBLISHED version-clock entries (what
+// a StableBroadcast would carry), never a clock reading. Seen is the highest
+// commit timestamp the sender has heard of; a receiver whose local version
+// clock is below it has something to install. Every field is folded by
+// max-merge, so duplicated, reordered or delayed carriers are harmless. The
+// zero value — Cure and H-Cure stamp nothing — costs one byte on the wire.
+type Stab struct {
+	Local     hlc.Timestamp
+	RemoteMin hlc.Timestamp
+	Seen      hlc.Timestamp
+}
+
+func (s *Stab) encodeTo(e *Encoder) {
+	if *s == (Stab{}) {
+		e.Bool(false)
+		return
+	}
+	e.Bool(true)
+	e.Timestamp(s.Local)
+	e.Timestamp(s.RemoteMin)
+	e.Timestamp(s.Seen)
+}
+
+func (s *Stab) decodeFrom(d *Decoder) {
+	*s = Stab{}
+	if d.Bool() {
+		s.Local = d.Timestamp()
+		s.RemoteMin = d.Timestamp()
+		s.Seen = d.Timestamp()
+	}
+}
+
 // StartTxReq opens a transaction (Alg. 1 line 2). Wren clients piggyback
 // their last seen LST/RST; Cure clients piggyback their dependency vector.
 type StartTxReq struct {
@@ -467,6 +504,7 @@ type SliceReq struct {
 	LT    hlc.Timestamp
 	RT    hlc.Timestamp
 	SV    []hlc.Timestamp
+	Stab  Stab
 }
 
 // Kind implements Message.
@@ -481,6 +519,7 @@ func (m *SliceReq) encodeTo(e *Encoder) {
 	e.Timestamp(m.LT)
 	e.Timestamp(m.RT)
 	e.Timestamps(m.SV)
+	m.Stab.encodeTo(e)
 }
 
 func (m *SliceReq) decodeFrom(d *Decoder) {
@@ -489,6 +528,7 @@ func (m *SliceReq) decodeFrom(d *Decoder) {
 	m.LT = d.Timestamp()
 	m.RT = d.Timestamp()
 	m.SV = d.Timestamps()
+	m.Stab.decodeFrom(d)
 }
 
 // SliceResp returns the freshest visible versions for a slice read.
@@ -496,6 +536,7 @@ type SliceResp struct {
 	ReqID         uint64
 	Items         []Item
 	BlockedMicros int64 // time the read spent blocked (Cure/H-Cure)
+	Stab          Stab
 }
 
 // Kind implements Message.
@@ -508,12 +549,14 @@ func (m *SliceResp) encodeTo(e *Encoder) {
 	e.Uvarint(m.ReqID)
 	encodeItems(e, m.Items)
 	e.Uvarint(uint64(m.BlockedMicros))
+	m.Stab.encodeTo(e)
 }
 
 func (m *SliceResp) decodeFrom(d *Decoder) {
 	m.ReqID = d.Uvarint()
 	m.Items = decodeItems(d)
 	m.BlockedMicros = int64(d.Uvarint())
+	m.Stab.decodeFrom(d)
 }
 
 // PrepareReq is the first phase of the 2PC commit (Alg. 2 line 22).
@@ -525,6 +568,7 @@ type PrepareReq struct {
 	HT     hlc.Timestamp // max timestamp seen by the client
 	SV     []hlc.Timestamp
 	Writes []KV
+	Stab   Stab
 }
 
 // Kind implements Message.
@@ -541,6 +585,7 @@ func (m *PrepareReq) encodeTo(e *Encoder) {
 	e.Timestamp(m.HT)
 	e.Timestamps(m.SV)
 	encodeKVs(e, m.Writes)
+	m.Stab.encodeTo(e)
 }
 
 func (m *PrepareReq) decodeFrom(d *Decoder) {
@@ -551,6 +596,7 @@ func (m *PrepareReq) decodeFrom(d *Decoder) {
 	m.HT = d.Timestamp()
 	m.SV = d.Timestamps()
 	m.Writes = decodeKVs(d)
+	m.Stab.decodeFrom(d)
 }
 
 // PrepareResp carries the cohort's proposed commit timestamp, or a
@@ -561,6 +607,7 @@ type PrepareResp struct {
 	TxID  uint64
 	PT    hlc.Timestamp
 	Err   string
+	Stab  Stab
 }
 
 // Kind implements Message.
@@ -574,6 +621,7 @@ func (m *PrepareResp) encodeTo(e *Encoder) {
 	e.Uvarint(m.TxID)
 	e.Timestamp(m.PT)
 	e.String(m.Err)
+	m.Stab.encodeTo(e)
 }
 
 func (m *PrepareResp) decodeFrom(d *Decoder) {
@@ -581,6 +629,7 @@ func (m *PrepareResp) decodeFrom(d *Decoder) {
 	m.TxID = d.Uvarint()
 	m.PT = d.Timestamp()
 	m.Err = d.String()
+	m.Stab.decodeFrom(d)
 }
 
 // CommitTx is the second phase of the 2PC commit (Alg. 2 line 26). A zero
@@ -591,6 +640,7 @@ func (m *PrepareResp) decodeFrom(d *Decoder) {
 type CommitTx struct {
 	TxID uint64
 	CT   hlc.Timestamp
+	Stab Stab
 }
 
 // Kind implements Message.
@@ -602,11 +652,13 @@ func (*CommitTx) Class() Class { return ClassTransaction }
 func (m *CommitTx) encodeTo(e *Encoder) {
 	e.Uvarint(m.TxID)
 	e.Timestamp(m.CT)
+	m.Stab.encodeTo(e)
 }
 
 func (m *CommitTx) decodeFrom(d *Decoder) {
 	m.TxID = d.Uvarint()
 	m.CT = d.Timestamp()
+	m.Stab.decodeFrom(d)
 }
 
 // ReplTx is one committed transaction inside a replication batch.

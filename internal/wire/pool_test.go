@@ -13,10 +13,11 @@ func TestPooledMessagesResetOnPut(t *testing.T) {
 	req.Keys = append(req.Keys[:0], "a", "b")
 	sv := []hlc.Timestamp{1, 2, 3}
 	req.SV = sv
+	req.Stab = Stab{Local: 30, RemoteMin: 20, Seen: 40}
 	PutSliceReq(req)
 
 	got := GetSliceReq()
-	if got.ReqID != 0 || got.LT != 0 || got.RT != 0 || len(got.Keys) != 0 || got.SV != nil {
+	if got.ReqID != 0 || got.LT != 0 || got.RT != 0 || len(got.Keys) != 0 || got.SV != nil || got.Stab != (Stab{}) {
 		t.Fatalf("pooled SliceReq not reset: %+v", got)
 	}
 	// The SV backing array must never be recycled: it aliases a
@@ -31,8 +32,9 @@ func TestPooledMessagesResetOnPut(t *testing.T) {
 	resp.ReqID = 9
 	resp.BlockedMicros = 5
 	resp.Items = append(resp.Items[:0], Item{Key: "k", Value: []byte("v")})
+	resp.Stab = Stab{Local: 30, RemoteMin: 20, Seen: 40}
 	PutSliceResp(resp)
-	if got := GetSliceResp(); got.ReqID != 0 || got.BlockedMicros != 0 || len(got.Items) != 0 {
+	if got := GetSliceResp(); got.ReqID != 0 || got.BlockedMicros != 0 || len(got.Items) != 0 || got.Stab != (Stab{}) {
 		t.Fatalf("pooled SliceResp not reset: %+v", got)
 	}
 

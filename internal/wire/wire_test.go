@@ -273,3 +273,41 @@ func TestDecoderErrorsStick(t *testing.T) {
 		t.Error("reads after error should return zero values")
 	}
 }
+
+// TestStabOnCarriers pins the stabilization metadata on the five intra-DC
+// transaction messages that carry it: a stamp round-trips on each, costs 24
+// bytes over an unstamped message, and the zero value — what Cure and
+// H-Cure send — is a single trailing zero byte.
+func TestStabOnCarriers(t *testing.T) {
+	stab := Stab{Local: ts(500, 1), RemoteMin: ts(400, 2), Seen: ts(600, 3)}
+	carriers := []struct {
+		bare, stamped Message
+	}{
+		{&SliceReq{ReqID: 1, Keys: []string{"k"}, LT: ts(5, 0), RT: ts(4, 0)},
+			&SliceReq{ReqID: 1, Keys: []string{"k"}, LT: ts(5, 0), RT: ts(4, 0), Stab: stab}},
+		{&SliceResp{ReqID: 2, Items: []Item{{Key: "k", Value: []byte("v"), UT: ts(9, 9)}}},
+			&SliceResp{ReqID: 2, Items: []Item{{Key: "k", Value: []byte("v"), UT: ts(9, 9)}}, Stab: stab}},
+		{&PrepareReq{ReqID: 3, TxID: 9, HT: ts(3, 3), Writes: []KV{{Key: "w", Value: []byte("z")}}},
+			&PrepareReq{ReqID: 3, TxID: 9, HT: ts(3, 3), Writes: []KV{{Key: "w", Value: []byte("z")}}, Stab: stab}},
+		{&PrepareResp{ReqID: 4, TxID: 9, PT: ts(7, 7)},
+			&PrepareResp{ReqID: 4, TxID: 9, PT: ts(7, 7), Stab: stab}},
+		{&CommitTx{TxID: 9, CT: ts(8, 8)},
+			&CommitTx{TxID: 9, CT: ts(8, 8), Stab: stab}},
+	}
+	for _, c := range carriers {
+		roundTrip(t, c.bare)
+		roundTrip(t, c.stamped)
+		if got := Size(c.stamped) - Size(c.bare); got != 24 {
+			t.Errorf("%v: a stamp costs %d bytes over the zero value, want 24", c.bare.Kind(), got)
+		}
+		if payload := Encode(c.bare); payload[len(payload)-1] != 0 {
+			t.Errorf("%v: the zero Stab must encode as one trailing zero byte, payload ends % x", c.bare.Kind(), payload[len(payload)-4:])
+		}
+	}
+	// One carrier to the byte: TxID varint (1) + CT (8) + absent Stab (1).
+	if got := len(Encode(&CommitTx{TxID: 9, CT: ts(8, 8)})); got != 10 {
+		t.Errorf("unstamped CommitTx payload is %d bytes, want 10", got)
+	}
+	// A partly filled stamp is not the zero value.
+	roundTrip(t, &CommitTx{TxID: 9, CT: ts(8, 8), Stab: Stab{Seen: ts(1, 0)}})
+}

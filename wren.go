@@ -88,9 +88,15 @@ type Config struct {
 	UseAWSLatencies bool
 	// ClockSkew is the maximum simulated NTP offset per server.
 	ClockSkew time.Duration
-	// ApplyInterval is ΔR, the apply/replication period (default 5ms).
+	// ApplyInterval is ΔR, the idle fallback period of apply and
+	// replication (default 5ms): commits are applied and shipped as they are
+	// decided, the timer covers partitions that hear nothing and paces
+	// their heartbeats.
 	ApplyInterval time.Duration
-	// GossipInterval is ΔG, the stabilization period (default 5ms).
+	// GossipInterval is ΔG, the idle fallback period of stabilization
+	// (default 5ms): Wren's stable times travel on the transactions' own
+	// messages, the timer covers partitions that exchange none (and all of
+	// Cure's vector gossip).
 	GossipInterval time.Duration
 	// GCInterval is the version garbage-collection period (default 500ms;
 	// negative disables).
