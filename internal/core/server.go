@@ -679,6 +679,9 @@ func (s *Server) handleScanReq(from transport.NodeID, m *wire.ScanReq) {
 	s.rst.Advance(m.RT)
 
 	resp := &wire.ScanResp{ReqID: m.ReqID}
+	if m.Limit > 0 {
+		resp.Items = make([]wire.Item, 0, min(m.Limit, 1024))
+	}
 	rs := s.readPool.Get().(*readScratch)
 	rs.pred.lt, rs.pred.rt = m.LT, m.RT
 	// A scan error means a failed storage backend; it already surfaces

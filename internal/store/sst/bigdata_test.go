@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"wren/internal/hlc"
 	"wren/internal/store"
@@ -355,6 +356,130 @@ func TestScanStreamsAcrossTiers(t *testing.T) {
 		}
 		if gotVals[i] != want {
 			t.Fatalf("key %s scanned %q, want %q", k, gotVals[i], want)
+		}
+	}
+}
+
+// TestScanTakesNoEngineLock: a scan pins its run files the way point reads
+// do, so it completes while a flush, compaction or GC pass holds flushMu —
+// on a server the scan runs on its link's reader goroutine, and every frame
+// behind it would wait too.
+func TestScanTakesNoEngineLock(t *testing.T) {
+	e := mustOpen(t, Options{Dir: t.TempDir(), Shards: 2, Fsync: wal.FsyncNever, FlushBytes: -1, CompactRuns: -1})
+	defer e.Close()
+	fillRun(t, e, "a-", 64, 16, 10)
+	fillRun(t, e, "b-", 64, 16, 100)
+	e.Put("c-000000", v("mem", 500, 1))
+
+	e.flushMu.Lock()
+	defer e.flushMu.Unlock()
+	done := make(chan int, 1)
+	go func() {
+		n := 0
+		_ = e.Scan("", "", alwaysVisible, func(string, *store.Version) bool { n++; return true })
+		done <- n
+	}()
+	select {
+	case n := <-done:
+		if n != 129 {
+			t.Fatalf("scan yielded %d keys, want 129", n)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Scan waits for flushMu")
+	}
+}
+
+// TestScanRacesCompaction: runs are retired (and their files deleted)
+// under a scan that pinned them, and under one that is pinning them; every
+// scan still yields each key exactly once, in order.
+func TestScanRacesCompaction(t *testing.T) {
+	e := mustOpen(t, Options{Dir: t.TempDir(), Shards: 2, Fsync: wal.FsyncNever, FlushBytes: -1, CompactRuns: -1, BlockBytes: 512})
+	defer e.Close()
+	const nKeys = 300
+	key := func(i int) string { return fmt.Sprintf("k-%04d", i) }
+	for i := 0; i < nKeys; i++ {
+		e.Put(key(i), v("v0", hlc.Timestamp(1+i), uint64(i)))
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	compactor := make(chan error, 1)
+	go func() {
+		ut := hlc.Timestamp(10_000)
+		for round := 0; ; round++ {
+			select {
+			case <-stop:
+				compactor <- nil
+				return
+			default:
+			}
+			for i := round % 7; i < nKeys; i += 7 {
+				ut++
+				e.Put(key(i), v("v", ut, uint64(ut)))
+			}
+			if err := e.Flush(); err != nil {
+				compactor <- err
+				return
+			}
+			e.GCStats(ut)
+			e.Compact()
+		}
+	}()
+	for scan := 0; scan < 200 || e.Metrics().Compactions() < 20; scan++ {
+		next := 0
+		err := e.Scan("", "", alwaysVisible, func(k string, _ *store.Version) bool {
+			if k != key(next) {
+				t.Fatalf("scan %d yielded %s at position %d, want %s", scan, k, next, key(next))
+			}
+			next++
+			return true
+		})
+		if err != nil || next != nKeys {
+			t.Fatalf("scan %d yielded %d of %d keys (err %v)", scan, next, nKeys, err)
+		}
+	}
+	close(stop)
+	if err := <-compactor; err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Healthy(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkScanLimit64 is the benchmark workload's scan: a 4 k-key
+// memtable over one run of the same keys, stopped after 64.
+func BenchmarkScanLimit64(b *testing.B) {
+	e, err := Open(Options{Dir: b.TempDir(), Shards: 64, Fsync: wal.FsyncNever, FlushBytes: -1, CompactRuns: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	const nKeys = 4096
+	val := make([]byte, 1024)
+	kvs := make([]store.KV, nKeys)
+	for round := 0; round < 2; round++ { // round 0 is flushed, round 1 stays in the memtable
+		for i := range kvs {
+			ut := hlc.Timestamp(1 + round*nKeys + i)
+			kvs[i] = store.KV{Key: fmt.Sprintf("k-%06d", i), Version: &store.Version{Value: val, UT: ut, RDT: ut, TxID: uint64(ut)}}
+		}
+		e.PutBatch(kvs)
+		if round == 0 {
+			if err := e.Flush(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		start := fmt.Sprintf("k-%06d", (i*997)%(nKeys-64))
+		_ = e.Scan(start, "", alwaysVisible, func(string, *store.Version) bool { n++; return n < 64 })
+		if n != 64 {
+			b.Fatalf("scan yielded %d keys", n)
 		}
 	}
 }

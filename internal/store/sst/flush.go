@@ -91,6 +91,9 @@ func (e *Engine) flushLocked() error {
 		sh.Size = 0
 		sh.Dirty = false
 		sh.Failed = false // the fresh generation file repairs a frozen shard log
+		// The listed writes are all in the memtable being frozen, and
+		// writeRun settles every key of it.
+		e.written[si] = e.written[si][:0]
 	}
 	e.gen = newGen
 	e.minGen = newGen
@@ -175,6 +178,8 @@ func (e *Engine) unfreeze(frozen *store.Store, frozenMin uint64) {
 	e.tabs.Store(&tables{active: cur.active, frozen: nil, runs: cur.runs})
 	e.minGen = frozenMin
 	e.memBytes.Add(bytes)
+	// The freeze discarded the write lists and no run took the keys over.
+	e.gcStream = true
 }
 
 // writeRun writes the frozen memtable as one immutable sorted run file
@@ -183,6 +188,12 @@ func (e *Engine) unfreeze(frozen *store.Store, frozenMin uint64) {
 // blocked and footered by the run writer. The file is written to a temp
 // name, fsynced, atomically renamed into place and the directory synced —
 // only then may the WAL generations it covers be deleted.
+//
+// The freeze dropped the write lists, so this is where a flushed key
+// reaches the GC pending set: it is unsettled when its chain here has more
+// than one version or ends in a tombstone, or when an older run may hold
+// more of it. Any other key has exactly one live version, a value, and no
+// floor can prune that. Caller holds flushMu.
 func (e *Engine) writeRun(frozen *store.Store, minGen, maxGen uint64) (*run, error) {
 	keys := make([]string, 0, frozen.Keys())
 	frozen.ForEachKey(func(k string) { keys = append(keys, k) })
@@ -191,11 +202,16 @@ func (e *Engine) writeRun(frozen *store.Store, minGen, maxGen uint64) (*run, err
 	if err != nil {
 		return nil, err
 	}
+	older := e.tabs.Load().runs
 	var chain []*store.Version
 	for _, k := range keys {
 		chain = frozen.ChainInto(k, chain[:0])
 		w.addChain(k, chain)
+		if len(chain) > 1 || chain[len(chain)-1].Value == nil || mayHold(older, k) {
+			e.pending[k] = struct{}{}
+		}
 	}
+	e.metrics.gcPending.Store(int64(len(e.pending)))
 	fileSize, dataSize, err := w.finish()
 	if err != nil {
 		return nil, err
@@ -382,14 +398,7 @@ func (e *Engine) compactLocked(inputs []*run) {
 			sort.Slice(merged, func(a, b int) bool { return merged[a].Less(merged[b]) })
 			w.addChain(key, merged)
 		} else if lastFull != nil && lastFull.Value == nil {
-			shadow := false
-			for _, o := range outside {
-				if o.filter.mayContain(key) {
-					shadow = true
-					break
-				}
-			}
-			if shadow {
+			if mayHold(outside, key) {
 				merged = append(merged, lastFull)
 				w.addChain(key, merged)
 				outCuts[key]++
@@ -487,6 +496,17 @@ func (e *Engine) compactLocked(inputs []*run) {
 	})
 }
 
+// mayHold reports whether any of runs may hold key in its file (Bloom
+// filters: no false negatives).
+func mayHold(runs []*run, key string) bool {
+	for _, r := range runs {
+		if r.filter.mayContain(key) {
+			return true
+		}
+	}
+	return false
+}
+
 func sortRunsNewestFirst(runs []*run) []*run {
 	sort.Slice(runs, func(i, j int) bool { return runs[i].maxGen > runs[j].maxGen })
 	return runs
@@ -497,61 +517,121 @@ func sortRunsNewestFirst(runs []*run) []*run {
 // runs, each tier's own "newest version with UT ≤ oldest" differs from
 // the global one, and pruning tiers independently would keep one extra
 // version per tier and break the exact accounting the Engine contract
-// promises. The pass therefore streams a k-way merge of the run files
-// (one block buffer each — run data is not resident) against the sorted
-// memtable key set, computes the global base per key — the newest version
-// with UT ≤ oldest across all tiers — prunes the memtable through
-// PruneChain, and extends the per-run overlay cuts, publishing cloned run
-// structs wholesale so concurrent readers stay lock-free. Run FILES keep
-// the garbage until compaction rewrites them; the cut totals feed that
-// trigger.
+// promises. gcPass.visit is that decision; what a pass costs is decided by
+// which keys it visits.
+//
+// A pass visits the keys written since the last pass plus the pending set
+// — the keys an earlier pass (or a flush) left unsettled. A key is
+// unsettled while more than one live version of it exists across the
+// memtable and the runs, or its only live version is a tombstone; any
+// other key holds at most one version, a value, and no floor can prune it
+// until it is written again. Two rules keep that complete:
+//
+//   - A key MUST stay pending while a later floor could still prune it; it
+//     MUST NOT leave the set on anything but visit's own verdict.
+//   - A write MUST reach the next pass's candidates (the write lists) or a
+//     run's pending rule (writeRun) before the memtable that holds it is
+//     retired; the lists MUST NOT be dropped anywhere else.
+//
+// Each run is read through one forward cursor that jumps through the fence
+// index to the candidate's block, and not at all where its Bloom filter
+// rules the key out, so the pass costs what was written, not what is
+// stored. The exception is the first pass after Open found run files: the
+// overlay cuts are not persisted, so that pass streams every run once to
+// rebuild them (and the pending set) exactly as a pass always did; a failed
+// flush asks for the same.
+//
+// The memtable is pruned through PruneChain, the runs through the per-run
+// overlay cuts, published as cloned run structs wholesale so concurrent
+// readers stay lock-free. Run FILES keep the garbage until compaction
+// rewrites them; the cut totals feed that trigger.
 func (e *Engine) GCStats(oldest hlc.Timestamp) store.GCResult {
 	e.flushMu.Lock()
 	defer e.flushMu.Unlock()
+	written := e.drainWritten()
 	res := store.GCResult{PerShard: make([]int, e.nShards)}
 	tabs := e.tabs.Load()
 	if tabs.frozen != nil {
 		return res // only after a simulated-crash hook; never in production
 	}
-	active := tabs.active
 	if len(tabs.runs) == 0 {
 		// Pure-memtable tiering: the striped store's own GC has identical
-		// semantics and accounting.
-		res = active.GCStats(oldest)
-		return res
+		// semantics and accounting. Whatever it leaves unsettled is in the
+		// memtable, and the flush that retires it applies writeRun's rule.
+		clear(e.pending)
+		e.metrics.gcPending.Store(0)
+		return tabs.active.GCStats(oldest)
 	}
 
+	n := len(tabs.runs)
+	p := &gcPass{
+		e: e, tabs: tabs, oldest: oldest, res: res,
+		iters: make([]*runIterator, n), at: make([]bool, n),
+		newCuts: make([]map[string]int, n), addCut: make([]int, n), addDead: make([]int, n),
+	}
+	for i, r := range tabs.runs {
+		p.iters[i] = newRunIterator(e, r) // nil = retired: impossible under flushMu, but stay safe
+	}
+	if e.gcStream {
+		e.gcStream = false
+		clear(e.pending) // visit rebuilds it
+		p.streamAll()
+	} else {
+		for _, k := range written {
+			e.pending[k] = struct{}{} // a hot key written 1 000 times is one visit
+		}
+		keys := make([]string, 0, len(e.pending))
+		for k := range e.pending {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		p.seekEach(keys)
+	}
+	for _, it := range p.iters {
+		if it != nil {
+			it.close()
+		}
+	}
+	e.metrics.gcPending.Store(int64(len(e.pending)))
+	p.publishCuts()
+	for _, removed := range p.res.PerShard {
+		p.res.Removed += removed
+	}
+	e.maybeCompactLocked()
+	return p.res
+}
+
+// gcPass is the state of one GCStats call over a tiering with runs: one
+// cursor per run, the overlay cuts it extends, the accounting. Caller holds
+// flushMu throughout.
+type gcPass struct {
+	e      *Engine
+	tabs   *tables
+	oldest hlc.Timestamp
+	res    store.GCResult
+
+	iters []*runIterator // one per tabs.runs entry
+	at    []bool         // iters[i] is positioned on the key being visited
+
+	newCuts []map[string]int // nil = run unchanged
+	addCut  []int
+	addDead []int
+
+	scratch []*store.Version
+}
+
+// streamAll visits every key of every tier: a k-way merge of the run files
+// (one block buffer each — run data is not resident) against the sorted
+// memtable key set.
+func (p *gcPass) streamAll() {
+	active := p.tabs.active
 	memKeys := make([]string, 0, active.Keys())
 	active.ForEachKey(func(k string) { memKeys = append(memKeys, k) })
 	sort.Strings(memKeys)
-
-	iters := make([]*runIterator, len(tabs.runs))
-	live := make([]bool, len(tabs.runs))
-	for i, r := range tabs.runs {
-		if it := newRunIterator(e, r); it != nil {
-			iters[i] = it
-			live[i] = it.next()
-		}
+	live := make([]bool, len(p.iters))
+	for i, it := range p.iters {
+		live[i] = it != nil && it.next()
 	}
-	defer func() {
-		for _, it := range iters {
-			if it != nil {
-				it.close()
-			}
-		}
-	}()
-
-	newCuts := make([]map[string]int, len(tabs.runs)) // nil = run unchanged
-	addCut := make([]int, len(tabs.runs))
-	addDead := make([]int, len(tabs.runs))
-	cutFor := func(ri int, key string) int {
-		if m := newCuts[ri]; m != nil {
-			return m[key]
-		}
-		return tabs.runs[ri].cuts[key]
-	}
-
-	var scratch []*store.Version
 	mi := 0
 	for {
 		key := ""
@@ -559,60 +639,89 @@ func (e *Engine) GCStats(oldest hlc.Timestamp) store.GCResult {
 		if mi < len(memKeys) {
 			key, have = memKeys[mi], true
 		}
-		for i, it := range iters {
+		for i, it := range p.iters {
 			if live[i] && (!have || it.key < key) {
 				key, have = it.key, true
 			}
 		}
 		if !have {
-			break
+			return
 		}
+		for i, it := range p.iters {
+			p.at[i] = live[i] && it.key == key
+		}
+		p.visit(key)
+		if mi < len(memKeys) && memKeys[mi] == key {
+			mi++
+		}
+		for i, it := range p.iters {
+			if p.at[i] {
+				live[i] = it.next()
+			}
+		}
+	}
+}
 
-		scratch = active.ChainInto(key, scratch[:0])
-		memLen := len(scratch)
-		var base, newest *store.Version
-		scan := func(chain []*store.Version) {
-			if len(chain) == 0 {
-				return
-			}
-			if t := chain[len(chain)-1]; newest == nil || newest.Less(t) {
-				newest = t
-			}
-			for i := len(chain) - 1; i >= 0; i-- {
-				if chain[i].UT <= oldest {
-					if base == nil || base.Less(chain[i]) {
-						base = chain[i]
-					}
-					break
-				}
-			}
+// seekEach visits the given keys (ascending): each run's cursor jumps to
+// the key's block, and a run whose filter rules the key out is not read.
+func (p *gcPass) seekEach(keys []string) {
+	for _, key := range keys {
+		for i, it := range p.iters {
+			p.at[i] = it != nil && it.r.filter.mayContain(key) && it.advanceTo(key) && it.key == key
 		}
-		scan(scratch)
-		fileHasKey := false
-		for i, it := range iters {
-			if !live[i] || it.key != key {
-				continue
-			}
-			fileHasKey = true
-			if cut := cutFor(i, key); cut < len(it.chain) {
-				scan(it.chain[cut:])
-			}
-		}
+		p.visit(key)
+	}
+}
 
-		advance := func() {
-			if mi < len(memKeys) && memKeys[mi] == key {
-				mi++
-			}
-			for i, it := range iters {
-				if live[i] && it.key == key {
-					live[i] = it.next()
+// cutFor is the overlay cut of key in run ri as this pass has it so far.
+func (p *gcPass) cutFor(ri int, key string) int {
+	if m := p.newCuts[ri]; m != nil {
+		return m[key]
+	}
+	return p.tabs.runs[ri].cuts[key]
+}
+
+// visit makes the GC decision for one key — the runs holding it are the
+// cursors marked in p.at — and files the key as pending or settled. It
+// computes the global base (the newest version with UT ≤ oldest across all
+// tiers), prunes the memtable and extends the runs' cuts below it.
+func (p *gcPass) visit(key string) {
+	e, active, oldest := p.e, p.tabs.active, p.oldest
+	e.metrics.gcVisited.Add(1)
+	p.scratch = active.ChainInto(key, p.scratch[:0])
+	memLen := len(p.scratch)
+	var base, newest *store.Version
+	scan := func(chain []*store.Version) {
+		if len(chain) == 0 {
+			return
+		}
+		if t := chain[len(chain)-1]; newest == nil || newest.Less(t) {
+			newest = t
+		}
+		for i := len(chain) - 1; i >= 0; i-- {
+			if chain[i].UT <= oldest {
+				if base == nil || base.Less(chain[i]) {
+					base = chain[i]
 				}
+				break
 			}
 		}
-		if base == nil {
-			advance() // every surviving version is newer than the snapshot
+	}
+	scan(p.scratch)
+	liveVersions := memLen
+	fileHasKey := false
+	for i, it := range p.iters {
+		if !p.at[i] {
 			continue
 		}
+		fileHasKey = true
+		if cut := p.cutFor(i, key); cut < len(it.chain) {
+			scan(it.chain[cut:])
+			liveVersions += len(it.chain) - cut
+		}
+	}
+	removed := 0
+	if base != nil { // else every surviving version is newer than the snapshot
 		// The stable snapshot base is a tombstone and nothing newer exists
 		// in any tier: every reader would see "not found" — drop the whole
 		// chain. The drop is bounded by base (see store.ChainCut): a write
@@ -630,12 +739,12 @@ func (e *Engine) GCStats(oldest hlc.Timestamp) store.GCResult {
 		// hold it) and leaves the disk when compaction rewrites the files.
 		dropWhole := base.Value == nil && base == newest
 		memDrop := dropWhole && !fileHasKey
-		removed := active.PruneChain(key, base, memDrop)
-		for i, it := range iters {
-			if !live[i] || it.key != key {
+		removed = active.PruneChain(key, base, memDrop)
+		for i, it := range p.iters {
+			if !p.at[i] {
 				continue
 			}
-			prior := cutFor(i, key)
+			prior := p.cutFor(i, key)
 			if prior >= len(it.chain) {
 				continue // already fully cut
 			}
@@ -643,53 +752,58 @@ func (e *Engine) GCStats(oldest hlc.Timestamp) store.GCResult {
 			if cut == 0 {
 				continue
 			}
-			if newCuts[i] == nil {
-				r := tabs.runs[i]
-				newCuts[i] = make(map[string]int, len(r.cuts)+1)
+			if p.newCuts[i] == nil {
+				r := p.tabs.runs[i]
+				p.newCuts[i] = make(map[string]int, len(r.cuts)+1)
 				for k, c := range r.cuts {
-					newCuts[i][k] = c
+					p.newCuts[i][k] = c
 				}
 			}
-			newCuts[i][key] = prior + cut
-			addCut[i] += cut
+			p.newCuts[i][key] = prior + cut
+			p.addCut[i] += cut
 			removed += cut
 			if prior+cut >= len(it.chain) {
-				addDead[i]++
+				p.addDead[i]++
 			}
 		}
 		if removed > 0 {
-			res.PerShard[store.Fingerprint(key)&e.mask] += removed
+			p.res.PerShard[store.Fingerprint(key)&e.mask] += removed
 		}
 		// The chain counts as dropped once no in-memory tier shows it:
 		// either the memtable side was allowed to drop, or the chain
 		// lived only in run files (all of which dropWhole just cut).
 		if dropWhole && (memDrop || memLen == 0) {
-			res.DroppedKeys++
+			p.res.DroppedKeys++
 		}
-		advance()
 	}
+	// What survives is base and everything newer, newest among it. A
+	// write racing in since the snapshot is in the next pass's lists.
+	if left := liveVersions - removed; left > 1 || (left == 1 && newest.Value == nil) {
+		e.pending[key] = struct{}{}
+	} else {
+		delete(e.pending, key)
+	}
+}
 
+// publishCuts swaps in cloned run structs for the runs whose overlay this
+// pass extended.
+func (p *gcPass) publishCuts() {
 	changed := false
-	newRuns := make([]*run, len(tabs.runs))
-	for ri, r := range tabs.runs {
-		if newCuts[ri] == nil {
+	newRuns := make([]*run, len(p.tabs.runs))
+	for ri, r := range p.tabs.runs {
+		if p.newCuts[ri] == nil {
 			newRuns[ri] = r
 			continue
 		}
 		changed = true
 		nr := *r // shares the refcounted file; the overlay is replaced wholesale
-		nr.cuts = newCuts[ri]
-		nr.cutTotal = r.cutTotal + addCut[ri]
-		nr.deadKeys = r.deadKeys + addDead[ri]
+		nr.cuts = p.newCuts[ri]
+		nr.cutTotal = r.cutTotal + p.addCut[ri]
+		nr.deadKeys = r.deadKeys + p.addDead[ri]
 		newRuns[ri] = &nr
 	}
 	if changed {
-		cur := e.tabs.Load()
-		e.tabs.Store(&tables{active: cur.active, frozen: cur.frozen, runs: newRuns})
+		cur := p.e.tabs.Load()
+		p.e.tabs.Store(&tables{active: cur.active, frozen: cur.frozen, runs: newRuns})
 	}
-	for _, n := range res.PerShard {
-		res.Removed += n
-	}
-	e.maybeCompactLocked()
-	return res
 }

@@ -25,7 +25,8 @@ func (e *Engine) onErr(err error) { e.recordErr(fmt.Errorf("sst: %w", err)) }
 
 // Put implements store.Engine.
 func (e *Engine) Put(key string, v *store.Version) {
-	sh := e.shards[store.Fingerprint(key)&e.mask]
+	si := store.Fingerprint(key) & e.mask
+	sh := e.shards[si]
 	sh.Mu.Lock()
 	sh.Enc.Reset()
 	logrec.Append(sh.Enc, key, v)
@@ -33,6 +34,7 @@ func (e *Engine) Put(key string, v *store.Version) {
 	// The memtable insert happens under the WAL shard lock, so a freeze
 	// can never interleave between the log append and the insert.
 	e.tabs.Load().active.Put(key, v)
+	e.written[si] = append(e.written[si], key)
 	sh.Mu.Unlock()
 	if e.fsync == wal.FsyncAlways {
 		e.Sync()
@@ -60,6 +62,7 @@ func (e *Engine) PutBatch(kvs []store.KV) {
 		for _, kv := range group {
 			logrec.Append(sh.Enc, kv.Key, kv.Version)
 			bytes += writeSize(kv.Key, kv.Version)
+			e.written[id] = append(e.written[id], kv.Key)
 		}
 		sh.AppendLocked(e.onErr)
 		e.tabs.Load().active.PutBatch(group)
@@ -81,6 +84,22 @@ func (e *Engine) Sync() {
 	e.syncMu.Lock()
 	defer e.syncMu.Unlock()
 	e.metrics.syncs.Add(int64(shardlog.SyncDirty(e.shards, e.onErr)))
+}
+
+// drainWritten hands the caller (a GC pass) every stripe's list of keys
+// written since the last pass, leaving the lists empty. One shard lock at
+// a time: a key is appended under the lock its memtable insert happens
+// under, so a drained key's version is already readable and a later one
+// lands in the next pass's lists.
+func (e *Engine) drainWritten() []string {
+	var keys []string
+	for si, sh := range e.shards {
+		sh.Mu.Lock()
+		keys = append(keys, e.written[si]...)
+		e.written[si] = e.written[si][:0]
+		sh.Mu.Unlock()
+	}
+	return keys
 }
 
 // noteWrite tracks the approximate memtable size and schedules a

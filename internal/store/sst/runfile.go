@@ -512,7 +512,8 @@ func (e *Engine) countKey(r *run, key string) (int, bool) {
 // a time, yielding each key's full file chain (overlay cuts are the
 // caller's to apply — GC accounting needs the full chain, scans need the
 // cut one). The iterator holds a file reference from newRunIterator until
-// close.
+// close. It only moves forward: next steps to the following key,
+// advanceTo jumps through the fence index to the block of a later one.
 type runIterator struct {
 	e   *Engine
 	r   *run
@@ -521,25 +522,18 @@ type runIterator struct {
 	blk []byte // unparsed remainder of the current block
 
 	key   string
-	chain []*store.Version
+	chain []*store.Version // non-empty exactly while positioned on key
 
 	pkey string // first record of the next key, parsed past the boundary
 	pv   *store.Version
 	pok  bool
 
-	staged *stagedKey // key re-staged by seek, yielded before any parsing
-	err    error
-}
-
-// stagedKey holds a fully-parsed key that seek overshot and re-staged.
-type stagedKey struct {
-	key   string
-	chain []*store.Version
+	err error
 }
 
 // newRunIterator acquires the run's file. It returns nil only when the
-// run was already retired (impossible under flushMu, which serializes
-// retirement).
+// run was already retired: impossible under flushMu, which serializes
+// retirement; a caller without it reloads the tables and retries.
 func newRunIterator(e *Engine, r *run) *runIterator {
 	if !r.file.acquire() {
 		return nil
@@ -549,19 +543,34 @@ func newRunIterator(e *Engine, r *run) *runIterator {
 
 func (it *runIterator) close() { it.r.file.release() }
 
-// seek positions the iterator so the next call to next yields the first
-// key >= start: jump to the fence block that may hold start, then walk
-// forward, re-staging the first key that qualifies.
-func (it *runIterator) seek(start string) {
-	if bi := it.r.fenceFor(start); bi > 0 {
-		it.bi = bi
+// advanceTo positions the iterator on the first key >= key at or after
+// its current position and reports whether there is one. When the fence
+// index places key in a block not loaded yet, everything in between is
+// skipped unread: the cost is the target block (plus the next one when
+// key's chain ends its block — next parses one record past the boundary),
+// not the distance travelled.
+func (it *runIterator) advanceTo(key string) bool {
+	if len(it.chain) > 0 && it.key >= key {
+		return true
 	}
-	for it.next() {
-		if it.key >= start {
-			it.staged = &stagedKey{key: it.key, chain: append([]*store.Version(nil), it.chain...)}
-			return
+	if bi := it.r.fenceFor(key); bi >= it.bi {
+		// The rest of the loaded block and the lookahead record all sort
+		// before fences[bi].firstKey <= key.
+		it.bi, it.blk, it.pok = bi, nil, false
+	}
+	// Walk up to key inside the block without materializing what is
+	// skipped: only the record's leading key field is looked at.
+	if it.pok && it.pkey < key {
+		it.pok = false
+	}
+	for !it.pok {
+		payload, ok := it.frame()
+		if !ok || string(wire.NewDecoder(payload).BytesField()) >= key {
+			break
 		}
+		it.blk = it.blk[logrec.HeaderSize+len(payload):]
 	}
+	return it.next()
 }
 
 // next advances to the next key, filling it.key and it.chain (reused
@@ -569,11 +578,6 @@ func (it *runIterator) seek(start string) {
 // false at the end of the run or on a corrupt record (surfaced via
 // it.err and the engine health signal).
 func (it *runIterator) next() bool {
-	if it.staged != nil {
-		it.key, it.chain = it.staged.key, it.staged.chain
-		it.staged = nil
-		return true
-	}
 	it.chain = it.chain[:0]
 	if it.err != nil {
 		return false
@@ -603,12 +607,15 @@ func (it *runIterator) next() bool {
 	}
 }
 
-// record parses one version record, loading the next block when the
-// current one is exhausted.
-func (it *runIterator) record() (string, *store.Version, bool) {
+// frame returns the payload of the next record without consuming it,
+// loading the next block when the current one is exhausted.
+func (it *runIterator) frame() ([]byte, bool) {
+	if it.err != nil {
+		return nil, false
+	}
 	for len(it.blk) == 0 {
 		if it.bi >= len(it.r.fences) {
-			return "", nil, false
+			return nil, false
 		}
 		fe := it.r.fences[it.bi]
 		it.bi++
@@ -618,23 +625,32 @@ func (it *runIterator) record() (string, *store.Version, bool) {
 		blk := it.buf[:fe.length]
 		if _, err := it.r.file.f.ReadAt(blk, fe.off); err != nil {
 			it.fail(fmt.Errorf("sst: read run block %s@%d: %w", it.r.path, fe.off, err))
-			return "", nil, false
+			return nil, false
 		}
 		it.e.metrics.blockReads.Add(1)
 		it.blk = blk
 	}
 	if len(it.blk) < logrec.HeaderSize {
 		it.fail(fmt.Errorf("sst: torn record in run %s", it.r.path))
-		return "", nil, false
+		return nil, false
 	}
 	plen := int(binary.LittleEndian.Uint32(it.blk[:4]))
 	if logrec.HeaderSize+plen > len(it.blk) {
 		it.fail(fmt.Errorf("sst: torn record in run %s", it.r.path))
-		return "", nil, false
+		return nil, false
 	}
 	payload := it.blk[logrec.HeaderSize : logrec.HeaderSize+plen]
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(it.blk[4:8]) {
 		it.fail(fmt.Errorf("sst: corrupt record in run %s", it.r.path))
+		return nil, false
+	}
+	return payload, true
+}
+
+// record parses and consumes one version record.
+func (it *runIterator) record() (string, *store.Version, bool) {
+	payload, ok := it.frame()
+	if !ok {
 		return "", nil, false
 	}
 	key, v, err := logrec.Decode(payload)
@@ -642,7 +658,7 @@ func (it *runIterator) record() (string, *store.Version, bool) {
 		it.fail(fmt.Errorf("sst: corrupt record in run %s: %w", it.r.path, err))
 		return "", nil, false
 	}
-	it.blk = it.blk[logrec.HeaderSize+plen:]
+	it.blk = it.blk[logrec.HeaderSize+len(payload):]
 	return key, v, true
 }
 

@@ -38,14 +38,28 @@
 // level rather than the whole dataset; GC prunes run data logically
 // through per-run overlay cuts that compaction folds into the files. A
 // whole-dataset (major) compaction still runs when pruned garbage piles
-// up past the threshold, or on demand via Compact. Crash recovery keeps
-// the PR 5 invariants generalized to level merges: a run whose generation
-// interval another run subsumes is the footprint of a crash
-// mid-compaction and is deleted (merge groups are always gen-contiguous,
-// so the merged output subsumes exactly its inputs), leftover temp files
-// are removed, WAL generations a run covers are deleted, and the rest are
-// replayed — streamed, never whole-file-buffered — truncating a torn tail
-// by the shared logrec rules.
+// up past the threshold, or on demand via Compact.
+//
+// Background work pays for what changed, not for what is stored. A GC
+// pass visits the keys written since the last pass plus the pending set —
+// the keys left unsettled: more than one live version across memtable and
+// runs, or a lone tombstone — reading each run through a cursor that
+// jumps fence to fence and skipping runs whose Bloom filter rules the key
+// out; only the first pass after Open finds run files streams them all,
+// because the overlay cuts are not persisted and must be rebuilt. The
+// rules that keep the visit set complete are stated as MUST / MUST NOT on
+// GCStats. A Scan takes no engine lock — it pins run files like a point
+// read, so it never waits for a flush, a compaction or a GC pass — and
+// draws the memtable's keys from a lazy heap, so stopping early costs the
+// keys yielded rather than a sort of the memtable.
+//
+// Crash recovery keeps the PR 5 invariants generalized to level merges: a
+// run whose generation interval another run subsumes is the footprint of
+// a crash mid-compaction and is deleted (merge groups are always
+// gen-contiguous, so the merged output subsumes exactly its inputs),
+// leftover temp files are removed, WAL generations a run covers are
+// deleted, and the rest are replayed — streamed, never
+// whole-file-buffered — truncating a torn tail by the shared logrec rules.
 package sst
 
 import (
@@ -223,6 +237,18 @@ type Engine struct {
 	// stable.
 	syncMu sync.Mutex
 
+	// What the next GC pass must look at (see GCStats). written[i] lists
+	// the keys written through stripe i to the ACTIVE memtable since the
+	// last pass — appended under shards[i].Mu, handed to the pass by
+	// drainWritten, discarded by the freeze of a flush, whose writeRun
+	// decides per flushed key instead. pending holds the keys a later,
+	// higher floor could still prune. gcStream forces the one pass that
+	// cannot be incremental: the first after Open found run files (the
+	// overlay cuts are not persisted) and the one after a failed flush.
+	written  [][]string
+	pending  map[string]struct{} // flushMu
+	gcStream bool                // flushMu
+
 	memBytes atomic.Int64 // approximate active-memtable payload size
 	flushing atomic.Bool  // a background flush is scheduled or running
 
@@ -250,7 +276,17 @@ type Metrics struct {
 	blockReads atomic.Int64
 	bloomSkips atomic.Int64
 	syncs      atomic.Int64
+	gcVisited  atomic.Int64
+	gcPending  atomic.Int64
 }
+
+// GCVisited returns how many keys GC passes have examined, cumulatively —
+// the count that must follow what was written, not what is stored.
+func (m *Metrics) GCVisited() int64 { return m.gcVisited.Load() }
+
+// GCPending returns how many keys the last GC pass or flush left
+// unsettled: the ones a later floor could still prune.
+func (m *Metrics) GCPending() int64 { return m.gcPending.Load() }
 
 // Syncs returns how many WAL shard-log fsyncs the engine has issued (Sync,
 // however it was reached, and the rotated-out generation of a flush).
@@ -359,6 +395,8 @@ func Open(opts Options) (*Engine, error) {
 		nShards:        n,
 		lock:           lock,
 		stop:           make(chan struct{}),
+		written:        make([][]string, n),
+		pending:        make(map[string]struct{}),
 	}
 	if err := e.recover(); err != nil {
 		for _, sh := range e.shards {
@@ -619,6 +657,7 @@ func (e *Engine) recover() (retErr error) {
 		e.minGen = gens[0]
 	}
 	e.memBytes.Store(memBytes)
+	e.gcStream = len(runs) > 0
 	e.tabs.Store(&tables{active: mem, runs: runs})
 	return nil
 }
@@ -826,23 +865,14 @@ func (e *Engine) ForEachKey(fn func(key string)) {
 }
 
 // Scan implements store.Engine: a streaming merge of the memtables and
-// every run file over [start, end), in ascending key order. Run files are
-// read block-at-a-time through iterators that hold a file reference for
-// the whole scan (acquired under flushMu, so a concurrent compaction can
-// retire but never close them mid-scan), and each yielded version is a
-// materialized copy — fn may retain it. fn runs with no engine lock held.
+// every run file over [start, end), in ascending key order. It takes no
+// engine lock — a scan never waits for a flush, a compaction or a GC pass.
+// Run files are pinned the way point reads pin them (pinRuns) and read
+// block-at-a-time; memtable keys come off a lazy heap, so a scan that stops
+// early pays for the keys it yielded, not for sorting the memtable. Each
+// yielded version is a materialized copy — fn may retain it.
 func (e *Engine) Scan(start, end string, visible store.VisibleFunc, fn func(key string, v *store.Version) bool) error {
-	e.flushMu.Lock()
-	tabs := e.tabs.Load()
-	iters := make([]*runIterator, 0, len(tabs.runs))
-	runs := make([]*run, 0, len(tabs.runs))
-	for _, r := range tabs.runs {
-		if it := newRunIterator(e, r); it != nil {
-			iters = append(iters, it)
-			runs = append(runs, r)
-		}
-	}
-	e.flushMu.Unlock()
+	tabs, iters := e.pinRuns()
 	defer func() {
 		for _, it := range iters {
 			it.close()
@@ -850,26 +880,24 @@ func (e *Engine) Scan(start, end string, visible store.VisibleFunc, fn func(key 
 	}()
 
 	inRange := func(k string) bool { return k >= start && (end == "" || k < end) }
-	memKeys := sortedMemKeys(tabs.active, inRange)
-	var frozenKeys []string
+	memKeys := newKeyHeap(tabs.active, inRange)
+	var frozenKeys keyHeap
 	if tabs.frozen != nil {
-		frozenKeys = sortedMemKeys(tabs.frozen, inRange)
+		frozenKeys = newKeyHeap(tabs.frozen, inRange)
 	}
 	live := make([]bool, len(iters))
 	for i, it := range iters {
-		it.seek(start)
-		live[i] = it.next() && (end == "" || it.key < end)
+		live[i] = it.advanceTo(start) && (end == "" || it.key < end)
 	}
 
-	mi, fi := 0, 0
 	for {
 		key := ""
 		have := false
-		if mi < len(memKeys) {
-			key, have = memKeys[mi], true
+		if len(memKeys) > 0 {
+			key, have = memKeys[0], true
 		}
-		if fi < len(frozenKeys) && (!have || frozenKeys[fi] < key) {
-			key, have = frozenKeys[fi], true
+		if len(frozenKeys) > 0 && (!have || frozenKeys[0] < key) {
+			key, have = frozenKeys[0], true
 		}
 		for i, it := range iters {
 			if live[i] && (!have || it.key < key) {
@@ -880,19 +908,19 @@ func (e *Engine) Scan(start, end string, visible store.VisibleFunc, fn func(key 
 			break
 		}
 		var v *store.Version
-		if mi < len(memKeys) && memKeys[mi] == key {
+		if len(memKeys) > 0 && memKeys[0] == key {
 			v = best(v, tabs.active.ReadVisible(key, visible))
-			mi++
+			memKeys.pop()
 		}
-		if fi < len(frozenKeys) && frozenKeys[fi] == key {
+		if len(frozenKeys) > 0 && frozenKeys[0] == key {
 			v = best(v, tabs.frozen.ReadVisible(key, visible))
-			fi++
+			frozenKeys.pop()
 		}
 		for i, it := range iters {
 			if !live[i] || it.key != key {
 				continue
 			}
-			if cut := runs[i].cuts[key]; cut < len(it.chain) {
+			if cut := it.r.cuts[key]; cut < len(it.chain) {
 				v = best(v, store.ReadVisibleChain(it.chain[cut:], visible))
 			}
 			live[i] = it.next() && (end == "" || it.key < end)
@@ -911,17 +939,72 @@ func (e *Engine) Scan(start, end string, visible store.VisibleFunc, fn func(key 
 	return nil
 }
 
-// sortedMemKeys snapshots a memtable's keys matching the range predicate
-// in ascending order.
-func sortedMemKeys(s *store.Store, inRange func(string) bool) []string {
-	var keys []string
+// pinRuns loads the current tables and takes a file reference on every
+// run in them, so a compaction may retire the runs mid-scan but cannot
+// close them. A run already retired and released means newer tables were
+// published before its release: drop what was taken, reload and retry.
+func (e *Engine) pinRuns() (*tables, []*runIterator) {
+	for {
+		tabs := e.tabs.Load()
+		iters := make([]*runIterator, 0, len(tabs.runs))
+		for _, r := range tabs.runs {
+			it := newRunIterator(e, r)
+			if it == nil {
+				break
+			}
+			iters = append(iters, it)
+		}
+		if len(iters) == len(tabs.runs) {
+			return tabs, iters
+		}
+		for _, it := range iters {
+			it.close()
+		}
+	}
+}
+
+// keyHeap is a min-heap of memtable keys: the smallest is h[0]. Building
+// it is O(n) and each pop O(log n), so a scan pays per key it yields.
+type keyHeap []string
+
+// newKeyHeap snapshots the keys of s matching the range predicate.
+func newKeyHeap(s *store.Store, inRange func(string) bool) keyHeap {
+	var h keyHeap
 	s.ForEachKey(func(k string) {
 		if inRange(k) {
-			keys = append(keys, k)
+			h = append(h, k)
 		}
 	})
-	sort.Strings(keys)
-	return keys
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	return h
+}
+
+func (h keyHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1] < h[c] {
+			c++
+		}
+		if h[i] <= h[c] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// pop removes the smallest key.
+func (h *keyHeap) pop() {
+	old := *h
+	n := len(old) - 1
+	old[0] = old[n]
+	*h = old[:n]
+	h.down(0)
 }
 
 // InjectFailure records err as a write-path failure, flipping Healthy.
