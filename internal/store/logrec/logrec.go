@@ -11,6 +11,11 @@
 //	4 bytes  little-endian payload length
 //	4 bytes  little-endian CRC32 (IEEE) of the payload
 //	payload  key, tombstone flag, value, UT, RDT, TxID, SrcDC, DV
+//
+// A frame of zero length ends a scan exactly like a torn one. Eight zero
+// bytes frame and checksum clean (the CRC32 of nothing is 0), no log in a
+// data directory writes an empty record, and a log that keeps zero-filled
+// space ahead of its appends (internal/txlog) ends where the zeros begin.
 package logrec
 
 import (
@@ -81,12 +86,13 @@ func Decode(payload []byte) (string, *store.Version, error) {
 
 // ScanFrames walks the intact prefix of a log file image, invoking fn with
 // every payload that frames and checksums clean, and returns the byte
-// offset just past the last intact record. A record whose length prefix
-// runs off the buffer, whose checksum does not hold, or whose payload fn
-// rejects (returns a non-nil error) — the footprint of a crash mid-append —
-// ends the scan; callers decide whether the tail is truncated (log
-// recovery) or fatal (immutable run files, which are only ever renamed
-// into place complete).
+// offset just past the last intact record. A record whose length prefix is
+// zero or runs off the buffer, whose checksum does not hold, or whose
+// payload fn rejects (returns a non-nil error) — the footprint of a crash
+// mid-append, or of zero-filled space behind the last record — ends the
+// scan; callers decide whether the tail is truncated (log recovery) or
+// fatal (immutable run files, which are only ever renamed into place
+// complete).
 //
 // No upper bound is imposed on the record length beyond the buffer itself:
 // a record of any size that was fully written and checksums clean is valid
@@ -99,6 +105,9 @@ func ScanFrames(buf []byte, fn func(payload []byte) error) (good int) {
 			break // torn header
 		}
 		plen := binary.LittleEndian.Uint32(rest[:4])
+		if plen == 0 {
+			break // zero-filled space: nothing writes an empty record
+		}
 		if HeaderSize+int(plen) > len(rest) {
 			break // torn payload (or a corrupt length running off the file)
 		}
@@ -132,8 +141,8 @@ func Scan(buf []byte, fn func(key string, v *store.Version)) (good int) {
 // prefix of a log stream without ever materializing the whole file,
 // invoking fn with every payload that frames and checksums clean, and
 // returns the byte offset just past the last intact record. The torn-tail
-// semantics are identical to ScanFrames — a torn header, torn payload,
-// failed checksum or rejected payload ends the scan — so recovery code can
+// semantics are identical to ScanFrames — a torn header, zero length, torn
+// payload, failed checksum or rejected payload ends the scan — so recovery code can
 // switch between the two without changing its truncation rules. Memory use
 // is bounded by the largest single record, not the file size: the payload
 // buffer is reused across records and fn must not retain it.
@@ -150,6 +159,9 @@ func ScanReaderFrames(r io.Reader, fn func(payload []byte) error) (good int64) {
 			return good // torn (or clean EOF at a record boundary)
 		}
 		plen := binary.LittleEndian.Uint32(hdr[:4])
+		if plen == 0 {
+			return good // zero-filled space: nothing writes an empty record
+		}
 		if int(plen) > cap(payload) {
 			payload = make([]byte, plen)
 		}

@@ -1,6 +1,7 @@
 package logrec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 
@@ -107,5 +108,35 @@ func TestScanEmptyAndGarbage(t *testing.T) {
 	junk := []byte{0xFF, 0xFF, 0xFF, 0x7F, 9, 9, 9, 9, 1, 2, 3}
 	if good := Scan(junk, func(string, *store.Version) { t.Fatal("fn called on junk") }); good != 0 {
 		t.Fatalf("junk scan good=%d", good)
+	}
+}
+
+// TestScanStopsAtZeroFill: eight zero bytes frame and checksum clean (the
+// CRC32 of nothing is 0), so a zero-filled tail must end the scan by rule,
+// not because every current payload parser happens to reject "".
+func TestScanStopsAtZeroFill(t *testing.T) {
+	enc := wire.NewEncoder()
+	for i := 0; i < 3; i++ {
+		k, v := sample(i)
+		Append(enc, k, v)
+	}
+	records := append([]byte(nil), enc.Bytes()...)
+	for _, zeros := range []int{1, 8, 4096} {
+		buf := append(append([]byte(nil), records...), make([]byte, zeros)...)
+		calls := 0
+		fn := func(payload []byte) error {
+			if len(payload) == 0 {
+				t.Fatalf("%d zero bytes: fn called with an empty payload", zeros)
+			}
+			calls++
+			return nil // accepts anything: the rule, not the parser, ends the scan
+		}
+		if good := ScanFrames(buf, fn); good != len(records) || calls != 3 {
+			t.Fatalf("ScanFrames over %d zero bytes: good=%d after %d records, want %d after 3", zeros, good, calls, len(records))
+		}
+		calls = 0
+		if good := ScanReaderFrames(bytes.NewReader(buf), fn); good != int64(len(records)) || calls != 3 {
+			t.Fatalf("ScanReaderFrames over %d zero bytes: good=%d after %d records, want %d after 3", zeros, good, calls, len(records))
+		}
 	}
 }

@@ -53,11 +53,35 @@
 // the disk; lazy waiters never fsync and are released by whichever sync
 // passes them.
 //
-// On disk the log is one append-only file (commit.log) of records framed
-// by the exact same rules as every other log in the data directory
-// (internal/store/logrec: length prefix + CRC32, torn tail truncated on
-// recovery), living in a txlog/ subdirectory of the engine's data dir so
-// it is covered by the engine's directory lock and engine-type marker.
+// On disk the log is one file (commit.log): records, then zeros. The
+// records are framed by the exact same rules as every other log in the
+// data directory (internal/store/logrec: length prefix + CRC32), and the
+// file lives in a txlog/ subdirectory of the engine's data dir so it is
+// covered by the engine's directory lock and engine-type marker. The zeros
+// are space the log already owns: the file is kept zero-filled a chunk
+// ahead of the append position (extended by writing zeros — fallocate's
+// unwritten extents and a truncate's new size both journal — whenever an
+// append would come within a quarter chunk of the end; a compaction's
+// fresh file before the one fsync its rewrite pays anyway). An append
+// therefore overwrites blocks the file has instead of growing it, and the
+// sync behind it has no size, block map or extent state to push through
+// the filesystem's journal. That is why fdatasync (fsutil.Datasync)
+// suffices for every sync of the group commit: it covers the data and the
+// size a later read needs — the moved size too, on the one sync in a few
+// dozen that follows an extension — and leaves only the timestamps behind.
+// The log ENDS at the first frame that does not check or has zero length.
+//
+//   - Everything from the end of the log to the end of the file MUST read
+//     as zeros before the first append of a life. Recovery no longer
+//     truncates the file there; where the tail is not zeros — the footprint
+//     of a crash mid-append — it MUST be rewritten as zeros and synced
+//     first. Otherwise a stale record left behind a torn one frames and
+//     checksums clean right after a new record that happens to end where
+//     it starts, and the life after replays it.
+//   - A record MUST NOT be empty (every one starts with its kind byte):
+//     eight zero bytes frame and checksum clean, so a frame of zero length
+//     is where zero-filled space begins, and a scan ends there by rule.
+//
 // Compaction rewrites the file keeping only records still needed —
 // prepares without an outcome, committed transactions not yet both applied
 // and replicated everywhere, unresolved coordinator decisions, and the
@@ -66,6 +90,7 @@ package txlog
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -85,6 +110,19 @@ import (
 
 // logName is the commit-record log file inside Options.Dir.
 const logName = "commit.log"
+
+// chunk is how far ahead of the append position the file is kept
+// zero-filled: the region is extended back to a full chunk whenever an
+// append would come within a quarter of one of its end, so one sync in
+// (3/4 chunk ÷ bytes per sync) moves the file size and the rest do not.
+const chunk = 256 << 10
+
+// zeros is what extends the region (and clears a torn tail at recovery),
+// one page per write: a larger write makes the page cache hold the region
+// in large folios, and the kernel then accounts a whole folio as written
+// (/proc/<pid>/io write_bytes) for every record that dirties one — six
+// times the bytes that reach the device, at no gain in latency.
+var zeros [4096]byte
 
 // DefaultCompactThreshold is the number of appended records after which the
 // log is rewritten from retained state.
@@ -217,6 +255,10 @@ type Log struct {
 	base   int64
 	synced int64
 	lazy   []lazyWaiter
+	// filled is the file offset up to which the file is known to exist and
+	// to hold zeros behind the records: sh.Size ≤ filled ≤ the file's
+	// length, and [sh.Size, length) reads as zeros. Under sh.Mu.
+	filled int64
 
 	// flushMu serializes the fsyncs and a compaction's handle swap, so a
 	// sync never runs against a file being replaced. Lock order: flushMu,
@@ -234,8 +276,8 @@ type Log struct {
 }
 
 // Open creates or recovers a transaction log in opts.Dir: existing records
-// are replayed into the in-memory lifecycle state (truncating a torn
-// tail), pairing prepares with their outcomes.
+// are replayed into the in-memory lifecycle state (clearing a torn tail),
+// pairing prepares with their outcomes.
 func Open(opts Options) (*Log, error) {
 	policy, err := wal.ParseFsync(opts.Fsync)
 	if err != nil {
@@ -271,8 +313,8 @@ func Open(opts Options) (*Log, error) {
 	if err := l.recover(); err != nil {
 		return nil, err
 	}
-	// One directory sync covers the log file creation (or truncation), so
-	// a fresh txlog directory survives power loss as a unit.
+	// One directory sync covers the log file creation, so a fresh txlog
+	// directory survives power loss as a unit.
 	if err := fsutil.SyncDir(opts.Dir); err != nil {
 		_ = l.sh.F.Close()
 		return nil, fmt.Errorf("txlog: sync dir: %w", err)
@@ -288,7 +330,11 @@ func Open(opts Options) (*Log, error) {
 func (l *Log) path() string { return filepath.Join(l.dir, logName) }
 
 // recover replays the log into the lifecycle state and leaves the file
-// open for appending, truncating a torn tail.
+// open for appending at the end of the log, with nothing but zeros behind
+// it (see the package comment): a tail that is not zeros is what a crash
+// mid-append leaves — a torn record, and possibly whole ones behind it
+// whose pages reached the disk first — and is cleared and synced here,
+// before anything can be appended in front of it.
 func (l *Log) recover() error {
 	path := l.path()
 	buf, err := os.ReadFile(path)
@@ -300,11 +346,16 @@ func (l *Log) recover() error {
 	if err != nil {
 		return fmt.Errorf("txlog: open %s: %w", path, err)
 	}
-	if good < len(buf) {
-		if err := f.Truncate(int64(good)); err != nil {
-			_ = f.Close()
-			return fmt.Errorf("txlog: truncate torn tail of %s: %w", path, err)
+	if torn := bytes.TrimRight(buf[good:], "\x00"); len(torn) > 0 {
+		err := writeZeros(f, int64(good), int64(len(torn)))
+		if err == nil {
+			err = f.Sync()
 		}
+		if err != nil {
+			_ = f.Close()
+			return fmt.Errorf("txlog: clear torn tail of %s: %w", path, err)
+		}
+		fmt.Fprintf(os.Stderr, "txlog: cleared %d bytes of torn tail at offset %d in %s\n", len(torn), good, l.dir)
 	}
 	if _, err := f.Seek(int64(good), 0); err != nil {
 		_ = f.Close()
@@ -312,7 +363,22 @@ func (l *Log) recover() error {
 	}
 	l.sh.F = f
 	l.sh.Size = int64(good)
+	l.filled = int64(len(buf))
 	l.synced = int64(good) // everything read back is on disk by definition
+	return nil
+}
+
+// writeZeros overwrites [off, off+n) of f with zeros, leaving the handle's
+// append position where it is.
+func writeZeros(f *os.File, off, n int64) error {
+	for n > 0 {
+		z := zeros[:min(n, int64(len(zeros)))]
+		if _, err := f.WriteAt(z, off); err != nil {
+			return err
+		}
+		off += int64(len(z))
+		n -= int64(len(z))
+	}
 	return nil
 }
 
@@ -527,16 +593,35 @@ func (l *Log) Repair() bool {
 	return true
 }
 
-// appendLocked frames one record into the shard encoder and appends it.
-// Caller holds sh.Mu. After Close the append quietly drops: straggler
-// messages delivered during shutdown are not durability failures.
+// appendLocked frames one record into the shard encoder and appends it
+// into the zero-filled region, extending the region first when the record
+// would end within a quarter chunk of its end. Caller holds sh.Mu. After
+// Close the append quietly drops: straggler messages delivered during
+// shutdown are not durability failures.
 func (l *Log) appendLocked(encode func(*wire.Encoder)) {
 	if l.stopped {
 		return
 	}
 	l.sh.Enc.Reset()
 	logrec.AppendFrame(l.sh.Enc, encode)
+	end := l.sh.Size + int64(l.sh.Enc.Len())
+	if end > l.filled-chunk/4 && !l.sh.Failed {
+		// A failed extension is a recorded failure like any other; the
+		// append itself still lands (growing the file the old way), and
+		// the rewrite that repairs the log starts a fresh region.
+		if err := writeZeros(l.sh.F, l.filled, end+chunk-l.filled); err != nil {
+			l.onErr(fmt.Errorf("extend: %w", err))
+		} else {
+			l.filled = end + chunk
+		}
+	}
 	l.sh.AppendLocked(l.onErr)
+	if l.sh.Size != end || l.filled < end {
+		// Past the region (its extension failed), or a failed append that
+		// was rolled back by truncating the file to the last record: the
+		// file ends where the records do.
+		l.filled = l.sh.Size
+	}
 	l.appends++
 }
 
@@ -553,7 +638,7 @@ type lazyWaiter struct {
 // endLocked is the LSN of the last appended record. Caller holds sh.Mu.
 func (l *Log) endLocked() int64 { return l.base + l.sh.Size }
 
-// Syncs returns how many fsyncs of the log file the log has issued
+// Syncs returns how many syncs of the log file the log has issued
 // (compaction's rewrite not included).
 func (l *Log) Syncs() uint64 { return l.syncs.Load() }
 
@@ -579,7 +664,7 @@ func (l *Log) syncTo(target int64) {
 	var ready []lazyWaiter
 	if !covered {
 		l.syncs.Add(1)
-		if err := f.Sync(); err != nil {
+		if err := fsutil.Datasync(f); err != nil {
 			l.recordErr(fmt.Errorf("txlog: sync: %w", err))
 		} else {
 			ready = l.advanceSynced(end)
@@ -1064,6 +1149,12 @@ func (l *Log) compactFlushLocked() []lazyWaiter {
 		written, err = snap.writeTo(f)
 	}
 	if err == nil {
+		// The fresh file's zero-filled region rides the one fsync the
+		// rewrite pays anyway; the handle stays positioned at the end of
+		// the snapshot, where the carry-over and then the appends land.
+		err = writeZeros(f, written, chunk)
+	}
+	if err == nil {
 		err = f.Sync()
 	}
 	if !frozen {
@@ -1108,6 +1199,8 @@ func (l *Log) compactFlushLocked() []lazyWaiter {
 	snapLSN := l.base + mark
 	l.sh.F = f
 	l.sh.Size = written + tail
+	// A carry-over longer than the region ran past it, growing the file.
+	l.filled = max(written+chunk, l.sh.Size)
 	l.base = snapLSN - written // the carried-over records keep their LSNs
 	l.sh.Failed = false        // the rewrite from retained state repairs a frozen log
 	l.sh.Dirty = tail > 0

@@ -26,6 +26,14 @@ func openLog(t *testing.T, dir string, numDCs int) *Log {
 
 func kv(key, val string) wire.KV { return wire.KV{Key: key, Value: []byte(val)} }
 
+// recordBytes is how many bytes of the file are records; the file itself
+// is longer by the zero-filled region behind them.
+func recordBytes(l *Log) int64 {
+	l.sh.Mu.Lock()
+	defer l.sh.Mu.Unlock()
+	return l.sh.Size
+}
+
 func TestPrepareCommitRecovery(t *testing.T) {
 	dir := t.TempDir()
 	l := openLog(t, dir, 2)
@@ -200,16 +208,17 @@ func TestTornTailTruncated(t *testing.T) {
 	l := openLog(t, dir, 1)
 	l.LogPrepare(&PreparedTx{TxID: 1, PT: ts(10), Writes: []wire.KV{kv("a", "v")}})
 	l.LogCommit(1, ts(20))
+	end := recordBytes(l)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Append garbage simulating a torn record.
+	// Garbage where the next record would start, simulating a torn one.
 	path := filepath.Join(dir, "commit.log")
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write([]byte{0xde, 0xad, 0xbe}); err != nil {
+	if _, err := f.WriteAt([]byte{0xde, 0xad, 0xbe}, end); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -219,7 +228,7 @@ func TestTornTailTruncated(t *testing.T) {
 	if len(committed) != 1 || committed[0].TxID != 1 {
 		t.Fatalf("recovery after torn tail = %+v", committed)
 	}
-	// New appends after the truncation must survive another cycle.
+	// New appends after the clearing must survive another cycle.
 	r.LogPrepare(&PreparedTx{TxID: 2, PT: ts(30), Writes: []wire.KV{kv("b", "w")}})
 	r.LogCommit(2, ts(40))
 	if err := r.Close(); err != nil {
@@ -245,11 +254,10 @@ func TestCompactionReleasesFinishedRecords(t *testing.T) {
 	// txs 1..3 applied and confirmed by the only peer; 4..6 still needed.
 	l.MarkApplied([]uint64{1, 2, 3})
 	l.AdvanceCursor(1, ts(35))
-	before, _ := os.Stat(filepath.Join(dir, "commit.log"))
+	before := recordBytes(l)
 	l.Compact()
-	after, _ := os.Stat(filepath.Join(dir, "commit.log"))
-	if after.Size() >= before.Size() {
-		t.Fatalf("compaction did not shrink the log: %d -> %d", before.Size(), after.Size())
+	if after := recordBytes(l); after >= before {
+		t.Fatalf("compaction did not shrink the log: %d -> %d", before, after)
 	}
 	if got := l.Committed(); len(got) != 3 || got[0].CT != ts(40) {
 		t.Fatalf("retained after compact = %+v, want cts 40,50,60", got)
@@ -483,14 +491,10 @@ func TestAutoCompactionTriggers(t *testing.T) {
 		l.LogCommit(i, ts(i))
 		l.MarkApplied([]uint64{i})
 	}
-	st, err := os.Stat(filepath.Join(dir, "commit.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	// 50 prepare+commit pairs uncompacted would be far larger; after
 	// threshold-triggered rewrites only a handful of records remain.
-	if st.Size() > 2048 {
-		t.Fatalf("auto-compaction never ran: log is %d bytes", st.Size())
+	if size := recordBytes(l); size > 2048 {
+		t.Fatalf("auto-compaction never ran: log is %d bytes", size)
 	}
 }
 
@@ -627,22 +631,18 @@ func TestLogPrepareNeverCompacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	var before os.FileInfo
+	var before int64
 	for i := uint64(1); i <= 20; i++ {
 		l.LogPrepare(&PreparedTx{TxID: i, PT: ts(i), Writes: []wire.KV{kv("k", "v")}})
 		l.LogAbort(i)
-		st, err := os.Stat(filepath.Join(dir, "commit.log"))
-		if err != nil {
-			t.Fatal(err)
+		size := recordBytes(l)
+		if size <= before {
+			t.Fatalf("log shrank under LogPrepare at record %d: %d -> %d bytes", i, before, size)
 		}
-		if before != nil && st.Size() <= before.Size() {
-			t.Fatalf("log shrank under LogPrepare at record %d: %d -> %d bytes", i, before.Size(), st.Size())
-		}
-		before = st
+		before = size
 	}
 	l.MarkApplied(nil)
-	after, _ := os.Stat(filepath.Join(dir, "commit.log"))
-	if after.Size() >= before.Size() {
-		t.Fatalf("MarkApplied did not compact a log past its threshold: %d -> %d bytes", before.Size(), after.Size())
+	if after := recordBytes(l); after >= before {
+		t.Fatalf("MarkApplied did not compact a log past its threshold: %d -> %d bytes", before, after)
 	}
 }
