@@ -4,6 +4,8 @@
 // shard-count meta file that pins the key→shard mapping of a directory at
 // creation time. Sharing them keeps the WAL and SST engines from drifting
 // on the details that decide whether a data directory survives crashes.
+// It is also the one place that maps files into memory (MapFile), which
+// the SST engine reads its sealed run files through.
 package fsutil
 
 import (

@@ -45,3 +45,53 @@ func TestDatasync(t *testing.T) {
 		t.Fatal("Datasync on a closed file returned nil")
 	}
 }
+
+// TestMapFile: the mapping holds the file's bytes, is shared (a write
+// through another descriptor shows in it), outlives the file's name, and an
+// empty file maps to nothing.
+func TestMapFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "f")
+	want := []byte("mapped run bytes")
+	if err := os.WriteFile(path, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	data, err := MapFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, want) {
+		t.Fatalf("mapped %q, want %q", data, want)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte("M"), 0); err != nil {
+		t.Fatal(err)
+	}
+	_ = f.Close()
+	if data[0] != 'M' {
+		t.Fatalf("mapping does not see a write through another descriptor: %q", data)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if string(data[1:]) != string(want[1:]) {
+		t.Fatalf("mapping changed after unlink: %q", data)
+	}
+	if err := Unmap(data); err != nil {
+		t.Fatal(err)
+	}
+
+	empty := filepath.Join(dir, "empty")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := MapFile(empty); err != nil || data != nil {
+		t.Fatalf("MapFile(empty) = %d bytes, %v; want nil, nil", len(data), err)
+	}
+	if _, err := MapFile(filepath.Join(dir, "missing")); !os.IsNotExist(err) {
+		t.Fatalf("MapFile(missing) error = %v, want not-exist", err)
+	}
+}

@@ -305,7 +305,7 @@ func (e *Engine) Compact() {
 // run: chains are merged per key in last-writer-wins order with the GC
 // overlay cuts applied — so pruned versions and tombstoned chains whose
 // deletion became stable leave the disk here — and the output atomically
-// replaces the inputs. Input files are deleted, and their descriptors
+// replaces the inputs. Input files are deleted, and their mappings
 // released, only after the replacement tables are published, so a
 // concurrent reader either finds its run still probeable or finds tables
 // that no longer list it. Caller holds flushMu.
@@ -621,7 +621,7 @@ type gcPass struct {
 }
 
 // streamAll visits every key of every tier: a k-way merge of the run files
-// (one block buffer each — run data is not resident) against the sorted
+// (one mapped block at a time — run data is not resident) against the sorted
 // memtable key set.
 func (p *gcPass) streamAll() {
 	active := p.tabs.active

@@ -12,10 +12,13 @@
 // block plus the version/key counts and the run's Bloom filter; it is
 // itself a logrec frame, so it tears and checksums by the same rules as
 // every other record in the data directory. Only the fences and the
-// filter stay resident: a point read binary-searches the fence table,
-// preads one block and scans its frames; startup reads the trailer and
-// footer only. A file without the trailer magic is corrupt: run files are
-// only ever renamed into place complete.
+// filter stay resident. A sealed file is mapped once, read-only, and read
+// in place: a point read binary-searches the fence table, slices one block
+// out of the mapping and walks its frames; startup touches the trailer and
+// footer pages only. Every access to the mapping follows the package
+// comment's two rules — a file reference across the whole use of the
+// bytes, and readMapped around every touch. A file without the trailer
+// magic is corrupt: run files are only ever renamed into place complete.
 package sst
 
 import (
@@ -24,11 +27,13 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
 	"wren/internal/hlc"
 	"wren/internal/store"
+	"wren/internal/store/fsutil"
 	"wren/internal/store/logrec"
 	"wren/internal/wire"
 )
@@ -50,14 +55,15 @@ type fence struct {
 	length   int
 }
 
-// runFile is a run's refcounted file handle. Runs are retired while
-// readers may still be probing them (compaction publishes the replacement
-// tables first, then releases its table reference), so the descriptor
-// closes only when the last reader lets go — never under a concurrent
-// pread, which on fd-reuse could silently read the wrong file. Cloned run
-// structs (GC overlay publication) share one runFile.
+// runFile is a run's refcounted read-only mapping of its sealed file (the
+// descriptor is closed as soon as the file is mapped). Runs are retired
+// while readers may still be walking them (compaction publishes the
+// replacement tables first, then releases its table reference), so the
+// mapping goes only when the last reader lets go — never under a reader,
+// which would fault on the unmapped pages. Cloned run structs (GC overlay
+// publication) share one runFile.
 type runFile struct {
-	f    *os.File
+	data []byte
 	refs atomic.Int32
 }
 
@@ -78,8 +84,29 @@ func (rf *runFile) acquire() bool {
 
 func (rf *runFile) release() {
 	if rf.refs.Add(-1) == 0 {
-		_ = rf.f.Close()
+		_ = fsutil.Unmap(rf.data) // fails only on a range MapFile did not return
 	}
+}
+
+// readMapped runs fn, which touches mapped run bytes, with a memory fault
+// turned into an error. A page the kernel cannot supply — an I/O error
+// under it, or a file truncated behind the engine — raises SIGBUS, which
+// debug.SetPanicOnFault turns into a panic carrying the faulting address;
+// that panic is recovered here and reported like a failed read. Any other
+// panic is re-raised, and the goroutine's previous setting is restored.
+func readMapped(fn func()) (err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if p := recover(); p != nil {
+			fault, ok := p.(interface{ Addr() uintptr })
+			if !ok {
+				panic(p)
+			}
+			err = fmt.Errorf("fault at %#x", fault.Addr())
+		}
+	}()
+	fn()
+	return nil
 }
 
 // runWriter streams one sorted run to disk: chains arrive in ascending
@@ -210,15 +237,19 @@ func (w *runWriter) abort() {
 	_ = os.Remove(w.tmp)
 }
 
-// intoRun opens the sealed file read-only and assembles the resident run
-// state the writer already accumulated (fences, filter, counts).
+// intoRun maps the sealed file and assembles the resident run state the
+// writer already accumulated (fences, filter, counts).
 func (w *runWriter) intoRun(minGen, maxGen uint64, fileSize, dataSize int64) (*run, error) {
-	f, err := os.Open(w.path)
+	data, err := fsutil.MapFile(w.path)
 	if err != nil {
 		return nil, fmt.Errorf("sst: open run %s: %w", w.path, err)
 	}
+	if int64(len(data)) != fileSize {
+		_ = fsutil.Unmap(data)
+		return nil, fmt.Errorf("sst: run %s maps %d bytes, %d were written", w.path, len(data), fileSize)
+	}
 	r := &run{
-		file: &runFile{f: f}, path: w.path,
+		file: &runFile{data: data}, path: w.path,
 		minGen: minGen, maxGen: maxGen,
 		fileSize: fileSize, dataSize: dataSize,
 		fences: w.fences, filter: w.filter,
@@ -228,52 +259,47 @@ func (w *runWriter) intoRun(minGen, maxGen uint64, fileSize, dataSize int64) (*r
 	return r, nil
 }
 
-// loadRun opens a run file and its resident index — fences, Bloom filter
-// and counts from the footer. Run files are only ever renamed into place
-// complete, so any structural violation (a missing trailer included) is
-// real corruption and fails the load rather than silently dropping
+// loadRun maps a run file and loads its resident index — fences, Bloom
+// filter and counts from the footer. Run files are only ever renamed into
+// place complete, so any structural violation (a missing trailer included)
+// is real corruption and fails the load rather than silently dropping
 // durable versions.
 func loadRun(path string, minGen, maxGen uint64) (*run, error) {
-	f, err := os.Open(path)
+	data, err := fsutil.MapFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("sst: open run %s: %w", path, err)
 	}
-	st, err := f.Stat()
-	if err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("sst: stat run %s: %w", path, err)
-	}
-	r := &run{file: &runFile{f: f}, path: path, minGen: minGen, maxGen: maxGen, fileSize: st.Size()}
+	r := &run{file: &runFile{data: data}, path: path, minGen: minGen, maxGen: maxGen, fileSize: int64(len(data))}
 	r.file.refs.Store(1)
-	if err := r.loadFooter(); err != nil {
-		_ = f.Close()
+	if ferr := readMapped(func() { err = r.loadFooter() }); ferr != nil {
+		err = fmt.Errorf("sst: read run footer %s: %w", path, ferr)
+	}
+	if err != nil {
+		r.file.release()
 		return nil, err
 	}
 	return r, nil
 }
 
-// loadFooter reads the trailer and footer only. A file too short to hold
-// the trailer fails the same check as one whose last bytes are not the
-// magic.
+// loadFooter parses the trailer and footer only; everything it keeps is
+// copied out of the mapping. A file too short to hold the trailer fails
+// the same check as one whose last bytes are not the magic. Caller runs it
+// under readMapped.
 func (r *run) loadFooter() error {
-	var trailer [runTrailerSize]byte
+	data := r.file.data
+	var trailer []byte
 	if r.fileSize >= runTrailerSize {
-		if _, err := r.file.f.ReadAt(trailer[:], r.fileSize-runTrailerSize); err != nil {
-			return fmt.Errorf("sst: read run trailer %s: %w", r.path, err)
-		}
+		trailer = data[r.fileSize-runTrailerSize:]
 	}
-	if string(trailer[4:]) != runMagic {
+	if len(trailer) == 0 || string(trailer[4:]) != runMagic {
 		return fmt.Errorf("sst: corrupt run file %s: no trailer magic (truncated, or not a run file)", r.path)
 	}
-	flen := int64(binary.LittleEndian.Uint32(trailer[:4]))
+	flen := int64(binary.LittleEndian.Uint32(trailer))
 	if flen <= 0 || flen+runTrailerSize > r.fileSize {
 		return fmt.Errorf("sst: corrupt run footer length in %s", r.path)
 	}
-	footer := make([]byte, flen)
 	footOff := r.fileSize - runTrailerSize - flen
-	if _, err := r.file.f.ReadAt(footer, footOff); err != nil {
-		return fmt.Errorf("sst: read run footer %s: %w", r.path, err)
-	}
+	footer := data[footOff : footOff+flen]
 	var perr error
 	good := logrec.ScanFrames(footer, func(payload []byte) error {
 		d := wire.NewDecoder(payload)
@@ -331,14 +357,80 @@ func (r *run) fenceFor(key string) int {
 	return lo - 1
 }
 
-// probeScratch is the pooled per-probe state: one block buffer, one
-// reusable Version (handed to visibility predicates) and one reusable
-// dependency-vector buffer. Reads borrow it once per batch, so the
-// steady-state point-read path allocates nothing.
+// block returns block bi of r: a slice of the mapping, valid only while
+// the caller holds a file reference and touched only under readMapped.
+func (r *run) block(bi int) []byte {
+	fe := r.fences[bi]
+	return r.file.data[fe.off : fe.off+int64(fe.length)]
+}
+
+// chainIn is the one walk over a block's records that point reads and
+// VersionsOf share. It steps through blk from its first record, verifying
+// every walked record's frame and CRC, and returns key's chain — its
+// frames, contiguous and verified — and how many records it holds; both are
+// empty when the block does not hold key. A record that does not frame or
+// checksum ends the walk: bad is its offset in blk (-1 when the walk ended
+// cleanly), and chain is the verified part of key's chain before it.
+func chainIn(blk []byte, key string) (chain []byte, n, bad int) {
+	start, off := -1, 0
+	bad = -1
+	for off+logrec.HeaderSize <= len(blk) {
+		end := off + logrec.HeaderSize + int(binary.LittleEndian.Uint32(blk[off:]))
+		if end > len(blk) || crc32.ChecksumIEEE(blk[off+logrec.HeaderSize:end]) != binary.LittleEndian.Uint32(blk[off+4:]) {
+			bad = off
+			break
+		}
+		if string(wire.NewDecoder(blk[off+logrec.HeaderSize:end]).BytesField()) == key {
+			if start < 0 {
+				start = off
+			}
+			n++
+		} else if start >= 0 {
+			break // past the key's contiguous chain
+		}
+		off = end
+	}
+	if start < 0 {
+		return nil, 0, bad
+	}
+	return blk[start:off], n, bad
+}
+
+// walkChain finds key's chain in block bi of r (chainIn) and hands it to fn
+// while the bytes are still mapped: one file reference spans the walk and
+// fn, and both run under readMapped. A fault or a corrupt record is
+// recorded as a read error; fn then sees at most the verified part of the
+// chain, and nothing at all after a fault. The result is false only when
+// the run was retired concurrently — the caller reloads the tables and
+// retries.
+func (e *Engine) walkChain(r *run, bi int, key string, fn func(chain []byte, n int)) bool {
+	if !r.file.acquire() {
+		return false
+	}
+	defer r.file.release()
+	e.metrics.blockReads.Add(1)
+	bad := -1
+	err := readMapped(func() {
+		chain, n, b := chainIn(r.block(bi), key)
+		bad = b
+		fn(chain, n)
+	})
+	switch off := r.fences[bi].off; {
+	case err != nil:
+		e.recordErr(fmt.Errorf("sst: read run block %s@%d: %w", r.path, off, err))
+	case bad >= 0:
+		e.recordErr(fmt.Errorf("sst: corrupt record in run block %s@%d", r.path, off+int64(bad)))
+	}
+	return true
+}
+
+// probeScratch is the pooled per-probe state: one reusable Version (handed
+// to visibility predicates) and one reusable dependency-vector buffer.
+// Reads borrow it once per batch, so the steady-state point-read path
+// allocates nothing.
 type probeScratch struct {
-	block []byte
-	dv    []hlc.Timestamp
-	ver   store.Version
+	dv  []hlc.Timestamp
+	ver store.Version
 }
 
 var probePool = sync.Pool{New: func() any { return new(probeScratch) }}
@@ -353,7 +445,7 @@ var probePool = sync.Pool{New: func() any { return new(probeScratch) }}
 // The common paths cost nothing: a Bloom miss answers from memory alone,
 // and a block probe that loses to the memtable (or ties it — the
 // memtable is consulted first, so equal versions keep the already-resident
-// pointer) works entirely in the pooled scratch.
+// pointer) works in place in the mapping and the pooled scratch.
 func (e *Engine) probeRun(r *run, key string, visible store.VisibleFunc, cur *store.Version, sc *probeScratch) (*store.Version, bool) {
 	if !r.filter.mayContain(key) {
 		e.metrics.bloomSkips.Add(1)
@@ -363,50 +455,33 @@ func (e *Engine) probeRun(r *run, key string, visible store.VisibleFunc, cur *st
 	if bi < 0 {
 		return cur, true // sorts before the run's first key: filter false positive
 	}
-	fe := r.fences[bi]
-	if !r.file.acquire() {
-		return cur, false
-	}
-	if cap(sc.block) < fe.length {
-		sc.block = make([]byte, fe.length)
-	}
-	blk := sc.block[:fe.length]
-	_, err := r.file.f.ReadAt(blk, fe.off)
-	r.file.release()
-	if err != nil {
-		e.recordErr(fmt.Errorf("sst: read run block %s@%d: %w", r.path, fe.off, err))
-		return cur, true
-	}
-	e.metrics.blockReads.Add(1)
+	v := cur
+	ok := e.walkChain(r, bi, key, func(chain []byte, _ int) {
+		v = e.freshest(r, key, chain, visible, cur, sc)
+	})
+	return v, ok
+}
 
+// freshest is probeRun's fold over key's verified chain, still in the
+// mapping. The visibility predicate sees sc.ver, whose Value aliases the
+// mapping: it must not retain it. Only the winner is materialized, and
+// logrec.Decode copies everything it returns.
+func (e *Engine) freshest(r *run, key string, chain []byte, visible store.VisibleFunc, cur *store.Version, sc *probeScratch) *store.Version {
 	skip := r.cuts[key]
 	var candPayload []byte
 	var candUT, candRDT hlc.Timestamp
 	var candTx uint64
 	var candSrc uint8
-	matched := false
-	for off := 0; off+logrec.HeaderSize <= len(blk); {
-		plen := int(binary.LittleEndian.Uint32(blk[off:]))
-		end := off + logrec.HeaderSize + plen
-		if end > len(blk) || crc32.ChecksumIEEE(blk[off+logrec.HeaderSize:end]) != binary.LittleEndian.Uint32(blk[off+4:]) {
-			e.recordErr(fmt.Errorf("sst: corrupt record in run block %s@%d", r.path, fe.off+int64(off)))
-			break
-		}
-		payload := blk[off+logrec.HeaderSize : end]
-		off = end
-		d := wire.NewDecoder(payload)
-		k := d.BytesField()
-		if string(k) != key {
-			if matched {
-				break // past the key's contiguous chain
-			}
-			continue
-		}
-		matched = true
+	for len(chain) > 0 {
+		end := logrec.HeaderSize + int(binary.LittleEndian.Uint32(chain))
+		payload := chain[logrec.HeaderSize:end]
+		chain = chain[end:]
 		if skip > 0 {
 			skip-- // leading versions GC already pruned (overlay cut)
 			continue
 		}
+		d := wire.NewDecoder(payload)
+		d.BytesField() // the key, matched by chainIn
 		tomb := d.Bool()
 		val := d.BytesField()
 		ut, rdt := d.Timestamp(), d.Timestamp()
@@ -435,27 +510,29 @@ func (e *Engine) probeRun(r *run, key string, visible store.VisibleFunc, cur *st
 			candUT, candRDT, candTx, candSrc = ut, rdt, txid, src
 		}
 	}
+	sc.ver.Value = nil // drop the alias into the mapping
 	if candPayload == nil {
-		return cur, true
+		return cur
 	}
 	if cur != nil {
 		c := &sc.ver
 		c.UT, c.RDT, c.TxID, c.SrcDC = candUT, candRDT, candTx, candSrc
 		if !cur.Less(c) {
-			return cur, true // the resident version is at least as fresh
+			return cur // the resident version is at least as fresh
 		}
 	}
 	_, v, err := logrec.Decode(candPayload)
 	if err != nil {
 		e.recordErr(fmt.Errorf("sst: corrupt record in run %s: %w", r.path, err))
-		return cur, true
+		return cur
 	}
-	return v, true
+	return v
 }
 
 // countKey returns how many live versions of key run r holds (file
-// records minus the GC overlay cut), reading at most one block. The
-// second result is false only when the run was retired concurrently.
+// records minus the GC overlay cut), walking at most one block with every
+// walked record checksummed. The second result is false only when the run
+// was retired concurrently.
 func (e *Engine) countKey(r *run, key string) (int, bool) {
 	if !r.filter.mayContain(key) {
 		return 0, true
@@ -464,42 +541,9 @@ func (e *Engine) countKey(r *run, key string) (int, bool) {
 	if bi < 0 {
 		return 0, true
 	}
-	fe := r.fences[bi]
-	if !r.file.acquire() {
-		return 0, false
-	}
-	sc := probePool.Get().(*probeScratch)
-	defer probePool.Put(sc)
-	if cap(sc.block) < fe.length {
-		sc.block = make([]byte, fe.length)
-	}
-	blk := sc.block[:fe.length]
-	_, err := r.file.f.ReadAt(blk, fe.off)
-	r.file.release()
-	if err != nil {
-		e.recordErr(fmt.Errorf("sst: read run block %s@%d: %w", r.path, fe.off, err))
-		return 0, true
-	}
-	e.metrics.blockReads.Add(1)
 	n := 0
-	for off := 0; off+logrec.HeaderSize <= len(blk); {
-		plen := int(binary.LittleEndian.Uint32(blk[off:]))
-		end := off + logrec.HeaderSize + plen
-		if end > len(blk) {
-			break
-		}
-		payload := blk[off+logrec.HeaderSize : end]
-		off = end
-		d := wire.NewDecoder(payload)
-		k := d.BytesField()
-		if d.Err() != nil {
-			break
-		}
-		if string(k) == key {
-			n++
-		} else if n > 0 {
-			break
-		}
+	if !e.walkChain(r, bi, key, func(_ []byte, m int) { n = m }) {
+		return 0, false
 	}
 	n -= r.cuts[key]
 	if n < 0 {
@@ -508,18 +552,19 @@ func (e *Engine) countKey(r *run, key string) (int, bool) {
 	return n, true
 }
 
-// runIterator streams a run's records in key order, one block buffer at
-// a time, yielding each key's full file chain (overlay cuts are the
-// caller's to apply — GC accounting needs the full chain, scans need the
-// cut one). The iterator holds a file reference from newRunIterator until
-// close. It only moves forward: next steps to the following key,
-// advanceTo jumps through the fence index to the block of a later one.
+// runIterator streams a run's records in key order, one mapped block at a
+// time, yielding each key's full file chain (overlay cuts are the caller's
+// to apply — GC accounting needs the full chain, scans need the cut one).
+// The iterator holds a file reference from newRunIterator until close, and
+// every walk of the mapping runs under readMapped (see walk); what it
+// yields is decoded copies, valid after close. It only moves forward: next
+// steps to the following key, advanceTo jumps through the fence index to
+// the block of a later one.
 type runIterator struct {
 	e   *Engine
 	r   *run
-	buf []byte
-	bi  int    // next block to load
-	blk []byte // unparsed remainder of the current block
+	bi  int    // next block to enter
+	blk []byte // unparsed remainder of the current block, in the mapping
 
 	key   string
 	chain []*store.Version // non-empty exactly while positioned on key
@@ -543,10 +588,19 @@ func newRunIterator(e *Engine, r *run) *runIterator {
 
 func (it *runIterator) close() { it.r.file.release() }
 
+// walk runs fn, which reads the mapping, under readMapped: a fault fails
+// the iterator the way a corrupt record does.
+func (it *runIterator) walk(fn func()) {
+	if err := readMapped(fn); err != nil {
+		it.chain = it.chain[:0]
+		it.fail(fmt.Errorf("sst: read run %s: %w", it.r.path, err))
+	}
+}
+
 // advanceTo positions the iterator on the first key >= key at or after
 // its current position and reports whether there is one. When the fence
-// index places key in a block not loaded yet, everything in between is
-// skipped unread: the cost is the target block (plus the next one when
+// index places key in a block not entered yet, everything in between is
+// skipped untouched: the cost is the target block (plus the next one when
 // key's chain ends its block — next parses one record past the boundary),
 // not the distance travelled.
 func (it *runIterator) advanceTo(key string) bool {
@@ -554,7 +608,7 @@ func (it *runIterator) advanceTo(key string) bool {
 		return true
 	}
 	if bi := it.r.fenceFor(key); bi >= it.bi {
-		// The rest of the loaded block and the lookahead record all sort
+		// The rest of the current block and the lookahead record all sort
 		// before fences[bi].firstKey <= key.
 		it.bi, it.blk, it.pok = bi, nil, false
 	}
@@ -563,21 +617,29 @@ func (it *runIterator) advanceTo(key string) bool {
 	if it.pok && it.pkey < key {
 		it.pok = false
 	}
-	for !it.pok {
-		payload, ok := it.frame()
-		if !ok || string(wire.NewDecoder(payload).BytesField()) >= key {
-			break
+	it.walk(func() {
+		for !it.pok {
+			payload, ok := it.frame()
+			if !ok || string(wire.NewDecoder(payload).BytesField()) >= key {
+				break
+			}
+			it.blk = it.blk[logrec.HeaderSize+len(payload):]
 		}
-		it.blk = it.blk[logrec.HeaderSize+len(payload):]
-	}
+	})
 	return it.next()
 }
 
 // next advances to the next key, filling it.key and it.chain (reused
 // between calls — callers must consume before advancing). It returns
-// false at the end of the run or on a corrupt record (surfaced via
-// it.err and the engine health signal).
+// false at the end of the run, on a corrupt record or on a fault (both
+// surfaced via it.err and the engine health signal).
 func (it *runIterator) next() bool {
+	ok := false
+	it.walk(func() { ok = it.step() })
+	return ok
+}
+
+func (it *runIterator) step() bool {
 	it.chain = it.chain[:0]
 	if it.err != nil {
 		return false
@@ -608,7 +670,7 @@ func (it *runIterator) next() bool {
 }
 
 // frame returns the payload of the next record without consuming it,
-// loading the next block when the current one is exhausted.
+// entering the next block when the current one is exhausted.
 func (it *runIterator) frame() ([]byte, bool) {
 	if it.err != nil {
 		return nil, false
@@ -617,18 +679,9 @@ func (it *runIterator) frame() ([]byte, bool) {
 		if it.bi >= len(it.r.fences) {
 			return nil, false
 		}
-		fe := it.r.fences[it.bi]
+		it.blk = it.r.block(it.bi)
 		it.bi++
-		if cap(it.buf) < fe.length {
-			it.buf = make([]byte, fe.length)
-		}
-		blk := it.buf[:fe.length]
-		if _, err := it.r.file.f.ReadAt(blk, fe.off); err != nil {
-			it.fail(fmt.Errorf("sst: read run block %s@%d: %w", it.r.path, fe.off, err))
-			return nil, false
-		}
 		it.e.metrics.blockReads.Add(1)
-		it.blk = blk
 	}
 	if len(it.blk) < logrec.HeaderSize {
 		it.fail(fmt.Errorf("sst: torn record in run %s", it.r.path))

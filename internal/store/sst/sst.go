@@ -19,18 +19,36 @@
 // plus a Bloom filter over the run's distinct keys — never the data. A
 // point read probes the memtables, then per run answers negative lookups
 // from the filter alone and positive ones with one binary search over the
-// fences and one block pread; startup reads each run's footer, not its
-// data. Memory therefore scales with block count and key count, not with
-// the bytes stored, which is what lets the engine hold datasets far
-// larger than RAM. Snapshot reads stay lock-free on the immutable side
-// (runs are published through one atomic pointer; a refcount on each
-// run's file descriptor lets compaction retire files under concurrent
-// preads), so the multi-version visibility scan that backs Wren's
-// nonblocking reads touches no lock for flushed data — only the
+// fences and one block of the run's mapping; startup reads each run's
+// footer, not its data. Resident memory therefore scales with block count
+// and key count, not with the bytes stored, which is what lets the engine
+// hold datasets far larger than RAM. Snapshot reads stay lock-free on the
+// immutable side (runs are published through one atomic pointer; a
+// refcount on each run's mapping lets compaction retire files under
+// concurrent readers), so the multi-version visibility scan that backs
+// Wren's nonblocking reads touches no lock for flushed data — only the
 // active-memtable probe takes its striped read lock. This maps the
 // paper's stable-snapshot property onto storage: a snapshot read's
 // versions live overwhelmingly in immutable runs, exactly because the
 // snapshot is old enough to be stable.
+//
+// Run files are read in place. A sealed run is mapped once, read-only and
+// shared (fsutil.MapFile), and every reader — point read, VersionsOf,
+// Scan, GC pass, compaction — slices blocks out of that mapping instead of
+// copying them into a buffer; every walked record is still checksummed.
+// Two rules keep that safe:
+//
+//   - A reader MUST hold a file reference (runFile.acquire, or a
+//     runIterator) across the whole use of the mapped bytes, and no slice
+//     into a mapping may outlive it; the last release unmaps. Everything
+//     the engine returns is a copy (logrec.Decode copies key, value and
+//     dependency vector). A visibility predicate sees a Version whose
+//     Value aliases the mapping, and MUST NOT retain it.
+//   - Every access to mapped bytes, frame headers included, MUST run under
+//     readMapped, which sets debug.SetPanicOnFault and turns the SIGBUS of
+//     a page the kernel cannot supply — an I/O error under it, or a file
+//     truncated behind the engine — into a read error that degrades
+//     Healthy, instead of killing the process.
 //
 // Runs are tiered into size levels (level = log_fanout(size/flushBytes))
 // and background compaction merges gen-contiguous groups of runs within
@@ -93,9 +111,8 @@ const (
 	// DefaultFsyncInterval is the timer period of the interval fsync
 	// policy (shared with the WAL engine).
 	DefaultFsyncInterval = 10 * time.Millisecond
-	// DefaultBlockBytes is the target size of one run-file block — the
-	// unit of disk read on a point lookup and the granularity of the
-	// resident fence index.
+	// DefaultBlockBytes is the target size of one run-file block — what a
+	// point lookup walks and the granularity of the resident fence index.
 	DefaultBlockBytes = 16 << 10
 	// DefaultBloomBitsPerKey sizes each run's Bloom filter (≈0.8% false
 	// positives at 10 bits per key).
@@ -314,7 +331,7 @@ func (m *Metrics) RunsLoaded() int { m.mu.Lock(); defer m.mu.Unlock(); return m.
 // the measure that per-cycle compaction I/O is bounded by level size.
 func (m *Metrics) CompactionBytes() int64 { m.mu.Lock(); defer m.mu.Unlock(); return m.compactionBytes }
 
-// BlockReads returns how many run-file blocks reads have fetched.
+// BlockReads returns how many run-file blocks reads have touched.
 func (m *Metrics) BlockReads() int64 { return m.blockReads.Load() }
 
 // BloomSkips returns how many run probes the Bloom filters answered
@@ -713,7 +730,7 @@ func (e *Engine) mergeDisk(tabs *tables, key string, visible store.VisibleFunc, 
 // ReadVisible implements store.Engine: the freshest visible version
 // across the active memtable, the frozen memtable (if a flush is in
 // progress) and every immutable run. Runs are probed without any lock —
-// a Bloom-filter check, then at most one block pread each.
+// a Bloom-filter check, then at most one block of the mapping each.
 func (e *Engine) ReadVisible(key string, visible store.VisibleFunc) *store.Version {
 	tabs := e.tabs.Load()
 	v := tabs.active.ReadVisible(key, visible)
@@ -1094,9 +1111,9 @@ func (e *Engine) markCrashed() {
 
 // Close implements store.Engine: it stops the background work, forces the
 // active WAL generation to stable storage (a clean shutdown is always
-// fully durable, whatever the fsync policy), closes the files — including
-// the run descriptors, released through their refcounts so a straggling
-// read finishes first — and returns the first error the write path hit.
+// fully durable, whatever the fsync policy), closes the files, unmaps the
+// runs — released through their refcounts, so a straggling read finishes
+// first — and returns the first error the write path hit.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	if e.closed {
