@@ -69,10 +69,9 @@ func parseArgs(args []string) (o bench.Options, figure, ablation string, err err
 	fs.DurationVar(&o.Measure, "measure", o.Measure, "measurement window per load point")
 	fs.IntVar(&o.KeysPerPartition, "keys", o.KeysPerPartition, "keys per partition")
 	fs.DurationVar(&o.ClockSkew, "skew", o.ClockSkew, "max clock skew per server")
-	fs.IntVar(&o.StoreShards, "store-shards", 0, "version-store lock stripes per server (0 = default 64)")
-	fs.StringVar(&o.StoreBackend, "store-backend", "memory", "storage engine: memory, wal or sst")
-	fs.StringVar(&o.DataDir, "data-dir", "", "root data directory for durable backends; each benchmark cluster uses a fresh subdirectory (empty = per-cluster temp dir)")
-	fs.StringVar(&o.FsyncPolicy, "fsync", "", "durable-backend fsync policy: always, interval (default) or never")
+	fs.StringVar(&o.Server.StoreBackend, "store-backend", "memory", "storage engine: memory, wal or sst")
+	fs.StringVar(&o.Server.DataDir, "data-dir", "", "root data directory for durable backends; each benchmark cluster uses a fresh subdirectory (empty = per-cluster temp dir)")
+	fs.StringVar(&o.Server.FsyncPolicy, "fsync", "", "transaction-log fsync policy for durable backends: always, interval (default) or never")
 	fs.Int64Var(&o.Seed, "seed", o.Seed, "random seed")
 	quick := fs.Bool("quick", false, "reduced topology and windows for a fast run")
 	if err := fs.Parse(args); err != nil {

@@ -24,6 +24,7 @@ func TestRunRejects(t *testing.T) {
 		{"retired -chaos", []string{"-figure", "3a", "-chaos"}, undefined},
 		{"retired -clients", []string{"-figure", "3a", "-clients"}, undefined},
 		{"retired -out", []string{"-figure", "3a", "-out", "x"}, undefined},
+		{"retired -store-shards", []string{"-figure", "3a", "-store-shards", "64"}, undefined},
 		{"unknown figure", []string{"-figure", "9z"}, `unknown figure "9z"`},
 		{"unknown ablation", []string{"-ablation", "nope"}, `unknown ablation "nope"`},
 		{"zero threads", []string{"-figure", "3a", "-threads", "0"}, "invalid thread count"},

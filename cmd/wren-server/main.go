@@ -26,6 +26,7 @@ import (
 	"wren/internal/core"
 	"wren/internal/cure"
 	"wren/internal/peers"
+	"wren/internal/replica"
 	"wren/internal/transport"
 	"wren/internal/transport/tcp"
 )
@@ -50,7 +51,6 @@ func run(args []string) error {
 		applyMs    = fs.Duration("apply-interval", 5*time.Millisecond, "ΔR, idle fallback period of apply/replication and heartbeat pace (commits apply as they are decided)")
 		gossipMs   = fs.Duration("gossip-interval", 5*time.Millisecond, "ΔG, idle fallback period of stabilization gossip (Wren's stable times ride the transaction messages)")
 		gcEvery    = fs.Duration("gc-interval", 500*time.Millisecond, "GC period (negative disables)")
-		shards     = fs.Int("store-shards", 0, "version-store lock stripes (0 = default 64, rounded up to a power of two)")
 		storeBack  = fs.String("store-backend", "memory", "storage engine: memory, wal or sst")
 		dataDir    = fs.String("data-dir", "", "root data directory for durable backends (server writes under dc<m>-p<n>)")
 		fsync      = fs.String("fsync", "", "durable-backend fsync policy (honoured by the transaction log, the one fsync-before-ack point): always, interval (default) or never")
@@ -74,40 +74,29 @@ func run(args []string) error {
 	}
 	defer net.Close()
 
+	cfg := replica.Config{
+		DC: *dc, Partition: *partition,
+		NumDCs: *dcs, NumPartitions: *partitions,
+		Network:        net,
+		ApplyInterval:  *applyMs,
+		GossipInterval: *gossipMs,
+		GCInterval:     *gcEvery,
+		StoreBackend:   *storeBack,
+		DataDir:        *dataDir,
+		FsyncPolicy:    *fsync,
+	}
 	var stop func()
 	switch strings.ToLower(*protocol) {
 	case "wren":
-		srv, err := core.NewServer(core.ServerConfig{
-			DC: *dc, Partition: *partition,
-			NumDCs: *dcs, NumPartitions: *partitions,
-			Network:        net,
-			ApplyInterval:  *applyMs,
-			GossipInterval: *gossipMs,
-			GCInterval:     *gcEvery,
-			StoreShards:    *shards,
-			StoreBackend:   *storeBack,
-			DataDir:        *dataDir,
-			FsyncPolicy:    *fsync,
-		})
+		srv, err := core.NewServer(cfg)
 		if err != nil {
 			return err
 		}
 		srv.Start()
 		stop = srv.Stop
 	case "cure", "hcure":
-		srv, err := cure.NewServer(cure.ServerConfig{
-			DC: *dc, Partition: *partition,
-			NumDCs: *dcs, NumPartitions: *partitions,
-			Network:        net,
-			UseHLC:         strings.ToLower(*protocol) == "hcure",
-			ApplyInterval:  *applyMs,
-			GossipInterval: *gossipMs,
-			GCInterval:     *gcEvery,
-			StoreShards:    *shards,
-			StoreBackend:   *storeBack,
-			DataDir:        *dataDir,
-			FsyncPolicy:    *fsync,
-		})
+		cfg.UseHLC = strings.ToLower(*protocol) == "hcure"
+		srv, err := cure.NewServer(cfg)
 		if err != nil {
 			return err
 		}

@@ -35,7 +35,7 @@ func RunBlockingCommitAblation(o Options) ([]AblationResult, error) {
 	var out []AblationResult
 	for _, v := range variants {
 		ccfg := o.clusterConfig(cluster.Wren, o.DCs, o.Partitions)
-		ccfg.BlockingCommit = v.blocking
+		ccfg.Server.BlockingCommit = v.blocking
 		cl, err := cluster.New(ccfg)
 		if err != nil {
 			return nil, err
@@ -79,7 +79,7 @@ func RunGossipIntervalAblation(o Options, intervals []time.Duration) ([]Ablation
 	var out []AblationResult
 	for _, ival := range intervals {
 		opt := o
-		opt.GossipInterval = ival
+		opt.Server.GossipInterval = ival
 		vis, err := RunVisibility(VisibilityConfig{
 			Options:    opt,
 			Protocol:   cluster.Wren,
@@ -142,7 +142,7 @@ func RunGossipTopologyAblation(o Options) ([]AblationResult, error) {
 	var out []AblationResult
 	for _, v := range variants {
 		ccfg := o.clusterConfig(cluster.Wren, o.DCs, o.Partitions)
-		ccfg.GossipTree = v.tree
+		ccfg.Server.GossipTree = v.tree
 		cl, err := cluster.New(ccfg)
 		if err != nil {
 			return nil, err

@@ -93,7 +93,7 @@ func TestSnapshotAgeAblation(t *testing.T) {
 	// together, fire in near-lockstep and the gossip hop costs mere
 	// scheduling noise; spreading the periods makes the structural
 	// difference dominate the measurement.
-	o.GossipInterval = 4 * o.ApplyInterval
+	o.Server.GossipInterval = 4 * o.Server.ApplyInterval
 	rows, err := RunSnapshotAgeAblation(o)
 	if err != nil {
 		t.Fatal(err)

@@ -19,8 +19,8 @@ func tinyOptions() Options {
 	o.Warmup = 100 * time.Millisecond
 	o.Measure = 400 * time.Millisecond
 	o.KeysPerPartition = 50
-	o.ApplyInterval = time.Millisecond
-	o.GossipInterval = time.Millisecond
+	o.Server.ApplyInterval = time.Millisecond
+	o.Server.GossipInterval = time.Millisecond
 	o.InterDCLatency = 2 * time.Millisecond
 	return o
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"wren/internal/cluster"
+	"wren/internal/replica"
 	"wren/internal/ycsb"
 )
 
@@ -32,32 +33,20 @@ type Options struct {
 	KeysPerPartition int
 	// ClockSkew is the maximum simulated NTP offset.
 	ClockSkew time.Duration
-	// ApplyInterval and GossipInterval are the protocol timers (ΔR, ΔG);
-	// the paper runs both every 5ms.
-	ApplyInterval  time.Duration
-	GossipInterval time.Duration
 	// InterDCLatency is the uniform WAN latency for throughput figures.
 	InterDCLatency time.Duration
-	// StoreShards is the lock-stripe count of each server's version store
-	// (0 = store default).
-	StoreShards int
-	// StoreBackend selects the servers' storage engine ("" or "memory",
-	// "wal" for the durable per-shard log engine, "sst" for the
-	// memtable+sorted-run engine).
-	StoreBackend string
-	// DataDir is the root data directory for durable backends; every
-	// cluster a run builds gets its own cluster-<n> subdirectory so no
-	// load point recovers a previous one's data. Empty selects a
-	// per-cluster temp dir removed when the cluster closes.
-	DataDir string
-	// FsyncPolicy is the WAL group-commit policy (always, interval, never).
-	FsyncPolicy string
+	// Server is the cluster's server template (see cluster.Config.Server).
+	// Its DataDir is a root: every cluster a run builds gets its own
+	// cluster-<n> subdirectory so no load point recovers a previous one's
+	// data.
+	Server replica.Config
 	// Seed fixes randomness for reproducibility.
 	Seed int64
 }
 
 // DefaultOptions mirrors the paper's configuration, scaled to run on a
-// single machine.
+// single machine. The zero server template runs ΔR and ΔG every 5ms, as
+// the paper does.
 func DefaultOptions() Options {
 	return Options{
 		DCs:              3,
@@ -68,8 +57,6 @@ func DefaultOptions() Options {
 		Measure:          4 * time.Second,
 		KeysPerPartition: 1000,
 		ClockSkew:        2 * time.Millisecond,
-		ApplyInterval:    5 * time.Millisecond,
-		GossipInterval:   5 * time.Millisecond,
 		InterDCLatency:   10 * time.Millisecond,
 		Seed:             1,
 	}
@@ -107,9 +94,9 @@ func freshDataDir(root string) string {
 }
 
 func (o Options) clusterConfig(proto cluster.Protocol, dcs, partitions int) cluster.Config {
-	dataDir := o.DataDir
-	if dataDir != "" {
-		dataDir = freshDataDir(dataDir)
+	srv := o.Server
+	if srv.DataDir != "" {
+		srv.DataDir = freshDataDir(srv.DataDir)
 	}
 	return cluster.Config{
 		Protocol:       proto,
@@ -117,12 +104,7 @@ func (o Options) clusterConfig(proto cluster.Protocol, dcs, partitions int) clus
 		NumPartitions:  partitions,
 		InterDCLatency: o.InterDCLatency,
 		ClockSkew:      o.ClockSkew,
-		ApplyInterval:  o.ApplyInterval,
-		GossipInterval: o.GossipInterval,
-		StoreShards:    o.StoreShards,
-		StoreBackend:   o.StoreBackend,
-		DataDir:        dataDir,
-		FsyncPolicy:    o.FsyncPolicy,
+		Server:         srv,
 		Seed:           o.Seed,
 	}
 }

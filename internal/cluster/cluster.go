@@ -16,6 +16,7 @@ import (
 	"wren/internal/core"
 	"wren/internal/cure"
 	"wren/internal/hlc"
+	"wren/internal/replica"
 	"wren/internal/session"
 	"wren/internal/transport"
 	"wren/internal/transport/chaos"
@@ -73,57 +74,20 @@ type Config struct {
 	// ClockSkew is the maximum absolute clock offset; each server draws an
 	// offset uniformly from [-ClockSkew, +ClockSkew].
 	ClockSkew time.Duration
-	// ApplyInterval, GossipInterval, GCInterval are the protocol timers
-	// (ΔR, ΔG, GC period). ΔR and ΔG are idle fallback periods, not how
-	// often apply and stabilization run: commits and replicated batches
-	// install themselves and Wren's stable times ride the transaction
-	// messages, so freezing them does not freeze the protocol. Zeros select
-	// the package defaults; a negative GCInterval disables GC.
-	ApplyInterval  time.Duration
-	GossipInterval time.Duration
-	GCInterval     time.Duration
-	// TxContextTTL bounds how long a coordinator keeps the context of a
-	// transaction nobody finished or released. Zero selects the
-	// replica-runtime default (30s); expiry runs on the GC tick.
-	TxContextTTL time.Duration
-	// RepairInterval paces each server's degraded-mode probation exit
-	// (txlog repair + write readmission). Zero selects the replica-runtime
-	// default; negative disables automatic repair, keeping a degraded
-	// server read-only until restart — what degradation tests want.
-	RepairInterval time.Duration
+	// Server is the template every partition server is configured from.
+	// New copies it once per server and sets DC, Partition, NumDCs,
+	// NumPartitions, Network, ClockSource and UseHLC itself; every other
+	// field is passed through as documented on replica.Config, except that
+	// an empty StoreBackend (FsyncPolicy) is taken from the
+	// WREN_STORE_BACKEND (WREN_FSYNC) environment variable, which is how
+	// CI runs the whole suite against each durable backend, and that a
+	// durable backend with an empty DataDir gets a temporary root, removed
+	// again on Close.
+	Server replica.Config
 	// ClientFailover makes sessions returned by NewClient retry a commit
 	// refused with a read-only error once, against a different healthy
 	// coordinator partition, instead of surfacing the error immediately.
 	ClientFailover bool
-	// BlockingCommit enables the commit-blocks-until-stable ablation on
-	// Wren servers (the "simple solution" the paper rejects in §III-B).
-	BlockingCommit bool
-	// GossipTree selects tree-based BiST aggregation on Wren servers
-	// instead of all-to-all broadcast (paper §IV-B).
-	GossipTree bool
-	// StoreShards is the number of lock stripes in each server's version
-	// store. Zero selects the store default (64); values are rounded up to
-	// a power of two.
-	StoreShards int
-	// StoreBackend selects each server's storage engine: "" or "memory"
-	// for the in-memory engine, "wal" for the durable per-shard log
-	// engine, "sst" for the memtable+sorted-run engine. An empty value
-	// can also be overridden by the WREN_STORE_BACKEND environment
-	// variable, which is how CI runs the whole suite against each durable
-	// backend.
-	StoreBackend string
-	// DataDir is the root directory durable backends write under; every
-	// server gets its own dc<m>-p<n> subdirectory, so one root serves the
-	// whole deployment. When the backend is "wal" and DataDir is empty, a
-	// temporary directory is created and removed again on Close.
-	DataDir string
-	// FsyncPolicy is the WAL group-commit policy: "always", "interval"
-	// (the "" default) or "never". Servers with a durable backend always
-	// keep the transaction-lifecycle log, which honours it: commit records
-	// written before acknowledgements, a persisted per-DC replication
-	// cursor, and restart recovery of acknowledged-but-unapplied
-	// transactions.
-	FsyncPolicy string
 	// Seed makes clock-skew assignment reproducible.
 	Seed int64
 	// RequestTimeout bounds client round trips. Zero selects 10s.
@@ -151,12 +115,6 @@ type Config struct {
 	// demultiplexed by request id. Zero keeps the legacy
 	// one-endpoint-per-session wiring.
 	ClientPoolLinks int
-	// MaxInflightPerConn bounds how many admitted requests one client
-	// connection may have outstanding per server; excess requests are shed
-	// with a BusyResp that clients treat as backpressure (delay + retry).
-	// Zero selects the replica default; negative disables admission
-	// control.
-	MaxInflightPerConn int
 }
 
 func (c *Config) fillDefaults() {
@@ -172,11 +130,11 @@ func (c *Config) fillDefaults() {
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 10 * time.Second
 	}
-	if c.StoreBackend == "" {
-		c.StoreBackend = os.Getenv("WREN_STORE_BACKEND")
+	if c.Server.StoreBackend == "" {
+		c.Server.StoreBackend = os.Getenv("WREN_STORE_BACKEND")
 	}
-	if c.FsyncPolicy == "" {
-		c.FsyncPolicy = os.Getenv("WREN_FSYNC")
+	if c.Server.FsyncPolicy == "" {
+		c.Server.FsyncPolicy = os.Getenv("WREN_FSYNC")
 	}
 }
 
@@ -263,13 +221,13 @@ func New(cfg Config) (*Cluster, error) {
 	}
 
 	var ephemeral string
-	if cfg.StoreBackend != "" && cfg.StoreBackend != "memory" && cfg.DataDir == "" {
+	if b := cfg.Server.StoreBackend; b != "" && b != "memory" && cfg.Server.DataDir == "" {
 		dir, err := os.MkdirTemp("", "wren-data-*")
 		if err != nil {
 			fabric.Close()
 			return nil, fmt.Errorf("cluster: temp data dir: %w", err)
 		}
-		cfg.DataDir = dir
+		cfg.Server.DataDir = dir
 		ephemeral = dir
 	}
 
@@ -291,27 +249,15 @@ func New(cfg Config) (*Cluster, error) {
 		var wrenRow []*core.Server
 		var cureRow []*cure.Server
 		for p := 0; p < cfg.NumPartitions; p++ {
-			src := hlc.OffsetSource{Base: hlc.SystemSource{}, Offset: skewFor()}
+			scfg := cfg.Server
+			scfg.DC, scfg.Partition = dc, p
+			scfg.NumDCs, scfg.NumPartitions = cfg.NumDCs, cfg.NumPartitions
+			scfg.Network = fabric
+			scfg.ClockSource = hlc.OffsetSource{Base: hlc.SystemSource{}, Offset: skewFor()}
+			scfg.UseHLC = cfg.Protocol == HCure
 			switch cfg.Protocol {
 			case Wren:
-				srv, err := core.NewServer(core.ServerConfig{
-					DC: dc, Partition: p,
-					NumDCs: cfg.NumDCs, NumPartitions: cfg.NumPartitions,
-					Network: fabric, ClockSource: src,
-					ApplyInterval:  cfg.ApplyInterval,
-					GossipInterval: cfg.GossipInterval,
-					GCInterval:     cfg.GCInterval,
-					TxContextTTL:   cfg.TxContextTTL,
-					RepairInterval: cfg.RepairInterval,
-					BlockingCommit: cfg.BlockingCommit,
-					GossipTree:     cfg.GossipTree,
-					StoreShards:    cfg.StoreShards,
-					StoreBackend:   cfg.StoreBackend,
-					DataDir:        cfg.DataDir,
-					FsyncPolicy:    cfg.FsyncPolicy,
-
-					MaxInflightPerConn: cfg.MaxInflightPerConn,
-				})
+				srv, err := core.NewServer(scfg)
 				if err != nil {
 					c.wrenServers = append(c.wrenServers, wrenRow)
 					return fail(err)
@@ -319,23 +265,7 @@ func New(cfg Config) (*Cluster, error) {
 				srv.Start()
 				wrenRow = append(wrenRow, srv)
 			case Cure, HCure:
-				srv, err := cure.NewServer(cure.ServerConfig{
-					DC: dc, Partition: p,
-					NumDCs: cfg.NumDCs, NumPartitions: cfg.NumPartitions,
-					Network: fabric, ClockSource: src,
-					UseHLC:         cfg.Protocol == HCure,
-					ApplyInterval:  cfg.ApplyInterval,
-					GossipInterval: cfg.GossipInterval,
-					GCInterval:     cfg.GCInterval,
-					TxContextTTL:   cfg.TxContextTTL,
-					RepairInterval: cfg.RepairInterval,
-					StoreShards:    cfg.StoreShards,
-					StoreBackend:   cfg.StoreBackend,
-					DataDir:        cfg.DataDir,
-					FsyncPolicy:    cfg.FsyncPolicy,
-
-					MaxInflightPerConn: cfg.MaxInflightPerConn,
-				})
+				srv, err := cure.NewServer(scfg)
 				if err != nil {
 					c.cureServers = append(c.cureServers, cureRow)
 					return fail(err)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"wren/internal/replica"
 )
 
 func fastConfig(p Protocol, dcs, parts int) Config {
@@ -12,9 +14,11 @@ func fastConfig(p Protocol, dcs, parts int) Config {
 		NumDCs:         dcs,
 		NumPartitions:  parts,
 		InterDCLatency: 3 * time.Millisecond,
-		ApplyInterval:  time.Millisecond,
-		GossipInterval: time.Millisecond,
-		GCInterval:     -1,
+		Server: replica.Config{
+			ApplyInterval:  time.Millisecond,
+			GossipInterval: time.Millisecond,
+			GCInterval:     -1,
+		},
 		RequestTimeout: 5 * time.Second,
 	}
 }

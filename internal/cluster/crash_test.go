@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"wren/internal/replica"
 	"wren/internal/replica/replicatest"
 	"wren/internal/transport"
 )
@@ -33,11 +34,13 @@ func crashConfig(proto Protocol, dcs int, dataDir string, backend string) Config
 		Protocol:      proto,
 		NumDCs:        dcs,
 		NumPartitions: 2,
-		StoreBackend:  backend,
-		DataDir:       dataDir,
-		FsyncPolicy:   "always",
-		// Keep chains intact so Latest comparisons are deterministic.
-		GCInterval: -1,
+		Server: replica.Config{
+			StoreBackend: backend,
+			DataDir:      dataDir,
+			FsyncPolicy:  "always",
+			// Keep chains intact so Latest comparisons are deterministic.
+			GCInterval: -1,
+		},
 	}
 }
 

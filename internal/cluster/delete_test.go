@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"wren/internal/replica"
 	"wren/internal/sharding"
 )
 
@@ -20,7 +21,7 @@ func TestDeleteEndToEnd(t *testing.T) {
 				NumDCs:         2,
 				NumPartitions:  2,
 				InterDCLatency: time.Millisecond,
-				GCInterval:     50 * time.Millisecond,
+				Server:         replica.Config{GCInterval: 50 * time.Millisecond},
 			})
 			if err != nil {
 				t.Fatalf("New: %v", err)

@@ -254,7 +254,7 @@ func testCrashAfterApplyBeforeEngineSync(t *testing.T, proto Protocol, backend s
 func testEngineSyncFails(t *testing.T, proto Protocol, backend string) {
 	dataDir := t.TempDir()
 	cfg := crashConfig(proto, 1, dataDir, backend)
-	cfg.RepairInterval = -1
+	cfg.Server.RepairInterval = -1
 	prefix := fmt.Sprintf("syncfail-%s-%s", proto, backend)
 	k0, k1 := keyOwnedBy(prefix+"-a", 0, cfg.NumPartitions), keyOwnedBy(prefix+"-b", 1, cfg.NumPartitions)
 	func() {

@@ -19,8 +19,8 @@ import (
 // absent, and always see both markers from the same transaction.
 func TestWrenGCFloorCoversRemoteSnapshot(t *testing.T) {
 	cfg := fastConfig(Wren, 2, 2)
-	cfg.StoreBackend = "memory"
-	cfg.GCInterval = 2 * time.Millisecond
+	cfg.Server.StoreBackend = "memory"
+	cfg.Server.GCInterval = 2 * time.Millisecond
 	cl, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

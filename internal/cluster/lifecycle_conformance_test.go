@@ -114,7 +114,7 @@ func commitVia(t *testing.T, client Client, kvs map[string]string) error {
 // and reads keep flowing.
 func testReadOnlyRefusal(t *testing.T, proto Protocol, backend string) {
 	cfg := crashConfig(proto, 1, t.TempDir(), backend)
-	cfg.RepairInterval = -1 // pin the degradation: no automatic readmit
+	cfg.Server.RepairInterval = -1 // pin the degradation: no automatic readmit
 	cl, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +184,7 @@ func testReadOnlyRefusal(t *testing.T, proto Protocol, backend string) {
 func testProbationReadmit(t *testing.T, proto Protocol, backend string) {
 	cfg := crashConfig(proto, 1, t.TempDir(), backend)
 	// Retried on every lifecycle tick (1s cadence) once degraded.
-	cfg.RepairInterval = 50 * time.Millisecond
+	cfg.Server.RepairInterval = 50 * time.Millisecond
 	cl, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +252,7 @@ func testProbationReadmit(t *testing.T, proto Protocol, backend string) {
 // session's causal state with it.
 func testFailoverCommit(t *testing.T, proto Protocol, backend string) {
 	cfg := crashConfig(proto, 1, t.TempDir(), backend)
-	cfg.RepairInterval = -1 // the failed coordinator must STAY failed
+	cfg.Server.RepairInterval = -1 // the failed coordinator must STAY failed
 	cfg.ClientFailover = true
 	cl, err := New(cfg)
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"wren/internal/core"
+	"wren/internal/replica"
 	"wren/internal/transport/chaos"
 )
 
@@ -33,18 +34,18 @@ import (
 // hammered.
 func TestPooledPipeliningStress(t *testing.T) {
 	cl, err := New(Config{
-		Protocol:           Wren,
-		NumDCs:             1,
-		NumPartitions:      2,
-		IntraDCLatency:     50 * time.Microsecond,
-		ClientPoolLinks:    1, // every session pipelines over ONE link
-		MaxInflightPerConn: 4, // force admission sheds
-		RequestTimeout:     2 * time.Second,
-		RetryAttempts:      10,
-		RetryBackoff:       time.Millisecond,
-		Chaos:              true,
-		ChaosSeed:          7,
-		Seed:               7,
+		Protocol:        Wren,
+		NumDCs:          1,
+		NumPartitions:   2,
+		IntraDCLatency:  50 * time.Microsecond,
+		ClientPoolLinks: 1,                                     // every session pipelines over ONE link
+		Server:          replica.Config{MaxInflightPerConn: 4}, // force admission sheds
+		RequestTimeout:  2 * time.Second,
+		RetryAttempts:   10,
+		RetryBackoff:    time.Millisecond,
+		Chaos:           true,
+		ChaosSeed:       7,
+		Seed:            7,
 	})
 	if err != nil {
 		t.Fatal(err)

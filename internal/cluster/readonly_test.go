@@ -8,6 +8,7 @@ import (
 
 	"wren/internal/core"
 	"wren/internal/cure"
+	"wren/internal/replica"
 )
 
 // TestReadOnlyAdmission proves the servers ACT on the durability health
@@ -28,12 +29,14 @@ func testReadOnlyAdmission(t *testing.T, proto Protocol) {
 		Protocol:      proto,
 		NumDCs:        1,
 		NumPartitions: 2,
-		StoreBackend:  "wal",
-		DataDir:       t.TempDir(),
-		// Pin the degradation: this test asserts the STICKY read-only
-		// state, so the automatic probation exit must stay off (the
-		// readmit path has its own conformance scenario).
-		RepairInterval: -1,
+		Server: replica.Config{
+			StoreBackend: "wal",
+			DataDir:      t.TempDir(),
+			// Pin the degradation: this test asserts the STICKY read-only
+			// state, so the automatic probation exit must stay off (the
+			// readmit path has its own conformance scenario).
+			RepairInterval: -1,
+		},
 	}
 	cl, err := New(cfg)
 	if err != nil {

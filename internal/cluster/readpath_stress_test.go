@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"wren/internal/replica"
 )
 
 // TestReadPathStress hammers the lock-free read path with concurrent
@@ -42,11 +44,13 @@ func stressReadPath(t *testing.T, proto Protocol, backendName string) {
 		NumPartitions:  2,
 		InterDCLatency: 2 * time.Millisecond,
 		ClockSkew:      500 * time.Microsecond,
-		ApplyInterval:  time.Millisecond,
-		GossipInterval: time.Millisecond,
-		GCInterval:     5 * time.Millisecond, // aggressive: GC races every read
-		StoreBackend:   backendName,
-		Seed:           42,
+		Server: replica.Config{
+			ApplyInterval:  time.Millisecond,
+			GossipInterval: time.Millisecond,
+			GCInterval:     5 * time.Millisecond, // aggressive: GC races every read
+			StoreBackend:   backendName,
+		},
+		Seed: 42,
 	})
 	if err != nil {
 		t.Fatal(err)

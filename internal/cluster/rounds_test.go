@@ -312,8 +312,8 @@ func TestTxReadOnExpiredContext(t *testing.T) {
 	for _, proto := range allProtocols {
 		t.Run(proto.String(), func(t *testing.T) {
 			cfg := fastConfig(proto, 1, 2)
-			cfg.TxContextTTL = 30 * time.Millisecond
-			cfg.GCInterval = 5 * time.Millisecond
+			cfg.Server.TxContextTTL = 30 * time.Millisecond
+			cfg.Server.GCInterval = 5 * time.Millisecond
 			cl, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -364,8 +364,8 @@ func TestChaosReadOnlySessionsLeaveNoContext(t *testing.T) {
 		t.Run(proto.String(), func(t *testing.T) {
 			cfg := chaosConfig(proto, 1, 2)
 			cfg.RequestTimeout = 250 * time.Millisecond
-			cfg.TxContextTTL = 300 * time.Millisecond
-			cfg.GCInterval = 20 * time.Millisecond
+			cfg.Server.TxContextTTL = 300 * time.Millisecond
+			cfg.Server.GCInterval = 20 * time.Millisecond
 			cl, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -423,7 +423,7 @@ func TestChaosReadOnlySessionsLeaveNoContext(t *testing.T) {
 			// Drain: the sessions are closed; what they could not release
 			// themselves goes with the TTL sweep.
 			for p := 0; p < 2; p++ {
-				awaitOpenTxContexts(t, cl, 0, p, 0, cfg.TxContextTTL+time.Second)
+				awaitOpenTxContexts(t, cl, 0, p, 0, cfg.Server.TxContextTTL+time.Second)
 			}
 			if expired, injected := ctxExpired(cl), faults.Dropped+faults.Duplicated; expired > injected {
 				t.Errorf("TTL sweep expired %d contexts for %d injected faults over %d transactions: releases are not reaching the coordinators",

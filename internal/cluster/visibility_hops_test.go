@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"wren/internal/hlc"
+	"wren/internal/replica"
 	"wren/internal/session"
 )
 
@@ -31,8 +32,7 @@ func hopsConfig(proto Protocol, dcs, parts int) Config {
 		NumPartitions:  parts,
 		IntraDCLatency: time.Millisecond,
 		InterDCLatency: 5 * time.Millisecond,
-		ApplyInterval:  time.Hour,
-		GossipInterval: time.Hour,
+		Server:         replica.Config{ApplyInterval: time.Hour, GossipInterval: time.Hour},
 		RequestTimeout: 10 * time.Second,
 	}
 }

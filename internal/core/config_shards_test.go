@@ -7,35 +7,16 @@ import (
 	"wren/internal/transport"
 )
 
+// TestStoreShardsValidation: the stripe count is no longer a server knob;
+// a Wren server opens store.DefaultShards stripes.
 func TestStoreShardsValidation(t *testing.T) {
 	net := transport.NewMemory(transport.UniformLatency(0, 0))
 	defer net.Close()
-	base := ServerConfig{DC: 0, Partition: 0, NumDCs: 1, NumPartitions: 1, Network: net}
-
-	cfg := base
-	cfg.StoreShards = -1
-	if _, err := NewServer(cfg); err == nil {
-		t.Error("negative StoreShards accepted")
-	}
-	cfg.StoreShards = store.MaxShards + 1
-	if _, err := NewServer(cfg); err == nil {
-		t.Error("oversized StoreShards accepted")
-	}
-
-	cfg.StoreShards = 100 // rounded up to 128
-	srv, err := NewServer(cfg)
+	srv, err := NewServer(ServerConfig{DC: 0, Partition: 0, NumDCs: 1, NumPartitions: 1, Network: net})
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}
-	if got := srv.Store().NumShards(); got != 128 {
-		t.Errorf("NumShards = %d, want 128", got)
-	}
-
-	cfg.StoreShards = 0 // default
-	srv, err = NewServer(cfg)
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
-	}
+	defer srv.Kill()
 	if got := srv.Store().NumShards(); got != store.DefaultShards {
 		t.Errorf("NumShards = %d, want default %d", got, store.DefaultShards)
 	}

@@ -605,6 +605,7 @@ func TestConfigValidation(t *testing.T) {
 		{DC: 5, NumDCs: 2, NumPartitions: 1, Network: net},
 		{Partition: 9, NumDCs: 1, NumPartitions: 2, Network: net},
 		{NumDCs: 1, NumPartitions: 1, Network: nil},
+		{NumDCs: 1, NumPartitions: 1, Network: net, UseHLC: true}, // Cure's switch
 	}
 	for i, cfg := range bad {
 		if _, err := NewServer(cfg); err == nil {

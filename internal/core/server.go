@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sync"
 	"time"
 
@@ -16,120 +17,12 @@ import (
 	"wren/internal/wire"
 )
 
-// Default protocol timer intervals, shared with the replica runtime. The
-// paper runs its stabilization protocols every 5 milliseconds (§V-A).
-const (
-	DefaultApplyInterval  = replica.DefaultApplyInterval
-	DefaultGossipInterval = replica.DefaultGossipInterval
-	DefaultGCInterval     = replica.DefaultGCInterval
-	DefaultTxContextTTL   = replica.DefaultTxContextTTL
-)
+// DefaultGCInterval is the version-GC period a zero GCInterval selects.
+const DefaultGCInterval = replica.DefaultGCInterval
 
-// ServerConfig configures one Wren partition server p_n^m.
-type ServerConfig struct {
-	// DC is the server's data center index m (0-based).
-	DC int
-	// Partition is the server's partition index n (0-based).
-	Partition int
-	// NumDCs is the number of replication sites M.
-	NumDCs int
-	// NumPartitions is the number of partitions per DC, N.
-	NumPartitions int
-	// Network delivers messages between nodes.
-	Network transport.Network
-	// ClockSource supplies physical time; distinct servers get distinct,
-	// possibly skewed sources. Nil means the system clock.
-	ClockSource hlc.Source
-	// ApplyInterval is ΔR, the idle fallback period of the apply pass
-	// (Algorithm 4): commits and replicated batches ask for the pass
-	// themselves, the timer covers a partition that hears nothing and paces
-	// its heartbeats. Zero selects DefaultApplyInterval.
-	ApplyInterval time.Duration
-	// GossipInterval is ΔG, the idle fallback period of BiST: the two
-	// scalars ride every intra-DC transaction message, the timed broadcast
-	// covers partitions that exchange none. Zero selects
-	// DefaultGossipInterval.
-	GossipInterval time.Duration
-	// GCInterval is how often version-chain garbage collection runs.
-	// Zero selects DefaultGCInterval; negative disables GC.
-	GCInterval time.Duration
-	// TxContextTTL bounds how long an inactive transaction context is kept
-	// before being expired (a backstop for abandoned sessions). Zero
-	// selects DefaultTxContextTTL.
-	TxContextTTL time.Duration
-	// RepairInterval paces the degraded-mode probation exit: how often a
-	// server whose transaction log recorded a write-path failure (but whose
-	// storage engine is healthy) attempts a full repair-and-readmit. Zero
-	// selects replica.DefaultRepairInterval; negative disables automatic
-	// repair, leaving a degraded server read-only until restart.
-	RepairInterval time.Duration
-	// BlockingCommit enables an ablation of CANToR: instead of relying on
-	// the client-side cache, the coordinator delays the commit reply until
-	// the commit timestamp is covered by the local stable snapshot — the
-	// "simple solution" the paper rejects for its high commit latency
-	// (§III-B). Off in the real protocol.
-	BlockingCommit bool
-	// GossipTree organizes the BiST exchange as an aggregation tree rooted
-	// at partition 0 (paper §IV-B) instead of all-to-all broadcast:
-	// 2(N−1) messages per round instead of N(N−1), at the cost of one
-	// extra hop of staleness.
-	GossipTree bool
-	// StoreShards is the number of lock stripes in the version store.
-	// Zero selects store.DefaultShards; the value is rounded up to a power
-	// of two. More shards reduce lock contention on many-core machines.
-	StoreShards int
-	// StoreBackend selects the storage engine: backend.Memory (the ""
-	// default) keeps versions only in memory; backend.WAL adds per-shard
-	// append-only logs that are replayed on restart; backend.SST is the
-	// memtable+sorted-run engine (WAL over the active memtable only,
-	// immutable runs serving snapshot reads lock-free, merge compaction).
-	StoreBackend string
-	// DataDir is the root directory durable backends write under. The
-	// server uses DataDir/dc<m>-p<n>, so servers of one deployment can
-	// share a root. Required when StoreBackend is backend.WAL or
-	// backend.SST.
-	DataDir string
-	// FsyncPolicy is the WAL group-commit policy: "always", "interval"
-	// (the "" default) or "never". Ignored by the memory backend, which
-	// has nowhere durable to recover from. A durable backend always runs
-	// behind the transaction-lifecycle log, which is what honours the
-	// policy: PREPARE and COMMIT records are written before the
-	// corresponding acknowledgement leaves the server — the durability
-	// unit is the ACKNOWLEDGED transaction — and a persisted per-DC
-	// replication cursor lets a restarted server re-send the unreplicated
-	// tail.
-	FsyncPolicy string
-	// MaxInflightPerConn bounds how many admitted requests a single client
-	// connection may have outstanding on this server; past the bound, new
-	// requests are shed with a BusyResp before any processing. Zero selects
-	// replica.DefaultMaxInflightPerConn; negative disables admission
-	// control.
-	MaxInflightPerConn int
-}
-
-// runtimeConfig maps the public config onto the shared replica runtime's.
-func (c *ServerConfig) runtimeConfig() replica.Config {
-	return replica.Config{
-		Name:           "core",
-		DC:             c.DC,
-		Partition:      c.Partition,
-		NumDCs:         c.NumDCs,
-		NumPartitions:  c.NumPartitions,
-		Network:        c.Network,
-		ClockSource:    c.ClockSource,
-		ApplyInterval:  c.ApplyInterval,
-		GossipInterval: c.GossipInterval,
-		GCInterval:     c.GCInterval,
-		TxContextTTL:   c.TxContextTTL,
-		RepairInterval: c.RepairInterval,
-		StoreShards:    c.StoreShards,
-		StoreBackend:   c.StoreBackend,
-		DataDir:        c.DataDir,
-		FsyncPolicy:    c.FsyncPolicy,
-
-		MaxInflightPerConn: c.MaxInflightPerConn,
-	}
-}
+// ServerConfig configures one Wren partition server p_n^m. UseHLC is Cure's
+// switch and is refused.
+type ServerConfig = replica.Config
 
 // txContext is the coordinator-side state of an open transaction
 // (TX[id_T] in Algorithm 2). It is a value type stored in a striped map
@@ -225,19 +118,20 @@ type Server struct {
 // NewServer constructs a Wren partition server. Call Start to register it
 // on the network and launch its background protocols.
 func NewServer(cfg ServerConfig) (*Server, error) {
-	rcfg := cfg.runtimeConfig()
-	rcfg.FillDefaults()
-	if err := rcfg.Validate(); err != nil {
+	if cfg.UseHLC {
+		return nil, errors.New("core: UseHLC selects H-Cure; Wren always runs on hybrid logical clocks")
+	}
+	cfg.FillDefaults()
+	if err := cfg.Validate("core"); err != nil {
 		return nil, err
 	}
-	cfg.TxContextTTL = rcfg.TxContextTTL
 	s := &Server{
 		cfg:           cfg,
 		txCtx:         stripemap.New[txContext](0),
 		peerLocal:     hlc.NewAtomicVector(cfg.NumPartitions),
 		peerRemoteMin: hlc.NewAtomicVector(cfg.NumPartitions),
 	}
-	rt, err := replica.New(rcfg, (*wrenProtocol)(s), replica.Counters{
+	rt, err := replica.New("core", cfg, (*wrenProtocol)(s), replica.Counters{
 		TxCommitted:   &s.metrics.TxCommitted,
 		ReplTxApplied: &s.metrics.ReplTxApplied,
 		GCRemoved:     &s.metrics.GCRemoved,

@@ -1,6 +1,7 @@
 package cure
 
 import (
+	"errors"
 	"sync"
 	"time"
 
@@ -16,86 +17,10 @@ import (
 	"wren/internal/wire"
 )
 
-// Default protocol timer intervals, shared with the replica runtime.
-const (
-	DefaultApplyInterval  = replica.DefaultApplyInterval
-	DefaultGossipInterval = replica.DefaultGossipInterval
-	DefaultGCInterval     = replica.DefaultGCInterval
-	DefaultTxContextTTL   = replica.DefaultTxContextTTL
-)
-
-// ServerConfig configures one Cure/H-Cure partition server.
-type ServerConfig struct {
-	DC            int
-	Partition     int
-	NumDCs        int
-	NumPartitions int
-	Network       transport.Network
-	ClockSource   hlc.Source
-	// UseHLC selects H-Cure: hybrid logical clocks let a partition's clock
-	// jump forward on message receipt, removing the clock-skew component
-	// of read blocking. False selects plain Cure (physical clocks).
-	UseHLC bool
-	// ApplyInterval (ΔR) and GossipInterval (ΔG) are idle fallback periods
-	// as in core.ServerConfig, with one difference: the apply pass is
-	// event-driven here too, but the M-entry vector gossip rides no
-	// transaction message and runs only on its ΔG timer.
-	ApplyInterval  time.Duration
-	GossipInterval time.Duration
-	GCInterval     time.Duration
-	TxContextTTL   time.Duration
-	// RepairInterval paces the degraded-mode probation exit (see
-	// core.ServerConfig.RepairInterval): zero selects
-	// replica.DefaultRepairInterval, negative disables automatic repair.
-	RepairInterval time.Duration
-	// StoreShards is the number of lock stripes in the version store.
-	// Zero selects store.DefaultShards; the value is rounded up to a power
-	// of two.
-	StoreShards int
-	// StoreBackend selects the storage engine ("" or "memory" for the
-	// in-memory engine, "wal" for the durable per-shard log engine,
-	// "sst" for the memtable+sorted-run engine).
-	StoreBackend string
-	// DataDir is the root directory durable backends write under (the
-	// server uses DataDir/dc<m>-p<n>). Required for the wal and sst
-	// backends.
-	DataDir string
-	// FsyncPolicy is the WAL group-commit policy: "always", "interval"
-	// (the "" default) or "never", honoured by the transaction-lifecycle
-	// log every durable backend runs behind (see
-	// core.ServerConfig.FsyncPolicy: the durability unit is the
-	// ACKNOWLEDGED transaction and replication progress survives restarts).
-	FsyncPolicy string
-	// MaxInflightPerConn bounds how many admitted requests a single client
-	// connection may have outstanding on this server (see
-	// core.ServerConfig.MaxInflightPerConn). Zero selects
-	// replica.DefaultMaxInflightPerConn; negative disables.
-	MaxInflightPerConn int
-}
-
-// runtimeConfig maps the public config onto the shared replica runtime's.
-func (c *ServerConfig) runtimeConfig() replica.Config {
-	return replica.Config{
-		Name:           "cure",
-		DC:             c.DC,
-		Partition:      c.Partition,
-		NumDCs:         c.NumDCs,
-		NumPartitions:  c.NumPartitions,
-		Network:        c.Network,
-		ClockSource:    c.ClockSource,
-		ApplyInterval:  c.ApplyInterval,
-		GossipInterval: c.GossipInterval,
-		GCInterval:     c.GCInterval,
-		TxContextTTL:   c.TxContextTTL,
-		RepairInterval: c.RepairInterval,
-		StoreShards:    c.StoreShards,
-		StoreBackend:   c.StoreBackend,
-		DataDir:        c.DataDir,
-		FsyncPolicy:    c.FsyncPolicy,
-
-		MaxInflightPerConn: c.MaxInflightPerConn,
-	}
-}
+// ServerConfig configures one Cure/H-Cure partition server; UseHLC selects
+// H-Cure. BlockingCommit and GossipTree are Wren's switches and are
+// refused.
+type ServerConfig = replica.Config
 
 // txContext is the coordinator-side state of an open transaction.
 type txContext struct {
@@ -186,12 +111,13 @@ type Server struct {
 
 // NewServer constructs a Cure or H-Cure partition server.
 func NewServer(cfg ServerConfig) (*Server, error) {
-	rcfg := cfg.runtimeConfig()
-	rcfg.FillDefaults()
-	if err := rcfg.Validate(); err != nil {
+	if cfg.BlockingCommit || cfg.GossipTree {
+		return nil, errors.New("cure: BlockingCommit and GossipTree are Wren options")
+	}
+	cfg.FillDefaults()
+	if err := cfg.Validate("cure"); err != nil {
 		return nil, err
 	}
-	cfg.TxContextTTL = rcfg.TxContextTTL
 	s := &Server{
 		cfg:    cfg,
 		gsv:    hlc.NewAtomicVector(cfg.NumDCs),
@@ -201,7 +127,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	for p := range s.peerVV {
 		s.peerVV[p] = make([]hlc.Timestamp, cfg.NumDCs)
 	}
-	rt, err := replica.New(rcfg, (*cureProtocol)(s), replica.Counters{
+	rt, err := replica.New("cure", cfg, (*cureProtocol)(s), replica.Counters{
 		TxCommitted:   &s.metrics.TxCommitted,
 		ReplTxApplied: &s.metrics.ReplTxApplied,
 		GCRemoved:     &s.metrics.GCRemoved,

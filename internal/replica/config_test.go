@@ -1,0 +1,89 @@
+package replica
+
+import (
+	"strings"
+	"testing"
+
+	"wren/internal/store"
+	"wren/internal/store/backend"
+	"wren/internal/transport"
+)
+
+func TestConfigFillDefaultsAndValidate(t *testing.T) {
+	net := transport.NewMemory(nil)
+	defer net.Close()
+	dir := t.TempDir()
+	cases := []struct {
+		name string
+		edit func(*Config)
+		want string // substring of the error; "" means valid
+	}{
+		{"zero knobs", func(*Config) {}, ""},
+		{"durable backend with a directory", func(c *Config) { c.StoreBackend, c.DataDir = backend.SST, dir }, ""},
+		{"no DCs", func(c *Config) { c.NumDCs = 0 }, "invalid topology 0x2"},
+		{"no partitions", func(c *Config) { c.NumPartitions = -1 }, "invalid topology 2x-1"},
+		{"DC out of range", func(c *Config) { c.DC = 2 }, "DC 2 out of range [0,2)"},
+		{"negative DC", func(c *Config) { c.DC = -1 }, "DC -1 out of range"},
+		{"partition out of range", func(c *Config) { c.Partition = 2 }, "partition 2 out of range [0,2)"},
+		{"nil network", func(c *Config) { c.Network = nil }, "network is required"},
+		{"unknown backend", func(c *Config) { c.StoreBackend = "rocksdb" }, `unknown store backend "rocksdb"`},
+		{"wal without a directory", func(c *Config) { c.StoreBackend = backend.WAL }, "requires a data directory"},
+		{"sst without a directory", func(c *Config) { c.StoreBackend = backend.SST }, "requires a data directory"},
+		{"unknown fsync policy", func(c *Config) {
+			c.StoreBackend, c.DataDir, c.FsyncPolicy = backend.WAL, dir, "sometimes"
+		}, `unknown fsync policy "sometimes"`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{DC: 1, Partition: 1, NumDCs: 2, NumPartitions: 2, Network: net, GCInterval: -1}
+			tc.edit(&cfg)
+			cfg.FillDefaults()
+			err := cfg.Validate("proto")
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("Validate = %v, want nil", err)
+				}
+			} else if err == nil || !strings.HasPrefix(err.Error(), "proto: ") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Validate = %v, want an error prefixed %q containing %q", err, "proto: ", tc.want)
+			}
+			// Zero knobs take the defaults; a set one (GC disabled) is kept.
+			if cfg.ClockSource == nil || cfg.ApplyInterval != DefaultApplyInterval ||
+				cfg.GossipInterval != DefaultGossipInterval || cfg.GCInterval != -1 ||
+				cfg.TxContextTTL != DefaultTxContextTTL || cfg.RepairInterval != DefaultRepairInterval ||
+				cfg.MaxInflightPerConn != DefaultMaxInflightPerConn {
+				t.Fatalf("FillDefaults left %+v", cfg)
+			}
+		})
+	}
+}
+
+// nopProtocol satisfies Protocol for a runtime that is opened and killed
+// without serving: any hook New or Kill should not call panics on the nil
+// interface.
+type nopProtocol struct{ Protocol }
+
+func (nopProtocol) OnStop(bool) {}
+
+// TestServerOpensDefaultShards: the lock-stripe count is not configurable;
+// every backend a server opens has store.DefaultShards stripes.
+func TestServerOpensDefaultShards(t *testing.T) {
+	net := transport.NewMemory(nil)
+	defer net.Close()
+	for _, name := range backend.Names {
+		t.Run(name, func(t *testing.T) {
+			cfg := Config{NumDCs: 1, NumPartitions: 1, Network: net, StoreBackend: name, DataDir: t.TempDir()}
+			cfg.FillDefaults()
+			if err := cfg.Validate("proto"); err != nil {
+				t.Fatal(err)
+			}
+			r, err := New("proto", cfg, nopProtocol{}, Counters{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Kill()
+			if got := r.Engine().NumShards(); got != store.DefaultShards {
+				t.Fatalf("NumShards = %d, want %d", got, store.DefaultShards)
+			}
+		})
+	}
+}

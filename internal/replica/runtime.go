@@ -132,44 +132,72 @@ const liveResyncStallTicks = 3
 // a server hands out half a million ids within one tick.
 const seqBlockSize = 1 << 20
 
-// Config carries the protocol-independent part of a partition server's
-// configuration. The protocol packages keep their own public ServerConfig
-// types and convert.
+// Config configures one partition server p_n^m. It is the only declaration
+// of a server's configuration: core.ServerConfig (Wren) and
+// cure.ServerConfig (Cure, H-Cure) are aliases of it, and each protocol
+// refuses the switches documented as the other's.
 type Config struct {
-	// Name tags errors and shutdown diagnostics with the owning protocol
-	// package ("core", "cure").
-	Name string
-	// DC and Partition locate the server in the M×N deployment grid.
-	DC        int
+	// DC is the server's data center index m (0-based).
+	DC int
+	// Partition is the server's partition index n (0-based).
 	Partition int
-	// NumDCs is the number of replication sites M; NumPartitions the
-	// number of partitions per DC, N.
-	NumDCs        int
+	// NumDCs is the number of replication sites M.
+	NumDCs int
+	// NumPartitions is the number of partitions per DC, N.
 	NumPartitions int
 	// Network delivers messages between nodes.
 	Network transport.Network
-	// ClockSource supplies physical time. Nil means the system clock.
+	// ClockSource supplies physical time; distinct servers get distinct,
+	// possibly skewed sources. Nil means the system clock.
 	ClockSource hlc.Source
-	// ApplyInterval (ΔR) and GossipInterval (ΔG) are idle-fallback periods,
-	// GCInterval and TxContextTTL follow the semantics documented on the
-	// protocol ServerConfigs. Zero selects the defaults; a negative
-	// GCInterval disables GC.
-	ApplyInterval  time.Duration
+	// ApplyInterval is ΔR, the idle fallback period of the apply pass
+	// (Algorithm 4): commits and replicated batches ask for the pass
+	// themselves, the timer covers a partition that hears nothing and paces
+	// its heartbeats. Zero selects DefaultApplyInterval.
+	ApplyInterval time.Duration
+	// GossipInterval is ΔG, the idle fallback period of stabilization.
+	// Wren's two BiST scalars ride every intra-DC transaction message, so
+	// the timed broadcast covers partitions that exchange none; Cure's
+	// M-entry vector rides no transaction message and runs only on this
+	// timer. Zero selects DefaultGossipInterval.
 	GossipInterval time.Duration
-	GCInterval     time.Duration
-	TxContextTTL   time.Duration
-	// RepairInterval paces the degraded-mode probation exit (see
+	// GCInterval is how often version-chain garbage collection runs.
+	// Zero selects DefaultGCInterval; negative disables GC.
+	GCInterval time.Duration
+	// TxContextTTL bounds how long an inactive transaction context is kept
+	// before being expired (a backstop for abandoned sessions); expiry runs
+	// on the GC tick. Zero selects DefaultTxContextTTL.
+	TxContextTTL time.Duration
+	// RepairInterval paces the degraded-mode probation exit: how often a
+	// server whose transaction log recorded a write-path failure (but whose
+	// storage engine is healthy) attempts a full repair-and-readmit (see
 	// Runtime.maybeRepair). Zero selects DefaultRepairInterval; negative
 	// disables automatic repair, leaving a degraded server read-only until
-	// restart (the pre-probation behaviour some admission tests pin).
+	// restart.
 	RepairInterval time.Duration
-	// StoreShards, StoreBackend, DataDir and FsyncPolicy configure the
-	// storage engine and the transaction log, as documented on the
-	// protocol ServerConfigs.
-	StoreShards  int
+	// StoreBackend selects the storage engine: backend.Memory (the ""
+	// default) keeps versions only in memory; backend.WAL adds per-shard
+	// append-only logs that are replayed on restart; backend.SST is the
+	// memtable+sorted-run engine (WAL over the active memtable only,
+	// immutable runs serving snapshot reads lock-free, merge compaction).
+	// Every backend opens store.DefaultShards lock stripes.
 	StoreBackend string
-	DataDir      string
-	FsyncPolicy  string
+	// DataDir is the root directory durable backends write under. The
+	// server uses DataDir/dc<m>-p<n>, so servers of one deployment can
+	// share a root. Required when StoreBackend is backend.WAL or
+	// backend.SST.
+	DataDir string
+	// FsyncPolicy is the transaction log's sync policy: "always" (a record
+	// is stable before the acknowledgement it precedes leaves the server),
+	// "interval" (the "" default: a 10ms timer syncs it) or "never". A
+	// durable backend always runs behind the transaction-lifecycle log, the
+	// one fsync-before-ack point: PREPARE and COMMIT records are written
+	// before the corresponding acknowledgement — the durability unit is
+	// the ACKNOWLEDGED transaction — and a persisted per-DC replication
+	// cursor lets a restarted server re-send the unreplicated tail. The
+	// engine's own logs never sync on this policy (see New). Ignored by the
+	// memory backend, which has no transaction log.
+	FsyncPolicy string
 	// MaxInflightPerConn caps the admission-gated client requests
 	// (transactional reads and write commits) outstanding per client
 	// connection. Beyond the cap the request is shed with a BusyResp —
@@ -178,6 +206,23 @@ type Config struct {
 	// connection. Zero selects DefaultMaxInflightPerConn; negative
 	// disables the gate.
 	MaxInflightPerConn int
+
+	// BlockingCommit (Wren only) enables an ablation of CANToR: instead of
+	// relying on the client-side cache, the coordinator delays the commit
+	// reply until the commit timestamp is covered by the local stable
+	// snapshot — the "simple solution" the paper rejects for its high
+	// commit latency (§III-B). Off in the real protocol.
+	BlockingCommit bool
+	// GossipTree (Wren only) organizes the BiST exchange as an aggregation
+	// tree rooted at partition 0 (paper §IV-B) instead of all-to-all
+	// broadcast: 2(N−1) messages per round instead of N(N−1), at the cost
+	// of one extra hop of staleness.
+	GossipTree bool
+	// UseHLC (Cure only) selects H-Cure: hybrid logical clocks let a
+	// partition's clock jump forward on message receipt, removing the
+	// clock-skew component of read blocking. False selects plain Cure
+	// (physical clocks). Wren always runs on hybrid logical clocks.
+	UseHLC bool
 }
 
 // FillDefaults resolves zero values to the package defaults.
@@ -206,25 +251,22 @@ func (c *Config) FillDefaults() {
 }
 
 // Validate checks the topology and storage configuration, prefixing
-// errors with the protocol package name.
-func (c *Config) Validate() error {
+// errors with name, the owning protocol package ("core", "cure").
+func (c *Config) Validate(name string) error {
 	if c.NumDCs <= 0 || c.NumPartitions <= 0 {
-		return fmt.Errorf("%s: invalid topology %dx%d", c.Name, c.NumDCs, c.NumPartitions)
+		return fmt.Errorf("%s: invalid topology %dx%d", name, c.NumDCs, c.NumPartitions)
 	}
 	if c.DC < 0 || c.DC >= c.NumDCs {
-		return fmt.Errorf("%s: DC %d out of range [0,%d)", c.Name, c.DC, c.NumDCs)
+		return fmt.Errorf("%s: DC %d out of range [0,%d)", name, c.DC, c.NumDCs)
 	}
 	if c.Partition < 0 || c.Partition >= c.NumPartitions {
-		return fmt.Errorf("%s: partition %d out of range [0,%d)", c.Name, c.Partition, c.NumPartitions)
+		return fmt.Errorf("%s: partition %d out of range [0,%d)", name, c.Partition, c.NumPartitions)
 	}
 	if c.Network == nil {
-		return fmt.Errorf("%s: network is required", c.Name)
-	}
-	if c.StoreShards < 0 || c.StoreShards > store.MaxShards {
-		return fmt.Errorf("%s: store shards %d out of range [0,%d]", c.Name, c.StoreShards, store.MaxShards)
+		return fmt.Errorf("%s: network is required", name)
 	}
 	if err := backend.Validate(c.StoreBackend, c.DataDir, c.FsyncPolicy); err != nil {
-		return fmt.Errorf("%s: %w", c.Name, err)
+		return fmt.Errorf("%s: %w", name, err)
 	}
 	return nil
 }
@@ -348,6 +390,9 @@ type prepareCall struct {
 // atomic, per-request bookkeeping lives in striped maps, and mu guards
 // only writer state (the pending/commit lists and GC aggregation).
 type Runtime struct {
+	// name tags errors and shutdown diagnostics with the owning protocol
+	// package ("core", "cure").
+	name  string
 	cfg   Config
 	proto Protocol
 	ctr   Counters
@@ -503,11 +548,12 @@ type Runtime struct {
 
 // New opens the storage engine and transaction log, replays recovery
 // state through the protocol's put renderer, and returns a runtime ready
-// for Start. cfg must already be filled and validated (the protocol
-// constructor does both so its own config errors keep their package
-// prefix). proto may rely only on its configuration during New — the
-// runtime pointer is handed to it by its own constructor afterwards.
-func New(cfg Config, proto Protocol, ctr Counters) (*Runtime, error) {
+// for Start. name is the owning protocol package ("core", "cure"). cfg must
+// already be filled and validated (the protocol constructor does both, so
+// it can keep the filled copy). proto may rely only on its configuration
+// during New — the runtime pointer is handed to it by its own constructor
+// afterwards.
+func New(name string, cfg Config, proto Protocol, ctr Counters) (*Runtime, error) {
 	// Engine logs are a recovery accelerator; the txlog is the WAL. A
 	// durable engine always has the transaction log in front of it and
 	// therefore never syncs on its own, whatever the policy (which the
@@ -516,12 +562,11 @@ func New(cfg Config, proto Protocol, ctr Counters) (*Runtime, error) {
 	// ignores the policy.)
 	eng, err := backend.Open(backend.Options{
 		Backend: cfg.StoreBackend,
-		Shards:  cfg.StoreShards,
 		DataDir: cfg.EngineDir(),
 		Fsync:   wal.FsyncNever,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("%s: open store: %w", cfg.Name, err)
+		return nil, fmt.Errorf("%s: open store: %w", name, err)
 	}
 	// The transaction log lives beside the engine's files, inside the
 	// directory the engine just claimed — covered by the same exclusive
@@ -537,10 +582,11 @@ func New(cfg Config, proto Protocol, ctr Counters) (*Runtime, error) {
 		})
 		if err != nil {
 			_ = eng.Close()
-			return nil, fmt.Errorf("%s: open txlog: %w", cfg.Name, err)
+			return nil, fmt.Errorf("%s: open txlog: %w", name, err)
 		}
 	}
 	r := &Runtime{
+		name:           name,
 		cfg:            cfg,
 		proto:          proto,
 		ctr:            ctr,
@@ -911,11 +957,11 @@ func (r *Runtime) shutdown(kill bool) {
 		// The engine surfaces its first append/sync failure here; it
 		// must not vanish silently — acknowledged commits may not have
 		// reached disk.
-		fmt.Fprintf(os.Stderr, "%s: dc%d/p%d store close: %v\n", r.cfg.Name, r.cfg.DC, r.cfg.Partition, err)
+		fmt.Fprintf(os.Stderr, "%s: dc%d/p%d store close: %v\n", r.name, r.cfg.DC, r.cfg.Partition, err)
 	}
 	if r.tl != nil {
 		if err := r.tl.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: dc%d/p%d txlog close: %v\n", r.cfg.Name, r.cfg.DC, r.cfg.Partition, err)
+			fmt.Fprintf(os.Stderr, "%s: dc%d/p%d txlog close: %v\n", r.name, r.cfg.DC, r.cfg.Partition, err)
 		}
 	}
 }

@@ -29,12 +29,12 @@ const (
 // Names lists every recognized backend, for flag help and sweeps.
 var Names = []string{Memory, WAL, SST}
 
-// Options describes the engine one partition server wants.
+// Options describes the engine one partition server wants. Every engine
+// opens store.DefaultShards lock stripes; a durable engine reopened over
+// an existing directory keeps the count it persisted.
 type Options struct {
 	// Backend is Memory, WAL, SST, or "" (which selects Memory).
 	Backend string
-	// Shards is the lock-stripe count (0 selects store.DefaultShards).
-	Shards int
 	// DataDir is the directory a durable backend writes under. Required
 	// for WAL and SST; ignored by Memory. Each server must get its own
 	// directory.
@@ -45,9 +45,8 @@ type Options struct {
 	Fsync string
 }
 
-// Validate checks a backend selection the way ServerConfig.validate checks
-// StoreShards: recognized name, directory present when required, known
-// fsync policy.
+// Validate checks a backend selection: recognized name, directory present
+// when required, known fsync policy.
 func Validate(name, dataDir, fsync string) error {
 	switch name {
 	case "", Memory:
@@ -72,18 +71,10 @@ func Open(opts Options) (store.Engine, error) {
 	}
 	switch opts.Backend {
 	case WAL:
-		return wal.Open(wal.Options{
-			Dir:    opts.DataDir,
-			Shards: opts.Shards,
-			Fsync:  opts.Fsync,
-		})
+		return wal.Open(wal.Options{Dir: opts.DataDir, Fsync: opts.Fsync})
 	case SST:
-		return sst.Open(sst.Options{
-			Dir:    opts.DataDir,
-			Shards: opts.Shards,
-			Fsync:  opts.Fsync,
-		})
+		return sst.Open(sst.Options{Dir: opts.DataDir, Fsync: opts.Fsync})
 	default:
-		return store.NewMemoryEngine(opts.Shards), nil
+		return store.NewMemoryEngine(store.DefaultShards), nil
 	}
 }

@@ -34,36 +34,39 @@ func TestValidate(t *testing.T) {
 }
 
 func TestOpenSelectsEngine(t *testing.T) {
-	eng, err := Open(Options{Backend: "", Shards: 8})
+	eng, err := Open(Options{Backend: ""})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := eng.(*store.MemoryEngine); !ok {
 		t.Errorf("default backend opened %T, want *store.MemoryEngine", eng)
 	}
+	if eng.NumShards() != store.DefaultShards {
+		t.Errorf("NumShards = %d, want %d", eng.NumShards(), store.DefaultShards)
+	}
 	_ = eng.Close()
 
-	weng, err := Open(Options{Backend: WAL, Shards: 8, DataDir: t.TempDir()})
+	weng, err := Open(Options{Backend: WAL, DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := weng.(*wal.Engine); !ok {
 		t.Errorf("wal backend opened %T, want *wal.Engine", weng)
 	}
-	if weng.NumShards() != 8 {
-		t.Errorf("NumShards = %d, want 8", weng.NumShards())
+	if weng.NumShards() != store.DefaultShards {
+		t.Errorf("NumShards = %d, want %d", weng.NumShards(), store.DefaultShards)
 	}
 	_ = weng.Close()
 
-	seng, err := Open(Options{Backend: SST, Shards: 8, DataDir: t.TempDir()})
+	seng, err := Open(Options{Backend: SST, DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := seng.(*sst.Engine); !ok {
 		t.Errorf("sst backend opened %T, want *sst.Engine", seng)
 	}
-	if seng.NumShards() != 8 {
-		t.Errorf("NumShards = %d, want 8", seng.NumShards())
+	if seng.NumShards() != store.DefaultShards {
+		t.Errorf("NumShards = %d, want %d", seng.NumShards(), store.DefaultShards)
 	}
 	_ = seng.Close()
 

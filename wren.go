@@ -33,6 +33,7 @@ import (
 
 	"wren/internal/cluster"
 	"wren/internal/hlc"
+	"wren/internal/replica"
 	"wren/internal/sharding"
 )
 
@@ -69,7 +70,9 @@ func (p Protocol) internal() cluster.Protocol {
 	}
 }
 
-// Config describes a cluster deployment.
+// Config describes a cluster deployment. Its server fields are a deliberate
+// subset of the partition-server configuration: every other server knob
+// keeps its default.
 type Config struct {
 	// Protocol selects Wren (default), Cure or HCure.
 	Protocol Protocol
@@ -101,10 +104,6 @@ type Config struct {
 	// GCInterval is the version garbage-collection period (default 500ms;
 	// negative disables).
 	GCInterval time.Duration
-	// StoreShards is the number of lock stripes in each partition server's
-	// version store (default 64, rounded up to a power of two). Raise it on
-	// many-core machines to reduce lock contention on the storage hot path.
-	StoreShards int
 	// StoreBackend selects each server's storage engine: "" or "memory"
 	// keeps versions only in memory; "wal" adds durable per-shard
 	// append-only logs replayed on restart; "sst" is the memtable+
@@ -117,15 +116,14 @@ type Config struct {
 	// server uses its own dc<m>-p<n> subdirectory. Empty with a durable
 	// backend selects a temporary directory removed on Close.
 	DataDir string
-	// FsyncPolicy is the WAL group-commit policy: "always" (fsync every
-	// write batch), "interval" (default: fsync on a 10ms timer) or "never".
-	// A durable backend always runs behind the transaction-lifecycle log,
-	// which is what honours the policy: PREPARE and COMMIT records reach
-	// disk before the corresponding acknowledgement, making the
-	// ACKNOWLEDGED transaction the durability unit (exact under "always",
-	// interval-bounded otherwise), and a persisted per-DC replication
-	// cursor lets a restarted cluster re-send the unreplicated tail so DCs
-	// reconverge.
+	// FsyncPolicy is the sync policy of the transaction-lifecycle log every
+	// durable backend runs behind: "always" (a PREPARE or COMMIT record is
+	// on disk before the acknowledgement it precedes), "interval" (default:
+	// a 10ms timer syncs it) or "never". The storage engines never sync on
+	// it. The log makes the ACKNOWLEDGED transaction the durability unit
+	// (exact under "always", interval-bounded otherwise), and a persisted
+	// per-DC replication cursor lets a restarted cluster re-send the
+	// unreplicated tail so DCs reconverge.
 	FsyncPolicy string
 	// Seed fixes the clock-skew assignment for reproducibility.
 	Seed int64
@@ -161,14 +159,15 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		InterDCLatency:  cfg.InterDCLatency,
 		UseAWSLatencies: cfg.UseAWSLatencies,
 		ClockSkew:       cfg.ClockSkew,
-		ApplyInterval:   cfg.ApplyInterval,
-		GossipInterval:  cfg.GossipInterval,
-		GCInterval:      cfg.GCInterval,
-		StoreShards:     cfg.StoreShards,
-		StoreBackend:    cfg.StoreBackend,
-		DataDir:         cfg.DataDir,
-		FsyncPolicy:     cfg.FsyncPolicy,
-		Seed:            cfg.Seed,
+		Server: replica.Config{
+			ApplyInterval:  cfg.ApplyInterval,
+			GossipInterval: cfg.GossipInterval,
+			GCInterval:     cfg.GCInterval,
+			StoreBackend:   cfg.StoreBackend,
+			DataDir:        cfg.DataDir,
+			FsyncPolicy:    cfg.FsyncPolicy,
+		},
+		Seed: cfg.Seed,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("wren: %w", err)
