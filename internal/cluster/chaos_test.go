@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
 	"testing"
 	"time"
 
@@ -416,11 +415,9 @@ func TestChaosInDoubtResolve(t *testing.T) {
 // TestChaosReplicationLossResync drops half the replication frames
 // between DCs, then clears the loss and relies on the transaction log's
 // live resync (stalled-cursor detection) to re-ship the unconfirmed tail.
-// Requires a durable backend: only the txlog tracks the unreplicated tail.
+// Every backend runs it: the memory backend's txlog has no file but the
+// same cursor, gap refusal and resync.
 func TestChaosReplicationLossResync(t *testing.T) {
-	if b := os.Getenv("WREN_STORE_BACKEND"); b == "" || b == "memory" {
-		t.Skip("live resync needs a durable txlog backend (WREN_STORE_BACKEND=wal|sst)")
-	}
 	cfg := chaosConfig(Wren, 2, 2)
 	cl, err := New(cfg)
 	if err != nil {

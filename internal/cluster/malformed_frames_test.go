@@ -38,10 +38,6 @@ func TestMalformedInterDCFramesRefused(t *testing.T) {
 	for _, proto := range allProtocols {
 		t.Run(proto.String(), func(t *testing.T) {
 			cfg := fastConfig(proto, 2, 2)
-			if cfg.fillDefaults(); cfg.Server.StoreBackend == "" {
-				// ReplicateAck is only looked at behind a transaction log.
-				cfg.Server.StoreBackend, cfg.Server.DataDir = "wal", t.TempDir()
-			}
 			cl, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)

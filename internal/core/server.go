@@ -182,8 +182,7 @@ func (s *Server) Healthy() error { return s.rt.Healthy() }
 // a probation repair succeeds (see ServerConfig.RepairInterval).
 func (s *Server) ReadOnly() bool { return s.rt.Healthy() != nil }
 
-// TxLog exposes the transaction log (nil when disabled); read-only use in
-// tests.
+// TxLog exposes the transaction log; read-only use in tests.
 func (s *Server) TxLog() *txlog.Log { return s.rt.TxLog() }
 
 // ShedRequests counts requests refused at per-connection admission (each

@@ -168,7 +168,7 @@ func (s *Server) Healthy() error { return s.rt.Healthy() }
 // (see core.Server.ReadOnly).
 func (s *Server) ReadOnly() bool { return s.rt.Healthy() != nil }
 
-// TxLog exposes the transaction log (nil when disabled) for tests.
+// TxLog exposes the transaction log for tests.
 func (s *Server) TxLog() *txlog.Log { return s.rt.TxLog() }
 
 // ShedRequests counts requests refused at per-connection admission (each

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -65,13 +66,16 @@ type nopProtocol struct{ Protocol }
 func (nopProtocol) OnStop(bool) {}
 
 // TestServerOpensDefaultShards: the lock-stripe count is not configurable;
-// every backend a server opens has store.DefaultShards stripes.
+// every backend a server opens has store.DefaultShards stripes. Every
+// server also runs a transaction log, and the memory backend's has no
+// file: given a DataDir, a memory server writes nothing under it.
 func TestServerOpensDefaultShards(t *testing.T) {
 	net := transport.NewMemory(nil)
 	defer net.Close()
 	for _, name := range backend.Names {
 		t.Run(name, func(t *testing.T) {
-			cfg := Config{NumDCs: 1, NumPartitions: 1, Network: net, StoreBackend: name, DataDir: t.TempDir()}
+			dir := t.TempDir()
+			cfg := Config{NumDCs: 1, NumPartitions: 1, Network: net, StoreBackend: name, DataDir: dir}
 			cfg.FillDefaults()
 			if err := cfg.Validate("proto"); err != nil {
 				t.Fatal(err)
@@ -80,9 +84,18 @@ func TestServerOpensDefaultShards(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer r.Kill()
 			if got := r.Engine().NumShards(); got != store.DefaultShards {
 				t.Fatalf("NumShards = %d, want %d", got, store.DefaultShards)
+			}
+			if r.TxLog() == nil {
+				t.Fatal("TxLog() = nil: every backend runs the transaction lifecycle")
+			}
+			r.Kill()
+			if name != backend.Memory {
+				return
+			}
+			if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+				t.Fatalf("memory server left %d entries under its DataDir (err %v), want none", len(ents), err)
 			}
 		})
 	}

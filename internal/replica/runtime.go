@@ -196,7 +196,8 @@ type Config struct {
 	// the ACKNOWLEDGED transaction — and a persisted per-DC replication
 	// cursor lets a restarted server re-send the unreplicated tail. The
 	// engine's own logs never sync on this policy (see New). Ignored by the
-	// memory backend, which has no transaction log.
+	// memory backend, whose transaction log keeps the lifecycle in memory
+	// and has no file.
 	FsyncPolicy string
 	// MaxInflightPerConn caps the admission-gated client requests
 	// (transactional reads and write commits) outstanding per client
@@ -404,9 +405,9 @@ type Runtime struct {
 	Clock *hlc.Clock
 
 	st store.Engine
-	// tl is the durable transaction-lifecycle log (nil for the memory
-	// backend or when disabled): commit records ahead of acknowledgements,
-	// the per-DC replication cursor, and restart recovery state.
+	// tl is the transaction-lifecycle log: commit records ahead of
+	// acknowledgements, the per-DC replication cursor, and restart
+	// recovery state (on the memory backend, without a file).
 	tl *txlog.Log
 
 	// resendTails[dc] is the unreplicated committed tail snapshotted at
@@ -501,8 +502,8 @@ type Runtime struct {
 	// idempotent against duplicated or resent CommitReqs — a duplicate of
 	// a decided transaction is answered with the same outcome instead of
 	// re-running the 2PC at a new timestamp — and back the client-facing
-	// termination probe on backends without a transaction log. Bounded by
-	// generational rotation; see recordDecisionLocked.
+	// termination probe for decisions the log no longer retains. Bounded
+	// by generational rotation; see recordDecisionLocked.
 	decisions     map[uint64]hlc.Timestamp
 	decisionsPrev map[uint64]hlc.Timestamp
 
@@ -570,20 +571,16 @@ func New(name string, cfg Config, proto Protocol, ctr Counters) (*Runtime, error
 	}
 	// The transaction log lives beside the engine's files, inside the
 	// directory the engine just claimed — covered by the same exclusive
-	// lock and engine-type marker. Memory backends have nowhere durable to
-	// recover from, so they run without one.
-	var tl *txlog.Log
+	// lock and engine-type marker. The memory engine keeps nothing across a
+	// restart, so its log has no file either, whatever DataDir says.
+	tlDir := ""
 	if cfg.StoreBackend != "" && cfg.StoreBackend != backend.Memory {
-		tl, err = txlog.Open(txlog.Options{
-			Dir:    filepath.Join(cfg.EngineDir(), "txlog"),
-			NumDCs: cfg.NumDCs,
-			SelfDC: cfg.DC,
-			Fsync:  cfg.FsyncPolicy,
-		})
-		if err != nil {
-			_ = eng.Close()
-			return nil, fmt.Errorf("%s: open txlog: %w", name, err)
-		}
+		tlDir = filepath.Join(cfg.EngineDir(), "txlog")
+	}
+	tl, err := txlog.Open(txlog.Options{Dir: tlDir, NumDCs: cfg.NumDCs, SelfDC: cfg.DC, Fsync: cfg.FsyncPolicy})
+	if err != nil {
+		_ = eng.Close()
+		return nil, fmt.Errorf("%s: open txlog: %w", name, err)
 	}
 	r := &Runtime{
 		name:           name,
@@ -610,43 +607,39 @@ func New(name string, cfg Config, proto Protocol, ctr Counters) (*Runtime, error
 		kick:           make(chan struct{}, 1),
 		stop:           make(chan struct{}),
 	}
-	if tl != nil {
-		// Recovery order: the engine replayed its own logs in Open above;
-		// now the txlog's committed-but-unapplied transactions go into the
-		// engine BEFORE the server serves anything, so a kill between the
-		// client ack and the apply pass loses nothing.
-		r.recoverFromTxLog()
-		// Fresh transaction ids must clear every id of the previous
-		// lives: the log keeps old ids live across restarts (resync
-		// dedupe, re-driven outcomes, remote cohorts' retained prepares),
-		// so a colliding new id would match an unrelated old transaction.
-		// Seed above the durably reserved watermark and reserve the first
-		// block.
-		floor := tl.NextSeqFloor()
-		r.txSeq.Store(floor)
-		tl.ReserveSeqs(floor + seqBlockSize)
-		r.seqLimit.Store(floor + seqBlockSize)
-		// Snapshot each peer DC's unreplicated tail NOW, before the
-		// server serves anything: once live traffic flows, a peer's
-		// acknowledgement of a NEW batch could advance its cursor past
-		// the old tail before resendTailTo reads it, silently dropping
-		// the very transactions the cursor exists to recover. The cursor
-		// stays pinned at each tail's high-water mark until the re-sent
-		// tail itself is acknowledged.
-		r.resendTails = make([][]*txlog.CommittedTx, cfg.NumDCs)
-		r.resyncTailSent = make([]atomic.Bool, cfg.NumDCs)
-		r.resyncDone = make([]atomic.Bool, cfg.NumDCs)
-		for dc := 0; dc < cfg.NumDCs; dc++ {
-			if dc == cfg.DC {
-				r.resyncDone[dc].Store(true)
-				continue
-			}
-			tail := tl.UnreplicatedTail(dc)
-			r.resyncDone[dc].Store(len(tail) == 0)
-			if len(tail) > 0 {
-				r.resendTails[dc] = tail
-				tl.PinResync(dc, tail[len(tail)-1].CT)
-			}
+	// Recovery order: the engine replayed its own logs in Open above; now
+	// the txlog's committed-but-unapplied transactions go into the engine
+	// BEFORE the server serves anything, so a kill between the client ack
+	// and the apply pass loses nothing.
+	r.recoverFromTxLog()
+	// Fresh transaction ids must clear every id of the previous lives: the
+	// log keeps old ids live across restarts (resync dedupe, re-driven
+	// outcomes, remote cohorts' retained prepares), so a colliding new id
+	// would match an unrelated old transaction. Seed above the durably
+	// reserved watermark and reserve the first block.
+	floor := tl.NextSeqFloor()
+	r.txSeq.Store(floor)
+	tl.ReserveSeqs(floor + seqBlockSize)
+	r.seqLimit.Store(floor + seqBlockSize)
+	// Snapshot each peer DC's unreplicated tail NOW, before the server
+	// serves anything: once live traffic flows, a peer's acknowledgement of
+	// a NEW batch could advance its cursor past the old tail before
+	// resendTailTo reads it, silently dropping the very transactions the
+	// cursor exists to recover. The cursor stays pinned at each tail's
+	// high-water mark until the re-sent tail itself is acknowledged.
+	r.resendTails = make([][]*txlog.CommittedTx, cfg.NumDCs)
+	r.resyncTailSent = make([]atomic.Bool, cfg.NumDCs)
+	r.resyncDone = make([]atomic.Bool, cfg.NumDCs)
+	for dc := 0; dc < cfg.NumDCs; dc++ {
+		if dc == cfg.DC {
+			r.resyncDone[dc].Store(true)
+			continue
+		}
+		tail := tl.UnreplicatedTail(dc)
+		r.resyncDone[dc].Store(len(tail) == 0)
+		if len(tail) > 0 {
+			r.resendTails[dc] = tail
+			tl.PinResync(dc, tail[len(tail)-1].CT)
 		}
 	}
 	return r, nil
@@ -658,7 +651,7 @@ func (r *Runtime) ID() transport.NodeID { return r.id }
 // Engine exposes the storage engine.
 func (r *Runtime) Engine() store.Engine { return r.st }
 
-// TxLog exposes the transaction log (nil when disabled).
+// TxLog exposes the transaction log.
 func (r *Runtime) TxLog() *txlog.Log { return r.tl }
 
 // Healthy reports the first durability failure of the server's write path
@@ -670,12 +663,7 @@ func (r *Runtime) Healthy() error {
 	if err := r.st.Healthy(); err != nil {
 		return err
 	}
-	if r.tl != nil {
-		if err := r.tl.Healthy(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return r.tl.Healthy()
 }
 
 // Stopping exposes the stop channel for protocol hooks that wait
@@ -764,13 +752,13 @@ func (r *Runtime) TxApplied(key string, txID uint64) bool {
 }
 
 // NewTxID generates a globally unique transaction id: DC in the top byte,
-// partition in the next two, then a local sequence number. With a
-// transaction log, sequence numbers are drawn from durably reserved
-// blocks so ids stay unique across restarts too (an id can outlive this
-// process in a cohort's log the moment it is handed out).
+// partition in the next two, then a local sequence number. Sequence
+// numbers are drawn from blocks reserved in the transaction log, so on a
+// durable backend ids stay unique across restarts too (an id can outlive
+// this process in a cohort's log the moment it is handed out).
 func (r *Runtime) NewTxID() uint64 {
 	seq := r.txSeq.Add(1)
-	if r.tl != nil && seq > r.seqLimit.Load() {
+	if seq > r.seqLimit.Load() {
 		r.reserveSeqs(seq)
 	}
 	return uint64(r.cfg.DC)<<56 | uint64(r.cfg.Partition)<<40 | seq
@@ -889,31 +877,28 @@ func (r *Runtime) Start() {
 			r.wg.Add(1)
 			go r.gcLoop()
 		}
-		if r.tl != nil {
-			// Recovery sends run per destination: a re-drive retrying
-			// toward one dead cohort, or one unreachable peer DC, must
-			// not block the resync tails — and with them ALL replication
-			// — to everyone else.
-			r.wg.Add(1)
-			go r.redriveRecovered()
-			for dc, tail := range r.resendTails {
-				if len(tail) > 0 {
-					r.wg.Add(1)
-					go r.resendTailTo(dc, tail)
-				}
+		// Recovery sends run per destination: a re-drive retrying toward
+		// one dead cohort, or one unreachable peer DC, must not block the
+		// resync tails — and with them ALL replication — to everyone else.
+		r.wg.Add(1)
+		go r.redriveRecovered()
+		for dc, tail := range r.resendTails {
+			if len(tail) > 0 {
+				r.wg.Add(1)
+				go r.resendTailTo(dc, tail)
 			}
-			r.wg.Add(1)
-			go r.lifecycleLoop()
 		}
+		r.wg.Add(1)
+		go r.lifecycleLoop()
 	})
 }
 
 // Stop terminates the background loops, waits for them to exit, flushes
 // any transactions still on the commit list into the store, and closes
-// the storage engine and the transaction log. With the transaction log
-// enabled the flush is an optimization, not the durability mechanism: an
-// acknowledged commit whose CommitTx was in flight when draining began is
-// already logged and is recovered on the next start.
+// the storage engine and the transaction log. On a durable backend the
+// flush is an optimization, not the durability mechanism: an acknowledged
+// commit whose CommitTx was in flight when draining began is already
+// logged and is recovered on the next start.
 func (r *Runtime) Stop() { r.shutdown(false) }
 
 // Kill stops the server WITHOUT the final apply/flush, simulating a hard
@@ -942,9 +927,9 @@ func (r *Runtime) shutdown(kill bool) {
 		// Prepared-but-uncommitted transactions can never commit now, but
 		// their proposed timestamps would hold the apply upper bound below
 		// later acknowledged commits; drop them so the final apply flushes
-		// every transaction on the commit list. (With the txlog their
-		// prepares stay logged, so a commit decision that surfaces after a
-		// restart can still be honored.)
+		// every transaction on the commit list. (Their prepares stay
+		// logged, so on a durable backend a commit decision that surfaces
+		// after a restart can still be honored.)
 		r.mu.Lock()
 		r.prepared = make(map[uint64]*txlog.PreparedTx)
 		r.mu.Unlock()
@@ -959,10 +944,8 @@ func (r *Runtime) shutdown(kill bool) {
 		// reached disk.
 		fmt.Fprintf(os.Stderr, "%s: dc%d/p%d store close: %v\n", r.name, r.cfg.DC, r.cfg.Partition, err)
 	}
-	if r.tl != nil {
-		if err := r.tl.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: dc%d/p%d txlog close: %v\n", r.name, r.cfg.DC, r.cfg.Partition, err)
-		}
+	if err := r.tl.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "%s: dc%d/p%d txlog close: %v\n", r.name, r.cfg.DC, r.cfg.Partition, err)
 	}
 }
 
@@ -977,10 +960,9 @@ func (r *Runtime) shutdown(kill bool) {
 //
 // Replication is NOT retried here: a transaction flushed this way (or
 // whose Replicate message was dropped by draining peers) persists locally
-// without reaching the remote DCs in this life. With a transaction log its
-// record stays above every peer's replication cursor, so the next start
-// re-sends it (resendTailTo); only a server without one can be left
-// durably diverged on its final pre-shutdown transactions.
+// without reaching the remote DCs in this life. Its record stays above
+// every peer's replication cursor, so the next start re-sends it
+// (resendTailTo).
 func (r *Runtime) flushCommitted() {
 	r.mu.Lock()
 	apply := r.committed
@@ -1036,10 +1018,9 @@ func sortCommitted(txs []*txlog.CommittedTx) {
 // to the transaction log and write to the engine (neither syncs on this
 // path), they ask the apply goroutine for a pass instead of running one
 // (KickApply), and every wait for an fsync happens on a GoAsync goroutine,
-// as a txlog lazy waiter, or in the release barrier. (The exceptions: a
+// as a txlog lazy waiter, or in the release barrier. (The exception: a
 // Cure slice read that has to park runs the pass itself first, as it always
-// has; and an engine running WITHOUT a transaction log under fsync=always
-// has PutBatch as its only durability point.)
+// has.)
 func (r *Runtime) HandleMessage(from transport.NodeID, m wire.Message) {
 	switch msg := m.(type) {
 	case *wire.SliceResp:
@@ -1285,30 +1266,28 @@ func (r *Runtime) Commit(from transport.NodeID, m *wire.CommitReq, makePrepare f
 			abort(refusal)
 			return
 		}
-		if r.tl != nil {
-			// The commit decision is logged and made stable BEFORE
-			// CommitTx leaves and BEFORE the client ack: the ack's
-			// durability promise is this record, and holding CommitTx
-			// back until it holds means a failed append/fsync can still
-			// abort the whole 2PC cleanly — no cohort has committed yet.
-			parts := make([]uint16, 0, len(cohorts))
-			for _, c := range cohorts {
-				parts = append(parts, uint16(c.partition))
-			}
-			// INVARIANT (client ack follows a sync covering every
-			// cohort's PREPARE and the decision): remote cohorts synced
-			// before they voted; this sync covers the decision and, ahead
-			// of it in the same log, this server's own PREPARE. Concurrent
-			// commit collections share it (see txlog.LogCoordCommitSync).
-			r.tl.LogCoordCommitSync(m.TxID, ct, parts)
-			if err := r.tl.Healthy(); err != nil {
-				// The decision never became durable: withdraw it (so a
-				// recovery cannot re-drive a commit the client was told
-				// failed), abort the cohorts, refuse the client.
-				r.tl.CoordAbort(m.TxID)
-				abort(err.Error())
-				return
-			}
+		// The commit decision is logged and made stable BEFORE CommitTx
+		// leaves and BEFORE the client ack: the ack's durability promise is
+		// this record, and holding CommitTx back until it holds means a
+		// failed append/fsync can still abort the whole 2PC cleanly — no
+		// cohort has committed yet.
+		parts := make([]uint16, 0, len(cohorts))
+		for _, c := range cohorts {
+			parts = append(parts, uint16(c.partition))
+		}
+		// INVARIANT (client ack follows a sync covering every cohort's
+		// PREPARE and the decision): remote cohorts synced before they
+		// voted; this sync covers the decision and, ahead of it in the same
+		// log, this server's own PREPARE. Concurrent commit collections
+		// share it (see txlog.LogCoordCommitSync).
+		r.tl.LogCoordCommitSync(m.TxID, ct, parts)
+		if err := r.tl.Healthy(); err != nil {
+			// The decision never became durable: withdraw it (so a recovery
+			// cannot re-drive a commit the client was told failed), abort
+			// the cohorts, refuse the client.
+			r.tl.CoordAbort(m.TxID)
+			abort(err.Error())
+			return
 		}
 		finish(ct)
 		for _, c := range cohorts {
@@ -1361,24 +1340,21 @@ func (r *Runtime) Prepare(from transport.NodeID, m *wire.PrepareReq, ht hlc.Time
 	r.mu.Unlock()
 	resp := &wire.PrepareResp{ReqID: m.ReqID, TxID: m.TxID, PT: pt}
 	r.proto.StampStable(&resp.Stab)
-	if r.tl != nil {
-		r.tl.LogPrepare(p)
-		// INVARIANT (client ack follows a sync covering every cohort's
-		// PREPARE): a vote for a REMOTE coordinator leaves only once the
-		// record is stable — on a tracked goroutine, so the fsync does not
-		// stall the delivery link. This server's own coordinator needs no
-		// sync of its own: the record sits in the same log ahead of the
-		// decision, whose sync in Commit covers both.
-		if r.tl.SyncOnAppend() && from != r.id {
-			r.GoAsync(func() {
-				r.tl.Sync()
-				r.Send(from, r.checkedPrepareResp(resp))
-			})
-			return
-		}
-		resp = r.checkedPrepareResp(resp)
+	r.tl.LogPrepare(p)
+	// INVARIANT (client ack follows a sync covering every cohort's
+	// PREPARE): a vote for a REMOTE coordinator leaves only once the record
+	// is stable — on a tracked goroutine, so the fsync does not stall the
+	// delivery link. This server's own coordinator needs no sync of its
+	// own: the record sits in the same log ahead of the decision, whose
+	// sync in Commit covers both.
+	if r.tl.SyncOnAppend() && from != r.id {
+		r.GoAsync(func() {
+			r.tl.Sync()
+			r.Send(from, r.checkedPrepareResp(resp))
+		})
+		return
 	}
-	r.Send(from, resp)
+	r.Send(from, r.checkedPrepareResp(resp))
 }
 
 // checkedPrepareResp downgrades a prepare proposal to a refusal when the
@@ -1419,13 +1395,12 @@ func (r *Runtime) handlePrepareResp(from transport.NodeID, m *wire.PrepareResp) 
 
 // HandleCommitTx implements Algorithm 3 lines 20–24: move the transaction
 // from the pending list to the commit list under its final timestamp. A
-// zero CT aborts instead (degraded-cohort refusal). With the transaction
-// log enabled the outcome is logged and acknowledged back to the
-// coordinator, which releases the coordinator's logged decision once every
-// cohort holds the outcome durably; re-driven outcomes after a restart
-// resolve recovered prepares, and outcomes already known deduplicate to
-// just the acknowledgement. (Exported because TxStatusResp verdicts flow
-// through the same path.)
+// zero CT aborts instead (degraded-cohort refusal). The outcome is logged
+// and acknowledged back to the coordinator, which releases the
+// coordinator's logged decision once every cohort holds the outcome
+// durably; re-driven outcomes after a restart resolve recovered prepares,
+// and outcomes already known deduplicate to just the acknowledgement.
+// (Exported because TxStatusResp verdicts flow through the same path.)
 //
 // Either outcome can make something newly stable — the prepare stops
 // holding the apply bound down — so both end by asking for an apply pass:
@@ -1438,9 +1413,7 @@ func (r *Runtime) HandleCommitTx(from transport.NodeID, m *wire.CommitTx) {
 		delete(r.prepared, m.TxID)
 		delete(r.recovered, m.TxID)
 		r.mu.Unlock()
-		if r.tl != nil {
-			r.tl.LogAbort(m.TxID)
-		}
+		r.tl.LogAbort(m.TxID)
 		return
 	}
 	// The commit timestamp first: what the carrier has seen is then rarely
@@ -1448,32 +1421,25 @@ func (r *Runtime) HandleCommitTx(from transport.NodeID, m *wire.CommitTx) {
 	r.proto.ObserveCommitTS(m.CT)
 	r.ObserveStable(from, m.Stab)
 	r.mu.Lock()
-	committed := false
-	if p, ok := r.prepared[m.TxID]; ok {
-		delete(r.prepared, m.TxID)
-		// A recovered copy of the same prepare (the coordinator's CommitReq
-		// was resent across a restart) must go with it, or a later
-		// termination probe would commit the write set a second time.
-		delete(r.recovered, m.TxID)
-		r.committed = append(r.committed, &txlog.CommittedTx{
-			TxID: m.TxID, CT: m.CT, RST: p.RST, SV: p.SV, Writes: p.Writes,
-		})
-		committed = true
-	} else if rp, ok := r.recovered[m.TxID]; ok {
+	p, ok := r.prepared[m.TxID]
+	delete(r.prepared, m.TxID)
+	if rp, recovered := r.recovered[m.TxID]; recovered && !ok {
 		// A re-driven outcome for a prepare recovered from the txlog: the
 		// client was acknowledged in a previous life; commit it now.
-		delete(r.recovered, m.TxID)
-		r.committed = append(r.committed, &txlog.CommittedTx{
-			TxID: m.TxID, CT: m.CT, RST: rp.tx.RST, SV: rp.tx.SV, Writes: rp.tx.Writes,
-		})
-		committed = true
+		p, ok = rp.tx, true
+	}
+	// A recovered copy of a live prepare (the coordinator's CommitReq was
+	// resent across a restart) goes with it, or a later termination probe
+	// would commit the write set a second time.
+	delete(r.recovered, m.TxID)
+	var c *txlog.CommittedTx
+	if ok {
+		c = p.Committed(m.CT)
+		r.committed = append(r.committed, c)
 	}
 	r.mu.Unlock()
-	if r.tl == nil {
-		return
-	}
-	if committed {
-		r.tl.LogCommit(m.TxID, m.CT)
+	if c != nil {
+		r.tl.LogCommit(c)
 	}
 	// INVARIANT (CommitAck follows a sync covering the COMMIT record): the
 	// ack states "outcome durable here", and all it does is release the
@@ -1496,9 +1462,7 @@ func (r *Runtime) HandleCommitTx(from transport.NodeID, m *wire.CommitTx) {
 // the acknowledging cohort — and eventually all of them — holds the
 // outcome durably.
 func (r *Runtime) handleCommitAck(m *wire.CommitAck) {
-	if r.tl != nil {
-		r.tl.CoordAck(m.TxID, m.Partition)
-	}
+	r.tl.CoordAck(m.TxID, m.Partition)
 }
 
 // handleReplicateAck advances the persisted replication cursor for the
@@ -1507,7 +1471,7 @@ func (r *Runtime) handleCommitAck(m *wire.CommitAck) {
 // outstanding the cursor is pinned below the re-sent tail (only the
 // tail's own acknowledgement lifts it) — the txlog clamps the advance.
 func (r *Runtime) handleReplicateAck(m *wire.ReplicateAck) {
-	if r.tl == nil || !r.isPeerReplica(m.DC, m.Partition) {
+	if !r.isPeerReplica(m.DC, m.Partition) {
 		return
 	}
 	r.tl.AdvanceCursor(int(m.DC), m.UpTo)
@@ -1543,13 +1507,11 @@ func (r *Runtime) handleHealthReq(from transport.NodeID, m *wire.HealthReq) {
 // Resync batches — a sender replaying its unconfirmed tail — are
 // deduplicated per transaction against the engine; ordinary batches are
 // deduplicated against the per-sender watermark, so a duplicated frame or
-// a TCP resend across a reconnect is applied exactly once. On a durable
-// backend (which always has a transaction log) the batch is acknowledged
-// — by the next release barrier, not here — so the sender's replication
-// cursor can advance; fully-seen duplicates are acknowledged again, since
-// the duplicate usually means the first acknowledgement was lost. A gap
-// in the sender's Prev chain is refused on every durable backend; the
-// memory backend alone accepts it in order (see below).
+// a TCP resend across a reconnect is applied exactly once. The batch is
+// acknowledged — by the next release barrier, not here — so the sender's
+// replication cursor can advance; fully-seen duplicates are acknowledged
+// again, since the duplicate usually means the first acknowledgement was
+// lost. A gap in the sender's Prev chain is refused (see below).
 func (r *Runtime) handleReplicate(m *wire.Replicate) {
 	if len(m.Txs) == 0 || !r.isPeerReplica(m.SrcDC, m.Partition) {
 		return
@@ -1561,16 +1523,14 @@ func (r *Runtime) handleReplicate(m *wire.Replicate) {
 		r.oweAck(m, last)
 		return
 	}
-	if !m.Resync && m.Prev > wm && r.tl != nil {
+	if !m.Resync && m.Prev > wm {
 		// Gap: the sender shipped an earlier batch (ending at Prev) that
 		// never arrived. Applying this one would advance the watermark and
 		// version vector past transactions we do not hold — and its
 		// acknowledgement would move the sender's cursor over the hole,
 		// dropping the lost batch from the retained tail for good. Refuse
 		// it unacknowledged instead: the sender's cursor stalls at the
-		// hole and live resync replays the tail in order. (Every durable
-		// backend has a transaction log; only the memory backend, with no
-		// cursor or resync to recover with, still accepts in order.)
+		// hole and live resync replays the tail in order.
 		return
 	}
 	var skip SkipFunc
@@ -1602,9 +1562,6 @@ func (r *Runtime) handleReplicate(m *wire.Replicate) {
 // must wait for an Engine.Sync that covers the write; the Resync echo lets
 // the sender's cursor pin tell tail confirmation from ordinary traffic.
 func (r *Runtime) oweAck(m *wire.Replicate, upTo hlc.Timestamp) {
-	if r.tl == nil {
-		return
-	}
 	i := 0
 	if m.Resync {
 		i = 1
@@ -1617,9 +1574,6 @@ func (r *Runtime) oweAck(m *wire.Replicate, upTo hlc.Timestamp) {
 // noteApplied queues transactions just written to the engine for the next
 // release barrier.
 func (r *Runtime) noteApplied(txs []*txlog.CommittedTx) {
-	if r.tl == nil {
-		return
-	}
 	r.relMu.Lock()
 	for _, t := range txs {
 		r.unreleased = append(r.unreleased, t.TxID)
@@ -1642,9 +1596,6 @@ func (r *Runtime) noteApplied(txs []*txlog.CommittedTx) {
 // records stay in this log and in the origins' (whose live resync keeps
 // offering them), and a restart replays them into the engine.
 func (r *Runtime) release() {
-	if r.tl == nil {
-		return
-	}
 	r.relMu.Lock()
 	ids, acks := r.unreleased, r.owedAcks
 	r.unreleased, r.owedAcks = nil, make([][2]hlc.Timestamp, len(acks))
@@ -1867,7 +1818,7 @@ func (r *Runtime) ship(heartbeat bool) bool {
 		if dc == r.cfg.DC {
 			continue
 		}
-		if r.tl != nil && !r.resyncDone[dc].Load() {
+		if !r.resyncDone[dc].Load() {
 			// Replication to this DC is held until the restart resync
 			// tail is on its link: a batch or heartbeat overtaking the
 			// tail would advance the peer's version vector past
@@ -2052,7 +2003,7 @@ func (r *Runtime) lifecycleLoop() {
 // engine's own logs — and RepairInterval < 0 disables the exit entirely
 // (a degraded server then stays read-only until restart).
 func (r *Runtime) maybeRepair(now time.Time) {
-	if r.cfg.RepairInterval <= 0 || r.tl == nil {
+	if r.cfg.RepairInterval <= 0 {
 		return
 	}
 	if r.tl.Healthy() == nil || r.st.Healthy() != nil {
@@ -2073,9 +2024,6 @@ func (r *Runtime) maybeRepair(now time.Time) {
 // durable outcome (a cohort crash can swallow the original CommitTx or
 // its ack without this coordinator ever restarting).
 func (r *Runtime) txLifecycleTick(now time.Time) {
-	if r.tl == nil {
-		return
-	}
 	var probes []uint64
 	r.mu.Lock()
 	for id, rp := range r.recovered {
@@ -2142,17 +2090,13 @@ func (r *Runtime) liveResyncTick() {
 //
 // Clients send the same probe (with a non-zero ReqID) after a commit
 // times out. For them the in-memory decision record answers too — it
-// covers resolved decisions the txlog no longer retains, and backends
-// without a log at all — and a "not committed" answer FENCES the
-// transaction id: the verdict licenses the client to re-drive its write
-// set on another coordinator, so a delayed CommitReq surfacing later must
-// find the id already aborted, never a fresh 2PC.
+// covers resolved decisions the txlog no longer retains — and a "not
+// committed" answer FENCES the transaction id: the verdict licenses the
+// client to re-drive its write set on another coordinator, so a delayed
+// CommitReq surfacing later must find the id already aborted, never a
+// fresh 2PC.
 func (r *Runtime) handleTxStatusReq(from transport.NodeID, m *wire.TxStatusReq) {
-	var ct hlc.Timestamp
-	var ok bool
-	if r.tl != nil {
-		ct, ok = r.tl.CoordDecision(m.TxID)
-	}
+	ct, ok := r.tl.CoordDecision(m.TxID)
 	if !ok {
 		r.mu.Lock()
 		if c, decided := r.lookupDecisionLocked(m.TxID); decided && c > 0 {
@@ -2184,7 +2128,7 @@ func (r *Runtime) handleTxStatusResp(from transport.NodeID, m *wire.TxStatusResp
 	_, ok := r.recovered[m.TxID]
 	delete(r.recovered, m.TxID)
 	r.mu.Unlock()
-	if ok && r.tl != nil {
+	if ok {
 		r.tl.LogAbort(m.TxID)
 	}
 }

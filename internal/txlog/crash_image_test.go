@@ -129,6 +129,95 @@ func TestPageSubsetCrash(t *testing.T) {
 	}
 }
 
+// stepper drives logs through a seeded random history of prepares,
+// commits, aborts, decisions and their cohort acks, cursor moves, applied
+// marks, syncs and compactions. Every step goes to each log it is given,
+// so logs fed by one stepper live the same history in lockstep.
+type stepper struct {
+	rng                          *rand.Rand
+	prepared, committed, decided []uint64
+	nextID, clock                uint64
+}
+
+func newStepper(rng *rand.Rand) *stepper { return &stepper{rng: rng, clock: 100} }
+
+// pick removes and returns a random id of ids.
+func (s *stepper) pick(ids *[]uint64) (uint64, bool) {
+	if len(*ids) == 0 {
+		return 0, false
+	}
+	i := s.rng.Intn(len(*ids))
+	id := (*ids)[i]
+	*ids = append((*ids)[:i], (*ids)[i+1:]...)
+	return id, true
+}
+
+// step runs one random operation on every log and reports whether it was
+// a compaction, which leaves a file that is synced from end to end.
+func (s *stepper) step(logs ...*Log) (compacted bool) {
+	s.clock++
+	switch op := s.rng.Intn(12); {
+	case op < 4:
+		s.nextID++
+		writes := make([]wire.KV, 1+s.rng.Intn(3))
+		for i := range writes {
+			v := bytes.Repeat([]byte{byte(1 + s.rng.Intn(255))}, 1+s.rng.Intn(3000))
+			writes[i] = wire.KV{Key: fmt.Sprint("k", s.rng.Intn(50)), Value: v}
+		}
+		for _, l := range logs {
+			l.LogPrepare(&PreparedTx{TxID: s.nextID, PT: ts(s.clock), RST: ts(s.clock - 50), Writes: writes})
+		}
+		s.prepared = append(s.prepared, s.nextID)
+	case op < 6:
+		if id, ok := s.pick(&s.prepared); ok {
+			for _, l := range logs {
+				commit(l, id, ts(s.clock))
+			}
+			s.committed = append(s.committed, id)
+		}
+	case op == 6:
+		if id, ok := s.pick(&s.prepared); ok {
+			for _, l := range logs {
+				l.LogAbort(id)
+			}
+		}
+	case op == 7:
+		s.nextID++
+		for _, l := range logs {
+			l.LogCoordCommitSync(s.nextID, ts(s.clock), []uint16{0, 1})
+		}
+		s.decided = append(s.decided, s.nextID)
+	case op == 8:
+		if id, ok := s.pick(&s.decided); ok {
+			for _, l := range logs {
+				l.CoordAck(id, 0)
+				l.CoordAck(id, 1)
+			}
+		}
+	case op == 9:
+		upTo := ts(s.clock - uint64(s.rng.Intn(40)))
+		id, ok := s.pick(&s.committed)
+		for _, l := range logs {
+			l.AdvanceCursor(1, upTo)
+			if ok {
+				l.MarkApplied([]uint64{id})
+			}
+		}
+	case op == 10:
+		for _, l := range logs {
+			l.Sync()
+		}
+	default:
+		if s.rng.Intn(4) == 0 {
+			for _, l := range logs {
+				l.Compact()
+			}
+			return true
+		}
+	}
+	return false
+}
+
 func pageSubsetCrash(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	open := func(dir string) *Log {
@@ -141,65 +230,7 @@ func pageSubsetCrash(t *testing.T, seed int64) {
 	dir, crashDir := t.TempDir(), t.TempDir()
 	l := open(dir)
 	defer func() { l.Close() }()
-
-	var prepared, committed, decided []uint64
-	pick := func(ids *[]uint64) (uint64, bool) {
-		if len(*ids) == 0 {
-			return 0, false
-		}
-		i := rng.Intn(len(*ids))
-		id := (*ids)[i]
-		*ids = append((*ids)[:i], (*ids)[i+1:]...)
-		return id, true
-	}
-	nextID, clock := uint64(0), uint64(100)
-	// step runs one random operation and reports whether it was a
-	// compaction, which leaves a file that is synced from end to end.
-	step := func() (compacted bool) {
-		clock++
-		switch op := rng.Intn(12); {
-		case op < 4:
-			nextID++
-			writes := make([]wire.KV, 1+rng.Intn(3))
-			for i := range writes {
-				v := bytes.Repeat([]byte{byte(1 + rng.Intn(255))}, 1+rng.Intn(3000))
-				writes[i] = wire.KV{Key: fmt.Sprint("k", rng.Intn(50)), Value: v}
-			}
-			l.LogPrepare(&PreparedTx{TxID: nextID, PT: ts(clock), RST: ts(clock - 50), Writes: writes})
-			prepared = append(prepared, nextID)
-		case op < 6:
-			if id, ok := pick(&prepared); ok {
-				l.LogCommit(id, ts(clock))
-				committed = append(committed, id)
-			}
-		case op == 6:
-			if id, ok := pick(&prepared); ok {
-				l.LogAbort(id)
-			}
-		case op == 7:
-			nextID++
-			l.LogCoordCommitSync(nextID, ts(clock), []uint16{0, 1})
-			decided = append(decided, nextID)
-		case op == 8:
-			if id, ok := pick(&decided); ok {
-				l.CoordAck(id, 0)
-				l.CoordAck(id, 1)
-			}
-		case op == 9:
-			l.AdvanceCursor(1, ts(clock-uint64(rng.Intn(40))))
-			if id, ok := pick(&committed); ok {
-				l.MarkApplied([]uint64{id})
-			}
-		case op == 10:
-			l.Sync()
-		default:
-			if rng.Intn(4) == 0 {
-				l.Compact()
-				return true
-			}
-		}
-		return false
-	}
+	s := newStepper(rng)
 
 	path := filepath.Join(dir, logName)
 	read := func() []byte {
@@ -214,7 +245,7 @@ func pageSubsetCrash(t *testing.T, seed int64) {
 	synced, states := read(), []string{fingerprint(l)}
 	for n := 0; n < 100; n++ {
 		syncs := l.Syncs()
-		if step() || l.Syncs() != syncs {
+		if s.step(l) || l.Syncs() != syncs {
 			synced, states = read(), states[:0]
 		}
 		states = append(states, fingerprint(l))
@@ -246,8 +277,8 @@ func pageSubsetCrash(t *testing.T, seed int64) {
 
 		r := open(crashDir)
 		got, at := fingerprint(r), -1
-		for i, s := range states {
-			if s == got {
+		for i, state := range states {
+			if state == got {
 				at = i
 			}
 		}
@@ -268,6 +299,66 @@ func pageSubsetCrash(t *testing.T, seed int64) {
 		}
 		assertZeroTail(t, r, context+", second reopen")
 		r.Close()
+	}
+}
+
+// TestFilelessLogMatchesFileLog feeds a log with a file and a log without
+// one the same seeded histories, and holds them to the same lifecycle
+// after every step: the state recovery would rebuild, and the tail a
+// resync would re-send. The file-less log never syncs, runs an AfterSync
+// callback before AfterSync returns, ignores an Fsync it could not parse,
+// writes nothing to disk and closes clean; an injected failure is
+// repaired.
+func TestFilelessLogMatchesFileLog(t *testing.T) {
+	t.Chdir(t.TempDir()) // where a stray relative path would land
+	tailOf := func(l *Log) string {
+		var b strings.Builder
+		for _, c := range l.UnreplicatedTail(1) {
+			fmt.Fprintf(&b, "%d@%d ", c.TxID, c.CT)
+		}
+		return b.String()
+	}
+	for seed := int64(1); seed <= 10; seed++ {
+		file, err := Open(Options{Dir: t.TempDir(), NumDCs: 2, Fsync: "always", CompactThreshold: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem, err := Open(Options{NumDCs: 2, Fsync: "sometimes", CompactThreshold: 16})
+		if err != nil {
+			t.Fatalf("seed %d: Open without a file: %v", seed, err)
+		}
+		s := newStepper(rand.New(rand.NewSource(seed)))
+		for n := 0; n < 100; n++ {
+			s.step(file, mem)
+			context := fmt.Sprintf("seed %d step %d", seed, n)
+			if got, want := fingerprint(mem), fingerprint(file); got != want {
+				t.Fatalf("%s: without a file\n  %s\nwith one\n  %s", context, got, want)
+			}
+			if got, want := tailOf(mem), tailOf(file); got != want {
+				t.Fatalf("%s: unreplicated tail without a file %q, with one %q", context, got, want)
+			}
+			ran := false
+			mem.AfterSync(func() { ran = true })
+			if !ran {
+				t.Fatalf("%s: an AfterSync callback waited on a log without a file", context)
+			}
+			if n := mem.Syncs(); n != 0 {
+				t.Fatalf("%s: a log without a file counted %d syncs", context, n)
+			}
+		}
+		mem.InjectFailure(fmt.Errorf("injected"))
+		if mem.Healthy() == nil || !mem.Repair() || mem.Healthy() != nil {
+			t.Fatalf("seed %d: injected failure not repaired: %v", seed, mem.Healthy())
+		}
+		if err := mem.Close(); err != nil {
+			t.Fatalf("seed %d: Close without a file: %v", seed, err)
+		}
+		if err := file.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ents, err := os.ReadDir("."); err != nil || len(ents) != 0 {
+		t.Fatalf("the working directory holds %d entries (err %v), want none", len(ents), err)
 	}
 }
 

@@ -86,6 +86,17 @@
 // prepares without an outcome, committed transactions not yet both applied
 // and replicated everywhere, unresolved coordinator decisions, and the
 // cursors — without holding the append lock across its I/O.
+//
+// # A log without a file
+//
+// Opened with an empty Options.Dir, the log keeps the same lifecycle —
+// prepare → commit → applied → released, decisions held until every
+// cohort's CommitAck, cursors and resync pins, the sequence floor — and
+// writes nothing: no record is encoded, every sync is already covered
+// (Syncs stays 0, AfterSync runs its callback at once), and Compact only
+// drops what is releasable. The memory backend runs it, so every server
+// has one transaction lifecycle and one replication channel, and nothing
+// survives a restart that the engine does not keep either.
 package txlog
 
 import (
@@ -155,7 +166,8 @@ const seqMask = (uint64(1) << 40) - 1
 type Options struct {
 	// Dir is the directory holding the log (created if missing). The
 	// servers place it INSIDE the engine's data directory, so the engine's
-	// exclusive lock and engine-type marker cover it.
+	// exclusive lock and engine-type marker cover it. Empty opens a log
+	// without a file, which ignores Fsync and FsyncInterval.
 	Dir string
 	// NumDCs sizes the replication cursor (one entry per DC).
 	NumDCs int
@@ -200,6 +212,11 @@ type CommittedTx struct {
 	// bound back), and a watermark comparison would let compaction
 	// release its record before the engine ever saw the writes.
 	applied bool
+}
+
+// Committed returns the transaction p prepared, committed at ct.
+func (p *PreparedTx) Committed(ct hlc.Timestamp) *CommittedTx {
+	return &CommittedTx{TxID: p.TxID, CT: ct, RST: p.RST, SV: p.SV, Writes: p.Writes}
 }
 
 // CoordTx is a coordinator-side commit decision: the record that makes the
@@ -277,15 +294,9 @@ type Log struct {
 
 // Open creates or recovers a transaction log in opts.Dir: existing records
 // are replayed into the in-memory lifecycle state (clearing a torn tail),
-// pairing prepares with their outcomes.
+// pairing prepares with their outcomes. An empty Dir opens a log without a
+// file (see the package comment).
 func Open(opts Options) (*Log, error) {
-	policy, err := wal.ParseFsync(opts.Fsync)
-	if err != nil {
-		return nil, err
-	}
-	if opts.FsyncInterval <= 0 {
-		opts.FsyncInterval = wal.DefaultFsyncInterval
-	}
 	if opts.NumDCs <= 0 {
 		return nil, fmt.Errorf("txlog: NumDCs must be positive")
 	}
@@ -293,12 +304,8 @@ func Open(opts Options) (*Log, error) {
 	if compact == 0 {
 		compact = DefaultCompactThreshold
 	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("txlog: create dir: %w", err)
-	}
 	l := &Log{
 		dir:       opts.Dir,
-		fsync:     policy,
 		compat:    compact,
 		numDCs:    opts.NumDCs,
 		selfDC:    opts.SelfDC,
@@ -308,6 +315,20 @@ func Open(opts Options) (*Log, error) {
 		cursor:    make([]hlc.Timestamp, opts.NumDCs),
 		pins:      make([]hlc.Timestamp, opts.NumDCs),
 		stop:      make(chan struct{}),
+	}
+	if opts.Dir == "" {
+		return l, nil
+	}
+	policy, err := wal.ParseFsync(opts.Fsync)
+	if err != nil {
+		return nil, err
+	}
+	l.fsync = policy
+	if opts.FsyncInterval <= 0 {
+		opts.FsyncInterval = wal.DefaultFsyncInterval
+	}
+	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+		return nil, fmt.Errorf("txlog: create dir: %w", err)
 	}
 	l.sh.Enc = wire.NewEncoder()
 	if err := l.recover(); err != nil {
@@ -403,7 +424,7 @@ func (l *Log) applyRecord(payload []byte) error {
 		}
 		if p, ok := l.prepared[txID]; ok {
 			delete(l.prepared, txID)
-			l.committed[txID] = &CommittedTx{TxID: txID, CT: ct, RST: p.RST, SV: p.SV, Writes: p.Writes}
+			l.committed[txID] = p.Committed(ct)
 		}
 		l.noteSeq(txID)
 	case recCoordCommit:
@@ -597,9 +618,14 @@ func (l *Log) Repair() bool {
 // into the zero-filled region, extending the region first when the record
 // would end within a quarter chunk of its end. Caller holds sh.Mu. After
 // Close the append quietly drops: straggler messages delivered during
-// shutdown are not durability failures.
+// shutdown are not durability failures. Without a file the transition the
+// caller made is the whole record; it only counts toward compaction.
 func (l *Log) appendLocked(encode func(*wire.Encoder)) {
 	if l.stopped {
+		return
+	}
+	l.appends++
+	if l.dir == "" {
 		return
 	}
 	l.sh.Enc.Reset()
@@ -622,7 +648,6 @@ func (l *Log) appendLocked(encode func(*wire.Encoder)) {
 		// file ends where the records do.
 		l.filled = l.sh.Size
 	}
-	l.appends++
 }
 
 // SyncOnAppend reports whether the fsync policy requires a sync before a
@@ -726,23 +751,24 @@ func (l *Log) LogPrepare(p *PreparedTx) {
 }
 
 // LogCommit records the 2PC outcome for a prepared transaction, moving it
-// to the committed set. It reports whether the transaction was prepared
-// here and not yet committed — false means the record is a duplicate (a
-// re-driven CommitTx after recovery) and nothing was appended. The
-// coordinator is acknowledged through AfterSync.
-func (l *Log) LogCommit(txID uint64, ct hlc.Timestamp) bool {
+// to the committed set as c itself — the logged prepare's Committed — so
+// the caller's commit list and the log share one struct: the log writes
+// only its applied mark, which the caller never reads. It reports whether the transaction was
+// prepared here and not yet committed — false means the record is a
+// duplicate (a re-driven CommitTx after recovery) and nothing was
+// appended. The coordinator is acknowledged through AfterSync.
+func (l *Log) LogCommit(c *CommittedTx) bool {
 	l.sh.Mu.Lock()
-	p, ok := l.prepared[txID]
-	if !ok {
+	if _, ok := l.prepared[c.TxID]; !ok {
 		l.sh.Mu.Unlock()
 		return false
 	}
-	delete(l.prepared, txID)
-	l.committed[txID] = &CommittedTx{TxID: txID, CT: ct, RST: p.RST, SV: p.SV, Writes: p.Writes}
+	delete(l.prepared, c.TxID)
+	l.committed[c.TxID] = c
 	l.appendLocked(func(e *wire.Encoder) {
 		e.Byte(recCommit)
-		e.Uvarint(txID)
-		e.Timestamp(ct)
+		e.Uvarint(c.TxID)
+		e.Timestamp(c.CT)
 	})
 	l.sh.Mu.Unlock()
 	return true
@@ -1091,7 +1117,8 @@ func sortCommitted(txs []*CommittedTx) {
 // held only to take the snapshot and, at the end, to copy over what was
 // appended meanwhile and swap the handle. Replaying those records on top
 // of the snapshot rebuilds the same state, because every record is an
-// idempotent transition keyed by transaction id or DC.
+// idempotent transition keyed by transaction id or DC. A log without a
+// file only drops what is releasable.
 func (l *Log) Compact() {
 	l.flushMu.Lock()
 	ready := l.compactFlushLocked()
@@ -1117,15 +1144,21 @@ func (l *Log) compactFlushLocked() []lazyWaiter {
 		l.sh.Mu.Unlock()
 		return nil // a straggler trigger after Close must not resurrect the file
 	}
+	for id, c := range l.committed {
+		if l.releasableLocked(c) {
+			delete(l.committed, id)
+		}
+	}
+	if l.dir == "" {
+		l.appends = 0 // nothing to rewrite
+		l.sh.Mu.Unlock()
+		return nil
+	}
 	snap := retained{maxSeq: l.maxSeq, cursor: append([]hlc.Timestamp(nil), l.cursor...)}
 	for _, p := range l.prepared {
 		snap.prepared = append(snap.prepared, p)
 	}
-	for id, c := range l.committed {
-		if l.releasableLocked(c) {
-			delete(l.committed, id)
-			continue
-		}
+	for _, c := range l.committed {
 		snap.committed = append(snap.committed, c)
 	}
 	for _, c := range l.coord {
@@ -1309,8 +1342,10 @@ func (l *Log) Close() error {
 	l.flushMu.Lock() // no sync or compaction is using the handle
 	l.sh.Mu.Lock()
 	l.stopped = true
-	if err := l.sh.F.Close(); err != nil {
-		l.recordErr(fmt.Errorf("txlog: close: %w", err))
+	if l.dir != "" {
+		if err := l.sh.F.Close(); err != nil {
+			l.recordErr(fmt.Errorf("txlog: close: %w", err))
+		}
 	}
 	l.sh.Mu.Unlock()
 	l.flushMu.Unlock()

@@ -26,6 +26,18 @@ func openLog(t *testing.T, dir string, numDCs int) *Log {
 
 func kv(key, val string) wire.KV { return wire.KV{Key: key, Value: []byte(val)} }
 
+// commit logs id's outcome the way a server does: as the prepare it
+// holds, committed at ct (an unknown id commits nothing).
+func commit(l *Log, id uint64, ct hlc.Timestamp) bool {
+	l.sh.Mu.Lock()
+	p := l.prepared[id]
+	l.sh.Mu.Unlock()
+	if p == nil {
+		p = &PreparedTx{TxID: id}
+	}
+	return l.LogCommit(p.Committed(ct))
+}
+
 // recordBytes is how many bytes of the file are records; the file itself
 // is longer by the zero-filled region behind them.
 func recordBytes(l *Log) int64 {
@@ -39,10 +51,10 @@ func TestPrepareCommitRecovery(t *testing.T) {
 	l := openLog(t, dir, 2)
 	l.LogPrepare(&PreparedTx{TxID: 1, PT: ts(100), RST: ts(50), Writes: []wire.KV{kv("a", "v1")}})
 	l.LogPrepare(&PreparedTx{TxID: 2, PT: ts(110), RST: ts(50), Writes: []wire.KV{kv("b", "v2")}})
-	if !l.LogCommit(1, ts(120)) {
+	if !commit(l, 1, ts(120)) {
 		t.Fatal("LogCommit(1) reported unknown")
 	}
-	if l.LogCommit(1, ts(120)) {
+	if commit(l, 1, ts(120)) {
 		t.Fatal("duplicate LogCommit(1) must report false")
 	}
 	l.Sync()
@@ -162,7 +174,7 @@ func TestCursorPersistsAndBoundsTail(t *testing.T) {
 	l := openLog(t, dir, 3)
 	for i := uint64(1); i <= 4; i++ {
 		l.LogPrepare(&PreparedTx{TxID: i, PT: ts(i * 10), Writes: []wire.KV{kv("k", "v")}})
-		l.LogCommit(i, ts(i*10))
+		commit(l, i, ts(i*10))
 	}
 	l.AdvanceCursor(1, ts(20))
 	l.AdvanceCursor(2, ts(40))
@@ -190,7 +202,7 @@ func TestAbortReleasesPrepare(t *testing.T) {
 	l := openLog(t, dir, 1)
 	l.LogPrepare(&PreparedTx{TxID: 5, PT: ts(10), Writes: []wire.KV{kv("x", "y")}})
 	l.LogAbort(5)
-	if l.LogCommit(5, ts(20)) {
+	if commit(l, 5, ts(20)) {
 		t.Fatal("commit after abort must be a no-op")
 	}
 	if err := l.Close(); err != nil {
@@ -207,7 +219,7 @@ func TestTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	l := openLog(t, dir, 1)
 	l.LogPrepare(&PreparedTx{TxID: 1, PT: ts(10), Writes: []wire.KV{kv("a", "v")}})
-	l.LogCommit(1, ts(20))
+	commit(l, 1, ts(20))
 	end := recordBytes(l)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -230,7 +242,7 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 	// New appends after the clearing must survive another cycle.
 	r.LogPrepare(&PreparedTx{TxID: 2, PT: ts(30), Writes: []wire.KV{kv("b", "w")}})
-	r.LogCommit(2, ts(40))
+	commit(r, 2, ts(40))
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +261,7 @@ func TestCompactionReleasesFinishedRecords(t *testing.T) {
 	}
 	for i := uint64(1); i <= 6; i++ {
 		l.LogPrepare(&PreparedTx{TxID: i, PT: ts(i * 10), Writes: []wire.KV{kv("k", "v")}})
-		l.LogCommit(i, ts(i*10))
+		commit(l, i, ts(i*10))
 	}
 	// txs 1..3 applied and confirmed by the only peer; 4..6 still needed.
 	l.MarkApplied([]uint64{1, 2, 3})
@@ -264,7 +276,7 @@ func TestCompactionReleasesFinishedRecords(t *testing.T) {
 	}
 	// Appends after compaction land in the renamed file and survive.
 	l.LogPrepare(&PreparedTx{TxID: 7, PT: ts(70), Writes: []wire.KV{kv("z", "v7")}})
-	l.LogCommit(7, ts(70))
+	commit(l, 7, ts(70))
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +299,7 @@ func TestReleaseRequiresBothAppliedAndReplicated(t *testing.T) {
 	}
 	defer l.Close()
 	l.LogPrepare(&PreparedTx{TxID: 1, PT: ts(10), Writes: []wire.KV{kv("a", "v")}})
-	l.LogCommit(1, ts(10))
+	commit(l, 1, ts(10))
 
 	l.MarkApplied([]uint64{1}) // applied but not replicated
 	l.Compact()
@@ -309,7 +321,7 @@ func TestSingleDCReleasesOnApplyAlone(t *testing.T) {
 	}
 	defer l.Close()
 	l.LogPrepare(&PreparedTx{TxID: 1, PT: ts(10), Writes: []wire.KV{kv("a", "v")}})
-	l.LogCommit(1, ts(10))
+	commit(l, 1, ts(10))
 	l.MarkApplied([]uint64{1})
 	l.Compact()
 	if got := l.Committed(); len(got) != 0 {
@@ -325,7 +337,7 @@ func TestSVRoundTrip(t *testing.T) {
 		{Key: "t", Tombstone: true},
 		kv("u", ""),
 	}})
-	l.LogCommit(9, ts(12))
+	commit(l, 9, ts(12))
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +365,7 @@ func TestSeqFloorSurvivesCompactionAndRestart(t *testing.T) {
 	// the 40-bit sequence component.
 	id := func(seq uint64) uint64 { return 1<<56 | 2<<40 | seq }
 	l.LogPrepare(&PreparedTx{TxID: id(7), PT: ts(10), Writes: []wire.KV{kv("a", "v")}})
-	l.LogCommit(id(7), ts(10))
+	commit(l, id(7), ts(10))
 	l.LogCoordCommitSync(id(9), ts(11), []uint16{0})
 	if got := l.NextSeqFloor(); got != 9 {
 		t.Fatalf("floor = %d, want 9", got)
@@ -427,7 +439,7 @@ func TestResyncPinClampsCursor(t *testing.T) {
 	}
 	for i := uint64(1); i <= 3; i++ {
 		l.LogPrepare(&PreparedTx{TxID: i, PT: ts(i * 10), Writes: []wire.KV{kv("k", "v")}})
-		l.LogCommit(i, ts(i*10))
+		commit(l, i, ts(i*10))
 	}
 	// Unreplicated tail up to ct=30; pin it as a restarting server would.
 	l.PinResync(1, ts(30))
@@ -488,7 +500,7 @@ func TestAutoCompactionTriggers(t *testing.T) {
 	defer l.Close()
 	for i := uint64(1); i <= 50; i++ {
 		l.LogPrepare(&PreparedTx{TxID: i, PT: ts(i), Writes: []wire.KV{kv("k", "v")}})
-		l.LogCommit(i, ts(i))
+		commit(l, i, ts(i))
 		l.MarkApplied([]uint64{i})
 	}
 	// 50 prepare+commit pairs uncompacted would be far larger; after
@@ -512,7 +524,7 @@ func TestGroupCommitWaiters(t *testing.T) {
 		t.Fatalf("covered Sync paid an fsync: %d -> %d", base, got)
 	}
 
-	l.LogCommit(1, ts(20))
+	commit(l, 1, ts(20))
 	fired := 0
 	l.AfterSync(func() { fired++ })
 	if fired != 0 || l.Syncs() != base {
@@ -524,7 +536,7 @@ func TestGroupCommitWaiters(t *testing.T) {
 		t.Fatalf("after the covering sync: fired=%d syncs=%d, want 1 and %d", fired, l.Syncs(), base+1)
 	}
 	// Nothing unsynced: a lazy waiter runs at once, a duplicate outcome too.
-	if l.LogCommit(1, ts(20)) {
+	if commit(l, 1, ts(20)) {
 		t.Fatal("duplicate LogCommit appended")
 	}
 	l.AfterSync(func() { fired++ })
@@ -542,7 +554,7 @@ func TestLazyWaiterRunsAtOnceWithoutSyncOnAppend(t *testing.T) {
 			t.Fatal(err)
 		}
 		l.LogPrepare(&PreparedTx{TxID: 1, PT: ts(10), Writes: []wire.KV{kv("a", "v")}})
-		l.LogCommit(1, ts(20))
+		commit(l, 1, ts(20))
 		fired := false
 		l.AfterSync(func() { fired = true })
 		if !fired {
@@ -574,7 +586,7 @@ func TestCompactionCarriesOverConcurrentAppends(t *testing.T) {
 				id := uint64(w*perWriter + i + 1)
 				l.LogPrepare(&PreparedTx{TxID: id, PT: ts(id), Writes: []wire.KV{kv(fmt.Sprint("k", id), "v")}})
 				l.LogCoordCommitSync(id, ts(id), []uint16{0})
-				l.LogCommit(id, ts(id))
+				commit(l, id, ts(id))
 				l.AfterSync(func() { lazyFired.Add(1) })
 			}
 		}(w)
