@@ -7,6 +7,7 @@ package enginetest
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"wren/internal/hlc"
@@ -424,6 +425,64 @@ func testScanConcurrent(t *testing.T, e store.Engine) {
 	}
 	close(stopWriters)
 	wg.Wait()
+}
+
+// ScanDuringInserts pins scans racing the writes that change an engine's
+// key set: one writer inserts new keys between the resident ones, deletes
+// them again, and runs GC, which drops the stable tombstones. Every scan
+// must yield keys strictly ascending — so none twice — and every resident
+// key, since those are present for the whole scan. Run it under -race.
+func ScanDuringInserts(t *testing.T, e store.Engine) {
+	const resident = 400
+	key := func(i int) string { return fmt.Sprintf("k-%04d", i) }
+	for i := 0; i < resident; i++ {
+		e.Put(key(i), version("r", hlc.Timestamp(1+i), uint64(i)))
+	}
+	var written atomic.Int64
+	stop, done := make(chan struct{}), make(chan struct{})
+	defer func() {
+		close(stop)
+		<-done
+		_ = e.Close()
+	}()
+	go func() {
+		defer close(done)
+		ut := hlc.Timestamp(resident)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			k := fmt.Sprintf("%s-%d", key(i%resident), i) // sorts right after a resident key
+			ut++
+			e.Put(k, version("n", ut, uint64(ut)))
+			ut++
+			e.Put(k, &store.Version{UT: ut, RDT: ut, TxID: uint64(ut)})
+			if i%64 == 63 {
+				e.GC(ut) // the deletions are stable: their chains go
+			}
+			written.Add(1)
+		}
+	}()
+	for round := 0; round < 10 || written.Load() < 5000; round++ {
+		prev, next := "", 0
+		if err := e.Scan("", "", all, func(k string, _ *store.Version) bool {
+			if k <= prev {
+				t.Fatalf("scan %d yielded %q after %q", round, k, prev)
+			}
+			prev = k
+			if next < resident && k == key(next) {
+				next++
+			}
+			return true
+		}); err != nil {
+			t.Fatalf("Scan during inserts: %v", err)
+		}
+		if next != resident {
+			t.Fatalf("scan %d yielded %d of the %d resident keys in order, missing %s", round, next, resident, key(next))
+		}
+	}
 }
 
 func testConcurrent(t *testing.T, e store.Engine) {

@@ -21,3 +21,9 @@ func TestMemoryEngineConformanceOneShard(t *testing.T) {
 		return store.NewMemoryEngine(1)
 	})
 }
+
+// TestScanDuringInserts: scans over the ordered key index while a writer
+// inserts keys and GC drops them.
+func TestScanDuringInserts(t *testing.T) {
+	enginetest.ScanDuringInserts(t, store.NewMemoryEngine(0))
+}

@@ -195,16 +195,14 @@ func (e *Engine) unfreeze(frozen *store.Store, frozenMin uint64) {
 // more of it. Any other key has exactly one live version, a value, and no
 // floor can prune that. Caller holds flushMu.
 func (e *Engine) writeRun(frozen *store.Store, minGen, maxGen uint64) (*run, error) {
-	keys := make([]string, 0, frozen.Keys())
-	frozen.ForEachKey(func(k string) { keys = append(keys, k) })
-	sort.Strings(keys)
-	w, err := newRunWriter(e.runPath(minGen, maxGen), e.blockBytes, len(keys), e.bloomBits)
+	w, err := newRunWriter(e.runPath(minGen, maxGen), e.blockBytes, frozen.Keys(), e.bloomBits)
 	if err != nil {
 		return nil, err
 	}
 	older := e.tabs.Load().runs
 	var chain []*store.Version
-	for _, k := range keys {
+	for keys := frozen.KeysFrom(""); keys.Next(); {
+		k := keys.Key()
 		chain = frozen.ChainInto(k, chain[:0])
 		w.addChain(k, chain)
 		if len(chain) > 1 || chain[len(chain)-1].Value == nil || mayHold(older, k) {
@@ -621,23 +619,21 @@ type gcPass struct {
 }
 
 // streamAll visits every key of every tier: a k-way merge of the run files
-// (one mapped block at a time — run data is not resident) against the sorted
-// memtable key set.
+// (one mapped block at a time — run data is not resident) against the
+// memtable's ordered key index. visit may drop the memtable key it is on;
+// the index cursor resumes after it.
 func (p *gcPass) streamAll() {
-	active := p.tabs.active
-	memKeys := make([]string, 0, active.Keys())
-	active.ForEachKey(func(k string) { memKeys = append(memKeys, k) })
-	sort.Strings(memKeys)
+	mem := p.tabs.active.KeysFrom("")
+	memLive := mem.Next()
 	live := make([]bool, len(p.iters))
 	for i, it := range p.iters {
 		live[i] = it != nil && it.next()
 	}
-	mi := 0
 	for {
 		key := ""
 		have := false
-		if mi < len(memKeys) {
-			key, have = memKeys[mi], true
+		if memLive {
+			key, have = mem.Key(), true
 		}
 		for i, it := range p.iters {
 			if live[i] && (!have || it.key < key) {
@@ -651,8 +647,8 @@ func (p *gcPass) streamAll() {
 			p.at[i] = live[i] && it.key == key
 		}
 		p.visit(key)
-		if mi < len(memKeys) && memKeys[mi] == key {
-			mi++
+		if memLive && mem.Key() == key {
+			memLive = mem.Next()
 		}
 		for i, it := range p.iters {
 			if p.at[i] {

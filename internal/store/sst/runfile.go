@@ -7,15 +7,19 @@
 // The data region is the PR 4 format unchanged — one length-prefixed,
 // CRC32-checksummed record per version, keys ascending, each key's chain
 // contiguous in last-writer-wins order — cut into blocks of roughly
-// BlockBytes at key boundaries, so one key's whole chain always lives in
-// exactly one block. The footer carries one fence (first key, length) per
-// block plus the version/key counts and the run's Bloom filter; it is
-// itself a logrec frame, so it tears and checksums by the same rules as
-// every other record in the data directory. Only the fences and the
-// filter stay resident. A sealed file is mapped once, read-only, and read
-// in place: a point read binary-searches the fence table, slices one block
-// out of the mapping and walks its frames; startup touches the trailer and
-// footer pages only. Every access to the mapping follows the package
+// BlockBytes (4 KiB by default) at key boundaries, so one key's whole
+// chain always lives in exactly one block. A point read walks and
+// checksums its block from the first record to the key's chain, so the
+// block size is what a probe pays: a 4 KiB block holds three 1 KiB
+// records, where 16 KiB blocks made a probe check about nine (see
+// TestPointReadRecordsChecked). The footer carries one fence (first key,
+// length) per block plus the version/key counts and the run's Bloom
+// filter; it is itself a logrec frame, so it tears and checksums by the
+// same rules as every other record in the data directory. Only the fences
+// and the filter stay resident. A sealed file is mapped once, read-only,
+// and read in place: a point read binary-searches the fence table, slices
+// one block out of the mapping and walks its frames; startup touches the
+// trailer and footer pages only. Every access to the mapping follows the package
 // comment's two rules — a file reference across the whole use of the
 // bytes, and readMapped around every touch. A file without the trailer
 // magic is corrupt: run files are only ever renamed into place complete.
@@ -368,13 +372,16 @@ func (r *run) block(bi int) []byte {
 // VersionsOf share. It steps through blk from its first record, verifying
 // every walked record's frame and CRC, and returns key's chain — its
 // frames, contiguous and verified — and how many records it holds; both are
-// empty when the block does not hold key. A record that does not frame or
-// checksum ends the walk: bad is its offset in blk (-1 when the walk ended
-// cleanly), and chain is the verified part of key's chain before it.
-func chainIn(blk []byte, key string) (chain []byte, n, bad int) {
+// empty when the block does not hold key. checked counts the records the
+// walk looked at, the one past the chain that ends it included. A record
+// that does not frame or checksum ends the walk: bad is its offset in blk
+// (-1 when the walk ended cleanly), and chain is the verified part of key's
+// chain before it.
+func chainIn(blk []byte, key string) (chain []byte, n, checked, bad int) {
 	start, off := -1, 0
 	bad = -1
 	for off+logrec.HeaderSize <= len(blk) {
+		checked++
 		end := off + logrec.HeaderSize + int(binary.LittleEndian.Uint32(blk[off:]))
 		if end > len(blk) || crc32.ChecksumIEEE(blk[off+logrec.HeaderSize:end]) != binary.LittleEndian.Uint32(blk[off+4:]) {
 			bad = off
@@ -391,9 +398,9 @@ func chainIn(blk []byte, key string) (chain []byte, n, bad int) {
 		off = end
 	}
 	if start < 0 {
-		return nil, 0, bad
+		return nil, 0, checked, bad
 	}
-	return blk[start:off], n, bad
+	return blk[start:off], n, checked, bad
 }
 
 // walkChain finds key's chain in block bi of r (chainIn) and hands it to fn
@@ -409,12 +416,13 @@ func (e *Engine) walkChain(r *run, bi int, key string, fn func(chain []byte, n i
 	}
 	defer r.file.release()
 	e.metrics.blockReads.Add(1)
-	bad := -1
+	bad, checked := -1, 0
 	err := readMapped(func() {
-		chain, n, b := chainIn(r.block(bi), key)
-		bad = b
+		chain, n, c, b := chainIn(r.block(bi), key)
+		bad, checked = b, c
 		fn(chain, n)
 	})
+	e.metrics.recordsChecked.Add(int64(checked))
 	switch off := r.fences[bi].off; {
 	case err != nil:
 		e.recordErr(fmt.Errorf("sst: read run block %s@%d: %w", r.path, off, err))

@@ -68,8 +68,10 @@
 // rules that keep the visit set complete are stated as MUST / MUST NOT on
 // GCStats. A Scan takes no engine lock — it pins run files like a point
 // read, so it never waits for a flush, a compaction or a GC pass — and
-// draws the memtable's keys from a lazy heap, so stopping early costs the
-// keys yielded rather than a sort of the memtable.
+// walks the memtable through its ordered key index (store.KeysFrom), so
+// stopping early costs the keys yielded, not the memtable's size. A
+// flush's run writer and the streaming GC pass walk the same index; no
+// path sorts memtable keys.
 //
 // Crash recovery keeps the PR 5 invariants generalized to level merges: a
 // run whose generation interval another run subsumes is the footprint of
@@ -113,7 +115,12 @@ const (
 	DefaultFsyncInterval = 10 * time.Millisecond
 	// DefaultBlockBytes is the target size of one run-file block — what a
 	// point lookup walks and the granularity of the resident fence index.
-	DefaultBlockBytes = 16 << 10
+	// A probe CRC-checks every record from the block's start to the key's
+	// chain, so the block is sized to what a probe should walk: swept over
+	// 16, 8, 4 and 2 KiB, 4 KiB (three 1 KiB records) read fastest on the
+	// benchmark's larger-than-memtable workload and no slower on its
+	// durable-commit one, at four times 16 KiB's fences.
+	DefaultBlockBytes = 4 << 10
 	// DefaultBloomBitsPerKey sizes each run's Bloom filter (≈0.8% false
 	// positives at 10 bits per key).
 	DefaultBloomBitsPerKey = 10
@@ -158,8 +165,9 @@ type Options struct {
 	// DefaultCompactGarbage).
 	CompactGarbage int
 	// BlockBytes overrides the target run-file block size (0 selects
-	// DefaultBlockBytes). Smaller blocks mean finer-grained point reads
-	// and a proportionally larger fence index.
+	// DefaultBlockBytes, 4 KiB). Smaller blocks mean fewer records
+	// checksummed per point read and a proportionally larger fence index;
+	// servers always take the default, and tests force tiny blocks here.
 	BlockBytes int
 	// BloomBitsPerKey overrides the per-run Bloom filter density (0
 	// selects DefaultBloomBitsPerKey; negative disables the filters).
@@ -290,11 +298,12 @@ type Metrics struct {
 	runsLoaded      int
 	compactionBytes int64
 
-	blockReads atomic.Int64
-	bloomSkips atomic.Int64
-	syncs      atomic.Int64
-	gcVisited  atomic.Int64
-	gcPending  atomic.Int64
+	blockReads     atomic.Int64
+	recordsChecked atomic.Int64
+	bloomSkips     atomic.Int64
+	syncs          atomic.Int64
+	gcVisited      atomic.Int64
+	gcPending      atomic.Int64
 }
 
 // GCVisited returns how many keys GC passes have examined, cumulatively —
@@ -333,6 +342,11 @@ func (m *Metrics) CompactionBytes() int64 { m.mu.Lock(); defer m.mu.Unlock(); re
 
 // BlockReads returns how many run-file blocks reads have touched.
 func (m *Metrics) BlockReads() int64 { return m.blockReads.Load() }
+
+// RecordsChecked returns how many run records point reads and VersionsOf
+// have CRC-checked walking a block to a key's chain: what a block probe
+// pays beyond touching the block.
+func (m *Metrics) RecordsChecked() int64 { return m.recordsChecked.Load() }
 
 // BloomSkips returns how many run probes the Bloom filters answered
 // negatively without touching disk.
@@ -885,9 +899,10 @@ func (e *Engine) ForEachKey(fn func(key string)) {
 // every run file over [start, end), in ascending key order. It takes no
 // engine lock — a scan never waits for a flush, a compaction or a GC pass.
 // Run files are pinned the way point reads pin them (pinRuns) and read
-// block-at-a-time; memtable keys come off a lazy heap, so a scan that stops
-// early pays for the keys it yielded, not for sorting the memtable. Each
-// yielded version is a materialized copy — fn may retain it.
+// block-at-a-time; memtable keys come off the memtable's ordered key index
+// (store.KeysFrom), so a scan that stops early pays for the keys it
+// yielded, not for the memtable's size. Each yielded version is a
+// materialized copy — fn may retain it.
 func (e *Engine) Scan(start, end string, visible store.VisibleFunc, fn func(key string, v *store.Version) bool) error {
 	tabs, iters := e.pinRuns()
 	defer func() {
@@ -896,25 +911,28 @@ func (e *Engine) Scan(start, end string, visible store.VisibleFunc, fn func(key 
 		}
 	}()
 
-	inRange := func(k string) bool { return k >= start && (end == "" || k < end) }
-	memKeys := newKeyHeap(tabs.active, inRange)
-	var frozenKeys keyHeap
+	before := func(k string) bool { return end == "" || k < end }
+	mem := tabs.active.KeysFrom(start)
+	memLive := mem.Next() && before(mem.Key())
+	var frozen *store.KeyIter
+	frozenLive := false
 	if tabs.frozen != nil {
-		frozenKeys = newKeyHeap(tabs.frozen, inRange)
+		frozen = tabs.frozen.KeysFrom(start)
+		frozenLive = frozen.Next() && before(frozen.Key())
 	}
 	live := make([]bool, len(iters))
 	for i, it := range iters {
-		live[i] = it.advanceTo(start) && (end == "" || it.key < end)
+		live[i] = it.advanceTo(start) && before(it.key)
 	}
 
 	for {
 		key := ""
 		have := false
-		if len(memKeys) > 0 {
-			key, have = memKeys[0], true
+		if memLive {
+			key, have = mem.Key(), true
 		}
-		if len(frozenKeys) > 0 && (!have || frozenKeys[0] < key) {
-			key, have = frozenKeys[0], true
+		if frozenLive && (!have || frozen.Key() < key) {
+			key, have = frozen.Key(), true
 		}
 		for i, it := range iters {
 			if live[i] && (!have || it.key < key) {
@@ -925,13 +943,13 @@ func (e *Engine) Scan(start, end string, visible store.VisibleFunc, fn func(key 
 			break
 		}
 		var v *store.Version
-		if len(memKeys) > 0 && memKeys[0] == key {
+		if memLive && mem.Key() == key {
 			v = best(v, tabs.active.ReadVisible(key, visible))
-			memKeys.pop()
+			memLive = mem.Next() && before(mem.Key())
 		}
-		if len(frozenKeys) > 0 && frozenKeys[0] == key {
+		if frozenLive && frozen.Key() == key {
 			v = best(v, tabs.frozen.ReadVisible(key, visible))
-			frozenKeys.pop()
+			frozenLive = frozen.Next() && before(frozen.Key())
 		}
 		for i, it := range iters {
 			if !live[i] || it.key != key {
@@ -940,7 +958,7 @@ func (e *Engine) Scan(start, end string, visible store.VisibleFunc, fn func(key 
 			if cut := it.r.cuts[key]; cut < len(it.chain) {
 				v = best(v, store.ReadVisibleChain(it.chain[cut:], visible))
 			}
-			live[i] = it.next() && (end == "" || it.key < end)
+			live[i] = it.next() && before(it.key)
 		}
 		if v != nil && v.Value != nil {
 			if !fn(key, v) {
@@ -978,50 +996,6 @@ func (e *Engine) pinRuns() (*tables, []*runIterator) {
 			it.close()
 		}
 	}
-}
-
-// keyHeap is a min-heap of memtable keys: the smallest is h[0]. Building
-// it is O(n) and each pop O(log n), so a scan pays per key it yields.
-type keyHeap []string
-
-// newKeyHeap snapshots the keys of s matching the range predicate.
-func newKeyHeap(s *store.Store, inRange func(string) bool) keyHeap {
-	var h keyHeap
-	s.ForEachKey(func(k string) {
-		if inRange(k) {
-			h = append(h, k)
-		}
-	})
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-	return h
-}
-
-func (h keyHeap) down(i int) {
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			return
-		}
-		if c+1 < len(h) && h[c+1] < h[c] {
-			c++
-		}
-		if h[i] <= h[c] {
-			return
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
-}
-
-// pop removes the smallest key.
-func (h *keyHeap) pop() {
-	old := *h
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	h.down(0)
 }
 
 // InjectFailure records err as a write-path failure, flipping Healthy.

@@ -15,7 +15,7 @@
 package store
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"wren/internal/hlc"
@@ -80,13 +80,39 @@ type GCResult struct {
 }
 
 // shard is one stripe of the store. The padding rounds the struct up to 64
-// bytes (RWMutex 24 + map header 8 + pad 32) so that in the shards array
-// lock traffic on one stripe does not false-share a cache line with its
-// neighbours.
+// bytes (RWMutex 24 + map header 8 + slice header 24 + pad 8) so that in
+// the shards array lock traffic on one stripe does not false-share a cache
+// line with its neighbours.
+//
+// keys is the stripe's ordered key index: exactly the keys of chains,
+// ascending. It changes only when a chain is created or deleted, so
+// writing another version of a resident key never touches it; KeysFrom
+// reads it to walk the store in key order without sorting anything.
 type shard struct {
 	mu     sync.RWMutex
 	chains map[string][]*Version // sorted ascending by Less (newest last)
-	_      [64 - 24 - 8]byte
+	keys   []string
+	_      [64 - 24 - 8 - 24]byte
+}
+
+// putLocked inserts v into key's chain, filing the key in the ordered
+// index when the chain is new. Caller holds mu for writing.
+func (sh *shard) putLocked(key string, v *Version) {
+	chain, ok := sh.chains[key]
+	if !ok {
+		i, _ := slices.BinarySearch(sh.keys, key)
+		sh.keys = slices.Insert(sh.keys, i, key)
+	}
+	sh.chains[key] = insertLocked(chain, v)
+}
+
+// deleteLocked removes key's chain and its index entry. Caller holds mu
+// for writing.
+func (sh *shard) deleteLocked(key string) {
+	delete(sh.chains, key)
+	if i, ok := slices.BinarySearch(sh.keys, key); ok {
+		sh.keys = slices.Delete(sh.keys, i, i+1)
+	}
 }
 
 // Store holds the version chains of one partition, striped over a
@@ -181,7 +207,7 @@ func insertLocked(chain []*Version, v *Version) []*Version {
 func (s *Store) Put(key string, v *Version) {
 	sh := s.shardOf(key)
 	sh.mu.Lock()
-	sh.chains[key] = insertLocked(sh.chains[key], v)
+	sh.putLocked(key, v)
 	sh.mu.Unlock()
 }
 
@@ -200,7 +226,7 @@ func (s *Store) PutBatch(kvs []KV) {
 		sh := &s.shards[id]
 		sh.mu.Lock()
 		for _, kv := range group {
-			sh.chains[kv.Key] = insertLocked(sh.chains[kv.Key], kv.Version)
+			sh.putLocked(kv.Key, kv.Version)
 		}
 		sh.mu.Unlock()
 	})
@@ -355,6 +381,7 @@ func (s *Store) GCStats(oldest hlc.Timestamp) GCResult {
 	for si := range s.shards {
 		sh := &s.shards[si]
 		sh.mu.Lock()
+		dropped := false
 		for key, chain := range sh.chains {
 			// Find the newest version with UT <= oldest.
 			keepFrom := -1
@@ -370,6 +397,7 @@ func (s *Store) GCStats(oldest hlc.Timestamp) GCResult {
 				res.PerShard[si] += len(chain)
 				res.DroppedKeys++
 				delete(sh.chains, key)
+				dropped = true
 				continue
 			}
 			if keepFrom <= 0 {
@@ -379,6 +407,13 @@ func (s *Store) GCStats(oldest hlc.Timestamp) GCResult {
 			newChain := make([]*Version, len(chain)-keepFrom)
 			copy(newChain, chain[keepFrom:])
 			sh.chains[key] = newChain
+		}
+		if dropped {
+			// One pass over the index per stripe, not a memmove per drop.
+			sh.keys = slices.DeleteFunc(sh.keys, func(k string) bool {
+				_, ok := sh.chains[k]
+				return !ok
+			})
 		}
 		res.Removed += res.PerShard[si]
 		sh.mu.Unlock()
@@ -461,7 +496,7 @@ func (s *Store) PruneChain(key string, base *Version, dropWhole bool) int {
 	case cut == 0:
 		return 0
 	case cut == len(chain):
-		delete(sh.chains, key)
+		sh.deleteLocked(key)
 		return cut
 	}
 	newChain := make([]*Version, len(chain)-cut)
@@ -519,24 +554,17 @@ func (s *Store) Sync() {}
 func (s *Store) Close() error { return nil }
 
 // Scan implements Engine: keys in [start, end) in ascending order, each
-// resolved to its freshest visible non-tombstone version. The in-range key
-// set is snapshotted one shard at a time and sorted, so fn runs without any
-// shard lock held and may call back into the store; a write racing with
-// the scan may or may not be observed.
+// resolved to its freshest visible non-tombstone version. The keys come
+// off KeysFrom, so a scan that stops early pays for the keys it walked,
+// not for the store's size; fn runs without any shard lock held and may
+// call back into the store, and a write racing with the scan may or may
+// not be observed.
 func (s *Store) Scan(start, end string, visible VisibleFunc, fn func(key string, v *Version) bool) error {
-	var keys []string
-	for si := range s.shards {
-		sh := &s.shards[si]
-		sh.mu.RLock()
-		for k := range sh.chains {
-			if k >= start && (end == "" || k < end) {
-				keys = append(keys, k)
-			}
+	for it := s.KeysFrom(start); it.Next(); {
+		k := it.Key()
+		if end != "" && k >= end {
+			break
 		}
-		sh.mu.RUnlock()
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
 		v := s.ReadVisible(k, visible)
 		if v == nil || v.Value == nil {
 			continue

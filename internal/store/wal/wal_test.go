@@ -32,6 +32,12 @@ func TestWALEngineConformance(t *testing.T) {
 	}
 }
 
+// TestScanDuringInserts: scans over the memory stripes' ordered key index
+// while a writer inserts keys and GC drops them.
+func TestScanDuringInserts(t *testing.T) {
+	enginetest.ScanDuringInserts(t, mustOpen(t, Options{Dir: t.TempDir(), Shards: 4, Fsync: FsyncNever}))
+}
+
 // TestWALDurable runs the shared recovery suite (clean close/reopen
 // cycles preserve every version; deletes stay deleted).
 func TestWALDurable(t *testing.T) {

@@ -810,8 +810,8 @@ func (m *StableBroadcast) decodeFrom(d *Decoder) {
 // commit record for the transaction (fsync-policy-bound, like every
 // durability statement in the system). Once every cohort has acknowledged,
 // the coordinator's logged decision is resolved and no longer needs
-// re-driving after a restart. Only sent when the transaction log is
-// enabled.
+// re-driving after a restart. Every server runs the transaction log (the
+// memory backend's has no file), so every cohort sends it.
 type CommitAck struct {
 	TxID      uint64
 	Partition uint16 // the acknowledging cohort
@@ -839,8 +839,8 @@ func (m *CommitAck) decodeFrom(d *Decoder) {
 // restart re-sends only the unconfirmed tail. Resync echoes the batch's
 // Resync flag: only the re-sent tail's own acknowledgement may lift the
 // sender's post-restart cursor pin — an ack for newer traffic cannot vouch
-// for a tail still in flight behind it. Only sent when the transaction log
-// is enabled.
+// for a tail still in flight behind it. Every server runs the transaction
+// log, so every receiver sends it.
 type ReplicateAck struct {
 	DC        uint8  // the acknowledging (receiver's) DC
 	Partition uint16 // the partition the batch belonged to
