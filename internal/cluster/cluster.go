@@ -177,8 +177,9 @@ type Cluster struct {
 	// registered on it so every message crosses the fault injector.
 	chaosNet *chaos.Network
 
-	wrenServers [][]*core.Server
-	cureServers [][]*cure.Server
+	// servers[dc][partition] is a *core.Server under Wren and a
+	// *cure.Server under Cure and H-Cure.
+	servers [][]server
 
 	// ephemeralDataDir is a temp dir created for a durable backend when the
 	// caller supplied none; Close removes it.
@@ -191,6 +192,17 @@ type Cluster struct {
 	// Config.ClientPoolLinks is set; sessions bind to their DC's pool
 	// instead of registering an endpoint of their own.
 	pools []*pool.Pool
+}
+
+// server is what the cluster drives on a partition server of either
+// protocol.
+type server interface {
+	Start()
+	Stop()
+	Kill()
+	Healthy() error
+	EngineHealthy() error
+	ShedRequests() uint64
 }
 
 // New builds and starts a cluster.
@@ -246,8 +258,7 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	for dc := 0; dc < cfg.NumDCs; dc++ {
-		var wrenRow []*core.Server
-		var cureRow []*cure.Server
+		c.servers = append(c.servers, nil)
 		for p := 0; p < cfg.NumPartitions; p++ {
 			scfg := cfg.Server
 			scfg.DC, scfg.Partition = dc, p
@@ -255,30 +266,18 @@ func New(cfg Config) (*Cluster, error) {
 			scfg.Network = fabric
 			scfg.ClockSource = hlc.OffsetSource{Base: hlc.SystemSource{}, Offset: skewFor()}
 			scfg.UseHLC = cfg.Protocol == HCure
-			switch cfg.Protocol {
-			case Wren:
-				srv, err := core.NewServer(scfg)
-				if err != nil {
-					c.wrenServers = append(c.wrenServers, wrenRow)
-					return fail(err)
-				}
-				srv.Start()
-				wrenRow = append(wrenRow, srv)
-			case Cure, HCure:
-				srv, err := cure.NewServer(scfg)
-				if err != nil {
-					c.cureServers = append(c.cureServers, cureRow)
-					return fail(err)
-				}
-				srv.Start()
-				cureRow = append(cureRow, srv)
+			var srv server
+			var err error
+			if cfg.Protocol == Wren {
+				srv, err = core.NewServer(scfg)
+			} else {
+				srv, err = cure.NewServer(scfg)
 			}
-		}
-		if wrenRow != nil {
-			c.wrenServers = append(c.wrenServers, wrenRow)
-		}
-		if cureRow != nil {
-			c.cureServers = append(c.cureServers, cureRow)
+			if err != nil {
+				return fail(err)
+			}
+			srv.Start()
+			c.servers[dc] = append(c.servers[dc], srv)
 		}
 	}
 	return c, nil
@@ -413,18 +412,14 @@ func (c *Cluster) ClientPool(dc int) *pool.Pool {
 // WrenServer returns the Wren server at (dc, partition); nil for other
 // protocols.
 func (c *Cluster) WrenServer(dc, partition int) *core.Server {
-	if c.cfg.Protocol != Wren {
-		return nil
-	}
-	return c.wrenServers[dc][partition]
+	s, _ := c.servers[dc][partition].(*core.Server)
+	return s
 }
 
 // CureServer returns the Cure server at (dc, partition); nil for Wren.
 func (c *Cluster) CureServer(dc, partition int) *cure.Server {
-	if c.cfg.Protocol == Wren {
-		return nil
-	}
-	return c.cureServers[dc][partition]
+	s, _ := c.servers[dc][partition].(*cure.Server)
+	return s
 }
 
 // LocalUpdateVisible reports whether an update committed in this DC at
@@ -435,12 +430,12 @@ func (c *Cluster) LocalUpdateVisible(dc, p int, ct hlc.Timestamp) bool {
 	switch c.cfg.Protocol {
 	case Wren:
 		// Visible once inside the local stable snapshot.
-		lst, _ := c.wrenServers[dc][p].StableTimes()
+		lst, _ := c.WrenServer(dc, p).StableTimes()
 		return lst >= ct
 	default:
 		// Visible as soon as the origin partition has applied it: Cure
 		// snapshots use the coordinator's current clock as local entry.
-		return c.cureServers[dc][p].LocalVersionClock() >= ct
+		return c.CureServer(dc, p).LocalVersionClock() >= ct
 	}
 }
 
@@ -451,12 +446,12 @@ func (c *Cluster) RemoteUpdateVisible(dc, p, srcDC int, ct hlc.Timestamp) bool {
 	case Wren:
 		// Remote updates are visible once stable: RST has passed their
 		// commit time (BiST aggregates all remote DCs into one scalar).
-		_, rst := c.wrenServers[dc][p].StableTimes()
+		_, rst := c.WrenServer(dc, p).StableTimes()
 		return rst >= ct
 	default:
 		// Cure tracks per-DC stability: the stable-vector entry for the
 		// source DC must pass the commit time.
-		gsv := c.cureServers[dc][p].StableVector()
+		gsv := c.CureServer(dc, p).StableVector()
 		return gsv[srcDC] >= ct
 	}
 }
@@ -467,21 +462,7 @@ func (c *Cluster) RemoteUpdateVisible(dc, p, srcDC int, ct hlc.Timestamp) bool {
 // log or flush failure, so benchmarks and tests use this to detect a
 // silently degraded shard log instead of discovering it at shutdown.
 func (c *Cluster) EnginesHealthy() error {
-	for dc, row := range c.wrenServers {
-		for p, s := range row {
-			if err := s.EngineHealthy(); err != nil {
-				return fmt.Errorf("dc%d/p%d: %w", dc, p, err)
-			}
-		}
-	}
-	for dc, row := range c.cureServers {
-		for p, s := range row {
-			if err := s.EngineHealthy(); err != nil {
-				return fmt.Errorf("dc%d/p%d: %w", dc, p, err)
-			}
-		}
-	}
-	return nil
+	return c.firstErr(server.EngineHealthy)
 }
 
 // Healthy returns the first write-path durability failure — storage engine
@@ -490,16 +471,15 @@ func (c *Cluster) EnginesHealthy() error {
 // the whole durable write path; a non-nil result means at least one server
 // has shed into read-only admission.
 func (c *Cluster) Healthy() error {
-	for dc, row := range c.wrenServers {
+	return c.firstErr(server.Healthy)
+}
+
+// firstErr returns the first non-nil check(s) over every server, tagged
+// with the server's position.
+func (c *Cluster) firstErr(check func(server) error) error {
+	for dc, row := range c.servers {
 		for p, s := range row {
-			if err := s.Healthy(); err != nil {
-				return fmt.Errorf("dc%d/p%d: %w", dc, p, err)
-			}
-		}
-	}
-	for dc, row := range c.cureServers {
-		for p, s := range row {
-			if err := s.Healthy(); err != nil {
+			if err := check(s); err != nil {
 				return fmt.Errorf("dc%d/p%d: %w", dc, p, err)
 			}
 		}
@@ -513,12 +493,7 @@ func (c *Cluster) Healthy() error {
 // overload is visible rather than silently folded into latency.
 func (c *Cluster) ShedRequests() uint64 {
 	var total uint64
-	for _, row := range c.wrenServers {
-		for _, s := range row {
-			total += s.ShedRequests()
-		}
-	}
-	for _, row := range c.cureServers {
+	for _, row := range c.servers {
 		for _, s := range row {
 			total += s.ShedRequests()
 		}
@@ -529,16 +504,12 @@ func (c *Cluster) ShedRequests() uint64 {
 // CommittedTxCount sums committed-transaction counters across all servers.
 func (c *Cluster) CommittedTxCount() uint64 {
 	var total uint64
-	switch c.cfg.Protocol {
-	case Wren:
-		for _, row := range c.wrenServers {
-			for _, s := range row {
+	for _, row := range c.servers {
+		for _, s := range row {
+			switch s := s.(type) {
+			case *core.Server:
 				total += s.Metrics().TxCommitted.Load()
-			}
-		}
-	default:
-		for _, row := range c.cureServers {
-			for _, s := range row {
+			case *cure.Server:
 				total += s.Metrics().TxCommitted.Load()
 			}
 		}
@@ -570,30 +541,17 @@ func (c *Cluster) stop(kill bool) {
 	c.mu.Unlock()
 
 	var wg sync.WaitGroup
-	for _, row := range c.wrenServers {
+	for _, row := range c.servers {
 		for _, s := range row {
 			wg.Add(1)
-			go func(s *core.Server) {
+			go func() {
 				defer wg.Done()
 				if kill {
 					s.Kill()
 				} else {
 					s.Stop()
 				}
-			}(s)
-		}
-	}
-	for _, row := range c.cureServers {
-		for _, s := range row {
-			wg.Add(1)
-			go func(s *cure.Server) {
-				defer wg.Done()
-				if kill {
-					s.Kill()
-				} else {
-					s.Stop()
-				}
-			}(s)
+			}()
 		}
 	}
 	wg.Wait()

@@ -17,24 +17,21 @@ var allProtocols = []Protocol{Wren, Cure, HCure}
 // openTxContexts returns how many transaction contexts the coordinator at
 // (dc, partition) holds.
 func openTxContexts(cl *Cluster, dc, partition int) int {
-	if cl.cfg.Protocol == Wren {
-		return cl.wrenServers[dc][partition].OpenTxContexts()
-	}
-	return cl.cureServers[dc][partition].OpenTxContexts()
+	return cl.servers[dc][partition].(interface{ OpenTxContexts() int }).OpenTxContexts()
 }
 
 // ctxExpired sums, over every server, the contexts the TTL sweep had to
 // expire because nobody committed or released them.
 func ctxExpired(cl *Cluster) uint64 {
 	var n uint64
-	for _, row := range cl.wrenServers {
+	for _, row := range cl.servers {
 		for _, s := range row {
-			n += s.Metrics().CtxExpired.Load()
-		}
-	}
-	for _, row := range cl.cureServers {
-		for _, s := range row {
-			n += s.Metrics().CtxExpired.Load()
+			switch s := s.(type) {
+			case *core.Server:
+				n += s.Metrics().CtxExpired.Load()
+			case *cure.Server:
+				n += s.Metrics().CtxExpired.Load()
+			}
 		}
 	}
 	return n

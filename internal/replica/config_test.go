@@ -4,6 +4,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"wren/internal/store"
 	"wren/internal/store/backend"
@@ -27,6 +28,10 @@ func TestConfigFillDefaultsAndValidate(t *testing.T) {
 		{"negative DC", func(c *Config) { c.DC = -1 }, "DC -1 out of range"},
 		{"partition out of range", func(c *Config) { c.Partition = 2 }, "partition 2 out of range [0,2)"},
 		{"nil network", func(c *Config) { c.Network = nil }, "network is required"},
+		{"negative apply interval", func(c *Config) { c.ApplyInterval = -time.Millisecond }, "negative ApplyInterval"},
+		{"negative gossip interval", func(c *Config) { c.GossipInterval = -time.Millisecond }, "negative GossipInterval"},
+		{"negative context TTL", func(c *Config) { c.TxContextTTL = -time.Second }, "negative TxContextTTL"},
+		{"negative admission cap", func(c *Config) { c.MaxInflightPerConn = -1 }, "negative MaxInflightPerConn"},
 		{"unknown backend", func(c *Config) { c.StoreBackend = "rocksdb" }, `unknown store backend "rocksdb"`},
 		{"wal without a directory", func(c *Config) { c.StoreBackend = backend.WAL }, "requires a data directory"},
 		{"sst without a directory", func(c *Config) { c.StoreBackend = backend.SST }, "requires a data directory"},
@@ -40,12 +45,14 @@ func TestConfigFillDefaultsAndValidate(t *testing.T) {
 			tc.edit(&cfg)
 			cfg.FillDefaults()
 			err := cfg.Validate("proto")
-			if tc.want == "" {
-				if err != nil {
-					t.Fatalf("Validate = %v, want nil", err)
+			if tc.want != "" {
+				if err == nil || !strings.HasPrefix(err.Error(), "proto: ") || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("Validate = %v, want an error prefixed %q containing %q", err, "proto: ", tc.want)
 				}
-			} else if err == nil || !strings.HasPrefix(err.Error(), "proto: ") || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("Validate = %v, want an error prefixed %q containing %q", err, "proto: ", tc.want)
+				return
+			}
+			if err != nil {
+				t.Fatalf("Validate = %v, want nil", err)
 			}
 			// Zero knobs take the defaults; a set one (GC disabled) is kept.
 			if cfg.ClockSource == nil || cfg.ApplyInterval != DefaultApplyInterval ||
