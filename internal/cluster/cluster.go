@@ -67,10 +67,8 @@ type Config struct {
 	// UseAWSLatencies is set. Zero selects 10ms.
 	InterDCLatency time.Duration
 	// UseAWSLatencies replaces the uniform WAN latency with the paper's
-	// five-region EC2 matrix scaled by LatencyScale.
+	// five-region EC2 matrix.
 	UseAWSLatencies bool
-	// LatencyScale scales the AWS matrix (1.0 = realistic). Zero means 1.0.
-	LatencyScale float64
 	// ClockSkew is the maximum absolute clock offset; each server draws an
 	// offset uniformly from [-ClockSkew, +ClockSkew].
 	ClockSkew time.Duration
@@ -123,9 +121,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.InterDCLatency == 0 {
 		c.InterDCLatency = 10 * time.Millisecond
-	}
-	if c.LatencyScale == 0 {
-		c.LatencyScale = 1.0
 	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 10 * time.Second
@@ -220,7 +215,7 @@ func New(cfg Config) (*Cluster, error) {
 	var latency transport.LatencyFunc
 	if cfg.UseAWSLatencies {
 		latency = transport.MatrixLatency(cfg.IntraDCLatency,
-			transport.AWSLatencies(cfg.LatencyScale), cfg.InterDCLatency)
+			transport.AWSLatencies(1), cfg.InterDCLatency)
 	} else {
 		latency = transport.UniformLatency(cfg.IntraDCLatency, cfg.InterDCLatency)
 	}

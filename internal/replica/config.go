@@ -8,6 +8,16 @@ import (
 	"wren/internal/hlc"
 	"wren/internal/store/backend"
 	"wren/internal/transport"
+	"wren/internal/txlog"
+)
+
+// Topology bounds the wire and the tx id format set: a DC travels as a
+// uint8 (Replicate.SrcDC, ReplicateAck.DC) and fills the top byte of a tx
+// id; a partition travels as a uint16, fills the id's next two bytes, and
+// must stay below transport.ClientBase to name a server, not a client.
+const (
+	maxDCs        = 1 << 8
+	maxPartitions = transport.ClientBase
 )
 
 // Default protocol timer intervals. The paper runs its stabilization
@@ -148,9 +158,9 @@ type Config struct {
 	// before the corresponding acknowledgement — the durability unit is
 	// the ACKNOWLEDGED transaction — and a persisted per-DC replication
 	// cursor lets a restarted server re-send the unreplicated tail. The
-	// engine's own logs never sync on this policy (see New). Ignored by the
-	// memory backend, whose transaction log keeps the lifecycle in memory
-	// and has no file.
+	// engine's own logs never sync on this policy (see New). Checked on
+	// every backend, though the memory backend's transaction log keeps the
+	// lifecycle in memory, has no file and never syncs.
 	FsyncPolicy string
 	// MaxInflightPerConn caps the admission-gated client requests
 	// (transactional reads and write commits) outstanding per client
@@ -207,8 +217,9 @@ func (c *Config) FillDefaults() {
 // and the storage configuration, prefixing errors with name, the owning
 // protocol package ("core", "cure").
 func (c *Config) Validate(name string) error {
-	if c.NumDCs <= 0 || c.NumPartitions <= 0 {
-		return fmt.Errorf("%s: invalid topology %dx%d", name, c.NumDCs, c.NumPartitions)
+	if c.NumDCs <= 0 || c.NumPartitions <= 0 || c.NumDCs > maxDCs || c.NumPartitions > maxPartitions {
+		return fmt.Errorf("%s: invalid topology %dx%d (want 1..%d DCs of 1..%d partitions)",
+			name, c.NumDCs, c.NumPartitions, maxDCs, maxPartitions)
 	}
 	if c.DC < 0 || c.DC >= c.NumDCs {
 		return fmt.Errorf("%s: DC %d out of range [0,%d)", name, c.DC, c.NumDCs)
@@ -230,7 +241,10 @@ func (c *Config) Validate(name string) error {
 			return fmt.Errorf("%s: negative %s", name, k.knob)
 		}
 	}
-	if err := backend.Validate(c.StoreBackend, c.DataDir, c.FsyncPolicy); err != nil {
+	if err := backend.Validate(c.StoreBackend, c.DataDir); err != nil {
+		return fmt.Errorf("%s: %w", name, err)
+	}
+	if _, err := txlog.ParseFsync(c.FsyncPolicy); err != nil {
 		return fmt.Errorf("%s: %w", name, err)
 	}
 	return nil

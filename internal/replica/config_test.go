@@ -38,6 +38,10 @@ func TestConfigFillDefaultsAndValidate(t *testing.T) {
 		{"unknown fsync policy", func(c *Config) {
 			c.StoreBackend, c.DataDir, c.FsyncPolicy = backend.WAL, dir, "sometimes"
 		}, `unknown fsync policy "sometimes"`},
+		{"mistyped fsync policy on memory", func(c *Config) { c.FsyncPolicy = "alwayz" }, `unknown fsync policy "alwayz"`},
+		{"widest topology", func(c *Config) { c.NumDCs, c.NumPartitions = 256, 1<<16 }, ""},
+		{"more DCs than a uint8 names", func(c *Config) { c.NumDCs = 257 }, "invalid topology 257x2"},
+		{"more partitions than a uint16 names", func(c *Config) { c.NumPartitions = 1<<16 + 1 }, "invalid topology 2x65537"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -62,7 +62,6 @@ import (
 	"wren/internal/stats"
 	"wren/internal/store"
 	"wren/internal/store/backend"
-	"wren/internal/store/wal"
 	"wren/internal/stripemap"
 	"wren/internal/transport"
 	"wren/internal/txlog"
@@ -316,17 +315,10 @@ type Runtime struct {
 // during New — the runtime pointer is handed to it by its own constructor
 // afterwards.
 func New(name string, cfg Config, proto Protocol, ctr Counters) (*Runtime, error) {
-	// Engine logs are a recovery accelerator; the txlog is the WAL. A
-	// durable engine always has the transaction log in front of it and
-	// therefore never syncs on its own, whatever the policy (which the
-	// transaction log honours): Runtime.release runs its Sync as a barrier
-	// before any log forgets a record. (The memory engine has no log and
-	// ignores the policy.)
-	eng, err := backend.Open(backend.Options{
-		Backend: cfg.StoreBackend,
-		DataDir: cfg.EngineDir(),
-		Fsync:   wal.FsyncNever,
-	})
+	// Engine logs are a recovery accelerator; the txlog is the WAL. An
+	// engine never syncs on its own: Runtime.release runs its Sync as a
+	// barrier before any log forgets a record.
+	eng, err := backend.Open(backend.Options{Backend: cfg.StoreBackend, DataDir: cfg.EngineDir()})
 	if err != nil {
 		return nil, fmt.Errorf("%s: open store: %w", name, err)
 	}

@@ -39,24 +39,23 @@ type Options struct {
 	// for WAL and SST; ignored by Memory. Each server must get its own
 	// directory.
 	DataDir string
-	// Fsync is the WAL group-commit policy shared by the durable
-	// backends: wal.FsyncAlways, wal.FsyncInterval (the "" default) or
-	// wal.FsyncNever.
+	// Fsync is accepted only as "" or "never", the one discipline every
+	// engine follows: it never syncs its logs on its own, and its owner
+	// calls Engine.Sync as the barrier (the txlog holds the fsync policy).
+	// The field stays only because the benchmark's store probe still sets
+	// it; it goes once that call drops it.
 	Fsync string
 }
 
 // Validate checks a backend selection: recognized name, directory present
-// when required, known fsync policy.
-func Validate(name, dataDir, fsync string) error {
+// when required.
+func Validate(name, dataDir string) error {
 	switch name {
 	case "", Memory:
 		return nil
 	case WAL, SST:
 		if dataDir == "" {
 			return fmt.Errorf("backend %q requires a data directory", name)
-		}
-		if _, err := wal.ParseFsync(fsync); err != nil {
-			return err
 		}
 		return nil
 	default:
@@ -66,14 +65,17 @@ func Validate(name, dataDir, fsync string) error {
 
 // Open builds the engine described by opts.
 func Open(opts Options) (store.Engine, error) {
-	if err := Validate(opts.Backend, opts.DataDir, opts.Fsync); err != nil {
+	if err := Validate(opts.Backend, opts.DataDir); err != nil {
 		return nil, err
+	}
+	if opts.Fsync != "" && opts.Fsync != "never" {
+		return nil, fmt.Errorf("backend: fsync %q: engines never sync on their own (want \"\" or \"never\")", opts.Fsync)
 	}
 	switch opts.Backend {
 	case WAL:
-		return wal.Open(wal.Options{Dir: opts.DataDir, Fsync: opts.Fsync})
+		return wal.Open(wal.Options{Dir: opts.DataDir})
 	case SST:
-		return sst.Open(sst.Options{Dir: opts.DataDir, Fsync: opts.Fsync})
+		return sst.Open(sst.Options{Dir: opts.DataDir})
 	default:
 		return store.NewMemoryEngine(store.DefaultShards), nil
 	}

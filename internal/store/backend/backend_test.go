@@ -10,25 +10,20 @@ import (
 
 func TestValidate(t *testing.T) {
 	cases := []struct {
-		name, backend, dir, fsync string
-		wantErr                   bool
+		name, backend, dir string
+		wantErr            bool
 	}{
-		{"default", "", "", "", false},
-		{"memory", Memory, "", "", false},
-		{"memory ignores fsync", Memory, "", "sometimes", false},
-		{"wal with dir", WAL, "/tmp/x", "", false},
-		{"wal all policies", WAL, "/tmp/x", wal.FsyncAlways, false},
-		{"wal without dir", WAL, "", "", true},
-		{"wal bad fsync", WAL, "/tmp/x", "sometimes", true},
-		{"sst with dir", SST, "/tmp/x", "", false},
-		{"sst all policies", SST, "/tmp/x", wal.FsyncNever, false},
-		{"sst without dir", SST, "", "", true},
-		{"sst bad fsync", SST, "/tmp/x", "sometimes", true},
-		{"unknown", "rocksdb", "/tmp/x", "", true},
+		{"default", "", "", false},
+		{"memory", Memory, "", false},
+		{"wal with dir", WAL, "/tmp/x", false},
+		{"wal without dir", WAL, "", true},
+		{"sst with dir", SST, "/tmp/x", false},
+		{"sst without dir", SST, "", true},
+		{"unknown", "rocksdb", "/tmp/x", true},
 	}
 	for _, c := range cases {
-		if err := Validate(c.backend, c.dir, c.fsync); (err != nil) != c.wantErr {
-			t.Errorf("%s: Validate(%q,%q,%q) = %v, wantErr=%v", c.name, c.backend, c.dir, c.fsync, err, c.wantErr)
+		if err := Validate(c.backend, c.dir); (err != nil) != c.wantErr {
+			t.Errorf("%s: Validate(%q,%q) = %v, wantErr=%v", c.name, c.backend, c.dir, err, c.wantErr)
 		}
 	}
 }
@@ -78,6 +73,15 @@ func TestOpenSelectsEngine(t *testing.T) {
 	}
 	if _, err := Open(Options{Backend: "rocksdb"}); err == nil {
 		t.Error("unknown backend should fail to open")
+	}
+	// Engines never sync on their own: "never" is the only policy there is.
+	if _, err := Open(Options{Backend: WAL, DataDir: t.TempDir(), Fsync: "always"}); err == nil {
+		t.Error("an engine fsync policy other than never should fail to open")
+	}
+	if e, err := Open(Options{Backend: SST, DataDir: t.TempDir(), Fsync: "never"}); err != nil {
+		t.Errorf("Fsync never: %v", err)
+	} else {
+		_ = e.Close()
 	}
 }
 

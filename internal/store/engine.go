@@ -59,9 +59,11 @@ type Engine interface {
 	// winning version before invoking fn, so retaining it is safe.
 	Scan(start, end string, visible VisibleFunc, fn func(key string, v *Version) bool) error
 	// Sync forces every write that returned before the call to stable
-	// storage (a no-op for the memory engine). It is the barrier a server
-	// runs before it lets its transaction log — the WAL proper — forget
-	// the records behind those writes; a failure is recorded for Healthy.
+	// storage (a no-op for the memory engine). It is the only way a write
+	// becomes stable before Close: engines never sync on their own. A
+	// server runs it as the barrier before it lets its transaction log —
+	// the WAL proper — forget the records behind those writes; a failure
+	// is recorded for Healthy.
 	Sync()
 	// Healthy reports the first write-path failure the engine has hit, or
 	// nil while fully healthy. Durable engines keep serving from memory

@@ -6,6 +6,7 @@ package enginetest
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -33,6 +34,57 @@ func Run(t *testing.T, open Factory) {
 	t.Run("ConcurrentUse", func(t *testing.T) { testConcurrent(t, open(t)) })
 	t.Run("Healthy", func(t *testing.T) { testHealthy(t, open(t)) })
 	t.Run("CloseIdempotent", func(t *testing.T) { testCloseIdempotent(t, open(t)) })
+}
+
+// RunBarriers runs the suite once per cadence at which an owner may call
+// Engine.Sync, the one barrier that makes a durable engine's writes
+// stable (engines never sync on their own): "never" leaves it to Close,
+// "always" runs it after every write, and "interval" runs it back to back
+// on a second goroutine that races every call, as a server's release loop
+// does.
+func RunBarriers(t *testing.T, open Factory) {
+	t.Run("never", func(t *testing.T) { Run(t, open) })
+	t.Run("always", func(t *testing.T) {
+		Run(t, func(t *testing.T) store.Engine { return syncEach{open(t)} })
+	})
+	t.Run("interval", func(t *testing.T) {
+		Run(t, func(t *testing.T) store.Engine { return newSyncRacer(open(t)) })
+	})
+}
+
+// syncEach calls Sync after every write.
+type syncEach struct{ store.Engine }
+
+func (e syncEach) Put(key string, v *store.Version) { e.Engine.Put(key, v); e.Sync() }
+func (e syncEach) PutBatch(kvs []store.KV)          { e.Engine.PutBatch(kvs); e.Sync() }
+
+// syncRacer calls Sync on its own goroutine until Close.
+type syncRacer struct {
+	store.Engine
+	stop, done chan struct{}
+	once       sync.Once
+}
+
+func newSyncRacer(e store.Engine) *syncRacer {
+	r := &syncRacer{Engine: e, stop: make(chan struct{}), done: make(chan struct{})}
+	go func() {
+		defer close(r.done)
+		for {
+			select {
+			case <-r.stop:
+				return
+			default:
+				e.Sync()
+				runtime.Gosched()
+			}
+		}
+	}()
+	return r
+}
+
+func (r *syncRacer) Close() error {
+	r.once.Do(func() { close(r.stop); <-r.done })
+	return r.Engine.Close()
 }
 
 // ReopenFactory binds one subtest to a fixed data directory: the returned

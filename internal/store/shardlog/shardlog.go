@@ -1,7 +1,8 @@
 // Package shardlog is the per-shard append machinery shared by the
 // durable storage engines (store/wal, store/sst): one log file per memory
 // stripe, buffered record appends with rollback-or-freeze on failure, and
-// the group-commit fsync discipline. Keeping it in one place means a
+// the one concurrent sync phase behind an engine's Sync barrier (an
+// append never syncs). Keeping it in one place means a
 // durability fix lands in every engine at once instead of drifting
 // between near-identical copies.
 package shardlog

@@ -12,7 +12,6 @@ import (
 	"wren/internal/store"
 	"wren/internal/store/enginetest"
 	"wren/internal/store/logrec"
-	"wren/internal/store/wal"
 	"wren/internal/wire"
 )
 
@@ -46,7 +45,7 @@ func fillRun(t *testing.T, e *Engine, prefix string, n, valBytes int, baseUT hlc
 // consulted run.
 func TestBloomNegativeLookups(t *testing.T) {
 	e := mustOpen(t, Options{
-		Dir: t.TempDir(), Shards: 2, Fsync: wal.FsyncNever,
+		Dir: t.TempDir(), Shards: 2,
 		FlushBytes: -1, CompactRuns: -1, // manual tiering: keep every run
 	})
 	defer e.Close()
@@ -95,7 +94,7 @@ func TestBloomNegativeLookups(t *testing.T) {
 // stored bytes, while every key stays readable through block probes.
 func TestResidentIndexSparse(t *testing.T) {
 	e := mustOpen(t, Options{
-		Dir: t.TempDir(), Shards: 2, Fsync: wal.FsyncNever,
+		Dir: t.TempDir(), Shards: 2,
 		FlushBytes: -1, CompactRuns: -1,
 	})
 	defer e.Close()
@@ -132,7 +131,7 @@ func TestResidentIndexSparse(t *testing.T) {
 // the level, not the dataset.
 func TestLevelCompactionBounded(t *testing.T) {
 	e := mustOpen(t, Options{
-		Dir: t.TempDir(), Shards: 1, Fsync: wal.FsyncNever,
+		Dir: t.TempDir(), Shards: 1,
 		FlushBytes: 1024, LevelFanout: 2, CompactRuns: 2, CompactGarbage: 1 << 30,
 	})
 	defer e.Close()
@@ -183,7 +182,7 @@ func TestLevelCompactionBounded(t *testing.T) {
 func TestCrashDuringLevelCompaction(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{
-		Dir: dir, Shards: 1, Fsync: wal.FsyncAlways,
+		Dir: dir, Shards: 1,
 		FlushBytes: 1024, LevelFanout: 2, CompactRuns: 2, CompactGarbage: 1 << 30,
 		crashAfterCompactRename: true,
 	}
@@ -257,7 +256,7 @@ func TestCrashDuringLevelCompaction(t *testing.T) {
 func TestRunWithoutTrailerRefused(t *testing.T) {
 	refused := func(t *testing.T, dir, path string) {
 		t.Helper()
-		e, err := Open(Options{Dir: dir, Shards: 1, Fsync: wal.FsyncNever, FlushBytes: -1})
+		e, err := Open(Options{Dir: dir, Shards: 1, FlushBytes: -1})
 		if err == nil {
 			e.Close()
 			t.Fatalf("Open served a data dir whose run %s has no trailer", path)
@@ -287,7 +286,7 @@ func TestRunWithoutTrailerRefused(t *testing.T) {
 
 	t.Run("trailer cut", func(t *testing.T) {
 		dir := t.TempDir()
-		e := mustOpen(t, Options{Dir: dir, Shards: 1, Fsync: wal.FsyncNever, FlushBytes: -1})
+		e := mustOpen(t, Options{Dir: dir, Shards: 1, FlushBytes: -1})
 		fillRun(t, e, "cut", 20, 8, 1)
 		path := e.tabs.Load().runs[0].path
 		if err := e.Close(); err != nil {
@@ -308,7 +307,7 @@ func TestRunWithoutTrailerRefused(t *testing.T) {
 // the memtable, several runs and GC overlay cuts at once.
 func TestScanStreamsAcrossTiers(t *testing.T) {
 	e := mustOpen(t, Options{
-		Dir: t.TempDir(), Shards: 2, Fsync: wal.FsyncNever,
+		Dir: t.TempDir(), Shards: 2,
 		FlushBytes: -1, CompactRuns: -1,
 	})
 	defer e.Close()
@@ -365,7 +364,7 @@ func TestScanStreamsAcrossTiers(t *testing.T) {
 // on a server the scan runs on its link's reader goroutine, and every frame
 // behind it would wait too.
 func TestScanTakesNoEngineLock(t *testing.T) {
-	e := mustOpen(t, Options{Dir: t.TempDir(), Shards: 2, Fsync: wal.FsyncNever, FlushBytes: -1, CompactRuns: -1})
+	e := mustOpen(t, Options{Dir: t.TempDir(), Shards: 2, FlushBytes: -1, CompactRuns: -1})
 	defer e.Close()
 	fillRun(t, e, "a-", 64, 16, 10)
 	fillRun(t, e, "b-", 64, 16, 100)
@@ -393,7 +392,7 @@ func TestScanTakesNoEngineLock(t *testing.T) {
 // under a scan that pinned them, and under one that is pinning them; every
 // scan still yields each key exactly once, in order.
 func TestScanRacesCompaction(t *testing.T) {
-	e := mustOpen(t, Options{Dir: t.TempDir(), Shards: 2, Fsync: wal.FsyncNever, FlushBytes: -1, CompactRuns: -1, BlockBytes: 512})
+	e := mustOpen(t, Options{Dir: t.TempDir(), Shards: 2, FlushBytes: -1, CompactRuns: -1, BlockBytes: 512})
 	defer e.Close()
 	const nKeys = 300
 	key := func(i int) string { return fmt.Sprintf("k-%04d", i) }
@@ -452,7 +451,7 @@ func TestScanRacesCompaction(t *testing.T) {
 // BenchmarkScanLimit64 is the benchmark workload's scan: a 4 k-key
 // memtable over one run of the same keys, stopped after 64.
 func BenchmarkScanLimit64(b *testing.B) {
-	e, err := Open(Options{Dir: b.TempDir(), Shards: 64, Fsync: wal.FsyncNever, FlushBytes: -1, CompactRuns: -1})
+	e, err := Open(Options{Dir: b.TempDir(), Shards: 64, FlushBytes: -1, CompactRuns: -1})
 	if err != nil {
 		b.Fatal(err)
 	}

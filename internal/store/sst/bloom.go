@@ -15,29 +15,22 @@ type bloomFilter struct {
 	hashes int
 }
 
-// newBloomFilter sizes a filter for keys distinct keys at bitsPerKey bits
-// each (≈0.8% false positives at 10 bits/key). bitsPerKey <= 0 disables
-// the filter.
-func newBloomFilter(keys, bitsPerKey int) bloomFilter {
-	if bitsPerKey <= 0 {
-		return bloomFilter{}
-	}
+// bloomBitsPerKey sizes each run's Bloom filter (≈0.8% false positives at
+// 10 bits per key).
+const bloomBitsPerKey = 10
+
+// newBloomFilter sizes a filter for keys distinct keys at bloomBitsPerKey
+// bits each.
+func newBloomFilter(keys int) bloomFilter {
 	if keys < 1 {
 		keys = 1
 	}
-	mBits := keys * bitsPerKey
+	mBits := keys * bloomBitsPerKey
 	if mBits < 64 {
 		mBits = 64
 	}
 	// ln 2 ≈ 0.69 probes per bit-per-key minimizes the false-positive rate.
-	hashes := bitsPerKey * 69 / 100
-	if hashes < 1 {
-		hashes = 1
-	}
-	if hashes > 30 {
-		hashes = 30
-	}
-	return bloomFilter{bits: make([]byte, (mBits+7)/8), hashes: hashes}
+	return bloomFilter{bits: make([]byte, (mBits+7)/8), hashes: bloomBitsPerKey * 69 / 100}
 }
 
 func (b *bloomFilter) add(key string) {

@@ -57,10 +57,10 @@ func (e *Engine) flushLocked() error {
 	}
 	if ferr == nil {
 		// Persist the new generation's directory entries BEFORE any write
-		// can be acknowledged against them: once the shard locks drop, an
-		// fsync=always Put syncs file contents only, and without this a
-		// power loss could drop the entries themselves — acknowledged
-		// records vanishing with their files.
+		// can be acknowledged against them: a barrier Sync syncs file
+		// contents, not directory entries, and without this a power loss
+		// could drop the entries themselves — synced records vanishing
+		// with their files.
 		if derr := fsutil.SyncDir(e.dir); derr != nil {
 			ferr = derr
 		}
@@ -104,10 +104,9 @@ func (e *Engine) flushLocked() error {
 	}
 
 	// The rotated-out generation may hold appends nothing has synced yet,
-	// and neither Sync nor the fsync loop can reach them any more (the
-	// shards now point at the new generation). Sync them here, whatever
-	// the policy: Sync's promise, and the interval policy's loss bound,
-	// must not stretch over the whole run-write duration.
+	// and Sync cannot reach them any more (the shards now point at the new
+	// generation). Sync them here: Sync's promise must not stretch over the
+	// whole run-write duration.
 	e.metrics.syncs.Add(int64(len(unsynced)))
 	shardlog.SyncFiles(unsynced, e.onErr)
 	e.syncMu.Unlock()
@@ -195,7 +194,7 @@ func (e *Engine) unfreeze(frozen *store.Store, frozenMin uint64) {
 // more of it. Any other key has exactly one live version, a value, and no
 // floor can prune that. Caller holds flushMu.
 func (e *Engine) writeRun(frozen *store.Store, minGen, maxGen uint64) (*run, error) {
-	w, err := newRunWriter(e.runPath(minGen, maxGen), e.blockBytes, frozen.Keys(), e.bloomBits)
+	w, err := newRunWriter(e.runPath(minGen, maxGen), e.blockBytes, frozen.Keys())
 	if err != nil {
 		return nil, err
 	}
@@ -344,7 +343,7 @@ func (e *Engine) compactLocked(inputs []*run) {
 		expectKeys += r.keyCount - r.deadKeys
 	}
 	path := e.runPath(minGen, maxGen)
-	w, err := newRunWriter(path, e.blockBytes, expectKeys, e.bloomBits)
+	w, err := newRunWriter(path, e.blockBytes, expectKeys)
 	if err != nil {
 		e.recordErr(err)
 		return

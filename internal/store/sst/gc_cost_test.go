@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"wren/internal/hlc"
-	"wren/internal/store/wal"
 )
 
 // TestGCPassCostFollowsWrites is the count gate on the GC pass: what a
@@ -16,7 +15,7 @@ import (
 func TestGCPassCostFollowsWrites(t *testing.T) {
 	const stored, rewritten = 4096, 32
 	opts := Options{
-		Dir: t.TempDir(), Shards: 4, Fsync: wal.FsyncNever,
+		Dir: t.TempDir(), Shards: 4,
 		FlushBytes: -1, CompactRuns: -1,
 	}
 	e := mustOpen(t, opts)
@@ -109,7 +108,7 @@ func TestGCPassCostFollowsWrites(t *testing.T) {
 // TestWriteListsDrainWithoutRuns: an engine that never flushes runs the
 // pure-memtable pass, which must still drain the write lists.
 func TestWriteListsDrainWithoutRuns(t *testing.T) {
-	e := mustOpen(t, Options{Dir: t.TempDir(), Shards: 4, Fsync: wal.FsyncNever, FlushBytes: -1})
+	e := mustOpen(t, Options{Dir: t.TempDir(), Shards: 4, FlushBytes: -1})
 	defer func() { _ = e.Close() }()
 	const perPass = 10_000
 	for i := 0; i < 100_000; i++ {
@@ -134,7 +133,7 @@ func TestWriteListsDrainWithoutRuns(t *testing.T) {
 // lists because writeRun takes the keys over. When the run cannot be
 // written, nothing did — the next pass must look at everything.
 func TestFailedFlushFallsBackToFullPass(t *testing.T) {
-	e := mustOpen(t, Options{Dir: t.TempDir(), Shards: 2, Fsync: wal.FsyncNever, FlushBytes: -1, CompactRuns: -1})
+	e := mustOpen(t, Options{Dir: t.TempDir(), Shards: 2, FlushBytes: -1, CompactRuns: -1})
 	defer func() { _ = e.Close() }()
 	e.Put("a", v("a1", 1, 1))
 	if err := e.Flush(); err != nil {

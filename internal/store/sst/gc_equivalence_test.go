@@ -8,7 +8,6 @@ import (
 
 	"wren/internal/hlc"
 	"wren/internal/store"
-	"wren/internal/store/wal"
 )
 
 // TestGCIncrementalMatchesStreaming is the property the incremental GC
@@ -38,7 +37,7 @@ func TestGCIncrementalMatchesStreaming(t *testing.T) {
 			t.Parallel() // the flushes' fsyncs dominate; seeds share nothing
 			opts := func(dir string) Options {
 				return Options{
-					Dir: dir, Shards: 4, Fsync: wal.FsyncNever,
+					Dir: dir, Shards: 4,
 					// Explicit flushes only, so both engines tier at the
 					// same steps; small blocks so cursors cross fences.
 					FlushBytes: -1, CompactRuns: 3, CompactGarbage: 12, BlockBytes: 192,

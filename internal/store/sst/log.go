@@ -2,12 +2,10 @@ package sst
 
 import (
 	"fmt"
-	"time"
 
 	"wren/internal/store"
 	"wren/internal/store/logrec"
 	"wren/internal/store/shardlog"
-	"wren/internal/store/wal"
 )
 
 // logShard is the shared per-shard log state (see shardlog.Shard). Mu
@@ -36,16 +34,12 @@ func (e *Engine) Put(key string, v *store.Version) {
 	e.tabs.Load().active.Put(key, v)
 	e.written[si] = append(e.written[si], key)
 	sh.Mu.Unlock()
-	if e.fsync == wal.FsyncAlways {
-		e.Sync()
-	}
 	e.noteWrite(writeSize(key, v))
 }
 
 // PutBatch implements store.Engine: all records of one batch destined for
 // the same shard are appended with a single write (group commit). Like the
-// WAL engine it never waits for the disk except under fsync=always, where
-// it ends with Sync.
+// WAL engine it never waits for the disk; the owner's Sync does.
 func (e *Engine) PutBatch(kvs []store.KV) {
 	switch len(kvs) {
 	case 0:
@@ -68,9 +62,6 @@ func (e *Engine) PutBatch(kvs []store.KV) {
 		e.tabs.Load().active.PutBatch(group)
 		sh.Mu.Unlock()
 	})
-	if e.fsync == wal.FsyncAlways {
-		e.Sync()
-	}
 	e.noteWrite(bytes)
 }
 
@@ -132,20 +123,4 @@ func (e *Engine) triggerFlush() {
 		defer e.flushing.Store(false)
 		_ = e.Flush()
 	}()
-}
-
-// fsyncLoop runs Sync on a timer (interval policy). An append racing in
-// re-sets Dirty, keeping the one-interval loss bound.
-func (e *Engine) fsyncLoop(every time.Duration) {
-	defer e.wg.Done()
-	ticker := time.NewTicker(every)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			e.Sync()
-		case <-e.stop:
-			return
-		}
-	}
 }

@@ -8,7 +8,6 @@ import (
 	"wren/internal/hlc"
 	"wren/internal/store"
 	"wren/internal/store/enginetest"
-	"wren/internal/store/wal"
 )
 
 // TestScanCostFollowsLimit: a scan that stops after 64 keys costs the same
@@ -17,7 +16,7 @@ import (
 // every stripe's key set.
 func TestScanCostFollowsLimit(t *testing.T) {
 	allocs := func(n int) float64 {
-		e := mustOpen(t, Options{Dir: t.TempDir(), Fsync: wal.FsyncNever, FlushBytes: -1, CompactRuns: -1})
+		e := mustOpen(t, Options{Dir: t.TempDir(), FlushBytes: -1, CompactRuns: -1})
 		defer e.Close()
 		val := []byte("v")
 		kvs := make([]store.KV, 0, 1024)
@@ -48,7 +47,7 @@ func TestScanCostFollowsLimit(t *testing.T) {
 // key indexes with run cursors while the key set changes.
 func TestScanDuringInserts(t *testing.T) {
 	enginetest.ScanDuringInserts(t, mustOpen(t, Options{
-		Dir: t.TempDir(), Shards: 4, Fsync: wal.FsyncNever,
+		Dir: t.TempDir(), Shards: 4,
 		FlushBytes: 16 << 10, CompactRuns: 3,
 	}))
 }
@@ -61,7 +60,7 @@ func TestScanDuringInserts(t *testing.T) {
 // probe; 16 KiB blocks (15 records) measured 8.96 with the same reads.
 func TestPointReadRecordsChecked(t *testing.T) {
 	const nKeys, reads = 4096, 4096
-	e := mustOpen(t, Options{Dir: t.TempDir(), Shards: 4, Fsync: wal.FsyncNever, FlushBytes: -1, CompactRuns: -1})
+	e := mustOpen(t, Options{Dir: t.TempDir(), Shards: 4, FlushBytes: -1, CompactRuns: -1})
 	defer e.Close()
 	key := func(i int) string { return fmt.Sprintf("k-%06d", i) }
 	val := make([]byte, 1024)

@@ -139,7 +139,7 @@ type runWriter struct {
 // newRunWriter opens the temp file. expectedKeys only sizes the Bloom
 // filter, so an upper bound (compaction cannot know the merged distinct
 // count in advance) is fine — oversizing just lowers the FP rate.
-func newRunWriter(path string, blockBytes, expectedKeys, bloomBitsPerKey int) (*runWriter, error) {
+func newRunWriter(path string, blockBytes, expectedKeys int) (*runWriter, error) {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -150,7 +150,7 @@ func newRunWriter(path string, blockBytes, expectedKeys, bloomBitsPerKey int) (*
 		w:          bufio.NewWriterSize(f, 1<<16),
 		enc:        wire.NewEncoder(),
 		blockBytes: blockBytes,
-		filter:     newBloomFilter(expectedKeys, bloomBitsPerKey),
+		filter:     newBloomFilter(expectedKeys),
 	}, nil
 }
 

@@ -11,7 +11,6 @@ import (
 
 	"wren/internal/hlc"
 	"wren/internal/store"
-	"wren/internal/store/wal"
 )
 
 // runHolding returns the path of the live run whose first block starts
@@ -69,7 +68,7 @@ func TestRunFaultIsAnError(t *testing.T) {
 	}
 	for _, op := range ops {
 		t.Run(op.name, func(t *testing.T) {
-			opts := Options{Dir: t.TempDir(), Shards: 2, Fsync: wal.FsyncNever, FlushBytes: -1, CompactRuns: -1}
+			opts := Options{Dir: t.TempDir(), Shards: 2, FlushBytes: -1, CompactRuns: -1}
 			e := mustOpen(t, opts)
 			fillRun(t, e, "f-", 400, 64, 1)
 			fillRun(t, e, "g-", 50, 64, 1000) // a second run, so Compact merges
@@ -107,7 +106,7 @@ func TestCorruptRunRecordIsAnError(t *testing.T) {
 	}
 	for _, op := range ops {
 		t.Run(op.name, func(t *testing.T) {
-			e := mustOpen(t, Options{Dir: t.TempDir(), Shards: 2, Fsync: wal.FsyncNever, FlushBytes: -1, CompactRuns: -1})
+			e := mustOpen(t, Options{Dir: t.TempDir(), Shards: 2, FlushBytes: -1, CompactRuns: -1})
 			defer func() { _ = e.Close() }()
 			fillRun(t, e, "c-", 400, 64, 1)
 			path := runHolding(t, e, "c-")
@@ -162,7 +161,7 @@ func TestRunMappingsReleased(t *testing.T) {
 		}
 		return runs
 	}
-	e := mustOpen(t, Options{Dir: dir, Shards: 2, Fsync: wal.FsyncNever, FlushBytes: -1, CompactRuns: -1, BlockBytes: 512})
+	e := mustOpen(t, Options{Dir: dir, Shards: 2, FlushBytes: -1, CompactRuns: -1, BlockBytes: 512})
 	closed := false
 	defer func() {
 		if !closed {

@@ -13,7 +13,9 @@
 // grouped into fixed-size blocks with a fence-key footer (see runfile.go
 // for the file format). Once the run is durable the WAL generations it
 // covers are deleted — the log never grows past one memtable's worth of
-// writes.
+// writes. As in package wal, the engine never fsyncs that log on its own:
+// the owner calls Sync as a barrier, and Close syncs it. Run files are
+// always fsynced before they count as durable.
 //
 // The resident state per run is a sparse index — one fence key per block
 // plus a Bloom filter over the run's distinct keys — never the data. A
@@ -90,13 +92,11 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"wren/internal/hlc"
 	"wren/internal/store"
 	"wren/internal/store/fsutil"
 	"wren/internal/store/logrec"
-	"wren/internal/store/wal"
 	"wren/internal/wire"
 )
 
@@ -110,9 +110,6 @@ const (
 	// DefaultCompactGarbage is how many GC-pruned versions may linger in
 	// run files before a major compaction rewrites them out.
 	DefaultCompactGarbage = 4096
-	// DefaultFsyncInterval is the timer period of the interval fsync
-	// policy (shared with the WAL engine).
-	DefaultFsyncInterval = 10 * time.Millisecond
 	// DefaultBlockBytes is the target size of one run-file block — what a
 	// point lookup walks and the granularity of the resident fence index.
 	// A probe CRC-checks every record from the block's start to the key's
@@ -121,9 +118,6 @@ const (
 	// benchmark's larger-than-memtable workload and no slower on its
 	// durable-commit one, at four times 16 KiB's fences.
 	DefaultBlockBytes = 4 << 10
-	// DefaultBloomBitsPerKey sizes each run's Bloom filter (≈0.8% false
-	// positives at 10 bits per key).
-	DefaultBloomBitsPerKey = 10
 	// DefaultLevelFanout is the size ratio between adjacent run levels.
 	DefaultLevelFanout = 4
 
@@ -141,16 +135,6 @@ type Options struct {
 	// up to a power of two). Persisted at creation; reopening with a
 	// different value adopts the persisted count.
 	Shards int
-	// Fsync is the WAL group-commit policy for the active memtable's log:
-	// wal.FsyncAlways, wal.FsyncInterval ("" default) or wal.FsyncNever
-	// (same meanings as in package wal: a server whose txlog fronts the
-	// engine opens it with FsyncNever and calls Sync as a barrier). Run
-	// files are always fsynced before they count as durable, regardless of
-	// policy.
-	Fsync string
-	// FsyncInterval overrides the sync timer period for the interval
-	// policy (0 selects DefaultFsyncInterval).
-	FsyncInterval time.Duration
 	// FlushBytes overrides the memtable size that triggers a background
 	// flush (0 selects DefaultFlushBytes; negative disables auto-flush —
 	// Flush can still be called explicitly). It is also the base of the
@@ -169,9 +153,6 @@ type Options struct {
 	// checksummed per point read and a proportionally larger fence index;
 	// servers always take the default, and tests force tiny blocks here.
 	BlockBytes int
-	// BloomBitsPerKey overrides the per-run Bloom filter density (0
-	// selects DefaultBloomBitsPerKey; negative disables the filters).
-	BloomBitsPerKey int
 	// LevelFanout overrides the size ratio between adjacent run levels
 	// (0 selects DefaultLevelFanout; minimum 2).
 	LevelFanout int
@@ -233,12 +214,10 @@ type tables struct {
 // Engine is the memtable+sorted-run storage engine.
 type Engine struct {
 	dir            string
-	fsync          string
 	flushBytes     int64
 	compactRuns    int
 	compactGarbage int
 	blockBytes     int
-	bloomBits      int
 	levelFanout    int
 	opts           Options
 	mask           uint32
@@ -282,9 +261,8 @@ type Engine struct {
 	mu      sync.Mutex // guards err, closed, crashed
 	err     error      // first write-path failure, surfaced by Healthy/Close
 	closed  bool
-	crashed bool // test hooks only: simulate a kill
-	stop    chan struct{}
-	wg      sync.WaitGroup
+	crashed bool           // test hooks only: simulate a kill
+	wg      sync.WaitGroup // background flushes and compactions
 	metrics Metrics
 }
 
@@ -314,8 +292,8 @@ func (m *Metrics) GCVisited() int64 { return m.gcVisited.Load() }
 // unsettled: the ones a later floor could still prune.
 func (m *Metrics) GCPending() int64 { return m.gcPending.Load() }
 
-// Syncs returns how many WAL shard-log fsyncs the engine has issued (Sync,
-// however it was reached, and the rotated-out generation of a flush).
+// Syncs returns how many WAL shard-log fsyncs the engine has issued (Sync
+// and the rotated-out generation of a flush).
 func (m *Metrics) Syncs() int64 { return m.syncs.Load() }
 
 func (m *Metrics) add(f func(*Metrics)) { m.mu.Lock(); f(m); m.mu.Unlock() }
@@ -362,13 +340,6 @@ var _ store.Engine = (*Engine)(nil)
 // Startup heap is bounded by record and footer sizes, not file sizes:
 // run data is never read at open, and WAL replay is streamed.
 func Open(opts Options) (*Engine, error) {
-	policy, err := wal.ParseFsync(opts.Fsync)
-	if err != nil {
-		return nil, fmt.Errorf("sst: %w", err)
-	}
-	if opts.FsyncInterval <= 0 {
-		opts.FsyncInterval = DefaultFsyncInterval
-	}
 	flushBytes := opts.FlushBytes
 	if flushBytes == 0 {
 		flushBytes = DefaultFlushBytes
@@ -384,10 +355,6 @@ func Open(opts Options) (*Engine, error) {
 	blockBytes := opts.BlockBytes
 	if blockBytes <= 0 {
 		blockBytes = DefaultBlockBytes
-	}
-	bloomBits := opts.BloomBitsPerKey
-	if bloomBits == 0 {
-		bloomBits = DefaultBloomBitsPerKey
 	}
 	levelFanout := opts.LevelFanout
 	if levelFanout == 0 {
@@ -414,18 +381,15 @@ func Open(opts Options) (*Engine, error) {
 	}
 	e := &Engine{
 		dir:            opts.Dir,
-		fsync:          policy,
 		flushBytes:     flushBytes,
 		compactRuns:    compactRuns,
 		compactGarbage: compactGarbage,
 		blockBytes:     blockBytes,
-		bloomBits:      bloomBits,
 		levelFanout:    levelFanout,
 		opts:           opts,
 		mask:           uint32(n - 1),
 		nShards:        n,
 		lock:           lock,
-		stop:           make(chan struct{}),
 		written:        make([][]string, n),
 		pending:        make(map[string]struct{}),
 	}
@@ -442,10 +406,6 @@ func Open(opts Options) (*Engine, error) {
 	if err := fsutil.SyncDir(opts.Dir); err != nil {
 		_ = e.Close()
 		return nil, fmt.Errorf("sst: sync dir: %w", err)
-	}
-	if policy == wal.FsyncInterval {
-		e.wg.Add(1)
-		go e.fsyncLoop(opts.FsyncInterval)
 	}
 	return e, nil
 }
@@ -1083,9 +1043,9 @@ func (e *Engine) markCrashed() {
 	e.mu.Unlock()
 }
 
-// Close implements store.Engine: it stops the background work, forces the
-// active WAL generation to stable storage (a clean shutdown is always
-// fully durable, whatever the fsync policy), closes the files, unmaps the
+// Close implements store.Engine: it waits out the background work, forces
+// the active WAL generation to stable storage (a clean shutdown is always
+// fully durable), closes the files, unmaps the
 // runs — released through their refcounts, so a straggling read finishes
 // first — and returns the first error the write path hit.
 func (e *Engine) Close() error {
@@ -1099,7 +1059,6 @@ func (e *Engine) Close() error {
 	crashed := e.crashed
 	e.mu.Unlock()
 
-	close(e.stop)
 	e.wg.Wait()
 	for _, sh := range e.shards {
 		sh.Mu.Lock()

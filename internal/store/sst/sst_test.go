@@ -9,7 +9,6 @@ import (
 	"wren/internal/hlc"
 	"wren/internal/store"
 	"wren/internal/store/enginetest"
-	"wren/internal/store/wal"
 )
 
 func mustOpen(t *testing.T, opts Options) *Engine {
@@ -26,23 +25,20 @@ func v(val string, ut hlc.Timestamp, tx uint64) *store.Version {
 }
 
 // TestSSTEngineConformance runs the shared engine conformance suite under
-// every fsync policy, with default thresholds (small tests stay entirely
+// each cadence of the owner's Sync barrier, with default thresholds (small
+// tests stay entirely
 // in the memtable) and with aggressive tiering (tiny flush threshold and
 // low compaction trigger, so the same assertions hold with chains split
 // across memtable and runs, flushes racing the workload, and GC making
 // cross-tier decisions).
 func TestSSTEngineConformance(t *testing.T) {
-	for _, policy := range []string{wal.FsyncAlways, wal.FsyncInterval, wal.FsyncNever} {
-		t.Run(policy, func(t *testing.T) {
-			enginetest.Run(t, func(t *testing.T) store.Engine {
-				return mustOpen(t, Options{Dir: t.TempDir(), Shards: 4, Fsync: policy})
-			})
-		})
-	}
+	enginetest.RunBarriers(t, func(t *testing.T) store.Engine {
+		return mustOpen(t, Options{Dir: t.TempDir(), Shards: 4})
+	})
 	t.Run("aggressive-tiering", func(t *testing.T) {
 		enginetest.Run(t, func(t *testing.T) store.Engine {
 			return mustOpen(t, Options{
-				Dir: t.TempDir(), Shards: 4, Fsync: wal.FsyncNever,
+				Dir: t.TempDir(), Shards: 4,
 				FlushBytes: 512, CompactRuns: 3, CompactGarbage: 64,
 			})
 		})
@@ -57,8 +53,8 @@ func TestSSTDurable(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"memtable-only", Options{Shards: 4, Fsync: wal.FsyncAlways, FlushBytes: -1}},
-		{"aggressive-flush", Options{Shards: 4, Fsync: wal.FsyncNever, FlushBytes: 512, CompactRuns: 3}},
+		{"memtable-only", Options{Shards: 4, FlushBytes: -1}},
+		{"aggressive-flush", Options{Shards: 4, FlushBytes: 512, CompactRuns: 3}},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			enginetest.RunDurable(t, func(t *testing.T) func() store.Engine {
@@ -76,7 +72,7 @@ func TestSSTDurable(t *testing.T) {
 // including an out-of-order older write that arrived after the flush)
 // must resolve snapshots exactly as a single chain would.
 func TestTieredReads(t *testing.T) {
-	e := mustOpen(t, Options{Dir: t.TempDir(), Shards: 2, Fsync: wal.FsyncNever, FlushBytes: -1})
+	e := mustOpen(t, Options{Dir: t.TempDir(), Shards: 2, FlushBytes: -1})
 	defer e.Close()
 
 	e.Put("k", v("v10", 10, 1))
@@ -121,7 +117,7 @@ func TestTieredReads(t *testing.T) {
 // the accounting stays exact, and per-tier pruning never keeps a stale
 // extra version.
 func TestCrossTierGC(t *testing.T) {
-	e := mustOpen(t, Options{Dir: t.TempDir(), Shards: 2, Fsync: wal.FsyncNever, FlushBytes: -1, CompactRuns: -1})
+	e := mustOpen(t, Options{Dir: t.TempDir(), Shards: 2, FlushBytes: -1, CompactRuns: -1})
 	defer e.Close()
 
 	for i := 1; i <= 5; i++ {
@@ -166,7 +162,7 @@ func TestCrossTierGC(t *testing.T) {
 // state with no duplicated versions.
 func TestFlushSupersedesWAL(t *testing.T) {
 	dir := t.TempDir()
-	e := mustOpen(t, Options{Dir: dir, Shards: 2, Fsync: wal.FsyncAlways, FlushBytes: -1})
+	e := mustOpen(t, Options{Dir: dir, Shards: 2, FlushBytes: -1})
 	ref := store.NewMemoryEngine(2)
 	for i := 0; i < 40; i++ {
 		ver := v(fmt.Sprintf("val-%d", i), hlc.Timestamp(i+1), uint64(i))
@@ -195,7 +191,7 @@ func TestFlushSupersedesWAL(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re := mustOpen(t, Options{Dir: dir, Shards: 2, Fsync: wal.FsyncAlways, FlushBytes: -1})
+	re := mustOpen(t, Options{Dir: dir, Shards: 2, FlushBytes: -1})
 	defer re.Close()
 	if re.Metrics().RunsLoaded() != 1 {
 		t.Fatalf("RunsLoaded = %d, want 1", re.Metrics().RunsLoaded())
@@ -210,7 +206,7 @@ func TestFlushSupersedesWAL(t *testing.T) {
 // twice.
 func TestCrashDuringFlush(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Dir: dir, Shards: 2, Fsync: wal.FsyncAlways, FlushBytes: -1}
+	opts := Options{Dir: dir, Shards: 2, FlushBytes: -1}
 	opts.crashAfterFlushRename = true
 	e := mustOpen(t, opts)
 	ref := store.NewMemoryEngine(2)
@@ -233,7 +229,7 @@ func TestCrashDuringFlush(t *testing.T) {
 		t.Fatalf("superseded wal generation should still exist at the crash point: %v", err)
 	}
 
-	re := mustOpen(t, Options{Dir: dir, Shards: 2, Fsync: wal.FsyncAlways, FlushBytes: -1})
+	re := mustOpen(t, Options{Dir: dir, Shards: 2, FlushBytes: -1})
 	enginetest.RequireSameState(t, re, ref) // exact: no duplicates
 	if _, err := os.Stat(filepath.Join(dir, "wal-000001-00000.log")); !os.IsNotExist(err) {
 		t.Fatalf("recovery kept the superseded wal generation (err=%v)", err)
@@ -245,7 +241,7 @@ func TestCrashDuringFlush(t *testing.T) {
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re2 := mustOpen(t, Options{Dir: dir, Shards: 2, Fsync: wal.FsyncAlways, FlushBytes: -1})
+	re2 := mustOpen(t, Options{Dir: dir, Shards: 2, FlushBytes: -1})
 	defer re2.Close()
 	enginetest.RequireSameState(t, re2, ref)
 }
@@ -254,7 +250,7 @@ func TestCrashDuringFlush(t *testing.T) {
 // leaves only a .tmp file; recovery must discard it and replay the WAL.
 func TestCrashBeforeFlushRename(t *testing.T) {
 	dir := t.TempDir()
-	e := mustOpen(t, Options{Dir: dir, Shards: 1, Fsync: wal.FsyncAlways, FlushBytes: -1})
+	e := mustOpen(t, Options{Dir: dir, Shards: 1, FlushBytes: -1})
 	ref := store.NewMemoryEngine(1)
 	for i := 0; i < 20; i++ {
 		ver := v(fmt.Sprintf("val-%d", i), hlc.Timestamp(i+1), uint64(i))
@@ -270,7 +266,7 @@ func TestCrashBeforeFlushRename(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re := mustOpen(t, Options{Dir: dir, Shards: 1, Fsync: wal.FsyncAlways, FlushBytes: -1})
+	re := mustOpen(t, Options{Dir: dir, Shards: 1, FlushBytes: -1})
 	defer re.Close()
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Fatalf("leftover tmp file survived recovery (err=%v)", err)
@@ -287,7 +283,7 @@ func TestCrashBeforeFlushRename(t *testing.T) {
 // subsumed ones — loading both would duplicate every merged version.
 func TestCrashDuringCompactionRename(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Dir: dir, Shards: 2, Fsync: wal.FsyncAlways, FlushBytes: -1, CompactRuns: 100}
+	opts := Options{Dir: dir, Shards: 2, FlushBytes: -1, CompactRuns: 100}
 	opts.crashAfterCompactRename = true
 	e := mustOpen(t, opts)
 	ref := store.NewMemoryEngine(2)
@@ -317,7 +313,7 @@ func TestCrashDuringCompactionRename(t *testing.T) {
 		t.Fatalf("original run missing at crash point: %v", err)
 	}
 
-	re := mustOpen(t, Options{Dir: dir, Shards: 2, Fsync: wal.FsyncAlways, FlushBytes: -1})
+	re := mustOpen(t, Options{Dir: dir, Shards: 2, FlushBytes: -1})
 	defer re.Close()
 	if re.Runs() != 1 {
 		t.Fatalf("runs after recovery = %d, want 1 (merged)", re.Runs())
@@ -336,7 +332,7 @@ func TestCrashDuringCompactionRename(t *testing.T) {
 // state must be what a restart recovers.
 func TestCompactionFoldsGarbage(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Dir: dir, Shards: 1, Fsync: wal.FsyncNever, FlushBytes: -1, CompactRuns: 100, CompactGarbage: 1 << 30}
+	opts := Options{Dir: dir, Shards: 1, FlushBytes: -1, CompactRuns: 100, CompactGarbage: 1 << 30}
 	e := mustOpen(t, opts)
 	for i := 1; i <= 100; i++ {
 		e.Put("hot", v(fmt.Sprintf("v%d", i), hlc.Timestamp(i), uint64(i)))
@@ -395,7 +391,7 @@ func TestCompactionFoldsGarbage(t *testing.T) {
 // limit, a plain write workload must flush and compact on its own, keep
 // every live version readable throughout, and stay healthy.
 func TestAutoFlushAndCompact(t *testing.T) {
-	e := mustOpen(t, Options{Dir: t.TempDir(), Shards: 2, Fsync: wal.FsyncNever, FlushBytes: 1024, CompactRuns: 2})
+	e := mustOpen(t, Options{Dir: t.TempDir(), Shards: 2, FlushBytes: 1024, CompactRuns: 2})
 	defer e.Close()
 	ref := store.NewMemoryEngine(2)
 	var kvs []store.KV
@@ -425,7 +421,7 @@ func TestAutoFlushAndCompact(t *testing.T) {
 // truncated on recovery, everything before it replayed.
 func TestTornWALTail(t *testing.T) {
 	dir := t.TempDir()
-	e := mustOpen(t, Options{Dir: dir, Shards: 1, Fsync: wal.FsyncAlways, FlushBytes: -1})
+	e := mustOpen(t, Options{Dir: dir, Shards: 1, FlushBytes: -1})
 	logPath := filepath.Join(dir, "wal-000001-00000.log")
 
 	const puts = 30
@@ -452,7 +448,7 @@ func TestTornWALTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re := mustOpen(t, Options{Dir: dir, Shards: 1, Fsync: wal.FsyncAlways, FlushBytes: -1})
+	re := mustOpen(t, Options{Dir: dir, Shards: 1, FlushBytes: -1})
 	defer re.Close()
 	if re.Metrics().TruncatedShards() != 1 {
 		t.Errorf("TruncatedShards = %d, want 1", re.Metrics().TruncatedShards())
@@ -468,7 +464,7 @@ func TestTornWALTail(t *testing.T) {
 // immediately — this is the signal the cluster uses to detect a
 // silently-frozen shard log.
 func TestAppendFailureSurfacesHealth(t *testing.T) {
-	e := mustOpen(t, Options{Dir: t.TempDir(), Shards: 1, Fsync: wal.FsyncNever, FlushBytes: -1})
+	e := mustOpen(t, Options{Dir: t.TempDir(), Shards: 1, FlushBytes: -1})
 	e.Put("k", v("before", 1, 1))
 	if err := e.Healthy(); err != nil {
 		t.Fatalf("healthy engine reported %v", err)
@@ -498,7 +494,7 @@ func TestAppendFailureSurfacesHealth(t *testing.T) {
 // adopt the persisted count.
 func TestShardCountPersistedAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
-	e := mustOpen(t, Options{Dir: dir, Shards: 8, Fsync: wal.FsyncAlways, FlushBytes: -1})
+	e := mustOpen(t, Options{Dir: dir, Shards: 8, FlushBytes: -1})
 	ref := store.NewMemoryEngine(8)
 	for i := 0; i < 64; i++ {
 		ver := v(fmt.Sprintf("val-%d", i), hlc.Timestamp(i+1), uint64(i))
@@ -512,7 +508,7 @@ func TestShardCountPersistedAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, requested := range []int{2, 64, 0} {
-		re := mustOpen(t, Options{Dir: dir, Shards: requested, Fsync: wal.FsyncAlways, FlushBytes: -1})
+		re := mustOpen(t, Options{Dir: dir, Shards: requested, FlushBytes: -1})
 		if re.NumShards() != 8 {
 			t.Fatalf("reopen with Shards=%d: NumShards = %d, want persisted 8", requested, re.NumShards())
 		}
@@ -544,16 +540,10 @@ func TestExclusiveDirLock(t *testing.T) {
 	_ = e2.Close()
 }
 
-// TestOpenRejectsBadPolicy covers option validation.
-func TestOpenRejectsBadPolicy(t *testing.T) {
-	if _, err := Open(Options{Dir: t.TempDir(), Fsync: "sometimes"}); err == nil {
-		t.Error("Open with unknown fsync policy should fail")
-	}
-}
-
 // BenchmarkEnginePutBatch compares write throughput of the memory engine
-// and the SST engine under each fsync policy (the CI bench smoke for the
-// sst backend matrix leg).
+// and the SST engine, once as a server drives it (no sync) and once with a
+// Sync barrier after every batch (the CI bench smoke for the sst backend
+// matrix leg).
 func BenchmarkEnginePutBatch(b *testing.B) {
 	const batch = 64
 	mkBatch := func(i int) []store.KV {
@@ -566,24 +556,31 @@ func BenchmarkEnginePutBatch(b *testing.B) {
 		}
 		return kvs
 	}
-	run := func(b *testing.B, e store.Engine) {
+	run := func(b *testing.B, e store.Engine, sync bool) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			e.PutBatch(mkBatch(i))
+			if sync {
+				e.Sync()
+			}
 		}
 		b.StopTimer()
 		_ = e.Close()
 	}
 	b.Run("memory", func(b *testing.B) {
-		run(b, store.NewMemoryEngine(0))
+		run(b, store.NewMemoryEngine(0), false)
 	})
-	for _, policy := range []string{wal.FsyncNever, wal.FsyncInterval, wal.FsyncAlways} {
-		b.Run("sst-"+policy, func(b *testing.B) {
-			e, err := Open(Options{Dir: b.TempDir(), Fsync: policy})
+	for _, sync := range []bool{false, true} {
+		name := "sst"
+		if sync {
+			name = "sst-durable"
+		}
+		b.Run(name, func(b *testing.B) {
+			e, err := Open(Options{Dir: b.TempDir()})
 			if err != nil {
 				b.Fatal(err)
 			}
-			run(b, e)
+			run(b, e, sync)
 		})
 	}
 }
@@ -595,7 +592,7 @@ func BenchmarkEnginePutBatch(b *testing.B) {
 // recover the stale run file and resurrect the deleted key as live.
 func TestDeletedKeyStaysDeadAcrossFlushCrash(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Dir: dir, Shards: 1, Fsync: wal.FsyncAlways, FlushBytes: -1, CompactRuns: 100, CompactGarbage: 1 << 30}
+	opts := Options{Dir: dir, Shards: 1, FlushBytes: -1, CompactRuns: 100, CompactGarbage: 1 << 30}
 	e := mustOpen(t, opts)
 	all := func(*store.Version) bool { return true }
 
@@ -650,9 +647,8 @@ func TestDeletedKeyStaysDeadAcrossFlushCrash(t *testing.T) {
 }
 
 // TestSyncBarrier pins the engine's side of "engine logs are a recovery
-// accelerator; the txlog is the WAL": opened the way a txlog-fronted server
-// opens it (FsyncNever), the put path issues no fsync; Sync covers exactly
-// the dirty logs of the active generation; and a flush syncs what it
+// accelerator; the txlog is the WAL": the put path issues no fsync; Sync
+// covers exactly the dirty logs of the active generation; and a flush syncs what it
 // rotates out, so a Sync that runs while the run is still being written
 // need not look behind the active generation.
 func TestSyncBarrier(t *testing.T) {
@@ -663,13 +659,13 @@ func TestSyncBarrier(t *testing.T) {
 		}
 		return kvs
 	}
-	e := mustOpen(t, Options{Dir: t.TempDir(), Shards: 8, Fsync: wal.FsyncNever, FlushBytes: -1})
+	e := mustOpen(t, Options{Dir: t.TempDir(), Shards: 8, FlushBytes: -1})
 	defer e.Close()
 	for i := 0; i < 5; i++ {
 		e.PutBatch(batch(1000 * (i + 1)))
 	}
 	if got := e.Metrics().Syncs(); got != 0 {
-		t.Fatalf("put path issued %d fsyncs under FsyncNever", got)
+		t.Fatalf("put path issued %d fsyncs", got)
 	}
 	e.Sync()
 	first := e.Metrics().Syncs()

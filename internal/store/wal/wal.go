@@ -6,15 +6,13 @@
 // holds exactly the versions resident in memory stripe i. Records are
 // length-prefixed and CRC32-checksummed, and their payloads reuse the
 // internal/wire encoder. Group commit batches all of a PutBatch's records
-// for one shard into a single write syscall; the fsync policy decides when
-// the OS buffer is forced to disk (per batch, on a timer, or only when the
-// owner calls Sync).
+// for one shard into a single write syscall.
 //
 // Durability rule: engine logs are a recovery accelerator; the txlog is the
-// WAL. A partition server whose transaction log fronts the engine opens it
-// with FsyncNever and calls Sync as a barrier before it lets the txlog (or a
-// peer DC's replication cursor) forget a record; FsyncAlways and
-// FsyncInterval are for an engine used on its own.
+// WAL. The engine never fsyncs on its own: Put and PutBatch leave their
+// appends in the OS page cache, and the owner calls Sync as a barrier
+// before it lets the txlog (or a peer DC's replication cursor) forget a
+// record. Close syncs every log.
 //
 // On startup the engine replays every shard log into the in-memory shards.
 // A torn final record — the footprint of a crash mid-append — is detected
@@ -32,7 +30,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"wren/internal/hlc"
 	"wren/internal/store"
@@ -42,39 +39,9 @@ import (
 	"wren/internal/wire"
 )
 
-// Fsync policies: when an appended record is forced to stable storage.
-const (
-	// FsyncAlways runs Sync at the end of every Put/PutBatch: the call
-	// returns durable, at one fsync per shard log the batch touched.
-	FsyncAlways = "always"
-	// FsyncInterval syncs dirty logs on a background timer (default 10ms):
-	// a crash loses at most the last interval's writes. The default.
-	FsyncInterval = "interval"
-	// FsyncNever leaves flushing to the OS page cache until the owner
-	// calls Sync (or Close): fastest, survives process crashes (the data is
-	// in kernel buffers) but not power loss.
-	FsyncNever = "never"
-)
-
-// ParseFsync canonicalizes a policy name ("" selects FsyncInterval).
-func ParseFsync(s string) (string, error) {
-	switch s {
-	case "":
-		return FsyncInterval, nil
-	case FsyncAlways, FsyncInterval, FsyncNever:
-		return s, nil
-	default:
-		return "", fmt.Errorf("wal: unknown fsync policy %q (want always, interval or never)", s)
-	}
-}
-
-const (
-	// DefaultFsyncInterval is the timer period of the FsyncInterval policy.
-	DefaultFsyncInterval = 10 * time.Millisecond
-	// DefaultCompactThreshold is the number of GC-dropped versions a shard
-	// accumulates before its log is rewritten from live state.
-	DefaultCompactThreshold = 4096
-)
+// DefaultCompactThreshold is the number of GC-dropped versions a shard
+// accumulates before its log is rewritten from live state.
+const DefaultCompactThreshold = 4096
 
 // Options configures a WAL engine.
 type Options struct {
@@ -85,12 +52,6 @@ type Options struct {
 	// to a power of two). Logs are per stripe, so this also sets the group-
 	// commit fan-in.
 	Shards int
-	// Fsync is one of FsyncAlways, FsyncInterval, FsyncNever ("" selects
-	// FsyncInterval).
-	Fsync string
-	// FsyncInterval overrides the sync timer period for the interval policy
-	// (0 selects DefaultFsyncInterval).
-	FsyncInterval time.Duration
 	// CompactThreshold overrides how many dropped versions trigger a shard
 	// log rewrite (0 selects DefaultCompactThreshold; negative disables
 	// compaction).
@@ -110,7 +71,6 @@ type walShard struct {
 type Engine struct {
 	mem    *store.Store
 	dir    string
-	fsync  string
 	compat int // compaction threshold (<0 disables)
 	mask   uint32
 	shards []*walShard
@@ -124,8 +84,6 @@ type Engine struct {
 	mu      sync.Mutex // guards err, closed
 	err     error      // first append/sync error, surfaced by Close
 	closed  bool
-	stop    chan struct{}
-	wg      sync.WaitGroup
 	metrics Metrics
 }
 
@@ -138,8 +96,8 @@ type Metrics struct {
 	syncs       atomic.Int64
 }
 
-// Syncs returns how many shard-log fsyncs Sync has issued (Put/PutBatch
-// under FsyncAlways and the interval timer go through Sync too).
+// Syncs returns how many shard-log fsyncs Sync has issued. Put and
+// PutBatch issue none.
 func (m *Metrics) Syncs() int64 { return m.syncs.Load() }
 
 // Compactions returns how many shard-log rewrites have run.
@@ -158,13 +116,6 @@ var _ store.Engine = (*Engine)(nil)
 // are replayed into memory (truncating a torn tail), missing ones are
 // created empty.
 func Open(opts Options) (*Engine, error) {
-	policy, err := ParseFsync(opts.Fsync)
-	if err != nil {
-		return nil, err
-	}
-	if opts.FsyncInterval <= 0 {
-		opts.FsyncInterval = DefaultFsyncInterval
-	}
 	compact := opts.CompactThreshold
 	if compact == 0 {
 		compact = DefaultCompactThreshold
@@ -196,12 +147,10 @@ func Open(opts Options) (*Engine, error) {
 	e := &Engine{
 		mem:    mem,
 		dir:    opts.Dir,
-		fsync:  policy,
 		compat: compact,
 		mask:   uint32(n - 1),
 		shards: make([]*walShard, n),
 		lock:   lock,
-		stop:   make(chan struct{}),
 	}
 	for si := 0; si < n; si++ {
 		sh := &walShard{Shard: shardlog.Shard{Enc: wire.NewEncoder()}}
@@ -222,10 +171,6 @@ func Open(opts Options) (*Engine, error) {
 	if err := fsutil.SyncDir(opts.Dir); err != nil {
 		_ = e.Close()
 		return nil, fmt.Errorf("wal: sync dir: %w", err)
-	}
-	if policy == FsyncInterval {
-		e.wg.Add(1)
-		go e.fsyncLoop(opts.FsyncInterval)
 	}
 	return e, nil
 }
@@ -318,16 +263,12 @@ func (e *Engine) Put(key string, v *store.Version) {
 	// snapshot-and-rewrite can never interleave between log and memory.
 	e.mem.Put(key, v)
 	sh.Mu.Unlock()
-	if e.fsync == FsyncAlways {
-		e.Sync()
-	}
 }
 
 // PutBatch implements store.Engine: all records of one batch destined for
 // the same shard are appended with a single write (group commit). Versions
 // become readable from the memory stripes as each shard's append lands.
-// PutBatch itself never waits for the disk except under FsyncAlways, where
-// it ends with Sync.
+// PutBatch never waits for the disk; the owner's Sync does.
 func (e *Engine) PutBatch(kvs []store.KV) {
 	switch len(kvs) {
 	case 0:
@@ -347,9 +288,6 @@ func (e *Engine) PutBatch(kvs []store.KV) {
 		e.mem.PutBatch(group)
 		sh.Mu.Unlock()
 	})
-	if e.fsync == FsyncAlways {
-		e.Sync()
-	}
 }
 
 // Sync implements store.Engine: every shard log with unsynced appends is
@@ -521,26 +459,9 @@ func (e *Engine) Metrics() *Metrics { return &e.metrics }
 // Dir returns the engine's data directory.
 func (e *Engine) Dir() string { return e.dir }
 
-// fsyncLoop runs Sync on a timer (FsyncInterval policy). An append racing
-// in re-sets Dirty, keeping the one-interval loss bound.
-func (e *Engine) fsyncLoop(every time.Duration) {
-	defer e.wg.Done()
-	ticker := time.NewTicker(every)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			e.Sync()
-		case <-e.stop:
-			return
-		}
-	}
-}
-
-// Close implements store.Engine: it stops the sync loop, forces every log
-// to stable storage (a clean shutdown is always fully durable, whatever
-// the fsync policy), closes the files, and returns the first error any
-// append, sync or compaction hit.
+// Close implements store.Engine: it forces every log to stable storage (a
+// clean shutdown is always fully durable), closes the files, and returns
+// the first error any append, sync or compaction hit.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -551,8 +472,6 @@ func (e *Engine) Close() error {
 	e.closed = true
 	e.mu.Unlock()
 
-	close(e.stop)
-	e.wg.Wait()
 	for _, sh := range e.shards {
 		sh.Mu.Lock()
 		if err := sh.F.Sync(); err != nil {

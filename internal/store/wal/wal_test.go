@@ -21,21 +21,17 @@ func mustOpen(t *testing.T, opts Options) *Engine {
 }
 
 // TestWALEngineConformance runs the shared engine conformance suite
-// against the WAL engine under every fsync policy.
+// against the WAL engine under each cadence of the owner's Sync barrier.
 func TestWALEngineConformance(t *testing.T) {
-	for _, policy := range []string{FsyncAlways, FsyncInterval, FsyncNever} {
-		t.Run(policy, func(t *testing.T) {
-			enginetest.Run(t, func(t *testing.T) store.Engine {
-				return mustOpen(t, Options{Dir: t.TempDir(), Shards: 4, Fsync: policy})
-			})
-		})
-	}
+	enginetest.RunBarriers(t, func(t *testing.T) store.Engine {
+		return mustOpen(t, Options{Dir: t.TempDir(), Shards: 4})
+	})
 }
 
 // TestScanDuringInserts: scans over the memory stripes' ordered key index
 // while a writer inserts keys and GC drops them.
 func TestScanDuringInserts(t *testing.T) {
-	enginetest.ScanDuringInserts(t, mustOpen(t, Options{Dir: t.TempDir(), Shards: 4, Fsync: FsyncNever}))
+	enginetest.ScanDuringInserts(t, mustOpen(t, Options{Dir: t.TempDir(), Shards: 4}))
 }
 
 // TestWALDurable runs the shared recovery suite (clean close/reopen
@@ -44,7 +40,7 @@ func TestWALDurable(t *testing.T) {
 	enginetest.RunDurable(t, func(t *testing.T) func() store.Engine {
 		dir := t.TempDir()
 		return func() store.Engine {
-			return mustOpen(t, Options{Dir: dir, Shards: 4, Fsync: FsyncAlways})
+			return mustOpen(t, Options{Dir: dir, Shards: 4})
 		}
 	})
 }
@@ -101,7 +97,7 @@ func requireSameState(t *testing.T, got store.Engine, want *store.Store) {
 func TestRecoveryRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	ref := store.NewMemoryEngine(4)
-	e := mustOpen(t, Options{Dir: dir, Shards: 4, Fsync: FsyncNever})
+	e := mustOpen(t, Options{Dir: dir, Shards: 4})
 
 	var kvs []store.KV
 	for i := 0; i < 200; i++ {
@@ -125,7 +121,7 @@ func TestRecoveryRoundTrip(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	re := mustOpen(t, Options{Dir: dir, Shards: 4, Fsync: FsyncNever})
+	re := mustOpen(t, Options{Dir: dir, Shards: 4})
 	defer re.Close()
 	if re.Metrics().Recovered() == 0 {
 		t.Fatal("recovery replayed no records")
@@ -146,7 +142,7 @@ func TestRecoveryRoundTrip(t *testing.T) {
 func TestCrashRecoveryTornTail(t *testing.T) {
 	dir := t.TempDir()
 	// One shard so there is exactly one log with a known record order.
-	e := mustOpen(t, Options{Dir: dir, Shards: 1, Fsync: FsyncAlways})
+	e := mustOpen(t, Options{Dir: dir, Shards: 1})
 	logPath := filepath.Join(dir, "shard-00000.log")
 
 	const puts = 50
@@ -182,7 +178,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 		ref.Put(key, v(fmt.Sprintf("payload-%d-some-bytes-to-make-records-wide", i), hlc.Timestamp(i+1), uint64(i)))
 	}
 
-	re := mustOpen(t, Options{Dir: dir, Shards: 1, Fsync: FsyncAlways})
+	re := mustOpen(t, Options{Dir: dir, Shards: 1})
 	if re.Metrics().TruncatedShards() != 1 {
 		t.Errorf("TruncatedShards = %d, want 1", re.Metrics().TruncatedShards())
 	}
@@ -202,7 +198,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	if err := re.Close(); err != nil {
 		t.Fatalf("Close after recovery: %v", err)
 	}
-	re2 := mustOpen(t, Options{Dir: dir, Shards: 1, Fsync: FsyncAlways})
+	re2 := mustOpen(t, Options{Dir: dir, Shards: 1})
 	defer re2.Close()
 	requireSameState(t, re2, ref)
 }
@@ -211,7 +207,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 // crash mid-header, or a corrupt record) is truncated, not fatal.
 func TestCrashRecoveryGarbageTail(t *testing.T) {
 	dir := t.TempDir()
-	e := mustOpen(t, Options{Dir: dir, Shards: 1, Fsync: FsyncAlways})
+	e := mustOpen(t, Options{Dir: dir, Shards: 1})
 	ref := store.NewMemoryEngine(1)
 	for i := 0; i < 10; i++ {
 		ver := v(fmt.Sprintf("v%d", i), hlc.Timestamp(i+1), uint64(i))
@@ -233,7 +229,7 @@ func TestCrashRecoveryGarbageTail(t *testing.T) {
 	}
 	_ = f.Close()
 
-	re := mustOpen(t, Options{Dir: dir, Shards: 1, Fsync: FsyncAlways})
+	re := mustOpen(t, Options{Dir: dir, Shards: 1})
 	defer re.Close()
 	if re.Metrics().TruncatedShards() != 1 {
 		t.Errorf("TruncatedShards = %d, want 1", re.Metrics().TruncatedShards())
@@ -245,7 +241,7 @@ func TestCrashRecoveryGarbageTail(t *testing.T) {
 // shard log is rewritten smaller while preserving live state.
 func TestCompaction(t *testing.T) {
 	dir := t.TempDir()
-	e := mustOpen(t, Options{Dir: dir, Shards: 1, Fsync: FsyncNever, CompactThreshold: 50})
+	e := mustOpen(t, Options{Dir: dir, Shards: 1, CompactThreshold: 50})
 	logPath := filepath.Join(dir, "shard-00000.log")
 
 	// 100 versions of one key; all but the newest are prunable.
@@ -276,7 +272,7 @@ func TestCompaction(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	re := mustOpen(t, Options{Dir: dir, Shards: 1, Fsync: FsyncNever})
+	re := mustOpen(t, Options{Dir: dir, Shards: 1})
 	defer re.Close()
 	if got := re.VersionsOf("hot"); got != 2 {
 		t.Fatalf("recovered VersionsOf(hot) = %d, want 2 (survivor + final)", got)
@@ -295,7 +291,7 @@ func TestCompaction(t *testing.T) {
 // adopt the persisted count instead of mis-routing or ignoring logs.
 func TestShardCountPersistedAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
-	e := mustOpen(t, Options{Dir: dir, Shards: 8, Fsync: FsyncAlways})
+	e := mustOpen(t, Options{Dir: dir, Shards: 8})
 	ref := store.NewMemoryEngine(8)
 	for i := 0; i < 64; i++ {
 		key := fmt.Sprintf("key-%d", i)
@@ -308,7 +304,7 @@ func TestShardCountPersistedAcrossReopen(t *testing.T) {
 	}
 
 	for _, requested := range []int{2, 64, 0} {
-		re := mustOpen(t, Options{Dir: dir, Shards: requested, Fsync: FsyncAlways})
+		re := mustOpen(t, Options{Dir: dir, Shards: requested})
 		if re.NumShards() != 8 {
 			t.Fatalf("reopen with Shards=%d: NumShards = %d, want persisted 8", requested, re.NumShards())
 		}
@@ -333,7 +329,7 @@ func TestShardCountPersistedAcrossReopen(t *testing.T) {
 // rewrite from live state repairs the log.
 func TestAppendFailureFreezesLog(t *testing.T) {
 	dir := t.TempDir()
-	e := mustOpen(t, Options{Dir: dir, Shards: 1, Fsync: FsyncNever, CompactThreshold: 1})
+	e := mustOpen(t, Options{Dir: dir, Shards: 1, CompactThreshold: 1})
 	e.Put("k", v("before", 1, 1))
 	if err := e.Healthy(); err != nil {
 		t.Fatalf("healthy engine reported %v", err)
@@ -402,18 +398,9 @@ func TestExclusiveDirLock(t *testing.T) {
 	_ = e2.Close()
 }
 
-// TestOpenRejectsBadPolicy covers option validation.
-func TestOpenRejectsBadPolicy(t *testing.T) {
-	if _, err := Open(Options{Dir: t.TempDir(), Fsync: "sometimes"}); err == nil {
-		t.Error("Open with unknown fsync policy should fail")
-	}
-	if _, err := ParseFsync(""); err != nil {
-		t.Errorf("ParseFsync(\"\") = %v, want default", err)
-	}
-}
-
 // BenchmarkEnginePutBatch compares write throughput of the memory engine
-// and the WAL engine under each fsync policy (the CI bench smoke).
+// and the WAL engine, once as a server drives it (no sync) and once with a
+// Sync barrier after every batch (the CI bench smoke).
 func BenchmarkEnginePutBatch(b *testing.B) {
 	const batch = 64
 	mkBatch := func(i int) []store.KV {
@@ -426,36 +413,43 @@ func BenchmarkEnginePutBatch(b *testing.B) {
 		}
 		return kvs
 	}
-	run := func(b *testing.B, e store.Engine) {
+	run := func(b *testing.B, e store.Engine, sync bool) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			e.PutBatch(mkBatch(i))
+			if sync {
+				e.Sync()
+			}
 		}
 		b.StopTimer()
 		_ = e.Close()
 	}
 	b.Run("memory", func(b *testing.B) {
-		run(b, store.NewMemoryEngine(0))
+		run(b, store.NewMemoryEngine(0), false)
 	})
-	for _, policy := range []string{FsyncNever, FsyncInterval, FsyncAlways} {
-		b.Run("wal-"+policy, func(b *testing.B) {
-			e, err := Open(Options{Dir: b.TempDir(), Fsync: policy})
+	for _, sync := range []bool{false, true} {
+		name := "wal"
+		if sync {
+			name = "wal-durable"
+		}
+		b.Run(name, func(b *testing.B) {
+			e, err := Open(Options{Dir: b.TempDir()})
 			if err != nil {
 				b.Fatal(err)
 			}
-			run(b, e)
+			run(b, e, sync)
 		})
 	}
 }
 
-// TestGroupCommitFsyncAlways exercises the coalesced group-commit sync:
-// under fsync=always a multi-shard PutBatch appends to every touched log
-// and then runs ONE concurrent sync phase instead of a serialized fsync
-// per stripe. Every record must be durable (and recoverable) once PutBatch
-// returns, exactly as with the old per-stripe sync.
-func TestGroupCommitFsyncAlways(t *testing.T) {
+// TestGroupCommitRecovery exercises the coalesced group commit: a
+// multi-shard PutBatch appends to every touched log with one write each,
+// and the Sync behind it is ONE concurrent phase over those logs. A second
+// batch appended after that phase must land behind intact records, and
+// both must be recoverable.
+func TestGroupCommitRecovery(t *testing.T) {
 	dir := t.TempDir()
-	e := mustOpen(t, Options{Dir: dir, Shards: 8, Fsync: FsyncAlways})
+	e := mustOpen(t, Options{Dir: dir, Shards: 8})
 
 	// A batch wide enough to touch many of the 8 shard logs at once.
 	var kvs []store.KV
@@ -466,12 +460,14 @@ func TestGroupCommitFsyncAlways(t *testing.T) {
 		})
 	}
 	e.PutBatch(kvs)
+	e.Sync()
 	// A second batch over the same keys: appends after the first sync phase
 	// must land behind intact records in every log.
 	for i := range kvs {
 		kvs[i].Version = v(fmt.Sprintf("new-%03d", i), hlc.Timestamp(500+i), uint64(1000+i))
 	}
 	e.PutBatch(kvs)
+	e.Sync()
 
 	touched := 0
 	for si := 0; si < e.NumShards(); si++ {
@@ -487,7 +483,7 @@ func TestGroupCommitFsyncAlways(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
-	re := mustOpen(t, Options{Dir: dir, Shards: 8, Fsync: FsyncAlways})
+	re := mustOpen(t, Options{Dir: dir, Shards: 8})
 	defer func() { _ = re.Close() }()
 	if got := re.Versions(); got != 128 {
 		t.Fatalf("recovered %d versions, want 128", got)
@@ -502,10 +498,9 @@ func TestGroupCommitFsyncAlways(t *testing.T) {
 }
 
 // TestSyncBarrier pins the engine's side of "engine logs are a recovery
-// accelerator; the txlog is the WAL": opened the way a txlog-fronted server
-// opens it (FsyncNever), the put path issues no fsync however many shard
-// logs it touches; Sync is one phase over exactly the dirty logs; and under
-// FsyncAlways every PutBatch is that same phase.
+// accelerator; the txlog is the WAL": the put path issues no fsync however
+// many shard logs it touches, and Sync is one phase over exactly the dirty
+// logs.
 func TestSyncBarrier(t *testing.T) {
 	batch := func(base int) []store.KV {
 		var kvs []store.KV
@@ -514,13 +509,13 @@ func TestSyncBarrier(t *testing.T) {
 		}
 		return kvs
 	}
-	e := mustOpen(t, Options{Dir: t.TempDir(), Shards: 8, Fsync: FsyncNever})
+	e := mustOpen(t, Options{Dir: t.TempDir(), Shards: 8})
 	defer e.Close()
 	for i := 0; i < 5; i++ {
 		e.PutBatch(batch(1000 * (i + 1)))
 	}
 	if got := e.Metrics().Syncs(); got != 0 {
-		t.Fatalf("put path issued %d fsyncs under FsyncNever", got)
+		t.Fatalf("put path issued %d fsyncs", got)
 	}
 	e.Sync()
 	first := e.Metrics().Syncs()
@@ -530,12 +525,5 @@ func TestSyncBarrier(t *testing.T) {
 	e.Sync()
 	if got := e.Metrics().Syncs(); got != first {
 		t.Fatalf("Sync of a clean engine issued %d fsyncs", got-first)
-	}
-
-	a := mustOpen(t, Options{Dir: t.TempDir(), Shards: 8, Fsync: FsyncAlways})
-	defer a.Close()
-	a.PutBatch(batch(1))
-	if got := a.Metrics().Syncs(); got != first {
-		t.Fatalf("FsyncAlways PutBatch issued %d fsyncs, want %d (the same dirty logs)", got, first)
 	}
 }

@@ -115,7 +115,6 @@ import (
 	"wren/internal/store/fsutil"
 	"wren/internal/store/logrec"
 	"wren/internal/store/shardlog"
-	"wren/internal/store/wal"
 	"wren/internal/wire"
 )
 
@@ -162,25 +161,53 @@ const (
 // (DC in the top byte, partition in the next two — see Server.newTxID).
 const seqMask = (uint64(1) << 40) - 1
 
+// Fsync policies: when an appended record is forced to stable storage.
+// The txlog is the one log with a policy; the storage engines never sync
+// on their own (their owner's Engine.Sync is the barrier).
+const (
+	// FsyncAlways syncs before every record-backed acknowledgement (see
+	// the durability contract).
+	FsyncAlways = "always"
+	// FsyncInterval syncs appended records on a background timer
+	// (fsyncPeriod): a crash loses at most the last interval's records.
+	// The default.
+	FsyncInterval = "interval"
+	// FsyncNever leaves flushing to the OS page cache until Sync or Close:
+	// survives process crashes (the data is in kernel buffers) but not
+	// power loss.
+	FsyncNever = "never"
+)
+
+// fsyncPeriod is the timer period of the FsyncInterval policy.
+const fsyncPeriod = 10 * time.Millisecond
+
+// ParseFsync canonicalizes a policy name ("" selects FsyncInterval).
+func ParseFsync(s string) (string, error) {
+	switch s {
+	case "":
+		return FsyncInterval, nil
+	case FsyncAlways, FsyncInterval, FsyncNever:
+		return s, nil
+	default:
+		return "", fmt.Errorf("txlog: unknown fsync policy %q (want always, interval or never)", s)
+	}
+}
+
 // Options configures a transaction log.
 type Options struct {
 	// Dir is the directory holding the log (created if missing). The
 	// servers place it INSIDE the engine's data directory, so the engine's
 	// exclusive lock and engine-type marker cover it. Empty opens a log
-	// without a file, which ignores Fsync and FsyncInterval.
+	// without a file, which ignores Fsync.
 	Dir string
 	// NumDCs sizes the replication cursor (one entry per DC).
 	NumDCs int
 	// SelfDC is this server's DC; its own cursor entry is never a
 	// retention constraint.
 	SelfDC int
-	// Fsync is the group-commit policy shared with the storage engines:
-	// wal.FsyncAlways, wal.FsyncInterval (the "" default) or
-	// wal.FsyncNever.
+	// Fsync is the group-commit policy: FsyncAlways, FsyncInterval (the
+	// "" default) or FsyncNever.
 	Fsync string
-	// FsyncInterval overrides the sync timer period for the interval
-	// policy (0 selects wal.DefaultFsyncInterval).
-	FsyncInterval time.Duration
 	// CompactThreshold overrides how many appended records trigger a
 	// rewrite (0 selects DefaultCompactThreshold; negative disables
 	// compaction).
@@ -319,14 +346,11 @@ func Open(opts Options) (*Log, error) {
 	if opts.Dir == "" {
 		return l, nil
 	}
-	policy, err := wal.ParseFsync(opts.Fsync)
+	policy, err := ParseFsync(opts.Fsync)
 	if err != nil {
 		return nil, err
 	}
 	l.fsync = policy
-	if opts.FsyncInterval <= 0 {
-		opts.FsyncInterval = wal.DefaultFsyncInterval
-	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("txlog: create dir: %w", err)
 	}
@@ -340,9 +364,9 @@ func Open(opts Options) (*Log, error) {
 		_ = l.sh.F.Close()
 		return nil, fmt.Errorf("txlog: sync dir: %w", err)
 	}
-	if policy == wal.FsyncInterval {
+	if policy == FsyncInterval {
 		l.wg.Add(1)
-		go l.fsyncLoop(opts.FsyncInterval)
+		go l.fsyncLoop()
 	}
 	return l, nil
 }
@@ -652,7 +676,7 @@ func (l *Log) appendLocked(encode func(*wire.Encoder)) {
 
 // SyncOnAppend reports whether the fsync policy requires a sync before a
 // record-backed acknowledgement may leave the server (fsync=always).
-func (l *Log) SyncOnAppend() bool { return l.fsync == wal.FsyncAlways }
+func (l *Log) SyncOnAppend() bool { return l.fsync == FsyncAlways }
 
 // lazyWaiter is a callback parked until the synced watermark reaches lsn.
 type lazyWaiter struct {
@@ -1309,9 +1333,9 @@ func (r *retained) writeTo(f *os.File) (written int64, err error) {
 }
 
 // fsyncLoop flushes appended records on a timer (interval policy).
-func (l *Log) fsyncLoop(every time.Duration) {
+func (l *Log) fsyncLoop() {
 	defer l.wg.Done()
-	ticker := time.NewTicker(every)
+	ticker := time.NewTicker(fsyncPeriod)
 	defer ticker.Stop()
 	for {
 		select {

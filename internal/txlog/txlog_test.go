@@ -658,3 +658,39 @@ func TestLogPrepareNeverCompacts(t *testing.T) {
 		t.Fatalf("MarkApplied did not compact a log past its threshold: %d -> %d bytes", before, after)
 	}
 }
+
+// TestOpenRejectsBadPolicy covers the fsync vocabulary: the txlog is the
+// one log with a policy, so it is the one place a name is checked.
+func TestOpenRejectsBadPolicy(t *testing.T) {
+	if _, err := Open(Options{Dir: t.TempDir(), NumDCs: 1, Fsync: "sometimes"}); err == nil {
+		t.Error("Open with unknown fsync policy should fail")
+	}
+	if got, err := ParseFsync(""); err != nil || got != FsyncInterval {
+		t.Errorf("ParseFsync(\"\") = %q, %v; want the interval default", got, err)
+	}
+	for _, p := range []string{FsyncAlways, FsyncInterval, FsyncNever} {
+		if got, err := ParseFsync(p); err != nil || got != p {
+			t.Errorf("ParseFsync(%q) = %q, %v", p, got, err)
+		}
+	}
+	if _, err := ParseFsync("alwayz"); err == nil {
+		t.Error("ParseFsync accepted a misspelled policy")
+	}
+}
+
+// TestIntervalPolicySyncsOnTimer: under the interval policy an appended
+// record is synced by the timer, with no Sync call from the owner.
+func TestIntervalPolicySyncsOnTimer(t *testing.T) {
+	l, err := Open(Options{Dir: t.TempDir(), NumDCs: 1, Fsync: FsyncInterval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	base := l.Syncs()
+	l.LogPrepare(&PreparedTx{TxID: 1, PT: ts(10), Writes: []wire.KV{kv("a", "v")}})
+	for deadline := time.Now().Add(5 * time.Second); l.Syncs() == base; time.Sleep(fsyncPeriod) {
+		if time.Now().After(deadline) {
+			t.Fatal("no timer sync within 5 s of an append")
+		}
+	}
+}
