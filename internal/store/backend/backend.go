@@ -30,8 +30,8 @@ const (
 var Names = []string{Memory, WAL, SST}
 
 // Options describes the engine one partition server wants. Every engine
-// opens store.DefaultShards lock stripes; a durable engine reopened over
-// an existing directory keeps the count it persisted.
+// opens store.DefaultShards lock stripes; a wal engine reopened over an
+// existing directory keeps the count it persisted (sst persists none).
 type Options struct {
 	// Backend is Memory, WAL, SST, or "" (which selects Memory).
 	Backend string

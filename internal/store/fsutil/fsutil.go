@@ -1,9 +1,11 @@
 // Package fsutil holds the small filesystem disciplines every durable
 // storage engine must follow identically: exclusive data-directory
-// locking, directory fsyncs after renames/creations, and the persisted
-// shard-count meta file that pins the key→shard mapping of a directory at
-// creation time. Sharing them keeps the WAL and SST engines from drifting
-// on the details that decide whether a data directory survives crashes.
+// locking, directory fsyncs after renames/creations, the rollback-or-freeze
+// append of a record log (Tail), and the WAL engine's persisted
+// shard-count meta file that pins the key→shard mapping of its directory
+// at creation time. Sharing them keeps the WAL and SST engines and the
+// transaction log from drifting on the details that decide whether a data
+// directory survives crashes.
 // It is also the one place that maps files into memory (MapFile), which
 // the SST engine reads its sealed run files through.
 package fsutil

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"wren/internal/store/fsutil"
 	"wren/internal/wire"
 )
 
@@ -17,7 +18,7 @@ func newShard(t *testing.T, dir, name string) *Shard {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = f.Close() })
-	return &Shard{F: f, Enc: wire.NewEncoder()}
+	return &Shard{Tail: fsutil.Tail{F: f}, Enc: wire.NewEncoder()}
 }
 
 // appendRec buffers rec and appends it the way the engines do: under Mu.
@@ -29,7 +30,7 @@ func appendRec(s *Shard, rec string, onErr func(error)) {
 	s.AppendLocked(onErr)
 }
 
-// errCounter collects onErr calls, which SyncFiles makes concurrently.
+// errCounter collects onErr calls, which syncFiles makes concurrently.
 type errCounter struct {
 	mu   sync.Mutex
 	errs []error
@@ -140,11 +141,11 @@ func TestSyncFilesErrors(t *testing.T) {
 	defer pw.Close()
 
 	var errs errCounter
-	SyncFiles([]*os.File{closed}, errs.onErr)
+	syncFiles([]*os.File{closed}, errs.onErr)
 	if errs.count() != 0 {
 		t.Fatalf("a handle closed since it was captured is success, got %v", errs.errs)
 	}
-	SyncFiles([]*os.File{closed, pw, good}, errs.onErr)
+	syncFiles([]*os.File{closed, pw, good}, errs.onErr)
 	if errs.count() != 1 {
 		t.Fatalf("onErr called %d times for one failing sync: %v", errs.count(), errs.errs)
 	}
@@ -162,7 +163,7 @@ func TestAppendFailureFreezes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ro.Close()
-	s := &Shard{F: ro, Enc: wire.NewEncoder()}
+	s := &Shard{Tail: fsutil.Tail{F: ro}, Enc: wire.NewEncoder()}
 	var errs errCounter
 	appendRec(s, "doomed", errs.onErr)
 	if !s.Failed || s.Dirty || s.Size != 0 {

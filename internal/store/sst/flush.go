@@ -8,11 +8,10 @@ import (
 	"wren/internal/hlc"
 	"wren/internal/store"
 	"wren/internal/store/fsutil"
-	"wren/internal/store/shardlog"
 )
 
 // Flush freezes the active memtable and writes it out as one immutable
-// sorted run, then deletes the WAL generations the run supersedes. It is
+// sorted run, then deletes the log generations the run supersedes. It is
 // a no-op on an empty memtable. Flush is what the background trigger
 // calls; tests and tooling may call it directly.
 func (e *Engine) Flush() error {
@@ -21,6 +20,14 @@ func (e *Engine) Flush() error {
 	return e.flushLocked()
 }
 
+// flushLocked rotates the log in two steps. First it creates the next
+// generation's file and syncs the directory, with no stripe lock held:
+// writers keep appending to the active generation meanwhile, and the new
+// file's entry is stable before any write can land in it (a barrier Sync
+// syncs file contents, not directory entries). Then the freeze takes every
+// stripe lock and swaps the memtable and the log pointer, and nothing else.
+// A crash between the two steps leaves an empty newest generation, which
+// recovery takes as the active one. Caller holds flushMu.
 func (e *Engine) flushLocked() error {
 	tabs := e.tabs.Load()
 	if tabs.frozen != nil {
@@ -30,67 +37,37 @@ func (e *Engine) flushLocked() error {
 		return nil
 	}
 
-	// Freeze: rotate in a fresh memtable and a fresh WAL generation under
-	// every shard lock, so each write lands wholly in the old tier or
-	// wholly in the new one. The old memtable becomes the frozen tier —
-	// still readable — while its run is written without any lock. syncMu
-	// is held from before the rotation until the rotated-out generation is
-	// stable, so Sync (which takes it) never has to look behind the active
-	// generation: a write that returned before Sync was called is either
-	// in a log Sync reaches through the shards or in one synced here.
-	e.syncMu.Lock()
-	for _, sh := range e.shards {
-		sh.Mu.Lock()
-	}
 	oldGen := e.gen
 	newGen := oldGen + 1
-	frozenMin := e.minGen
-	newFiles := make([]*os.File, e.nShards)
-	var ferr error
-	for si := range e.shards {
-		f, err := os.OpenFile(e.walPath(newGen, si), os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
-		if err != nil {
-			ferr = err
-			break
-		}
-		newFiles[si] = f
-	}
-	if ferr == nil {
-		// Persist the new generation's directory entries BEFORE any write
-		// can be acknowledged against them: a barrier Sync syncs file
-		// contents, not directory entries, and without this a power loss
-		// could drop the entries themselves — synced records vanishing
-		// with their files.
-		if derr := fsutil.SyncDir(e.dir); derr != nil {
-			ferr = derr
-		}
-	}
-	if ferr != nil {
-		for _, f := range newFiles {
-			if f != nil {
-				_ = f.Close()
-			}
-		}
-		for i := e.nShards - 1; i >= 0; i-- {
-			e.shards[i].Mu.Unlock()
-		}
-		e.syncMu.Unlock()
-		err := fmt.Errorf("sst: rotate wal generation: %w", ferr)
+	next, err := e.createLog(newGen)
+	if err != nil {
+		err = fmt.Errorf("sst: rotate wal generation: %w", err)
 		e.recordErr(err)
 		return err
 	}
+	if e.opts.crashAfterLogCreate {
+		_ = next.F.Close()
+		e.markCrashed()
+		return nil
+	}
+
+	// Freeze: swap in a fresh memtable and the new generation under every
+	// stripe lock, so each write lands wholly in the old tier or wholly in
+	// the new one. The old memtable becomes the frozen tier — still
+	// readable — while its run is written without any lock. syncMu is held
+	// from before the swap until the rotated-out generation is stable, so
+	// Sync (which takes it) never has to look behind the active generation:
+	// a write that returned before Sync was called is either in the log Sync
+	// reaches or in the one synced here.
+	e.syncMu.Lock()
+	for si := range e.stripes {
+		e.stripes[si].mu.Lock()
+	}
+	frozenMin := e.minGen
 	frozen := tabs.active
-	oldFiles := make([]*os.File, e.nShards)
-	var unsynced []*os.File
-	for si, sh := range e.shards {
-		oldFiles[si] = sh.F
-		if sh.Dirty {
-			unsynced = append(unsynced, sh.F)
-		}
-		sh.F = newFiles[si]
-		sh.Size = 0
-		sh.Dirty = false
-		sh.Failed = false // the fresh generation file repairs a frozen shard log
+	old := e.log
+	e.log = next
+	for si := range e.written {
 		// The listed writes are all in the memtable being frozen, and
 		// writeRun settles every key of it.
 		e.written[si] = e.written[si][:0]
@@ -99,16 +76,14 @@ func (e *Engine) flushLocked() error {
 	e.minGen = newGen
 	e.memBytes.Store(0)
 	e.tabs.Store(&tables{active: store.NewSharded(e.nShards), frozen: frozen, runs: tabs.runs})
-	for i := e.nShards - 1; i >= 0; i-- {
-		e.shards[i].Mu.Unlock()
+	for si := range e.stripes {
+		e.stripes[si].mu.Unlock()
 	}
 
 	// The rotated-out generation may hold appends nothing has synced yet,
-	// and Sync cannot reach them any more (the shards now point at the new
-	// generation). Sync them here: Sync's promise must not stretch over the
-	// whole run-write duration.
-	e.metrics.syncs.Add(int64(len(unsynced)))
-	shardlog.SyncFiles(unsynced, e.onErr)
+	// and Sync cannot reach them any more. Sync them here: Sync's promise
+	// must not stretch over the whole run-write duration.
+	e.syncLog(old.takeDirty())
 	e.syncMu.Unlock()
 
 	// Write the run. No locks are needed: the frozen memtable is
@@ -116,22 +91,17 @@ func (e *Engine) flushLocked() error {
 	// snapshot for the whole duration.
 	r, err := e.writeRun(frozen, frozenMin, oldGen)
 	if err != nil {
-		// The frozen records are still durable in WAL generations
-		// [frozenMin, oldGen]: sync and close those handles, fold the
-		// frozen memtable back into the active tier, and let the next
-		// flush retry with a run covering the whole span.
-		for _, f := range oldFiles {
-			_ = f.Sync()
-			_ = f.Close()
-		}
+		// The frozen records are still durable in log generations
+		// [frozenMin, oldGen], the newest synced above: fold the frozen
+		// memtable back into the active tier and let the next flush retry
+		// with a run covering the whole span.
+		_ = old.F.Close()
 		e.unfreeze(frozen, frozenMin)
 		e.recordErr(err)
 		return err
 	}
 	if e.opts.crashAfterFlushRename {
-		for _, f := range oldFiles {
-			_ = f.Close()
-		}
+		_ = old.F.Close()
 		e.markCrashed()
 		return nil
 	}
@@ -145,20 +115,30 @@ func (e *Engine) flushLocked() error {
 	runs = append(runs, cur.runs...)
 	e.tabs.Store(&tables{active: cur.active, frozen: nil, runs: runs})
 
-	// The durable run supersedes the WAL generations it covers.
-	for _, f := range oldFiles {
-		_ = f.Close()
-	}
+	// The durable run supersedes the log generations it covers.
+	_ = old.F.Close()
 	for g := frozenMin; g <= oldGen; g++ {
-		for si := 0; si < e.nShards; si++ {
-			if err := os.Remove(e.walPath(g, si)); err != nil && !os.IsNotExist(err) {
-				e.recordErr(fmt.Errorf("sst: remove superseded wal: %w", err))
-			}
+		if err := os.Remove(e.walPath(g)); err != nil && !os.IsNotExist(err) {
+			e.recordErr(fmt.Errorf("sst: remove superseded wal: %w", err))
 		}
 	}
 	e.metrics.add(func(m *Metrics) { m.flushes++ })
 	e.maybeCompactLocked()
 	return nil
+}
+
+// createLog creates generation gen's log file, empty, and syncs the
+// directory so its entry survives a power loss. Caller holds flushMu.
+func (e *Engine) createLog(gen uint64) (*genLog, error) {
+	f, err := os.OpenFile(e.walPath(gen), os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if err := fsutil.SyncDir(e.dir); err != nil {
+		_ = f.Close()
+		return nil, err
+	}
+	return &genLog{Tail: fsutil.Tail{F: f}}, nil
 }
 
 // unfreeze folds a frozen memtable whose flush failed back into the

@@ -117,10 +117,10 @@ func TestWriteListsDrainWithoutRuns(t *testing.T) {
 			continue
 		}
 		listed := 0
-		for si, sh := range e.shards {
-			sh.Mu.Lock()
+		for si := range e.stripes {
+			e.stripes[si].mu.Lock()
 			listed += len(e.written[si])
-			sh.Mu.Unlock()
+			e.stripes[si].mu.Unlock()
 		}
 		if listed > perPass {
 			t.Fatalf("after %d puts the write lists hold %d keys, want at most the %d since the last pass", i+1, listed, perPass)

@@ -2,44 +2,99 @@ package sst
 
 import (
 	"fmt"
+	"os"
+	"slices"
+	"sync"
 
 	"wren/internal/store"
+	"wren/internal/store/fsutil"
 	"wren/internal/store/logrec"
-	"wren/internal/store/shardlog"
+	"wren/internal/wire"
 )
 
-// logShard is the shared per-shard log state (see shardlog.Shard). Mu
-// also covers the memtable insert of an append, and the freeze step of a
-// flush acquires EVERY shard lock while swapping in the new memtable and
-// WAL generation — so any write either fully lands in the old
-// generation+memtable or fully in the new one, never split. A shard whose
-// append path failed stays frozen (memory authoritative) until the next
-// flush rotates in a fresh generation file.
-type logShard = shardlog.Shard
+// stripe is one memtable stripe's write lock and record buffer. mu covers
+// a write's log append, its memtable insert and its write-list entry, and
+// the freeze of a flush takes every stripe's mu, in ascending order, to
+// swap in the next memtable and log generation: a write holding any of
+// them lands wholly in one generation.
+type stripe struct {
+	mu  sync.Mutex
+	enc *wire.Encoder
+}
 
-// onErr adapts recordErr to the shardlog callbacks, prefixing the engine
+// genLog is one generation's log file, shared by every stripe. mu orders
+// the appends into it and the barrier's hand-off of dirty; a write holds
+// its stripe locks around it, so mu is the innermost lock. A failed append
+// rolls back or freezes the log (fsutil.Tail); the next flush rotates a
+// fresh generation in.
+type genLog struct {
+	mu sync.Mutex
+	fsutil.Tail
+	dirty bool // has unsynced appends
+}
+
+// onErr adapts recordErr to the append callbacks, prefixing the engine
 // name.
 func (e *Engine) onErr(err error) { e.recordErr(fmt.Errorf("sst: %w", err)) }
+
+// appendLocked writes one write's encoded records to the active generation
+// with one write. The caller holds the lock of every stripe the records
+// belong to, which pins the generation: the freeze needs all of them.
+func (e *Engine) appendLocked(b []byte) {
+	l := e.log
+	l.mu.Lock()
+	if l.Append(b, e.onErr) {
+		l.dirty = true
+	}
+	l.mu.Unlock()
+	e.metrics.logWrites.Add(1)
+}
+
+// takeDirty returns the log's file and clears dirty if it has unsynced
+// appends, or nil. The file is synced outside mu, so appends never stall
+// behind the sync; an append racing in sets dirty again.
+func (l *genLog) takeDirty() *os.File {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !l.dirty {
+		return nil
+	}
+	l.dirty = false
+	return l.F
+}
+
+// syncLog forces f to stable storage with one fdatasync and counts it; a
+// nil f is a clean log and costs nothing.
+func (e *Engine) syncLog(f *os.File) {
+	if f == nil {
+		return
+	}
+	e.metrics.syncs.Add(1)
+	if err := fsutil.Datasync(f); err != nil {
+		e.onErr(fmt.Errorf("sync: %w", err))
+	}
+}
 
 // Put implements store.Engine.
 func (e *Engine) Put(key string, v *store.Version) {
 	si := store.Fingerprint(key) & e.mask
-	sh := e.shards[si]
-	sh.Mu.Lock()
-	sh.Enc.Reset()
-	logrec.Append(sh.Enc, key, v)
-	sh.AppendLocked(e.onErr)
-	// The memtable insert happens under the WAL shard lock, so a freeze
-	// can never interleave between the log append and the insert.
+	st := &e.stripes[si]
+	st.mu.Lock()
+	st.enc.Reset()
+	logrec.Append(st.enc, key, v)
+	e.appendLocked(st.enc.Bytes())
+	// The memtable insert happens under the stripe lock, so a freeze can
+	// never interleave between the log append and the insert.
 	e.tabs.Load().active.Put(key, v)
 	e.written[si] = append(e.written[si], key)
-	sh.Mu.Unlock()
+	st.mu.Unlock()
 	e.noteWrite(writeSize(key, v))
 }
 
-// PutBatch implements store.Engine: all records of one batch destined for
-// the same shard are appended with a single write (group commit). Like the
-// WAL engine it never waits for the disk; the owner's Sync does.
+// PutBatch implements store.Engine: the batch locks every stripe it
+// touches, in ascending order like the freeze, and its records reach the
+// log in one write. Like Put it never waits for the disk; the owner's Sync
+// does.
 func (e *Engine) PutBatch(kvs []store.KV) {
 	switch len(kvs) {
 	case 0:
@@ -48,47 +103,54 @@ func (e *Engine) PutBatch(kvs []store.KV) {
 		e.Put(kvs[0].Key, kvs[0].Version)
 		return
 	}
+	ids := make([]uint32, len(kvs))
+	for i, kv := range kvs {
+		ids[i] = store.Fingerprint(kv.Key) & e.mask
+	}
+	locked := slices.Compact(slices.Sorted(slices.Values(ids)))
+	for _, si := range locked {
+		e.stripes[si].mu.Lock()
+	}
+	enc := e.stripes[locked[0]].enc
+	enc.Reset()
 	var bytes int64
-	store.ForEachShardGroup(e.mask, kvs, func(id uint32, group []store.KV) {
-		sh := e.shards[id]
-		sh.Mu.Lock()
-		sh.Enc.Reset()
-		for _, kv := range group {
-			logrec.Append(sh.Enc, kv.Key, kv.Version)
-			bytes += writeSize(kv.Key, kv.Version)
-			e.written[id] = append(e.written[id], kv.Key)
-		}
-		sh.AppendLocked(e.onErr)
-		e.tabs.Load().active.PutBatch(group)
-		sh.Mu.Unlock()
-	})
+	for i, kv := range kvs {
+		logrec.Append(enc, kv.Key, kv.Version)
+		bytes += writeSize(kv.Key, kv.Version)
+		e.written[ids[i]] = append(e.written[ids[i]], kv.Key)
+	}
+	e.appendLocked(enc.Bytes())
+	e.tabs.Load().active.PutBatch(kvs)
+	for _, si := range locked {
+		e.stripes[si].mu.Unlock()
+	}
 	e.noteWrite(bytes)
 }
 
-// Sync implements store.Engine: every active-generation shard log with
-// unsynced appends is forced to stable storage in one concurrent phase.
-// Appends a memtable freeze rotated out are not its concern — the flush
-// syncs that generation before it releases syncMu (see flushLocked) — and
-// a handle the flush closed since is skipped, its records being stable
-// through the run that superseded it. Failures are recorded for Healthy.
+// Sync implements store.Engine: the active generation's log, if it holds
+// unsynced appends, is forced to stable storage with one fdatasync.
+// Appends a freeze rotated out are not its concern — the flush syncs that
+// generation before it releases syncMu (see flushLocked). Failures are
+// recorded for Healthy.
 func (e *Engine) Sync() {
 	e.syncMu.Lock()
 	defer e.syncMu.Unlock()
-	e.metrics.syncs.Add(int64(shardlog.SyncDirty(e.shards, e.onErr)))
+	e.syncLog(e.log.takeDirty())
 }
 
 // drainWritten hands the caller (a GC pass) every stripe's list of keys
-// written since the last pass, leaving the lists empty. One shard lock at
+// written since the last pass, leaving the lists empty. One stripe lock at
 // a time: a key is appended under the lock its memtable insert happens
 // under, so a drained key's version is already readable and a later one
 // lands in the next pass's lists.
 func (e *Engine) drainWritten() []string {
 	var keys []string
-	for si, sh := range e.shards {
-		sh.Mu.Lock()
+	for si := range e.stripes {
+		st := &e.stripes[si]
+		st.mu.Lock()
 		keys = append(keys, e.written[si]...)
 		e.written[si] = e.written[si][:0]
-		sh.Mu.Unlock()
+		st.mu.Unlock()
 	}
 	return keys
 }

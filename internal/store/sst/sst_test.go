@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"wren/internal/hlc"
@@ -157,9 +158,9 @@ func TestCrossTierGC(t *testing.T) {
 	}
 }
 
-// TestFlushSupersedesWAL: after a flush the run file exists, the WAL
-// generations it covers are gone, and a reopen serves the exact same
-// state with no duplicated versions.
+// TestFlushSupersedesWAL: after a flush the run file exists, the log
+// generation it covers is gone, the next one is in place, and a reopen
+// serves the exact same state with no duplicated versions.
 func TestFlushSupersedesWAL(t *testing.T) {
 	dir := t.TempDir()
 	e := mustOpen(t, Options{Dir: dir, Shards: 2, FlushBytes: -1})
@@ -169,14 +170,20 @@ func TestFlushSupersedesWAL(t *testing.T) {
 		e.Put(fmt.Sprintf("key-%d", i%11), ver)
 		ref.Put(fmt.Sprintf("key-%d", i%11), ver)
 	}
+	if st, err := os.Stat(filepath.Join(dir, "wal-000001.log")); err != nil || st.Size() == 0 {
+		t.Fatalf("generation 1 should hold the writes before the flush (err=%v)", err)
+	}
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "run-000001-000001.sst")); err != nil {
 		t.Fatalf("run file missing: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "wal-000001-00000.log")); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, "wal-000001.log")); !os.IsNotExist(err) {
 		t.Fatalf("superseded wal generation still present (err=%v)", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "wal-000002.log")); err != nil {
+		t.Fatalf("the next generation's log is missing: %v", err)
 	}
 	if e.Metrics().Flushes() != 1 {
 		t.Fatalf("Flushes = %d, want 1", e.Metrics().Flushes())
@@ -225,13 +232,13 @@ func TestCrashDuringFlush(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "run-000001-000001.sst")); err != nil {
 		t.Fatalf("run file missing after simulated crash: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "wal-000001-00000.log")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, "wal-000001.log")); err != nil {
 		t.Fatalf("superseded wal generation should still exist at the crash point: %v", err)
 	}
 
 	re := mustOpen(t, Options{Dir: dir, Shards: 2, FlushBytes: -1})
 	enginetest.RequireSameState(t, re, ref) // exact: no duplicates
-	if _, err := os.Stat(filepath.Join(dir, "wal-000001-00000.log")); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, "wal-000001.log")); !os.IsNotExist(err) {
 		t.Fatalf("recovery kept the superseded wal generation (err=%v)", err)
 	}
 	// And the recovered engine keeps working across another cycle.
@@ -418,11 +425,13 @@ func TestAutoFlushAndCompact(t *testing.T) {
 }
 
 // TestTornWALTail: a torn final record in the active generation is
-// truncated on recovery, everything before it replayed.
+// truncated on recovery, everything before it replayed, and an append
+// after recovery lands where the torn record began — so it survives the
+// next restart instead of hiding behind the torn bytes.
 func TestTornWALTail(t *testing.T) {
 	dir := t.TempDir()
-	e := mustOpen(t, Options{Dir: dir, Shards: 1, FlushBytes: -1})
-	logPath := filepath.Join(dir, "wal-000001-00000.log")
+	e := mustOpen(t, Options{Dir: dir, Shards: 4, FlushBytes: -1})
+	logPath := filepath.Join(dir, "wal-000001.log")
 
 	const puts = 30
 	sizes := make([]int64, 0, puts)
@@ -448,21 +457,33 @@ func TestTornWALTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re := mustOpen(t, Options{Dir: dir, Shards: 1, FlushBytes: -1})
-	defer re.Close()
-	if re.Metrics().TruncatedShards() != 1 {
-		t.Errorf("TruncatedShards = %d, want 1", re.Metrics().TruncatedShards())
+	re := mustOpen(t, Options{Dir: dir, Shards: 4, FlushBytes: -1})
+	if re.Metrics().TruncatedLogs() != 1 {
+		t.Errorf("TruncatedLogs = %d, want 1", re.Metrics().TruncatedLogs())
 	}
 	if re.Metrics().Recovered() != puts-1 {
 		t.Errorf("Recovered = %d, want %d", re.Metrics().Recovered(), puts-1)
 	}
 	enginetest.RequireSameState(t, re, ref)
+
+	after := v("after-recovery", 5000, 500)
+	re.Put("key-after", after)
+	ref.Put("key-after", after)
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re2 := mustOpen(t, Options{Dir: dir, Shards: 4, FlushBytes: -1})
+	defer re2.Close()
+	if re2.Metrics().TruncatedLogs() != 0 {
+		t.Errorf("second recovery found %d torn logs, want 0", re2.Metrics().TruncatedLogs())
+	}
+	enginetest.RequireSameState(t, re2, ref)
 }
 
 // TestAppendFailureSurfacesHealth: when the WAL append path breaks, the
 // engine keeps serving from memory but Healthy must report the failure
 // immediately — this is the signal the cluster uses to detect a
-// silently-frozen shard log.
+// silently-frozen log.
 func TestAppendFailureSurfacesHealth(t *testing.T) {
 	e := mustOpen(t, Options{Dir: t.TempDir(), Shards: 1, FlushBytes: -1})
 	e.Put("k", v("before", 1, 1))
@@ -470,11 +491,10 @@ func TestAppendFailureSurfacesHealth(t *testing.T) {
 		t.Fatalf("healthy engine reported %v", err)
 	}
 
-	// Break every write and truncate by closing the file under the shard.
-	sh := e.shards[0]
-	sh.Mu.Lock()
-	_ = sh.F.Close()
-	sh.Mu.Unlock()
+	// Break every write and truncate by closing the generation's file.
+	e.log.mu.Lock()
+	_ = e.log.F.Close()
+	e.log.mu.Unlock()
 
 	e.Put("k", v("during", 2, 2))
 	if err := e.Healthy(); err == nil {
@@ -489,10 +509,11 @@ func TestAppendFailureSurfacesHealth(t *testing.T) {
 	}
 }
 
-// TestShardCountPersistedAcrossReopen: the stripe count is fixed at
-// creation (sst.meta); reopening with a different Shards option must
-// adopt the persisted count.
-func TestShardCountPersistedAcrossReopen(t *testing.T) {
+// TestAnyShardCountReopens: the stripe count is not part of the disk
+// format — no file is per stripe — so a directory holding a run and an
+// active log generation reopens under any Shards value with the same
+// state, and a write made under one count replays under the next.
+func TestAnyShardCountReopens(t *testing.T) {
 	dir := t.TempDir()
 	e := mustOpen(t, Options{Dir: dir, Shards: 8, FlushBytes: -1})
 	ref := store.NewMemoryEngine(8)
@@ -501,27 +522,67 @@ func TestShardCountPersistedAcrossReopen(t *testing.T) {
 		e.Put(fmt.Sprintf("key-%d", i), ver)
 		ref.Put(fmt.Sprintf("key-%d", i), ver)
 	}
-	if err := e.Flush(); err != nil { // recovery must route run + wal alike
+	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	var kvs []store.KV
+	for i := 0; i < 32; i++ { // rewrites half the flushed keys, into the log
+		kvs = append(kvs, store.KV{Key: fmt.Sprintf("key-%d", 2*i), Version: v(fmt.Sprintf("new-%d", i), hlc.Timestamp(100+i), uint64(100+i))})
+	}
+	e.PutBatch(kvs)
+	ref.PutBatch(kvs)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, requested := range []int{2, 64, 0} {
+	for i, requested := range []int{2, 64, 0} {
 		re := mustOpen(t, Options{Dir: dir, Shards: requested, FlushBytes: -1})
-		if re.NumShards() != 8 {
-			t.Fatalf("reopen with Shards=%d: NumShards = %d, want persisted 8", requested, re.NumShards())
+		if want := store.ResolveShards(requested); re.NumShards() != want {
+			t.Fatalf("reopen with Shards=%d: NumShards = %d, want %d", requested, re.NumShards(), want)
 		}
 		enginetest.RequireSameState(t, re, ref)
+		key, ver := fmt.Sprintf("reopen-%d", i), v(fmt.Sprintf("under-%d", requested), hlc.Timestamp(1000+i), uint64(1000+i))
+		re.Put(key, ver)
+		ref.Put(key, ver)
 		if err := re.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := os.WriteFile(filepath.Join(dir, "sst.meta"), []byte("shards=7\n"), 0o644); err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(filepath.Join(dir, "sst.meta")); !os.IsNotExist(err) {
+		t.Fatalf("the engine wrote sst.meta (err=%v)", err)
 	}
-	if _, err := Open(Options{Dir: dir}); err == nil {
-		t.Error("Open with corrupt meta (non-power-of-two) should fail")
+}
+
+// TestOpenRefusesPerStripeLayout: a directory of the older layout — an
+// sst.meta, or a wal-<gen>-<stripe>.log — is refused with an error that
+// names the layout change, and left as it was.
+func TestOpenRefusesPerStripeLayout(t *testing.T) {
+	for _, name := range []string{"sst.meta", "wal-000001-00000.log"} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			e := mustOpen(t, Options{Dir: dir})
+			e.Put("k", v("x", 1, 1))
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), []byte("shards=64\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = Open(Options{Dir: dir})
+			if err == nil || !strings.Contains(err.Error(), "per-stripe log layout") || !strings.Contains(err.Error(), name) {
+				t.Fatalf("Open = %v, want a refusal naming %s and the layout change", err, name)
+			}
+			after, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(after) != len(before) {
+				t.Fatalf("the refused Open changed the directory: %d entries, was %d", len(after), len(before))
+			}
+		})
 	}
 }
 
@@ -647,10 +708,12 @@ func TestDeletedKeyStaysDeadAcrossFlushCrash(t *testing.T) {
 }
 
 // TestSyncBarrier pins the engine's side of "engine logs are a recovery
-// accelerator; the txlog is the WAL": the put path issues no fsync; Sync
-// covers exactly the dirty logs of the active generation; and a flush syncs what it
-// rotates out, so a Sync that runs while the run is still being written
-// need not look behind the active generation.
+// accelerator; the txlog is the WAL", as counts: the put path issues no
+// fsync; a Sync with unsynced appends issues exactly one (one generation,
+// one file, whatever stripes the appends came through) and a clean Sync
+// none; a flush syncs the generation it rotates out, once, so a Sync that
+// runs while the run is still being written need not look behind the
+// active generation; and Close issues one.
 func TestSyncBarrier(t *testing.T) {
 	batch := func(base int) []store.KV {
 		var kvs []store.KV
@@ -660,33 +723,38 @@ func TestSyncBarrier(t *testing.T) {
 		return kvs
 	}
 	e := mustOpen(t, Options{Dir: t.TempDir(), Shards: 8, FlushBytes: -1})
-	defer e.Close()
+	syncs := func(want int64, after string) {
+		t.Helper()
+		if got := e.Metrics().Syncs(); got != want {
+			t.Fatalf("after %s: %d fsyncs, want %d", after, got, want)
+		}
+	}
+	e.Sync()
+	syncs(0, "a Sync of a fresh engine")
 	for i := 0; i < 5; i++ {
 		e.PutBatch(batch(1000 * (i + 1)))
 	}
-	if got := e.Metrics().Syncs(); got != 0 {
-		t.Fatalf("put path issued %d fsyncs", got)
-	}
+	e.Put("single", v("y", 1, 1))
+	syncs(0, "the put path")
 	e.Sync()
-	first := e.Metrics().Syncs()
-	if first == 0 || first > 8 {
-		t.Fatalf("Sync issued %d fsyncs, want one per dirty shard log (1..8)", first)
-	}
+	syncs(1, "a Sync over appends through all 8 stripes")
 	e.Sync()
-	if got := e.Metrics().Syncs(); got != first {
-		t.Fatalf("Sync of a clean engine issued %d fsyncs", got-first)
-	}
+	syncs(1, "a Sync of a clean engine")
 
 	// Unsynced appends rotated out by a flush are synced by the flush.
 	e.PutBatch(batch(9000))
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Metrics().Syncs(); got != 2*first {
-		t.Fatalf("flush synced %d rotated-out logs, want %d", got-first, first)
-	}
+	syncs(2, "a flush rotating out unsynced appends")
 	e.Sync()
-	if got := e.Metrics().Syncs(); got != 2*first {
-		t.Fatalf("Sync after the flush issued %d fsyncs for a clean active generation", got-2*first)
+	syncs(2, "a Sync of the clean active generation after the flush")
+	if err := e.Flush(); err != nil { // nothing to flush: no rotation, no sync
+		t.Fatal(err)
 	}
+	syncs(2, "a flush of an empty memtable")
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	syncs(3, "Close")
 }

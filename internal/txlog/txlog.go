@@ -114,7 +114,6 @@ import (
 	"wren/internal/hlc"
 	"wren/internal/store/fsutil"
 	"wren/internal/store/logrec"
-	"wren/internal/store/shardlog"
 	"wren/internal/wire"
 )
 
@@ -271,7 +270,11 @@ type Log struct {
 	// sh.Mu guards both the file append state and the in-memory lifecycle
 	// state below — a single-file log needs no striping, and one lock
 	// keeps a record append atomic with its state transition.
-	sh shardlog.Shard
+	sh struct {
+		Mu  sync.Mutex
+		Enc *wire.Encoder // reusable append buffer
+		fsutil.Tail
+	}
 	// stopped (under sh.Mu) quiesces appends after Close: the network
 	// delivers messages on goroutines the server shutdown does not join,
 	// so a straggler acknowledgement arriving after Close must become a
@@ -638,7 +641,7 @@ func (l *Log) Repair() bool {
 	return true
 }
 
-// appendLocked frames one record into the shard encoder and appends it
+// appendLocked frames one record into the append buffer and appends it
 // into the zero-filled region, extending the region first when the record
 // would end within a quarter chunk of its end. Caller holds sh.Mu. After
 // Close the append quietly drops: straggler messages delivered during
@@ -665,7 +668,7 @@ func (l *Log) appendLocked(encode func(*wire.Encoder)) {
 			l.filled = end + chunk
 		}
 	}
-	l.sh.AppendLocked(l.onErr)
+	l.sh.Append(l.sh.Enc.Bytes(), l.onErr)
 	if l.sh.Size != end || l.filled < end {
 		// Past the region (its extension failed), or a failed append that
 		// was rolled back by truncating the file to the last record: the
@@ -1260,7 +1263,6 @@ func (l *Log) compactFlushLocked() []lazyWaiter {
 	l.filled = max(written+chunk, l.sh.Size)
 	l.base = snapLSN - written // the carried-over records keep their LSNs
 	l.sh.Failed = false        // the rewrite from retained state repairs a frozen log
-	l.sh.Dirty = tail > 0
 	l.appends -= marked
 	l.sh.Mu.Unlock()
 	// Last close of an unlinked file: the filesystem frees its blocks now,
