@@ -15,7 +15,6 @@ import (
 	"wren/internal/hlc"
 	"wren/internal/sharding"
 	"wren/internal/stats"
-	"wren/internal/wire"
 	"wren/internal/ycsb"
 )
 
@@ -52,8 +51,6 @@ type Result struct {
 	// Traffic during the measurement window.
 	ReplInterBytes uint64 // inter-DC replication + heartbeats
 	StabBytes      uint64 // intra-DC stabilization gossip
-	ClientBytes    uint64
-	TxBytes        uint64
 }
 
 // Preload writes every workload key once (from DC 0) and waits until the
@@ -227,13 +224,14 @@ func RunLoadPoint(cfg LoadConfig) (Result, error) {
 	}
 
 	time.Sleep(cfg.Warmup)
-	cl.Network().ResetStats()
+	before := cl.Network().Obs().Snapshot()
 	inWindow.Store(true)
 	windowStart := time.Now()
 	time.Sleep(cfg.Measure)
 	inWindow.Store(false)
 	window := time.Since(windowStart)
-	netStats := cl.Network().Stats()
+	after := cl.Network().Obs().Snapshot()
+	traffic := func(name string) uint64 { return after.Get(name) - before.Get(name) }
 	close(stop)
 	wg.Wait()
 
@@ -248,10 +246,8 @@ func RunLoadPoint(cfg LoadConfig) (Result, error) {
 		MeanLatMs:      latHist.Mean() / 1000,
 		P50LatMs:       float64(latHist.Percentile(50)) / 1000,
 		P99LatMs:       float64(latHist.Percentile(99)) / 1000,
-		ReplInterBytes: netStats.InterBytes[wire.ClassReplication],
-		StabBytes:      netStats.Bytes[wire.ClassStabilization],
-		ClientBytes:    netStats.Bytes[wire.ClassClient],
-		TxBytes:        netStats.Bytes[wire.ClassTransaction],
+		ReplInterBytes: traffic("net.inter_bytes.replication"),
+		StabBytes:      traffic("net.bytes.stabilization"),
 	}
 	if n > 0 {
 		res.BlockedShare = float64(blocked.Load()) / float64(n)

@@ -16,6 +16,7 @@ import (
 	"wren/internal/core"
 	"wren/internal/cure"
 	"wren/internal/hlc"
+	"wren/internal/obs"
 	"wren/internal/replica"
 	"wren/internal/session"
 	"wren/internal/transport"
@@ -197,7 +198,7 @@ type server interface {
 	Kill()
 	Healthy() error
 	EngineHealthy() error
-	ShedRequests() uint64
+	Obs() *obs.Registry
 }
 
 // New builds and starts a cluster.
@@ -482,31 +483,15 @@ func (c *Cluster) firstErr(check func(server) error) error {
 	return nil
 }
 
-// ShedRequests sums, across every server, the requests refused at
-// per-connection admission control (each answered with a BusyResp that the
-// client retried after backoff). Benchmarks report it so shedding under
-// overload is visible rather than silently folded into latency.
-func (c *Cluster) ShedRequests() uint64 {
+// Sum adds up one registry entry (see package obs) over every server:
+// "tx.committed" counts committed transactions, and "admission.shed" the
+// requests refused at per-connection admission (each answered with a
+// BusyResp that the client retried after backoff).
+func (c *Cluster) Sum(name string) uint64 {
 	var total uint64
 	for _, row := range c.servers {
 		for _, s := range row {
-			total += s.ShedRequests()
-		}
-	}
-	return total
-}
-
-// CommittedTxCount sums committed-transaction counters across all servers.
-func (c *Cluster) CommittedTxCount() uint64 {
-	var total uint64
-	for _, row := range c.servers {
-		for _, s := range row {
-			switch s := s.(type) {
-			case *core.Server:
-				total += s.Metrics().TxCommitted.Load()
-			case *cure.Server:
-				total += s.Metrics().TxCommitted.Load()
-			}
+			total += s.Obs().Value(name)
 		}
 	}
 	return total

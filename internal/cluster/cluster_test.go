@@ -165,8 +165,8 @@ func TestCommittedTxCount(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := cl.CommittedTxCount(); got != 5 {
-		t.Fatalf("CommittedTxCount = %d, want 5", got)
+	if got := cl.Sum("tx.committed"); got != 5 {
+		t.Fatalf("Sum(tx.committed) = %d, want 5", got)
 	}
 }
 

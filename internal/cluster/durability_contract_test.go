@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"wren/internal/hlc"
-	"wren/internal/store"
 	"wren/internal/store/sst"
 	"wren/internal/store/wal"
 )
@@ -24,16 +23,18 @@ import (
 // release barrier and of the flush of an idle log's lazy waiters.
 const lifecycleTick = time.Second
 
-// engineSyncs reads a durable engine's shard-log fsync counter.
-func engineSyncs(t *testing.T, e store.Engine) int64 {
+// engineSyncs reads a durable engine's log fsync counter from the
+// server's registry.
+func engineSyncs(t *testing.T, srv lifecycleServer) uint64 {
 	t.Helper()
-	switch e := e.(type) {
+	switch e := srv.Store().(type) {
 	case *wal.Engine:
-		return e.Metrics().Syncs()
+		return srv.Obs().Value("wal.syncs")
 	case *sst.Engine:
-		return e.Metrics().Syncs()
+		return srv.Obs().Value("sst.syncs")
+	default:
+		t.Fatalf("engine %T has no fsync counter", e)
 	}
-	t.Fatalf("engine %T has no fsync counter", e)
 	return 0
 }
 
@@ -43,8 +44,8 @@ func engineSyncs(t *testing.T, e store.Engine) int64 {
 // whole lifecycle tick away from the next barrier.
 func awaitBarrier(t *testing.T, srv lifecycleServer) {
 	t.Helper()
-	before := engineSyncs(t, srv.Store())
-	for deadline := time.Now().Add(5 * lifecycleTick); engineSyncs(t, srv.Store()) == before; time.Sleep(time.Millisecond) {
+	before := engineSyncs(t, srv)
+	for deadline := time.Now().Add(5 * lifecycleTick); engineSyncs(t, srv) == before; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("no release barrier synced the engine")
 		}
@@ -173,9 +174,9 @@ func TestFsyncsPerCommit(t *testing.T) {
 			k0 := keyOwnedBy("fsyncs-a", 0, cfg.NumPartitions)
 			k1 := keyOwnedBy("fsyncs-b", 1, cfg.NumPartitions)
 			p0, p1 := lifecycleServerAt(cl, 0, 0), lifecycleServerAt(cl, 0, 1)
-			counts := func() (txlog uint64, engine int64) {
-				return p0.TxLog().Syncs() + p1.TxLog().Syncs(),
-					engineSyncs(t, p0.Store()) + engineSyncs(t, p1.Store())
+			counts := func() (txlog, engine uint64) {
+				return p0.Obs().Value("txlog.syncs") + p1.Obs().Value("txlog.syncs"),
+					engineSyncs(t, p0) + engineSyncs(t, p1)
 			}
 			commitPair(t, client, k0, k1, "warm-up")
 
@@ -333,7 +334,7 @@ func testLazyCommitAck(t *testing.T, proto Protocol, backend string) {
 	k0, k1 := keyOwnedBy(prefix+"-a", 0, cfg.NumPartitions), keyOwnedBy(prefix+"-b", 1, cfg.NumPartitions)
 	coord, cohort := lifecycleServerAt(cl, 0, 0), lifecycleServerAt(cl, 0, 1)
 
-	before := cohort.TxLog().Syncs()
+	before := cohort.Obs().Value("txlog.syncs")
 	commitPair(t, client, k0, k1, "v")
 	acked := time.Now()
 	for len(coord.TxLog().CoordPending()) > 0 {
@@ -344,10 +345,10 @@ func testLazyCommitAck(t *testing.T, proto Protocol, backend string) {
 	}
 	// The cohort synced its PREPARE before voting; the ack needs a second
 	// sync, one that covers the COMMIT record appended after the decision.
-	if got := cohort.TxLog().Syncs(); got < before+2 {
+	if got := cohort.Obs().Value("txlog.syncs"); got < before+2 {
 		t.Fatalf("CommitAck arrived after %d cohort fsyncs: it preceded the sync of its COMMIT record", got-before)
 	}
-	if got := cohort.TxLog().Syncs(); got > before+2 {
+	if got := cohort.Obs().Value("txlog.syncs"); got > before+2 {
 		t.Fatalf("cohort paid %d fsyncs for one idle commit, want 2 (PREPARE, then the tick's flush)", got-before)
 	}
 	if red := coord.TxLog().RedrivePending(0); len(red) != 0 {
@@ -379,7 +380,7 @@ func TestReplicateAckFollowsBarrier(t *testing.T) {
 
 			type sent struct {
 				ct     hlc.Timestamp
-				syncs0 int64 // receiver's engine fsyncs before the commit existed
+				syncs0 uint64 // receiver's engine fsyncs before the commit existed
 			}
 			var batches []sent
 			var head hlc.Timestamp
@@ -387,7 +388,7 @@ func TestReplicateAckFollowsBarrier(t *testing.T) {
 			var longest time.Duration
 			check := func() {
 				cursor := origin.TxLog().Cursor(1)
-				syncs := engineSyncs(t, receiver.Store()) // read AFTER the cursor
+				syncs := engineSyncs(t, receiver) // read AFTER the cursor
 				for len(batches) > 0 && batches[0].ct <= cursor {
 					if syncs <= batches[0].syncs0 {
 						t.Fatalf("cursor passed commit %v with no engine barrier at the receiver since before it was written", batches[0].ct)
@@ -406,7 +407,7 @@ func TestReplicateAckFollowsBarrier(t *testing.T) {
 			// Long enough for the stall detector to trip, if anything would.
 			var last string
 			for start, i := time.Now(), 0; time.Since(start) < 4500*time.Millisecond; i++ {
-				syncs0 := engineSyncs(t, receiver.Store())
+				syncs0 := engineSyncs(t, receiver)
 				last = fmt.Sprint("v", i)
 				tx, err := client.Begin()
 				if err != nil {

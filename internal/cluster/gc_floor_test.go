@@ -132,7 +132,7 @@ func TestWrenGCFloorCoversRemoteSnapshot(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if cl.WrenServer(1, 0).Metrics().GCRemoved.Load() == 0 {
+	if cl.WrenServer(1, 0).Obs().Value("gc.removed") == 0 {
 		t.Fatal("GC never removed a version in DC 1: the test did not exercise the floor")
 	}
 }

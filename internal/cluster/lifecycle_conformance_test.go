@@ -8,6 +8,7 @@ import (
 
 	"wren/internal/core"
 	"wren/internal/cure"
+	"wren/internal/obs"
 	"wren/internal/store"
 	"wren/internal/txlog"
 )
@@ -63,6 +64,7 @@ func TestLifecycleConformance(t *testing.T) {
 // lifecycleServer is the per-server surface the degradation scenarios
 // need; both *core.Server and *cure.Server satisfy it.
 type lifecycleServer interface {
+	Obs() *obs.Registry
 	TxLog() *txlog.Log
 	Store() store.Engine
 	ReadOnly() bool

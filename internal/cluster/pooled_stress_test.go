@@ -137,8 +137,8 @@ func TestPooledPipeliningStress(t *testing.T) {
 		if n := p.Pending(); n != 0 {
 			t.Fatalf("pool leaks %d pending entries after drain", n)
 		}
-		t.Logf("pool stats: %+v, server sheds: %d, chaos: %+v",
-			p.Stats(), cl.ShedRequests(), cl.Chaos().Stats())
+		t.Logf("pool stats: %+v, server sheds: %d, chaos: %v",
+			p.Stats(), cl.Sum("admission.shed"), cl.Chaos().Obs().Snapshot())
 	} else {
 		t.Fatal("cluster built no pool despite ClientPoolLinks=1")
 	}

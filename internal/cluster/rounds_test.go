@@ -9,7 +9,6 @@ import (
 	"wren/internal/core"
 	"wren/internal/cure"
 	"wren/internal/transport/chaos"
-	"wren/internal/wire"
 )
 
 var allProtocols = []Protocol{Wren, Cure, HCure}
@@ -17,25 +16,12 @@ var allProtocols = []Protocol{Wren, Cure, HCure}
 // openTxContexts returns how many transaction contexts the coordinator at
 // (dc, partition) holds.
 func openTxContexts(cl *Cluster, dc, partition int) int {
-	return cl.servers[dc][partition].(interface{ OpenTxContexts() int }).OpenTxContexts()
+	return int(cl.servers[dc][partition].Obs().Value("ctx.open"))
 }
 
 // ctxExpired sums, over every server, the contexts the TTL sweep had to
 // expire because nobody committed or released them.
-func ctxExpired(cl *Cluster) uint64 {
-	var n uint64
-	for _, row := range cl.servers {
-		for _, s := range row {
-			switch s := s.(type) {
-			case *core.Server:
-				n += s.Metrics().CtxExpired.Load()
-			case *cure.Server:
-				n += s.Metrics().CtxExpired.Load()
-			}
-		}
-	}
-	return n
-}
+func ctxExpired(cl *Cluster) uint64 { return cl.Sum("ctx.expired") }
 
 // awaitOpenTxContexts polls, once a millisecond, until the coordinator
 // holds exactly want contexts. The bound is counted in polls rather than
@@ -111,12 +97,12 @@ func TestRoundsPerTransaction(t *testing.T) {
 				var calls, msgs uint64
 				for attempt := 0; attempt < 3; attempt++ {
 					c0 := cl.ClientPool(0).Stats().Calls
-					m0 := cl.Network().Stats().Msgs[wire.ClassClient]
+					m0 := cl.Network().Obs().Value("net.msgs.client")
 					for i := 0; i < n; i++ {
 						tx()
 					}
 					calls = cl.ClientPool(0).Stats().Calls - c0
-					msgs = cl.Network().Stats().Msgs[wire.ClassClient] - m0
+					msgs = cl.Network().Obs().Value("net.msgs.client") - m0
 					if calls == wantCalls && msgs == wantMsgs {
 						return
 					}
@@ -267,7 +253,7 @@ func TestContextReleaseSurvivesBeginFailover(t *testing.T) {
 			// the rule before the timeout so everything sent after it — the
 			// explicit release, the second attempt — travels normally.
 			const held = 300 * time.Millisecond
-			m0 := cl.Network().Stats().Msgs[wire.ClassClient]
+			m0 := cl.Network().Obs().Value("net.msgs.client")
 			cl.Chaos().SetClientRule(0, chaos.Rule{Delay: held})
 			ruleSet := time.Now()
 			lift := time.AfterFunc(held/6, func() { cl.Chaos().SetClientRule(0, chaos.Rule{}) })
@@ -295,7 +281,7 @@ func TestContextReleaseSurvivesBeginFailover(t *testing.T) {
 			// Held StartTxReq and its unclaimed response, one explicit release
 			// and its response, the second attempt and its response, and the
 			// release of the transaction begun on coordinator 1.
-			if got := cl.Network().Stats().Msgs[wire.ClassClient] - m0; got != 8 {
+			if got := cl.Network().Obs().Value("net.msgs.client") - m0; got != 8 {
 				t.Errorf("begin with failover cost %d client messages, want 8 (exactly one explicit release of the old context)", got)
 			}
 		})
@@ -414,7 +400,7 @@ func TestChaosReadOnlySessionsLeaveNoContext(t *testing.T) {
 			if total < sessions*iters/2 {
 				t.Fatalf("only %d of %d read-only transactions finished", total, sessions*iters)
 			}
-			faults := cl.Chaos().Stats()
+			faults := cl.Chaos().Obs().Snapshot()
 			cl.Chaos().ClearRules()
 
 			// Drain: the sessions are closed; what they could not release
@@ -422,7 +408,7 @@ func TestChaosReadOnlySessionsLeaveNoContext(t *testing.T) {
 			for p := 0; p < 2; p++ {
 				awaitOpenTxContexts(t, cl, 0, p, 0, cfg.Server.TxContextTTL+time.Second)
 			}
-			if expired, injected := ctxExpired(cl), faults.Dropped+faults.Duplicated; expired > injected {
+			if expired, injected := ctxExpired(cl), faults.Get("chaos.dropped")+faults.Get("chaos.duplicated"); expired > injected {
 				t.Errorf("TTL sweep expired %d contexts for %d injected faults over %d transactions: releases are not reaching the coordinators",
 					expired, injected, total)
 			}

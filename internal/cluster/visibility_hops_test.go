@@ -62,17 +62,19 @@ func commitKeys(t *testing.T, c Client, val string, keys ...string) hlc.Timestam
 // want — the per-partition lag gauge, as a failure message.
 func stragglers(cl *Cluster, dc, p int, want hlc.Timestamp) string {
 	srv := cl.WrenServer(dc, p)
-	local, remoteMin := srv.StableContributions()
+	reg := srv.Obs()
 	lst, rst := srv.StableTimes()
 	var b strings.Builder
 	fmt.Fprintf(&b, "dc%d/p%d: lst=%v rst=%v, want %v covered; contributions:", dc, p, lst, rst, want)
 	var behind []string
-	for q := range local {
-		fmt.Fprintf(&b, "\n  partition %d: local=%v remoteMin=%v", q, local[q], remoteMin[q])
-		if local[q] < want {
-			behind = append(behind, fmt.Sprintf("partition %d (local version clock %v behind)", q, want.Physical()-local[q].Physical()))
-		} else if cl.cfg.NumDCs > 1 && remoteMin[q] < want {
-			behind = append(behind, fmt.Sprintf("partition %d (remote entries %v behind)", q, want.Physical()-remoteMin[q].Physical()))
+	for q := range cl.cfg.NumPartitions {
+		local := hlc.Timestamp(reg.Value(fmt.Sprintf("stab.local.p%d", q)))
+		remoteMin := hlc.Timestamp(reg.Value(fmt.Sprintf("stab.remote_min.p%d", q)))
+		fmt.Fprintf(&b, "\n  partition %d: local=%v remoteMin=%v", q, local, remoteMin)
+		if local < want {
+			behind = append(behind, fmt.Sprintf("partition %d (local version clock %v behind)", q, want.Physical()-local.Physical()))
+		} else if cl.cfg.NumDCs > 1 && remoteMin < want {
+			behind = append(behind, fmt.Sprintf("partition %d (remote entries %v behind)", q, want.Physical()-remoteMin.Physical()))
 		}
 	}
 	fmt.Fprintf(&b, "\n  straggler: %s", strings.Join(behind, ", "))

@@ -2,14 +2,15 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
 	"wren/internal/fanin"
 	"wren/internal/hlc"
+	"wren/internal/obs"
 	"wren/internal/replica"
 	"wren/internal/sharding"
-	"wren/internal/stats"
 	"wren/internal/store"
 	"wren/internal/stripemap"
 	"wren/internal/transport"
@@ -59,15 +60,10 @@ type readScratch struct {
 	vers    []*store.Version
 }
 
-// Metrics exposes server-side counters for tests and the benchmark harness.
+// Metrics is the view of the server's registry (Obs) that the benchmark
+// compiles against: five of its counters, under the names it reads.
 type Metrics struct {
-	TxStarted     stats.Counter
-	TxCommitted   stats.Counter
-	SlicesServed  stats.Counter
-	ReplTxApplied stats.Counter
-	GCRemoved     stats.Counter
-	GCKeysDropped stats.Counter
-	CtxExpired    stats.Counter
+	TxStarted, TxCommitted, SlicesServed, ReplTxApplied, GCRemoved *obs.Counter
 }
 
 // Server is one Wren partition server p_n^m: the protocol-specific half —
@@ -112,7 +108,8 @@ type Server struct {
 	// demand for an apply pass; see ObserveStable.
 	seen hlc.AtomicTimestamp
 
-	metrics Metrics
+	metrics    Metrics
+	ctxExpired *obs.Counter
 }
 
 // NewServer constructs a Wren partition server. Call Start to register it
@@ -131,17 +128,31 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		peerLocal:     hlc.NewAtomicVector(cfg.NumPartitions),
 		peerRemoteMin: hlc.NewAtomicVector(cfg.NumPartitions),
 	}
-	rt, err := replica.New("core", cfg, (*wrenProtocol)(s), replica.Counters{
-		TxCommitted:   &s.metrics.TxCommitted,
-		ReplTxApplied: &s.metrics.ReplTxApplied,
-		GCRemoved:     &s.metrics.GCRemoved,
-		GCKeysDropped: &s.metrics.GCKeysDropped,
-	})
+	rt, err := replica.New("core", cfg, (*wrenProtocol)(s))
 	if err != nil {
 		return nil, err
 	}
 	s.rt = rt
 	s.st = rt.Engine()
+	reg := rt.Obs()
+	s.metrics = Metrics{
+		TxStarted:     reg.Counter("tx.started"),
+		TxCommitted:   reg.Counter("tx.committed"),
+		SlicesServed:  reg.Counter("read.slices_served"),
+		ReplTxApplied: reg.Counter("repl.tx_applied"),
+		GCRemoved:     reg.Counter("gc.removed"),
+	}
+	s.ctxExpired = reg.Counter("ctx.expired")
+	// Open transaction contexts (each pins the version-GC floor), and what
+	// each partition of the DC has contributed to the stable times:
+	// stab.local.pN and stab.remote_min.pN are the highest local version
+	// clock and minimum remote entry partition N published here, LST and
+	// RST their minima. The partition holding a minimum is the straggler.
+	reg.Func("ctx.open", func() uint64 { return uint64(s.txCtx.Len()) })
+	for p := range cfg.NumPartitions {
+		reg.Func(fmt.Sprintf("stab.local.p%d", p), func() uint64 { return uint64(s.peerLocal.Load(p)) })
+		reg.Func(fmt.Sprintf("stab.remote_min.p%d", p), func() uint64 { return uint64(s.peerRemoteMin.Load(p)) })
+	}
 	s.readPool.New = func() any {
 		rs := &readScratch{pred: cantorPred{localDC: uint8(cfg.DC)}}
 		// Bind the method value once: reusing it is what keeps the
@@ -156,8 +167,12 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // ID returns the server's node id.
 func (s *Server) ID() transport.NodeID { return s.rt.ID() }
 
-// Metrics returns the server's counters.
+// Metrics returns the benchmark's view of the server's counters.
 func (s *Server) Metrics() *Metrics { return &s.metrics }
+
+// Obs returns the server's metrics registry: the runtime's, the protocol's,
+// the engine's and the transaction log's counters and gauges.
+func (s *Server) Obs() *obs.Registry { return s.rt.Obs() }
 
 // Store exposes the underlying storage engine (read-only use in tests).
 func (s *Server) Store() store.Engine { return s.st }
@@ -188,7 +203,7 @@ func (s *Server) TxLog() *txlog.Log { return s.rt.TxLog() }
 // ShedRequests counts requests refused at per-connection admission (each
 // answered with a BusyResp before any processing) since the server
 // started.
-func (s *Server) ShedRequests() uint64 { return s.rt.ShedCount() }
+func (s *Server) ShedRequests() uint64 { return s.rt.Obs().Value("admission.shed") }
 
 // Start registers the server on the network and launches the shared
 // runtime's apply, stabilization (ΔG), garbage-collection and lifecycle
@@ -213,16 +228,6 @@ func (s *Server) StableTimes() (lst, rst hlc.Timestamp) {
 	return s.lst.Load(), s.rst.Load()
 }
 
-// StableContributions returns what each partition of the DC has
-// contributed to this server's stable times: local[p] and remoteMin[p] are
-// the highest local version clock and minimum remote entry partition p has
-// published here (this server's own at its index), and LST and RST are the
-// minima over them. The partition holding a minimum is the straggler — the
-// per-partition lag gauge, read-only.
-func (s *Server) StableContributions() (local, remoteMin []hlc.Timestamp) {
-	return s.peerLocal.Snapshot(nil), s.peerRemoteMin.Snapshot(nil)
-}
-
 // VersionVector returns a copy of the server's version vector.
 func (s *Server) VersionVector() []hlc.Timestamp {
 	return s.rt.VV.Snapshot(nil)
@@ -233,11 +238,6 @@ func (s *Server) VersionVector() []hlc.Timestamp {
 func (s *Server) LocalVersionClock() hlc.Timestamp {
 	return s.rt.VV.Load(s.cfg.DC)
 }
-
-// OpenTxContexts returns the number of transaction contexts this
-// coordinator holds: transactions begun here and not yet committed,
-// released or expired. Each one pins the version-GC floor.
-func (s *Server) OpenTxContexts() int { return s.txCtx.Len() }
 
 // newTxID delegates to the runtime's durable id-block reservation.
 func (s *Server) newTxID() uint64 { return s.rt.NewTxID() }
@@ -396,7 +396,7 @@ func (p *wrenProtocol) OldestActiveSnapshot(now time.Time) hlc.Timestamp {
 	})
 	for _, id := range expired {
 		if _, ok := s.txCtx.LoadAndDelete(id); ok {
-			s.metrics.CtxExpired.Inc()
+			s.ctxExpired.Inc()
 		}
 	}
 	return oldest

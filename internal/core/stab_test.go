@@ -62,11 +62,12 @@ func TestObserveStableRefusesStrangers(t *testing.T) {
 	(*wrenProtocol)(s).ObserveStable(2, stab)
 	s.rt.ObserveStable(transport.ClientID(0, 1), stab) // a client, not a partition
 	s.rt.ObserveStable(transport.ServerID(1, 1), stab) // partition 1 of another DC
-	if local, remoteMin := s.StableContributions(); local[1] != 0 || remoteMin[1] != 0 {
+	reg := s.Obs()
+	if local, remoteMin := reg.Value("stab.local.p1"), reg.Value("stab.remote_min.p1"); local != 0 || remoteMin != 0 {
 		t.Fatalf("a stranger's stamp was folded: local %v remoteMin %v", local, remoteMin)
 	}
 	s.rt.ObserveStable(transport.ServerID(0, 1), stab)
-	if local, _ := s.StableContributions(); local[1] != 100 {
+	if local := reg.Value("stab.local.p1"); local != 100 {
 		t.Fatalf("partition 1's own stamp was not folded: local %v", local)
 	}
 }

@@ -238,7 +238,7 @@ func TestCureReadsBlockOnClockSkew(t *testing.T) {
 		t.Fatal("Cure reads should block when the coordinator clock is ahead")
 	}
 	srv := tc.servers[0][1]
-	if srv.Metrics().BlockedReads.Load() == 0 {
+	if srv.Obs().Value("read.blocked") == 0 {
 		t.Fatal("server should have recorded blocked reads")
 	}
 }

@@ -7,9 +7,9 @@ import (
 
 	"wren/internal/fanin"
 	"wren/internal/hlc"
+	"wren/internal/obs"
 	"wren/internal/replica"
 	"wren/internal/sharding"
-	"wren/internal/stats"
 	"wren/internal/store"
 	"wren/internal/stripemap"
 	"wren/internal/transport"
@@ -58,20 +58,6 @@ type readScratch struct {
 	vers    []*store.Version
 }
 
-// Metrics exposes Cure server counters; BlockedReads/BlockedMicros feed the
-// paper's Figure 3b.
-type Metrics struct {
-	TxStarted     stats.Counter
-	TxCommitted   stats.Counter
-	SlicesServed  stats.Counter
-	BlockedReads  stats.Counter
-	BlockedMicros stats.Counter
-	ReplTxApplied stats.Counter
-	GCRemoved     stats.Counter
-	GCKeysDropped stats.Counter
-	CtxExpired    stats.Counter
-}
-
 // Server is one Cure/H-Cure partition server: the vector-snapshot half —
 // snapshot-vector assignment, the parked-reader (blocking) read path, and
 // the full-vector stabilization gossip — over the shared replica runtime,
@@ -106,7 +92,9 @@ type Server struct {
 	waiters []*waiter
 	peerVV  [][]hlc.Timestamp // last gossiped VV per peer partition
 
-	metrics Metrics
+	// The protocol's counters in the server's registry (Obs); read.blocked
+	// and read.blocked_us feed the paper's Figure 3b.
+	txStarted, slicesServed, blockedReads, blockedMicros, ctxExpired *obs.Counter
 }
 
 // NewServer constructs a Cure or H-Cure partition server.
@@ -127,17 +115,17 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	for p := range s.peerVV {
 		s.peerVV[p] = make([]hlc.Timestamp, cfg.NumDCs)
 	}
-	rt, err := replica.New("cure", cfg, (*cureProtocol)(s), replica.Counters{
-		TxCommitted:   &s.metrics.TxCommitted,
-		ReplTxApplied: &s.metrics.ReplTxApplied,
-		GCRemoved:     &s.metrics.GCRemoved,
-		GCKeysDropped: &s.metrics.GCKeysDropped,
-	})
+	rt, err := replica.New("cure", cfg, (*cureProtocol)(s))
 	if err != nil {
 		return nil, err
 	}
 	s.rt = rt
 	s.st = rt.Engine()
+	reg := rt.Obs()
+	s.txStarted, s.slicesServed = reg.Counter("tx.started"), reg.Counter("read.slices_served")
+	s.blockedReads, s.blockedMicros = reg.Counter("read.blocked"), reg.Counter("read.blocked_us")
+	s.ctxExpired = reg.Counter("ctx.expired")
+	reg.Func("ctx.open", func() uint64 { return uint64(s.txCtx.Len()) })
 	s.readPool.New = func() any {
 		rs := &readScratch{}
 		rs.visible = rs.pred.visible
@@ -150,8 +138,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // ID returns the server's node id.
 func (s *Server) ID() transport.NodeID { return s.rt.ID() }
 
-// Metrics returns the server's counters.
-func (s *Server) Metrics() *Metrics { return &s.metrics }
+// Obs returns the server's metrics registry (see core.Server.Obs).
+func (s *Server) Obs() *obs.Registry { return s.rt.Obs() }
 
 // Store exposes the underlying storage engine for tests.
 func (s *Server) Store() store.Engine { return s.st }
@@ -171,11 +159,6 @@ func (s *Server) ReadOnly() bool { return s.rt.Healthy() != nil }
 // TxLog exposes the transaction log for tests.
 func (s *Server) TxLog() *txlog.Log { return s.rt.TxLog() }
 
-// ShedRequests counts requests refused at per-connection admission (each
-// answered with a BusyResp before any processing) since the server
-// started.
-func (s *Server) ShedRequests() uint64 { return s.rt.ShedCount() }
-
 // Start registers the server and launches the runtime's background loops.
 func (s *Server) Start() { s.rt.Start() }
 
@@ -187,10 +170,6 @@ func (s *Server) Stop() { s.rt.Stop() }
 // courtesy replies to parked readers), simulating a hard kill for
 // recovery tests; see core.Server.Kill.
 func (s *Server) Kill() { s.rt.Kill() }
-
-// OpenTxContexts returns the number of transaction contexts this
-// coordinator holds (see core.Server.OpenTxContexts).
-func (s *Server) OpenTxContexts() int { return s.txCtx.Len() }
 
 // StableVector returns a copy of the server's global stable vector.
 func (s *Server) StableVector() []hlc.Timestamp {
@@ -358,7 +337,7 @@ func (p *cureProtocol) OldestActiveSnapshot(now time.Time) hlc.Timestamp {
 	})
 	for _, id := range expired {
 		if _, ok := s.txCtx.LoadAndDelete(id); ok {
-			s.metrics.CtxExpired.Inc()
+			s.ctxExpired.Inc()
 		}
 	}
 	s.rt.SnapMu.Lock()
@@ -447,7 +426,7 @@ func (s *Server) handleStartTx(from transport.NodeID, m *wire.StartTxReq) {
 	s.txCtx.Store(id, &txContext{sv: sv, created: time.Now()})
 	s.rt.SnapMu.RUnlock()
 
-	s.metrics.TxStarted.Inc()
+	s.txStarted.Inc()
 	s.rt.Send(from, &wire.StartTxResp{ReqID: m.ReqID, TxID: id, SV: sv})
 }
 
@@ -562,10 +541,10 @@ func (s *Server) serveSlice(to transport.NodeID, reqID uint64, keys []string, sv
 	rs.pred.sv = nil // do not pin the snapshot vector in the pool
 	clear(rs.vers)   // nor GC-able version chains
 	s.readPool.Put(rs)
-	s.metrics.SlicesServed.Inc()
+	s.slicesServed.Inc()
 	if blocked > 0 {
-		s.metrics.BlockedReads.Inc()
-		s.metrics.BlockedMicros.Add(uint64(blocked.Microseconds()))
+		s.blockedReads.Inc()
+		s.blockedMicros.Add(uint64(blocked.Microseconds()))
 	}
 	resp.BlockedMicros = blocked.Microseconds()
 	s.rt.Send(to, resp)

@@ -275,7 +275,7 @@ func (r *Runtime) Commit(from transport.NodeID, m *wire.CommitReq, makePrepare f
 		if !r.proto.BeforeCommitReply(ct) {
 			return
 		}
-		r.ctr.TxCommitted.Inc()
+		r.txCommitted.Inc()
 		r.Send(from, &wire.CommitResp{ReqID: m.ReqID, CT: ct})
 	})
 }

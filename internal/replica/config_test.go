@@ -91,7 +91,7 @@ func TestServerOpensDefaultShards(t *testing.T) {
 			if err := cfg.Validate("proto"); err != nil {
 				t.Fatal(err)
 			}
-			r, err := New("proto", cfg, nopProtocol{}, Counters{})
+			r, err := New("proto", cfg, nopProtocol{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -184,8 +184,8 @@ func (r *Runtime) gcTick() {
 
 	if threshold > 0 {
 		res := r.st.GCStats(threshold)
-		r.ctr.GCRemoved.Add(uint64(res.Removed))
-		r.ctr.GCKeysDropped.Add(uint64(res.DroppedKeys))
+		r.gcRemoved.Add(uint64(res.Removed))
+		r.gcKeysDropped.Add(uint64(res.DroppedKeys))
 	}
 }
 
@@ -226,12 +226,9 @@ func (r *Runtime) ReleaseClient(from transport.NodeID) {
 // pushback. A BusyResp proves the request did not execute, so the client
 // may resend it — even a CommitReq — after a backoff.
 func (r *Runtime) Shed(from transport.NodeID, reqID uint64) {
-	r.shedCount.Add(1)
+	r.shed.Inc()
 	r.Send(from, &wire.BusyResp{ReqID: reqID})
 }
-
-// ShedCount returns how many client requests admission control refused.
-func (r *Runtime) ShedCount() uint64 { return r.shedCount.Load() }
 
 func (r *Runtime) admissionCounter(from transport.NodeID) *atomic.Int64 {
 	r.admMu.RLock()

@@ -183,7 +183,7 @@ func (r *Runtime) handleReplicate(m *wire.Replicate) {
 		puts = r.proto.AppendRemotePuts(puts, m.SrcDC, &m.Txs[i], skip)
 	}
 	r.st.PutBatch(puts)
-	r.ctr.ReplTxApplied.Add(uint64(len(puts)))
+	r.replTxApplied.Add(uint64(len(puts)))
 	r.replWM.Advance(int(m.SrcDC), last)
 	r.VV.Advance(int(m.SrcDC), last)
 	r.proto.AfterInstall()

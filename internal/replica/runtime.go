@@ -51,7 +51,6 @@ package replica
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -59,7 +58,7 @@ import (
 
 	"wren/internal/fanin"
 	"wren/internal/hlc"
-	"wren/internal/stats"
+	"wren/internal/obs"
 	"wren/internal/store"
 	"wren/internal/store/backend"
 	"wren/internal/stripemap"
@@ -133,15 +132,6 @@ type Protocol interface {
 	HandleMessage(from transport.NodeID, m wire.Message)
 }
 
-// Counters are the runtime-maintained metrics, pointing into the owning
-// server's Metrics struct so the public Metrics() API is unchanged.
-type Counters struct {
-	TxCommitted   *stats.Counter
-	ReplTxApplied *stats.Counter
-	GCRemoved     *stats.Counter
-	GCKeysDropped *stats.Counter
-}
-
 // Runtime is the shared replica core under one partition server. The
 // protocol server owns the public API and the read path; the runtime owns
 // the writer state, the durable lifecycle and every background loop.
@@ -151,13 +141,15 @@ type Counters struct {
 // atomic, per-request bookkeeping lives in striped maps, and mu guards
 // only writer state (the pending/commit lists and GC aggregation).
 type Runtime struct {
-	// name tags errors and shutdown diagnostics with the owning protocol
-	// package ("core", "cure").
-	name  string
 	cfg   Config
 	proto Protocol
-	ctr   Counters
 	id    transport.NodeID
+
+	// reg is the server's one metrics registry (see package obs): the
+	// runtime creates it, registers its own counters and attaches the
+	// engine and the transaction log, and the protocol registers its own.
+	reg                                                        *obs.Registry
+	txCommitted, replTxApplied, gcRemoved, gcKeysDropped, shed *obs.Counter
 
 	// Clock is the server's hybrid logical clock. It is exported for the
 	// protocol's snapshot assignment; mutating calls that must be atomic
@@ -214,7 +206,6 @@ type Runtime struct {
 	// read-locked lookup plus one atomic add.
 	admMu     sync.RWMutex
 	admission map[transport.NodeID]*atomic.Int64
-	shedCount atomic.Uint64
 
 	// unreleased (under relMu) is what the next engine barrier covers: the
 	// ids of transactions written to the engine since the last one, and
@@ -309,12 +300,13 @@ type Runtime struct {
 
 // New opens the storage engine and transaction log, replays recovery
 // state through the protocol's put renderer, and returns a runtime ready
-// for Start. name is the owning protocol package ("core", "cure"). cfg must
+// for Start. name is the owning protocol package ("core", "cure"); with the
+// server's DC and partition it names the registry's events. cfg must
 // already be filled and validated (the protocol constructor does both, so
 // it can keep the filled copy). proto may rely only on its configuration
 // during New — the runtime pointer is handed to it by its own constructor
 // afterwards.
-func New(name string, cfg Config, proto Protocol, ctr Counters) (*Runtime, error) {
+func New(name string, cfg Config, proto Protocol) (*Runtime, error) {
 	// Engine logs are a recovery accelerator; the txlog is the WAL. An
 	// engine never syncs on its own: Runtime.release runs its Sync as a
 	// barrier before any log forgets a record.
@@ -335,11 +327,20 @@ func New(name string, cfg Config, proto Protocol, ctr Counters) (*Runtime, error
 		_ = eng.Close()
 		return nil, fmt.Errorf("%s: open txlog: %w", name, err)
 	}
+	reg := obs.New(fmt.Sprintf("%s dc%d/p%d", name, cfg.DC, cfg.Partition))
+	tl.Observe(reg)
+	if o, ok := eng.(interface{ Observe(*obs.Registry) }); ok {
+		o.Observe(reg)
+	}
 	r := &Runtime{
-		name:           name,
 		cfg:            cfg,
 		proto:          proto,
-		ctr:            ctr,
+		reg:            reg,
+		txCommitted:    reg.Counter("tx.committed"),
+		replTxApplied:  reg.Counter("repl.tx_applied"),
+		gcRemoved:      reg.Counter("gc.removed"),
+		gcKeysDropped:  reg.Counter("gc.keys_dropped"),
+		shed:           reg.Counter("admission.shed"),
 		id:             transport.ServerID(cfg.DC, cfg.Partition),
 		Clock:          hlc.NewClock(cfg.ClockSource),
 		st:             eng,
@@ -406,6 +407,9 @@ func (r *Runtime) Engine() store.Engine { return r.st }
 
 // TxLog exposes the transaction log.
 func (r *Runtime) TxLog() *txlog.Log { return r.tl }
+
+// Obs returns the server's metrics registry.
+func (r *Runtime) Obs() *obs.Registry { return r.reg }
 
 // Healthy reports the first durability failure of the server's write path
 // — storage engine or transaction log — or nil while both are intact. The
@@ -509,10 +513,10 @@ func (r *Runtime) shutdown(kill bool) {
 		// The engine surfaces its first append/sync failure here; it
 		// must not vanish silently — acknowledged commits may not have
 		// reached disk.
-		fmt.Fprintf(os.Stderr, "%s: dc%d/p%d store close: %v\n", r.name, r.cfg.DC, r.cfg.Partition, err)
+		r.reg.Event("store.close_failed", "err", err)
 	}
 	if err := r.tl.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "%s: dc%d/p%d txlog close: %v\n", r.name, r.cfg.DC, r.cfg.Partition, err)
+		r.reg.Event("txlog.close_failed", "err", err)
 	}
 }
 

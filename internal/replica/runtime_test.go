@@ -6,9 +6,10 @@ import (
 	"time"
 
 	"wren/internal/hlc"
+	"wren/internal/obs"
 	"wren/internal/sharding"
-	"wren/internal/stats"
 	"wren/internal/store"
+	"wren/internal/store/backend"
 	"wren/internal/transport"
 	"wren/internal/txlog"
 	"wren/internal/wire"
@@ -88,10 +89,7 @@ func newNode(t *testing.T, net *transport.Memory, dc, partition, numDCs, numPart
 		t.Fatal(err)
 	}
 	proto := &fakeProto{}
-	r, err := New("test", cfg, proto, Counters{
-		TxCommitted: new(stats.Counter), ReplTxApplied: new(stats.Counter),
-		GCRemoved: new(stats.Counter), GCKeysDropped: new(stats.Counter),
-	})
+	r, err := New("test", cfg, proto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,4 +310,47 @@ func TestDegradedTxLogRefusesWrites(t *testing.T) {
 		t.Fatalf("the degraded coordinator started a 2PC: %T reached a cohort", m)
 	default:
 	}
+}
+
+// TestEventsNameTheServer: every event a server's parts log names the
+// server. The memory backend's file-less txlog says which server degraded,
+// not an empty directory, and a failure the engine or the txlog surfaces
+// only at Close is logged when the runtime stops.
+func TestEventsNameTheServer(t *testing.T) {
+	degraded, cancel := obs.Subscribe("txlog.degraded")
+	defer cancel()
+	storeClose, cancel2 := obs.Subscribe("store.close_failed")
+	defer cancel2()
+	txlogClose, cancel3 := obs.Subscribe("txlog.close_failed")
+	defer cancel3()
+	expect := func(ch <-chan obs.Event, want string) {
+		t.Helper()
+		select {
+		case e := <-ch:
+			if e.String() != want {
+				t.Fatalf("event %q, want %q", e, want)
+			}
+		default:
+			t.Fatalf("no event %q", want)
+		}
+	}
+
+	net := newNet(t)
+	n := newNode(t, net, 0, 1, 1, 2, nil)
+	n.TxLog().InjectFailure(errors.New("disk gone"))
+	expect(degraded, "test dc0/p1: txlog.degraded err=disk gone")
+
+	cfg := Config{NumDCs: 1, NumPartitions: 2, Network: net, StoreBackend: backend.WAL, DataDir: t.TempDir()}
+	cfg.FillDefaults()
+	proto := &fakeProto{}
+	r, err := New("test", cfg, proto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proto.rt = r
+	r.Engine().(interface{ InjectFailure(error) }).InjectFailure(errors.New("engine gone"))
+	r.TxLog().InjectFailure(errors.New("log gone"))
+	r.Stop()
+	expect(storeClose, "test dc0/p0: store.close_failed err=engine gone")
+	expect(txlogClose, "test dc0/p0: txlog.close_failed err=log gone")
 }

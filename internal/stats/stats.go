@@ -1,12 +1,11 @@
-// Package stats provides the measurement primitives used by the benchmark
-// harness: concurrent histograms with percentile queries, CDF extraction
-// (the paper's Figure 7b), running counters and rate computation.
+// Package stats provides the measurement primitives: concurrent
+// histograms with percentile queries and CDF extraction (the paper's
+// Figure 7b), and the counter that internal/obs registers.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -190,33 +189,6 @@ func (h *Histogram) CDF(maxPoints int) []CDFPoint {
 	return pts
 }
 
-// Merge folds other into h.
-func (h *Histogram) Merge(other *Histogram) {
-	other.mu.Lock()
-	counts := make([]uint64, len(other.counts))
-	copy(counts, other.counts)
-	total, sum, mn, mx := other.total, other.sum, other.minimum, other.maximum
-	other.mu.Unlock()
-
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i, c := range counts {
-		if i < len(h.counts) {
-			h.counts[i] += c
-		}
-	}
-	h.total += total
-	h.sum += sum
-	if total > 0 {
-		if mn < h.minimum {
-			h.minimum = mn
-		}
-		if mx > h.maximum {
-			h.maximum = mx
-		}
-	}
-}
-
 // Counter is a concurrency-safe monotonically increasing counter.
 type Counter struct {
 	v atomic.Uint64
@@ -230,80 +202,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v.Load() }
-
-// MeanOf returns the arithmetic mean of a float64 slice, or 0 if empty.
-func MeanOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// PercentileOf returns the p-th percentile of a slice by sorting a copy.
-// It returns 0 for an empty slice.
-func PercentileOf(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	sort.Float64s(cp)
-	if p <= 0 {
-		return cp[0]
-	}
-	if p >= 100 {
-		return cp[len(cp)-1]
-	}
-	rank := p / 100 * float64(len(cp)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return cp[lo]
-	}
-	frac := rank - float64(lo)
-	return cp[lo]*(1-frac) + cp[hi]*frac
-}
-
-// MeanCDF averages several per-partition CDFs pointwise by percentile, the
-// way the paper computes Figure 7b ("we first obtain the CDF on every
-// partition and then we compute the mean for each percentile").
-func MeanCDF(cdfs [][]CDFPoint, percentiles []float64) []CDFPoint {
-	if len(cdfs) == 0 {
-		return nil
-	}
-	out := make([]CDFPoint, 0, len(percentiles))
-	for _, p := range percentiles {
-		var sum float64
-		var n int
-		for _, cdf := range cdfs {
-			v, ok := valueAtFraction(cdf, p)
-			if ok {
-				sum += float64(v)
-				n++
-			}
-		}
-		if n > 0 {
-			out = append(out, CDFPoint{Value: int64(sum / float64(n)), Fraction: p})
-		}
-	}
-	return out
-}
-
-func valueAtFraction(cdf []CDFPoint, frac float64) (int64, bool) {
-	if len(cdf) == 0 {
-		return 0, false
-	}
-	for _, pt := range cdf {
-		if pt.Fraction >= frac {
-			return pt.Value, true
-		}
-	}
-	return cdf[len(cdf)-1].Value, true
-}
 
 // FormatMicros renders a microsecond quantity as a human-friendly string.
 func FormatMicros(us int64) string {

@@ -112,26 +112,6 @@ func TestHistogramCDFMonotoneAndComplete(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	a.Record(100)
-	a.Record(200)
-	b.Record(300)
-	a.Merge(b)
-	if a.Count() != 3 {
-		t.Errorf("merged Count = %d, want 3", a.Count())
-	}
-	if a.Max() != 300 {
-		t.Errorf("merged Max = %d, want 300", a.Max())
-	}
-	if a.Min() != 100 {
-		t.Errorf("merged Min = %d, want 100", a.Min())
-	}
-	if got := a.Mean(); math.Abs(got-200) > 1e-9 {
-		t.Errorf("merged Mean = %f, want 200", got)
-	}
-}
-
 func TestHistogramConcurrentRecord(t *testing.T) {
 	h := NewHistogram()
 	var wg sync.WaitGroup
@@ -175,57 +155,6 @@ func TestCounter(t *testing.T) {
 	wg.Wait()
 	if got := c.Load(); got != 4*1000+4*10 {
 		t.Errorf("Counter = %d, want 4040", got)
-	}
-}
-
-func TestMeanOf(t *testing.T) {
-	if MeanOf(nil) != 0 {
-		t.Error("MeanOf(nil) should be 0")
-	}
-	if got := MeanOf([]float64{1, 2, 3}); math.Abs(got-2) > 1e-12 {
-		t.Errorf("MeanOf = %f, want 2", got)
-	}
-}
-
-func TestPercentileOf(t *testing.T) {
-	xs := []float64{5, 1, 4, 2, 3}
-	tests := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 1},
-		{50, 3},
-		{100, 5},
-	}
-	for _, tt := range tests {
-		if got := PercentileOf(xs, tt.p); math.Abs(got-tt.want) > 1e-9 {
-			t.Errorf("PercentileOf(%v) = %f, want %f", tt.p, got, tt.want)
-		}
-	}
-	// Input must not be mutated.
-	if xs[0] != 5 {
-		t.Error("PercentileOf must not mutate its input")
-	}
-	if PercentileOf(nil, 50) != 0 {
-		t.Error("PercentileOf(nil) should be 0")
-	}
-}
-
-func TestMeanCDF(t *testing.T) {
-	cdf1 := []CDFPoint{{Value: 100, Fraction: 0.5}, {Value: 200, Fraction: 1.0}}
-	cdf2 := []CDFPoint{{Value: 300, Fraction: 0.5}, {Value: 400, Fraction: 1.0}}
-	out := MeanCDF([][]CDFPoint{cdf1, cdf2}, []float64{0.5, 1.0})
-	if len(out) != 2 {
-		t.Fatalf("MeanCDF returned %d points, want 2", len(out))
-	}
-	if out[0].Value != 200 {
-		t.Errorf("mean at 0.5 = %d, want 200", out[0].Value)
-	}
-	if out[1].Value != 300 {
-		t.Errorf("mean at 1.0 = %d, want 300", out[1].Value)
-	}
-	if MeanCDF(nil, []float64{0.5}) != nil {
-		t.Error("MeanCDF(nil) should be nil")
 	}
 }
 

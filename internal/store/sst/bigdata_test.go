@@ -149,13 +149,13 @@ func TestLevelCompactionBounded(t *testing.T) {
 
 	// Two small level-0 runs: the second flush completes a level-0 group
 	// and triggers its merge — without touching the big run.
-	base := e.Metrics().CompactionBytes()
+	base := e.compactionBytes.Load()
 	fillRun(t, e, "s1-", 4, 16, 10_000)
 	fillRun(t, e, "s2-", 4, 16, 20_000)
 	if got := e.Metrics().Compactions(); got != 1 {
 		t.Fatalf("Compactions = %d, want exactly the level-0 merge", got)
 	}
-	wrote := e.Metrics().CompactionBytes() - base
+	wrote := int64(e.compactionBytes.Load() - base)
 	if wrote <= 0 || wrote >= bigInfo.Size() {
 		t.Fatalf("level-0 merge wrote %dB; bound is the small level, not the %dB top run", wrote, bigInfo.Size())
 	}

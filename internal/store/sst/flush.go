@@ -122,7 +122,7 @@ func (e *Engine) flushLocked() error {
 			e.recordErr(fmt.Errorf("sst: remove superseded wal: %w", err))
 		}
 	}
-	e.metrics.add(func(m *Metrics) { m.flushes++ })
+	e.flushes.Inc()
 	e.maybeCompactLocked()
 	return nil
 }
@@ -188,7 +188,7 @@ func (e *Engine) writeRun(frozen *store.Store, minGen, maxGen uint64) (*run, err
 			e.pending[k] = struct{}{}
 		}
 	}
-	e.metrics.gcPending.Store(int64(len(e.pending)))
+	e.gcPending.Store(int64(len(e.pending)))
 	fileSize, dataSize, err := w.finish()
 	if err != nil {
 		return nil, err
@@ -420,7 +420,7 @@ func (e *Engine) compactLocked(inputs []*run) {
 		for _, r := range inputs {
 			r.file.release()
 		}
-		e.metrics.add(func(m *Metrics) { m.compactions++ })
+		e.compactions.Inc()
 		return
 	}
 
@@ -467,10 +467,8 @@ func (e *Engine) compactLocked(inputs []*run) {
 	for _, r := range inputs {
 		r.file.release()
 	}
-	e.metrics.add(func(m *Metrics) {
-		m.compactions++
-		m.compactionBytes += fileSize
-	})
+	e.compactions.Inc()
+	e.compactionBytes.Add(uint64(fileSize))
 }
 
 // mayHold reports whether any of runs may hold key in its file (Bloom
@@ -536,7 +534,7 @@ func (e *Engine) GCStats(oldest hlc.Timestamp) store.GCResult {
 		// semantics and accounting. Whatever it leaves unsettled is in the
 		// memtable, and the flush that retires it applies writeRun's rule.
 		clear(e.pending)
-		e.metrics.gcPending.Store(0)
+		e.gcPending.Store(0)
 		return tabs.active.GCStats(oldest)
 	}
 
@@ -569,7 +567,7 @@ func (e *Engine) GCStats(oldest hlc.Timestamp) store.GCResult {
 			it.close()
 		}
 	}
-	e.metrics.gcPending.Store(int64(len(e.pending)))
+	e.gcPending.Store(int64(len(e.pending)))
 	p.publishCuts()
 	for _, removed := range p.res.PerShard {
 		p.res.Removed += removed
@@ -662,7 +660,7 @@ func (p *gcPass) cutFor(ri int, key string) int {
 // tiers), prunes the memtable and extends the runs' cuts below it.
 func (p *gcPass) visit(key string) {
 	e, active, oldest := p.e, p.tabs.active, p.oldest
-	e.metrics.gcVisited.Add(1)
+	e.gcVisited.Add(1)
 	p.scratch = active.ChainInto(key, p.scratch[:0])
 	memLen := len(p.scratch)
 	var base, newest *store.Version

@@ -44,14 +44,14 @@ func TestGCPassCostFollowsWrites(t *testing.T) {
 	m := e.Metrics()
 	pass := func(floor hlc.Timestamp) (visited, blocks int64, removed int) {
 		t.Helper()
-		v0, b0 := m.GCVisited(), m.BlockReads()
+		v0, b0 := int64(e.gcVisited.Load()), m.BlockReads()
 		removed = e.GCStats(floor).Removed
-		return m.GCVisited() - v0, m.BlockReads() - b0, removed
+		return int64(e.gcVisited.Load()) - v0, m.BlockReads() - b0, removed
 	}
 	// Settle whatever the flushes filed as pending (Bloom false positives
 	// against the older runs).
 	pass(6000)
-	if got := m.GCPending(); got != 0 {
+	if got := e.gcPending.Load(); got != 0 {
 		t.Fatalf("GCPending() = %d with one value version per key, want 0", got)
 	}
 
@@ -74,7 +74,7 @@ func TestGCPassCostFollowsWrites(t *testing.T) {
 	if blocks > 2*admitting {
 		t.Fatalf("pass read %d blocks for %d examined keys (%d admitting runs in all), want at most 2 per key per admitting run", blocks, visited, admitting)
 	}
-	if got := m.GCPending(); got != rewritten {
+	if got := e.gcPending.Load(); got != rewritten {
 		t.Fatalf("GCPending() = %d, want the %d keys holding two live versions", got, rewritten)
 	}
 	// Floor advanced, nothing written: only what was left unsettled.
@@ -82,7 +82,7 @@ func TestGCPassCostFollowsWrites(t *testing.T) {
 	if visited != rewritten || removed != rewritten {
 		t.Fatalf("second pass: examined %d keys, removed %d; want %d and %d", visited, removed, rewritten, rewritten)
 	}
-	if got := m.GCPending(); got != 0 {
+	if got := e.gcPending.Load(); got != 0 {
 		t.Fatalf("GCPending() = %d after the floor passed every overwrite, want 0", got)
 	}
 	if visited, blocks, _ = pass(9000); visited != 0 || blocks != 0 {
@@ -153,11 +153,11 @@ func TestFailedFlushFallsBackToFullPass(t *testing.T) {
 	if err := os.Remove(blocker); err != nil {
 		t.Fatal(err)
 	}
-	v0 := e.Metrics().GCVisited()
+	v0 := e.gcVisited.Load()
 	if res := e.GCStats(20); res.Removed != 1 {
 		t.Fatalf("GCStats after a failed flush removed %d versions, want a's first", res.Removed)
 	}
-	if got := e.Metrics().GCVisited() - v0; got != 2 {
+	if got := e.gcVisited.Load() - v0; got != 2 {
 		t.Fatalf("pass after a failed flush examined %d keys, want both", got)
 	}
 	if got := e.VersionsOf("a"); got != 1 {

@@ -47,7 +47,7 @@ func (e *Engine) appendLocked(b []byte) {
 		l.dirty = true
 	}
 	l.mu.Unlock()
-	e.metrics.logWrites.Add(1)
+	e.logWrites.Add(1)
 }
 
 // takeDirty returns the log's file and clears dirty if it has unsynced
@@ -69,7 +69,7 @@ func (e *Engine) syncLog(f *os.File) {
 	if f == nil {
 		return
 	}
-	e.metrics.syncs.Add(1)
+	e.syncs.Add(1)
 	if err := fsutil.Datasync(f); err != nil {
 		e.onErr(fmt.Errorf("sync: %w", err))
 	}

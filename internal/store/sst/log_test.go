@@ -90,11 +90,11 @@ func TestBatchIsOneLogWrite(t *testing.T) {
 		t.Fatalf("the batch touches %d stripes; the pin needs many", len(stripes))
 	}
 	e.PutBatch(kvs)
-	if got := e.Metrics().LogWrites(); got != 1 {
+	if got := e.logWrites.Load(); got != 1 {
 		t.Fatalf("a 128-key batch over %d stripes took %d log writes, want 1", len(stripes), got)
 	}
 	e.Put("one-more", v("y", 500, 500))
-	if got := e.Metrics().LogWrites(); got != 2 {
+	if got := e.logWrites.Load(); got != 2 {
 		t.Fatalf("a Put took %d log writes, want 1", got-1)
 	}
 	ref := store.NewMemoryEngine(0)
@@ -130,7 +130,7 @@ func TestCrashBetweenLogCreateAndSwap(t *testing.T) {
 	}
 
 	re := mustOpen(t, Options{Dir: dir, Shards: 4, FlushBytes: -1})
-	if got := re.Metrics().Recovered(); got != 30 {
+	if got := re.recovered.Load(); got != 30 {
 		t.Fatalf("Recovered = %d, want all 30 records of generation 1", got)
 	}
 	enginetest.RequireSameState(t, re, ref)

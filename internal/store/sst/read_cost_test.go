@@ -72,14 +72,14 @@ func TestPointReadRecordsChecked(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := e.Metrics()
-	b0, c0 := m.BlockReads(), m.RecordsChecked()
+	b0, c0 := m.BlockReads(), int64(e.recordsChecked.Load())
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < reads; i++ {
 		if e.ReadVisible(key(r.Intn(nKeys)), alwaysVisible) == nil {
 			t.Fatal("a flushed key reads absent")
 		}
 	}
-	blocks, checked := m.BlockReads()-b0, m.RecordsChecked()-c0
+	blocks, checked := m.BlockReads()-b0, int64(e.recordsChecked.Load())-c0
 	if blocks != reads {
 		t.Fatalf("%d point reads probed %d blocks, want one each", reads, blocks)
 	}

@@ -415,14 +415,14 @@ func (e *Engine) walkChain(r *run, bi int, key string, fn func(chain []byte, n i
 		return false
 	}
 	defer r.file.release()
-	e.metrics.blockReads.Add(1)
+	e.blockReads.Add(1)
 	bad, checked := -1, 0
 	err := readMapped(func() {
 		chain, n, c, b := chainIn(r.block(bi), key)
 		bad, checked = b, c
 		fn(chain, n)
 	})
-	e.metrics.recordsChecked.Add(int64(checked))
+	e.recordsChecked.Add(uint64(checked))
 	switch off := r.fences[bi].off; {
 	case err != nil:
 		e.recordErr(fmt.Errorf("sst: read run block %s@%d: %w", r.path, off, err))
@@ -456,7 +456,7 @@ var probePool = sync.Pool{New: func() any { return new(probeScratch) }}
 // pointer) works in place in the mapping and the pooled scratch.
 func (e *Engine) probeRun(r *run, key string, visible store.VisibleFunc, cur *store.Version, sc *probeScratch) (*store.Version, bool) {
 	if !r.filter.mayContain(key) {
-		e.metrics.bloomSkips.Add(1)
+		e.bloomSkips.Add(1)
 		return cur, true
 	}
 	bi := r.fenceFor(key)
@@ -689,7 +689,7 @@ func (it *runIterator) frame() ([]byte, bool) {
 		}
 		it.blk = it.r.block(it.bi)
 		it.bi++
-		it.e.metrics.blockReads.Add(1)
+		it.e.blockReads.Add(1)
 	}
 	if len(it.blk) < logrec.HeaderSize {
 		it.fail(fmt.Errorf("sst: torn record in run %s", it.r.path))

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"wren/internal/hlc"
+	"wren/internal/obs"
 	"wren/internal/store"
 )
 
@@ -77,6 +78,9 @@ func TestRunFaultIsAnError(t *testing.T) {
 			}
 			e = mustOpen(t, opts)
 			defer func() { _ = e.Close() }()
+			e.Observe(obs.New("core dc0/p2"))
+			degraded, cancel := obs.Subscribe("sst.degraded")
+			defer cancel()
 			e.Put(key, v("mem", 5000, 9999))
 			path := runHolding(t, e, "f-")
 			if err := os.Truncate(path, 0); err != nil {
@@ -86,6 +90,14 @@ func TestRunFaultIsAnError(t *testing.T) {
 			err := e.Healthy()
 			if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "fault at 0x") {
 				t.Fatalf("Healthy() = %v, want the fault in %s", err, path)
+			}
+			select {
+			case ev := <-degraded:
+				if want := fmt.Sprintf("core dc0/p2: sst.degraded err=%v dir=%s", err, opts.Dir); ev.String() != want {
+					t.Fatalf("degraded event %q, want %q", ev, want)
+				}
+			default:
+				t.Fatal("the fault logged no sst.degraded event")
 			}
 		})
 	}

@@ -112,6 +112,7 @@ import (
 	"sync/atomic"
 
 	"wren/internal/hlc"
+	"wren/internal/obs"
 	"wren/internal/store"
 	"wren/internal/store/fsutil"
 	"wren/internal/store/logrec"
@@ -282,84 +283,41 @@ type Engine struct {
 
 	lock *os.File // exclusive advisory lock on the data directory
 
-	mu      sync.Mutex // guards err, closed, crashed
+	mu      sync.Mutex // guards err, closed, crashed, reg
 	err     error      // first write-path failure, surfaced by Healthy/Close
 	closed  bool
 	crashed bool           // test hooks only: simulate a kill
 	wg      sync.WaitGroup // background flushes and compactions
-	metrics Metrics
+	reg     *obs.Registry  // the owner's, from Observe; nil until then
+
+	// Counters, registered by Observe. recordsChecked counts run records
+	// CRC-checked walking a block to a key's chain; syncs counts log
+	// fsyncs (one per Sync that found unsynced appends, one per flush that
+	// rotated some out, one at Close), logWrites one per Put and per
+	// PutBatch; gcVisited counts keys GC passes examined, which must
+	// follow what was written, not what is stored, and the gauge gcPending
+	// the keys the last pass or flush left for a later floor to prune.
+	flushes, compactions, compactionBytes, recovered, truncated, runsLoaded obs.Counter
+	blockReads, recordsChecked, bloomSkips, syncs, logWrites, gcVisited     obs.Counter
+	gcPending                                                               atomic.Int64
 }
 
-// Metrics counts engine-level events for tests and monitoring.
-type Metrics struct {
-	mu              sync.Mutex
-	flushes         int
-	compactions     int
-	recovered       int
-	truncated       int
-	runsLoaded      int
-	compactionBytes int64
-
-	blockReads     atomic.Int64
-	recordsChecked atomic.Int64
-	bloomSkips     atomic.Int64
-	syncs          atomic.Int64
-	logWrites      atomic.Int64
-	gcVisited      atomic.Int64
-	gcPending      atomic.Int64
-}
-
-// GCVisited returns how many keys GC passes have examined, cumulatively —
-// the count that must follow what was written, not what is stored.
-func (m *Metrics) GCVisited() int64 { return m.gcVisited.Load() }
-
-// GCPending returns how many keys the last GC pass or flush left
-// unsettled: the ones a later floor could still prune.
-func (m *Metrics) GCPending() int64 { return m.gcPending.Load() }
-
-// Syncs returns how many log fsyncs the engine has issued: one per Sync
-// that found unsynced appends, one per flush that rotated some out, and
-// one at Close.
-func (m *Metrics) Syncs() int64 { return m.syncs.Load() }
-
-// LogWrites returns how many log writes the engine has issued: one per Put
-// and one per PutBatch, whatever stripes the batch touches.
-func (m *Metrics) LogWrites() int64 { return m.logWrites.Load() }
-
-func (m *Metrics) add(f func(*Metrics)) { m.mu.Lock(); f(m); m.mu.Unlock() }
-
-// Flushes returns how many memtable flushes have written a run.
-func (m *Metrics) Flushes() int { m.mu.Lock(); defer m.mu.Unlock(); return m.flushes }
-
-// Compactions returns how many merge compactions have run.
-func (m *Metrics) Compactions() int { m.mu.Lock(); defer m.mu.Unlock(); return m.compactions }
-
-// Recovered returns how many WAL records startup recovery replayed.
-func (m *Metrics) Recovered() int { m.mu.Lock(); defer m.mu.Unlock(); return m.recovered }
-
-// TruncatedLogs returns how many log generations recovery found torn
-// (the newest one's tail is cut off; an older one's intact prefix is
-// replayed).
-func (m *Metrics) TruncatedLogs() int { m.mu.Lock(); defer m.mu.Unlock(); return m.truncated }
-
-// RunsLoaded returns how many sorted-run files recovery loaded.
-func (m *Metrics) RunsLoaded() int { m.mu.Lock(); defer m.mu.Unlock(); return m.runsLoaded }
-
-// CompactionBytes returns the total bytes compactions have written —
-// the measure that per-cycle compaction I/O is bounded by level size.
-func (m *Metrics) CompactionBytes() int64 { m.mu.Lock(); defer m.mu.Unlock(); return m.compactionBytes }
+// Metrics is the view of the engine's counters the benchmark reads. The
+// owning server's registry has them all (see Observe).
+type Metrics struct{ e *Engine }
 
 // BlockReads returns how many run-file blocks reads have touched.
-func (m *Metrics) BlockReads() int64 { return m.blockReads.Load() }
-
-// RecordsChecked returns how many run records point reads and VersionsOf
-// have CRC-checked walking a block to a key's chain: what a block probe
-// pays beyond touching the block.
-func (m *Metrics) RecordsChecked() int64 { return m.recordsChecked.Load() }
+func (m Metrics) BlockReads() int64 { return int64(m.e.blockReads.Load()) }
 
 // BloomSkips returns how many run probes the Bloom filters answered
 // negatively without touching disk.
-func (m *Metrics) BloomSkips() int64 { return m.bloomSkips.Load() }
+func (m Metrics) BloomSkips() int64 { return int64(m.e.bloomSkips.Load()) }
+
+// Flushes returns how many memtable flushes have written a run.
+func (m Metrics) Flushes() int { return int(m.e.flushes.Load()) }
+
+// Compactions returns how many merge compactions have run.
+func (m Metrics) Compactions() int { return int(m.e.compactions.Load()) }
 
 var _ store.Engine = (*Engine)(nil)
 
@@ -558,7 +516,7 @@ func (e *Engine) recover() (retErr error) {
 		if r.maxGen > maxCovered {
 			maxCovered = r.maxGen
 		}
-		e.metrics.add(func(m *Metrics) { m.runsLoaded++ })
+		e.runsLoaded.Inc()
 	}
 
 	// Log generations a run covers are superseded; delete them. The rest
@@ -619,12 +577,10 @@ func (e *Engine) recover() (retErr error) {
 			count++
 		})
 		drain()
-		e.metrics.add(func(m *Metrics) {
-			m.recovered += count
-			if good < st.Size() {
-				m.truncated++
-			}
-		})
+		e.recovered.Add(uint64(count))
+		if good < st.Size() {
+			e.truncated.Inc()
+		}
 		if !active {
 			// A frozen generation whose flush never completed, or the one
 			// before an empty newest generation — a crash between a
@@ -989,8 +945,25 @@ func (e *Engine) Healthy() error {
 	return e.err
 }
 
-// Metrics returns the engine's counters.
-func (e *Engine) Metrics() *Metrics { return &e.metrics }
+// Metrics returns the benchmark's view of the engine's counters.
+func (e *Engine) Metrics() Metrics { return Metrics{e} }
+
+// Observe registers the engine's counters in the owning server's registry
+// and names its events after that server.
+func (e *Engine) Observe(reg *obs.Registry) {
+	for name, c := range map[string]*obs.Counter{
+		"flushes": &e.flushes, "compactions": &e.compactions, "compaction_bytes": &e.compactionBytes,
+		"recovered": &e.recovered, "truncated_logs": &e.truncated, "runs_loaded": &e.runsLoaded,
+		"block_reads": &e.blockReads, "records_checked": &e.recordsChecked, "bloom_skips": &e.bloomSkips,
+		"syncs": &e.syncs, "log_writes": &e.logWrites, "gc_visited": &e.gcVisited,
+	} {
+		reg.Func("sst."+name, c.Load)
+	}
+	reg.Func("sst.gc_pending", func() uint64 { return uint64(e.gcPending.Load()) })
+	e.mu.Lock()
+	e.reg = reg
+	e.mu.Unlock()
+}
 
 // Dir returns the engine's data directory.
 func (e *Engine) Dir() string { return e.dir }
@@ -1030,10 +1003,11 @@ func (e *Engine) ResidentIndexBytes() int64 {
 	return n
 }
 
-// recordErr remembers the first write-path failure, printing it to stderr
-// right away — an operator must learn that durability degraded when it
-// happens, not at Close. The in-memory tiers stay authoritative for reads
-// either way; Healthy surfaces the error while the engine runs.
+// recordErr remembers the first write-path failure, logging the
+// "sst.degraded" event right away — an operator must learn that durability
+// degraded when it happens, not at Close. The in-memory tiers stay
+// authoritative for reads either way; Healthy surfaces the error while the
+// engine runs.
 func (e *Engine) recordErr(err error) {
 	if err == nil {
 		return
@@ -1043,9 +1017,10 @@ func (e *Engine) recordErr(err error) {
 	if first {
 		e.err = err
 	}
+	reg := e.reg
 	e.mu.Unlock()
 	if first {
-		fmt.Fprintf(os.Stderr, "sst: durability degraded in %s: %v\n", e.dir, err)
+		reg.Event("sst.degraded", "err", err, "dir", e.dir)
 	}
 }
 

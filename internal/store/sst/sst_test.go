@@ -200,8 +200,8 @@ func TestFlushSupersedesWAL(t *testing.T) {
 	}
 	re := mustOpen(t, Options{Dir: dir, Shards: 2, FlushBytes: -1})
 	defer re.Close()
-	if re.Metrics().RunsLoaded() != 1 {
-		t.Fatalf("RunsLoaded = %d, want 1", re.Metrics().RunsLoaded())
+	if re.runsLoaded.Load() != 1 {
+		t.Fatalf("RunsLoaded = %d, want 1", re.runsLoaded.Load())
 	}
 	enginetest.RequireSameState(t, re, ref)
 }
@@ -278,8 +278,8 @@ func TestCrashBeforeFlushRename(t *testing.T) {
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Fatalf("leftover tmp file survived recovery (err=%v)", err)
 	}
-	if re.Metrics().Recovered() != 20 {
-		t.Fatalf("Recovered = %d, want 20", re.Metrics().Recovered())
+	if re.recovered.Load() != 20 {
+		t.Fatalf("Recovered = %d, want 20", re.recovered.Load())
 	}
 	enginetest.RequireSameState(t, re, ref)
 }
@@ -458,11 +458,11 @@ func TestTornWALTail(t *testing.T) {
 	}
 
 	re := mustOpen(t, Options{Dir: dir, Shards: 4, FlushBytes: -1})
-	if re.Metrics().TruncatedLogs() != 1 {
-		t.Errorf("TruncatedLogs = %d, want 1", re.Metrics().TruncatedLogs())
+	if re.truncated.Load() != 1 {
+		t.Errorf("TruncatedLogs = %d, want 1", re.truncated.Load())
 	}
-	if re.Metrics().Recovered() != puts-1 {
-		t.Errorf("Recovered = %d, want %d", re.Metrics().Recovered(), puts-1)
+	if re.recovered.Load() != uint64(puts-1) {
+		t.Errorf("Recovered = %d, want %d", re.recovered.Load(), puts-1)
 	}
 	enginetest.RequireSameState(t, re, ref)
 
@@ -474,8 +474,8 @@ func TestTornWALTail(t *testing.T) {
 	}
 	re2 := mustOpen(t, Options{Dir: dir, Shards: 4, FlushBytes: -1})
 	defer re2.Close()
-	if re2.Metrics().TruncatedLogs() != 0 {
-		t.Errorf("second recovery found %d torn logs, want 0", re2.Metrics().TruncatedLogs())
+	if re2.truncated.Load() != 0 {
+		t.Errorf("second recovery found %d torn logs, want 0", re2.truncated.Load())
 	}
 	enginetest.RequireSameState(t, re2, ref)
 }
@@ -723,9 +723,9 @@ func TestSyncBarrier(t *testing.T) {
 		return kvs
 	}
 	e := mustOpen(t, Options{Dir: t.TempDir(), Shards: 8, FlushBytes: -1})
-	syncs := func(want int64, after string) {
+	syncs := func(want uint64, after string) {
 		t.Helper()
-		if got := e.Metrics().Syncs(); got != want {
+		if got := e.syncs.Load(); got != want {
 			t.Fatalf("after %s: %d fsyncs, want %d", after, got, want)
 		}
 	}

@@ -29,9 +29,9 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 
 	"wren/internal/hlc"
+	"wren/internal/obs"
 	"wren/internal/store"
 	"wren/internal/store/fsutil"
 	"wren/internal/store/logrec"
@@ -81,34 +81,17 @@ type Engine struct {
 	// already took must not return before that Sync's fsyncs have.
 	syncMu sync.Mutex
 
-	mu      sync.Mutex // guards err, closed
-	err     error      // first append/sync error, surfaced by Close
-	closed  bool
-	metrics Metrics
+	mu     sync.Mutex // guards err, closed, reg
+	err    error      // first append/sync error, surfaced by Close
+	closed bool
+	reg    *obs.Registry // the owner's, from Observe; nil until then
+
+	// syncs counts the shard-log fsyncs Sync has issued (Put and PutBatch
+	// issue none); compactions the shard-log rewrites; recovered the
+	// records startup recovery replayed; truncated the shard logs it found
+	// with a torn tail.
+	syncs, compactions, recovered, truncated obs.Counter
 }
-
-// Metrics counts engine-level events for tests and monitoring.
-type Metrics struct {
-	mu          sync.Mutex
-	compactions int
-	recovered   int
-	truncated   int
-	syncs       atomic.Int64
-}
-
-// Syncs returns how many shard-log fsyncs Sync has issued. Put and
-// PutBatch issue none.
-func (m *Metrics) Syncs() int64 { return m.syncs.Load() }
-
-// Compactions returns how many shard-log rewrites have run.
-func (m *Metrics) Compactions() int { m.mu.Lock(); defer m.mu.Unlock(); return m.compactions }
-
-// Recovered returns how many records startup recovery replayed.
-func (m *Metrics) Recovered() int { m.mu.Lock(); defer m.mu.Unlock(); return m.recovered }
-
-// TruncatedShards returns how many shard logs had a torn tail cut off
-// during recovery.
-func (m *Metrics) TruncatedShards() int { m.mu.Lock(); defer m.mu.Unlock(); return m.truncated }
 
 var _ store.Engine = (*Engine)(nil)
 
@@ -206,12 +189,10 @@ func (e *Engine) recoverShard(si int, sh *walShard) error {
 		kvs = append(kvs, store.KV{Key: key, Version: v})
 	})
 	e.mem.PutBatch(kvs)
-	e.metrics.mu.Lock()
-	e.metrics.recovered += len(kvs)
+	e.recovered.Add(uint64(len(kvs)))
 	if good < size {
-		e.metrics.truncated++
+		e.truncated.Inc()
 	}
-	e.metrics.mu.Unlock()
 
 	if good < size {
 		if err := f.Truncate(good); err != nil {
@@ -228,11 +209,12 @@ func (e *Engine) recoverShard(si int, sh *walShard) error {
 	return nil
 }
 
-// recordErr remembers the first append/sync failure, printing it to
-// stderr right away — an operator must learn that durability degraded
-// when it happens, not at Close. The memory stripes stay authoritative
-// for reads either way; Healthy surfaces the error to callers that want
-// to stop acknowledging writes (or fail a benchmark) on degradation.
+// recordErr remembers the first append/sync failure, logging the
+// "wal.degraded" event right away — an operator must learn that
+// durability degraded when it happens, not at Close. The memory stripes
+// stay authoritative for reads either way; Healthy surfaces the error to
+// callers that want to stop acknowledging writes (or fail a benchmark) on
+// degradation.
 func (e *Engine) recordErr(err error) {
 	if err == nil {
 		return
@@ -242,9 +224,10 @@ func (e *Engine) recordErr(err error) {
 	if first {
 		e.err = err
 	}
+	reg := e.reg
 	e.mu.Unlock()
 	if first {
-		fmt.Fprintf(os.Stderr, "wal: durability degraded in %s: %v\n", e.dir, err)
+		reg.Event("wal.degraded", "err", err, "dir", e.dir)
 	}
 }
 
@@ -298,7 +281,7 @@ func (e *Engine) PutBatch(kvs []store.KV) {
 func (e *Engine) Sync() {
 	e.syncMu.Lock()
 	defer e.syncMu.Unlock()
-	e.metrics.syncs.Add(int64(shardlog.SyncDirty(e.shards, e.onErr)))
+	e.syncs.Add(uint64(shardlog.SyncDirty(e.shards, e.onErr)))
 }
 
 // ReadVisible implements store.Engine.
@@ -411,9 +394,7 @@ func (e *Engine) compactShard(si int) {
 	if derr := fsutil.SyncDir(e.dir); derr != nil {
 		e.recordErr(fmt.Errorf("wal: compact %s: sync dir: %w", path, derr))
 	}
-	e.metrics.mu.Lock()
-	e.metrics.compactions++
-	e.metrics.mu.Unlock()
+	e.compactions.Inc()
 }
 
 // Keys implements store.Engine.
@@ -453,8 +434,19 @@ func (e *Engine) Healthy() error {
 	return e.err
 }
 
-// Metrics returns the engine's counters.
-func (e *Engine) Metrics() *Metrics { return &e.metrics }
+// Observe registers the engine's counters in the owning server's registry
+// and names its events after that server.
+func (e *Engine) Observe(reg *obs.Registry) {
+	for name, c := range map[string]*obs.Counter{
+		"wal.syncs": &e.syncs, "wal.compactions": &e.compactions,
+		"wal.recovered": &e.recovered, "wal.truncated_shards": &e.truncated,
+	} {
+		reg.Func(name, c.Load)
+	}
+	e.mu.Lock()
+	e.reg = reg
+	e.mu.Unlock()
+}
 
 // Dir returns the engine's data directory.
 func (e *Engine) Dir() string { return e.dir }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"wren/internal/hlc"
+	"wren/internal/obs"
 	"wren/internal/store"
 	"wren/internal/store/enginetest"
 )
@@ -123,11 +124,11 @@ func TestRecoveryRoundTrip(t *testing.T) {
 
 	re := mustOpen(t, Options{Dir: dir, Shards: 4})
 	defer re.Close()
-	if re.Metrics().Recovered() == 0 {
+	if re.recovered.Load() == 0 {
 		t.Fatal("recovery replayed no records")
 	}
-	if re.Metrics().TruncatedShards() != 0 {
-		t.Fatalf("clean shutdown produced %d truncated shards", re.Metrics().TruncatedShards())
+	if re.truncated.Load() != 0 {
+		t.Fatalf("clean shutdown produced %d truncated shards", re.truncated.Load())
 	}
 	requireSameState(t, re, ref)
 	if lv := re.Latest("empty-val"); lv == nil || lv.Value == nil || len(lv.Value) != 0 {
@@ -179,11 +180,11 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	}
 
 	re := mustOpen(t, Options{Dir: dir, Shards: 1})
-	if re.Metrics().TruncatedShards() != 1 {
-		t.Errorf("TruncatedShards = %d, want 1", re.Metrics().TruncatedShards())
+	if re.truncated.Load() != 1 {
+		t.Errorf("TruncatedShards = %d, want 1", re.truncated.Load())
 	}
-	if re.Metrics().Recovered() != puts-1 {
-		t.Errorf("Recovered = %d, want %d", re.Metrics().Recovered(), puts-1)
+	if re.recovered.Load() != uint64(puts-1) {
+		t.Errorf("Recovered = %d, want %d", re.recovered.Load(), puts-1)
 	}
 	requireSameState(t, re, ref)
 
@@ -231,8 +232,8 @@ func TestCrashRecoveryGarbageTail(t *testing.T) {
 
 	re := mustOpen(t, Options{Dir: dir, Shards: 1})
 	defer re.Close()
-	if re.Metrics().TruncatedShards() != 1 {
-		t.Errorf("TruncatedShards = %d, want 1", re.Metrics().TruncatedShards())
+	if re.truncated.Load() != 1 {
+		t.Errorf("TruncatedShards = %d, want 1", re.truncated.Load())
 	}
 	requireSameState(t, re, ref)
 }
@@ -255,8 +256,8 @@ func TestCompaction(t *testing.T) {
 	if removed := e.GC(1000); removed != 99 {
 		t.Fatalf("GC removed %d, want 99", removed)
 	}
-	if e.Metrics().Compactions() != 1 {
-		t.Fatalf("Compactions = %d, want 1", e.Metrics().Compactions())
+	if e.compactions.Load() != 1 {
+		t.Fatalf("Compactions = %d, want 1", e.compactions.Load())
 	}
 	after, err := os.Stat(logPath)
 	if err != nil {
@@ -330,6 +331,9 @@ func TestShardCountPersistedAcrossReopen(t *testing.T) {
 func TestAppendFailureFreezesLog(t *testing.T) {
 	dir := t.TempDir()
 	e := mustOpen(t, Options{Dir: dir, Shards: 1, CompactThreshold: 1})
+	e.Observe(obs.New("core dc0/p2"))
+	degraded, cancel := obs.Subscribe("wal.degraded")
+	defer cancel()
 	e.Put("k", v("before", 1, 1))
 	if err := e.Healthy(); err != nil {
 		t.Fatalf("healthy engine reported %v", err)
@@ -353,6 +357,15 @@ func TestAppendFailureFreezesLog(t *testing.T) {
 	// Close — so servers and benchmarks can detect the degraded log.
 	if err := e.Healthy(); err == nil {
 		t.Fatal("Healthy() = nil after append+rollback failure")
+	}
+	// ... and to an operator, as one event naming the server.
+	select {
+	case ev := <-degraded:
+		if want := fmt.Sprintf("core dc0/p2: wal.degraded err=%v dir=%s", e.Healthy(), dir); ev.String() != want {
+			t.Fatalf("degraded event %q, want %q", ev, want)
+		}
+	default:
+		t.Fatal("the failure logged no wal.degraded event")
 	}
 	// Memory stays authoritative; further appends are skipped, not torn.
 	if lv := e.Latest("k"); lv == nil || string(lv.Value) != "during" {
@@ -514,16 +527,16 @@ func TestSyncBarrier(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		e.PutBatch(batch(1000 * (i + 1)))
 	}
-	if got := e.Metrics().Syncs(); got != 0 {
+	if got := e.syncs.Load(); got != 0 {
 		t.Fatalf("put path issued %d fsyncs", got)
 	}
 	e.Sync()
-	first := e.Metrics().Syncs()
+	first := e.syncs.Load()
 	if first == 0 || first > 8 {
 		t.Fatalf("Sync issued %d fsyncs, want one per dirty shard log (1..8)", first)
 	}
 	e.Sync()
-	if got := e.Metrics().Syncs(); got != first {
+	if got := e.syncs.Load(); got != first {
 		t.Fatalf("Sync of a clean engine issued %d fsyncs", got-first)
 	}
 }

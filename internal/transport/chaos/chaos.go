@@ -16,9 +16,9 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"wren/internal/obs"
 	"wren/internal/transport"
 	"wren/internal/wire"
 )
@@ -46,16 +46,6 @@ type Rule struct {
 
 func (r Rule) isZero() bool { return r == Rule{} }
 
-// Stats counts injected faults since the network was created.
-type Stats struct {
-	Sent       uint64 // messages offered to Send (excluding after close)
-	Dropped    uint64 // messages silently discarded
-	Duplicated uint64 // extra copies injected
-	Reordered  uint64 // messages pushed behind their send order
-	Held       uint64 // messages queued behind a cut link
-	Delivered  uint64 // messages handed to the inner network
-}
-
 // Network is a transport.Network that forwards to an inner network
 // through per-link fault schedulers.
 type Network struct {
@@ -71,19 +61,28 @@ type Network struct {
 	healGen  chan struct{}                 // closed and replaced on every Heal
 	closed   bool
 
-	sent, dropped, duplicated, reordered, held, delivered atomic.Uint64
+	reg                                                   *obs.Registry
+	sent, dropped, duplicated, reordered, held, delivered *obs.Counter
 }
 
 // New wraps inner with fault injection. All faults derive from seed.
 func New(inner transport.Network, seed int64) *Network {
+	reg := obs.New("chaos")
 	return &Network{
-		inner:    inner,
-		rng:      rand.New(rand.NewSource(seed)),
-		dcRules:  make(map[[2]int]Rule),
-		cliRules: make(map[int]Rule),
-		links:    make(map[[2]transport.NodeID]*link),
-		cuts:     make(map[[2]int]bool),
-		healGen:  make(chan struct{}),
+		inner:      inner,
+		rng:        rand.New(rand.NewSource(seed)),
+		dcRules:    make(map[[2]int]Rule),
+		cliRules:   make(map[int]Rule),
+		links:      make(map[[2]transport.NodeID]*link),
+		cuts:       make(map[[2]int]bool),
+		healGen:    make(chan struct{}),
+		reg:        reg,
+		sent:       reg.Counter("chaos.sent"),
+		dropped:    reg.Counter("chaos.dropped"),
+		duplicated: reg.Counter("chaos.duplicated"),
+		reordered:  reg.Counter("chaos.reordered"),
+		held:       reg.Counter("chaos.held"),
+		delivered:  reg.Counter("chaos.delivered"),
 	}
 }
 
@@ -157,17 +156,12 @@ func (n *Network) HealAll() {
 	n.mu.Unlock()
 }
 
-// Stats returns a snapshot of the fault counters.
-func (n *Network) Stats() Stats {
-	return Stats{
-		Sent:       n.sent.Load(),
-		Dropped:    n.dropped.Load(),
-		Duplicated: n.duplicated.Load(),
-		Reordered:  n.reordered.Load(),
-		Held:       n.held.Load(),
-		Delivered:  n.delivered.Load(),
-	}
-}
+// Obs returns the network's registry of fault counters: chaos.sent
+// (messages offered to Send, excluding after close), chaos.dropped,
+// chaos.duplicated (extra copies injected), chaos.reordered (pushed behind
+// their send order), chaos.held (queued behind a cut link) and
+// chaos.delivered (handed to the inner network).
+func (n *Network) Obs() *obs.Registry { return n.reg }
 
 // ruleFor resolves the rule for a (from, to) pair. Precedence: client
 // rule (either endpoint a client) > DC rule > default. Callers hold n.mu.

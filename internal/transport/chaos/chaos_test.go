@@ -73,7 +73,7 @@ func TestPassThroughNoRules(t *testing.T) {
 		send(t, n, a, b, uint64(i))
 	}
 	waitCount(t, col, 10)
-	if got := n.Stats().Delivered; got != 0 {
+	if got := n.Obs().Value("chaos.delivered"); got != 0 {
 		t.Fatalf("fast path should bypass link goroutines, delivered=%d", got)
 	}
 }
@@ -92,7 +92,7 @@ func TestDropIsDeterministic(t *testing.T) {
 				t.Fatalf("Send: %v", err)
 			}
 		}
-		want := 200 - int(n.Stats().Dropped)
+		want := 200 - int(n.Obs().Value("chaos.dropped"))
 		deadline := time.Now().Add(5 * time.Second)
 		for col.count() < want && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)

@@ -31,6 +31,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"wren/internal/obs"
 	"wren/internal/stripemap"
 	"wren/internal/transport"
 	"wren/internal/wire"
@@ -53,12 +54,12 @@ type Pool struct {
 	bindSeq atomic.Uint64
 	closed  atomic.Bool
 
-	calls    atomic.Uint64
-	timeouts atomic.Uint64
-	orphans  atomic.Uint64
+	reg                      *obs.Registry
+	calls, timeouts, orphans *obs.Counter
 }
 
-// Stats is a snapshot of the pool's demux counters.
+// Stats is a snapshot of the pool's demux counters (in its registry as
+// pool.calls, pool.timeouts and pool.orphans).
 type Stats struct {
 	// Calls counts requests successfully handed to a transport.
 	Calls uint64
@@ -89,9 +90,14 @@ func New(eps []Endpoint) (*Pool, error) {
 	if len(eps) == 0 {
 		return nil, fmt.Errorf("pool: no endpoints")
 	}
+	reg := obs.New("pool")
 	p := &Pool{
-		eps:     eps,
-		pending: stripemap.New[chan wire.Message](0),
+		eps:      eps,
+		pending:  stripemap.New[chan wire.Message](0),
+		reg:      reg,
+		calls:    reg.Counter("pool.calls"),
+		timeouts: reg.Counter("pool.timeouts"),
+		orphans:  reg.Counter("pool.orphans"),
 	}
 	for _, ep := range eps {
 		ep.Net.Register(ep.ID, p)
@@ -216,6 +222,9 @@ func responseReqID(m wire.Message) (uint64, bool) {
 	}
 	return 0, false
 }
+
+// Obs returns the pool's metrics registry.
+func (p *Pool) Obs() *obs.Registry { return p.reg }
 
 // Stats snapshots the demux counters.
 func (p *Pool) Stats() Stats {

@@ -136,6 +136,10 @@ func TestConcurrentCallsExactlyOnce(t *testing.T) {
 	if st.Orphans != 0 || st.Timeouts != 0 {
 		t.Fatalf("unexpected orphans=%d timeouts=%d", st.Orphans, st.Timeouts)
 	}
+	// Stats is a view of the pool's registry.
+	if got := p.Obs().Snapshot(); got.Get("pool.calls") != st.Calls || len(got) != 3 {
+		t.Fatalf("registry %v, want pool.calls, pool.orphans and pool.timeouts behind %+v", got, st)
+	}
 }
 
 // TestTimeoutThenLateResponse times a call out, lets the response arrive

@@ -38,9 +38,9 @@ import (
 	"math/rand"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"wren/internal/obs"
 	"wren/internal/transport"
 	"wren/internal/wire"
 )
@@ -91,7 +91,9 @@ type Config struct {
 	RedialBackoffCap time.Duration
 }
 
-// Stats counts connection lifecycle events since the network was created.
+// Stats is a snapshot of the connection lifecycle counters (in the
+// network's registry as tcp.dials, tcp.redials, tcp.evictions and
+// tcp.overloaded) since the network was created.
 type Stats struct {
 	Dials      uint64 // successful connection establishments
 	Redials    uint64 // subset of Dials that replaced a failed connection
@@ -111,7 +113,8 @@ type Network struct {
 	conns   map[*peerConn]struct{}         // every live connection; pruned on close
 	closed  bool
 
-	dials, redials, evictions, overloaded atomic.Uint64
+	reg                                   *obs.Registry
+	dials, redials, evictions, overloaded *obs.Counter
 
 	wg sync.WaitGroup
 }
@@ -135,11 +138,17 @@ func New(cfg Config) (*Network, error) {
 	if cfg.RedialBackoffCap == 0 {
 		cfg.RedialBackoffCap = 2 * time.Second
 	}
+	reg := obs.New("tcp " + cfg.Self.String())
 	n := &Network{
-		cfg:     cfg,
-		peers:   make(map[transport.NodeID]*peer),
-		learned: make(map[transport.NodeID]*peerConn),
-		conns:   make(map[*peerConn]struct{}),
+		cfg:        cfg,
+		peers:      make(map[transport.NodeID]*peer),
+		learned:    make(map[transport.NodeID]*peerConn),
+		conns:      make(map[*peerConn]struct{}),
+		reg:        reg,
+		dials:      reg.Counter("tcp.dials"),
+		redials:    reg.Counter("tcp.redials"),
+		evictions:  reg.Counter("tcp.evictions"),
+		overloaded: reg.Counter("tcp.overloaded"),
 	}
 	if cfg.ListenAddr != "" {
 		l, err := net.Listen("tcp", cfg.ListenAddr)
@@ -170,6 +179,9 @@ func (n *Network) Register(id transport.NodeID, h transport.Handler) {
 		n.handler = h
 	}
 }
+
+// Obs returns the network's metrics registry.
+func (n *Network) Obs() *obs.Registry { return n.reg }
 
 // Stats returns a snapshot of the connection lifecycle counters.
 func (n *Network) Stats() Stats {

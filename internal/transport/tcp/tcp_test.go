@@ -416,8 +416,8 @@ func TestSendShedsWhenQueueFull(t *testing.T) {
 			t.Fatal("queue to unreachable peer never shed load")
 		}
 	}
-	if st := n.Stats(); st.Overloaded == 0 {
-		t.Fatalf("overload not counted: %+v", st)
+	if st := n.Stats(); st.Overloaded == 0 || n.Obs().Value("tcp.overloaded") != st.Overloaded {
+		t.Fatalf("overload not counted: %+v, registry %v", st, n.Obs().Snapshot())
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"wren/internal/obs"
 	"wren/internal/wire"
 )
 
@@ -143,32 +143,6 @@ func AWSLatencies(scale float64) map[[2]int]time.Duration {
 	}
 }
 
-// classStats accumulates bytes/messages for one accounting class.
-type classStats struct {
-	msgs       atomic.Uint64
-	bytes      atomic.Uint64
-	interMsgs  atomic.Uint64
-	interBytes atomic.Uint64
-}
-
-// Stats is a snapshot of per-class traffic counters.
-type Stats struct {
-	// Bytes and Msgs are indexed by wire.Class.
-	Bytes      map[wire.Class]uint64
-	Msgs       map[wire.Class]uint64
-	InterBytes map[wire.Class]uint64 // subset crossing DC boundaries
-	InterMsgs  map[wire.Class]uint64
-}
-
-// Total returns total bytes across all classes.
-func (s Stats) Total() uint64 {
-	var t uint64
-	for _, b := range s.Bytes {
-		t += b
-	}
-	return t
-}
-
 const numClasses = int(wire.ClassControl) + 1
 
 // Memory is the in-process Network implementation.
@@ -184,7 +158,11 @@ type Memory struct {
 	downDCs map[[2]int]bool
 	healGen chan struct{} // closed and replaced when a partition heals
 
-	stats [numClasses]classStats
+	// reg counts the traffic of each wire.Class (index 0 is no class):
+	// net.msgs.<class> and net.bytes.<class>, and net.inter_msgs.<class>
+	// and net.inter_bytes.<class> for the subset crossing DC boundaries.
+	reg                                *obs.Registry
+	msgs, bytes, interMsgs, interBytes [numClasses]*obs.Counter
 
 	wg sync.WaitGroup
 }
@@ -197,14 +175,24 @@ func NewMemory(latency LatencyFunc) *Memory {
 	if latency == nil {
 		latency = func(NodeID, NodeID) time.Duration { return 0 }
 	}
-	return &Memory{
+	n := &Memory{
 		latency:  latency,
 		handlers: make(map[NodeID]Handler),
 		links:    make(map[[2]NodeID]*link),
 		downDCs:  make(map[[2]int]bool),
 		healGen:  make(chan struct{}),
+		reg:      obs.New("net"),
 	}
+	for c := 1; c < numClasses; c++ {
+		cls := wire.Class(c).String()
+		n.msgs[c], n.bytes[c] = n.reg.Counter("net.msgs."+cls), n.reg.Counter("net.bytes."+cls)
+		n.interMsgs[c], n.interBytes[c] = n.reg.Counter("net.inter_msgs."+cls), n.reg.Counter("net.inter_bytes."+cls)
+	}
+	return n
 }
+
+// Obs returns the network's metrics registry.
+func (n *Memory) Obs() *obs.Registry { return n.reg }
 
 // Register implements Network.
 func (n *Memory) Register(id NodeID, h Handler) {
@@ -238,14 +226,12 @@ func (n *Memory) Send(from, to NodeID, m wire.Message) error {
 	}
 
 	if from != to {
-		cls := m.Class()
-		sz := uint64(wire.Size(m))
-		st := &n.stats[int(cls)]
-		st.msgs.Add(1)
-		st.bytes.Add(sz)
+		cls, sz := m.Class(), uint64(wire.Size(m))
+		n.msgs[cls].Inc()
+		n.bytes[cls].Add(sz)
 		if from.DC != to.DC {
-			st.interMsgs.Add(1)
-			st.interBytes.Add(sz)
+			n.interMsgs[cls].Inc()
+			n.interBytes[cls].Add(sz)
 		}
 	}
 
@@ -304,34 +290,6 @@ func (n *Memory) isDCLinkDown(dcA, dcB int) (bool, chan struct{}) {
 	n.downMu.RLock()
 	defer n.downMu.RUnlock()
 	return n.downDCs[[2]int{dcA, dcB}], n.healGen
-}
-
-// Stats returns a snapshot of the traffic counters.
-func (n *Memory) Stats() Stats {
-	s := Stats{
-		Bytes:      make(map[wire.Class]uint64, numClasses),
-		Msgs:       make(map[wire.Class]uint64, numClasses),
-		InterBytes: make(map[wire.Class]uint64, numClasses),
-		InterMsgs:  make(map[wire.Class]uint64, numClasses),
-	}
-	for c := 1; c < numClasses; c++ {
-		cls := wire.Class(c)
-		s.Bytes[cls] = n.stats[c].bytes.Load()
-		s.Msgs[cls] = n.stats[c].msgs.Load()
-		s.InterBytes[cls] = n.stats[c].interBytes.Load()
-		s.InterMsgs[cls] = n.stats[c].interMsgs.Load()
-	}
-	return s
-}
-
-// ResetStats zeroes the traffic counters (used between benchmark phases).
-func (n *Memory) ResetStats() {
-	for c := range n.stats {
-		n.stats[c].bytes.Store(0)
-		n.stats[c].msgs.Store(0)
-		n.stats[c].interBytes.Store(0)
-		n.stats[c].interMsgs.Store(0)
-	}
 }
 
 // Close implements Network. It stops all delivery goroutines and waits for

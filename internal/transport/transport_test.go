@@ -1,12 +1,14 @@
 package transport
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"wren/internal/hlc"
+	"wren/internal/obs"
 	"wren/internal/wire"
 )
 
@@ -234,30 +236,36 @@ func TestMemoryByteAccounting(t *testing.T) {
 	_ = n.Send(ServerID(0, 0), ServerID(0, 1), stable) // intra-DC stabilization
 	_ = n.Send(ServerID(0, 0), ServerID(1, 0), hb)     // inter-DC replication
 
-	s := n.Stats()
-	if got, want := s.Bytes[wire.ClassStabilization], uint64(wire.Size(stable)); got != want {
+	s := n.Obs().Snapshot()
+	if got, want := s.Get("net.bytes.stabilization"), uint64(wire.Size(stable)); got != want {
 		t.Errorf("stabilization bytes = %d, want %d", got, want)
 	}
-	if got, want := s.Bytes[wire.ClassReplication], uint64(wire.Size(hb)); got != want {
+	if got, want := s.Get("net.bytes.replication"), uint64(wire.Size(hb)); got != want {
 		t.Errorf("replication bytes = %d, want %d", got, want)
 	}
-	if got := s.InterBytes[wire.ClassStabilization]; got != 0 {
+	if got := s.Get("net.inter_bytes.stabilization"); got != 0 {
 		t.Errorf("stabilization inter-DC bytes = %d, want 0", got)
 	}
-	if got, want := s.InterBytes[wire.ClassReplication], uint64(wire.Size(hb)); got != want {
+	if got, want := s.Get("net.inter_bytes.replication"), uint64(wire.Size(hb)); got != want {
 		t.Errorf("replication inter-DC bytes = %d, want %d", got, want)
 	}
-	if s.Msgs[wire.ClassReplication] != 1 || s.Msgs[wire.ClassStabilization] != 1 {
-		t.Errorf("message counts wrong: %+v", s.Msgs)
+	if s.Get("net.msgs.replication") != 1 || s.Get("net.msgs.stabilization") != 1 {
+		t.Errorf("message counts wrong: %v", s)
 	}
-	if s.Total() != uint64(wire.Size(stable)+wire.Size(hb)) {
-		t.Errorf("Total = %d", s.Total())
+	if got := totalBytes(s); got != uint64(wire.Size(stable)+wire.Size(hb)) {
+		t.Errorf("total bytes = %d", got)
 	}
+}
 
-	n.ResetStats()
-	if n.Stats().Total() != 0 {
-		t.Error("ResetStats did not zero counters")
+// totalBytes sums net.bytes.<class> over every class.
+func totalBytes(s obs.Snapshot) uint64 {
+	var t uint64
+	for _, e := range s {
+		if strings.HasPrefix(e.Name, "net.bytes.") {
+			t += e.Value
+		}
 	}
+	return t
 }
 
 func TestMemorySelfSendNotCounted(t *testing.T) {
@@ -268,7 +276,7 @@ func TestMemorySelfSendNotCounted(t *testing.T) {
 	n.Register(self, recv)
 	_ = n.Send(self, self, &wire.Heartbeat{})
 	recv.waitN(t, 1, time.Second)
-	if n.Stats().Total() != 0 {
+	if totalBytes(n.Obs().Snapshot()) != 0 {
 		t.Error("loopback traffic must not be counted as network bytes")
 	}
 }

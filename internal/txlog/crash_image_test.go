@@ -244,8 +244,8 @@ func pageSubsetCrash(t *testing.T, seed int64) {
 	// fingerprints after that sync and after each step since.
 	synced, states := read(), []string{fingerprint(l)}
 	for n := 0; n < 100; n++ {
-		syncs := l.Syncs()
-		if s.step(l) || l.Syncs() != syncs {
+		syncs := l.syncs.Load()
+		if s.step(l) || l.syncs.Load() != syncs {
 			synced, states = read(), states[:0]
 		}
 		states = append(states, fingerprint(l))
@@ -342,7 +342,7 @@ func TestFilelessLogMatchesFileLog(t *testing.T) {
 			if !ran {
 				t.Fatalf("%s: an AfterSync callback waited on a log without a file", context)
 			}
-			if n := mem.Syncs(); n != 0 {
+			if n := mem.syncs.Load(); n != 0 {
 				t.Fatalf("%s: a log without a file counted %d syncs", context, n)
 			}
 		}
@@ -393,7 +393,7 @@ func TestSyncsWithoutGrowth(t *testing.T) {
 			t.Fatalf("round %d: the file is %d bytes longer than its records, want 0..%d", i, ahead, 2*chunk)
 		}
 	}
-	if got := l.Syncs(); got != rounds {
+	if got := l.syncs.Load(); got != rounds {
 		t.Fatalf("%d syncs for %d rounds: the count must not change, only what each costs", got, rounds)
 	}
 	t.Logf("file size moved between %d of %d consecutive syncs", grew, rounds)

@@ -108,10 +108,10 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"wren/internal/hlc"
+	"wren/internal/obs"
 	"wren/internal/store/fsutil"
 	"wren/internal/store/logrec"
 	"wren/internal/wire"
@@ -311,12 +311,13 @@ type Log struct {
 	// sync never runs against a file being replaced. Lock order: flushMu,
 	// then sh.Mu.
 	flushMu sync.Mutex
-	syncs   atomic.Uint64
+	syncs   obs.Counter // syncs of the log file, compaction's rewrite not included
 
 	errMu  sync.Mutex
 	err    error
 	errSeq uint64 // bumped on every recorded failure; Repair's staleness check
 	closed bool
+	reg    *obs.Registry // the owner's, from Observe; nil until then
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -403,7 +404,8 @@ func (l *Log) recover() error {
 			_ = f.Close()
 			return fmt.Errorf("txlog: clear torn tail of %s: %w", path, err)
 		}
-		fmt.Fprintf(os.Stderr, "txlog: cleared %d bytes of torn tail at offset %d in %s\n", len(torn), good, l.dir)
+		// Before Observe: no server to name yet, only the directory.
+		l.event(nil, "txlog.torn_tail_cleared", "bytes", len(torn), "offset", good)
 	}
 	if _, err := f.Seek(int64(good), 0); err != nil {
 		_ = f.Close()
@@ -556,9 +558,10 @@ func decodeWrites(d *wire.Decoder) []wire.KV {
 	return out
 }
 
-// recordErr remembers the first append/sync failure, printing it to stderr
-// at occurrence (matching the storage engines' discipline): degraded
-// commit-record durability must not wait for Close to surface.
+// recordErr remembers the first append/sync failure, logging the
+// "txlog.degraded" event at occurrence (matching the storage engines'
+// discipline): degraded commit-record durability must not wait for Close
+// to surface.
 func (l *Log) recordErr(err error) {
 	if err == nil {
 		return
@@ -569,10 +572,29 @@ func (l *Log) recordErr(err error) {
 	if first {
 		l.err = err
 	}
+	reg := l.reg
 	l.errMu.Unlock()
 	if first {
-		fmt.Fprintf(os.Stderr, "txlog: durability degraded in %s: %v\n", l.dir, err)
+		l.event(reg, "txlog.degraded", "err", err)
 	}
+}
+
+// Observe registers the log's counters in the owning server's registry and
+// names the log's events after that server.
+func (l *Log) Observe(reg *obs.Registry) {
+	reg.Func("txlog.syncs", l.syncs.Load)
+	l.errMu.Lock()
+	l.reg = reg
+	l.errMu.Unlock()
+}
+
+// event logs kind through reg, adding the log's directory when it has one:
+// a file-less log is named by its server alone.
+func (l *Log) event(reg *obs.Registry, kind string, fields ...any) {
+	if l.dir != "" {
+		fields = append(fields, "dir", l.dir)
+	}
+	reg.Event(kind, fields...)
 }
 
 func (l *Log) onErr(err error) { l.recordErr(fmt.Errorf("txlog: %w", err)) }
@@ -632,12 +654,14 @@ func (l *Log) Repair() bool {
 	l.Sync()
 
 	l.errMu.Lock()
-	defer l.errMu.Unlock()
 	if l.errSeq != seq {
+		l.errMu.Unlock()
 		return false // the repair itself (or concurrent traffic) failed again
 	}
 	l.err = nil
-	fmt.Fprintf(os.Stderr, "txlog: durability restored in %s\n", l.dir)
+	reg := l.reg
+	l.errMu.Unlock()
+	l.event(reg, "txlog.restored")
 	return true
 }
 
@@ -689,10 +713,6 @@ type lazyWaiter struct {
 
 // endLocked is the LSN of the last appended record. Caller holds sh.Mu.
 func (l *Log) endLocked() int64 { return l.base + l.sh.Size }
-
-// Syncs returns how many syncs of the log file the log has issued
-// (compaction's rewrite not included).
-func (l *Log) Syncs() uint64 { return l.syncs.Load() }
 
 // Sync is the urgent waiter of the group commit: it returns once every
 // record appended before the call is stable. The first caller through

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"wren/internal/hlc"
+	"wren/internal/obs"
 	"wren/internal/wire"
 )
 
@@ -235,10 +236,20 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 	f.Close()
 
+	cleared, cancel := obs.Subscribe("txlog.torn_tail_cleared")
+	defer cancel()
 	r := openLog(t, dir, 1)
 	committed := r.Committed()
 	if len(committed) != 1 || committed[0].TxID != 1 {
 		t.Fatalf("recovery after torn tail = %+v", committed)
+	}
+	select {
+	case e := <-cleared:
+		if want := fmt.Sprintf("txlog.torn_tail_cleared bytes=3 offset=%d dir=%s", end, dir); e.String() != want {
+			t.Fatalf("torn-tail event %q, want %q", e, want)
+		}
+	default:
+		t.Fatal("clearing the torn tail logged no event")
 	}
 	// New appends after the clearing must survive another cycle.
 	r.LogPrepare(&PreparedTx{TxID: 2, PT: ts(30), Writes: []wire.KV{kv("b", "w")}})
@@ -250,6 +261,52 @@ func TestTornTailTruncated(t *testing.T) {
 	defer r2.Close()
 	if got := r2.Committed(); len(got) != 2 {
 		t.Fatalf("post-truncation appends lost: %+v", got)
+	}
+	if len(cleared) != 0 {
+		t.Fatalf("a clean reopen logged %v", <-cleared)
+	}
+}
+
+// TestDurabilityEvents: a log attached to a server's registry logs its
+// first failure as "txlog.degraded" and a successful repair as
+// "txlog.restored", both naming the server; a log without a file names no
+// directory.
+func TestDurabilityEvents(t *testing.T) {
+	degraded, cancel := obs.Subscribe("txlog.degraded")
+	defer cancel()
+	restored, cancel2 := obs.Subscribe("txlog.restored")
+	defer cancel2()
+	for _, dir := range []string{t.TempDir(), ""} {
+		l := openLog(t, dir, 1)
+		l.Observe(obs.New("core dc0/p3"))
+		l.InjectFailure(fmt.Errorf("disk gone"))
+		l.InjectFailure(fmt.Errorf("still gone")) // only the first is an event
+		if !l.Repair() {
+			t.Fatalf("dir %q: repair failed: %v", dir, l.Healthy())
+		}
+		where := ""
+		if dir != "" {
+			where = " dir=" + dir
+		}
+		for ch, want := range map[<-chan obs.Event]string{
+			degraded: "core dc0/p3: txlog.degraded err=disk gone" + where,
+			restored: "core dc0/p3: txlog.restored" + where,
+		} {
+			select {
+			case e := <-ch:
+				if e.String() != want {
+					t.Fatalf("event %q, want %q", e, want)
+				}
+			default:
+				t.Fatalf("no event %q", want)
+			}
+		}
+		if len(degraded) != 0 {
+			t.Fatalf("dir %q: a second failure logged %v", dir, <-degraded)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -518,30 +575,30 @@ func TestGroupCommitWaiters(t *testing.T) {
 	defer l.Close()
 	l.LogPrepare(&PreparedTx{TxID: 1, PT: ts(10), Writes: []wire.KV{kv("a", "v")}})
 	l.Sync()
-	base := l.Syncs()
+	base := l.syncs.Load()
 	l.Sync() // covered: no second fsync
-	if got := l.Syncs(); got != base {
+	if got := l.syncs.Load(); got != base {
 		t.Fatalf("covered Sync paid an fsync: %d -> %d", base, got)
 	}
 
 	commit(l, 1, ts(20))
 	fired := 0
 	l.AfterSync(func() { fired++ })
-	if fired != 0 || l.Syncs() != base {
-		t.Fatalf("lazy waiter ran (%d) or synced (%d -> %d) before any covering sync", fired, base, l.Syncs())
+	if fired != 0 || l.syncs.Load() != base {
+		t.Fatalf("lazy waiter ran (%d) or synced (%d -> %d) before any covering sync", fired, base, l.syncs.Load())
 	}
 	// An urgent waiter for a LATER record covers the lazy one.
 	l.LogCoordCommitSync(2, ts(30), []uint16{0})
-	if fired != 1 || l.Syncs() != base+1 {
-		t.Fatalf("after the covering sync: fired=%d syncs=%d, want 1 and %d", fired, l.Syncs(), base+1)
+	if fired != 1 || l.syncs.Load() != base+1 {
+		t.Fatalf("after the covering sync: fired=%d syncs=%d, want 1 and %d", fired, l.syncs.Load(), base+1)
 	}
 	// Nothing unsynced: a lazy waiter runs at once, a duplicate outcome too.
 	if commit(l, 1, ts(20)) {
 		t.Fatal("duplicate LogCommit appended")
 	}
 	l.AfterSync(func() { fired++ })
-	if fired != 2 || l.Syncs() != base+1 {
-		t.Fatalf("covered lazy waiter: fired=%d syncs=%d", fired, l.Syncs())
+	if fired != 2 || l.syncs.Load() != base+1 {
+		t.Fatalf("covered lazy waiter: fired=%d syncs=%d", fired, l.syncs.Load())
 	}
 }
 
@@ -686,9 +743,9 @@ func TestIntervalPolicySyncsOnTimer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	base := l.Syncs()
+	base := l.syncs.Load()
 	l.LogPrepare(&PreparedTx{TxID: 1, PT: ts(10), Writes: []wire.KV{kv("a", "v")}})
-	for deadline := time.Now().Add(5 * time.Second); l.Syncs() == base; time.Sleep(fsyncPeriod) {
+	for deadline := time.Now().Add(5 * time.Second); l.syncs.Load() == base; time.Sleep(fsyncPeriod) {
 		if time.Now().After(deadline) {
 			t.Fatal("no timer sync within 5 s of an append")
 		}
