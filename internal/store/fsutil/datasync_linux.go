@@ -7,13 +7,11 @@ import (
 	"syscall"
 )
 
-// Datasync forces a file's data, and the metadata a later read needs to
-// find it (its size, its block map), to stable storage. Unlike File.Sync it
-// leaves the timestamps behind, so a write that lands in blocks the file
-// already owns does not wait for a filesystem journal commit. Through
-// SyscallConn, so a concurrent Close cannot hand the descriptor to another
-// file mid-call.
-func Datasync(f *os.File) error {
+// datasync is fdatasync: unlike File.Sync it leaves the timestamps behind,
+// so a write that lands in blocks the file already owns does not wait for
+// a filesystem journal commit. Through SyscallConn, so a concurrent Close
+// cannot hand the descriptor to another file mid-call.
+func datasync(f *os.File) error {
 	rc, err := f.SyscallConn()
 	if err != nil {
 		return err

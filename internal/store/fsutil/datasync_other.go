@@ -4,7 +4,6 @@ package fsutil
 
 import "os"
 
-// Datasync forces a file's data to stable storage. fdatasync is not
-// portable (and on some platforms is weaker than its name), so everywhere
-// but Linux this is File.Sync.
-func Datasync(f *os.File) error { return f.Sync() }
+// datasync is File.Sync everywhere but Linux: fdatasync is not portable
+// (and on some platforms is weaker than its name).
+func datasync(f *os.File) error { return f.Sync() }

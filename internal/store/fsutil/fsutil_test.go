@@ -13,7 +13,7 @@ import (
 // the descriptor next.
 func TestDatasync(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "f")
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	f, err := OS.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,14 +21,14 @@ func TestDatasync(t *testing.T) {
 	if _, err := f.Write(want); err != nil {
 		t.Fatal(err)
 	}
-	if err := Datasync(f); err != nil {
+	if err := f.Datasync(); err != nil {
 		t.Fatalf("Datasync after append: %v", err)
 	}
 	copy(want[100:], "overwrite")
 	if _, err := f.WriteAt([]byte("overwrite"), 100); err != nil {
 		t.Fatal(err)
 	}
-	if err := Datasync(f); err != nil {
+	if err := f.Datasync(); err != nil {
 		t.Fatalf("Datasync after overwrite: %v", err)
 	}
 	got, err := os.ReadFile(path)
@@ -41,7 +41,7 @@ func TestDatasync(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := Datasync(f); err == nil {
+	if err := f.Datasync(); err == nil {
 		t.Fatal("Datasync on a closed file returned nil")
 	}
 }

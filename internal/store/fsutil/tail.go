@@ -2,6 +2,7 @@ package fsutil
 
 import (
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -17,9 +18,41 @@ import (
 // even that fails the tail is frozen (Failed) until its owner rewrites or
 // rotates the file, and memory stays authoritative.
 type Tail struct {
-	F      *os.File
+	F      File
 	Size   int64 // bytes of intact records in F (the rollback point)
 	Failed bool  // append path broken; frozen until the file is replaced
+}
+
+// OpenTail is the recover-on-open of an appended log: it opens the log at
+// path, creating it empty if missing, replays its intact records through
+// scan (which returns their length), truncates whatever follows them — the
+// torn tail of a crash mid-append — and returns the Tail appending behind
+// the last intact record, and whether a tail was cut. The truncation is
+// not synced: a power loss that undoes it leaves the same torn tail for
+// the next open to cut.
+func OpenTail(fsys FS, path string, scan func(io.Reader) int64) (t Tail, torn bool, err error) {
+	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return Tail{}, false, fmt.Errorf("open %s: %w", path, err)
+	}
+	size, err := f.Seek(0, io.SeekEnd)
+	if err == nil {
+		_, err = f.Seek(0, io.SeekStart)
+	}
+	var good int64
+	if err == nil {
+		if good = scan(f); good < size {
+			err = f.Truncate(good)
+		}
+	}
+	if err == nil {
+		_, err = f.Seek(good, io.SeekStart)
+	}
+	if err != nil {
+		_ = f.Close()
+		return Tail{}, false, fmt.Errorf("recover %s: %w", path, err)
+	}
+	return Tail{F: f, Size: good}, good < size, nil
 }
 
 // Append writes b behind the intact records and reports whether it landed.
@@ -31,7 +64,7 @@ func (t *Tail) Append(b []byte, onErr func(error)) bool {
 	if _, err := t.F.Write(b); err != nil {
 		onErr(fmt.Errorf("append: %w", err))
 		if terr := t.F.Truncate(t.Size); terr == nil {
-			if _, terr = t.F.Seek(t.Size, 0); terr == nil {
+			if _, terr = t.F.Seek(t.Size, io.SeekStart); terr == nil {
 				return false
 			}
 		}

@@ -41,7 +41,7 @@ func (s *Shard) AppendLocked(onErr func(error)) {
 // the shard has unsynced appends, or nil. The handle is captured under the
 // shard lock and synced outside it (SyncDirty), so appends are never
 // stalled behind an fsync; an append racing in re-sets Dirty.
-func (s *Shard) TakeDirty() *os.File {
+func (s *Shard) TakeDirty() fsutil.File {
 	s.Mu.Lock()
 	defer s.Mu.Unlock()
 	if !s.Dirty {
@@ -53,8 +53,8 @@ func (s *Shard) TakeDirty() *os.File {
 
 // SyncDirty forces every shard log with unsynced appends to stable storage
 // in one syncFiles phase and returns how many fsyncs that took.
-func SyncDirty[S interface{ TakeDirty() *os.File }](shards []S, onErr func(error)) int {
-	var dirty []*os.File
+func SyncDirty[S interface{ TakeDirty() fsutil.File }](shards []S, onErr func(error)) int {
+	var dirty []fsutil.File
 	for _, sh := range shards {
 		if f := sh.TakeDirty(); f != nil {
 			dirty = append(dirty, f)
@@ -72,7 +72,7 @@ func SyncDirty[S interface{ TakeDirty() *os.File }](shards []S, onErr func(error
 // captured handle that a compaction's rewrite has closed since is skipped
 // as success: the rewrite was fsynced before the swap, so the records are
 // stable through it.
-func syncFiles(files []*os.File, onErr func(error)) {
+func syncFiles(files []fsutil.File, onErr func(error)) {
 	if len(files) == 1 {
 		syncFile(files[0], onErr)
 		return
@@ -80,7 +80,7 @@ func syncFiles(files []*os.File, onErr func(error)) {
 	var wg sync.WaitGroup
 	for _, f := range files {
 		wg.Add(1)
-		go func(f *os.File) {
+		go func(f fsutil.File) {
 			defer wg.Done()
 			syncFile(f, onErr)
 		}(f)
@@ -88,7 +88,7 @@ func syncFiles(files []*os.File, onErr func(error)) {
 	wg.Wait()
 }
 
-func syncFile(f *os.File, onErr func(error)) {
+func syncFile(f fsutil.File, onErr func(error)) {
 	if err := f.Sync(); err != nil && !errors.Is(err, os.ErrClosed) {
 		onErr(fmt.Errorf("sync: %w", err))
 	}

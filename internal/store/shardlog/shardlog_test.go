@@ -13,7 +13,7 @@ import (
 // newShard opens a fresh log file in dir for appending.
 func newShard(t *testing.T, dir, name string) *Shard {
 	t.Helper()
-	f, err := os.OpenFile(filepath.Join(dir, name), os.O_CREATE|os.O_RDWR, 0o644)
+	f, err := fsutil.OS.OpenFile(filepath.Join(dir, name), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,8 @@ func fileSize(t *testing.T, path string) int64 {
 }
 
 func TestAppendAdvancesSizeAndDirties(t *testing.T) {
-	s := newShard(t, t.TempDir(), "log")
+	dir := t.TempDir()
+	s := newShard(t, dir, "log")
 	var errs errCounter
 	appendRec(s, "first", errs.onErr)
 	one := int64(s.Enc.Len())
@@ -66,8 +67,8 @@ func TestAppendAdvancesSizeAndDirties(t *testing.T) {
 		t.Fatalf("after one append: Size=%d Dirty=%v, want %d true", s.Size, s.Dirty, one)
 	}
 	appendRec(s, "later", errs.onErr)
-	if s.Size != 2*one || fileSize(t, s.F.Name()) != 2*one {
-		t.Fatalf("after two appends: Size=%d file=%d, want %d", s.Size, fileSize(t, s.F.Name()), 2*one)
+	if s.Size != 2*one || fileSize(t, filepath.Join(dir, "log")) != 2*one {
+		t.Fatalf("after two appends: Size=%d file=%d, want %d", s.Size, fileSize(t, filepath.Join(dir, "log")), 2*one)
 	}
 	if errs.count() != 0 {
 		t.Fatalf("onErr called: %v", errs.errs)
@@ -75,7 +76,8 @@ func TestAppendAdvancesSizeAndDirties(t *testing.T) {
 }
 
 func TestAppendNoOps(t *testing.T) {
-	s := newShard(t, t.TempDir(), "log")
+	dir := t.TempDir()
+	s := newShard(t, dir, "log")
 	var errs errCounter
 	s.Mu.Lock()
 	s.AppendLocked(errs.onErr) // nothing buffered
@@ -85,8 +87,8 @@ func TestAppendNoOps(t *testing.T) {
 	}
 	s.Failed = true
 	appendRec(s, "dropped", errs.onErr)
-	if s.Size != 0 || s.Dirty || fileSize(t, s.F.Name()) != 0 {
-		t.Fatalf("Failed shard: Size=%d Dirty=%v file=%d, want nothing written", s.Size, s.Dirty, fileSize(t, s.F.Name()))
+	if s.Size != 0 || s.Dirty || fileSize(t, filepath.Join(dir, "log")) != 0 {
+		t.Fatalf("Failed shard: Size=%d Dirty=%v file=%d, want nothing written", s.Size, s.Dirty, fileSize(t, filepath.Join(dir, "log")))
 	}
 	if errs.count() != 0 {
 		t.Fatalf("onErr called: %v", errs.errs)
@@ -133,19 +135,18 @@ func TestSyncFilesErrors(t *testing.T) {
 	closed := newShard(t, dir, "closed").F
 	_ = closed.Close()
 	good := newShard(t, dir, "good").F
-	pr, pw, err := os.Pipe() // fsync on a pipe fails with EINVAL
+	dev, err := fsutil.OS.OpenFile(os.DevNull, os.O_WRONLY, 0) // fsync on a character device fails with EINVAL
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pr.Close()
-	defer pw.Close()
+	defer dev.Close()
 
 	var errs errCounter
-	syncFiles([]*os.File{closed}, errs.onErr)
+	syncFiles([]fsutil.File{closed}, errs.onErr)
 	if errs.count() != 0 {
 		t.Fatalf("a handle closed since it was captured is success, got %v", errs.errs)
 	}
-	syncFiles([]*os.File{closed, pw, good}, errs.onErr)
+	syncFiles([]fsutil.File{closed, dev, good}, errs.onErr)
 	if errs.count() != 1 {
 		t.Fatalf("onErr called %d times for one failing sync: %v", errs.count(), errs.errs)
 	}
@@ -158,7 +159,7 @@ func TestAppendFailureFreezes(t *testing.T) {
 	if err := os.WriteFile(path, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ro, err := os.Open(path) // read-only: the write fails, and so does the truncate
+	ro, err := fsutil.OS.OpenFile(path, os.O_RDONLY, 0) // read-only: the write fails, and so does the truncate
 	if err != nil {
 		t.Fatal(err)
 	}

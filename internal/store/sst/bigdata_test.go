@@ -11,6 +11,7 @@ import (
 	"wren/internal/hlc"
 	"wren/internal/store"
 	"wren/internal/store/enginetest"
+	"wren/internal/store/fsutil/crashfs"
 	"wren/internal/store/logrec"
 	"wren/internal/wire"
 )
@@ -174,19 +175,20 @@ func TestLevelCompactionBounded(t *testing.T) {
 }
 
 // TestCrashDuringLevelCompaction is the level-scoped generalization of
-// the mid-compaction crash test: a kill right after the merged level-0
-// run is renamed — with its superseded inputs still on disk and an
-// untouched higher-level run beside them — must recover to exactly one
-// copy of every key, deleting the subsumed inputs and never resurrecting
-// a deleted key whose tombstone took part in the merge.
+// the mid-compaction crash test: a power cut right after the merged
+// level-0 run is renamed (and its directory synced) — with its superseded
+// inputs still on disk and an untouched higher-level run beside them —
+// must recover to exactly one copy of every key, deleting the subsumed
+// inputs and never resurrecting a deleted key whose tombstone took part in
+// the merge.
 func TestCrashDuringLevelCompaction(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{
 		Dir: dir, Shards: 1,
 		FlushBytes: 1024, LevelFanout: 2, CompactRuns: 2, CompactGarbage: 1 << 30,
-		crashAfterCompactRename: true,
 	}
-	e := mustOpen(t, opts)
+	c := newCrashFS(t, dir, 1)
+	e := openOver(t, opts, c)
 	ref := store.NewMemoryEngine(1)
 
 	// Big run past level 0, holding a key that will be deleted in a
@@ -219,20 +221,25 @@ func TestCrashDuringLevelCompaction(t *testing.T) {
 	live := &store.Version{Value: []byte("fresh"), UT: 20_000, RDT: 20_000, TxID: 1000}
 	e.Put("extra", live)
 	ref.Put("extra", live)
-	// This flush completes the level-0 group and triggers the merge that
-	// crashes right after the output rename; the error is the crash.
-	_ = e.Flush()
-	_ = e.Close()
+	// This flush completes the level-0 group and triggers the merge; the
+	// power is cut right after its output rename.
+	if err := e.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	// The crash point: merged run 2-3 renamed, inputs 2-2 and 3-3 not yet
 	// deleted, big run 1-1 untouched.
+	dir = crashImage(t, c, c.Find(crashfs.Remove, "run-*.sst")-1)
 	for _, name := range []string{"run-000001-000001.sst", "run-000002-000002.sst", "run-000003-000003.sst", "run-000002-000003.sst"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Fatalf("crash footprint missing %s: %v", name, err)
 		}
 	}
 
-	opts.crashAfterCompactRename = false
+	opts.Dir = dir
 	re := mustOpen(t, opts)
 	defer re.Close()
 	if re.Runs() != 2 {

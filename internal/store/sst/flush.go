@@ -30,9 +30,6 @@ func (e *Engine) Flush() error {
 // recovery takes as the active one. Caller holds flushMu.
 func (e *Engine) flushLocked() error {
 	tabs := e.tabs.Load()
-	if tabs.frozen != nil {
-		return nil // only after a simulated-crash hook; never in production
-	}
 	if tabs.active.Versions() == 0 {
 		return nil
 	}
@@ -44,11 +41,6 @@ func (e *Engine) flushLocked() error {
 		err = fmt.Errorf("sst: rotate wal generation: %w", err)
 		e.recordErr(err)
 		return err
-	}
-	if e.opts.crashAfterLogCreate {
-		_ = next.F.Close()
-		e.markCrashed()
-		return nil
 	}
 
 	// Freeze: swap in a fresh memtable and the new generation under every
@@ -100,11 +92,6 @@ func (e *Engine) flushLocked() error {
 		e.recordErr(err)
 		return err
 	}
-	if e.opts.crashAfterFlushRename {
-		_ = old.F.Close()
-		e.markCrashed()
-		return nil
-	}
 
 	// Publish: one atomic swap replaces the frozen memtable with the run,
 	// so there is never a window where the data is invisible or counted
@@ -118,7 +105,7 @@ func (e *Engine) flushLocked() error {
 	// The durable run supersedes the log generations it covers.
 	_ = old.F.Close()
 	for g := frozenMin; g <= oldGen; g++ {
-		if err := os.Remove(e.walPath(g)); err != nil && !os.IsNotExist(err) {
+		if err := e.fs.Remove(e.walPath(g)); err != nil && !os.IsNotExist(err) {
 			e.recordErr(fmt.Errorf("sst: remove superseded wal: %w", err))
 		}
 	}
@@ -130,11 +117,11 @@ func (e *Engine) flushLocked() error {
 // createLog creates generation gen's log file, empty, and syncs the
 // directory so its entry survives a power loss. Caller holds flushMu.
 func (e *Engine) createLog(gen uint64) (*genLog, error) {
-	f, err := os.OpenFile(e.walPath(gen), os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
+	f, err := e.fs.OpenFile(e.walPath(gen), os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	if err := fsutil.SyncDir(e.dir); err != nil {
+	if err := e.fs.SyncDir(e.dir); err != nil {
 		_ = f.Close()
 		return nil, err
 	}
@@ -174,7 +161,7 @@ func (e *Engine) unfreeze(frozen *store.Store, frozenMin uint64) {
 // more of it. Any other key has exactly one live version, a value, and no
 // floor can prune that. Caller holds flushMu.
 func (e *Engine) writeRun(frozen *store.Store, minGen, maxGen uint64) (*run, error) {
-	w, err := newRunWriter(e.runPath(minGen, maxGen), e.blockBytes, frozen.Keys())
+	w, err := newRunWriter(e.fs, e.runPath(minGen, maxGen), e.blockBytes, frozen.Keys())
 	if err != nil {
 		return nil, err
 	}
@@ -193,7 +180,7 @@ func (e *Engine) writeRun(frozen *store.Store, minGen, maxGen uint64) (*run, err
 	if err != nil {
 		return nil, err
 	}
-	if err := fsutil.SyncDir(e.dir); err != nil {
+	if err := e.fs.SyncDir(e.dir); err != nil {
 		return nil, fmt.Errorf("sst: sync dir: %w", err)
 	}
 	r, err := w.intoRun(minGen, maxGen, fileSize, dataSize)
@@ -323,7 +310,7 @@ func (e *Engine) compactLocked(inputs []*run) {
 		expectKeys += r.keyCount - r.deadKeys
 	}
 	path := e.runPath(minGen, maxGen)
-	w, err := newRunWriter(path, e.blockBytes, expectKeys)
+	w, err := newRunWriter(e.fs, path, e.blockBytes, expectKeys)
 	if err != nil {
 		e.recordErr(err)
 		return
@@ -402,39 +389,17 @@ func (e *Engine) compactLocked(inputs []*run) {
 		return
 	}
 
-	if w.keys == 0 {
-		// Every chain was fully cut with nothing left to shadow: there is
-		// no output run at all. Retire the inputs.
-		w.abort()
-		if e.opts.crashAfterCompactRename {
-			e.markCrashed()
-			return
-		}
-		cur := e.tabs.Load()
-		e.tabs.Store(&tables{active: cur.active, frozen: cur.frozen, runs: sortRunsNewestFirst(outside)})
-		for _, r := range inputs {
-			if err := os.Remove(r.path); err != nil {
-				e.recordErr(fmt.Errorf("sst: remove compacted run: %w", err))
-			}
-		}
-		for _, r := range inputs {
-			r.file.release()
-		}
-		e.compactions.Inc()
-		return
-	}
-
+	// The output is written even when every chain was cut (an empty run):
+	// it is what retires the inputs at recovery when a power loss undoes
+	// some of their removals, and a remaining input could hold a value
+	// whose tombstone went with a removed one.
 	fileSize, dataSize, err := w.finish()
 	if err != nil {
 		e.recordErr(err)
 		return
 	}
-	if err := fsutil.SyncDir(e.dir); err != nil {
+	if err := e.fs.SyncDir(e.dir); err != nil {
 		e.recordErr(fmt.Errorf("sst: sync dir: %w", err))
-		return
-	}
-	if e.opts.crashAfterCompactRename {
-		e.markCrashed()
 		return
 	}
 	out, err := w.intoRun(minGen, maxGen, fileSize, dataSize)
@@ -460,7 +425,7 @@ func (e *Engine) compactLocked(inputs []*run) {
 		if r.path == path {
 			continue // a single-run rewrite replaced its own file via the rename
 		}
-		if err := os.Remove(r.path); err != nil {
+		if err := e.fs.Remove(r.path); err != nil {
 			e.recordErr(fmt.Errorf("sst: remove compacted run: %w", err))
 		}
 	}
@@ -526,9 +491,6 @@ func (e *Engine) GCStats(oldest hlc.Timestamp) store.GCResult {
 	written := e.drainWritten()
 	res := store.GCResult{PerShard: make([]int, e.nShards)}
 	tabs := e.tabs.Load()
-	if tabs.frozen != nil {
-		return res // only after a simulated-crash hook; never in production
-	}
 	if len(tabs.runs) == 0 {
 		// Pure-memtable tiering: the striped store's own GC has identical
 		// semantics and accounting. Whatever it leaves unsettled is in the

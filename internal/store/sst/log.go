@@ -2,7 +2,6 @@ package sst
 
 import (
 	"fmt"
-	"os"
 	"slices"
 	"sync"
 
@@ -53,7 +52,7 @@ func (e *Engine) appendLocked(b []byte) {
 // takeDirty returns the log's file and clears dirty if it has unsynced
 // appends, or nil. The file is synced outside mu, so appends never stall
 // behind the sync; an append racing in sets dirty again.
-func (l *genLog) takeDirty() *os.File {
+func (l *genLog) takeDirty() fsutil.File {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if !l.dirty {
@@ -65,12 +64,12 @@ func (l *genLog) takeDirty() *os.File {
 
 // syncLog forces f to stable storage with one fdatasync and counts it; a
 // nil f is a clean log and costs nothing.
-func (e *Engine) syncLog(f *os.File) {
+func (e *Engine) syncLog(f fsutil.File) {
 	if f == nil {
 		return
 	}
 	e.syncs.Add(1)
-	if err := fsutil.Datasync(f); err != nil {
+	if err := f.Datasync(); err != nil {
 		e.onErr(fmt.Errorf("sync: %w", err))
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"wren/internal/hlc"
 	"wren/internal/store"
 	"wren/internal/store/enginetest"
+	"wren/internal/store/fsutil/crashfs"
 )
 
 // logFiles lists the log generations in dir.
@@ -103,28 +104,30 @@ func TestBatchIsOneLogWrite(t *testing.T) {
 	enginetest.RequireSameState(t, e, ref)
 }
 
-// TestCrashBetweenLogCreateAndSwap simulates a kill after a flush created
-// the next generation's log but before the freeze swapped it in: the
-// directory holds the written generation and an empty newer one. Recovery
-// must take the empty one as active, replay the one before it in full, and
-// let the next flush's run cover both.
+// TestCrashBetweenLogCreateAndSwap cuts the power after a flush created
+// the next generation's log (and synced its directory) but before the
+// freeze swapped it in: the directory holds the written generation and an
+// empty newer one. Recovery must take the empty one as active, replay the
+// one before it in full, and let the next flush's run cover both. The
+// writes are synced before the flush, so a power cut cannot take any.
 func TestCrashBetweenLogCreateAndSwap(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Dir: dir, Shards: 4, FlushBytes: -1}
-	opts.crashAfterLogCreate = true
-	e := mustOpen(t, opts)
+	c := newCrashFS(t, dir, 1)
+	e := openOver(t, Options{Dir: dir, Shards: 4, FlushBytes: -1}, c)
 	ref := store.NewMemoryEngine(4)
 	for i := 0; i < 30; i++ {
 		ver := v(fmt.Sprintf("val-%d", i), hlc.Timestamp(i+1), uint64(i))
 		e.Put(fmt.Sprintf("key-%d", i%7), ver)
 		ref.Put(fmt.Sprintf("key-%d", i%7), ver)
 	}
+	e.Sync()
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
+	dir = crashImage(t, c, c.Find(crashfs.Create, "wal-000002.log")+1)
 	if st, err := os.Stat(filepath.Join(dir, "wal-000002.log")); err != nil || st.Size() != 0 {
 		t.Fatalf("the crash point should leave an empty generation 2 (err=%v)", err)
 	}

@@ -119,8 +119,9 @@ func readMapped(fn func()) (err error) {
 // and finish appends the footer and trailer, fsyncs, and renames the
 // temp file into place.
 type runWriter struct {
+	fs         fsutil.FS
 	path, tmp  string
-	f          *os.File
+	f          fsutil.File
 	w          *bufio.Writer
 	enc        *wire.Encoder
 	blockBytes int
@@ -139,14 +140,14 @@ type runWriter struct {
 // newRunWriter opens the temp file. expectedKeys only sizes the Bloom
 // filter, so an upper bound (compaction cannot know the merged distinct
 // count in advance) is fine — oversizing just lowers the FP rate.
-func newRunWriter(path string, blockBytes, expectedKeys int) (*runWriter, error) {
+func newRunWriter(fsys fsutil.FS, path string, blockBytes, expectedKeys int) (*runWriter, error) {
 	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("sst: write run: %w", err)
 	}
 	return &runWriter{
-		path: path, tmp: tmp, f: f,
+		fs: fsys, path: path, tmp: tmp, f: f,
 		w:          bufio.NewWriterSize(f, 1<<16),
 		enc:        wire.NewEncoder(),
 		blockBytes: blockBytes,
@@ -226,10 +227,10 @@ func (w *runWriter) finish() (fileSize, dataSize int64, err error) {
 		w.err = cerr
 	}
 	if w.err == nil {
-		w.err = os.Rename(w.tmp, w.path)
+		w.err = w.fs.Rename(w.tmp, w.path)
 	}
 	if w.err != nil {
-		_ = os.Remove(w.tmp)
+		_ = w.fs.Remove(w.tmp)
 		return 0, 0, fmt.Errorf("sst: write run %s: %w", w.path, w.err)
 	}
 	return fileSize, dataSize, nil
@@ -238,7 +239,7 @@ func (w *runWriter) finish() (fileSize, dataSize int64, err error) {
 // abort discards the half-written temp file.
 func (w *runWriter) abort() {
 	_ = w.f.Close()
-	_ = os.Remove(w.tmp)
+	_ = w.fs.Remove(w.tmp)
 }
 
 // intoRun maps the sealed file and assembles the resident run state the

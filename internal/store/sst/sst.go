@@ -96,13 +96,28 @@
 // gen-contiguous, so the merged output subsumes exactly its inputs),
 // leftover temp files are removed, log generations a run covers are
 // deleted, and the rest are replayed, one file per generation — streamed,
-// never whole-file-buffered — truncating the newest one's torn tail by the
-// shared logrec rules. A directory in the older per-stripe log layout
+// never whole-file-buffered — truncating each one's torn tail
+// (fsutil.OpenTail). A directory in the older per-stripe log layout
 // (sst.meta, wal-<gen>-<stripe>.log) is refused: there is no migration.
+// A power loss may undo whatever no sync covered (fsutil states the
+// model), so three rules keep what a Sync did cover; TestPowerCutSweep
+// cuts the power after every file operation of a seeded history to check
+// them:
+//
+//   - A file MUST be synced before the rename that names it, and the
+//     directory synced before a file it supersedes is removed: a run before
+//     the log generations it covers, a compaction's output — even an empty
+//     one — before its inputs.
+//   - A log generation's directory entry MUST be synced before anything is
+//     appended to it.
+//   - Recovery MUST replay nothing but intact records, and what it leaves
+//     MUST reopen to the same state (a cut or removal a power loss undoes,
+//     the next recovery redoes).
 package sst
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -175,17 +190,6 @@ type Options struct {
 	// LevelFanout overrides the size ratio between adjacent run levels
 	// (0 selects DefaultLevelFanout; minimum 2).
 	LevelFanout int
-
-	// Test-only crash simulation: abort the flush right after the next
-	// log generation is created (before the freeze swaps it in), or right
-	// after the run rename (before the log generations are deleted), or
-	// abort the compaction right after the merged-run rename (before the
-	// old run files are deleted). The engine is poisoned afterwards — Close
-	// skips every sync and flush, emulating the on-disk state of a kill at
-	// that instant.
-	crashAfterLogCreate     bool
-	crashAfterFlushRename   bool
-	crashAfterCompactRename bool
 }
 
 // run is one immutable sorted run: a durable file plus the sparse
@@ -234,13 +238,13 @@ type tables struct {
 
 // Engine is the memtable+sorted-run storage engine.
 type Engine struct {
+	fs             fsutil.FS // every file operation; tests pass crashfs (see open)
 	dir            string
 	flushBytes     int64
 	compactRuns    int
 	compactGarbage int
 	blockBytes     int
 	levelFanout    int
-	opts           Options
 	mask           uint32
 	nShards        int
 
@@ -281,14 +285,13 @@ type Engine struct {
 	memBytes atomic.Int64 // approximate active-memtable payload size
 	flushing atomic.Bool  // a background flush is scheduled or running
 
-	lock *os.File // exclusive advisory lock on the data directory
+	lock io.Closer // exclusive advisory lock on the data directory
 
-	mu      sync.Mutex // guards err, closed, crashed, reg
-	err     error      // first write-path failure, surfaced by Healthy/Close
-	closed  bool
-	crashed bool           // test hooks only: simulate a kill
-	wg      sync.WaitGroup // background flushes and compactions
-	reg     *obs.Registry  // the owner's, from Observe; nil until then
+	mu     sync.Mutex // guards err, closed, reg
+	err    error      // first write-path failure, surfaced by Healthy/Close
+	closed bool
+	wg     sync.WaitGroup // background flushes and compactions
+	reg    *obs.Registry  // the owner's, from Observe; nil until then
 
 	// Counters, registered by Observe. recordsChecked counts run records
 	// CRC-checked walking a block to a key's chain; syncs counts log
@@ -328,7 +331,10 @@ var _ store.Engine = (*Engine)(nil)
 // the rest are replayed into a fresh memtable, truncating a torn tail.
 // Startup heap is bounded by record and footer sizes, not file sizes:
 // run data is never read at open, and WAL replay is streamed.
-func Open(opts Options) (*Engine, error) {
+func Open(opts Options) (*Engine, error) { return open(opts, fsutil.OS) }
+
+// open is Open over fsys, which tests set to a crashfs.
+func open(opts Options, fsys fsutil.FS) (*Engine, error) {
 	flushBytes := opts.FlushBytes
 	if flushBytes == 0 {
 		flushBytes = DefaultFlushBytes
@@ -355,24 +361,20 @@ func Open(opts Options) (*Engine, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("sst: create dir: %w", err)
 	}
-	lock, err := fsutil.ClaimDir(opts.Dir, "sst")
+	lock, err := fsutil.ClaimDir(fsys, opts.Dir, "sst")
 	if err != nil {
 		return nil, fmt.Errorf("sst: %w", err)
-	}
-	fail := func(err error) (*Engine, error) {
-		_ = lock.Close()
-		return nil, err
 	}
 
 	n := store.ResolveShards(opts.Shards)
 	e := &Engine{
+		fs:             fsys,
 		dir:            opts.Dir,
 		flushBytes:     flushBytes,
 		compactRuns:    compactRuns,
 		compactGarbage: compactGarbage,
 		blockBytes:     blockBytes,
 		levelFanout:    levelFanout,
-		opts:           opts,
 		mask:           uint32(n - 1),
 		nShards:        n,
 		lock:           lock,
@@ -387,11 +389,12 @@ func Open(opts Options) (*Engine, error) {
 		if e.log != nil {
 			_ = e.log.F.Close()
 		}
-		return fail(err)
+		_ = lock.Close()
+		return nil, err
 	}
 	// One directory sync covers every temp-file removal, superseded-log
 	// deletion and log creation above.
-	if err := fsutil.SyncDir(opts.Dir); err != nil {
+	if err := fsys.SyncDir(opts.Dir); err != nil {
 		_ = e.Close()
 		return nil, fmt.Errorf("sst: sync dir: %w", err)
 	}
@@ -431,7 +434,7 @@ func (e *Engine) levelOf(size int64) int {
 // start at 1, so a fresh directory begins with log generation 1 and no
 // runs.
 func (e *Engine) recover() (retErr error) {
-	entries, err := os.ReadDir(e.dir)
+	entries, err := e.fs.ReadDir(e.dir)
 	if err != nil {
 		return fmt.Errorf("sst: read dir: %w", err)
 	}
@@ -467,7 +470,7 @@ func (e *Engine) recover() (retErr error) {
 		}
 	}
 	for _, name := range tmps {
-		if err := os.Remove(filepath.Join(e.dir, name)); err != nil {
+		if err := e.fs.Remove(filepath.Join(e.dir, name)); err != nil {
 			return fmt.Errorf("sst: remove leftover %s: %w", name, err)
 		}
 	}
@@ -488,7 +491,7 @@ func (e *Engine) recover() (retErr error) {
 			}
 		}
 		if subsumed {
-			if err := os.Remove(r.path); err != nil {
+			if err := e.fs.Remove(r.path); err != nil {
 				return fmt.Errorf("sst: remove subsumed run %s: %w", r.path, err)
 			}
 			continue
@@ -525,7 +528,7 @@ func (e *Engine) recover() (retErr error) {
 	var gens []uint64
 	for _, g := range logGens {
 		if g <= maxCovered {
-			if err := os.Remove(e.walPath(g)); err != nil {
+			if err := e.fs.Remove(e.walPath(g)); err != nil {
 				return fmt.Errorf("sst: remove superseded wal: %w", err)
 			}
 			continue
@@ -551,60 +554,32 @@ func (e *Engine) recover() (retErr error) {
 	replay := func(key string, v *store.Version) {
 		kvs = append(kvs, store.KV{Key: key, Version: v})
 		memBytes += writeSize(key, v)
+		e.recovered.Inc()
 		if len(kvs) >= 1024 {
 			drain()
 		}
 	}
+	// Every generation is recovered like the active one, torn tail cut;
+	// only the newest is kept open for appends. An older one — a frozen
+	// generation whose flush never completed, or the one before an empty
+	// newest generation (a crash between a flush's log creation and its
+	// freeze) — is closed, and the next flush's run covers it.
 	for _, g := range gens {
-		active := g == activeGen
-		path := e.walPath(g)
-		flag := os.O_RDONLY
-		if active {
-			flag = os.O_CREATE | os.O_RDWR
-		}
-		f, err := os.OpenFile(path, flag, 0o644)
-		if err != nil {
-			return fmt.Errorf("sst: open wal %s: %w", path, err)
-		}
-		st, err := f.Stat()
-		if err != nil {
-			_ = f.Close()
-			return fmt.Errorf("sst: stat wal %s: %w", path, err)
-		}
-		count := 0
-		good := logrec.ScanReader(f, func(key string, v *store.Version) {
-			replay(key, v)
-			count++
+		t, torn, err := fsutil.OpenTail(e.fs, e.walPath(g), func(r io.Reader) int64 {
+			return logrec.ScanReader(r, replay)
 		})
 		drain()
-		e.recovered.Add(uint64(count))
-		if good < st.Size() {
+		if err != nil {
+			return fmt.Errorf("sst: %w", err)
+		}
+		if torn {
 			e.truncated.Inc()
 		}
-		if !active {
-			// A frozen generation whose flush never completed, or the one
-			// before an empty newest generation — a crash between a
-			// flush's log creation and its freeze. Nothing appends to it
-			// again, so it is replayed in full and left as it is; a short
-			// scan (power loss mid-append, bit rot) still replays the
-			// intact prefix but is accounted like a torn tail rather than
-			// silently swallowed. The next flush's run covers it.
-			_ = f.Close()
+		if g != activeGen {
+			_ = t.F.Close()
 			continue
 		}
-		// The newest generation is the one appends continue into: replay
-		// the intact prefix, truncate the rest, keep the handle.
-		if good < st.Size() {
-			if err := f.Truncate(good); err != nil {
-				_ = f.Close()
-				return fmt.Errorf("sst: truncate torn tail of %s: %w", path, err)
-			}
-		}
-		if _, err := f.Seek(good, 0); err != nil {
-			_ = f.Close()
-			return fmt.Errorf("sst: seek %s: %w", path, err)
-		}
-		e.log = &genLog{Tail: fsutil.Tail{F: f, Size: good}}
+		e.log = &genLog{Tail: t}
 	}
 
 	e.gen = activeGen
@@ -965,9 +940,6 @@ func (e *Engine) Observe(reg *obs.Registry) {
 	e.mu.Unlock()
 }
 
-// Dir returns the engine's data directory.
-func (e *Engine) Dir() string { return e.dir }
-
 // Runs returns the number of live sorted runs (for tests and monitoring).
 func (e *Engine) Runs() int {
 	return len(e.tabs.Load().runs)
@@ -1024,15 +996,6 @@ func (e *Engine) recordErr(err error) {
 	}
 }
 
-// markCrashed poisons the engine after a simulated kill (test hooks):
-// Close releases resources without syncing or flushing anything, so the
-// directory is left exactly as the crash point shaped it.
-func (e *Engine) markCrashed() {
-	e.mu.Lock()
-	e.crashed = true
-	e.mu.Unlock()
-}
-
 // Close implements store.Engine: it waits out the background work, forces
 // the active log generation to stable storage with one fdatasync (a clean
 // shutdown is always fully durable), closes the files, unmaps the
@@ -1046,17 +1009,14 @@ func (e *Engine) Close() error {
 		return err
 	}
 	e.closed = true
-	crashed := e.crashed
 	e.mu.Unlock()
 
 	e.wg.Wait()
 	e.syncMu.Lock()
 	l := e.log
 	l.mu.Lock()
-	if !crashed {
-		e.syncLog(l.F)
-	}
-	if err := l.F.Close(); err != nil && !crashed {
+	e.syncLog(l.F)
+	if err := l.F.Close(); err != nil {
 		e.recordErr(fmt.Errorf("sst: close: %w", err))
 	}
 	l.dirty = false

@@ -10,6 +10,7 @@ import (
 	"wren/internal/hlc"
 	"wren/internal/store"
 	"wren/internal/store/enginetest"
+	"wren/internal/store/fsutil/crashfs"
 )
 
 func mustOpen(t *testing.T, opts Options) *Engine {
@@ -206,16 +207,15 @@ func TestFlushSupersedesWAL(t *testing.T) {
 	enginetest.RequireSameState(t, re, ref)
 }
 
-// TestCrashDuringFlush simulates a kill right after the run rename but
-// before the WAL generations are deleted — the run AND the logs it covers
-// both exist on disk. Recovery must treat the run as authoritative and
-// drop the superseded logs, or every flushed version would come back
-// twice.
+// TestCrashDuringFlush cuts the power right after the run rename (and its
+// directory sync) but before the WAL generations are deleted — the run AND
+// the logs it covers both exist on disk. Recovery must treat the run as
+// authoritative and drop the superseded logs, or every flushed version
+// would come back twice.
 func TestCrashDuringFlush(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Dir: dir, Shards: 2, FlushBytes: -1}
-	opts.crashAfterFlushRename = true
-	e := mustOpen(t, opts)
+	c := newCrashFS(t, dir, 1)
+	e := openOver(t, Options{Dir: dir, Shards: 2, FlushBytes: -1}, c)
 	ref := store.NewMemoryEngine(2)
 	for i := 0; i < 30; i++ {
 		ver := v(fmt.Sprintf("val-%d", i), hlc.Timestamp(i+1), uint64(i))
@@ -229,6 +229,7 @@ func TestCrashDuringFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The crash left both the run and its superseded WAL generation.
+	dir = crashImage(t, c, c.Find(crashfs.Remove, "wal-000001.log")-1)
 	if _, err := os.Stat(filepath.Join(dir, "run-000001-000001.sst")); err != nil {
 		t.Fatalf("run file missing after simulated crash: %v", err)
 	}
@@ -284,15 +285,15 @@ func TestCrashBeforeFlushRename(t *testing.T) {
 	enginetest.RequireSameState(t, re, ref)
 }
 
-// TestCrashDuringCompactionRename simulates a kill right after the merged
-// run renamed into place but before the input runs were deleted: disk
-// holds overlapping runs. Recovery must keep the widest and delete the
-// subsumed ones — loading both would duplicate every merged version.
+// TestCrashDuringCompactionRename cuts the power right after the merged
+// run renamed into place (and its directory synced) but before the input
+// runs were deleted: disk holds overlapping runs. Recovery must keep the
+// widest and delete the subsumed ones — loading both would duplicate every
+// merged version.
 func TestCrashDuringCompactionRename(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Dir: dir, Shards: 2, FlushBytes: -1, CompactRuns: 100}
-	opts.crashAfterCompactRename = true
-	e := mustOpen(t, opts)
+	c := newCrashFS(t, dir, 1)
+	e := openOver(t, Options{Dir: dir, Shards: 2, FlushBytes: -1, CompactRuns: 100}, c)
 	ref := store.NewMemoryEngine(2)
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 10; i++ {
@@ -308,11 +309,12 @@ func TestCrashDuringCompactionRename(t *testing.T) {
 	if e.Runs() != 3 {
 		t.Fatalf("runs before compaction = %d, want 3", e.Runs())
 	}
-	e.Compact() // hook: crash after the merged run's rename
+	e.Compact()
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// Crash point: merged run plus all three originals on disk.
+	dir = crashImage(t, c, c.Find(crashfs.Remove, "run-*.sst")-1)
 	if _, err := os.Stat(filepath.Join(dir, "run-000001-000003.sst")); err != nil {
 		t.Fatalf("merged run missing: %v", err)
 	}

@@ -26,6 +26,7 @@ package wal
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -75,7 +76,7 @@ type Engine struct {
 	mask   uint32
 	shards []*walShard
 
-	lock *os.File // exclusive advisory lock on the data directory
+	lock io.Closer // exclusive advisory lock on the data directory
 
 	// syncMu serializes Sync: a caller whose dirty logs an earlier Sync
 	// already took must not return before that Sync's fsyncs have.
@@ -106,7 +107,7 @@ func Open(opts Options) (*Engine, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: create dir: %w", err)
 	}
-	lock, err := fsutil.ClaimDir(opts.Dir, "wal")
+	lock, err := fsutil.ClaimDir(fsutil.OS, opts.Dir, "wal")
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +120,7 @@ func Open(opts Options) (*Engine, error) {
 	// The bound matters: a count above store.MaxShards would be clamped
 	// by the memory engine, desynchronizing the log↔stripe mapping
 	// compaction relies on.
-	n, err := fsutil.LoadOrInitShards(opts.Dir, "wal.meta", mem.NumShards(), store.MaxShards)
+	n, err := fsutil.LoadOrInitShards(fsutil.OS, opts.Dir, "wal.meta", mem.NumShards(), store.MaxShards)
 	if err != nil {
 		_ = lock.Close()
 		return nil, err
@@ -136,22 +137,19 @@ func Open(opts Options) (*Engine, error) {
 		lock:   lock,
 	}
 	for si := 0; si < n; si++ {
-		sh := &walShard{Shard: shardlog.Shard{Enc: wire.NewEncoder()}}
-		if err := e.recoverShard(si, sh); err != nil {
-			// Close whatever opened before the failure.
-			for _, prev := range e.shards {
-				if prev != nil && prev.F != nil {
-					_ = prev.F.Close()
-				}
+		t, err := e.recoverShard(si)
+		if err != nil {
+			for _, prev := range e.shards[:si] {
+				_ = prev.F.Close()
 			}
 			_ = lock.Close()
 			return nil, err
 		}
-		e.shards[si] = sh
+		e.shards[si] = &walShard{Shard: shardlog.Shard{Tail: t, Enc: wire.NewEncoder()}}
 	}
 	// One directory sync covers every shard log created (or truncated)
 	// above, so a fresh data dir survives power loss as a unit.
-	if err := fsutil.SyncDir(opts.Dir); err != nil {
+	if err := fsutil.OS.SyncDir(opts.Dir); err != nil {
 		_ = e.Close()
 		return nil, fmt.Errorf("wal: sync dir: %w", err)
 	}
@@ -163,50 +161,26 @@ func (e *Engine) shardPath(si int) string {
 	return filepath.Join(e.dir, fmt.Sprintf("shard-%05d.log", si))
 }
 
-// recoverShard replays shard si's log into memory and leaves the file open
-// for appending. The log is streamed through a bounded read buffer — never
-// materialized whole — so startup heap is set by record size, not log
-// size. A record whose length prefix or checksum does not hold — a torn
-// tail from a crash mid-append — is truncated away along with everything
-// after it.
-func (e *Engine) recoverShard(si int, sh *walShard) error {
-	path := e.shardPath(si)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: open %s: %w", path, err)
-	}
-	size, err := f.Seek(0, 2)
-	if err == nil {
-		_, err = f.Seek(0, 0)
-	}
-	if err != nil {
-		_ = f.Close()
-		return fmt.Errorf("wal: seek %s: %w", path, err)
-	}
-
+// recoverShard replays shard si's log into memory and returns it open for
+// appending (fsutil.OpenTail): the log is streamed, never materialized
+// whole, so startup heap is set by record size, not log size, and a torn
+// tail from a crash mid-append is truncated away.
+func (e *Engine) recoverShard(si int) (fsutil.Tail, error) {
 	var kvs []store.KV
-	good := logrec.ScanReader(bufio.NewReaderSize(f, 1<<16), func(key string, v *store.Version) {
-		kvs = append(kvs, store.KV{Key: key, Version: v})
+	t, torn, err := fsutil.OpenTail(fsutil.OS, e.shardPath(si), func(r io.Reader) int64 {
+		return logrec.ScanReader(r, func(key string, v *store.Version) {
+			kvs = append(kvs, store.KV{Key: key, Version: v})
+		})
 	})
+	if err != nil {
+		return t, fmt.Errorf("wal: %w", err)
+	}
 	e.mem.PutBatch(kvs)
 	e.recovered.Add(uint64(len(kvs)))
-	if good < size {
+	if torn {
 		e.truncated.Inc()
 	}
-
-	if good < size {
-		if err := f.Truncate(good); err != nil {
-			_ = f.Close()
-			return fmt.Errorf("wal: truncate torn tail of %s: %w", path, err)
-		}
-	}
-	if _, err := f.Seek(good, 0); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("wal: seek %s: %w", path, err)
-	}
-	sh.F = f
-	sh.Size = good
-	return nil
+	return t, nil
 }
 
 // recordErr remembers the first append/sync failure, logging the
@@ -342,7 +316,7 @@ func (e *Engine) compactShard(si int) {
 	snap := e.mem.ShardSnapshot(si)
 	path := e.shardPath(si)
 	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, err := fsutil.OS.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		e.recordErr(fmt.Errorf("wal: compact %s: %w", path, err))
 		return
@@ -369,12 +343,12 @@ func (e *Engine) compactShard(si int) {
 		err = f.Sync()
 	}
 	if err == nil {
-		err = os.Rename(tmp, path)
+		err = fsutil.OS.Rename(tmp, path)
 	}
 	if err != nil {
 		e.recordErr(fmt.Errorf("wal: compact %s: %w", path, err))
 		_ = f.Close()
-		_ = os.Remove(tmp)
+		_ = fsutil.OS.Remove(tmp)
 		return
 	}
 
@@ -391,7 +365,7 @@ func (e *Engine) compactShard(si int) {
 	// Persist the rename itself: without the directory sync a power loss
 	// could revert the name to the pre-compaction inode, losing every
 	// post-compaction append.
-	if derr := fsutil.SyncDir(e.dir); derr != nil {
+	if derr := fsutil.OS.SyncDir(e.dir); derr != nil {
 		e.recordErr(fmt.Errorf("wal: compact %s: sync dir: %w", path, derr))
 	}
 	e.compactions.Inc()
@@ -447,9 +421,6 @@ func (e *Engine) Observe(reg *obs.Registry) {
 	e.reg = reg
 	e.mu.Unlock()
 }
-
-// Dir returns the engine's data directory.
-func (e *Engine) Dir() string { return e.dir }
 
 // Close implements store.Engine: it forces every log to stable storage (a
 // clean shutdown is always fully durable), closes the files, and returns

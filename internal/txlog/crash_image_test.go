@@ -10,10 +10,9 @@ import (
 	"strings"
 	"testing"
 
+	"wren/internal/store/fsutil/crashfs"
 	"wren/internal/wire"
 )
-
-const pageSize = 4096
 
 // fingerprint renders everything recovery rebuilds from the file, in a
 // canonical order: two logs with the same fingerprint replayed the same
@@ -115,11 +114,71 @@ func TestStaleRecordBehindTornOneIsNotReplayed(t *testing.T) {
 	}
 }
 
+// TestClearedTailSurvivesPowerCut is the power-loss side of the test
+// above: recovery's zeros over a torn tail MUST be stable before the
+// life's first append. Life 1 leaves A B ⟨torn C⟩ D, each record over a
+// page; life 2 recovers through crashfs, appends a C' of C's length and
+// loses power before any sync. Whatever pages survive, D must not come
+// back behind C'.
+func TestClearedTailSurvivesPowerCut(t *testing.T) {
+	dir := t.TempDir()
+	l := openLog(t, dir, 1)
+	prepare := func(l *Log, id uint64) int64 {
+		l.LogPrepare(&PreparedTx{TxID: id, PT: ts(10), Writes: []wire.KV{kv("key", strings.Repeat("v", 6000))}})
+		return recordBytes(l)
+	}
+	prepare(l, 1)
+	offC := prepare(l, 2)
+	prepare(l, 3)
+	prepare(l, 4)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(make([]byte, 64), offC+100); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	torn, err := os.ReadFile(filepath.Join(dir, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 32; seed++ {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, logName), torn, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := crashfs.New(dir, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := open(Options{Dir: dir, NumDCs: 1, Fsync: "always"}, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prepare(r, 5) // C', unsynced
+		img := t.TempDir()
+		if err := c.Image(c.Ops(), img); err != nil {
+			t.Fatal(err)
+		}
+		r.Close()
+		r = openLog(t, img, 1)
+		if got := fingerprint(r); strings.Contains(got, "P3@") || strings.Contains(got, "P4@") {
+			t.Fatalf("seed %d: a power cut before the first sync replayed a record behind the cleared tail: %s", seed, got)
+		}
+		r.Close()
+	}
+}
+
 // TestPageSubsetCrash runs a seeded script of prepares, commits, aborts,
 // decisions, cursor moves, syncs and compactions, and at random points
-// builds the file a crash could leave: any subset of the 4 KiB pages
-// written since the last completed sync holds what it held at that sync,
-// and a file that grew since may not have. Reopening the image must replay
+// cuts the power (crashfs.Image): any subset of the 4 KiB pages written
+// since the last completed sync holds what it held at that sync, and a
+// file that grew since may not have. Reopening the image must replay
 // exactly a prefix of the appended records that includes everything the
 // sync covered, leave nothing but zeros behind it, accept appends, and
 // survive a second reopen.
@@ -220,62 +279,43 @@ func (s *stepper) step(logs ...*Log) (compacted bool) {
 
 func pageSubsetCrash(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	open := func(dir string) *Log {
-		l, err := Open(Options{Dir: dir, NumDCs: 2, Fsync: "always", CompactThreshold: -1})
+	// openDir opens the log in dir through a crashfs over it: the log's
+	// own for the history, a fresh one (which pays no real fsync) for an
+	// image.
+	openDir := func(dir string) (*Log, *crashfs.FS) {
+		c, err := crashfs.New(dir, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := open(Options{Dir: dir, NumDCs: 2, Fsync: "always", CompactThreshold: -1}, c)
 		if err != nil {
 			t.Fatalf("seed %d: Open: %v", seed, err)
 		}
-		return l
+		return l, c
 	}
-	dir, crashDir := t.TempDir(), t.TempDir()
-	l := open(dir)
+	l, c := openDir(t.TempDir())
 	defer func() { l.Close() }()
 	s := newStepper(rng)
 
-	path := filepath.Join(dir, logName)
-	read := func() []byte {
-		buf, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		return buf
-	}
-	// synced is the file as the last completed sync left it; states are the
-	// fingerprints after that sync and after each step since.
-	synced, states := read(), []string{fingerprint(l)}
+	// states are the fingerprints after the last completed sync and after
+	// each step since.
+	states := []string{fingerprint(l)}
 	for n := 0; n < 100; n++ {
 		syncs := l.syncs.Load()
 		if s.step(l) || l.syncs.Load() != syncs {
-			synced, states = read(), states[:0]
+			states = states[:0]
 		}
 		states = append(states, fingerprint(l))
 		if rng.Intn(4) != 0 {
 			continue
 		}
 
-		cur := read()
-		img := append([]byte(nil), cur...)
-		reverted := 0
-		for off := 0; off < len(cur); off += pageSize {
-			end := min(off+pageSize, len(cur))
-			var old [pageSize]byte
-			if off < len(synced) {
-				copy(old[:], synced[off:min(off+pageSize, len(synced))])
-			}
-			if !bytes.Equal(cur[off:end], old[:end-off]) && rng.Intn(2) == 0 {
-				copy(img[off:end], old[:])
-				reverted++
-			}
-		}
-		if len(img) > len(synced) && rng.Intn(4) == 0 {
-			img = img[:len(synced)] // the new size never made it either
-		}
-		context := fmt.Sprintf("seed %d step %d (%d pages reverted, %d of %d bytes)", seed, n, reverted, len(img), len(cur))
-		if err := os.WriteFile(filepath.Join(crashDir, logName), img, 0o644); err != nil {
+		crashDir := t.TempDir()
+		if err := c.Image(c.Ops(), crashDir); err != nil {
 			t.Fatal(err)
 		}
-
-		r := open(crashDir)
+		context := fmt.Sprintf("seed %d step %d (power cut after operation %d)", seed, n, c.Ops())
+		r, _ := openDir(crashDir)
 		got, at := fingerprint(r), -1
 		for i, state := range states {
 			if state == got {
@@ -293,7 +333,7 @@ func pageSubsetCrash(t *testing.T, seed int64) {
 		if err := r.Close(); err != nil {
 			t.Fatalf("%s: Close after recovery: %v", context, err)
 		}
-		r = open(crashDir)
+		r, _ = openDir(crashDir)
 		if got := fingerprint(r); got != want {
 			t.Fatalf("%s: second reopen\n  %s\nwant\n  %s", context, got, want)
 		}

@@ -65,7 +65,7 @@
 // fresh file before the one fsync its rewrite pays anyway). An append
 // therefore overwrites blocks the file has instead of growing it, and the
 // sync behind it has no size, block map or extent state to push through
-// the filesystem's journal. That is why fdatasync (fsutil.Datasync)
+// the filesystem's journal. That is why fdatasync (File.Datasync)
 // suffices for every sync of the group commit: it covers the data and the
 // size a later read needs — the moved size too, on the one sync in a few
 // dozen that follows an extension — and leaves only the timestamps behind.
@@ -81,6 +81,11 @@
 //   - A record MUST NOT be empty (every one starts with its kind byte):
 //     eight zero bytes frame and checksum clean, so a frame of zero length
 //     is where zero-filled space begins, and a scan ends there by rule.
+//   - A compaction's rewrite MUST be synced before its rename, and the
+//     directory synced before the rewrite's records count as synced.
+//
+// TestPageSubsetCrash cuts the power (the crash model fsutil states) at
+// random points of a seeded history to check these rules.
 //
 // Compaction rewrites the file keeping only records still needed —
 // prepares without an outcome, committed transactions not yet both applied
@@ -261,6 +266,7 @@ type CoordTx struct {
 // Log is the durable transaction-lifecycle log of one partition server.
 // All methods are safe for concurrent use.
 type Log struct {
+	fs     fsutil.FS // every file operation; tests pass crashfs (see open)
 	dir    string
 	fsync  string
 	compat int
@@ -327,7 +333,10 @@ type Log struct {
 // are replayed into the in-memory lifecycle state (clearing a torn tail),
 // pairing prepares with their outcomes. An empty Dir opens a log without a
 // file (see the package comment).
-func Open(opts Options) (*Log, error) {
+func Open(opts Options) (*Log, error) { return open(opts, fsutil.OS) }
+
+// open is Open over fsys, which tests set to a crashfs.
+func open(opts Options, fsys fsutil.FS) (*Log, error) {
 	if opts.NumDCs <= 0 {
 		return nil, fmt.Errorf("txlog: NumDCs must be positive")
 	}
@@ -336,6 +345,7 @@ func Open(opts Options) (*Log, error) {
 		compact = DefaultCompactThreshold
 	}
 	l := &Log{
+		fs:        fsys,
 		dir:       opts.Dir,
 		compat:    compact,
 		numDCs:    opts.NumDCs,
@@ -364,7 +374,7 @@ func Open(opts Options) (*Log, error) {
 	}
 	// One directory sync covers the log file creation, so a fresh txlog
 	// directory survives power loss as a unit.
-	if err := fsutil.SyncDir(opts.Dir); err != nil {
+	if err := fsys.SyncDir(opts.Dir); err != nil {
 		_ = l.sh.F.Close()
 		return nil, fmt.Errorf("txlog: sync dir: %w", err)
 	}
@@ -386,12 +396,12 @@ func (l *Log) path() string { return filepath.Join(l.dir, logName) }
 // before anything can be appended in front of it.
 func (l *Log) recover() error {
 	path := l.path()
-	buf, err := os.ReadFile(path)
+	buf, err := l.fs.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("txlog: read %s: %w", path, err)
 	}
 	good := logrec.ScanFrames(buf, l.applyRecord)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	f, err := l.fs.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("txlog: open %s: %w", path, err)
 	}
@@ -420,7 +430,7 @@ func (l *Log) recover() error {
 
 // writeZeros overwrites [off, off+n) of f with zeros, leaving the handle's
 // append position where it is.
-func writeZeros(f *os.File, off, n int64) error {
+func writeZeros(f fsutil.File, off, n int64) error {
 	for n > 0 {
 		z := zeros[:min(n, int64(len(zeros)))]
 		if _, err := f.WriteAt(z, off); err != nil {
@@ -736,7 +746,7 @@ func (l *Log) syncTo(target int64) {
 	var ready []lazyWaiter
 	if !covered {
 		l.syncs.Add(1)
-		if err := fsutil.Datasync(f); err != nil {
+		if err := f.Datasync(); err != nil {
 			l.recordErr(fmt.Errorf("txlog: sync: %w", err))
 		} else {
 			ready = l.advanceSynced(end)
@@ -1223,7 +1233,7 @@ func (l *Log) compactFlushLocked() []lazyWaiter {
 	tmp := path + ".tmp"
 	// O_RDWR: the file becomes the append handle, which the next
 	// compaction reads its carry-over from.
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
+	f, err := l.fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
 	var written int64
 	if err == nil {
 		written, err = snap.writeTo(f)
@@ -1249,7 +1259,7 @@ func (l *Log) compactFlushLocked() []lazyWaiter {
 		}
 		if f != nil {
 			_ = f.Close()
-			_ = os.Remove(tmp)
+			_ = l.fs.Remove(tmp)
 		}
 		return nil
 	}
@@ -1269,7 +1279,7 @@ func (l *Log) compactFlushLocked() []lazyWaiter {
 		_, err = io.Copy(f, io.NewSectionReader(old, mark, tail))
 	}
 	if err == nil {
-		err = os.Rename(tmp, path)
+		err = l.fs.Rename(tmp, path)
 	}
 	if err != nil {
 		return abort(err)
@@ -1289,7 +1299,7 @@ func (l *Log) compactFlushLocked() []lazyWaiter {
 	// which takes milliseconds — so not under the append lock.
 	_ = old.Close()
 	// The snapshot is only as stable as the rename that put it in place.
-	if derr := fsutil.SyncDir(l.dir); derr != nil {
+	if derr := l.fs.SyncDir(l.dir); derr != nil {
 		l.recordErr(fmt.Errorf("txlog: compact: sync dir: %w", derr))
 		return nil
 	}
@@ -1300,7 +1310,7 @@ func (l *Log) compactFlushLocked() []lazyWaiter {
 // encoder and a buffered writer (the WAL engine's compaction discipline):
 // encoding the whole retained state into one buffer would pin a
 // rewrite-sized allocation for every burst of retained transactions.
-func (r *retained) writeTo(f *os.File) (written int64, err error) {
+func (r *retained) writeTo(f fsutil.File) (written int64, err error) {
 	w := bufio.NewWriterSize(f, 1<<16)
 	enc := wire.NewEncoder()
 	emit := func(encode func(*wire.Encoder)) {
