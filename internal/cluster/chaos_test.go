@@ -413,10 +413,10 @@ func TestChaosInDoubtResolve(t *testing.T) {
 }
 
 // TestChaosReplicationLossResync drops half the replication frames
-// between DCs, then clears the loss and relies on the transaction log's
-// live resync (stalled-cursor detection) to re-ship the unconfirmed tail.
-// Every backend runs it: the memory backend's txlog has no file but the
-// same cursor, gap refusal and resync.
+// between DCs, then clears the loss and relies on the stream's rewind
+// (stalled-cursor detection) to re-ship the unconfirmed tail from the
+// transaction log. Every backend runs it: the memory backend's txlog has
+// no file but the same cursor, gap refusal and rewind.
 func TestChaosReplicationLossResync(t *testing.T) {
 	cfg := chaosConfig(Wren, 2, 2)
 	cl, err := New(cfg)
@@ -445,7 +445,7 @@ func TestChaosReplicationLossResync(t *testing.T) {
 	}
 
 	ch.ClearRules()
-	// Stall detection needs liveResyncStallTicks lifecycle ticks (1s
+	// Stall detection needs rewindStallTicks lifecycle ticks (1s
 	// cadence) before the tail is re-shipped; allow ample slack.
 	waitConverged(t, cl, want, 25*time.Second)
 	assertExactlyOnce(t, cl, keys)

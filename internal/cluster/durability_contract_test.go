@@ -359,7 +359,7 @@ func testLazyCommitAck(t *testing.T, proto Protocol, backend string) {
 // TestReplicateAckFollowsBarrier: a ReplicateAck lets the ORIGIN's
 // transaction log forget a batch, so the receiver may send it only after an
 // engine barrier that covers the batch; and waiting for that barrier must
-// not look like a stalled link to the origin's live-resync detector.
+// not look like a stalled link to the origin's stall detector.
 func TestReplicateAckFollowsBarrier(t *testing.T) {
 	for _, backend := range []string{"wal", "sst"} {
 		t.Run(backend, func(t *testing.T) {
@@ -431,8 +431,8 @@ func TestReplicateAckFollowsBarrier(t *testing.T) {
 					t.Fatalf("%d commits never acknowledged by the receiver", len(batches))
 				}
 			}
-			// Live resync fires when the tail's head survives
-			// liveResyncStallTicks (3) lifecycle ticks; the barrier's
+			// A stream rewinds when its cursor survives
+			// rewindStallTicks (3) lifecycle ticks; the barrier's
 			// latency must stay well under that.
 			if longest > 2*lifecycleTick {
 				t.Fatalf("the oldest unacknowledged commit waited %v: barrier latency reads as a stall", longest)

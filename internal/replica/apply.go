@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"sort"
 	"time"
 
 	"wren/internal/hlc"
@@ -130,7 +129,7 @@ func (r *Runtime) ApplyTick() {
 // bound afterwards.
 func (r *Runtime) install(apply []*txlog.CommittedTx) {
 	if len(apply) > 1 {
-		sortCommitted(apply)
+		txlog.SortCommitted(apply)
 	}
 	replicate := r.cfg.NumDCs > 1
 	var batches []*wire.Replicate
@@ -168,17 +167,6 @@ func (r *Runtime) install(apply []*txlog.CommittedTx) {
 	}
 }
 
-// sortCommitted orders transactions by (commit timestamp, id) — the apply
-// and flush order.
-func sortCommitted(txs []*txlog.CommittedTx) {
-	sort.Slice(txs, func(i, j int) bool {
-		if txs[i].CT != txs[j].CT {
-			return txs[i].CT < txs[j].CT
-		}
-		return txs[i].TxID < txs[j].TxID
-	})
-}
-
 // noteApplied queues transactions just written to the engine for the next
 // release barrier.
 func (r *Runtime) noteApplied(txs []*txlog.CommittedTx) {
@@ -201,12 +189,12 @@ func (r *Runtime) noteApplied(txs []*txlog.CommittedTx) {
 // transaction log's compaction — and the peers' batches acknowledged. If
 // the barrier fails, what it took off the queue is released never: an
 // engine failure is sticky, the server is read-only from here, the
-// records stay in this log and in the origins' (whose live resync keeps
-// offering them), and a restart replays them into the engine.
+// records stay in this log and in the origins' (whose streams rewind to
+// them), and a restart replays them into the engine.
 func (r *Runtime) release() {
 	r.relMu.Lock()
 	ids, acks := r.unreleased, r.owedAcks
-	r.unreleased, r.owedAcks = nil, make([][2]hlc.Timestamp, len(acks))
+	r.unreleased, r.owedAcks = nil, make([]hlc.Timestamp, len(acks))
 	r.relMu.Unlock()
 
 	r.st.Sync()
@@ -219,14 +207,10 @@ func (r *Runtime) release() {
 		// sender's retained tail resyncs us after the repair or a restart.
 		return
 	}
-	for dc, owed := range acks {
-		// The resync echo first: it lifts the sender's cursor pin, which
-		// would clamp the ordinary ack behind it.
-		for _, i := range []int{1, 0} {
-			if upTo := owed[i]; upTo > 0 {
-				r.Send(transport.ServerID(dc, r.cfg.Partition), &wire.ReplicateAck{
-					DC: uint8(r.cfg.DC), Partition: uint16(r.cfg.Partition), UpTo: upTo, Resync: i == 1})
-			}
+	for dc, upTo := range acks {
+		if upTo > 0 {
+			r.Send(transport.ServerID(dc, r.cfg.Partition), &wire.ReplicateAck{
+				DC: uint8(r.cfg.DC), Partition: uint16(r.cfg.Partition), UpTo: upTo})
 		}
 	}
 }
@@ -243,8 +227,7 @@ func (r *Runtime) release() {
 // Replication is NOT retried here: a transaction flushed this way (or
 // whose Replicate message was dropped by draining peers) persists locally
 // without reaching the remote DCs in this life. Its record stays above
-// every peer's replication cursor, so the next start re-sends it
-// (resendTailTo).
+// every peer's replication cursor, so the next start's rewind re-sends it.
 func (r *Runtime) flushCommitted() {
 	r.mu.Lock()
 	apply := r.committed
@@ -253,7 +236,7 @@ func (r *Runtime) flushCommitted() {
 	if len(apply) == 0 {
 		return
 	}
-	sortCommitted(apply)
+	txlog.SortCommitted(apply)
 	var puts []store.KV
 	for _, t := range apply {
 		puts = r.proto.AppendLocalPuts(puts, t, nil)

@@ -401,15 +401,15 @@ func (r *Runtime) handleCommitTx(from transport.NodeID, m *wire.CommitTx) {
 	// resent across a restart) goes with it, or a later termination probe
 	// would commit the write set a second time.
 	delete(r.recovered, m.TxID)
-	var c *txlog.CommittedTx
 	if ok {
-		c = p.Committed(m.CT)
+		// Logged before a pass can install it: a stream's rewind reads the
+		// log, and a commit it missed below what it shipped would never
+		// reach the peer (see the package comment).
+		c := p.Committed(m.CT)
+		r.tl.LogCommit(c)
 		r.committed = append(r.committed, c)
 	}
 	r.mu.Unlock()
-	if c != nil {
-		r.tl.LogCommit(c)
-	}
 	// INVARIANT (CommitAck follows a sync covering the COMMIT record): the
 	// ack states "outcome durable here", and all it does is release the
 	// coordinator's retained decision — so it does not pay for an fsync but

@@ -59,8 +59,8 @@ const recoveryGrace = 15 * time.Second
 // to a cohort crash without waiting for this coordinator to restart.
 const redriveAfter = 5 * time.Second
 
-// resendBatchSize bounds how many recovered transactions one resync
-// Replicate message carries.
+// resendBatchSize is how many transactions a rewind's Replicate carries,
+// unless the last timestamp's run makes it longer.
 const resendBatchSize = 128
 
 // lifecycleInterval is the period of the transaction-lifecycle maintenance
@@ -79,10 +79,10 @@ const lifecycleInterval = time.Second
 // can decide within a client's probe horizon.
 const decisionGenSize = 1 << 16
 
-// liveResyncStallTicks is how many lifecycle ticks a peer DC's
-// unreplicated tail may sit with an unchanged head before the tail is
-// re-sent as resync batches (lost acknowledgements or a recovered link).
-const liveResyncStallTicks = 3
+// rewindStallTicks is how many lifecycle ticks a peer DC's replication
+// cursor may sit still below what was shipped before the stream rewinds to
+// it (a lost batch or acknowledgement, a recovered link, a restarted peer).
+const rewindStallTicks = 3
 
 // seqBlockSize is how many transaction sequence numbers a server reserves
 // from its transaction log at a time. Ids must be reserved durably BEFORE

@@ -23,13 +23,19 @@ type recoveredPrepare struct {
 
 // recoverFromTxLog replays the log's committed transactions into the
 // storage engine (skipping the writes the engine already recovered
-// itself) and stages outcome-less prepares for the re-driven CommitTx a
-// restarted coordinator sends. Runs before the server is registered on
-// the network.
+// itself), publishes the local clock over them, and stages outcome-less
+// prepares for the re-driven CommitTx a restarted coordinator sends. Runs
+// before the server is registered on the network.
 func (r *Runtime) recoverFromTxLog() {
 	committed := r.tl.Committed()
 	for _, t := range committed {
 		r.st.PutBatch(r.proto.AppendLocalPuts(nil, t, r.txApplied))
+	}
+	if n := len(committed); n > 0 {
+		// Installed, so covered by the version clock — which New's rewinds
+		// ship up to — and pinned below every later proposal.
+		r.Clock.Update(committed[n-1].CT)
+		r.VV.Advance(r.cfg.DC, committed[n-1].CT)
 	}
 	// Everything committed in the log is now in the engine; the barrier
 	// makes it stable there before the log may drop it.
@@ -84,8 +90,8 @@ func (r *Runtime) every(period time.Duration, tick func()) {
 // (cooperative 2PC termination: only an explicit "not committed" answer
 // may abort them); re-drives of unresolved decisions whose cohorts have
 // not all confirmed a durable outcome (a cohort crash can swallow a
-// CommitTx or its ack without this coordinator ever restarting); and live
-// resync.
+// CommitTx or its ack without this coordinator ever restarting); and the
+// stall rewind.
 func (r *Runtime) lifecycleTick() {
 	now := time.Now()
 	r.release()
@@ -116,7 +122,30 @@ func (r *Runtime) lifecycleTick() {
 			r.Send(transport.ServerID(r.cfg.DC, int(p)), &wire.CommitTx{TxID: c.TxID, CT: c.CT})
 		}
 	}
-	r.liveResyncTick()
+	r.rewindStalled()
+}
+
+// rewindStalled is the go-back-N timer: a stream whose durable cursor has
+// not moved for rewindStallTicks ticks while transactions above it were
+// shipped — a batch or its acknowledgement lost to a broken link or a shed
+// queue, a gap refused, a peer restarted — rewinds to the cursor at the
+// apply goroutine's next ship.
+func (r *Runtime) rewindStalled() {
+	for dc := range r.streams {
+		if dc == r.cfg.DC {
+			continue
+		}
+		s := &r.streams[dc]
+		cur := r.tl.Cursor(dc)
+		if cur != s.seen || s.sent.Load() <= cur {
+			s.seen, s.stalled = cur, 0
+			continue
+		}
+		if s.stalled++; s.stalled >= rewindStallTicks {
+			s.stalled = 0
+			s.rewind.Store(true)
+		}
+	}
 }
 
 // maybeRepair is the degraded-mode probation exit: when the transaction

@@ -2,148 +2,114 @@ package replica
 
 import (
 	"errors"
+	"sync/atomic"
 	"time"
 
 	"wren/internal/hlc"
 	"wren/internal/store"
 	"wren/internal/transport"
-	"wren/internal/txlog"
 	"wren/internal/wire"
 )
 
-// ship sends the queued Replicate batches to every other DC and, when
-// asked to and there was none, a heartbeat instead; it reports whether
-// batches left. Only the apply goroutine calls it (and Stop, after that
-// goroutine exited): SendBounded may back off, which a delivery handler
-// must not, and one shipper keeps each link in commit-timestamp order.
+// stream is the replication stream to one peer DC (see the package
+// comment); its third part, the durable cursor, is the log's. ship writes
+// sent on the apply goroutine; the lifecycle tick reads it and sets rewind,
+// and owns seen and stalled.
+type stream struct {
+	sent   hlc.AtomicTimestamp // 0 until a rewind's first batch leaves
+	rewind atomic.Bool
+	// seen is the cursor the last lifecycle tick saw; stalled counts the
+	// ticks since it last moved while sent was above it.
+	seen    hlc.Timestamp
+	stalled int
+}
+
+// ship advances every peer DC's stream by the batches passes queued since
+// the last call and, when asked to and there was none, heartbeats each DC
+// whose stream is caught up; it reports whether batches left. Only the
+// apply goroutine calls it, after a pass (and Stop, after that goroutine
+// exited): SendBounded may back off, which a delivery handler must not.
 func (r *Runtime) ship(heartbeat bool) bool {
 	if r.cfg.NumDCs == 1 {
 		return false
 	}
-	// The clock before the queue: every batch at or below ts is already
-	// shipped or in the queue taken next (see install).
+	// The clock before the queue: every transaction at or below ts is in the
+	// log, and already shipped or in the queue taken next (see install).
 	ts := r.VV.Load(r.cfg.DC)
 	r.outMu.Lock()
 	batches := r.outbox
 	r.outbox = nil
 	r.outMu.Unlock()
-	if len(batches) == 0 && !heartbeat {
-		return false
-	}
 
 	var hb *wire.Heartbeat // only an idle partition heartbeats
-	if len(batches) == 0 {
+	if heartbeat && len(batches) == 0 {
 		hb = &wire.Heartbeat{SrcDC: uint8(r.cfg.DC), Partition: uint16(r.cfg.Partition), TS: ts}
 	}
-	for dc := 0; dc < r.cfg.NumDCs; dc++ {
-		if dc == r.cfg.DC {
-			continue
-		}
-		if !r.resyncDone[dc].Load() {
-			// Replication to this DC is held until the restart resync
-			// tail is on its link: a batch or heartbeat overtaking the
-			// tail would advance the peer's version vector past
-			// transactions still in flight behind it. Once the tail is
-			// enqueued, this call ships one dedupe-safe catch-up of
-			// everything still unconfirmed — including the batches it was
-			// handed — and normal replication resumes with the next.
-			if !r.resyncTailSent[dc].Load() {
-				continue
-			}
-			// A batch SendBounded gives up on is left to live resync; the
-			// rest still go out.
-			r.sendResync(dc, r.tl.UnreplicatedTail(dc), func(to transport.NodeID, m wire.Message) bool {
-				r.SendBounded(to, m)
-				return true
-			})
-			r.resyncDone[dc].Store(true)
-			continue
-		}
-		prev := r.replPrev.Load(dc)
-		for _, b := range batches {
-			// Chain the batch to its per-DC predecessor so a receiver that
-			// missed one refuses everything after it, and send with bounded
-			// retry: a transiently refused batch (an overloaded TCP peer
-			// queue) is retried briefly rather than dropped — a lost batch
-			// is otherwise only recovered by resync. The batch is shared
-			// across destination DCs, so the per-DC chain stamp goes on a
-			// shallow copy (the Txs slice is immutable once built).
-			bb := *b
-			bb.Prev = prev
-			r.SendBounded(transport.ServerID(dc, r.cfg.Partition), &bb)
-			prev = b.Txs[len(b.Txs)-1].CT
-		}
-		r.replPrev.Advance(dc, prev)
-		if hb != nil {
+	for dc := range r.streams {
+		if dc != r.cfg.DC && r.shipTo(dc, ts, batches) && hb != nil {
 			r.Send(transport.ServerID(dc, r.cfg.Partition), hb)
 		}
 	}
 	return len(batches) > 0
 }
 
-// liveResyncTick is the running counterpart of restart resync: when a
-// peer DC's replication cursor has not advanced for several ticks while a
-// committed tail is outstanding — its batches or their acknowledgements
-// lost to a broken link, a shed queue, or a peer crash — the tail is
-// re-sent as dedupe-safe resync batches. The receiver's watermark and
-// per-transaction engine check apply each transaction exactly once and
-// re-acknowledge, so a stall caused by lost acks alone resolves without
-// moving any data.
-func (r *Runtime) liveResyncTick() {
-	for dc := 0; dc < r.cfg.NumDCs; dc++ {
-		// Skip peers whose restart resync is still in flight: ship owns
-		// that replay and gates ordinary replication behind it.
-		if dc == r.cfg.DC || !r.resyncDone[dc].Load() {
-			continue
-		}
-		tail := r.tl.UnreplicatedTail(dc)
-		if len(tail) == 0 {
-			r.tailHead[dc], r.tailStall[dc] = 0, 0
-			continue
-		}
-		if head := tail[0].CT; head != r.tailHead[dc] {
-			r.tailHead[dc], r.tailStall[dc] = head, 0
-			continue
-		}
-		if r.tailStall[dc]++; r.tailStall[dc] < liveResyncStallTicks {
-			continue
-		}
-		r.tailStall[dc] = 0
-		r.sendResync(dc, tail, r.SendBounded)
-	}
-}
-
-// resendTailTo re-sends one peer DC the committed tail above its
-// replication cursor, snapshotted at construction time, as resync batches
-// the receiver deduplicates. Each peer gets its own goroutine — until the
-// tail is on the link, ship withholds all ordinary replication to that DC,
-// and one unreachable peer must not extend that hold to the others.
-func (r *Runtime) resendTailTo(dc int, tail []*txlog.CommittedTx) {
-	defer r.wg.Done()
-	if r.sendResync(dc, tail, r.sendRetry) {
-		r.resyncTailSent[dc].Store(true)
-	}
-}
-
-// sendResync ships tail to dc as resync batches the receiver deduplicates,
-// stopping at the first one send gives up on; it reports whether all left.
-func (r *Runtime) sendResync(dc int, tail []*txlog.CommittedTx, send func(transport.NodeID, wire.Message) bool) bool {
-	for i := 0; i < len(tail); i += resendBatchSize {
-		batch := &wire.Replicate{SrcDC: uint8(r.cfg.DC), Partition: uint16(r.cfg.Partition), Resync: true}
-		for _, t := range tail[i:min(i+resendBatchSize, len(tail))] {
-			batch.Txs = append(batch.Txs, r.proto.ReplTxRecord(t))
-		}
-		if !send(transport.ServerID(dc, r.cfg.Partition), batch) {
+// shipTo sends dc's stream, when a rewind is pending, the log's records
+// above the durable cursor and at or below ts, and then every batch above
+// sent. It reports whether the stream is caught up: a send SendBounded
+// gives up on stops the stream for this call and leaves a rewind pending,
+// so the next call resumes from the log, not from a queue already drained.
+func (r *Runtime) shipTo(dc int, ts hlc.Timestamp, batches []*wire.Replicate) bool {
+	s := &r.streams[dc]
+	to := transport.ServerID(dc, r.cfg.Partition)
+	send := func(b *wire.Replicate) bool {
+		b.Prev = s.sent.Load()
+		if !r.SendBounded(to, b) {
+			s.rewind.Store(true)
 			return false
 		}
-		r.replPrev.Advance(dc, batch.Txs[len(batch.Txs)-1].CT)
+		s.sent.Store(b.Txs[len(b.Txs)-1].CT)
+		return true
+	}
+	if s.rewind.Load() {
+		s.rewind.Store(false)
+		s.sent.Store(0)
+		var b *wire.Replicate
+		for _, t := range r.tl.UnreplicatedTail(dc) {
+			if t.CT > ts {
+				break
+			}
+			if b != nil && len(b.Txs) >= resendBatchSize && t.CT != b.Txs[len(b.Txs)-1].CT {
+				if !send(b) {
+					return false
+				}
+				b = nil
+			}
+			if b == nil {
+				b = &wire.Replicate{SrcDC: uint8(r.cfg.DC), Partition: uint16(r.cfg.Partition), Resync: true}
+			}
+			b.Txs = append(b.Txs, r.proto.ReplTxRecord(t))
+		}
+		if b != nil && !send(b) {
+			return false
+		}
+	}
+	for _, b := range batches {
+		if b.Txs[0].CT <= s.sent.Load() {
+			continue // re-sent by the rewind
+		}
+		// The batch is shared across DCs: the chain goes on a shallow copy
+		// (the Txs slice is immutable once built).
+		bb := *b
+		if !send(&bb) {
+			return false
+		}
 	}
 	return true
 }
 
 // handleReplicate applies remotely committed transactions (Algorithm 4
 // lines 22–26). FIFO links guarantee commit-timestamp order per sender.
-// Resync batches — a sender replaying its unconfirmed tail — are
+// Resync batches — a rewind re-sending the sender's unconfirmed tail — are
 // deduplicated per transaction against the engine; ordinary batches are
 // deduplicated against the per-sender watermark, so a duplicated frame or
 // a TCP resend across a reconnect is applied exactly once. The batch is
@@ -162,14 +128,14 @@ func (r *Runtime) handleReplicate(m *wire.Replicate) {
 		r.oweAck(m, last)
 		return
 	}
-	if !m.Resync && m.Prev > wm {
+	if m.Prev > wm {
 		// Gap: the sender shipped an earlier batch (ending at Prev) that
 		// never arrived. Applying this one would advance the watermark and
 		// version vector past transactions we do not hold — and its
 		// acknowledgement would move the sender's cursor over the hole,
 		// dropping the lost batch from the retained tail for good. Refuse
 		// it unacknowledged instead: the sender's cursor stalls at the
-		// hole and live resync replays the tail in order.
+		// hole and the stream rewinds to it.
 		return
 	}
 	var skip SkipFunc
@@ -198,15 +164,10 @@ func (r *Runtime) handleReplicate(m *wire.Replicate) {
 // oweAck queues the acknowledgement of a replicated batch for the next
 // release barrier. The engine write above reached the OS, not the disk,
 // and the ack lets the ORIGIN's transaction log forget the batch, so it
-// must wait for an Engine.Sync that covers the write; the Resync echo lets
-// the sender's cursor pin tell tail confirmation from ordinary traffic.
+// must wait for an Engine.Sync that covers the write.
 func (r *Runtime) oweAck(m *wire.Replicate, upTo hlc.Timestamp) {
-	i := 0
-	if m.Resync {
-		i = 1
-	}
 	r.relMu.Lock()
-	r.owedAcks[m.SrcDC][i] = max(r.owedAcks[m.SrcDC][i], upTo)
+	r.owedAcks[m.SrcDC] = max(r.owedAcks[m.SrcDC], upTo)
 	r.relMu.Unlock()
 }
 
@@ -221,17 +182,11 @@ func (r *Runtime) handleHeartbeat(m *wire.Heartbeat) {
 }
 
 // handleReplicateAck advances the persisted replication cursor for the
-// acknowledging DC: everything up to UpTo is confirmed applied there, so a
-// restart re-sends only what lies above. While a post-restart resync is
-// outstanding the cursor is pinned below the re-sent tail (only the
-// tail's own acknowledgement lifts it) — the txlog clamps the advance.
+// acknowledging DC: everything up to UpTo is durably applied there (see the
+// package comment), so a rewind re-sends only what lies above.
 func (r *Runtime) handleReplicateAck(m *wire.ReplicateAck) {
-	if !r.isPeerReplica(m.DC, m.Partition) {
-		return
-	}
-	r.tl.AdvanceCursor(int(m.DC), m.UpTo)
-	if m.Resync {
-		r.tl.UnpinResync(int(m.DC), m.UpTo)
+	if r.isPeerReplica(m.DC, m.Partition) {
+		r.tl.AdvanceCursor(int(m.DC), m.UpTo)
 	}
 }
 
@@ -253,7 +208,7 @@ func (r *Runtime) Send(to transport.NodeID, m wire.Message) {
 }
 
 // SendBounded transmits protocol maintenance traffic — replication
-// batches, stabilization gossip, resync tails — absorbing transient
+// batches and stabilization gossip — absorbing transient
 // delivery errors (a TCP peer shedding load, a link mid-redial) with a
 // few short-backoff retries instead of silently dropping. Unlike
 // sendRetry it gives up quickly: every caller's traffic is re-generated
@@ -283,8 +238,8 @@ func (r *Runtime) SendBounded(to transport.NodeID, m wire.Message) bool {
 
 // sendRetry delivers a recovery message, retrying while the destination is
 // unreachable: servers of a restarting deployment come up in arbitrary
-// order, and a re-driven outcome or resync batch dropped on the floor
-// would silently undo the durability the log just recovered. Gives up only
+// order, and a re-driven outcome dropped on the floor would silently undo
+// the durability the log just recovered. Gives up only
 // when this server stops; reports whether the send succeeded.
 func (r *Runtime) sendRetry(to transport.NodeID, m wire.Message) bool {
 	for {

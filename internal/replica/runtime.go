@@ -12,18 +12,53 @@
 //     fsync-before-ack point; the engine's logs are synced only by the
 //     release barrier), CommitAck resolution, cooperative 2PC termination
 //     probes, and the periodic redrive of unresolved decisions;
-//   - restart recovery: replay of committed-but-unapplied transactions,
-//     per-peer resend of the unreplicated committed tail, and the pinned
-//     replication cursors that make the resend safe;
+//   - restart recovery: replay of committed-but-unapplied transactions;
 //   - durable transaction-id block reservation;
 //   - the install-and-publish pass (Algorithm 4's apply step), run by the
 //     apply goroutine when an event that makes something newly stable wakes
-//     it and on its ΔR tick, the idle fallback; the gossip (ΔG), GC and
-//     lifecycle timer loops; and the resync gating that keeps ordinary
-//     replication from overtaking a restart resync;
+//     it and on its ΔR tick, the idle fallback; and the gossip (ΔG), GC and
+//     lifecycle timer loops;
+//   - one replication stream per peer DC (below);
 //   - health-driven read-only admission, including the degraded-mode
 //     probation exit that re-verifies and readmits a transiently broken
 //     transaction log.
+//
+// # One replication stream per peer DC
+//
+// A partition ships its commits to its replica in each other DC as one
+// in-order stream, go-back-N from the transaction log's durable
+// replication cursor for that DC: like PNUTS's per-site broker stream, a
+// replica is behind by a prefix, never by a hole. A stream's state is the
+// cursor, sent — the commit timestamp of the last transaction shipped,
+// which the next batch carries as its Prev — and a rewind flag. The rules:
+//
+//   - Only ship sends Replicate, on the apply goroutine after its pass:
+//     the batches passes queued, in commit-timestamp order, each chained
+//     to its predecessor by Prev. A batch MUST NOT split a commit
+//     timestamp: a receiver takes a batch ending at its watermark for a
+//     duplicate.
+//   - A rewind MUST re-send the log's records above the cursor only up to
+//     the published local clock VV[self], loaded before the queue is taken:
+//     above it a commit can still land below what was shipped, and the
+//     receiver would drop it as a duplicate. Its first batch carries Prev 0
+//     and starts at the cursor; every later one is chained.
+//   - A transaction MUST be in the log before a pass can install it
+//     (handleCommitTx logs the commit under mu), and recovery MUST publish
+//     VV[self] over the commits it replays: a rewind reads only the log,
+//     and a commit it misses below sent is never shipped.
+//   - A receiver MUST refuse, unapplied and unacknowledged, a batch whose
+//     Prev is above its watermark. It then applies in order from a prefix
+//     it holds — a rewind's first batch starts at the cursor, which it
+//     acknowledged — so its watermark is a prefix of the stream.
+//   - An acknowledgement MUST follow the engine barrier that covers the
+//     batch (release). An acknowledgement up to t therefore vouches for
+//     every transaction at or below t: the cursor only ever covers a
+//     contiguous prefix, and the log may forget what it covers, with no pin.
+//   - New rewinds every stream; a send SendBounded gives up on stops the
+//     stream for the call and leaves a rewind for the next; a stream whose
+//     cursor has not moved for rewindStallTicks lifecycle ticks while sent is
+//     above it is rewound. A heartbeat goes only to a DC whose stream is
+//     caught up.
 //
 // A protocol plugs in through the Protocol interface: how a committed
 // transaction's writes render into engine versions and replication
@@ -43,10 +78,10 @@
 //     transaction ids and the TxStatus termination probes;
 //   - apply.go: the apply goroutine and pass, install, the release barrier
 //     and the shutdown flush;
-//   - replicate.go: shipping, receiving and acknowledging replication
-//     batches and heartbeats, gap refusal, restart and live resync;
-//   - lifecycle.go: restart recovery, the timer loops, GC, the repair
-//     probe, admission and the health probe.
+//   - replicate.go: the replication streams, receiving and acknowledging
+//     their batches and heartbeats, and gap refusal;
+//   - lifecycle.go: restart recovery, the timer loops, the stall rewind,
+//     GC, the repair probe, admission and the health probe.
 package replica
 
 import (
@@ -162,21 +197,6 @@ type Runtime struct {
 	// recovery state (on the memory backend, without a file).
 	tl *txlog.Log
 
-	// resendTails[dc] is the unreplicated committed tail snapshotted at
-	// construction time — BEFORE any new commit or acknowledgement can
-	// race the snapshot — for resendTailTo to replay; the txlog's cursor
-	// stays pinned below each tail until its resync is confirmed.
-	resendTails [][]*txlog.CommittedTx
-	// resyncTailSent[dc] flips once resendTailTo has enqueued dc's tail;
-	// resyncDone[dc] (written only by ship) gates ordinary replication to
-	// dc: until the tail is on the FIFO link, no new batch or heartbeat may
-	// overtake it — the peer's version vector would advance past
-	// transactions it has not received, a transient causal hole. The
-	// transition ships a dedupe-safe catch-up of everything still
-	// unconfirmed, then normal replication resumes.
-	resyncTailSent []atomic.Bool
-	resyncDone     []atomic.Bool
-
 	// seqLimit is the durably reserved transaction-sequence ceiling;
 	// seqMu serializes block refills (see seqBlockSize).
 	seqLimit atomic.Uint64
@@ -210,11 +230,10 @@ type Runtime struct {
 	// unreleased (under relMu) is what the next engine barrier covers: the
 	// ids of transactions written to the engine since the last one, and
 	// per source DC the highest replicated batch end still owed a
-	// ReplicateAck ([1] for resync batches, whose acks lift the sender's
-	// cursor pin). Only Runtime.release lets a log forget a record.
+	// ReplicateAck. Only Runtime.release lets a log forget a record.
 	relMu      sync.Mutex
 	unreleased []uint64
-	owedAcks   [][2]hlc.Timestamp
+	owedAcks   []hlc.Timestamp
 
 	// applyMu serializes the apply pass end to end (see ApplyTick for the
 	// rules). Passes MUST serialize: pass A takes committed transactions up
@@ -264,19 +283,9 @@ type Runtime struct {
 	// reconnect) deduplicates instead of double-applying.
 	replWM hlc.AtomicVector
 
-	// replPrev[dc] is the commit timestamp of the last transaction this
-	// server shipped to that DC (ordinary or resync); it stamps each
-	// ordinary Replicate batch's Prev so the receiver can detect a lost
-	// predecessor and refuse to apply past the gap.
-	replPrev hlc.AtomicVector
-
-	// tailHead/tailStall track, per peer DC, how long the unreplicated
-	// committed tail has sat with the same head (its acks lost or the peer
-	// temporarily unreachable); after liveResyncStallTicks lifecycle ticks
-	// the tail is re-sent as dedupe-safe resync batches. Touched only by
-	// the lifecycle loop.
-	tailHead  []hlc.Timestamp
-	tailStall []int
+	// streams[dc] is the replication stream to that DC (see the package
+	// comment); this DC's entry is unused.
+	streams []stream
 
 	reqSeq atomic.Uint64
 	txSeq  atomic.Uint64
@@ -354,10 +363,8 @@ func New(name string, cfg Config, proto Protocol) (*Runtime, error) {
 		pendingPrepare: make(map[uint64]*prepareCall),
 		decisions:      make(map[uint64]hlc.Timestamp),
 		replWM:         hlc.NewAtomicVector(cfg.NumDCs),
-		replPrev:       hlc.NewAtomicVector(cfg.NumDCs),
-		tailHead:       make([]hlc.Timestamp, cfg.NumDCs),
-		tailStall:      make([]int, cfg.NumDCs),
-		owedAcks:       make([][2]hlc.Timestamp, cfg.NumDCs),
+		streams:        make([]stream, cfg.NumDCs),
+		owedAcks:       make([]hlc.Timestamp, cfg.NumDCs),
 		kick:           make(chan struct{}, 1),
 		stop:           make(chan struct{}),
 	}
@@ -375,26 +382,10 @@ func New(name string, cfg Config, proto Protocol) (*Runtime, error) {
 	r.txSeq.Store(floor)
 	tl.ReserveSeqs(floor + seqBlockSize)
 	r.seqLimit.Store(floor + seqBlockSize)
-	// Snapshot each peer DC's unreplicated tail NOW, before the server
-	// serves anything: once live traffic flows, a peer's acknowledgement of
-	// a NEW batch could advance its cursor past the old tail before
-	// resendTailTo reads it, silently dropping the very transactions the
-	// cursor exists to recover. The cursor stays pinned at each tail's
-	// high-water mark until the re-sent tail itself is acknowledged.
-	r.resendTails = make([][]*txlog.CommittedTx, cfg.NumDCs)
-	r.resyncTailSent = make([]atomic.Bool, cfg.NumDCs)
-	r.resyncDone = make([]atomic.Bool, cfg.NumDCs)
-	for dc := 0; dc < cfg.NumDCs; dc++ {
-		if dc == cfg.DC {
-			r.resyncDone[dc].Store(true)
-			continue
-		}
-		tail := tl.UnreplicatedTail(dc)
-		r.resyncDone[dc].Store(len(tail) == 0)
-		if len(tail) > 0 {
-			r.resendTails[dc] = tail
-			tl.PinResync(dc, tail[len(tail)-1].CT)
-		}
+	// Every stream starts with a rewind: its first batch re-sends what the
+	// log holds above the peer's cursor.
+	for dc := range r.streams {
+		r.streams[dc].rewind.Store(dc != cfg.DC)
 	}
 	return r, nil
 }
@@ -449,17 +440,10 @@ func (r *Runtime) Start() {
 		if r.cfg.GCInterval > 0 {
 			r.every(r.cfg.GCInterval, r.gcTick)
 		}
-		// Recovery sends run per destination: a re-drive retrying toward
-		// one dead cohort, or one unreachable peer DC, must not block the
-		// resync tails — and with them ALL replication — to everyone else.
+		// A re-drive retrying toward one dead cohort must not block the
+		// other loops.
 		r.wg.Add(1)
 		go r.redriveRecovered()
-		for dc, tail := range r.resendTails {
-			if len(tail) > 0 {
-				r.wg.Add(1)
-				go r.resendTailTo(dc, tail)
-			}
-		}
 		r.every(lifecycleInterval, r.lifecycleTick)
 	})
 }

@@ -2,6 +2,8 @@ package replica
 
 import (
 	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -239,36 +241,183 @@ func TestReplicateGapRefused(t *testing.T) {
 	}
 }
 
-// TestResyncAckLiftsCursorPin: while a restart's re-sent tail is
-// unconfirmed, acknowledgements of newer traffic cannot move the
-// replication cursor past the tail's pin; the tail's own Resync ack lifts
-// the pin, and ordinary acks advance the cursor again.
-func TestResyncAckLiftsCursorPin(t *testing.T) {
-	net := newNet(t)
-	n := newNode(t, net, 0, 0, 2, 1, nil)
-	peer := transport.ServerID(1, 0)
-	// What New does for a restarted server whose tail to DC 1 ends at 100.
-	n.TxLog().PinResync(1, 100)
+// asCoordinator returns functions that drive n as a cohort the way a
+// coordinator of one-key transactions does: prepare returns n's proposal,
+// commit decides.
+func asCoordinator(t *testing.T, net *transport.Memory, n *node) (prepare func(txID uint64, key string) hlc.Timestamp, commit func(txID uint64, ct hlc.Timestamp)) {
+	coord := transport.ClientID(n.cfg.DC, 1)
+	votes := endpoint(net, coord)
+	prepare = func(txID uint64, key string) hlc.Timestamp {
+		n.Prepare(coord, &wire.PrepareReq{ReqID: txID, TxID: txID, Writes: []wire.KV{{Key: key, Value: []byte("v")}}}, 0)
+		return await[*wire.PrepareResp](t, votes).PT
+	}
+	commit = func(txID uint64, ct hlc.Timestamp) {
+		n.HandleMessage(coord, &wire.CommitTx{TxID: txID, CT: ct})
+	}
+	return prepare, commit
+}
 
-	for _, step := range []struct {
-		upTo   hlc.Timestamp
-		resync bool
-		want   hlc.Timestamp
-	}{
-		{200, false, 100},
-		{250, false, 100},
-		{100, true, 100},
-		{300, false, 300},
-	} {
-		ack := &wire.ReplicateAck{DC: 1, Partition: 0, UpTo: step.upTo, Resync: step.resync}
-		if err := net.Send(peer, n.ID(), ack); err != nil {
-			t.Fatal(err)
-		}
-		await[*wire.ReplicateAck](t, n.handled)
-		if got := n.TxLog().Cursor(1); got != step.want {
-			t.Fatalf("after %+v: cursor %v, want %v", ack, got, step.want)
+// waitFor polls cond until it holds, failing after 10s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no %s within 10s", what)
 		}
 	}
+}
+
+// stall drives n's stall detector past its threshold and runs the apply
+// goroutine's pass and ship once, so every stream with transactions above
+// its unmoved cursor rewinds.
+func stall(n *node) {
+	for i := 0; i <= rewindStallTicks; i++ {
+		n.rewindStalled()
+	}
+	n.ApplyTick()
+	n.ship(false)
+}
+
+// TestCursorAdvancesOverContiguousPrefix: the replication cursor only ever
+// covers a prefix the peer holds. With the second of four batches lost, the
+// peer acknowledges the first alone — the two chained past the gap are
+// refused, and acknowledge nothing — and the cursor moves over all four
+// only after a rewind refilled the gap.
+func TestCursorAdvancesOverContiguousPrefix(t *testing.T) {
+	net := newNet(t)
+	var batches atomic.Int32
+	lost := func(m wire.Message) bool { _, ok := m.(*wire.Replicate); return ok && batches.Add(1) == 2 }
+	sender := newNode(t, net, 0, 0, 2, 1, nil)
+	receiver := newNode(t, net, 1, 0, 2, 1, lost)
+	prepare, commit := asCoordinator(t, net, sender)
+	sender.ship(false) // New's rewind, over an empty log
+
+	var cts []hlc.Timestamp
+	for i := 0; i < 4; i++ {
+		id := sender.NewTxID()
+		ct := prepare(id, fmt.Sprint("k", i))
+		commit(id, ct)
+		cts = append(cts, ct)
+	}
+	sender.ApplyTick()
+	sender.ship(false)
+	for i := 0; i < 3; i++ {
+		await[*wire.Replicate](t, receiver.handled)
+	}
+	receiver.release()
+	if ack := await[*wire.ReplicateAck](t, sender.handled); ack.UpTo != cts[0] {
+		t.Fatalf("ReplicateAck up to %v past a lost batch, want %v", ack.UpTo, cts[0])
+	}
+	if cur := sender.TxLog().Cursor(1); cur != cts[0] {
+		t.Fatalf("cursor %v, want %v", cur, cts[0])
+	}
+
+	stall(sender)
+	await[*wire.Replicate](t, receiver.handled)
+	receiver.release()
+	if ack := await[*wire.ReplicateAck](t, sender.handled); ack.UpTo != cts[3] {
+		t.Fatalf("ReplicateAck up to %v after the rewind, want %v", ack.UpTo, cts[3])
+	}
+	if cur := sender.TxLog().Cursor(1); cur != cts[3] {
+		t.Fatalf("cursor %v after the rewind, want %v", cur, cts[3])
+	}
+}
+
+// TestStreamNeverShipsAboveLocalClock: a rewind ships only what the local
+// version clock covers. b commits above a's pending proposal; a rewind in
+// between must not carry b, or the peer takes a's batch, below its new
+// watermark, for a duplicate and never installs a.
+func TestStreamNeverShipsAboveLocalClock(t *testing.T) {
+	net := newNet(t)
+	sender := newNode(t, net, 0, 0, 2, 1, nil)
+	receiver := newNode(t, net, 1, 0, 2, 1, nil)
+	prepare, commit := asCoordinator(t, net, sender)
+	// received checks the next n batches against the sender's clock, which
+	// no pass moves while they are in flight.
+	received := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			m := await[*wire.Replicate](t, receiver.handled)
+			if last := m.Txs[len(m.Txs)-1].CT; last > sender.VV.Load(0) {
+				t.Fatalf("a Replicate carried %v, above the sender's VV[0] %v", last, sender.VV.Load(0))
+			}
+		}
+	}
+
+	// One transaction shipped and never acknowledged: the cursor stalls.
+	w := sender.NewTxID()
+	commit(w, prepare(w, "w"))
+	sender.ApplyTick()
+	sender.ship(false)
+	received(1)
+
+	b, a := sender.NewTxID(), sender.NewTxID()
+	prepare(b, "b")
+	ptA := prepare(a, "a")
+	commit(b, ptA+1000)
+	stall(sender)
+	received(1)
+
+	commit(a, ptA)
+	sender.ApplyTick()
+	sender.ship(false)
+	received(2)
+	if !receiver.txApplied("a", a) {
+		t.Fatal("receiver never installed tx a: dropped as a duplicate below its watermark")
+	}
+	if !receiver.txApplied("b", b) {
+		t.Fatal("receiver never installed tx b")
+	}
+}
+
+// TestLostRewindBatchStopsStream: every batch of a rewind but its first is
+// chained, so when one is lost the peer applies nothing past it and the
+// sender's cursor stops at the end of the batch before; the next rewind
+// refills the gap.
+func TestLostRewindBatchStopsStream(t *testing.T) {
+	net := newNet(t)
+	var rewound atomic.Int32
+	// Every ordinary batch is lost, and the second batch of the first rewind.
+	lost := func(m wire.Message) bool {
+		b, ok := m.(*wire.Replicate)
+		return ok && (!b.Resync || rewound.Add(1) == 2)
+	}
+	sender := newNode(t, net, 0, 0, 2, 1, nil)
+	receiver := newNode(t, net, 1, 0, 2, 1, lost)
+	prepare, commit := asCoordinator(t, net, sender)
+	sender.ship(false) // New's rewind, over an empty log
+
+	const n = 300
+	ids := make([]uint64, n)
+	for i := range ids {
+		ids[i] = sender.NewTxID()
+		commit(ids[i], prepare(ids[i], fmt.Sprint("k", i)))
+	}
+	sender.ApplyTick()
+	sender.ship(false)
+
+	stall(sender)
+	first := await[*wire.Replicate](t, receiver.handled)
+	end := first.Txs[len(first.Txs)-1].CT
+	await[*wire.Replicate](t, receiver.handled) // the third, past the lost one
+	receiver.release()
+	waitFor(t, "ReplicateAck", func() bool { return sender.TxLog().Cursor(1) != 0 })
+	if cur := sender.TxLog().Cursor(1); cur > end {
+		t.Fatalf("cursor %v passed the end %v of the last rewind batch before the lost one", cur, end)
+	}
+	if vv := receiver.VV.Load(0); vv > end {
+		t.Fatalf("receiver VV[0] %v passed the end %v of the last batch before the lost one", vv, end)
+	}
+
+	stall(sender)
+	waitFor(t, "all 300 transactions at the receiver", func() bool {
+		for i, id := range ids {
+			if !receiver.txApplied(fmt.Sprint("k", i), id) {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 // TestDegradedTxLogRefusesWrites: a server whose transaction log is

@@ -96,7 +96,7 @@
 //
 // Opened with an empty Options.Dir, the log keeps the same lifecycle —
 // prepare → commit → applied → released, decisions held until every
-// cohort's CommitAck, cursors and resync pins, the sequence floor — and
+// cohort's CommitAck, cursors, the sequence floor — and
 // writes nothing: no record is encoded, every sync is already covered
 // (Syncs stays 0, AfterSync runs its callback at once), and Compact only
 // drops what is releasable. The memory backend runs it, so every server
@@ -290,15 +290,8 @@ type Log struct {
 	committed map[uint64]*CommittedTx
 	coord     map[uint64]*CoordTx
 	cursor    []hlc.Timestamp
-	// pins[dc], while non-zero, caps cursor advancement at the resync
-	// high-water mark for that DC: an acknowledgement for NEWER traffic
-	// must not imply the re-sent tail landed (the tail may still be in
-	// flight on the FIFO link behind it), and a cursor past unconfirmed
-	// records would release them from the log — and, persisted, hide them
-	// from the next life's UnreplicatedTail.
-	pins    []hlc.Timestamp
-	appends int    // records since the last compaction
-	maxSeq  uint64 // reserved/observed tx-sequence watermark (persisted by recSeq)
+	appends   int    // records since the last compaction
+	maxSeq    uint64 // reserved/observed tx-sequence watermark (persisted by recSeq)
 	// base maps file offsets to log sequence numbers: a record ending at
 	// offset o has LSN base+o. Waiters hold LSNs, which stay valid when a
 	// compaction moves the records they name to other offsets (or folds
@@ -354,7 +347,6 @@ func open(opts Options, fsys fsutil.FS) (*Log, error) {
 		committed: make(map[uint64]*CommittedTx),
 		coord:     make(map[uint64]*CoordTx),
 		cursor:    make([]hlc.Timestamp, opts.NumDCs),
-		pins:      make([]hlc.Timestamp, opts.NumDCs),
 		stop:      make(chan struct{}),
 	}
 	if opts.Dir == "" {
@@ -994,20 +986,16 @@ func (l *Log) LogAbort(txID uint64) {
 }
 
 // AdvanceCursor records that the peer DC has acknowledged every local
-// transaction with commit timestamp ≤ upTo. Lazily synced: replaying a
-// stale cursor after a crash only re-sends transactions the receiver
-// deduplicates.
+// transaction with commit timestamp ≤ upTo — the caller's replication
+// protocol makes an acknowledgement vouch for the whole prefix below it.
+// Lazily synced: replaying a stale cursor after a crash only re-sends
+// transactions the receiver deduplicates.
 func (l *Log) AdvanceCursor(dc int, upTo hlc.Timestamp) {
 	if dc < 0 || dc >= l.numDCs {
 		return
 	}
 	l.sh.Mu.Lock()
 	defer l.sh.Mu.Unlock()
-	if pin := l.pins[dc]; pin != 0 && upTo > pin {
-		// Resync to this DC is still unconfirmed: acks for newer traffic
-		// may not vouch for the re-sent tail (see pins).
-		upTo = pin
-	}
 	if upTo <= l.cursor[dc] {
 		return
 	}
@@ -1017,33 +1005,6 @@ func (l *Log) AdvanceCursor(dc int, upTo hlc.Timestamp) {
 		e.Byte(uint8(dc))
 		e.Timestamp(upTo)
 	})
-}
-
-// PinResync caps cursor advancement for dc at upTo — the high-water mark
-// of the unreplicated tail about to be re-sent — until UnpinResync
-// confirms the tail was acknowledged. Called before the server starts
-// serving, so no concurrent ack can slip past first.
-func (l *Log) PinResync(dc int, upTo hlc.Timestamp) {
-	if dc < 0 || dc >= l.numDCs || upTo == 0 {
-		return
-	}
-	l.sh.Mu.Lock()
-	defer l.sh.Mu.Unlock()
-	l.pins[dc] = upTo
-}
-
-// UnpinResync lifts dc's resync pin once the re-sent tail has been
-// acknowledged through upTo (acks for earlier resync batches leave the
-// pin in place).
-func (l *Log) UnpinResync(dc int, upTo hlc.Timestamp) {
-	if dc < 0 || dc >= l.numDCs {
-		return
-	}
-	l.sh.Mu.Lock()
-	defer l.sh.Mu.Unlock()
-	if l.pins[dc] != 0 && upTo >= l.pins[dc] {
-		l.pins[dc] = 0
-	}
 }
 
 // Cursor returns the replicated-up-to mark for a peer DC.
@@ -1107,7 +1068,7 @@ func (l *Log) Committed() []*CommittedTx {
 		out = append(out, c)
 	}
 	l.sh.Mu.Unlock()
-	sortCommitted(out)
+	SortCommitted(out)
 	return out
 }
 
@@ -1137,8 +1098,8 @@ func (l *Log) CoordPending() []*CoordTx {
 }
 
 // UnreplicatedTail returns the retained committed transactions above the
-// peer DC's cursor, in commit-timestamp order — the tail a restarted
-// server re-sends so the replicas reconverge.
+// peer DC's cursor, in commit-timestamp order — the tail a replication
+// stream's rewind re-sends so the replicas reconverge.
 func (l *Log) UnreplicatedTail(dc int) []*CommittedTx {
 	if dc < 0 || dc >= l.numDCs {
 		return nil
@@ -1152,11 +1113,13 @@ func (l *Log) UnreplicatedTail(dc int) []*CommittedTx {
 		}
 	}
 	l.sh.Mu.Unlock()
-	sortCommitted(out)
+	SortCommitted(out)
 	return out
 }
 
-func sortCommitted(txs []*CommittedTx) {
+// SortCommitted orders transactions by (commit timestamp, id): the apply,
+// flush, recovery and replication order.
+func SortCommitted(txs []*CommittedTx) {
 	sort.Slice(txs, func(i, j int) bool {
 		if txs[i].CT != txs[j].CT {
 			return txs[i].CT < txs[j].CT

@@ -488,48 +488,6 @@ func TestRedrivePendingAndCoordAbort(t *testing.T) {
 	}
 }
 
-func TestResyncPinClampsCursor(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, NumDCs: 2, SelfDC: 0, Fsync: "never", CompactThreshold: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(1); i <= 3; i++ {
-		l.LogPrepare(&PreparedTx{TxID: i, PT: ts(i * 10), Writes: []wire.KV{kv("k", "v")}})
-		commit(l, i, ts(i*10))
-	}
-	// Unreplicated tail up to ct=30; pin it as a restarting server would.
-	l.PinResync(1, ts(30))
-	// An ack for NEWER traffic must not advance the cursor past the pin —
-	// the tail may still be in flight behind it.
-	l.AdvanceCursor(1, ts(100))
-	if got := l.Cursor(1); got != ts(30) {
-		t.Fatalf("pinned cursor = %v, want clamped to 30", got)
-	}
-	// An earlier resync batch's ack does not lift the pin.
-	l.UnpinResync(1, ts(20))
-	l.AdvanceCursor(1, ts(100))
-	if got := l.Cursor(1); got != ts(30) {
-		t.Fatalf("cursor after partial resync ack = %v, want 30", got)
-	}
-	// The tail's own ack lifts it; newer acks then advance freely.
-	l.UnpinResync(1, ts(30))
-	l.AdvanceCursor(1, ts(100))
-	if got := l.Cursor(1); got != ts(100) {
-		t.Fatalf("cursor after unpin = %v, want 100", got)
-	}
-	// The clamp must also have kept release at bay across the window.
-	l.MarkApplied([]uint64{1, 2, 3})
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r := openLog(t, dir, 2)
-	defer r.Close()
-	if got := r.Cursor(1); got != ts(100) {
-		t.Fatalf("persisted cursor = %v, want 100", got)
-	}
-}
-
 func TestReserveSeqsDurable(t *testing.T) {
 	dir := t.TempDir()
 	l := openLog(t, dir, 1)

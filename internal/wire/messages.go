@@ -674,23 +674,23 @@ type ReplTx struct {
 // same partition in remote DCs (Alg. 4 line 14). Transactions with equal
 // commit timestamps are packed into one message, as in the paper.
 //
-// Resync marks a re-sent batch: after a restart, the sender replays the
-// committed transactions above the receiver's replication cursor, and the
-// receiver deduplicates each transaction against its storage engine before
+// Resync marks a batch of a rewind: the sender re-sends the committed
+// transactions above the receiver's replication cursor, and the receiver
+// deduplicates each transaction against its storage engine before
 // applying — ordinary batches skip that check, keeping the steady-state
 // apply path untouched.
 type Replicate struct {
 	SrcDC     uint8
 	Partition uint16
 	Resync    bool
-	// Prev chains ordinary batches per destination: the commit timestamp
-	// of the last transaction the sender previously shipped to this DC
-	// (zero when unknown, e.g. the first batch after a restart). A
+	// Prev chains every batch of the sender's stream to this DC: the
+	// commit timestamp of the last transaction it shipped there before
+	// this batch. A rewind's first batch carries zero: it starts at the
+	// sender's replication cursor, a prefix the receiver acknowledged. A
 	// receiver whose watermark is below Prev is missing an earlier batch
-	// and must refuse this one unacknowledged, so the sender's stalled
-	// replication cursor triggers a dedupe-safe resync instead of the
-	// stream silently applying past a gap. Resync batches are replayed
-	// from the cursor in order and carry no chain.
+	// and must refuse this one unacknowledged, so the sender's cursor
+	// stalls and its stream rewinds instead of silently applying past a
+	// gap.
 	Prev hlc.Timestamp
 	Txs  []ReplTx
 }
@@ -836,11 +836,10 @@ func (m *CommitAck) decodeFrom(d *Decoder) {
 // ReplicateAck confirms to the sending replica that every transaction of a
 // Replicate batch up to UpTo has been applied by the receiver. The sender
 // advances its persisted replication cursor for the acknowledging DC, so a
-// restart re-sends only the unconfirmed tail. Resync echoes the batch's
-// Resync flag: only the re-sent tail's own acknowledgement may lift the
-// sender's post-restart cursor pin — an ack for newer traffic cannot vouch
-// for a tail still in flight behind it. Every server runs the transaction
-// log, so every receiver sends it.
+// rewind re-sends only the unconfirmed tail. The receiver applies the
+// stream in order, so the ack vouches for every transaction up to UpTo.
+// Resync is never set; the field stays on the wire.
+// Every server runs the transaction log, so every receiver sends it.
 type ReplicateAck struct {
 	DC        uint8  // the acknowledging (receiver's) DC
 	Partition uint16 // the partition the batch belonged to
