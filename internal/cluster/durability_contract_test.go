@@ -337,7 +337,7 @@ func testLazyCommitAck(t *testing.T, proto Protocol, backend string) {
 	before := cohort.Obs().Value("txlog.syncs")
 	commitPair(t, client, k0, k1, "v")
 	acked := time.Now()
-	for len(coord.TxLog().CoordPending()) > 0 {
+	for len(coord.TxLog().RedrivePending(0)) > 0 {
 		if time.Since(acked) > 3*lifecycleTick {
 			t.Fatalf("decision still unresolved %v after the client ack: the lazy CommitAck never came", time.Since(acked))
 		}

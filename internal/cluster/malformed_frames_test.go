@@ -32,7 +32,7 @@ func TestMalformedInterDCFramesRefused(t *testing.T) {
 		{"Heartbeat/own-dc", &wire.Heartbeat{SrcDC: own, Partition: 0, TS: future}},
 		{"Heartbeat/other-partition", &wire.Heartbeat{SrcDC: 1, Partition: 1, TS: future}},
 		{"ReplicateAck/absent-dc", &wire.ReplicateAck{DC: absent, Partition: 0, UpTo: future}},
-		{"ReplicateAck/own-dc", &wire.ReplicateAck{DC: own, Partition: 0, UpTo: future, Resync: true}},
+		{"ReplicateAck/own-dc", &wire.ReplicateAck{DC: own, Partition: 0, UpTo: future}},
 		{"ReplicateAck/other-partition", &wire.ReplicateAck{DC: 1, Partition: 1, UpTo: future}},
 	}
 	for _, proto := range allProtocols {

@@ -152,15 +152,15 @@ type Config struct {
 	DataDir string
 	// FsyncPolicy is the transaction log's sync policy: "always" (a record
 	// is stable before the acknowledgement it precedes leaves the server),
-	// "interval" (the "" default: a 10ms timer syncs it) or "never". A
-	// durable backend always runs behind the transaction-lifecycle log, the
-	// one fsync-before-ack point: PREPARE and COMMIT records are written
-	// before the corresponding acknowledgement — the durability unit is
-	// the ACKNOWLEDGED transaction — and a persisted per-DC replication
-	// cursor lets a restarted server re-send the unreplicated tail. The
-	// engine's own logs never sync on this policy (see New). Checked on
-	// every backend, though the memory backend's transaction log keeps the
-	// lifecycle in memory, has no file and never syncs.
+	// "interval" (the "" default: an append no pending timer covers arms a
+	// one-shot 10ms timer that syncs it) or "never". A durable backend
+	// always runs behind the transaction-lifecycle log, the one
+	// fsync-before-ack point: PREPARE and COMMIT records are written before
+	// the acknowledgement they back (the durability unit), and a persisted
+	// per-DC replication cursor lets a restarted server re-send the
+	// unreplicated tail. The engine's own logs never sync on this policy
+	// (see New). Checked on every backend, though the memory backend's
+	// transaction log keeps the lifecycle in memory and never syncs.
 	FsyncPolicy string
 	// MaxInflightPerConn caps the admission-gated client requests
 	// (transactional reads and write commits) outstanding per client

@@ -54,7 +54,7 @@ func (r *Runtime) recoverFromTxLog() {
 // finish is picked up by the periodic lifecycle loop.
 func (r *Runtime) redriveRecovered() {
 	defer r.wg.Done()
-	for _, c := range r.tl.CoordPending() {
+	for _, c := range r.tl.RedrivePending(0) {
 		for _, p := range c.Cohorts {
 			if !r.sendRetry(transport.ServerID(r.cfg.DC, int(p)), &wire.CommitTx{TxID: c.TxID, CT: c.CT}) {
 				return

@@ -3,6 +3,7 @@ package txlog
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -31,7 +32,7 @@ func fingerprint(l *Log) string {
 	for _, c := range l.Committed() {
 		fmt.Fprintf(&b, "C%d@%d/%d ", c.TxID, c.CT, len(c.Writes))
 	}
-	coord := l.CoordPending()
+	coord := l.RedrivePending(0)
 	sort.Slice(coord, func(i, j int) bool { return coord[i].TxID < coord[j].TxID })
 	for _, c := range coord {
 		fmt.Fprintf(&b, "D%d@%d%v ", c.TxID, c.CT, c.Cohorts)
@@ -287,10 +288,11 @@ func pageSubsetCrash(t *testing.T, seed int64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l, err := open(Options{Dir: dir, NumDCs: 2, Fsync: "always", CompactThreshold: -1}, c)
+		l, err := open(Options{Dir: dir, NumDCs: 2, Fsync: "always"}, c)
 		if err != nil {
 			t.Fatalf("seed %d: Open: %v", seed, err)
 		}
+		l.compactAt = math.MaxInt
 		return l, c
 	}
 	l, c := openDir(t.TempDir())
@@ -359,14 +361,16 @@ func TestFilelessLogMatchesFileLog(t *testing.T) {
 		return b.String()
 	}
 	for seed := int64(1); seed <= 10; seed++ {
-		file, err := Open(Options{Dir: t.TempDir(), NumDCs: 2, Fsync: "always", CompactThreshold: 16})
+		file, err := Open(Options{Dir: t.TempDir(), NumDCs: 2, Fsync: "always"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		mem, err := Open(Options{NumDCs: 2, Fsync: "sometimes", CompactThreshold: 16})
+		file.compactAt = 16
+		mem, err := Open(Options{NumDCs: 2, Fsync: "sometimes"})
 		if err != nil {
 			t.Fatalf("seed %d: Open without a file: %v", seed, err)
 		}
+		mem.compactAt = 16
 		s := newStepper(rand.New(rand.NewSource(seed)))
 		for n := 0; n < 100; n++ {
 			s.step(file, mem)
@@ -408,10 +412,11 @@ func TestFilelessLogMatchesFileLog(t *testing.T) {
 // zero-filled region never runs more than two chunks ahead of the records.
 func TestSyncsWithoutGrowth(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, NumDCs: 1, Fsync: "always", CompactThreshold: -1})
+	l, err := Open(Options{Dir: dir, NumDCs: 1, Fsync: "always"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	l.compactAt = math.MaxInt
 	defer l.Close()
 	path := filepath.Join(dir, logName)
 	writes := []wire.KV{kv("a", strings.Repeat("x", 1024)), kv("b", strings.Repeat("y", 1024))}

@@ -2,6 +2,7 @@ package txlog
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -91,7 +92,7 @@ func TestCoordCommitResolution(t *testing.T) {
 
 	r := openLog(t, dir, 1)
 	defer r.Close()
-	pending := r.CoordPending()
+	pending := r.RedrivePending(0)
 	if len(pending) != 1 || pending[0].TxID != 8 || pending[0].CT != ts(210) {
 		t.Fatalf("pending = %+v, want only tx 8", pending)
 	}
@@ -130,7 +131,7 @@ func TestCoordCommitSyncBatchedDurable(t *testing.T) {
 
 	r := openLog(t, dir, 1)
 	defer r.Close()
-	pending := r.CoordPending()
+	pending := r.RedrivePending(0)
 	if len(pending) != writers*decisions {
 		t.Fatalf("recovered %d pending decisions, want %d", len(pending), writers*decisions)
 	}
@@ -164,7 +165,7 @@ func TestCoordCommitSyncInterval(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	pending := r.CoordPending()
+	pending := r.RedrivePending(0)
 	if len(pending) != 1 || pending[0].TxID != 5 || pending[0].CT != ts(500) {
 		t.Fatalf("pending = %+v, want tx 5 @500", pending)
 	}
@@ -312,10 +313,11 @@ func TestDurabilityEvents(t *testing.T) {
 
 func TestCompactionReleasesFinishedRecords(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, NumDCs: 2, SelfDC: 0, Fsync: "never", CompactThreshold: -1})
+	l, err := Open(Options{Dir: dir, NumDCs: 2, SelfDC: 0, Fsync: "never"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	l.compactAt = math.MaxInt
 	for i := uint64(1); i <= 6; i++ {
 		l.LogPrepare(&PreparedTx{TxID: i, PT: ts(i * 10), Writes: []wire.KV{kv("k", "v")}})
 		commit(l, i, ts(i*10))
@@ -350,10 +352,11 @@ func TestCompactionReleasesFinishedRecords(t *testing.T) {
 
 func TestReleaseRequiresBothAppliedAndReplicated(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, NumDCs: 2, SelfDC: 0, Fsync: "never", CompactThreshold: -1})
+	l, err := Open(Options{Dir: dir, NumDCs: 2, SelfDC: 0, Fsync: "never"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	l.compactAt = math.MaxInt
 	defer l.Close()
 	l.LogPrepare(&PreparedTx{TxID: 1, PT: ts(10), Writes: []wire.KV{kv("a", "v")}})
 	commit(l, 1, ts(10))
@@ -372,10 +375,11 @@ func TestReleaseRequiresBothAppliedAndReplicated(t *testing.T) {
 
 func TestSingleDCReleasesOnApplyAlone(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, NumDCs: 1, SelfDC: 0, Fsync: "never", CompactThreshold: -1})
+	l, err := Open(Options{Dir: dir, NumDCs: 1, SelfDC: 0, Fsync: "never"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	l.compactAt = math.MaxInt
 	defer l.Close()
 	l.LogPrepare(&PreparedTx{TxID: 1, PT: ts(10), Writes: []wire.KV{kv("a", "v")}})
 	commit(l, 1, ts(10))
@@ -414,10 +418,11 @@ func TestSVRoundTrip(t *testing.T) {
 
 func TestSeqFloorSurvivesCompactionAndRestart(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, NumDCs: 1, SelfDC: 0, Fsync: "never", CompactThreshold: -1})
+	l, err := Open(Options{Dir: dir, NumDCs: 1, SelfDC: 0, Fsync: "never"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	l.compactAt = math.MaxInt
 	// Transaction ids carry DC/partition in the top bytes; the floor is
 	// the 40-bit sequence component.
 	id := func(seq uint64) uint64 { return 1<<56 | 2<<40 | seq }
@@ -447,10 +452,11 @@ func TestSeqFloorSurvivesCompactionAndRestart(t *testing.T) {
 
 func TestRedrivePendingAndCoordAbort(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, NumDCs: 1, SelfDC: 0, Fsync: "never", CompactThreshold: -1})
+	l, err := Open(Options{Dir: dir, NumDCs: 1, SelfDC: 0, Fsync: "never"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	l.compactAt = math.MaxInt
 	defer l.Close()
 	l.LogCoordCommitSync(1, ts(10), []uint16{0, 1})
 	l.LogCoordCommitSync(2, ts(20), []uint16{3})
@@ -508,10 +514,11 @@ func TestReserveSeqsDurable(t *testing.T) {
 
 func TestAutoCompactionTriggers(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, NumDCs: 1, SelfDC: 0, Fsync: "never", CompactThreshold: 8})
+	l, err := Open(Options{Dir: dir, NumDCs: 1, SelfDC: 0, Fsync: "never"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	l.compactAt = 8
 	defer l.Close()
 	for i := uint64(1); i <= 50; i++ {
 		l.LogPrepare(&PreparedTx{TxID: i, PT: ts(i), Writes: []wire.KV{kv("k", "v")}})
@@ -586,10 +593,11 @@ func TestLazyWaiterRunsAtOnceWithoutSyncOnAppend(t *testing.T) {
 // must all be released.
 func TestCompactionCarriesOverConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, NumDCs: 1, Fsync: "always", CompactThreshold: -1})
+	l, err := Open(Options{Dir: dir, NumDCs: 1, Fsync: "always"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	l.compactAt = math.MaxInt
 	const writers, perWriter = 4, 60
 	var lazyFired atomic.Int64
 	var wg sync.WaitGroup
@@ -641,7 +649,7 @@ func TestCompactionCarriesOverConcurrentAppends(t *testing.T) {
 	if got := len(r.Committed()); got != writers*perWriter {
 		t.Fatalf("recovered %d committed transactions, want %d", got, writers*perWriter)
 	}
-	if got := len(r.CoordPending()); got != writers*perWriter {
+	if got := len(r.RedrivePending(0)); got != writers*perWriter {
 		t.Fatalf("recovered %d decisions, want %d", got, writers*perWriter)
 	}
 	if got := len(r.Prepared()); got != 0 {
@@ -653,10 +661,11 @@ func TestCompactionCarriesOverConcurrentAppends(t *testing.T) {
 // goroutine; only MarkApplied — the owner's release barrier — may rewrite.
 func TestLogPrepareNeverCompacts(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, NumDCs: 1, Fsync: "never", CompactThreshold: 4})
+	l, err := Open(Options{Dir: dir, NumDCs: 1, Fsync: "never"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	l.compactAt = 4
 	defer l.Close()
 	var before int64
 	for i := uint64(1); i <= 20; i++ {

@@ -838,13 +838,11 @@ func (m *CommitAck) decodeFrom(d *Decoder) {
 // advances its persisted replication cursor for the acknowledging DC, so a
 // rewind re-sends only the unconfirmed tail. The receiver applies the
 // stream in order, so the ack vouches for every transaction up to UpTo.
-// Resync is never set; the field stays on the wire.
 // Every server runs the transaction log, so every receiver sends it.
 type ReplicateAck struct {
 	DC        uint8  // the acknowledging (receiver's) DC
 	Partition uint16 // the partition the batch belonged to
 	UpTo      hlc.Timestamp
-	Resync    bool
 }
 
 // Kind implements Message.
@@ -857,14 +855,12 @@ func (m *ReplicateAck) encodeTo(e *Encoder) {
 	e.Byte(m.DC)
 	e.Uvarint(uint64(m.Partition))
 	e.Timestamp(m.UpTo)
-	e.Bool(m.Resync)
 }
 
 func (m *ReplicateAck) decodeFrom(d *Decoder) {
 	m.DC = d.Byte()
 	m.Partition = uint16(d.Uvarint())
 	m.UpTo = d.Timestamp()
-	m.Resync = d.Bool()
 }
 
 // HealthReq asks a server for its durability/admission state, so operators

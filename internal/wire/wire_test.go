@@ -69,7 +69,7 @@ func TestRoundTripAllKinds(t *testing.T) {
 			{TxID: 3, CT: ts(11, 0), Writes: []KV{{Key: "r", Value: []byte("s")}}},
 		}},
 		&CommitAck{TxID: 99, Partition: 7},
-		&ReplicateAck{DC: 2, Partition: 5, UpTo: ts(444, 4), Resync: true},
+		&ReplicateAck{DC: 2, Partition: 5, UpTo: ts(444, 4)},
 		&HealthReq{ReqID: 17},
 		&HealthResp{ReqID: 18, ReadOnly: true, Err: "wal: sync: broken"},
 		&TxStatusReq{TxID: 321},
