@@ -4,11 +4,11 @@
 //	wren-bench -figure 3a          # throughput vs latency, default workload
 //	wren-bench -figure all         # every figure in sequence
 //	wren-bench -figure 6a -threads 8
-//	wren-bench -ablation blocking-commit
 //	wren-bench -quick -figure 3a   # reduced topology for a fast look
 //
-// Figures: 3a, 3b, 4a, 4b, 5a, 5b, 6a, 6b, 7a, 7b.
-// Ablations: blocking-commit, gossip-interval, gossip-topology, snapshot-age.
+// Figures: 3a, 3b, 4a, 4b, 5a, 5b, 6a, 6b, 7a, 7b. 3a and 3b are one
+// sweep and one table (throughput, latency and blocking time), so 3b is
+// another name for 3a and "all" runs it once.
 //
 // It runs on the simulated network and compares protocols with each other;
 // how fast this implementation is, end to end and per layer, is measured
@@ -36,15 +36,12 @@ func main() {
 }
 
 func run(args []string) error {
-	o, figure, ablation, err := parseArgs(args)
+	o, figure, err := parseArgs(args)
 	if err != nil {
 		return err
 	}
-	if ablation != "" {
-		return runAblation(o, ablation)
-	}
 	if figure == "all" {
-		for _, f := range []string{"3a", "3b", "4a", "4b", "5a", "5b", "6a", "6b", "7a", "7b"} {
+		for _, f := range []string{"3a", "4a", "4b", "5a", "5b", "6a", "6b", "7a", "7b"} {
 			if err := runFigure(o, f); err != nil {
 				return fmt.Errorf("figure %s: %w", f, err)
 			}
@@ -55,12 +52,11 @@ func run(args []string) error {
 }
 
 // parseArgs turns the command line into the options every runner reads and
-// the one figure or ablation to run; it builds nothing.
-func parseArgs(args []string) (o bench.Options, figure, ablation string, err error) {
+// the one figure to run; it builds nothing.
+func parseArgs(args []string) (o bench.Options, figure string, err error) {
 	fs := flag.NewFlagSet("wren-bench", flag.ContinueOnError)
 	o = bench.DefaultOptions()
 	fs.StringVar(&figure, "figure", "", "figure to regenerate: 3a 3b 4a 4b 5a 5b 6a 6b 7a 7b all")
-	fs.StringVar(&ablation, "ablation", "", "ablation to run: blocking-commit gossip-interval gossip-topology snapshot-age")
 	fs.IntVar(&o.DCs, "dcs", o.DCs, "number of DCs")
 	fs.IntVar(&o.Partitions, "partitions", o.Partitions, "partitions per DC")
 	threads := fs.String("threads", "1,2,4,8,16", "comma-separated per-process thread counts for sweeps")
@@ -75,14 +71,14 @@ func parseArgs(args []string) (o bench.Options, figure, ablation string, err err
 	fs.Int64Var(&o.Seed, "seed", o.Seed, "random seed")
 	quick := fs.Bool("quick", false, "reduced topology and windows for a fast run")
 	if err := fs.Parse(args); err != nil {
-		return o, "", "", err
+		return o, "", err
 	}
-	if figure == "" && ablation == "" {
+	if figure == "" {
 		fs.Usage()
-		return o, "", "", fmt.Errorf("one of -figure or -ablation is required")
+		return o, "", fmt.Errorf("-figure is required")
 	}
 	if o.Threads, err = parseThreads(*threads); err != nil {
-		return o, "", "", err
+		return o, "", err
 	}
 	if *quick {
 		q := bench.SmokeOptions()
@@ -94,7 +90,7 @@ func parseArgs(args []string) (o bench.Options, figure, ablation string, err err
 		o.Measure = q.Measure
 		o.KeysPerPartition = q.KeysPerPartition
 	}
-	return o, figure, ablation, nil
+	return o, figure, nil
 }
 
 func parseThreads(s string) ([]int, error) {
@@ -122,11 +118,7 @@ func runFigure(o bench.Options, figure string) error {
 		if err != nil {
 			return err
 		}
-		title := "Figure 3a: throughput vs latency (95:5, p=4, 3 DCs)"
-		if figure == "3b" {
-			title = "Figure 3b: mean blocking time (Wren never blocks)"
-		}
-		fmt.Print(bench.FormatSeries(title, series))
+		fmt.Print(bench.FormatSeries("Figures 3a/3b: throughput vs latency, mean blocking time (95:5, p=4, 3 DCs)", series))
 	case "4a":
 		series, err := bench.SweepProtocols(o, ycsb.Mix90, clamp(4, o.Partitions))
 		if err != nil {
@@ -192,40 +184,6 @@ func runFigure(o bench.Options, figure string) error {
 		fmt.Print(bench.FormatVisibility("Figure 7b: update visibility latency CDF (AWS latency matrix)", results))
 	default:
 		return fmt.Errorf("unknown figure %q", figure)
-	}
-	return nil
-}
-
-func runAblation(o bench.Options, name string) error {
-	switch name {
-	case "blocking-commit":
-		rows, err := bench.RunBlockingCommitAblation(o)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatAblation("Ablation: client cache vs blocking commits (§III-B)", rows))
-	case "gossip-interval":
-		rows, err := bench.RunGossipIntervalAblation(o, []time.Duration{
-			time.Millisecond, 5 * time.Millisecond, 20 * time.Millisecond,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatAblation("Ablation: BiST gossip period ΔG", rows))
-	case "gossip-topology":
-		rows, err := bench.RunGossipTopologyAblation(o)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatAblation("Ablation: BiST broadcast vs tree aggregation (§IV-B)", rows))
-	case "snapshot-age":
-		rows, err := bench.RunSnapshotAgeAblation(o)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatAblation("Ablation: snapshot freshness (Wren vs Cure)", rows))
-	default:
-		return fmt.Errorf("unknown ablation %q", name)
 	}
 	return nil
 }

@@ -17,7 +17,7 @@ func TestRunRejects(t *testing.T) {
 		args []string
 		want string // substring of the error
 	}{
-		{"no mode", nil, "one of -figure or -ablation is required"},
+		{"no mode", nil, "-figure is required"},
 		{"retired -read-path", []string{"-figure", "3a", "-read-path"}, undefined},
 		{"retired -engines", []string{"-figure", "3a", "-engines", "memory"}, undefined},
 		{"retired -txlog", []string{"-figure", "3a", "-txlog"}, undefined},
@@ -25,8 +25,8 @@ func TestRunRejects(t *testing.T) {
 		{"retired -clients", []string{"-figure", "3a", "-clients"}, undefined},
 		{"retired -out", []string{"-figure", "3a", "-out", "x"}, undefined},
 		{"retired -store-shards", []string{"-figure", "3a", "-store-shards", "64"}, undefined},
+		{"retired -ablation", []string{"-figure", "3a", "-ablation", "snapshot-age"}, undefined},
 		{"unknown figure", []string{"-figure", "9z"}, `unknown figure "9z"`},
-		{"unknown ablation", []string{"-ablation", "nope"}, `unknown ablation "nope"`},
 		{"zero threads", []string{"-figure", "3a", "-threads", "0"}, "invalid thread count"},
 		{"non-numeric threads", []string{"-figure", "3a", "-threads", "a"}, "invalid thread count"},
 	}
@@ -41,29 +41,29 @@ func TestRunRejects(t *testing.T) {
 }
 
 func TestParseArgs(t *testing.T) {
-	o, figure, ablation, err := parseArgs([]string{"-figure", "6a", "-dcs", "2", "-threads", "1, 2", "-seed", "9"})
+	o, figure, err := parseArgs([]string{"-figure", "6a", "-dcs", "2", "-threads", "1, 2", "-seed", "9"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if figure != "6a" || ablation != "" {
-		t.Fatalf("figure %q ablation %q, want 6a and none", figure, ablation)
+	if figure != "6a" {
+		t.Fatalf("figure %q, want 6a", figure)
 	}
 	if o.DCs != 2 || o.Partitions != 8 || o.Seed != 9 || !slices.Equal(o.Threads, []int{1, 2}) {
 		t.Fatalf("options not taken from the flags and the paper defaults: %+v", o)
 	}
 
 	// -quick clamps the DC count to the smoke topology's, whatever -dcs says.
-	o, _, ablation, err = parseArgs([]string{"-quick", "-dcs", "5", "-ablation", "snapshot-age"})
+	o, figure, err = parseArgs([]string{"-quick", "-dcs", "5", "-figure", "7b"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if o.DCs != 3 {
 		t.Fatalf("-quick -dcs 5: DCs = %d, want 3", o.DCs)
 	}
-	if ablation != "snapshot-age" || o.Partitions != 4 || !slices.Equal(o.Threads, []int{1, 4}) {
-		t.Fatalf("-quick did not select the smoke options: ablation %q, %+v", ablation, o)
+	if figure != "7b" || o.Partitions != 4 || !slices.Equal(o.Threads, []int{1, 4}) {
+		t.Fatalf("-quick did not select the smoke options: figure %q, %+v", figure, o)
 	}
-	if o, _, _, err = parseArgs([]string{"-quick", "-dcs", "2", "-figure", "3a"}); err != nil || o.DCs != 2 {
+	if o, _, err = parseArgs([]string{"-quick", "-dcs", "2", "-figure", "3a"}); err != nil || o.DCs != 2 {
 		t.Fatalf("-quick -dcs 2: DCs = %d, err %v; want 2", o.DCs, err)
 	}
 }

@@ -2,8 +2,10 @@ package bench
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -311,7 +313,8 @@ func FormatRatios(title string, cells []RatioCell) string {
 }
 
 // FormatTraffic renders Figure 7a-style traffic numbers including the
-// Wren/Cure ratio per DC count.
+// Wren/Cure ratio per DC count, in increasing DC count so the same results
+// always print the same text.
 func FormatTraffic(title string, results []TrafficResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
@@ -325,7 +328,8 @@ func FormatTraffic(title string, results []TrafficResult) string {
 		}
 		byDC[r.DCs][r.Protocol] = r
 	}
-	for dcs, m := range byDC {
+	for _, dcs := range slices.Sorted(maps.Keys(byDC)) {
+		m := byDC[dcs]
 		w, okW := m["Wren"]
 		c, okC := m["Cure"]
 		if okW && okC && c.ReplBytesPerTx > 0 && c.StabBytesPerSecond > 0 {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"wren/internal/hlc"
-	"wren/internal/transport"
 )
 
 // TestCacheOverwritesDuplicateEntries verifies Algorithm 1 line 31: moving
@@ -96,69 +95,4 @@ func TestRandomCoordinatorMode(t *testing.T) {
 	if len(got) != 30 {
 		t.Fatalf("read %d keys back, want 30", len(got))
 	}
-}
-
-// TestBlockingCommitAblationBehaviour verifies the BlockingCommit server
-// option: commits must not return before the write is covered by the local
-// stable snapshot, making it instantly visible to other sessions.
-func TestBlockingCommitAblationBehaviour(t *testing.T) {
-	net, servers := newAblationCluster(t, 2, true)
-	c, err := NewClient(ClientConfig{
-		DC: 0, ClientIndex: 1, NumPartitions: 2,
-		Network:              net,
-		CoordinatorPartition: 0,
-		RequestTimeout:       5 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct := commitKV(t, c, map[string]string{"bc": "v"})
-	// By the time commit returned, LST must already cover ct.
-	lst, _ := servers[0].StableTimes()
-	if lst < ct {
-		t.Fatalf("blocking commit returned before stabilization: lst=%v < ct=%v", lst, ct)
-	}
-	// And a different session must see the write immediately.
-	other, err := NewClient(ClientConfig{
-		DC: 0, ClientIndex: 2, NumPartitions: 2,
-		Network:              net,
-		CoordinatorPartition: 0,
-		RequestTimeout:       5 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := readKeys(t, other, "bc")
-	if string(got["bc"]) != "v" {
-		t.Fatalf("write not visible right after blocking commit: %q", got["bc"])
-	}
-}
-
-// newAblationCluster builds a single-DC cluster with BlockingCommit set.
-func newAblationCluster(t *testing.T, parts int, blockingCommit bool) (*transport.Memory, []*Server) {
-	t.Helper()
-	net := transport.NewMemory(transport.UniformLatency(100*time.Microsecond, time.Millisecond))
-	t.Cleanup(net.Close)
-	servers := make([]*Server, parts)
-	for p := 0; p < parts; p++ {
-		srv, err := NewServer(ServerConfig{
-			DC: 0, Partition: p, NumDCs: 1, NumPartitions: parts,
-			Network:        net,
-			ApplyInterval:  time.Millisecond,
-			GossipInterval: time.Millisecond,
-			GCInterval:     -1,
-			BlockingCommit: blockingCommit,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv.Start()
-		servers[p] = srv
-	}
-	t.Cleanup(func() {
-		for _, s := range servers {
-			s.Stop()
-		}
-	})
-	return net, servers
 }

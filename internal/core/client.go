@@ -122,7 +122,7 @@ func (c *Client) Begin() (*Tx, error) {
 }
 
 // CacheSize returns the number of entries in the client-side write cache
-// (exposed for tests and the cache-ablation benchmark).
+// (tests read it to check the cache is pruned).
 func (c *Client) CacheSize() int {
 	c.w.mu.Lock()
 	defer c.w.mu.Unlock()

@@ -21,8 +21,8 @@ import (
 // DefaultGCInterval is the version-GC period a zero GCInterval selects.
 const DefaultGCInterval = replica.DefaultGCInterval
 
-// ServerConfig configures one Wren partition server p_n^m. UseHLC is Cure's
-// switch and is refused.
+// ServerConfig configures one Wren partition server p_n^m. UseHLC, the one
+// protocol switch, is Cure's and is refused.
 type ServerConfig = replica.Config
 
 // txContext is the coordinator-side state of an open transaction
@@ -402,26 +402,6 @@ func (p *wrenProtocol) OldestActiveSnapshot(now time.Time) hlc.Timestamp {
 	return oldest
 }
 
-// BeforeCommitReply implements the BlockingCommit ablation: hold the reply
-// until the write is stable everywhere in the DC, making the client cache
-// unnecessary — and commits slow (paper §III-B).
-func (p *wrenProtocol) BeforeCommitReply(ct hlc.Timestamp) bool {
-	s := p.server()
-	if !s.cfg.BlockingCommit {
-		return true
-	}
-	ticker := time.NewTicker(time.Millisecond)
-	defer ticker.Stop()
-	for s.lst.Load() < ct {
-		select {
-		case <-ticker.C:
-		case <-s.rt.Stopping():
-			return false
-		}
-	}
-	return true
-}
-
 // OnStop is a no-op: Wren parks no readers.
 func (p *wrenProtocol) OnStop(bool) {}
 
@@ -649,14 +629,8 @@ func (s *Server) handlePrepareReq(from transport.NodeID, m *wire.PrepareReq) {
 }
 
 // handleStableBroadcast ingests a peer partition's BiST contribution
-// (Algorithm 4 lines 29–31). Aggregated messages (tree topology) carry the
-// final LST/RST directly.
+// (Algorithm 4 lines 29–31).
 func (s *Server) handleStableBroadcast(m *wire.StableBroadcast) {
-	if m.Aggregate {
-		s.lst.Advance(m.Local)
-		s.rst.Advance(m.RemoteMin)
-		return
-	}
 	p := int(m.Partition)
 	if p < 0 || p >= s.cfg.NumPartitions {
 		return
@@ -717,32 +691,12 @@ func (s *Server) localContribution() (local, remoteMin hlc.Timestamp) {
 }
 
 // gossipTick runs one BiST exchange: fold in this server's own
-// contribution, then broadcast — all-to-all, or up/down the aggregation
-// tree when GossipTree is on. It is the idle fallback: partitions that
-// exchange transaction messages learn the same scalars from those.
+// contribution, then broadcast it to every other partition of the DC. It
+// is the idle fallback: partitions that exchange transaction messages
+// learn the same scalars from those.
 func (s *Server) gossipTick() {
 	local, remoteMin := s.localContribution()
 	s.foldPeer(s.cfg.Partition, local, remoteMin)
-	lst, rst := s.lst.Load(), s.rst.Load()
-
-	if s.cfg.GossipTree {
-		if s.cfg.Partition == 0 {
-			// Root: push the aggregated stable times down the tree.
-			agg := &wire.StableBroadcast{
-				Partition: 0, Aggregate: true, Local: lst, RemoteMin: rst,
-			}
-			for p := 1; p < s.cfg.NumPartitions; p++ {
-				s.rt.SendBounded(transport.ServerID(s.cfg.DC, p), agg)
-			}
-			return
-		}
-		// Leaf: report the local contribution to the root only.
-		s.rt.SendBounded(transport.ServerID(s.cfg.DC, 0), &wire.StableBroadcast{
-			Partition: uint16(s.cfg.Partition), Local: local, RemoteMin: remoteMin,
-		})
-		return
-	}
-
 	msg := &wire.StableBroadcast{
 		Partition: uint16(s.cfg.Partition), Local: local, RemoteMin: remoteMin,
 	}

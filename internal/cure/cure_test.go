@@ -419,8 +419,6 @@ func TestCureConfigValidation(t *testing.T) {
 		{NumDCs: 1, NumPartitions: 0, Network: net},
 		{DC: 5, NumDCs: 2, NumPartitions: 1, Network: net},
 		{NumDCs: 1, NumPartitions: 1, Network: nil},
-		{NumDCs: 1, NumPartitions: 1, Network: net, BlockingCommit: true}, // Wren's switches
-		{NumDCs: 1, NumPartitions: 1, Network: net, GossipTree: true},
 	}
 	for i, cfg := range bad {
 		if _, err := NewServer(cfg); err == nil {

@@ -1,7 +1,6 @@
 package cure
 
 import (
-	"errors"
 	"sync"
 	"time"
 
@@ -17,9 +16,8 @@ import (
 	"wren/internal/wire"
 )
 
-// ServerConfig configures one Cure/H-Cure partition server; UseHLC selects
-// H-Cure. BlockingCommit and GossipTree are Wren's switches and are
-// refused.
+// ServerConfig configures one Cure/H-Cure partition server; UseHLC, the
+// one protocol switch, selects H-Cure.
 type ServerConfig = replica.Config
 
 // txContext is the coordinator-side state of an open transaction.
@@ -99,9 +97,6 @@ type Server struct {
 
 // NewServer constructs a Cure or H-Cure partition server.
 func NewServer(cfg ServerConfig) (*Server, error) {
-	if cfg.BlockingCommit || cfg.GossipTree {
-		return nil, errors.New("cure: BlockingCommit and GossipTree are Wren options")
-	}
 	cfg.FillDefaults()
 	if err := cfg.Validate("cure"); err != nil {
 		return nil, err
@@ -361,10 +356,6 @@ func (p *cureProtocol) OldestActiveSnapshot(now time.Time) hlc.Timestamp {
 	})
 	return oldest
 }
-
-// BeforeCommitReply is a no-op for Cure: commits are acknowledged as soon
-// as the decision is durable.
-func (p *cureProtocol) BeforeCommitReply(hlc.Timestamp) bool { return true }
 
 // OnStop fails parked reads so clients aren't left hanging (a killed
 // server answers nobody). Runs inside the runtime's shutdown sequence

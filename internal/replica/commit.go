@@ -272,9 +272,6 @@ func (r *Runtime) Commit(from transport.NodeID, m *wire.CommitReq, makePrepare f
 			r.proto.ObserveCommitTS(ct)
 			r.KickApply()
 		}
-		if !r.proto.BeforeCommitReply(ct) {
-			return
-		}
 		r.txCommitted.Inc()
 		r.Send(from, &wire.CommitResp{ReqID: m.ReqID, CT: ct})
 	})

@@ -170,17 +170,6 @@ type Config struct {
 	// connection. Zero selects DefaultMaxInflightPerConn.
 	MaxInflightPerConn int
 
-	// BlockingCommit (Wren only) enables an ablation of CANToR: instead of
-	// relying on the client-side cache, the coordinator delays the commit
-	// reply until the commit timestamp is covered by the local stable
-	// snapshot — the "simple solution" the paper rejects for its high
-	// commit latency (§III-B). Off in the real protocol.
-	BlockingCommit bool
-	// GossipTree (Wren only) organizes the BiST exchange as an aggregation
-	// tree rooted at partition 0 (paper §IV-B) instead of all-to-all
-	// broadcast: 2(N−1) messages per round instead of N(N−1), at the cost
-	// of one extra hop of staleness.
-	GossipTree bool
 	// UseHLC (Cure only) selects H-Cure: hybrid logical clocks let a
 	// partition's clock jump forward on message receipt, removing the
 	// clock-skew component of read blocking. False selects plain Cure

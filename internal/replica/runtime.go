@@ -113,7 +113,10 @@ type SkipFunc func(key string, txID uint64) bool
 
 // Protocol is the seam between the shared runtime and a snapshot
 // representation. Implementations are the per-protocol servers; every
-// method is called by at most the documented goroutines.
+// method is called by at most the documented goroutines. None of them
+// sits between a commit decision and its reply: the runtime acknowledges
+// the client as soon as the decision is durable, and Wren's client cache
+// (not a wait for stability) keeps the session reading its own writes.
 type Protocol interface {
 	// AppendLocalPuts renders a locally committed transaction into engine
 	// inserts appended to dst (returned like append). skip, when non-nil,
@@ -153,10 +156,6 @@ type Protocol interface {
 	// context still needs (expiring abandoned contexts as a side effect) —
 	// the protocol half of the GC tick.
 	OldestActiveSnapshot(now time.Time) hlc.Timestamp
-	// BeforeCommitReply runs between the CommitTx fanout and the client
-	// acknowledgement; returning false abandons the reply (stopping).
-	// Wren's BlockingCommit ablation waits for ct to become stable here.
-	BeforeCommitReply(ct hlc.Timestamp) bool
 	// OnStop runs inside the shutdown sequence before the stop channel
 	// closes: Cure flushes parked readers (with courtesy replies unless
 	// kill) so clients are not left hanging.
@@ -413,10 +412,6 @@ func (r *Runtime) Healthy() error {
 	}
 	return r.tl.Healthy()
 }
-
-// Stopping exposes the stop channel for protocol hooks that wait
-// (BeforeCommitReply).
-func (r *Runtime) Stopping() <-chan struct{} { return r.stop }
 
 // NextReqID allocates a request id for an outgoing fan-out request.
 func (r *Runtime) NextReqID() uint64 { return r.reqSeq.Add(1) }

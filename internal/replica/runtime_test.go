@@ -52,7 +52,6 @@ func (*fakeProto) StampStable(*wire.Stab)                       {}
 func (*fakeProto) ObserveStable(int, wire.Stab)                 {}
 func (*fakeProto) GossipTick()                                  {}
 func (*fakeProto) OldestActiveSnapshot(time.Time) hlc.Timestamp { return 0 }
-func (*fakeProto) BeforeCommitReply(hlc.Timestamp) bool         { return true }
 func (*fakeProto) OnStop(bool)                                  {}
 func (p *fakeProto) HandleMessage(from transport.NodeID, m wire.Message) {
 	switch msg := m.(type) {

@@ -766,19 +766,14 @@ func (m *Heartbeat) decodeFrom(d *Decoder) {
 	m.TS = d.Timestamp()
 }
 
-// StableBroadcast is the intra-DC stabilization exchange. In Wren (BiST) it
-// carries exactly two scalars: the sender's local version clock and the
-// minimum over its remote version-vector entries. In Cure it carries the
-// full M-entry version vector in VV — the size difference is the paper's
-// Figure 7a "Stabl." bar.
-//
-// With the tree topology (paper §IV-B: "partitions within a DC are
-// organized as a tree to reduce communication costs"), leaf contributions
-// flow to an aggregator and come back with Aggregate set: Local/RemoteMin
-// then carry the DC-wide LST/RST rather than one partition's contribution.
+// StableBroadcast is the intra-DC stabilization exchange, broadcast by
+// every partition to every other one of its DC. In Wren (BiST) it carries
+// exactly two scalars: the sender's local version clock and the minimum
+// over its remote version-vector entries, whatever the number of DCs. In
+// Cure it carries the full M-entry version vector in VV — the size
+// difference is the paper's Figure 7a "Stabl." bar.
 type StableBroadcast struct {
 	Partition uint16
-	Aggregate bool
 	Local     hlc.Timestamp
 	RemoteMin hlc.Timestamp
 	VV        []hlc.Timestamp // Cure only
@@ -792,7 +787,6 @@ func (*StableBroadcast) Class() Class { return ClassStabilization }
 
 func (m *StableBroadcast) encodeTo(e *Encoder) {
 	e.Uvarint(uint64(m.Partition))
-	e.Bool(m.Aggregate)
 	e.Timestamp(m.Local)
 	e.Timestamp(m.RemoteMin)
 	e.Timestamps(m.VV)
@@ -800,7 +794,6 @@ func (m *StableBroadcast) encodeTo(e *Encoder) {
 
 func (m *StableBroadcast) decodeFrom(d *Decoder) {
 	m.Partition = uint16(d.Uvarint())
-	m.Aggregate = d.Bool()
 	m.Local = d.Timestamp()
 	m.RemoteMin = d.Timestamp()
 	m.VV = d.Timestamps()

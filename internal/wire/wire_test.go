@@ -157,13 +157,29 @@ func TestWrenVsCureMetadataSizes(t *testing.T) {
 		t.Errorf("metadata delta = %dB, want 40B for a 5-entry vector", delta)
 	}
 
-	// Stabilization: Wren sends 2 scalars, Cure sends the full vector.
-	wrenStable := &StableBroadcast{Partition: 1, Local: ts(1, 0), RemoteMin: ts(2, 0)}
-	cureStable := &StableBroadcast{Partition: 1,
-		VV: []hlc.Timestamp{ts(1, 0), ts(2, 0), ts(3, 0), ts(4, 0), ts(5, 0)}}
-	if Size(wrenStable) >= Size(cureStable) {
-		t.Errorf("Wren stabilization (%dB) should be smaller than Cure (%dB)",
-			Size(wrenStable), Size(cureStable))
+	// Stabilization (§IV, Fig. 7a): Wren sends 2 scalars whatever M is —
+	// an 18 B payload (Size adds the frame header): the partition, two
+	// 8-byte timestamps and an empty vector's length prefix. Cure sends
+	// the full M-entry vector, 8 B per DC.
+	prevM, prevCure := 0, 0
+	for _, m := range []int{2, 3, 5} {
+		wrenStable := &StableBroadcast{Partition: 1, Local: ts(1, 0), RemoteMin: ts(2, 0)}
+		cureStable := &StableBroadcast{Partition: 1, VV: make([]hlc.Timestamp, m)}
+		for i := range cureStable.VV {
+			cureStable.VV[i] = ts(int64(i+1), 0)
+		}
+		wrenSize, cureSize := len(Encode(wrenStable)), len(Encode(cureStable))
+		if wrenSize != 18 {
+			t.Errorf("M=%d: Wren stabilization = %dB, want 18B", m, wrenSize)
+		}
+		if wrenSize >= cureSize {
+			t.Errorf("M=%d: Wren stabilization (%dB) should be smaller than Cure (%dB)", m, wrenSize, cureSize)
+		}
+		if prevM > 0 && cureSize-prevCure != 8*(m-prevM) {
+			t.Errorf("M=%d: Cure stabilization grew %dB over M=%d, want %dB",
+				m, cureSize-prevCure, prevM, 8*(m-prevM))
+		}
+		prevM, prevCure = m, cureSize
 	}
 }
 
