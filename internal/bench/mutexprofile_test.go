@@ -46,8 +46,8 @@ func (m *MutexReport) Clean() bool { return m.ReadPathSamples == 0 }
 // readPathFrames are the server read-handler functions a contention sample
 // must pass through to count against the read path.
 var readPathFrames = []string{
-	"core.(*Server).handleStartTx",
-	"core.(*Server).handleTxRead",
+	"replica.(*Runtime).handleStartTx",
+	"replica.(*Runtime).handleTxRead",
 	"core.(*Server).handleSliceReq",
 	"core.(*Server).readSlice",
 }
@@ -231,13 +231,13 @@ sampling period=1
 #	0x47bbba	wren/internal/core.(*Server).handleSliceReq+0x20	/root/repo/internal/core/server.go:600
 6000000 3 @ 0x44a5fd 0x479999 0x47cccc 0x47dddd
 #	0x44a5fc	sync.(*Mutex).Unlock+0x7c	/usr/local/go/src/sync/mutex.go:223
-#	0x479998	wren/internal/core.(*Server).handleTxRead+0x51	/root/repo/internal/core/server.go:560
+#	0x479998	wren/internal/replica.(*Runtime).handleTxRead+0x51	/src/wren/internal/replica/coordinator.go:60
 #	0x47cccb	wren/internal/core.(*Server).HandleMessage+0x30	/root/repo/internal/core/server.go:480
 #	0x47dddc	wren/internal/transport.(*link).run+0x88	/root/repo/internal/transport/transport.go:461
 1000000 1 @ 0x44a5fd 0x44b000 0x479999
 #	0x44a5fc	sync.(*Mutex).Unlock+0x7c	/usr/local/go/src/sync/mutex.go:223
 #	0x44afff	sync.(*Pool).pinSlow+0x90	/usr/local/go/src/sync/pool.go:241
-#	0x479998	wren/internal/core.(*Server).handleTxRead+0x51	/root/repo/internal/core/server.go:560
+#	0x479998	wren/internal/replica.(*Runtime).handleTxRead+0x51	/src/wren/internal/replica/coordinator.go:60
 `
 	rep := ParseMutexProfile(sample)
 	if rep.CyclesPerSecond != 1000000000 {

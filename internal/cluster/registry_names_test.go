@@ -15,11 +15,11 @@ import (
 // each backend (see package obs). A renamed counter fails here instead of
 // silently changing what a report or internal/bench reads.
 func TestRegistryNames(t *testing.T) {
-	runtime := []string{"admission.shed", "gc.keys_dropped", "gc.removed", "repl.tx_applied", "tx.committed", "txlog.syncs"}
+	runtime := []string{"admission.shed", "ctx.expired", "ctx.open", "gc.keys_dropped", "gc.removed",
+		"read.slices_served", "repl.tx_applied", "tx.committed", "tx.started", "txlog.syncs"}
 	protocol := map[string][]string{
-		"wren": {"ctx.expired", "ctx.open", "read.slices_served", "tx.started",
-			"stab.local.p0", "stab.local.p1", "stab.remote_min.p0", "stab.remote_min.p1"},
-		"cure": {"ctx.expired", "ctx.open", "read.blocked", "read.blocked_us", "read.slices_served", "tx.started"},
+		"wren": {"stab.local.p0", "stab.local.p1", "stab.remote_min.p0", "stab.remote_min.p1"},
+		"cure": {"read.blocked", "read.blocked_us"},
 	}
 	engine := map[string][]string{
 		backend.Memory: nil,

@@ -27,7 +27,10 @@
 // become visible there once stable, preserving availability under inter-DC
 // network partitions.
 //
-// The client half of this package is the Wren snapshot state plugged into
+// The server half of this package is Wren's snapshot policy — the stable
+// times, the CANToR slice read and BiST — over the partition server of
+// internal/replica, which owns the coordinator and the transaction
+// lifecycle. The client half is the Wren snapshot state plugged into
 // the shared session runtime, internal/session — which also states how a
 // transaction that wrote nothing gives its coordinator context back.
 package core

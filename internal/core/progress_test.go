@@ -72,7 +72,7 @@ func TestSnapshotFreshnessBound(t *testing.T) {
 func TestVisibilityPredicate(t *testing.T) {
 	const localDC = 1
 	lt, rt := hlc.New(100, 0), hlc.New(80, 0)
-	visible := visibleFunc(localDC, lt, rt)
+	pred := &cantorPred{localDC: localDC, lt: lt, rt: rt}
 
 	tests := []struct {
 		name string
@@ -92,7 +92,7 @@ func TestVisibilityPredicate(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			v := &store.Version{SrcDC: tt.src, UT: tt.ut, RDT: tt.rdt}
-			if got := visible(v); got != tt.want {
+			if got := pred.visible(v); got != tt.want {
 				t.Errorf("visible(src=%d ut=%v rdt=%v) = %v, want %v",
 					tt.src, tt.ut, tt.rdt, got, tt.want)
 			}
@@ -108,7 +108,7 @@ func TestTxIDUniqueAcrossServers(t *testing.T) {
 		for p := 0; p < 2; p++ {
 			srv := tc.servers[dc][p]
 			for i := 0; i < 100; i++ {
-				id := srv.newTxID()
+				id := srv.NewTxID()
 				if prev, dup := ids[id]; dup {
 					t.Fatalf("txid %d issued by both %s and dc%d/p%d", id, prev, dc, p)
 				}

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"wren/internal/hlc"
+	"wren/internal/replica/replicatest"
+	"wren/internal/sharding"
 	"wren/internal/store"
 	"wren/internal/store/sst"
 	"wren/internal/transport"
@@ -31,7 +33,7 @@ func newAllocServer(tb testing.TB, backendName, dir string) *Server {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() {
-		if err := s.st.Close(); err != nil {
+		if err := s.Store().Close(); err != nil {
 			tb.Errorf("engine close: %v", err)
 		}
 		net.Close()
@@ -43,7 +45,7 @@ func fillKeys(s *Server, n int) []string {
 	keys := make([]string, n)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("user%08d", i)
-		s.st.Put(keys[i], &store.Version{
+		s.Store().Put(keys[i], &store.Version{
 			Value: []byte("12345678"), UT: hlc.Timestamp(100 + i), RDT: 0, TxID: uint64(i), SrcDC: 0,
 		})
 	}
@@ -98,34 +100,13 @@ func TestReadSliceAllocsSST(t *testing.T) {
 	// the memtable fast path (measureReadSliceAllocs refills the same keys
 	// afterwards, layering fresh memtable versions over the run).
 	fillKeys(s, 64)
-	if err := s.st.(*sst.Engine).Flush(); err != nil {
+	if err := s.Store().(*sst.Engine).Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if allocs := measureReadSliceAllocs(t, s); allocs > 0 {
 		t.Fatalf("readSlice(8 keys, sst engine, run+memtable) allocates %.1f/op, want 0", allocs)
 	}
 }
-
-// syncNet delivers messages synchronously on the caller's goroutine, so
-// allocation measurements over a full request→handler→response cycle are
-// deterministic (the real in-memory transport delivers asynchronously,
-// which would race pooled messages back into the pools mid-measurement).
-type syncNet struct {
-	handlers map[transport.NodeID]transport.Handler
-}
-
-func newSyncNet() *syncNet { return &syncNet{handlers: make(map[transport.NodeID]transport.Handler)} }
-
-func (n *syncNet) Register(id transport.NodeID, h transport.Handler) { n.handlers[id] = h }
-
-func (n *syncNet) Send(from, to transport.NodeID, m wire.Message) error {
-	if h := n.handlers[to]; h != nil {
-		h.HandleMessage(from, m)
-	}
-	return nil
-}
-
-func (n *syncNet) Close() {}
 
 // TestSliceReqServeAllocs pins the full cohort-side slice service —
 // stable-time merge, pooled request/response, batched store read, response
@@ -134,7 +115,7 @@ func (n *syncNet) Close() {}
 // grouping scratch ×2, item slice, response message and its items).
 func TestSliceReqServeAllocs(t *testing.T) {
 	skipUnderRace(t)
-	net := newSyncNet()
+	net := replicatest.NewSyncNet()
 	s, err := NewServer(ServerConfig{
 		DC: 0, Partition: 0, NumDCs: 1, NumPartitions: 1, Network: net,
 		GCInterval: -1,
@@ -142,7 +123,7 @@ func TestSliceReqServeAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = s.st.Close() })
+	t.Cleanup(func() { _ = s.Store().Close() })
 	keys := fillKeys(s, 64)[:8]
 	sink := transport.ClientID(0, 0)
 	net.Register(sink, transport.HandlerFunc(func(_ transport.NodeID, m wire.Message) {
@@ -174,7 +155,7 @@ func BenchmarkReadSlice8(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer func() { _ = s.st.Close() }()
+	defer func() { _ = s.Store().Close() }()
 	keys := fillKeys(s, 64)[:8]
 	lt, rt := hlc.Timestamp(1<<40), hlc.Timestamp(1<<40)
 	var items []wire.Item
@@ -186,7 +167,7 @@ func BenchmarkReadSlice8(b *testing.B) {
 }
 
 func BenchmarkSliceReqServe8(b *testing.B) {
-	net := newSyncNet()
+	net := replicatest.NewSyncNet()
 	s, err := NewServer(ServerConfig{
 		DC: 0, Partition: 0, NumDCs: 1, NumPartitions: 1, Network: net,
 		GCInterval: -1,
@@ -194,7 +175,7 @@ func BenchmarkSliceReqServe8(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer func() { _ = s.st.Close() }()
+	defer func() { _ = s.Store().Close() }()
 	keys := fillKeys(s, 64)[:8]
 	sink := transport.ClientID(0, 0)
 	net.Register(sink, transport.HandlerFunc(func(_ transport.NodeID, m wire.Message) {
@@ -209,5 +190,42 @@ func BenchmarkSliceReqServe8(b *testing.B) {
 		r.ReqID, r.LT, r.RT = 1, 1<<40, 1<<40
 		r.Keys = append(r.Keys[:0], keys...)
 		s.handleSliceReq(sink, r)
+	}
+}
+
+// TestCoordinatorRoundAllocs pins one coordinator round — StartTx, then a
+// read of 8 keys — at 1 partition (every key served in place) and at 2
+// (one slice travels to the other partition and back). Three allocations
+// remain: the two request literals and the StartTxResp. The context is
+// held by value, and the fan-out scratch, the fan-in, the slice messages
+// and the TxReadResp with its items come from pools.
+func TestCoordinatorRoundAllocs(t *testing.T) {
+	for _, parts := range []int{1, 2} {
+		t.Run(fmt.Sprintf("partitions=%d", parts), func(t *testing.T) {
+			net := replicatest.NewSyncNet()
+			servers := make([]*Server, parts)
+			for p := range servers {
+				s, err := NewServer(ServerConfig{
+					DC: 0, Partition: p, NumDCs: 1, NumPartitions: parts, Network: net, GCInterval: -1,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { _ = s.Store().Close() })
+				net.Register(s.ID(), s.Runtime)
+				servers[p] = s
+			}
+			keys := make([]string, 8)
+			for i := range keys {
+				keys[i] = fmt.Sprintf("user%08d", i)
+				servers[sharding.PartitionOf(keys[i], parts)].Store().Put(keys[i],
+					&store.Version{Value: []byte("12345678"), TxID: uint64(i) + 1})
+			}
+			allocs := replicatest.CoordinatorRoundAllocs(t, net, servers[0].ID(), keys)
+			t.Logf("%.2f allocs per round", allocs)
+			if allocs > 3 {
+				t.Fatalf("a coordinator round allocates %.2f/op, want ≤ 3", allocs)
+			}
+		})
 	}
 }

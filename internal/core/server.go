@@ -4,15 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
-	"wren/internal/fanin"
 	"wren/internal/hlc"
 	"wren/internal/obs"
 	"wren/internal/replica"
-	"wren/internal/sharding"
 	"wren/internal/store"
-	"wren/internal/stripemap"
 	"wren/internal/transport"
 	"wren/internal/txlog"
 	"wren/internal/wire"
@@ -24,16 +20,6 @@ const DefaultGCInterval = replica.DefaultGCInterval
 // ServerConfig configures one Wren partition server p_n^m. UseHLC, the one
 // protocol switch, is Cure's and is refused.
 type ServerConfig = replica.Config
-
-// txContext is the coordinator-side state of an open transaction
-// (TX[id_T] in Algorithm 2). It is a value type stored in a striped map
-// keyed by TxID, so looking one up on the read path touches only the
-// stripe its TxID hashes to — never writer state.
-type txContext struct {
-	lt      hlc.Timestamp
-	rt      hlc.Timestamp
-	created time.Time
-}
 
 // cantorPred is the CANToR visibility predicate (Algorithm 3 lines 7–8) in
 // reusable form: a pooled readScratch binds its visible method once, so a
@@ -67,33 +53,26 @@ type Metrics struct {
 }
 
 // Server is one Wren partition server p_n^m: the protocol-specific half —
-// the CANToR snapshot (two stable scalars) and the nonblocking read path —
-// over the shared replica runtime, which owns the durable transaction
-// lifecycle, recovery, and every background loop.
+// the CANToR snapshot (two stable scalars) and the nonblocking slice read —
+// over the embedded replica runtime, which owns the coordinator, the
+// durable transaction lifecycle, recovery, and every background loop.
 //
-// The state split keeps the read path — handleStartTx, handleTxRead,
+// The state split keeps the read path — StartTx, the read fan-out,
 // handleSliceReq — off every mutex shared with the write path: the stable
 // times are atomically published scalars, transaction contexts live in a
 // striped map, and per-read working memory comes from pools — the paper's
 // nonblocking-read property held at the implementation level.
 type Server struct {
+	*replica.Runtime
 	cfg ServerConfig
-	rt  *replica.Runtime
-	// st aliases rt.Engine(); the zero-alloc slice-read path dereferences
-	// it directly.
-	st store.Engine
 
 	// lst/rst are the stable times (LST, RST): lock-free monotonic
 	// max-merge publication, loaded on every read.
 	lst hlc.AtomicTimestamp
 	rst hlc.AtomicTimestamp
 
-	// txCtx holds open transaction contexts, keyed by TxID.
-	txCtx *stripemap.Map[txContext]
-
-	// readPool holds readScratch, fanPool holds fanin.Fanout scratch.
+	// readPool holds readScratch.
 	readPool sync.Pool
-	fanPool  sync.Pool
 
 	// peerLocal/peerRemoteMin are the BiST aggregation arrays: the highest
 	// local version clock and minimum remote entry each partition of the DC
@@ -108,8 +87,7 @@ type Server struct {
 	// demand for an apply pass; see ObserveStable.
 	seen hlc.AtomicTimestamp
 
-	metrics    Metrics
-	ctxExpired *obs.Counter
+	metrics Metrics
 }
 
 // NewServer constructs a Wren partition server. Call Start to register it
@@ -124,7 +102,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	s := &Server{
 		cfg:           cfg,
-		txCtx:         stripemap.New[txContext](0),
 		peerLocal:     hlc.NewAtomicVector(cfg.NumPartitions),
 		peerRemoteMin: hlc.NewAtomicVector(cfg.NumPartitions),
 	}
@@ -132,8 +109,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.rt = rt
-	s.st = rt.Engine()
+	s.Runtime = rt
 	reg := rt.Obs()
 	s.metrics = Metrics{
 		TxStarted:     reg.Counter("tx.started"),
@@ -142,13 +118,10 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		ReplTxApplied: reg.Counter("repl.tx_applied"),
 		GCRemoved:     reg.Counter("gc.removed"),
 	}
-	s.ctxExpired = reg.Counter("ctx.expired")
-	// Open transaction contexts (each pins the version-GC floor), and what
-	// each partition of the DC has contributed to the stable times:
+	// What each partition of the DC has contributed to the stable times:
 	// stab.local.pN and stab.remote_min.pN are the highest local version
 	// clock and minimum remote entry partition N published here, LST and
 	// RST their minima. The partition holding a minimum is the straggler.
-	reg.Func("ctx.open", func() uint64 { return uint64(s.txCtx.Len()) })
 	for p := range cfg.NumPartitions {
 		reg.Func(fmt.Sprintf("stab.local.p%d", p), func() uint64 { return uint64(s.peerLocal.Load(p)) })
 		reg.Func(fmt.Sprintf("stab.remote_min.p%d", p), func() uint64 { return uint64(s.peerRemoteMin.Load(p)) })
@@ -160,65 +133,11 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		rs.visible = rs.pred.visible
 		return rs
 	}
-	s.fanPool.New = func() any { return &fanin.Fanout{} }
 	return s, nil
 }
 
-// ID returns the server's node id.
-func (s *Server) ID() transport.NodeID { return s.rt.ID() }
-
 // Metrics returns the benchmark's view of the server's counters.
 func (s *Server) Metrics() *Metrics { return &s.metrics }
-
-// Obs returns the server's metrics registry: the runtime's, the protocol's,
-// the engine's and the transaction log's counters and gauges.
-func (s *Server) Obs() *obs.Registry { return s.rt.Obs() }
-
-// Store exposes the underlying storage engine (read-only use in tests).
-func (s *Server) Store() store.Engine { return s.st }
-
-// EngineHealthy reports the first write-path failure the storage engine
-// has recorded, or nil while it is fully healthy. A durable backend keeps
-// acknowledging from memory after a log failure, so this is the signal
-// benchmarks and operators poll to catch silently degraded durability.
-func (s *Server) EngineHealthy() error { return s.st.Healthy() }
-
-// Healthy reports the first durability failure of the server's write path
-// — storage engine or transaction log — or nil while both are intact.
-// Unlike the earlier poll-only signal, the server ACTS on this one: a
-// degraded server sheds into read-only admission (see ReadOnly).
-func (s *Server) Healthy() error { return s.rt.Healthy() }
-
-// ReadOnly reports whether the server has shed into read-only admission:
-// new prepares and commits are refused with a typed error while reads keep
-// their nonblocking path. It flips as soon as the engine or the
-// transaction log records a write-path failure — an acknowledgement whose
-// durability promise cannot be kept must not be issued — and flips back if
-// a probation repair succeeds (see ServerConfig.RepairInterval).
-func (s *Server) ReadOnly() bool { return s.rt.Healthy() != nil }
-
-// TxLog exposes the transaction log; read-only use in tests.
-func (s *Server) TxLog() *txlog.Log { return s.rt.TxLog() }
-
-// ShedRequests counts requests refused at per-connection admission (each
-// answered with a BusyResp before any processing) since the server
-// started.
-func (s *Server) ShedRequests() uint64 { return s.rt.Obs().Value("admission.shed") }
-
-// Start registers the server on the network and launches the shared
-// runtime's apply, stabilization (ΔG), garbage-collection and lifecycle
-// loops.
-func (s *Server) Start() { s.rt.Start() }
-
-// Stop terminates the background loops, flushes any transactions still on
-// the commit list into the store, and closes the storage engine and the
-// transaction log.
-func (s *Server) Stop() { s.rt.Stop() }
-
-// Kill stops the server WITHOUT the final apply/flush, simulating a hard
-// kill for recovery tests: acknowledged-but-unapplied transactions stay
-// out of the engine and must come back through transaction-log recovery.
-func (s *Server) Kill() { s.rt.Kill() }
 
 // StableTimes returns the server's current view of (LST, RST). The two
 // scalars are loaded independently; each is monotone, and no protocol rule
@@ -226,32 +145,6 @@ func (s *Server) Kill() { s.rt.Kill() }
 // itself).
 func (s *Server) StableTimes() (lst, rst hlc.Timestamp) {
 	return s.lst.Load(), s.rst.Load()
-}
-
-// VersionVector returns a copy of the server's version vector.
-func (s *Server) VersionVector() []hlc.Timestamp {
-	return s.rt.VV.Snapshot(nil)
-}
-
-// LocalVersionClock returns vv[m], the local snapshot installed by this
-// partition.
-func (s *Server) LocalVersionClock() hlc.Timestamp {
-	return s.rt.VV.Load(s.cfg.DC)
-}
-
-// newTxID delegates to the runtime's durable id-block reservation.
-func (s *Server) newTxID() uint64 { return s.rt.NewTxID() }
-
-// visibleFunc builds the CANToR snapshot visibility predicate
-// (Algorithm 3 lines 7–8): a local item is visible when ut ≤ lt ∧ rdt ≤ rt;
-// a remote item when ut ≤ rt ∧ rdt ≤ lt.
-func visibleFunc(localDC uint8, lt, rt hlc.Timestamp) store.VisibleFunc {
-	return func(v *store.Version) bool {
-		if v.SrcDC == localDC {
-			return v.UT <= lt && v.RDT <= rt
-		}
-		return v.UT <= rt && v.RDT <= lt
-	}
 }
 
 // wrenProtocol is the replica.Protocol implementation: the seam through
@@ -301,7 +194,7 @@ func (p *wrenProtocol) ReplTxRecord(t *txlog.CommittedTx) wire.ReplTx {
 // timestamp does both — so any later prepare proposes strictly above the
 // bound. Called under the runtime's writer mutex.
 func (p *wrenProtocol) ApplyBound() hlc.Timestamp {
-	return p.server().rt.Clock.Update(0)
+	return p.Clock.Update(0)
 }
 
 // ObserveCommitTS absorbs a commit timestamp this partition heard of into
@@ -309,7 +202,7 @@ func (p *wrenProtocol) ApplyBound() hlc.Timestamp {
 // skew — and into seen, for the partitions that took no part in it.
 func (p *wrenProtocol) ObserveCommitTS(ct hlc.Timestamp) {
 	s := p.server()
-	s.rt.Clock.Update(ct)
+	s.Clock.Update(ct)
 	s.seen.Advance(ct)
 }
 
@@ -325,11 +218,11 @@ func (p *wrenProtocol) AfterInstall() {
 // StampStable puts this partition's published BiST contribution and the
 // highest commit timestamp it has heard of on an outgoing intra-DC
 // transaction message. Loads only: a stamp is never a clock reading.
-func (p *wrenProtocol) StampStable(st *wire.Stab) { p.server().stampStable(st) }
+func (p *wrenProtocol) StampStable() wire.Stab { return p.server().stamp() }
 
-func (s *Server) stampStable(st *wire.Stab) {
-	st.Local, st.RemoteMin = s.localContribution()
-	st.Seen = s.seen.Load()
+func (s *Server) stamp() wire.Stab {
+	local, remoteMin := s.localContribution()
+	return wire.Stab{Local: local, RemoteMin: remoteMin, Seen: s.seen.Load()}
 }
 
 // ObserveStable folds a peer partition's stamp: its contribution into the
@@ -348,74 +241,88 @@ func (p *wrenProtocol) ObserveStable(fromPartition int, st wire.Stab) {
 		return
 	}
 	s.foldPeer(fromPartition, st.Local, st.RemoteMin)
-	if s.seen.Advance(st.Seen) && st.Seen > s.rt.VV.Load(s.cfg.DC) {
-		s.rt.Clock.Update(st.Seen)
-		s.rt.KickApply()
+	if s.seen.Advance(st.Seen) && st.Seen > s.VV.Load(s.cfg.DC) {
+		s.Clock.Update(st.Seen)
+		s.KickApply()
 	}
 }
 
-// GossipTick runs one BiST round.
-func (p *wrenProtocol) GossipTick() { p.server().gossipTick() }
-
-// OldestActiveSnapshot expires abandoned transaction contexts and returns
-// the oldest snapshot time a surviving transaction still needs — or the
-// current stable time when idle (paper §IV-B). A Wren snapshot is a PAIR:
-// local versions become visible by lt, versions replicated from another DC
-// by rt, which lags lt. With more than one DC the floor is therefore taken
-// over both times; a floor at lt alone would let GC keep a remote version
-// with rt < ut ≤ lt as the newest one "below the snapshot", drop the
-// version under it, and leave the key reading as absent until rt caught
-// up. The kept version is always visible to the snapshot: its update time
-// is at most min(lt, rt) and its dependency time is below its update time.
-// With one DC nothing is ever replicated in and the floor stays lt.
-//
-// The floor is loaded under the runtime's SnapMu barrier: every in-flight
-// snapshot assignment drains first, so any context the Range below cannot
-// see yet was assigned times ≥ this floor and needs no protection from it.
-func (p *wrenProtocol) OldestActiveSnapshot(now time.Time) hlc.Timestamp {
+// GossipTick runs one BiST exchange: fold in this server's own
+// contribution, then broadcast it to every other partition of the DC. It
+// is the idle fallback: partitions that exchange transaction messages
+// learn the same scalars from those.
+func (p *wrenProtocol) GossipTick() {
 	s := p.server()
-	multiDC := s.cfg.NumDCs > 1
-	s.rt.SnapMu.Lock()
-	oldest := s.lst.Load()
-	if multiDC {
-		// The rt the next StartTx would assign (see handleStartTx).
-		oldest = hlc.Min(s.rst.Load(), oldest.Prev())
-	}
-	s.rt.SnapMu.Unlock()
-	var expired []uint64
-	s.txCtx.Range(func(id uint64, ctx txContext) bool {
-		if now.Sub(ctx.created) > s.cfg.TxContextTTL {
-			expired = append(expired, id)
-			return true
-		}
-		oldest = hlc.Min(oldest, ctx.lt)
-		if multiDC {
-			oldest = hlc.Min(oldest, ctx.rt)
-		}
-		return true
-	})
-	for _, id := range expired {
-		if _, ok := s.txCtx.LoadAndDelete(id); ok {
-			s.ctxExpired.Inc()
+	local, remoteMin := s.localContribution()
+	s.foldPeer(s.cfg.Partition, local, remoteMin)
+	msg := &wire.StableBroadcast{Partition: uint16(s.cfg.Partition), Local: local, RemoteMin: remoteMin}
+	for q := 0; q < s.cfg.NumPartitions; q++ {
+		if q != s.cfg.Partition {
+			s.SendBounded(transport.ServerID(s.cfg.DC, q), msg)
 		}
 	}
-	return oldest
+}
+
+// BeginSnapshot implements Algorithm 2 lines 1–6: refresh the server's
+// stable times with the client's, then assign the transaction snapshot
+// (lst, min(rst, lst−1)).
+func (p *wrenProtocol) BeginSnapshot(m *wire.StartTxReq) replica.Snapshot {
+	s := p.server()
+	s.lst.Advance(m.LST)
+	s.rst.Advance(m.RST)
+	lt := s.lst.Load()
+	return replica.Snapshot{LT: lt, RT: hlc.Min(s.rst.Load(), lt.Prev())}
+}
+
+// ExpiredSnapshot falls back to the server's current stable times;
+// commit timestamps proposed under it still exceed every snapshot the
+// client has seen, via hwt.
+func (p *wrenProtocol) ExpiredSnapshot() replica.Snapshot {
+	return replica.Snapshot{LT: p.lst.Load(), RT: p.rst.Load()}
+}
+
+// CommitFloor is Algorithm 2 line 19: ht = max(lt, rt, hwt).
+func (p *wrenProtocol) CommitFloor(snap replica.Snapshot, hwt hlc.Timestamp) hlc.Timestamp {
+	return hlc.Max(snap.LT, snap.RT, hwt)
+}
+
+// SnapshotFloor is the oldest version time the snapshot still needs (paper
+// §IV-B). A Wren snapshot is a PAIR: local versions become visible by lt,
+// versions replicated from another DC by rt, which lags lt. With more than
+// one DC the floor is therefore taken over both times; a floor at lt alone
+// would let GC keep a remote version with rt < ut ≤ lt as the newest one
+// "below the snapshot", drop the version under it, and leave the key
+// reading as absent until rt caught up. The kept version is always visible
+// to the snapshot: its update time is at most min(lt, rt) and its
+// dependency time is below its update time. With one DC nothing is ever
+// replicated in and the floor stays lt.
+func (p *wrenProtocol) SnapshotFloor(snap replica.Snapshot) hlc.Timestamp {
+	if p.cfg.NumDCs > 1 {
+		return hlc.Min(snap.LT, snap.RT)
+	}
+	return snap.LT
+}
+
+// StableFloor is the floor of the snapshot the next StartTx would assign.
+func (p *wrenProtocol) StableFloor() hlc.Timestamp {
+	lt := p.lst.Load()
+	return p.SnapshotFloor(replica.Snapshot{LT: lt, RT: hlc.Min(p.rst.Load(), lt.Prev())})
+}
+
+// ReadOwnSlice serves the coordinator's own keys in place: a Wren slice
+// read never waits.
+func (p *wrenProtocol) ReadOwnSlice(keys []string, snap replica.Snapshot, dst []wire.Item) ([]wire.Item, bool) {
+	return p.server().readSlice(keys, snap.LT, snap.RT, dst), true
 }
 
 // OnStop is a no-op: Wren parks no readers.
 func (p *wrenProtocol) OnStop(bool) {}
 
-// HandleMessage dispatches the snapshot-carrying messages the runtime
-// forwards to the protocol.
+// HandleMessage dispatches the messages the runtime forwards to the
+// protocol.
 func (p *wrenProtocol) HandleMessage(from transport.NodeID, m wire.Message) {
 	s := p.server()
 	switch msg := m.(type) {
-	case *wire.StartTxReq:
-		s.handleStartTx(from, msg)
-	case *wire.TxReadReq:
-		s.handleTxRead(from, msg)
-	case *wire.CommitReq:
-		s.handleCommitReq(from, msg)
 	case *wire.SliceReq:
 		s.handleSliceReq(from, msg)
 	case *wire.ScanReq:
@@ -423,103 +330,9 @@ func (p *wrenProtocol) HandleMessage(from transport.NodeID, m wire.Message) {
 	case *wire.PrepareReq:
 		s.handlePrepareReq(from, msg)
 	case *wire.StableBroadcast:
-		s.handleStableBroadcast(msg)
-	}
-}
-
-// handleStartTx implements Algorithm 2 lines 1–6: refresh the server's
-// stable times with the client's, then assign the transaction snapshot
-// (lst, min(rst, lst−1)). SnapMu is held SHARED around the assignment so
-// GC's exclusive floor load can never miss a context it must protect. The
-// session's previous transaction, when it ended without a COMMIT round,
-// is released first (m.Done), so a session holds one context at a time.
-func (s *Server) handleStartTx(from transport.NodeID, m *wire.StartTxReq) {
-	if m.Done != 0 {
-		s.txCtx.Delete(m.Done)
-	}
-	s.lst.Advance(m.LST)
-	s.rst.Advance(m.RST)
-	id := s.rt.NewTxID()
-	s.rt.SnapMu.RLock()
-	lt := s.lst.Load()
-	rt := hlc.Min(s.rst.Load(), lt.Prev())
-	s.txCtx.Store(id, txContext{lt: lt, rt: rt, created: time.Now()})
-	s.rt.SnapMu.RUnlock()
-
-	s.metrics.TxStarted.Inc()
-	s.rt.Send(from, &wire.StartTxResp{ReqID: m.ReqID, TxID: id, LST: lt, RST: rt})
-}
-
-// handleTxRead implements Algorithm 2 lines 7–16: fan the key set out to
-// the responsible partitions and merge the slices via a completion-counter
-// fan-in — the last arriving SliceResp assembles and sends the TxReadResp,
-// so no goroutine parks per in-flight read and no server-wide lock is
-// taken.
-func (s *Server) handleTxRead(from transport.NodeID, m *wire.TxReadReq) {
-	ctx, ok := s.txCtx.Load(m.TxID)
-	if !ok {
-		// Unknown (expired or released) transaction: say so, so the client
-		// fails instead of taking the empty reply for "no key exists".
-		s.rt.Send(from, &wire.TxReadResp{ReqID: m.ReqID, Expired: true})
-		return
-	}
-	lt, rt := ctx.lt, ctx.rt
-
-	// Per-connection admission: a pooled link multiplexing thousands of
-	// sessions must not be allowed to flood the fan-in tables; past the
-	// bound the request is refused before any slice work happens, and the
-	// client's retry policy backs off. Released when the last slice
-	// arrives (here or in the runtime's SliceResp handler) or when the GC
-	// sweep expires a stale fan-in.
-	if !s.rt.AdmitClient(from) {
-		s.rt.Shed(from, m.ReqID)
-		return
-	}
-
-	fo := s.fanPool.Get().(*fanin.Fanout)
-	fo.Reset(s.cfg.NumPartitions)
-	for _, k := range m.Keys {
-		fo.Add(sharding.PartitionOf(k, s.cfg.NumPartitions), k)
-	}
-	remote := len(fo.Touched)
-	if len(fo.Groups[s.cfg.Partition]) > 0 {
-		remote--
-	}
-
-	fi := fanin.Start(from, m.ReqID, remote)
-	var stab wire.Stab
-	if remote > 0 {
-		s.stampStable(&stab)
-	}
-
-	// Keys this partition owns are served locally with one batched store
-	// read instead of a self-addressed SliceReq round trip, appending
-	// straight into the response buffer: this runs before any remote
-	// registration, so nothing can race the append and no staging copy
-	// is paid.
-	if localKeys := fo.Groups[s.cfg.Partition]; len(localKeys) > 0 {
-		fi.SetItems(s.readSlice(localKeys, lt, rt, fi.Items()))
-		s.metrics.SlicesServed.Inc()
-	}
-
-	for _, p := range fo.Touched {
-		if p == s.cfg.Partition {
-			continue
-		}
-		reqID := s.rt.NextReqID()
-		req := wire.GetSliceReq()
-		req.ReqID, req.LT, req.RT, req.Stab = reqID, lt, rt, stab
-		req.Keys = append(req.Keys[:0], fo.Groups[p]...)
-		s.rt.TrackRead(reqID, fi)
-		s.rt.Send(transport.ServerID(s.cfg.DC, p), req)
-	}
-	s.fanPool.Put(fo)
-
-	// Release the coordinator's own contribution; when every remote slice
-	// already answered (or none was needed), this assembles the response.
-	if resp, to, last := fi.Finish(); last {
-		s.rt.ReleaseClient(to)
-		s.rt.Send(to, resp)
+		// A peer partition's timed BiST contribution (Algorithm 4 lines
+		// 29–31): the same fold as a stamp's, with no news of a commit.
+		p.ObserveStable(int(msg.Partition), wire.Stab{Local: msg.Local, RemoteMin: msg.RemoteMin})
 	}
 }
 
@@ -530,14 +343,14 @@ func (s *Server) handleTxRead(from transport.NodeID, m *wire.TxReadReq) {
 func (s *Server) handleSliceReq(from transport.NodeID, m *wire.SliceReq) {
 	s.lst.Advance(m.LT)
 	s.rst.Advance(m.RT)
-	s.rt.ObserveStable(from, m.Stab)
+	s.ObserveStable(from, m.Stab)
 
 	resp := wire.GetSliceResp()
 	resp.ReqID = m.ReqID
-	s.stampStable(&resp.Stab)
+	resp.Stab = s.stamp()
 	resp.Items = s.readSlice(m.Keys, m.LT, m.RT, resp.Items[:0])
 	s.metrics.SlicesServed.Inc()
-	s.rt.Send(from, resp)
+	s.Send(from, resp)
 	wire.PutSliceReq(m)
 }
 
@@ -560,7 +373,7 @@ func (s *Server) handleScanReq(from transport.NodeID, m *wire.ScanReq) {
 	// A scan error means a failed storage backend; it already surfaces
 	// through Healthy and write admission, so the reply carries whatever
 	// prefix was streamed before the fault.
-	_ = s.st.Scan(m.Start, m.End, rs.visible, func(k string, v *store.Version) bool {
+	_ = s.Store().Scan(m.Start, m.End, rs.visible, func(k string, v *store.Version) bool {
 		if m.Limit > 0 && uint64(len(resp.Items)) >= m.Limit {
 			resp.More = true
 			return false
@@ -572,7 +385,7 @@ func (s *Server) handleScanReq(from transport.NodeID, m *wire.ScanReq) {
 	})
 	s.readPool.Put(rs)
 	s.metrics.SlicesServed.Inc()
-	s.rt.Send(from, resp)
+	s.Send(from, resp)
 }
 
 // readSlice resolves keys under the CANToR snapshot (lt, rt) with one
@@ -585,7 +398,7 @@ func (s *Server) handleScanReq(from transport.NodeID, m *wire.ScanReq) {
 func (s *Server) readSlice(keys []string, lt, rt hlc.Timestamp, dst []wire.Item) []wire.Item {
 	rs := s.readPool.Get().(*readScratch)
 	rs.pred.lt, rs.pred.rt = lt, rt
-	rs.vers = s.st.ReadVisibleBatchInto(keys, rs.visible, rs.vers)
+	rs.vers = s.Store().ReadVisibleBatchInto(keys, rs.visible, rs.vers)
 	for i, v := range rs.vers {
 		if v != nil && v.Value != nil {
 			dst = append(dst, wire.Item{
@@ -598,44 +411,14 @@ func (s *Server) readSlice(keys []string, lt, rt hlc.Timestamp, dst []wire.Item)
 	return dst
 }
 
-// handleCommitReq resolves the transaction's snapshot and hands the 2PC to
-// the runtime (Algorithm 2 lines 17–28); each cohort's PrepareReq carries
-// the snapshot scalars and the proposal floor ht.
-func (s *Server) handleCommitReq(from transport.NodeID, m *wire.CommitReq) {
-	ctx, ok := s.txCtx.LoadAndDelete(m.TxID)
-	var lt, rt hlc.Timestamp
-	if ok {
-		lt, rt = ctx.lt, ctx.rt
-	} else {
-		// Context expired (or read-only cleanup racing): fall back to the
-		// server's current stable times; commit timestamps proposed below
-		// still exceed every snapshot the client has seen via hwt.
-		lt, rt = s.lst.Load(), s.rst.Load()
-	}
-	ht := hlc.Max(lt, rt, m.HWT) // Algorithm 2 line 19
-	s.rt.Commit(from, m, func() *wire.PrepareReq {
-		return &wire.PrepareReq{LT: lt, RT: rt, HT: ht}
-	})
-}
-
 // handlePrepareReq refreshes the stable times and hands the cohort side of
 // the 2PC to the runtime: propose strictly past everything the client has
 // seen (Algorithm 3 lines 13–19).
 func (s *Server) handlePrepareReq(from transport.NodeID, m *wire.PrepareReq) {
 	s.lst.Advance(m.LT)
 	s.rst.Advance(m.RT)
-	s.rt.ObserveStable(from, m.Stab)
-	s.rt.Prepare(from, m, hlc.Max(m.HT, m.LT, m.RT))
-}
-
-// handleStableBroadcast ingests a peer partition's BiST contribution
-// (Algorithm 4 lines 29–31).
-func (s *Server) handleStableBroadcast(m *wire.StableBroadcast) {
-	p := int(m.Partition)
-	if p < 0 || p >= s.cfg.NumPartitions {
-		return
-	}
-	s.foldPeer(p, m.Local, m.RemoteMin)
+	s.ObserveStable(from, m.Stab)
+	s.Prepare(from, m, hlc.Max(m.HT, m.LT, m.RT))
 }
 
 // foldPeer max-merges partition p's contribution into the aggregation
@@ -671,7 +454,7 @@ func (s *Server) foldPeer(p int, local, remoteMin hlc.Timestamp) {
 // each entry is monotone, so the min over entries loaded at slightly
 // different instants is still a valid (conservative) remote floor.
 func (s *Server) localContribution() (local, remoteMin hlc.Timestamp) {
-	local = s.rt.VV.Load(s.cfg.DC)
+	local = s.VV.Load(s.cfg.DC)
 	if s.cfg.NumDCs == 1 {
 		// With a single site there are no remote dependencies; the remote
 		// stable time tracks the local one.
@@ -682,30 +465,12 @@ func (s *Server) localContribution() (local, remoteMin hlc.Timestamp) {
 		if i == s.cfg.DC {
 			continue
 		}
-		if t := s.rt.VV.Load(i); first || t < remoteMin {
+		if t := s.VV.Load(i); first || t < remoteMin {
 			remoteMin = t
 			first = false
 		}
 	}
 	return local, remoteMin
-}
-
-// gossipTick runs one BiST exchange: fold in this server's own
-// contribution, then broadcast it to every other partition of the DC. It
-// is the idle fallback: partitions that exchange transaction messages
-// learn the same scalars from those.
-func (s *Server) gossipTick() {
-	local, remoteMin := s.localContribution()
-	s.foldPeer(s.cfg.Partition, local, remoteMin)
-	msg := &wire.StableBroadcast{
-		Partition: uint16(s.cfg.Partition), Local: local, RemoteMin: remoteMin,
-	}
-	for p := 0; p < s.cfg.NumPartitions; p++ {
-		if p == s.cfg.Partition {
-			continue
-		}
-		s.rt.SendBounded(transport.ServerID(s.cfg.DC, p), msg)
-	}
 }
 
 var _ replica.Protocol = (*wrenProtocol)(nil)

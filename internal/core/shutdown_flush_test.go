@@ -77,7 +77,7 @@ func TestStopFlushesCommittedDespiteStuckPrepared(t *testing.T) {
 	// Wait until the CommitTx lands on the commit list.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if srv.rt.CommitQueueLen() == 1 {
+		if srv.CommitQueueLen() == 1 {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"wren/internal/hlc"
+	"wren/internal/replica/replicatest"
 	"wren/internal/transport"
 	"wren/internal/wire"
 )
@@ -16,12 +17,12 @@ func newStabServer(tb testing.TB, dcs, parts int) *Server {
 	tb.Helper()
 	s, err := NewServer(ServerConfig{
 		DC: 0, Partition: 0, NumDCs: dcs, NumPartitions: parts,
-		Network: newSyncNet(), GCInterval: -1,
+		Network: replicatest.NewSyncNet(), GCInterval: -1,
 	})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tb.Cleanup(func() { _ = s.st.Close() })
+	tb.Cleanup(func() { _ = s.Store().Close() })
 	return s
 }
 
@@ -42,7 +43,7 @@ func TestStabFoldAllocs(t *testing.T) {
 			// The same stamp again is the duplicate every fold must absorb.
 			p.ObserveStable(from, wire.Stab{Local: next, RemoteMin: next - 8, Seen: next})
 		}
-		p.StampStable(&out)
+		out = p.StampStable()
 	})
 	if allocs > 0 {
 		t.Fatalf("ObserveStable + StampStable allocate %.1f/op, want 0", allocs)
@@ -60,13 +61,13 @@ func TestObserveStableRefusesStrangers(t *testing.T) {
 	stab := wire.Stab{Local: 100, RemoteMin: 100, Seen: 100}
 	(*wrenProtocol)(s).ObserveStable(-1, stab)
 	(*wrenProtocol)(s).ObserveStable(2, stab)
-	s.rt.ObserveStable(transport.ClientID(0, 1), stab) // a client, not a partition
-	s.rt.ObserveStable(transport.ServerID(1, 1), stab) // partition 1 of another DC
+	s.ObserveStable(transport.ClientID(0, 1), stab) // a client, not a partition
+	s.ObserveStable(transport.ServerID(1, 1), stab) // partition 1 of another DC
 	reg := s.Obs()
 	if local, remoteMin := reg.Value("stab.local.p1"), reg.Value("stab.remote_min.p1"); local != 0 || remoteMin != 0 {
 		t.Fatalf("a stranger's stamp was folded: local %v remoteMin %v", local, remoteMin)
 	}
-	s.rt.ObserveStable(transport.ServerID(0, 1), stab)
+	s.ObserveStable(transport.ServerID(0, 1), stab)
 	if local := reg.Value("stab.local.p1"); local != 100 {
 		t.Fatalf("partition 1's own stamp was not folded: local %v", local)
 	}

@@ -18,11 +18,13 @@
 // transactions. The paper uses it to show HLCs alone do not achieve
 // nonblocking reads (§V, Figure 3).
 //
-// The server mirrors package core's structure (2PC commit, apply loop,
-// vector stabilization gossip, heartbeats, GC) so that performance
-// comparisons isolate the protocol difference rather than implementation
-// artifacts — the same approach the paper takes by implementing all three
-// systems in one code base. The client goes further: it is the same
-// session runtime as Wren's (internal/session), with only the dependency
-// vector plugged in.
+// The server is the same partition server as Wren's — the runtime of
+// internal/replica, which owns the coordinator, the 2PC commit, the apply
+// pass, replication, heartbeats and GC — with only the vector snapshot
+// plugged in: how a snapshot vector is assigned, the parked slice read,
+// and the vector stabilization gossip. Performance comparisons thus
+// isolate the protocol difference rather than implementation artifacts,
+// the same approach the paper takes by implementing all three systems in
+// one code base. The client is likewise Wren's session runtime
+// (internal/session) with only the dependency vector plugged in.
 package cure

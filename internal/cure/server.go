@@ -4,13 +4,10 @@ import (
 	"sync"
 	"time"
 
-	"wren/internal/fanin"
 	"wren/internal/hlc"
 	"wren/internal/obs"
 	"wren/internal/replica"
-	"wren/internal/sharding"
 	"wren/internal/store"
-	"wren/internal/stripemap"
 	"wren/internal/transport"
 	"wren/internal/txlog"
 	"wren/internal/wire"
@@ -20,21 +17,11 @@ import (
 // one protocol switch, selects H-Cure.
 type ServerConfig = replica.Config
 
-// txContext is the coordinator-side state of an open transaction.
-type txContext struct {
-	sv      []hlc.Timestamp // snapshot vector
-	created time.Time
-}
-
 // waiter is a parked slice read whose snapshot is not yet installed — the
-// blocking behaviour that Wren eliminates. req is retained (and released
-// to the message pool only after the read is served or failed) because
-// keys and sv alias its buffers.
+// blocking behaviour that Wren eliminates. It holds the request itself,
+// which goes back to the message pool once the read is served or failed.
 type waiter struct {
 	from    transport.NodeID
-	reqID   uint64
-	keys    []string
-	sv      []hlc.Timestamp
 	req     *wire.SliceReq
 	arrived time.Time
 }
@@ -48,8 +35,8 @@ type curePred struct {
 
 func (p *curePred) visible(v *store.Version) bool { return leqAll(v.DV, p.sv) }
 
-// readScratch is the pooled per-read working set (predicate + version
-// buffer), mirroring package core.
+// readScratch is the pooled per-read working set: the bound predicate and
+// the version buffer.
 type readScratch struct {
 	pred    curePred
 	visible store.VisibleFunc
@@ -57,32 +44,25 @@ type readScratch struct {
 }
 
 // Server is one Cure/H-Cure partition server: the vector-snapshot half —
-// snapshot-vector assignment, the parked-reader (blocking) read path, and
-// the full-vector stabilization gossip — over the shared replica runtime,
-// which owns the durable transaction lifecycle, recovery, and every
-// background loop.
+// snapshot-vector assignment, the parked-reader (blocking) slice read, and
+// the full-vector stabilization gossip — over the embedded replica
+// runtime, which owns the coordinator, the durable transaction lifecycle,
+// recovery, and every background loop.
 //
-// Mirroring package core, the read path is lock-free where the protocol
-// allows: the version vector and global stable vector are atomically
-// published (so the installed-snapshot check on every slice read takes no
-// lock), per-request bookkeeping lives in striped maps, and read fan-ins
-// are completion counters. What remains under s.mu is the parked-reader
-// list and the gossip aggregation — the blocking that defines this
-// baseline.
+// The slice read is lock-free where the protocol allows: the version
+// vector and global stable vector are atomically published, so the
+// installed-snapshot check on every slice read takes no lock. What remains
+// under s.mu is the parked-reader list and the gossip aggregation — the
+// blocking that defines this baseline.
 type Server struct {
+	*replica.Runtime
 	cfg ServerConfig
-	rt  *replica.Runtime
-	// st aliases rt.Engine() for the slice-read path.
-	st store.Engine
 
 	// gsv is the global stable vector from gossip (entrywise min over
 	// peers): entrywise-monotone, loaded lock-free on the read path.
 	gsv hlc.AtomicVector
 
-	txCtx *stripemap.Map[*txContext]
-
 	readPool sync.Pool
-	fanPool  sync.Pool
 
 	// mu guards the parked-reader list and the gossip aggregation.
 	// Protocol-only state: disjoint from the runtime's writer mutex.
@@ -90,9 +70,9 @@ type Server struct {
 	waiters []*waiter
 	peerVV  [][]hlc.Timestamp // last gossiped VV per peer partition
 
-	// The protocol's counters in the server's registry (Obs); read.blocked
+	// The slice read's counters in the server's registry (Obs); read.blocked
 	// and read.blocked_us feed the paper's Figure 3b.
-	txStarted, slicesServed, blockedReads, blockedMicros, ctxExpired *obs.Counter
+	slicesServed, blockedReads, blockedMicros *obs.Counter
 }
 
 // NewServer constructs a Cure or H-Cure partition server.
@@ -104,7 +84,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s := &Server{
 		cfg:    cfg,
 		gsv:    hlc.NewAtomicVector(cfg.NumDCs),
-		txCtx:  stripemap.New[*txContext](0),
 		peerVV: make([][]hlc.Timestamp, cfg.NumPartitions),
 	}
 	for p := range s.peerVV {
@@ -114,80 +93,30 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.rt = rt
-	s.st = rt.Engine()
+	s.Runtime = rt
 	reg := rt.Obs()
-	s.txStarted, s.slicesServed = reg.Counter("tx.started"), reg.Counter("read.slices_served")
+	s.slicesServed = reg.Counter("read.slices_served")
 	s.blockedReads, s.blockedMicros = reg.Counter("read.blocked"), reg.Counter("read.blocked_us")
-	s.ctxExpired = reg.Counter("ctx.expired")
-	reg.Func("ctx.open", func() uint64 { return uint64(s.txCtx.Len()) })
 	s.readPool.New = func() any {
 		rs := &readScratch{}
 		rs.visible = rs.pred.visible
 		return rs
 	}
-	s.fanPool.New = func() any { return &fanin.Fanout{} }
 	return s, nil
 }
-
-// ID returns the server's node id.
-func (s *Server) ID() transport.NodeID { return s.rt.ID() }
-
-// Obs returns the server's metrics registry (see core.Server.Obs).
-func (s *Server) Obs() *obs.Registry { return s.rt.Obs() }
-
-// Store exposes the underlying storage engine for tests.
-func (s *Server) Store() store.Engine { return s.st }
-
-// EngineHealthy reports the first write-path failure the storage engine
-// has recorded, or nil while it is fully healthy.
-func (s *Server) EngineHealthy() error { return s.st.Healthy() }
-
-// Healthy reports the first durability failure of the server's write path
-// — storage engine or transaction log — or nil while both are intact.
-func (s *Server) Healthy() error { return s.rt.Healthy() }
-
-// ReadOnly reports whether the server has shed into read-only admission
-// (see core.Server.ReadOnly).
-func (s *Server) ReadOnly() bool { return s.rt.Healthy() != nil }
-
-// TxLog exposes the transaction log for tests.
-func (s *Server) TxLog() *txlog.Log { return s.rt.TxLog() }
-
-// Start registers the server and launches the runtime's background loops.
-func (s *Server) Start() { s.rt.Start() }
-
-// Stop terminates background loops, flushes the commit list into the
-// store, and closes the storage engine and transaction log.
-func (s *Server) Stop() { s.rt.Stop() }
-
-// Kill stops the server WITHOUT the final apply/flush (and without the
-// courtesy replies to parked readers), simulating a hard kill for
-// recovery tests; see core.Server.Kill.
-func (s *Server) Kill() { s.rt.Kill() }
 
 // StableVector returns a copy of the server's global stable vector.
 func (s *Server) StableVector() []hlc.Timestamp {
 	return s.gsv.Snapshot(nil)
 }
 
-// VersionVector returns a copy of the server's version vector.
-func (s *Server) VersionVector() []hlc.Timestamp {
-	return s.rt.VV.Snapshot(nil)
-}
-
-// LocalVersionClock returns vv[m].
-func (s *Server) LocalVersionClock() hlc.Timestamp {
-	return s.rt.VV.Load(s.cfg.DC)
-}
-
 // now returns the coordinator clock reading used for snapshot local
 // entries: the HLC for H-Cure, the raw physical clock for Cure.
 func (s *Server) now() hlc.Timestamp {
 	if s.cfg.UseHLC {
-		return s.rt.Clock.Now()
+		return s.Clock.Now()
 	}
-	return s.rt.Clock.PhysicalNow()
+	return s.Clock.PhysicalNow()
 }
 
 // depVector derives a version's dependency vector from its prepare-time
@@ -257,14 +186,8 @@ func (p *cureProtocol) ReplTxRecord(t *txlog.CommittedTx) wire.ReplTx {
 // could tie the bound at microsecond granularity and commit inside the
 // installed region. Called under the runtime's writer mutex.
 func (p *cureProtocol) ApplyBound() hlc.Timestamp {
-	s := p.server()
-	var ub hlc.Timestamp
-	if s.cfg.UseHLC {
-		ub = s.rt.Clock.Now()
-	} else {
-		ub = s.rt.Clock.PhysicalNow()
-	}
-	s.rt.Clock.Update(ub)
+	ub := p.server().now()
+	p.Clock.Update(ub)
 	return ub
 }
 
@@ -274,7 +197,7 @@ func (p *cureProtocol) ApplyBound() hlc.Timestamp {
 func (p *cureProtocol) ObserveCommitTS(ct hlc.Timestamp) {
 	s := p.server()
 	if s.cfg.UseHLC {
-		s.rt.Clock.Update(ct)
+		s.Clock.Update(ct)
 	}
 }
 
@@ -285,13 +208,15 @@ func (p *cureProtocol) AfterInstall() {
 	s.mu.Lock()
 	ready := s.releaseWaitersLocked()
 	s.mu.Unlock()
-	s.serveReady(ready)
+	for _, w := range ready {
+		s.serveSlice(w.from, w.req, time.Since(w.arrived))
+	}
 }
 
-// StampStable and ObserveStable are no-ops: Cure's stabilization state is
-// an M-entry vector per partition, which stays on its ΔG broadcast instead
-// of riding the transaction messages.
-func (p *cureProtocol) StampStable(*wire.Stab) {}
+// StampStable and ObserveStable stamp and fold nothing: Cure's
+// stabilization state is an M-entry vector per partition, which stays on
+// its ΔG broadcast instead of riding the transaction messages.
+func (p *cureProtocol) StampStable() wire.Stab { return wire.Stab{} }
 
 // ObserveStable: see StampStable.
 func (p *cureProtocol) ObserveStable(int, wire.Stab) {}
@@ -300,7 +225,7 @@ func (p *cureProtocol) ObserveStable(int, wire.Stab) {}
 // stabilization messages are M timestamps versus Wren's two (Figure 7a).
 func (p *cureProtocol) GossipTick() {
 	s := p.server()
-	vvCopy := s.rt.VV.Snapshot(nil)
+	vvCopy := s.VV.Snapshot(nil)
 	s.mu.Lock()
 	maxInto(s.peerVV[s.cfg.Partition], vvCopy)
 	s.recomputeStableLocked()
@@ -311,50 +236,57 @@ func (p *cureProtocol) GossipTick() {
 		if q == s.cfg.Partition {
 			continue
 		}
-		s.rt.SendBounded(transport.ServerID(s.cfg.DC, q), msg)
+		s.SendBounded(transport.ServerID(s.cfg.DC, q), msg)
 	}
 }
 
-// OldestActiveSnapshot expires abandoned transaction contexts and returns
-// a conservative scalar GC bound: the minimum entry of any active snapshot
-// vector (or of the stable vector when idle). The floor is loaded under
-// the runtime's SnapMu barrier: in-flight snapshot assignments drain
-// first, so a context the Range below cannot see yet was assigned entries
-// at or above these values and needs no protection.
-func (p *cureProtocol) OldestActiveSnapshot(now time.Time) hlc.Timestamp {
-	s := p.server()
-	var expired []uint64
-	s.txCtx.Range(func(id uint64, ctx *txContext) bool {
-		if now.Sub(ctx.created) > s.cfg.TxContextTTL {
-			expired = append(expired, id)
-		}
-		return true
-	})
-	for _, id := range expired {
-		if _, ok := s.txCtx.LoadAndDelete(id); ok {
-			s.ctxExpired.Inc()
-		}
+// BeginSnapshot assigns the snapshot vector: remote entries from the
+// stable vector, the local entry from the coordinator's CURRENT clock —
+// the design choice that makes Cure reads block — raised to the client's
+// dependency vector.
+func (p *cureProtocol) BeginSnapshot(m *wire.StartTxReq) replica.Snapshot {
+	sv := p.gsv.Snapshot(nil)
+	sv[p.cfg.DC] = p.server().now()
+	if len(m.DV) == len(sv) {
+		maxInto(sv, m.DV)
 	}
-	s.rt.SnapMu.Lock()
-	oldest := s.gsv.Load(0)
-	for i := 1; i < s.cfg.NumDCs; i++ {
-		if t := s.gsv.Load(i); t < oldest {
-			oldest = t
-		}
+	return replica.Snapshot{SV: sv}
+}
+
+// ExpiredSnapshot assigns a fresh snapshot vector, as BeginSnapshot does
+// but without the client's dependency vector, which the expired context
+// held.
+func (p *cureProtocol) ExpiredSnapshot() replica.Snapshot {
+	return p.BeginSnapshot(&wire.StartTxReq{})
+}
+
+// CommitFloor is the snapshot's local entry, raised to the client's last
+// write: cohorts propose above it.
+func (p *cureProtocol) CommitFloor(snap replica.Snapshot, hwt hlc.Timestamp) hlc.Timestamp {
+	return hlc.Max(hwt, snap.SV[p.cfg.DC])
+}
+
+// SnapshotFloor is a conservative scalar GC bound for the snapshot: its
+// minimum entry.
+func (p *cureProtocol) SnapshotFloor(snap replica.Snapshot) hlc.Timestamp {
+	return hlc.Min(snap.SV...)
+}
+
+// StableFloor is the minimum entry of the stable vector and the local
+// version clock.
+func (p *cureProtocol) StableFloor() hlc.Timestamp {
+	oldest := p.VV.Load(p.cfg.DC)
+	for i := 0; i < p.cfg.NumDCs; i++ {
+		oldest = hlc.Min(oldest, p.gsv.Load(i))
 	}
-	if local := s.rt.VV.Load(s.cfg.DC); local < oldest {
-		oldest = local
-	}
-	s.rt.SnapMu.Unlock()
-	s.txCtx.Range(func(_ uint64, ctx *txContext) bool {
-		for _, t := range ctx.sv {
-			if t < oldest {
-				oldest = t
-			}
-		}
-		return true
-	})
 	return oldest
+}
+
+// ReadOwnSlice declines: even the coordinator's own slice goes through
+// handleSliceReq, which may legitimately park it — the blocking this
+// baseline exists to exhibit.
+func (*cureProtocol) ReadOwnSlice(_ []string, _ replica.Snapshot, dst []wire.Item) ([]wire.Item, bool) {
+	return dst, false
 }
 
 // OnStop fails parked reads so clients aren't left hanging (a killed
@@ -370,162 +302,78 @@ func (p *cureProtocol) OnStop(kill bool) {
 		return
 	}
 	for _, w := range waiters {
-		s.rt.Send(w.from, &wire.SliceResp{ReqID: w.reqID})
-		if w.req != nil {
-			wire.PutSliceReq(w.req)
-		}
+		s.Send(w.from, &wire.SliceResp{ReqID: w.req.ReqID})
+		wire.PutSliceReq(w.req)
 	}
 }
 
-// HandleMessage dispatches the snapshot-carrying messages the runtime
-// forwards to the protocol.
+// HandleMessage dispatches the messages the runtime forwards to the
+// protocol.
 func (p *cureProtocol) HandleMessage(from transport.NodeID, m wire.Message) {
 	s := p.server()
 	switch msg := m.(type) {
-	case *wire.StartTxReq:
-		s.handleStartTx(from, msg)
-	case *wire.TxReadReq:
-		s.handleTxRead(from, msg)
-	case *wire.CommitReq:
-		s.handleCommitReq(from, msg)
 	case *wire.SliceReq:
 		s.handleSliceReq(from, msg)
 	case *wire.PrepareReq:
-		s.handlePrepareReq(from, msg)
+		// The cohort side of the 2PC: Cure proposes from the (possibly
+		// lagging) physical clock via the HLC's TickPast; H-Cure's HLC can
+		// jump.
+		s.Prepare(from, msg, msg.HT)
 	case *wire.StableBroadcast:
 		s.handleStableBroadcast(msg)
 	}
 }
 
-// handleStartTx assigns the snapshot vector: remote entries from the
-// stable vector, the local entry from the coordinator's CURRENT clock —
-// the design choice that makes Cure reads block — raised to the client's
-// dependency vector. SnapMu is held SHARED around the assignment so GC's
-// exclusive floor load can never miss a context it must protect. As in
-// package core, m.Done releases the session's previous transaction first.
-func (s *Server) handleStartTx(from transport.NodeID, m *wire.StartTxReq) {
-	if m.Done != 0 {
-		s.txCtx.Delete(m.Done)
-	}
-	id := s.rt.NewTxID()
-	s.rt.SnapMu.RLock()
-	sv := s.gsv.Snapshot(nil)
-	sv[s.cfg.DC] = s.now()
-	if len(m.DV) == len(sv) {
-		maxInto(sv, m.DV)
-	}
-	s.txCtx.Store(id, &txContext{sv: sv, created: time.Now()})
-	s.rt.SnapMu.RUnlock()
-
-	s.txStarted.Inc()
-	s.rt.Send(from, &wire.StartTxResp{ReqID: m.ReqID, TxID: id, SV: sv})
-}
-
-// handleTxRead fans the key set out per partition and merges the slices
-// via a completion-counter fan-in (as in package core): the last arriving
-// SliceResp assembles the TxReadResp, no goroutine parks per read. Unlike
-// Wren's coordinator there is no local fast path — even the coordinator's
-// own slice goes through handleSliceReq, which may legitimately park it
-// (the blocking this baseline exists to exhibit).
-func (s *Server) handleTxRead(from transport.NodeID, m *wire.TxReadReq) {
-	ctx, ok := s.txCtx.Load(m.TxID)
-	if !ok {
-		s.rt.Send(from, &wire.TxReadResp{ReqID: m.ReqID, Expired: true})
-		return
-	}
-	sv := ctx.sv
-
-	// Per-connection admission, mirroring Wren's coordinator: a pooled
-	// link multiplexing many sessions is bounded before any slice work —
-	// or parking — happens. Released when the last slice arrives (in the
-	// runtime's SliceResp handler or below) or by the GC sweep.
-	if !s.rt.AdmitClient(from) {
-		s.rt.Shed(from, m.ReqID)
-		return
-	}
-
-	fo := s.fanPool.Get().(*fanin.Fanout)
-	fo.Reset(s.cfg.NumPartitions)
-	for _, k := range m.Keys {
-		fo.Add(sharding.PartitionOf(k, s.cfg.NumPartitions), k)
-	}
-
-	fi := fanin.Start(from, m.ReqID, len(fo.Touched))
-	for _, p := range fo.Touched {
-		reqID := s.rt.NextReqID()
-		req := wire.GetSliceReq()
-		req.ReqID = reqID
-		req.Keys = append(req.Keys[:0], fo.Groups[p]...)
-		req.SV = sv // aliases the tx context's vector; PutSliceReq drops it
-		s.rt.TrackRead(reqID, fi)
-		s.rt.Send(transport.ServerID(s.cfg.DC, p), req)
-	}
-	s.fanPool.Put(fo)
-
-	if resp, to, last := fi.Finish(); last {
-		s.rt.ReleaseClient(to)
-		s.rt.Send(to, resp)
-	}
-}
-
-// installed reports whether this partition has installed snapshot sv:
-// every version-vector entry has reached the snapshot's. Lock-free — the
-// version vector is entrywise-monotone, so a true result never reverts.
-func (s *Server) installed(sv []hlc.Timestamp) bool {
-	return s.rt.VV.Covers(sv)
-}
-
-// handleSliceReq serves the read if the snapshot is installed; otherwise it
-// PARKS the request until the apply loop or replication catches up. This is
-// the blocking that Wren's CANToR protocol eliminates. The installed fast
-// path takes no lock at all; only parking does.
+// handleSliceReq serves the read if the snapshot is installed — every
+// version-vector entry has reached the snapshot's; otherwise it PARKS the
+// request until the apply loop or replication catches up. This is the
+// blocking that Wren's CANToR protocol eliminates. The installed check is
+// lock-free — the version vector is entrywise-monotone, so a true result
+// never reverts — and only parking takes a lock.
 func (s *Server) handleSliceReq(from transport.NodeID, m *wire.SliceReq) {
 	if s.cfg.UseHLC {
 		// H-Cure: the HLC absorbs the snapshot timestamp, so an idle
 		// partition's clock no longer lags the coordinator's.
-		s.rt.Clock.Update(m.SV[s.cfg.DC])
+		s.Clock.Update(m.SV[s.cfg.DC])
 	}
-	if s.installed(m.SV) {
-		s.serveSlice(from, m.ReqID, m.Keys, m.SV, 0)
-		wire.PutSliceReq(m)
+	if s.VV.Covers(m.SV) {
+		s.serveSlice(from, m, 0)
 		return
 	}
 	s.mu.Lock()
 	// Re-check under the lock: a concurrent vv advance that ran its waiter
 	// release before we parked would otherwise be a lost wakeup.
-	if s.installed(m.SV) {
+	if s.VV.Covers(m.SV) {
 		s.mu.Unlock()
-		s.serveSlice(from, m.ReqID, m.Keys, m.SV, 0)
-		wire.PutSliceReq(m)
+		s.serveSlice(from, m, 0)
 		return
 	}
-	s.waiters = append(s.waiters, &waiter{
-		from: from, reqID: m.ReqID, keys: m.Keys, sv: m.SV, req: m, arrived: time.Now(),
-	})
+	s.waiters = append(s.waiters, &waiter{from: from, req: m, arrived: time.Now()})
 	s.mu.Unlock()
 	// Try to install a fresher snapshot right away: if nothing is pending
 	// and the clock allows, the read is served without waiting for the
 	// next apply pass. What remains is genuine blocking: pending
 	// transactions below the snapshot, clock skew (Cure only), or missing
 	// remote updates.
-	s.rt.ApplyTick()
+	s.ApplyTick()
 }
 
-// serveSlice returns the freshest version of each key whose dependency
-// vector is within the snapshot. The response and its working memory come
-// from pools; the receiver releases the response.
-func (s *Server) serveSlice(to transport.NodeID, reqID uint64, keys []string, sv []hlc.Timestamp, blocked time.Duration) {
+// serveSlice answers m with the freshest version of each key whose
+// dependency vector is within the snapshot, then releases m. The response
+// and its working memory come from pools; the receiver releases the
+// response.
+func (s *Server) serveSlice(to transport.NodeID, m *wire.SliceReq, blocked time.Duration) {
 	rs := s.readPool.Get().(*readScratch)
-	rs.pred.sv = sv
-	rs.vers = s.st.ReadVisibleBatchInto(keys, rs.visible, rs.vers)
+	rs.pred.sv = m.SV
+	rs.vers = s.Store().ReadVisibleBatchInto(m.Keys, rs.visible, rs.vers)
 	resp := wire.GetSliceResp()
-	resp.ReqID = reqID
+	resp.ReqID = m.ReqID
 	for i, v := range rs.vers {
 		// A visible tombstone (nil Value) reads as absence, hiding any
 		// older live version.
 		if v != nil && v.Value != nil {
 			resp.Items = append(resp.Items, wire.Item{
-				Key: keys[i], Value: v.Value, UT: v.UT, TxID: v.TxID, SrcDC: v.SrcDC, DV: v.DV,
+				Key: m.Keys[i], Value: v.Value, UT: v.UT, TxID: v.TxID, SrcDC: v.SrcDC, DV: v.DV,
 			})
 		}
 	}
@@ -538,7 +386,8 @@ func (s *Server) serveSlice(to transport.NodeID, reqID uint64, keys []string, sv
 		s.blockedMicros.Add(uint64(blocked.Microseconds()))
 	}
 	resp.BlockedMicros = blocked.Microseconds()
-	s.rt.Send(to, resp)
+	s.Send(to, resp)
+	wire.PutSliceReq(m)
 }
 
 // releaseWaitersLocked finds parked reads whose snapshot is now installed.
@@ -551,7 +400,7 @@ func (s *Server) releaseWaitersLocked() []*waiter {
 	var ready []*waiter
 	rest := s.waiters[:0]
 	for _, w := range s.waiters {
-		if s.installed(w.sv) {
+		if s.VV.Covers(w.req.SV) {
 			ready = append(ready, w)
 		} else {
 			rest = append(rest, w)
@@ -559,42 +408,6 @@ func (s *Server) releaseWaitersLocked() []*waiter {
 	}
 	s.waiters = rest
 	return ready
-}
-
-func (s *Server) serveReady(ready []*waiter) {
-	for _, w := range ready {
-		s.serveSlice(w.from, w.reqID, w.keys, w.sv, time.Since(w.arrived))
-		if w.req != nil {
-			// keys and sv alias the request's buffers; release only after
-			// the read is fully served.
-			wire.PutSliceReq(w.req)
-		}
-	}
-}
-
-// handleCommitReq resolves the transaction's snapshot vector and hands the
-// 2PC to the runtime; each cohort's PrepareReq carries the vector and the
-// proposal floor ht.
-func (s *Server) handleCommitReq(from transport.NodeID, m *wire.CommitReq) {
-	ctx, ok := s.txCtx.LoadAndDelete(m.TxID)
-	var sv []hlc.Timestamp
-	if ok {
-		sv = ctx.sv
-	} else {
-		sv = s.gsv.Snapshot(nil)
-		sv[s.cfg.DC] = s.now()
-	}
-	ht := hlc.Max(m.HWT, sv[s.cfg.DC])
-	s.rt.Commit(from, m, func() *wire.PrepareReq {
-		return &wire.PrepareReq{HT: ht, SV: sv}
-	})
-}
-
-// handlePrepareReq hands the cohort side of the 2PC to the runtime: Cure
-// proposes from the (possibly lagging) physical clock via the HLC's
-// TickPast; H-Cure's HLC can jump.
-func (s *Server) handlePrepareReq(from transport.NodeID, m *wire.PrepareReq) {
-	s.rt.Prepare(from, m, m.HT)
 }
 
 // handleStableBroadcast ingests a peer's full version vector and recomputes

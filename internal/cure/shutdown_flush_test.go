@@ -63,7 +63,7 @@ func TestStopFlushesCommitAboveLocalClock(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if srv.rt.CommitQueueLen() == 1 {
+		if srv.CommitQueueLen() == 1 {
 			break
 		}
 		if time.Now().After(deadline) {

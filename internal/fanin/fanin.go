@@ -6,8 +6,8 @@
 // shared TxRead and decrements a counter — the LAST arrival assembles and
 // returns the TxReadResp for the caller to send. No goroutine ever waits.
 //
-// Both protocol servers (core, cure) share this mechanism; it is what
-// replaces their per-read goAsync goroutine.
+// The coordinator of internal/replica, shared by both protocol servers,
+// is its one user; it replaced a per-read goAsync goroutine.
 package fanin
 
 import (
@@ -40,7 +40,7 @@ type TxRead struct {
 
 var pool = sync.Pool{New: func() any { return new(TxRead) }}
 
-// Fanout is the reusable per-read key grouping both protocol servers pool:
+// Fanout is the reusable per-read key grouping the coordinator pools:
 // Groups[p] collects the keys partition p owns, Touched lists the
 // non-empty groups in first-touch order. It replaces the map-allocating
 // per-partition grouping on the read hot path. Not safe for concurrent

@@ -105,16 +105,15 @@ func (r *Runtime) goAsync(fn func()) {
 	}()
 }
 
-// Commit runs the coordinator side of the two-phase commit (Algorithm 2
-// lines 17–28). The protocol has already resolved the transaction's
-// snapshot and supplies makePrepare, which renders a cohort's PrepareReq
-// carrying that snapshot; the runtime fills ReqID, TxID and Writes.
-func (r *Runtime) Commit(from transport.NodeID, m *wire.CommitReq, makePrepare func() *wire.PrepareReq) {
+// commit runs the coordinator side of the two-phase commit (Algorithm 2
+// lines 17–28) for a transaction under snap: each cohort's PrepareReq
+// carries the snapshot and the proposal floor ht.
+func (r *Runtime) commit(from transport.NodeID, m *wire.CommitReq, snap Snapshot, ht hlc.Timestamp) {
 	if len(m.Writes) == 0 {
 		// An empty CommitReq is a client's explicit context release: the
 		// paper's COMMIT is only invoked when WS ≠ ∅, and the clients send
 		// none for a read-only transaction (the release rule in package
-		// core's comment). The protocol handler already dropped the context.
+		// session's comment). handleCommitReq already dropped the context.
 		// Admitted even in read-only degraded mode — nothing here needs
 		// durability.
 		r.Send(from, &wire.CommitResp{ReqID: m.ReqID, CT: 0})
@@ -169,28 +168,26 @@ func (r *Runtime) Commit(from transport.NodeID, m *wire.CommitReq, makePrepare f
 		r.mu.Unlock()
 		return
 	}
-	if !r.AdmitClient(from) {
+	if !r.admitClient(from) {
 		// Per-connection admission: shed BEFORE any 2PC state exists.
 		// Dedupe ran first so duplicates of decided transactions are
 		// still answered cheaply rather than bounced.
 		r.mu.Unlock()
-		r.Shed(from, m.ReqID)
+		r.shedClient(from, m.ReqID)
 		return
 	}
 	r.pendingPrepare[m.TxID] = call
 	r.mu.Unlock()
 
 	for _, c := range cohorts {
-		req := makePrepare()
-		req.ReqID = r.reqSeq.Add(1)
-		req.TxID = m.TxID
-		req.Writes = c.writes
-		r.proto.StampStable(&req.Stab)
-		r.Send(transport.ServerID(r.cfg.DC, c.partition), req)
+		r.Send(transport.ServerID(r.cfg.DC, c.partition), &wire.PrepareReq{
+			ReqID: r.reqSeq.Add(1), TxID: m.TxID, LT: snap.LT, RT: snap.RT, HT: ht, SV: snap.SV,
+			Writes: c.writes, Stab: r.proto.StampStable(),
+		})
 	}
 
 	r.goAsync(func() {
-		defer r.ReleaseClient(from)
+		defer r.releaseClient(from)
 		var ct hlc.Timestamp
 		var refusal string
 		for range cohorts {
@@ -261,7 +258,7 @@ func (r *Runtime) Commit(from transport.NodeID, m *wire.CommitReq, makePrepare f
 		finish(ct)
 		for _, c := range cohorts {
 			out := &wire.CommitTx{TxID: m.TxID, CT: ct}
-			r.proto.StampStable(&out.Stab)
+			out.Stab = r.proto.StampStable()
 			r.Send(transport.ServerID(r.cfg.DC, c.partition), out)
 		}
 		if !selfCohort {
@@ -305,7 +302,7 @@ func (r *Runtime) Prepare(from transport.NodeID, m *wire.PrepareReq, ht hlc.Time
 	r.prepared[m.TxID] = p
 	r.mu.Unlock()
 	resp := &wire.PrepareResp{ReqID: m.ReqID, TxID: m.TxID, PT: pt}
-	r.proto.StampStable(&resp.Stab)
+	resp.Stab = r.proto.StampStable()
 	r.tl.LogPrepare(p)
 	// INVARIANT (client ack follows a sync covering every cohort's
 	// PREPARE): a vote for a REMOTE coordinator leaves only once the record

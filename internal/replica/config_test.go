@@ -95,7 +95,7 @@ func TestServerOpensDefaultShards(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := r.Engine().NumShards(); got != store.DefaultShards {
+			if got := r.Store().NumShards(); got != store.DefaultShards {
 				t.Fatalf("NumShards = %d, want %d", got, store.DefaultShards)
 			}
 			if r.TxLog() == nil {

@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"sync/atomic"
 	"time"
 
 	"wren/internal/fanin"
@@ -165,12 +164,13 @@ func (r *Runtime) maybeRepair(now time.Time) {
 	r.tl.Repair()
 }
 
-// gcTick merges the protocol's oldest-active snapshot with the gossiped
-// per-partition floors, prunes version chains below the DC-wide
-// threshold, and sweeps abandoned read fan-ins.
+// gcTick expires abandoned transaction contexts, merges the oldest
+// snapshot the survivors need with the gossiped per-partition floors,
+// prunes version chains below the DC-wide threshold, and sweeps abandoned
+// read fan-ins.
 func (r *Runtime) gcTick() {
 	now := time.Now()
-	oldest := r.proto.OldestActiveSnapshot(now)
+	oldest := r.oldestSnapshot(now)
 	// Sweep in-flight read fan-ins whose slice responses will never come
 	// (a peer died mid-read): the client has long timed out; dropping the
 	// entry lets the fan-in state be reclaimed.
@@ -195,7 +195,7 @@ func (r *Runtime) gcTick() {
 		}
 		if _, done := released[fi]; !done {
 			released[fi] = struct{}{}
-			r.ReleaseClient(fi.From())
+			r.releaseClient(fi.From())
 		}
 	}
 	r.mu.Lock()
@@ -218,6 +218,35 @@ func (r *Runtime) gcTick() {
 	}
 }
 
+// oldestSnapshot expires the transaction contexts older than
+// TxContextTTL (a backstop for abandoned sessions) and returns the oldest
+// version time a snapshot still needs (paper §IV-B): the minimum of the
+// stable floor — that of the snapshot the next StartTx would assign — and
+// every surviving context's floor. The stable floor is loaded under the
+// snapMu barrier: every in-flight snapshot assignment drains first, so a
+// context the Range below cannot see yet was assigned a snapshot at or
+// above this floor and needs no protection from it.
+func (r *Runtime) oldestSnapshot(now time.Time) hlc.Timestamp {
+	r.snapMu.Lock()
+	oldest := r.proto.StableFloor()
+	r.snapMu.Unlock()
+	var expired []uint64
+	r.txCtx.Range(func(id uint64, ctx txContext) bool {
+		if now.Sub(ctx.created) > r.cfg.TxContextTTL {
+			expired = append(expired, id)
+		} else {
+			oldest = hlc.Min(oldest, r.proto.SnapshotFloor(ctx.snap))
+		}
+		return true
+	})
+	for _, id := range expired {
+		if _, ok := r.txCtx.LoadAndDelete(id); ok {
+			r.ctxExpired.Inc()
+		}
+	}
+	return oldest
+}
+
 func (r *Runtime) handleGCBroadcast(m *wire.GCBroadcast) {
 	p := int(m.Partition)
 	if p < 0 || p >= r.cfg.NumPartitions {
@@ -228,78 +257,30 @@ func (r *Runtime) handleGCBroadcast(m *wire.GCBroadcast) {
 	r.mu.Unlock()
 }
 
-// AdmitClient reserves an in-flight slot for one admission-gated client
-// request (a transactional read or a write commit) from connection
-// `from`. It returns false — the caller must then answer with Shed — when
-// the connection already has MaxInflightPerConn requests outstanding. The
-// gate is per connection: a pooled endpoint carrying a whole session
-// fleet gets one budget, so it cannot queue unbounded fan-in and 2PC
-// state while other connections starve.
-func (r *Runtime) AdmitClient(from transport.NodeID) bool {
-	ctr := r.admissionCounter(from)
-	if ctr.Add(1) > int64(r.cfg.MaxInflightPerConn) {
-		ctr.Add(-1)
-		return false
+// EngineHealthy reports the first write-path failure the storage engine
+// has recorded, or nil while it is fully healthy. A durable backend keeps
+// acknowledging from memory after a log failure, so this is the signal
+// benchmarks and operators poll to catch silently degraded durability.
+func (r *Runtime) EngineHealthy() error { return r.st.Healthy() }
+
+// Healthy reports the first durability failure of the server's write path
+// — storage engine or transaction log — or nil while both are intact. The
+// runtime ACTS on this signal: a degraded server sheds into read-only
+// admission (see ReadOnly).
+func (r *Runtime) Healthy() error {
+	if err := r.st.Healthy(); err != nil {
+		return err
 	}
-	return true
+	return r.tl.Healthy()
 }
 
-// ReleaseClient returns an admitted request's slot. Called exactly once
-// per successful AdmitClient: when the response is sent, or when a stale
-// fan-in is swept.
-func (r *Runtime) ReleaseClient(from transport.NodeID) {
-	r.admissionCounter(from).Add(-1)
-}
-
-// Shed answers a request refused by AdmitClient with the typed admission
-// pushback. A BusyResp proves the request did not execute, so the client
-// may resend it — even a CommitReq — after a backoff.
-func (r *Runtime) Shed(from transport.NodeID, reqID uint64) {
-	r.shed.Inc()
-	r.Send(from, &wire.BusyResp{ReqID: reqID})
-}
-
-func (r *Runtime) admissionCounter(from transport.NodeID) *atomic.Int64 {
-	r.admMu.RLock()
-	ctr := r.admission[from]
-	r.admMu.RUnlock()
-	if ctr != nil {
-		return ctr
-	}
-	r.admMu.Lock()
-	if ctr = r.admission[from]; ctr == nil {
-		ctr = new(atomic.Int64)
-		r.admission[from] = ctr
-	}
-	r.admMu.Unlock()
-	return ctr
-}
-
-// TrackRead registers an in-flight slice-read fan-in under reqID; the
-// matching SliceResp resolves it, the GC tick sweeps it if abandoned.
-func (r *Runtime) TrackRead(reqID uint64, fi *fanin.TxRead) {
-	r.pendingSlice.Store(reqID, fi)
-}
-
-// handleSliceResp folds a remote slice into its read fan-in; the last
-// arriving slice assembles and sends the TxReadResp, releasing the read's
-// admission slot.
-func (r *Runtime) handleSliceResp(from transport.NodeID, m *wire.SliceResp) {
-	r.ObserveStable(from, m.Stab)
-	if fi, ok := r.pendingSlice.LoadAndDelete(m.ReqID); ok {
-		if fi.Fold(m.Items, m.BlockedMicros) {
-			// The fold stole the items buffer into the response as a
-			// chunk: strip it from the pooled message so the pool cannot
-			// hand the same backing array to a later read.
-			m.Items = nil
-		}
-		if resp, to, last := fi.Finish(); last {
-			r.ReleaseClient(to)
-			r.Send(to, resp)
-		}
-	}
-	wire.PutSliceResp(m)
-}
+// ReadOnly reports whether the server has shed into read-only admission:
+// new prepares and commits are refused with a typed error while reads keep
+// their path. It flips as soon as the engine or the transaction log
+// records a write-path failure — an acknowledgement whose durability
+// promise cannot be kept must not be issued — and flips back if a
+// probation repair succeeds (see Config.RepairInterval).
+func (r *Runtime) ReadOnly() bool { return r.Healthy() != nil }
 
 // handleHealthReq answers the operator-facing health probe (wren-cli
 // health): whether this server is in read-only admission and why.

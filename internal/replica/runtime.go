@@ -60,20 +60,34 @@
 //     above it is rewound. A heartbeat goes only to a DC whose stream is
 //     caught up.
 //
-// A protocol plugs in through the Protocol interface: how a committed
-// transaction's writes render into engine versions and replication
-// records, how the apply upper bound follows the clock, and the handlers
-// for the snapshot-carrying messages (StartTx, reads, commit entry,
-// stability gossip). The seam is deliberately small so a third snapshot
+// # One coordinator
+//
+// The coordinator half of a partition server is protocol-independent too
+// and lives here once (coordinator.go): the table of open transaction
+// contexts, StartTx, the read fan-out with its completion-counter fan-in,
+// the commit entry, admission, and — on the GC tick — context expiry and
+// the minimum over open snapshots. A context holds a Snapshot, the union
+// the wire already carries: Wren's two stable times or Cure's vector.
+//
+// A protocol plugs in through the Protocol interface, which is what the
+// paper says differs: how a committed transaction's writes render into
+// engine versions and replication records, how the apply upper bound
+// follows the clock, how a snapshot is assigned and what it keeps from
+// GC, the commit floor, whether the coordinator reads its own keys in
+// place, the stability gossip, and the handlers for the messages that read
+// or prepare under a snapshot (SliceReq, ScanReq, PrepareReq,
+// StableBroadcast). The seam is deliberately small so a third snapshot
 // representation — e.g. the per-(partition, DC) cursors partial
 // replication needs — slots in without touching the lifecycle machinery.
 //
 // The package is split by concern:
 //
-//   - runtime.go: the Protocol seam, the Runtime, New, Start/Stop and the
-//     message dispatch;
+//   - runtime.go: the Protocol seam, the Runtime and its accessors, New,
+//     Start/Stop and the message dispatch;
 //   - config.go: Config, its defaults and validation, and the runtime's
 //     fixed timings and sizes;
+//   - coordinator.go: the transaction contexts, StartTx, the read fan-out
+//     and fan-in, the commit entry and per-connection admission;
 //   - commit.go: both sides of the two-phase commit, the decision record,
 //     transaction ids and the TxStatus termination probes;
 //   - apply.go: the apply goroutine and pass, install, the release barrier
@@ -81,7 +95,8 @@
 //   - replicate.go: the replication streams, receiving and acknowledging
 //     their batches and heartbeats, and gap refusal;
 //   - lifecycle.go: restart recovery, the timer loops, the stall rewind,
-//     GC, the repair probe, admission and the health probe.
+//     GC with context expiry, the repair probe, and health (Healthy,
+//     ReadOnly and the health probe).
 package replica
 
 import (
@@ -143,36 +158,54 @@ type Protocol interface {
 	// at once: Cure releases parked readers whose snapshot is now
 	// installed; Wren folds its own BiST contribution.
 	AfterInstall()
-	// StampStable fills the stabilization metadata of an outgoing intra-DC
-	// transaction message, ObserveStable folds a peer partition's (see
-	// wire.Stab). Both run on delivery goroutines, the read path's
+	// StampStable returns the stabilization metadata for an outgoing
+	// intra-DC transaction message, ObserveStable folds a peer partition's
+	// (see wire.Stab). Both run on delivery goroutines, the read path's
 	// included: they MUST NOT lock, allocate or wait. Cure and H-Cure stamp
 	// and fold nothing — their vector gossip stays ticked.
-	StampStable(st *wire.Stab)
+	StampStable() wire.Stab
 	ObserveStable(fromPartition int, st wire.Stab)
 	// GossipTick emits one round of the protocol's stabilization exchange.
 	GossipTick()
-	// OldestActiveSnapshot returns the oldest snapshot any live transaction
-	// context still needs (expiring abandoned contexts as a side effect) —
-	// the protocol half of the GC tick.
-	OldestActiveSnapshot(now time.Time) hlc.Timestamp
+	// BeginSnapshot assigns the snapshot of a transaction m starts, after
+	// folding in what m carries of the client's session (Wren's stable
+	// times, Cure's dependency vector). Called with snapMu held shared.
+	BeginSnapshot(m *wire.StartTxReq) Snapshot
+	// ExpiredSnapshot stands in for the snapshot of a transaction that
+	// commits after its context expired.
+	ExpiredSnapshot() Snapshot
+	// CommitFloor is ht, the time every cohort proposes above, for a
+	// commit under snap by a client whose last write was at hwt.
+	CommitFloor(snap Snapshot, hwt hlc.Timestamp) hlc.Timestamp
+	// SnapshotFloor is the oldest version time an open snapshot may still
+	// read; StableFloor is the floor of the snapshot the next StartTx
+	// would assign (called with snapMu held exclusively). GC keeps what
+	// the minimum of both needs.
+	SnapshotFloor(snap Snapshot) hlc.Timestamp
+	StableFloor() hlc.Timestamp
+	// ReadOwnSlice serves the keys of a transactional read this coordinator
+	// owns in place, appending them to dst, and reports whether it did. A
+	// protocol whose own slice may have to wait (Cure) answers false, and
+	// the keys go out as a SliceReq to this partition like any other's.
+	ReadOwnSlice(keys []string, snap Snapshot, dst []wire.Item) ([]wire.Item, bool)
 	// OnStop runs inside the shutdown sequence before the stop channel
 	// closes: Cure flushes parked readers (with courtesy replies unless
 	// kill) so clients are not left hanging.
 	OnStop(kill bool)
-	// HandleMessage handles the snapshot-carrying messages the runtime
-	// does not: StartTxReq, TxReadReq, CommitReq, SliceReq, PrepareReq,
-	// StableBroadcast.
+	// HandleMessage handles the messages that read or prepare under a
+	// snapshot, and the stabilization broadcast: SliceReq, ScanReq,
+	// PrepareReq, StableBroadcast.
 	HandleMessage(from transport.NodeID, m wire.Message)
 }
 
-// Runtime is the shared replica core under one partition server. The
-// protocol server owns the public API and the read path; the runtime owns
-// the writer state, the durable lifecycle and every background loop.
+// Runtime is the shared replica core under one partition server, which
+// embeds it: the runtime owns the server's accessors, the coordinator, the
+// writer state, the durable lifecycle and every background loop; the
+// protocol owns its snapshot state and the slice read.
 //
-// The state is split so the protocol's read path never acquires the
-// runtime's writer mutex: the version vector is an entrywise-monotone
-// atomic, per-request bookkeeping lives in striped maps, and mu guards
+// The state is split so the read path never acquires the runtime's writer
+// mutex: the version vector is an entrywise-monotone atomic, transaction
+// contexts and per-request bookkeeping live in striped maps, and mu guards
 // only writer state (the pending/commit lists and GC aggregation).
 type Runtime struct {
 	cfg   Config
@@ -184,6 +217,7 @@ type Runtime struct {
 	// engine and the transaction log, and the protocol registers its own.
 	reg                                                        *obs.Registry
 	txCommitted, replTxApplied, gcRemoved, gcKeysDropped, shed *obs.Counter
+	txStarted, slicesServed, ctxExpired                        *obs.Counter
 
 	// Clock is the server's hybrid logical clock. It is exported for the
 	// protocol's snapshot assignment; mutating calls that must be atomic
@@ -206,18 +240,21 @@ type Runtime struct {
 	// monotone, so protocols load it lock-free on the read path.
 	VV hlc.AtomicVector
 
-	// SnapMu makes the protocol's snapshot assignment atomic with respect
-	// to GC's oldest-snapshot computation. StartTx handlers hold it SHARED
-	// around (load stable snapshot → store context) — concurrent starts
-	// never serialize on it — while the GC tick takes it exclusively for
-	// one load inside Protocol.OldestActiveSnapshot: the barrier
-	// guarantees every context predating the GC floor is visible to the
-	// sweep, so GC can never prune a version a just-started transaction's
-	// snapshot still needs.
-	SnapMu sync.RWMutex
+	// snapMu makes snapshot assignment atomic with respect to GC's
+	// oldest-snapshot computation. handleStartTx holds it SHARED around
+	// (assign snapshot → store context) — concurrent starts never
+	// serialize on it — while the GC tick takes it exclusively for the
+	// protocol's StableFloor: the barrier guarantees every context
+	// predating the GC floor is visible to the sweep, so GC can never prune
+	// a version a just-started transaction's snapshot still needs.
+	snapMu sync.RWMutex
 
+	// txCtx holds the open transaction contexts, keyed by TxID.
+	txCtx *stripemap.Map[txContext]
 	// pendingSlice tracks in-flight slice-read fan-ins by request id.
 	pendingSlice *stripemap.Map[*fanin.TxRead]
+	// fanPool holds the read fan-out's key-grouping scratch.
+	fanPool sync.Pool
 
 	// admission counts in-flight admission-gated client requests per
 	// connection (MaxInflightPerConn). admMu only guards the map shape;
@@ -349,6 +386,9 @@ func New(name string, cfg Config, proto Protocol) (*Runtime, error) {
 		gcRemoved:      reg.Counter("gc.removed"),
 		gcKeysDropped:  reg.Counter("gc.keys_dropped"),
 		shed:           reg.Counter("admission.shed"),
+		txStarted:      reg.Counter("tx.started"),
+		slicesServed:   reg.Counter("read.slices_served"),
+		ctxExpired:     reg.Counter("ctx.expired"),
 		id:             transport.ServerID(cfg.DC, cfg.Partition),
 		Clock:          hlc.NewClock(cfg.ClockSource),
 		st:             eng,
@@ -357,6 +397,7 @@ func New(name string, cfg Config, proto Protocol) (*Runtime, error) {
 		prepared:       make(map[uint64]*txlog.PreparedTx),
 		recovered:      make(map[uint64]*recoveredPrepare),
 		peerOldest:     make([]hlc.Timestamp, cfg.NumPartitions),
+		txCtx:          stripemap.New[txContext](0),
 		pendingSlice:   stripemap.New[*fanin.TxRead](0),
 		admission:      make(map[transport.NodeID]*atomic.Int64),
 		pendingPrepare: make(map[uint64]*prepareCall),
@@ -367,6 +408,9 @@ func New(name string, cfg Config, proto Protocol) (*Runtime, error) {
 		kick:           make(chan struct{}, 1),
 		stop:           make(chan struct{}),
 	}
+	r.fanPool.New = func() any { return &fanin.Fanout{} }
+	// Open transaction contexts; each pins the version-GC floor.
+	reg.Func("ctx.open", func() uint64 { return uint64(r.txCtx.Len()) })
 	// Recovery order: the engine replayed its own logs in Open above; now
 	// the txlog's committed-but-unapplied transactions go into the engine
 	// BEFORE the server serves anything, so a kill between the client ack
@@ -392,29 +436,22 @@ func New(name string, cfg Config, proto Protocol) (*Runtime, error) {
 // ID returns the server's node id.
 func (r *Runtime) ID() transport.NodeID { return r.id }
 
-// Engine exposes the storage engine.
-func (r *Runtime) Engine() store.Engine { return r.st }
+// Store exposes the storage engine (read-only use in tests).
+func (r *Runtime) Store() store.Engine { return r.st }
 
-// TxLog exposes the transaction log.
+// TxLog exposes the transaction log (read-only use in tests).
 func (r *Runtime) TxLog() *txlog.Log { return r.tl }
 
-// Obs returns the server's metrics registry.
+// Obs returns the server's metrics registry: the runtime's, the
+// protocol's, the engine's and the transaction log's counters and gauges.
 func (r *Runtime) Obs() *obs.Registry { return r.reg }
 
-// Healthy reports the first durability failure of the server's write path
-// — storage engine or transaction log — or nil while both are intact. The
-// runtime ACTS on this signal: a degraded server sheds into read-only
-// admission (prepares and commits are refused with a typed error) until
-// restart or a successful probation repair.
-func (r *Runtime) Healthy() error {
-	if err := r.st.Healthy(); err != nil {
-		return err
-	}
-	return r.tl.Healthy()
-}
+// VersionVector returns a copy of the server's version vector.
+func (r *Runtime) VersionVector() []hlc.Timestamp { return r.VV.Snapshot(nil) }
 
-// NextReqID allocates a request id for an outgoing fan-out request.
-func (r *Runtime) NextReqID() uint64 { return r.reqSeq.Add(1) }
+// LocalVersionClock returns vv[m], the local snapshot installed by this
+// partition.
+func (r *Runtime) LocalVersionClock() hlc.Timestamp { return r.VV.Load(r.cfg.DC) }
 
 // CommitQueueLen reports the current commit-list length (tests only).
 func (r *Runtime) CommitQueueLen() int {
@@ -500,18 +537,24 @@ func (r *Runtime) shutdown(kill bool) {
 }
 
 // HandleMessage implements transport.Handler: the runtime dispatches the
-// protocol-independent messages itself and forwards the snapshot-carrying
-// rest to the protocol. Handlers run on the per-link FIFO delivery
-// goroutines, which reads share, so they MUST NOT wait — not for the disk,
-// not for a SendBounded backoff, not for a running apply pass: they append
-// to the transaction log and write to the engine (neither syncs on this
-// path), they ask the apply goroutine for a pass instead of running one
-// (KickApply), and every wait for an fsync happens on a goAsync goroutine,
-// as a txlog lazy waiter, or in the release barrier. (The exception: a
-// Cure slice read that has to park runs the pass itself first, as it always
-// has.)
+// protocol-independent messages itself — the client's StartTx, read and
+// commit among them — and forwards the rest to the protocol. Handlers run
+// on the per-link FIFO delivery goroutines, which reads share, so they
+// MUST NOT wait — not for the disk, not for a SendBounded backoff, not for
+// a running apply pass: they append to the transaction log and write to
+// the engine (neither syncs on this path), they ask the apply goroutine
+// for a pass instead of running one (KickApply), and every wait for an
+// fsync happens on a goAsync goroutine, as a txlog lazy waiter, or in the
+// release barrier. (The exception: a Cure slice read that has to park runs
+// the pass itself first, as it always has.)
 func (r *Runtime) HandleMessage(from transport.NodeID, m wire.Message) {
 	switch msg := m.(type) {
+	case *wire.StartTxReq:
+		r.handleStartTx(from, msg)
+	case *wire.TxReadReq:
+		r.handleTxRead(from, msg)
+	case *wire.CommitReq:
+		r.handleCommitReq(from, msg)
 	case *wire.SliceResp:
 		r.handleSliceResp(from, msg)
 	case *wire.PrepareResp:

@@ -18,10 +18,13 @@ import (
 )
 
 // fakeProto is the smallest Protocol a runtime serves through: the HLC is
-// the version clock, a version carries only its commit time, and there is
-// no stabilization exchange and no snapshot. Like core and cure, it routes
-// the two 2PC entry points, CommitReq and PrepareReq, to the runtime.
-type fakeProto struct{ rt *Runtime }
+// the version clock, a version carries only its commit time, there is no
+// stabilization exchange, and a snapshot is the one time LT, set to stable
+// at begin. Like core and cure, it routes PrepareReq to the runtime.
+type fakeProto struct {
+	rt     *Runtime
+	stable hlc.Timestamp
+}
 
 func appendPuts(dst []store.KV, txID uint64, ct hlc.Timestamp, srcDC uint8, writes []wire.KV, skip SkipFunc) []store.KV {
 	for _, kv := range writes {
@@ -45,19 +48,23 @@ func (p *fakeProto) ReplTxRecord(t *txlog.CommittedTx) wire.ReplTx {
 	return wire.ReplTx{TxID: t.TxID, CT: t.CT, Writes: t.Writes}
 }
 
-func (p *fakeProto) ApplyBound() hlc.Timestamp                  { return p.rt.Clock.Update(0) }
-func (p *fakeProto) ObserveCommitTS(ct hlc.Timestamp)           { p.rt.Clock.Update(ct) }
-func (*fakeProto) AfterInstall()                                {}
-func (*fakeProto) StampStable(*wire.Stab)                       {}
-func (*fakeProto) ObserveStable(int, wire.Stab)                 {}
-func (*fakeProto) GossipTick()                                  {}
-func (*fakeProto) OldestActiveSnapshot(time.Time) hlc.Timestamp { return 0 }
-func (*fakeProto) OnStop(bool)                                  {}
+func (p *fakeProto) ApplyBound() hlc.Timestamp                             { return p.rt.Clock.Update(0) }
+func (p *fakeProto) ObserveCommitTS(ct hlc.Timestamp)                      { p.rt.Clock.Update(ct) }
+func (*fakeProto) AfterInstall()                                           {}
+func (*fakeProto) StampStable() wire.Stab                                  { return wire.Stab{} }
+func (*fakeProto) ObserveStable(int, wire.Stab)                            {}
+func (*fakeProto) GossipTick()                                             {}
+func (p *fakeProto) BeginSnapshot(*wire.StartTxReq) Snapshot               { return Snapshot{LT: p.stable} }
+func (p *fakeProto) ExpiredSnapshot() Snapshot                             { return Snapshot{LT: p.stable} }
+func (*fakeProto) CommitFloor(s Snapshot, hwt hlc.Timestamp) hlc.Timestamp { return max(s.LT, hwt) }
+func (*fakeProto) SnapshotFloor(s Snapshot) hlc.Timestamp                  { return s.LT }
+func (p *fakeProto) StableFloor() hlc.Timestamp                            { return p.stable }
+func (*fakeProto) ReadOwnSlice(_ []string, _ Snapshot, dst []wire.Item) ([]wire.Item, bool) {
+	return dst, false
+}
+func (*fakeProto) OnStop(bool) {}
 func (p *fakeProto) HandleMessage(from transport.NodeID, m wire.Message) {
-	switch msg := m.(type) {
-	case *wire.CommitReq:
-		p.rt.Commit(from, msg, func() *wire.PrepareReq { return &wire.PrepareReq{} })
-	case *wire.PrepareReq:
+	if msg, ok := m.(*wire.PrepareReq); ok {
 		p.rt.Prepare(from, msg, msg.HT)
 	}
 }
@@ -496,7 +503,7 @@ func TestEventsNameTheServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	proto.rt = r
-	r.Engine().(interface{ InjectFailure(error) }).InjectFailure(errors.New("engine gone"))
+	r.Store().(interface{ InjectFailure(error) }).InjectFailure(errors.New("engine gone"))
 	r.TxLog().InjectFailure(errors.New("log gone"))
 	r.Stop()
 	expect(storeClose, "test dc0/p0: store.close_failed err=engine gone")
