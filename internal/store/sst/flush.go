@@ -2,6 +2,7 @@ package sst
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"sort"
 
@@ -331,7 +332,7 @@ func (e *Engine) compactLocked(inputs []*run) {
 		live[i] = it.next()
 	}
 
-	outCuts := make(map[string]int)
+	outLive := make(map[string]int) // kept tombstones: in the file, none live
 	var merged []*store.Version
 	for {
 		key := ""
@@ -354,7 +355,7 @@ func (e *Engine) compactLocked(inputs []*run) {
 			if t := full[len(full)-1]; lastFull == nil || lastFull.Less(t) {
 				lastFull = t
 			}
-			if cut := inputs[i].cuts[key]; cut < len(full) {
+			if cut := cutOf(inputs[i].live, key, len(full)); cut < len(full) {
 				merged = append(merged, full[cut:]...)
 			}
 		}
@@ -365,7 +366,7 @@ func (e *Engine) compactLocked(inputs []*run) {
 			if mayHold(outside, key) {
 				merged = append(merged, lastFull)
 				w.addChain(key, merged)
-				outCuts[key]++
+				outLive[key] = 0
 			}
 		}
 		for i, it := range iters {
@@ -408,12 +409,10 @@ func (e *Engine) compactLocked(inputs []*run) {
 		return
 	}
 	out.level = e.levelOf(fileSize)
-	if len(outCuts) > 0 {
-		out.cuts = outCuts
-		for _, c := range outCuts {
-			out.cutTotal += c
-		}
-		out.deadKeys = len(outCuts)
+	if len(outLive) > 0 {
+		out.live = outLive
+		out.cutTotal = len(outLive)
+		out.deadKeys = len(outLive)
 	}
 
 	cur := e.tabs.Load()
@@ -504,7 +503,7 @@ func (e *Engine) GCStats(oldest hlc.Timestamp) store.GCResult {
 	p := &gcPass{
 		e: e, tabs: tabs, oldest: oldest, res: res,
 		iters: make([]*runIterator, n), at: make([]bool, n),
-		newCuts: make([]map[string]int, n), addCut: make([]int, n), addDead: make([]int, n),
+		newLive: make([]map[string]int, n), addCut: make([]int, n), addDead: make([]int, n),
 	}
 	for i, r := range tabs.runs {
 		p.iters[i] = newRunIterator(e, r) // nil = retired: impossible under flushMu, but stay safe
@@ -550,7 +549,7 @@ type gcPass struct {
 	iters []*runIterator // one per tabs.runs entry
 	at    []bool         // iters[i] is positioned on the key being visited
 
-	newCuts []map[string]int // nil = run unchanged
+	newLive []map[string]int // nil = run unchanged
 	addCut  []int
 	addDead []int
 
@@ -608,12 +607,13 @@ func (p *gcPass) seekEach(keys []string) {
 	}
 }
 
-// cutFor is the overlay cut of key in run ri as this pass has it so far.
-func (p *gcPass) cutFor(ri int, key string) int {
-	if m := p.newCuts[ri]; m != nil {
-		return m[key]
+// cutFor is the overlay cut of key's n-version file chain in run ri as
+// this pass has it so far.
+func (p *gcPass) cutFor(ri int, key string, n int) int {
+	if m := p.newLive[ri]; m != nil {
+		return cutOf(m, key, n)
 	}
-	return p.tabs.runs[ri].cuts[key]
+	return cutOf(p.tabs.runs[ri].live, key, n)
 }
 
 // visit makes the GC decision for one key — the runs holding it are the
@@ -650,7 +650,7 @@ func (p *gcPass) visit(key string) {
 			continue
 		}
 		fileHasKey = true
-		if cut := p.cutFor(i, key); cut < len(it.chain) {
+		if cut := p.cutFor(i, key, len(it.chain)); cut < len(it.chain) {
 			scan(it.chain[cut:])
 			liveVersions += len(it.chain) - cut
 		}
@@ -679,7 +679,7 @@ func (p *gcPass) visit(key string) {
 			if !p.at[i] {
 				continue
 			}
-			prior := p.cutFor(i, key)
+			prior := p.cutFor(i, key, len(it.chain))
 			if prior >= len(it.chain) {
 				continue // already fully cut
 			}
@@ -687,14 +687,12 @@ func (p *gcPass) visit(key string) {
 			if cut == 0 {
 				continue
 			}
-			if p.newCuts[i] == nil {
+			if p.newLive[i] == nil {
 				r := p.tabs.runs[i]
-				p.newCuts[i] = make(map[string]int, len(r.cuts)+1)
-				for k, c := range r.cuts {
-					p.newCuts[i][k] = c
-				}
+				p.newLive[i] = make(map[string]int, len(r.live)+1)
+				maps.Copy(p.newLive[i], r.live)
 			}
-			p.newCuts[i][key] = prior + cut
+			p.newLive[i][key] = len(it.chain) - prior - cut
 			p.addCut[i] += cut
 			removed += cut
 			if prior+cut >= len(it.chain) {
@@ -726,13 +724,13 @@ func (p *gcPass) publishCuts() {
 	changed := false
 	newRuns := make([]*run, len(p.tabs.runs))
 	for ri, r := range p.tabs.runs {
-		if p.newCuts[ri] == nil {
+		if p.newLive[ri] == nil {
 			newRuns[ri] = r
 			continue
 		}
 		changed = true
 		nr := *r // shares the refcounted file; the overlay is replaced wholesale
-		nr.cuts = p.newCuts[ri]
+		nr.live = p.newLive[ri]
 		nr.cutTotal = r.cutTotal + p.addCut[ri]
 		nr.deadKeys = r.deadKeys + p.addDead[ri]
 		newRuns[ri] = &nr

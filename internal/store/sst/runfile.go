@@ -1,28 +1,35 @@
-// Run file format (v2): the on-disk layout behind the sparse block index.
+// Run file format (v3): the on-disk layout behind the sparse block index.
 //
 //	[ data region: logrec version frames, grouped into blocks ]
 //	[ footer: one logrec frame describing the blocks             ]
 //	[ trailer: 4-byte LE footer-frame length + 8-byte magic      ]
 //
-// The data region is the PR 4 format unchanged — one length-prefixed,
-// CRC32-checksummed record per version, keys ascending, each key's chain
-// contiguous in last-writer-wins order — cut into blocks of roughly
+// The data region holds one length-prefixed, CRC32-checksummed record per
+// version, keys ascending, each key's chain contiguous and newest first
+// (descending last-writer-wins order) — cut into blocks of roughly
 // BlockBytes (4 KiB by default) at key boundaries, so one key's whole
 // chain always lives in exactly one block. A point read walks and
-// checksums its block from the first record to the key's chain, so the
-// block size is what a probe pays: a 4 KiB block holds three 1 KiB
-// records, where 16 KiB blocks made a probe check about nine (see
-// TestPointReadRecordsChecked). The footer carries one fence (first key,
-// length) per block plus the version/key counts and the run's Bloom
-// filter; it is itself a logrec frame, so it tears and checksums by the
-// same rules as every other record in the data directory. Only the fences
-// and the filter stay resident. A sealed file is mapped once, read-only,
-// and read in place: a point read binary-searches the fence table, slices
-// one block out of the mapping and walks its frames; startup touches the
-// trailer and footer pages only. Every access to the mapping follows the package
-// comment's two rules — a file reference across the whole use of the
-// bytes, and readMapped around every touch. A file without the trailer
-// magic is corrupt: run files are only ever renamed into place complete.
+// checksums its block from the first record to the key's chain, then goes
+// down the chain newest first and stops at the first version it can
+// decide on: the first visible one, the first one no fresher than the
+// best version already found, or the last one the GC overlay leaves live.
+// A read therefore pays for the records before the key in its block plus
+// the versions newer than its snapshot, not for the chain's length: a
+// 4 KiB block holds three 1 KiB records, and a probe of a single-version
+// key checks two on average (see TestPointReadRecordsChecked). The record
+// after a chain is recognised by its key field and is not walked. Format
+// 2, which stored chains oldest first, is refused at open. The footer
+// carries one fence (first key, length) per block plus the version/key
+// counts and the run's Bloom filter; it is itself a logrec frame, so it
+// tears and checksums by the same rules as every other record in the data
+// directory. Only the fences and the filter stay resident. A sealed file
+// is mapped once, read-only, and read in place: a point read
+// binary-searches the fence table, slices one block out of the mapping
+// and walks its frames; startup touches the trailer and footer pages
+// only. Every access to the mapping follows the package comment's two
+// rules — a file reference across the whole use of the bytes, and
+// readMapped around every touch. A file without the trailer magic is
+// corrupt: run files are only ever renamed into place complete.
 package sst
 
 import (
@@ -32,6 +39,7 @@ import (
 	"hash/crc32"
 	"os"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -45,7 +53,7 @@ import (
 const (
 	runMagic       = "wrenSST2"
 	runTrailerSize = 4 + 8 // LE32 footer length + magic (untyped: mixes with int64 offsets)
-	runFormatV2    = 2
+	runFormat      = 3     // chains newest first; 2 stored them oldest first
 )
 
 var _ = [1]struct{}{}[runTrailerSize-4-len(runMagic)] // magic length must match the trailer layout
@@ -155,14 +163,15 @@ func newRunWriter(fsys fsutil.FS, path string, blockBytes, expectedKeys int) (*r
 	}, nil
 }
 
-// addChain appends one key's whole version chain (ascending LWW order).
+// addChain appends one key's whole version chain, which arrives in
+// ascending last-writer-wins order and is written newest first.
 func (w *runWriter) addChain(key string, chain []*store.Version) {
 	if w.err != nil || len(chain) == 0 {
 		return
 	}
 	w.enc.Reset()
-	for _, v := range chain {
-		logrec.Append(w.enc, key, v)
+	for i := len(chain) - 1; i >= 0; i-- {
+		logrec.Append(w.enc, key, chain[i])
 	}
 	b := w.enc.Bytes()
 	if w.blockLen > 0 && w.blockLen+len(b) > w.blockBytes {
@@ -195,7 +204,7 @@ func (w *runWriter) finish() (fileSize, dataSize int64, err error) {
 	if w.err == nil {
 		w.enc.Reset()
 		logrec.AppendFrame(w.enc, func(enc *wire.Encoder) {
-			enc.Byte(runFormatV2)
+			enc.Byte(runFormat)
 			enc.Uvarint(uint64(len(w.fences)))
 			for _, fe := range w.fences {
 				enc.Uvarint(uint64(fe.length))
@@ -308,8 +317,9 @@ func (r *run) loadFooter() error {
 	var perr error
 	good := logrec.ScanFrames(footer, func(payload []byte) error {
 		d := wire.NewDecoder(payload)
-		if v := d.Byte(); v != runFormatV2 {
-			perr = fmt.Errorf("sst: unknown run format %d in %s", v, r.path)
+		if v := d.Byte(); v != runFormat {
+			perr = fmt.Errorf("sst: run %s is in run format %d: the engine reads only format %d "+
+				"(chains newest first), and there is no migration", r.path, v, runFormat)
 			return perr
 		}
 		nBlocks := int(d.Uvarint())
@@ -370,59 +380,61 @@ func (r *run) block(bi int) []byte {
 }
 
 // chainIn is the one walk over a block's records that point reads and
-// VersionsOf share. It steps through blk from its first record, verifying
-// every walked record's frame and CRC, and returns key's chain — its
-// frames, contiguous and verified — and how many records it holds; both are
-// empty when the block does not hold key. checked counts the records the
-// walk looked at, the one past the chain that ends it included. A record
-// that does not frame or checksum ends the walk: bad is its offset in blk
-// (-1 when the walk ended cleanly), and chain is the verified part of key's
-// chain before it.
-func chainIn(blk []byte, key string) (chain []byte, n, checked, bad int) {
-	start, off := -1, 0
-	bad = -1
-	for off+logrec.HeaderSize <= len(blk) {
-		checked++
+// VersionsOf share. It steps through blk from its first record to key's
+// chain and down the chain, newest first, verifying the frame and CRC of
+// every record it walks, and hands each chain record's verified payload to
+// fn, which returns false to stop. The walk also stops after limit chain
+// records (limit < 0: no bound), at a record sorting after key when the
+// block holds no chain of key, and at the chain's end: the record after
+// the chain is recognised by its key field alone and is not walked.
+// checked counts the records walked. A record that does not frame or
+// checksum ends the walk: bad is its offset in blk (-1 when the walk ended
+// cleanly).
+func chainIn(blk []byte, key string, limit int, fn func(payload []byte) bool) (checked, bad int) {
+	n := 0 // chain records walked
+	for off := 0; off+logrec.HeaderSize <= len(blk) && n != limit; {
 		end := off + logrec.HeaderSize + int(binary.LittleEndian.Uint32(blk[off:]))
-		if end > len(blk) || crc32.ChecksumIEEE(blk[off+logrec.HeaderSize:end]) != binary.LittleEndian.Uint32(blk[off+4:]) {
-			bad = off
-			break
+		if end > len(blk) {
+			return checked + 1, off
 		}
-		if string(wire.NewDecoder(blk[off+logrec.HeaderSize:end]).BytesField()) == key {
-			if start < 0 {
-				start = off
-			}
-			n++
-		} else if start >= 0 {
-			break // past the key's contiguous chain
+		payload := blk[off+logrec.HeaderSize : end]
+		k := wire.NewDecoder(payload).BytesField()
+		if n > 0 && string(k) != key {
+			break // past the chain
+		}
+		checked++
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(blk[off+4:]) {
+			return checked, off
 		}
 		off = end
+		if n == 0 && string(k) != key {
+			if string(k) > key {
+				break // keys ascend: the block holds no chain of key
+			}
+			continue
+		}
+		n++
+		if !fn(payload) {
+			break
+		}
 	}
-	if start < 0 {
-		return nil, 0, checked, bad
-	}
-	return blk[start:off], n, checked, bad
+	return checked, -1
 }
 
-// walkChain finds key's chain in block bi of r (chainIn) and hands it to fn
-// while the bytes are still mapped: one file reference spans the walk and
-// fn, and both run under readMapped. A fault or a corrupt record is
-// recorded as a read error; fn then sees at most the verified part of the
-// chain, and nothing at all after a fault. The result is false only when
-// the run was retired concurrently — the caller reloads the tables and
-// retries.
-func (e *Engine) walkChain(r *run, bi int, key string, fn func(chain []byte, n int)) bool {
+// walkChain runs chainIn over block bi of r while the bytes are still
+// mapped: one file reference spans the walk and fn, and both run under
+// readMapped. A fault or a corrupt record is recorded as a read error; fn
+// then has seen at most the verified records before it, and nothing more
+// after a fault. The result is false only when the run was retired
+// concurrently — the caller reloads the tables and retries.
+func (e *Engine) walkChain(r *run, bi int, key string, limit int, fn func(payload []byte) bool) bool {
 	if !r.file.acquire() {
 		return false
 	}
 	defer r.file.release()
 	e.blockReads.Add(1)
 	bad, checked := -1, 0
-	err := readMapped(func() {
-		chain, n, c, b := chainIn(r.block(bi), key)
-		bad, checked = b, c
-		fn(chain, n)
-	})
+	err := readMapped(func() { checked, bad = chainIn(r.block(bi), key, limit, fn) })
 	e.recordsChecked.Add(uint64(checked))
 	switch off := r.fences[bi].off; {
 	case err != nil:
@@ -451,98 +463,73 @@ var probePool = sync.Pool{New: func() any { return new(probeScratch) }}
 // second result is false only when the run was retired concurrently — the
 // caller reloads the tables and retries.
 //
-// The common paths cost nothing: a Bloom miss answers from memory alone,
-// and a block probe that loses to the memtable (or ties it — the
-// memtable is consulted first, so equal versions keep the already-resident
-// pointer) works in place in the mapping and the pooled scratch.
+// The walk goes down the chain newest first, decoding each record into the
+// pooled scratch in place in the mapping, and stops at the first record it
+// can decide on: one cur is not older than (nothing further down can win),
+// or the first visible one — the freshest visible, which is materialized.
+// It never goes past the versions the GC overlay leaves live. A Bloom miss
+// answers from memory alone. The visibility predicate sees sc.ver, whose
+// Value aliases the mapping: it must not retain it; logrec.Decode copies
+// everything it returns.
 func (e *Engine) probeRun(r *run, key string, visible store.VisibleFunc, cur *store.Version, sc *probeScratch) (*store.Version, bool) {
 	if !r.filter.mayContain(key) {
 		e.bloomSkips.Add(1)
 		return cur, true
 	}
 	bi := r.fenceFor(key)
-	if bi < 0 {
-		return cur, true // sorts before the run's first key: filter false positive
+	limit, cut := r.live[key]
+	if bi < 0 || (cut && limit == 0) {
+		return cur, true // sorts before the run (a filter false positive), or GC cut the whole chain
+	}
+	if !cut {
+		limit = -1
 	}
 	v := cur
-	ok := e.walkChain(r, bi, key, func(chain []byte, _ int) {
-		v = e.freshest(r, key, chain, visible, cur, sc)
-	})
-	return v, ok
-}
-
-// freshest is probeRun's fold over key's verified chain, still in the
-// mapping. The visibility predicate sees sc.ver, whose Value aliases the
-// mapping: it must not retain it. Only the winner is materialized, and
-// logrec.Decode copies everything it returns.
-func (e *Engine) freshest(r *run, key string, chain []byte, visible store.VisibleFunc, cur *store.Version, sc *probeScratch) *store.Version {
-	skip := r.cuts[key]
-	var candPayload []byte
-	var candUT, candRDT hlc.Timestamp
-	var candTx uint64
-	var candSrc uint8
-	for len(chain) > 0 {
-		end := logrec.HeaderSize + int(binary.LittleEndian.Uint32(chain))
-		payload := chain[logrec.HeaderSize:end]
-		chain = chain[end:]
-		if skip > 0 {
-			skip-- // leading versions GC already pruned (overlay cut)
-			continue
-		}
+	ok := e.walkChain(r, bi, key, limit, func(payload []byte) bool {
 		d := wire.NewDecoder(payload)
 		d.BytesField() // the key, matched by chainIn
 		tomb := d.Bool()
 		val := d.BytesField()
-		ut, rdt := d.Timestamp(), d.Timestamp()
-		txid := d.Uvarint()
-		src := d.Byte()
-		nDV := int(d.Uvarint())
+		ver := &sc.ver
+		ver.UT, ver.RDT = d.Timestamp(), d.Timestamp()
+		ver.TxID, ver.SrcDC = d.Uvarint(), d.Byte()
 		sc.dv = sc.dv[:0]
-		for i := 0; i < nDV; i++ {
+		for i := int(d.Uvarint()); i > 0; i-- {
 			sc.dv = append(sc.dv, d.Timestamp())
 		}
 		if d.Err() != nil {
 			e.recordErr(fmt.Errorf("sst: corrupt record in run %s: %w", r.path, d.Err()))
-			break
+			return false
 		}
-		v := &sc.ver
-		v.UT, v.RDT, v.TxID, v.SrcDC, v.DV = ut, rdt, txid, src, sc.dv
+		ver.DV, ver.Value = sc.dv, val
 		if tomb {
-			v.Value = nil
+			ver.Value = nil
+		}
+		if cur != nil && !cur.Less(ver) {
+			return false // the resident version is at least as fresh as the rest of the chain
+		}
+		if !visible(ver) {
+			return true
+		}
+		if _, w, err := logrec.Decode(payload); err != nil {
+			e.recordErr(fmt.Errorf("sst: corrupt record in run %s: %w", r.path, err))
 		} else {
-			v.Value = val
+			v = w
 		}
-		// The chain is ascending, so the last visible record is the
-		// freshest visible one — later matches simply overwrite.
-		if visible(v) {
-			candPayload = payload
-			candUT, candRDT, candTx, candSrc = ut, rdt, txid, src
-		}
-	}
+		return false
+	})
 	sc.ver.Value = nil // drop the alias into the mapping
-	if candPayload == nil {
-		return cur
-	}
-	if cur != nil {
-		c := &sc.ver
-		c.UT, c.RDT, c.TxID, c.SrcDC = candUT, candRDT, candTx, candSrc
-		if !cur.Less(c) {
-			return cur // the resident version is at least as fresh
-		}
-	}
-	_, v, err := logrec.Decode(candPayload)
-	if err != nil {
-		e.recordErr(fmt.Errorf("sst: corrupt record in run %s: %w", r.path, err))
-		return cur
-	}
-	return v
+	return v, ok
 }
 
-// countKey returns how many live versions of key run r holds (file
-// records minus the GC overlay cut), walking at most one block with every
-// walked record checksummed. The second result is false only when the run
-// was retired concurrently.
+// countKey returns how many live versions of key run r holds: the GC
+// overlay's count when it has one, else the file chain's length, walking
+// at most one block with every walked record checksummed. The second
+// result is false only when the run was retired concurrently.
 func (e *Engine) countKey(r *run, key string) (int, bool) {
+	if n, ok := r.live[key]; ok {
+		return n, true
+	}
 	if !r.filter.mayContain(key) {
 		return 0, true
 	}
@@ -551,19 +538,15 @@ func (e *Engine) countKey(r *run, key string) (int, bool) {
 		return 0, true
 	}
 	n := 0
-	if !e.walkChain(r, bi, key, func(_ []byte, m int) { n = m }) {
-		return 0, false
-	}
-	n -= r.cuts[key]
-	if n < 0 {
-		n = 0
-	}
-	return n, true
+	ok := e.walkChain(r, bi, key, -1, func([]byte) bool { n++; return true })
+	return n, ok
 }
 
 // runIterator streams a run's records in key order, one mapped block at a
-// time, yielding each key's full file chain (overlay cuts are the caller's
-// to apply — GC accounting needs the full chain, scans need the cut one).
+// time, yielding each key's full file chain in ascending last-writer-wins
+// order (the file holds it newest first; the GC overlay is the caller's to
+// apply — GC accounting needs the full chain, scans need the live one).
+// Every record it yields is checksummed.
 // The iterator holds a file reference from newRunIterator until close, and
 // every walk of the mapping runs under readMapped (see walk); what it
 // yields is decoded copies, valid after close. It only moves forward: next
@@ -667,14 +650,15 @@ func (it *runIterator) step() bool {
 	}
 	for {
 		k, v, ok := it.record()
-		if !ok {
-			return it.err == nil || len(it.chain) > 0
+		if ok && k == it.key {
+			it.chain = append(it.chain, v)
+			continue
 		}
-		if k != it.key {
+		if ok {
 			it.pkey, it.pv, it.pok = k, v, true
-			return true
 		}
-		it.chain = append(it.chain, v)
+		slices.Reverse(it.chain) // the file holds chains newest first
+		return true
 	}
 }
 

@@ -2,7 +2,9 @@ package sst
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -12,6 +14,7 @@ import (
 	"wren/internal/hlc"
 	"wren/internal/obs"
 	"wren/internal/store"
+	"wren/internal/store/logrec"
 )
 
 // runHolding returns the path of the live run whose first block starts
@@ -147,6 +150,175 @@ func TestCorruptRunRecordIsAnError(t *testing.T) {
 				t.Fatalf("Healthy() = %v, want the corrupt record in %s", err, path)
 			}
 		})
+	}
+}
+
+// flipByte inverts one byte of the file at path, in place, so the open
+// engine's shared mapping sees it.
+func flipByte(t *testing.T, path string, at int) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, int64(at)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{b[0] ^ 0xff}, int64(at)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestProbeChecksumsWhatItWalks pins the verification contract of the
+// newest-first layout: a point probe checksums every record it walks, and
+// the records it stops short of are left to the readers that walk them
+// all. A flipped byte in the newest record of a flushed chain fails the
+// point read; one in the oldest record, which that read never reaches,
+// fails the next compaction, whose iterator checks every record.
+func TestProbeChecksumsWhatItWalks(t *testing.T) {
+	const key = "chk"
+	for _, tc := range []struct {
+		name   string
+		newest bool
+	}{{"newest record, point read", true}, {"oldest record, compaction", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := mustOpen(t, Options{Dir: t.TempDir(), Shards: 2, FlushBytes: -1, CompactRuns: -1})
+			defer func() { _ = e.Close() }()
+			for i := 0; i < 8; i++ {
+				e.Put(fmt.Sprintf("a-%d", i), v("neighbour-value", 1, uint64(100+i)))
+				e.Put(key, v(fmt.Sprintf("value-%d-of-the-chain", i), hlc.Timestamp(1+i), uint64(1+i)))
+			}
+			if err := e.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			r := e.tabs.Load().runs[0]
+			data, err := os.ReadFile(r.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data = data[:r.dataSize] // the fence keys in the footer are not records
+			at := bytes.LastIndex(data, []byte(key))
+			if tc.newest {
+				at = bytes.Index(data, []byte(key))
+			}
+			flipByte(t, r.path, at+len(key)+4) // inside the value
+			want := "corrupt record in run block " + r.path
+			if tc.newest {
+				e.ReadVisible(key, alwaysVisible)
+			} else {
+				if got := e.ReadVisible(key, alwaysVisible); got == nil || string(got.Value) != "value-7-of-the-chain" {
+					t.Fatalf("ReadVisible = %+v, want the newest version", got)
+				}
+				if err := e.Healthy(); err != nil {
+					t.Fatalf("Healthy() = %v: the point read walked past the newest record", err)
+				}
+				fillRun(t, e, "z-", 10, 8, 100) // a second run, so Compact merges
+				e.Compact()
+				want = "corrupt record in run " + r.path
+			}
+			if err := e.Healthy(); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Healthy() = %v, want %q", err, want)
+			}
+		})
+	}
+}
+
+// TestCorruptLiveRecordOfPrunedChain: GC leaves the newest 5 of a key's 8
+// file versions live, then a byte flips in its third-newest record. The
+// run iterator stops there holding a chain of the 2 records before it,
+// fewer than the overlay's live count; Scan and Compact must report the
+// corrupt record through Healthy, not slice that short chain out of range.
+func TestCorruptLiveRecordOfPrunedChain(t *testing.T) {
+	const key = "chk"
+	for _, reader := range []string{"scan", "compaction"} {
+		t.Run(reader, func(t *testing.T) {
+			e := mustOpen(t, Options{Dir: t.TempDir(), Shards: 2, FlushBytes: -1, CompactRuns: -1})
+			defer func() { _ = e.Close() }()
+			for i := 0; i < 8; i++ {
+				e.Put(fmt.Sprintf("a-%d", i), v("neighbour-value", 1, uint64(100+i)))
+				e.Put(key, v(fmt.Sprintf("value-%d-of-the-chain", i), hlc.Timestamp(1+i), uint64(1+i)))
+			}
+			if err := e.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if removed := e.GC(4); removed != 3 {
+				t.Fatalf("GC(4) removed %d versions, want 3", removed)
+			}
+			r := e.tabs.Load().runs[0]
+			data, err := os.ReadFile(r.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := bytes.Index(data[:r.dataSize], []byte("value-5-of-the-chain")) // UT 6
+			if at < 0 {
+				t.Fatal("record of UT 6 not found in the run")
+			}
+			flipByte(t, r.path, at)
+			if reader == "scan" {
+				if err := e.Scan("", "", alwaysVisible, func(string, *store.Version) bool { return true }); err == nil {
+					t.Fatal("Scan over the corrupt record returned no error")
+				}
+			} else {
+				fillRun(t, e, "z-", 10, 8, 100) // a second run, so Compact merges
+				e.Compact()
+			}
+			want := "corrupt record in run " + r.path
+			if err := e.Healthy(); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Healthy() = %v, want %q", err, want)
+			}
+		})
+	}
+}
+
+// TestOpenRefusesRunFormat2: a run whose footer says format 2 (chains
+// stored oldest first) fails Open with an error that names the format, and
+// the directory is left as it was — there is no migration.
+func TestOpenRefusesRunFormat2(t *testing.T) {
+	dir := t.TempDir()
+	e := mustOpen(t, Options{Dir: dir, Shards: 1, FlushBytes: -1})
+	fillRun(t, e, "f2-", 20, 8, 1)
+	path := e.tabs.Load().runs[0].path
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flen := int(binary.LittleEndian.Uint32(data[len(data)-runTrailerSize:]))
+	frame := data[len(data)-runTrailerSize-flen : len(data)-runTrailerSize]
+	payload := frame[logrec.HeaderSize:]
+	if payload[0] != runFormat {
+		t.Fatalf("footer format byte %d, want %d", payload[0], runFormat)
+	}
+	payload[0] = 2
+	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err = Open(Options{Dir: dir, Shards: 1, FlushBytes: -1})
+	if err == nil {
+		_ = e.Close()
+		t.Fatal("Open served a run in format 2")
+	}
+	if !strings.Contains(err.Error(), "run format 2") || !strings.Contains(err.Error(), path) {
+		t.Fatalf("Open = %v, want a refusal naming run format 2 and %s", err, path)
+	}
+	after, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) != len(before) {
+		t.Fatalf("the refused Open changed the directory: %d entries, was %d", len(after), len(before))
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("refused run file must be left in place: %v", err)
 	}
 }
 

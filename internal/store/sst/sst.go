@@ -12,9 +12,10 @@
 // stripe lock held; then the memtable is frozen (a fresh memtable and the
 // new generation are swapped in under every stripe lock) and written out
 // in the background as one immutable sorted run: keys in sorted order,
-// each key's version chain in last-writer-wins (timestamp) order, every
-// record length-prefixed and CRC32-checksummed, grouped into fixed-size
-// blocks with a fence-key footer (see runfile.go for the file format).
+// each key's version chain newest first (descending last-writer-wins
+// order), every record length-prefixed and CRC32-checksummed, grouped into
+// fixed-size blocks with a fence-key footer (see runfile.go for the file
+// format).
 // Once the run is durable the log generations it covers are deleted — the
 // log never grows past one memtable's worth of writes. The engine never
 // fsyncs that log on its own: the owner calls Sync as a barrier, which
@@ -52,8 +53,11 @@
 // Run files are read in place. A sealed run is mapped once, read-only and
 // shared (fsutil.MapFile), and every reader — point read, VersionsOf,
 // Scan, GC pass, compaction — slices blocks out of that mapping instead of
-// copying them into a buffer; every walked record is still checksummed.
-// Two rules keep that safe:
+// copying them into a buffer. The verification contract: a point probe
+// checksums every record it walks — from its block's first record down the
+// key's chain, newest first, to the first version it can decide on — and
+// compaction, GC and Scan checksum every record. Two rules keep reading in
+// place safe:
 //
 //   - A reader MUST hold a file reference (runFile.acquire, or a
 //     runIterator) across the whole use of the mapped bytes, and no slice
@@ -146,10 +150,11 @@ const (
 	DefaultCompactGarbage = 4096
 	// DefaultBlockBytes is the target size of one run-file block — what a
 	// point lookup walks and the granularity of the resident fence index.
-	// A probe CRC-checks every record from the block's start to the key's
-	// chain, so the block is sized to what a probe should walk: swept over
-	// 16, 8, 4 and 2 KiB, 4 KiB (three 1 KiB records) read fastest on the
-	// benchmark's larger-than-memtable workload and no slower on its
+	// A probe CRC-checks every record before the key's chain in its block,
+	// then walks the chain newest first only as far as its first visible
+	// version, so the block is sized to what a probe should walk: swept
+	// over 16, 8, 4 and 2 KiB, 4 KiB (three 1 KiB records) read fastest on
+	// the benchmark's larger-than-memtable workload and no slower on its
 	// durable-commit one, at four times 16 KiB's fences.
 	DefaultBlockBytes = 4 << 10
 	// DefaultLevelFanout is the size ratio between adjacent run levels.
@@ -183,8 +188,9 @@ type Options struct {
 	// DefaultCompactGarbage).
 	CompactGarbage int
 	// BlockBytes overrides the target run-file block size (0 selects
-	// DefaultBlockBytes, 4 KiB). Smaller blocks mean fewer records
-	// checksummed per point read and a proportionally larger fence index;
+	// DefaultBlockBytes, 4 KiB). Smaller blocks mean fewer records ahead of
+	// a key's chain — each checksummed by a point read that walks past it —
+	// and a proportionally larger fence index;
 	// servers always take the default, and tests force tiny blocks here.
 	BlockBytes int
 	// LevelFanout overrides the size ratio between adjacent run levels
@@ -199,13 +205,15 @@ type Options struct {
 // here is mutated after construction; GC publishes replacement run
 // structs wholesale (sharing the same refcounted file).
 //
-// cuts is the GC overlay: for each pruned key, how many leading (oldest)
-// versions of its file chain are logically dead. Dropping a prefix is
-// sound because chains are stored in ascending last-writer-wins order and
-// GC only ever removes versions older than the surviving base. A key
-// whose whole chain is cut stays in the FILE until compaction rewrites it
-// — the file key set is exactly what recovery would reload, the set GC
-// must consult before letting a tombstone leave the memtable.
+// live is the GC overlay: for each pruned key, how many of its file
+// versions are still live — the newest ones, which the file stores first,
+// so a probe stops after that many records and the cut versions are the
+// chain's tail. Cutting the oldest versions is sound because GC only ever
+// removes versions older than the surviving base. Readers of ascending
+// chains (runIterator) convert the count into a leading cut with cutOf. A
+// key whose whole chain is cut (live 0) stays in the FILE until compaction
+// rewrites it — the file key set is exactly what recovery would reload,
+// the set GC must consult before letting a tombstone leave the memtable.
 type run struct {
 	file           *runFile
 	path           string
@@ -219,13 +227,24 @@ type run struct {
 	versions int // version records in the FILE
 	keyCount int // distinct keys in the FILE
 
-	cuts     map[string]int // key -> leading versions logically dead
-	cutTotal int            // sum of cuts (garbage versions in the file)
+	live     map[string]int // pruned key -> newest file versions still live
+	cutTotal int            // garbage versions in the file (chain lengths minus live)
 	deadKeys int            // keys whose whole chain is cut
 }
 
 // liveVersions is the number of versions reads can still observe.
 func (r *run) liveVersions() int { return r.versions - r.cutTotal }
+
+// cutOf converts a GC overlay's live count for key into how many of the n
+// versions of its ascending file chain, oldest first, are dead. A chain a
+// corrupt record cut short holds only its newest n versions, which may all
+// be live: the cut is never negative.
+func cutOf(live map[string]int, key string, n int) int {
+	if l, ok := live[key]; ok {
+		return max(n-l, 0)
+	}
+	return 0
+}
 
 // tables is the read snapshot: one atomic pointer swap publishes any
 // change to the source set, so readers always see a consistent tiering.
@@ -294,7 +313,8 @@ type Engine struct {
 	reg    *obs.Registry  // the owner's, from Observe; nil until then
 
 	// Counters, registered by Observe. recordsChecked counts run records
-	// CRC-checked walking a block to a key's chain; syncs counts log
+	// point probes CRC-checked, in a block up to and down a key's chain;
+	// syncs counts log
 	// fsyncs (one per Sync that found unsynced appends, one per flush that
 	// rotated some out, one at Close), logWrites one per Put and per
 	// PutBatch; gcVisited counts keys GC passes examined, which must
@@ -722,7 +742,7 @@ func (e *Engine) keySet() map[string]struct{} {
 			continue // retired: impossible under flushMu, but stay safe
 		}
 		for it.next() {
-			if r.cuts[it.key] >= len(it.chain) {
+			if n, ok := r.live[it.key]; ok && n == 0 {
 				continue
 			}
 			seen[it.key] = struct{}{}
@@ -861,7 +881,7 @@ func (e *Engine) Scan(start, end string, visible store.VisibleFunc, fn func(key 
 			if !live[i] || it.key != key {
 				continue
 			}
-			if cut := it.r.cuts[key]; cut < len(it.chain) {
+			if cut := cutOf(it.r.live, key, len(it.chain)); cut < len(it.chain) {
 				v = best(v, store.ReadVisibleChain(it.chain[cut:], visible))
 			}
 			live[i] = it.next() && before(it.key)
@@ -968,7 +988,7 @@ func (e *Engine) ResidentIndexBytes() int64 {
 			n += int64(len(fe.firstKey)) + 24 // string header + offset + length
 		}
 		n += r.filter.sizeBytes()
-		for k := range r.cuts {
+		for k := range r.live {
 			n += int64(len(k)) + 32 // map entry estimate
 		}
 	}
