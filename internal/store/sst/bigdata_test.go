@@ -133,11 +133,11 @@ func TestResidentIndexSparse(t *testing.T) {
 func TestLevelCompactionBounded(t *testing.T) {
 	e := mustOpen(t, Options{
 		Dir: t.TempDir(), Shards: 1,
-		FlushBytes: 1024, LevelFanout: 2, CompactRuns: 2, CompactGarbage: 1 << 30,
+		FlushBytes: 1024, CompactRuns: 2, CompactGarbage: 1 << 30,
 	})
 	defer e.Close()
 
-	// One run well past level 0 (level 0 ends at FlushBytes*fanout=2KB).
+	// One run well past level 0 (level 0 ends at FlushBytes*levelFanout = 4 KiB).
 	fillRun(t, e, "big-", 100, 64, 1)
 	if e.Runs() != 1 || e.Levels() < 2 {
 		t.Fatalf("big run: Runs=%d Levels=%d, want 1 run past level 0", e.Runs(), e.Levels())
@@ -185,7 +185,7 @@ func TestCrashDuringLevelCompaction(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{
 		Dir: dir, Shards: 1,
-		FlushBytes: 1024, LevelFanout: 2, CompactRuns: 2, CompactGarbage: 1 << 30,
+		FlushBytes: 1024, CompactRuns: 2, CompactGarbage: 1 << 30,
 	}
 	c := newCrashFS(t, dir, 1)
 	e := openOver(t, opts, c)

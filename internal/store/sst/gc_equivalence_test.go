@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"wren/internal/hlc"
@@ -18,6 +19,17 @@ import (
 // always ran), the other picks its own. Every pass must return the same
 // GCResult, and after every pass the engines must agree on what they hold
 // and on what every snapshot reads.
+//
+// The two share the run-cursor merge of Scan, compaction and the streaming
+// pass, so a fault there would not show between them. A third engine, the
+// memory engine, takes the same history and floors, and at every check
+// each key's ReadVisible and a full Scan at every snapshot at or above the
+// floor must return what it returns (a tombstone reads as absent). A key
+// stays out of that comparison from a write at or below the floor — which
+// no running transaction could commit — until a later pass's base is a
+// value newer than that write: until then what the snapshot reads depends
+// on which versions each engine's GC still holds, and the sst engine holds
+// more (a tombstone a run file needs, cuts a reopen undoes).
 //
 // The history is built to reach the places a key can slip through: chains
 // split across the memtable and several runs, tombstones with and without
@@ -53,13 +65,26 @@ func TestGCIncrementalMatchesStreaming(t *testing.T) {
 					_ = e.Close()
 				}
 			}()
+			var clock, floor hlc.Timestamp = 100, 0
+			var compared, skipped int
+			ref := store.NewMemoryEngine(4)
+			late := map[string]*store.Version{}
+			put := func(kvs ...store.KV) {
+				for _, kv := range kvs {
+					if w := late[kv.Key]; kv.Version.UT <= floor && (w == nil || w.Less(kv.Version)) {
+						late[kv.Key] = kv.Version
+					}
+				}
+				for _, e := range []store.Engine{eng[0], eng[1], ref} {
+					e.PutBatch(kvs)
+				}
+			}
 
 			rng := rand.New(rand.NewSource(seed))
 			keys := make([]string, nKeys)
 			for i := range keys {
 				keys[i] = fmt.Sprintf("k-%03d", i)
 			}
-			var clock, floor hlc.Timestamp = 100, 0
 			var tx uint64
 			version := func(tomb bool) *store.Version {
 				tx++
@@ -98,6 +123,23 @@ func TestGCIncrementalMatchesStreaming(t *testing.T) {
 						if !reflect.DeepEqual(av, bv) {
 							t.Fatalf("step %d (%s): ReadVisible(%s, %d) = %+v, streaming reference %+v", step, what, k, snap, av, bv)
 						}
+						if late[k] != nil {
+							skipped++
+							continue
+						}
+						compared++
+						if got, want := versionString(av), versionString(ref.ReadVisible(k, visible)); got != want {
+							t.Fatalf("step %d (%s): ReadVisible(%s, %d) = %s, memory engine %s", step, what, k, snap, got, want)
+						}
+					}
+				}
+				for _, snap := range snaps {
+					visible := func(v *store.Version) bool { return v.UT <= snap }
+					want := scanString(t, ref, visible, late)
+					for i, e := range eng {
+						if got := scanString(t, e, visible, late); got != want {
+							t.Fatalf("step %d (%s): engine %d Scan at %d:\n got %s\nwant %s (memory engine)", step, what, i, snap, got, want)
+						}
 					}
 				}
 			}
@@ -105,23 +147,15 @@ func TestGCIncrementalMatchesStreaming(t *testing.T) {
 			for step := 0; step < steps; step++ {
 				switch r := rng.Intn(100); {
 				case r < 50:
-					k, ver := keys[rng.Intn(nKeys)], version(false)
-					for _, e := range eng {
-						e.Put(k, ver)
-					}
+					put(store.KV{Key: keys[rng.Intn(nKeys)], Version: version(false)})
 				case r < 60:
-					k, ver := keys[rng.Intn(nKeys)], version(true)
-					for _, e := range eng {
-						e.Put(k, ver)
-					}
+					put(store.KV{Key: keys[rng.Intn(nKeys)], Version: version(true)})
 				case r < 68:
 					kvs := make([]store.KV, 2+rng.Intn(5))
 					for i := range kvs {
 						kvs[i] = store.KV{Key: keys[rng.Intn(nKeys)], Version: version(rng.Intn(6) == 0)}
 					}
-					for _, e := range eng {
-						e.PutBatch(kvs)
-					}
+					put(kvs...)
 				case r < 86:
 					if rng.Intn(4) > 0 { // sometimes the floor stands still
 						floor += hlc.Timestamp(rng.Int63n(int64(clock-floor) + 1))
@@ -132,6 +166,12 @@ func TestGCIncrementalMatchesStreaming(t *testing.T) {
 					got, want := eng[0].GCStats(floor), eng[1].GCStats(floor)
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("step %d: GCStats(%d) = %+v, streaming reference %+v", step, floor, got, want)
+					}
+					ref.GCStats(floor)
+					for k, w := range late {
+						if b := ref.ReadVisible(k, func(v *store.Version) bool { return v.UT <= floor }); b != nil && b.Value != nil && w.Less(b) {
+							delete(late, k)
+						}
 					}
 					check(step, "gc")
 				case r < 94:
@@ -160,6 +200,35 @@ func TestGCIncrementalMatchesStreaming(t *testing.T) {
 				}
 			}
 			check(steps, "end")
+			if skipped > compared/4 {
+				t.Fatalf("the memory engine was compared on %d reads and skipped on %d: the late keys crowd out the reference", compared, skipped)
+			}
 		})
 	}
+}
+
+// versionString renders what a read returned, for comparing engines whose
+// versions are copies of each other. A tombstone reads as absent, as every
+// caller takes it.
+func versionString(v *store.Version) string {
+	if v == nil || v.Value == nil {
+		return "absent"
+	}
+	return fmt.Sprintf("%q@%d/%d/%d/%d", v.Value, v.UT, v.RDT, v.TxID, v.SrcDC)
+}
+
+// scanString renders a full Scan of e at visible, leaving out the keys in
+// skip.
+func scanString(t *testing.T, e store.Engine, visible store.VisibleFunc, skip map[string]*store.Version) string {
+	t.Helper()
+	var b strings.Builder
+	if err := e.Scan("", "", visible, func(key string, v *store.Version) bool {
+		if skip[key] == nil {
+			fmt.Fprintf(&b, "%s=%s ", key, versionString(v))
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }

@@ -90,6 +90,31 @@ func TestPointReadRecordsChecked(t *testing.T) {
 	} else {
 		t.Logf("%.2f records checked per block probe", mean)
 	}
+
+	// A Scan, a GC pass and a Compact read through run iterators, which
+	// count sst.iter_block_reads: sst.block_reads stays the probes', so
+	// records_checked ÷ block_reads stays records per probe.
+	for i := 0; i < nKeys; i += 64 {
+		ut := hlc.Timestamp(nKeys + 1 + i)
+		e.Put(key(i), &store.Version{Value: val, UT: ut, RDT: ut, TxID: uint64(ut)})
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	p0, i0 := e.blockReads.Load(), e.iterBlockReads.Load()
+	if err := e.Scan("", "", alwaysVisible, func(string, *store.Version) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	if removed := e.GC(hlc.Timestamp(2 * nKeys)); removed != nKeys/64 {
+		t.Fatalf("GC removed %d versions, want the %d overwritten ones", removed, nKeys/64)
+	}
+	e.Compact()
+	if e.Runs() != 1 {
+		t.Fatalf("Compact left %d runs, want 1", e.Runs())
+	}
+	if probes, iters := e.blockReads.Load()-p0, e.iterBlockReads.Load()-i0; probes != 0 || iters == 0 {
+		t.Fatalf("a Scan, a GC pass and a Compact counted %d probe block reads and %d iterator ones, want 0 and more", probes, iters)
+	}
 }
 
 // TestHotChainProbeStopsAtNewestVisible pins that a probe pays for the

@@ -36,14 +36,10 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"runtime/debug"
-	"slices"
-	"sync"
 	"sync/atomic"
 
-	"wren/internal/hlc"
 	"wren/internal/store"
 	"wren/internal/store/fsutil"
 	"wren/internal/store/logrec"
@@ -57,6 +53,54 @@ const (
 )
 
 var _ = [1]struct{}{}[runTrailerSize-4-len(runMagic)] // magic length must match the trailer layout
+
+// run is one immutable sorted run: a durable file plus the sparse
+// resident index serving lock-free reads — fence keys (one per block), a
+// Bloom filter over its distinct keys, and counters. It covers a
+// contiguous range of WAL generations and sits in a size level. Nothing
+// here is mutated after construction; GC publishes replacement run
+// structs wholesale (sharing the same refcounted file).
+//
+// live is the GC overlay: for each pruned key, how many of its file
+// versions are still live — the newest ones, which the file stores first,
+// so a probe stops after that many records and the cut versions are the
+// chain's tail. Cutting the oldest versions is sound because GC only ever
+// removes versions older than the surviving base. Readers of ascending
+// chains (runIterator) convert the count into a leading cut with cutOf. A
+// key whose whole chain is cut (live 0) stays in the FILE until compaction
+// rewrites it — the file key set is exactly what recovery would reload,
+// the set GC must consult before letting a tombstone leave the memtable.
+type run struct {
+	file           *runFile
+	path           string
+	minGen, maxGen uint64
+	level          int
+	fileSize       int64 // whole file, footer included
+	dataSize       int64 // data region only (sum of block lengths)
+
+	fences   []fence
+	filter   bloomFilter
+	versions int // version records in the FILE
+	keyCount int // distinct keys in the FILE
+
+	live     map[string]int // pruned key -> newest file versions still live
+	cutTotal int            // garbage versions in the file (chain lengths minus live)
+	deadKeys int            // keys whose whole chain is cut
+}
+
+// liveVersions is the number of versions reads can still observe.
+func (r *run) liveVersions() int { return r.versions - r.cutTotal }
+
+// cutOf converts a GC overlay's live count for key into how many of the n
+// versions of its ascending file chain, oldest first, are dead. A chain a
+// corrupt record cut short holds only its newest n versions, which may all
+// be live: the cut is never negative.
+func cutOf(live map[string]int, key string, n int) int {
+	if l, ok := live[key]; ok {
+		return max(n-l, 0)
+	}
+	return 0
+}
 
 // fence locates one block: the first key it holds and its byte range in
 // the data region. Fence keys are the only per-key state a run keeps in
@@ -195,12 +239,11 @@ func (w *runWriter) addChain(key string, chain []*store.Version) {
 
 // finish seals the file: last fence, footer frame, trailer, flush, fsync,
 // rename. On any error the temp file is removed.
-func (w *runWriter) finish() (fileSize, dataSize int64, err error) {
+func (w *runWriter) finish() (fileSize int64, err error) {
 	if w.err == nil && w.blockLen > 0 {
 		w.fences = append(w.fences, fence{firstKey: w.blockFirst, off: w.blockStart, length: w.blockLen})
 		w.blockLen = 0
 	}
-	dataSize = w.off
 	if w.err == nil {
 		w.enc.Reset()
 		logrec.AppendFrame(w.enc, func(enc *wire.Encoder) {
@@ -224,7 +267,7 @@ func (w *runWriter) finish() (fileSize, dataSize int64, err error) {
 		} else if _, werr := w.w.Write(trailer[:]); werr != nil {
 			w.err = werr
 		}
-		fileSize = dataSize + int64(len(footer)) + runTrailerSize
+		fileSize = w.off + int64(len(footer)) + runTrailerSize
 	}
 	if w.err == nil {
 		w.err = w.w.Flush()
@@ -240,9 +283,9 @@ func (w *runWriter) finish() (fileSize, dataSize int64, err error) {
 	}
 	if w.err != nil {
 		_ = w.fs.Remove(w.tmp)
-		return 0, 0, fmt.Errorf("sst: write run %s: %w", w.path, w.err)
+		return 0, fmt.Errorf("sst: write run %s: %w", w.path, w.err)
 	}
-	return fileSize, dataSize, nil
+	return fileSize, nil
 }
 
 // abort discards the half-written temp file.
@@ -251,25 +294,19 @@ func (w *runWriter) abort() {
 	_ = w.fs.Remove(w.tmp)
 }
 
-// intoRun maps the sealed file and assembles the resident run state the
-// writer already accumulated (fences, filter, counts).
-func (w *runWriter) intoRun(minGen, maxGen uint64, fileSize, dataSize int64) (*run, error) {
-	data, err := fsutil.MapFile(w.path)
+// intoRun maps the sealed file of fileSize bytes and assembles the
+// resident run state the writer already accumulated (fences, filter,
+// counts).
+func (w *runWriter) intoRun(minGen, maxGen uint64, fileSize int64) (*run, error) {
+	r, err := mapRun(w.path, minGen, maxGen)
 	if err != nil {
-		return nil, fmt.Errorf("sst: open run %s: %w", w.path, err)
+		return nil, err
 	}
-	if int64(len(data)) != fileSize {
-		_ = fsutil.Unmap(data)
-		return nil, fmt.Errorf("sst: run %s maps %d bytes, %d were written", w.path, len(data), fileSize)
+	if r.fileSize != fileSize {
+		r.file.release()
+		return nil, fmt.Errorf("sst: run %s maps %d bytes, %d were written", w.path, r.fileSize, fileSize)
 	}
-	r := &run{
-		file: &runFile{data: data}, path: w.path,
-		minGen: minGen, maxGen: maxGen,
-		fileSize: fileSize, dataSize: dataSize,
-		fences: w.fences, filter: w.filter,
-		versions: w.versions, keyCount: w.keys,
-	}
-	r.file.refs.Store(1)
+	r.dataSize, r.fences, r.filter, r.versions, r.keyCount = w.off, w.fences, w.filter, w.versions, w.keys
 	return r, nil
 }
 
@@ -279,12 +316,10 @@ func (w *runWriter) intoRun(minGen, maxGen uint64, fileSize, dataSize int64) (*r
 // is real corruption and fails the load rather than silently dropping
 // durable versions.
 func loadRun(path string, minGen, maxGen uint64) (*run, error) {
-	data, err := fsutil.MapFile(path)
+	r, err := mapRun(path, minGen, maxGen)
 	if err != nil {
-		return nil, fmt.Errorf("sst: open run %s: %w", path, err)
+		return nil, err
 	}
-	r := &run{file: &runFile{data: data}, path: path, minGen: minGen, maxGen: maxGen, fileSize: int64(len(data))}
-	r.file.refs.Store(1)
 	if ferr := readMapped(func() { err = r.loadFooter() }); ferr != nil {
 		err = fmt.Errorf("sst: read run footer %s: %w", path, ferr)
 	}
@@ -292,6 +327,18 @@ func loadRun(path string, minGen, maxGen uint64) (*run, error) {
 		r.file.release()
 		return nil, err
 	}
+	return r, nil
+}
+
+// mapRun maps a sealed run file: a run holding one (the table's) reference
+// to its mapping and nothing of its index yet.
+func mapRun(path string, minGen, maxGen uint64) (*run, error) {
+	data, err := fsutil.MapFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("sst: open run %s: %w", path, err)
+	}
+	r := &run{file: &runFile{data: data}, path: path, minGen: minGen, maxGen: maxGen, fileSize: int64(len(data))}
+	r.file.refs.Store(1)
 	return r, nil
 }
 
@@ -353,364 +400,4 @@ func (r *run) loadFooter() error {
 		return fmt.Errorf("sst: run %s blocks cover %d bytes, data region is %d", r.path, r.dataSize, footOff)
 	}
 	return nil
-}
-
-// fenceFor returns the index of the block that may hold key: the last
-// fence with firstKey <= key, or -1 when key sorts before the whole run.
-// Written as a plain loop (not sort.Search) so the read hot path stays
-// closure- and allocation-free.
-func (r *run) fenceFor(key string) int {
-	lo, hi := 0, len(r.fences)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if r.fences[mid].firstKey <= key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo - 1
-}
-
-// block returns block bi of r: a slice of the mapping, valid only while
-// the caller holds a file reference and touched only under readMapped.
-func (r *run) block(bi int) []byte {
-	fe := r.fences[bi]
-	return r.file.data[fe.off : fe.off+int64(fe.length)]
-}
-
-// chainIn is the one walk over a block's records that point reads and
-// VersionsOf share. It steps through blk from its first record to key's
-// chain and down the chain, newest first, verifying the frame and CRC of
-// every record it walks, and hands each chain record's verified payload to
-// fn, which returns false to stop. The walk also stops after limit chain
-// records (limit < 0: no bound), at a record sorting after key when the
-// block holds no chain of key, and at the chain's end: the record after
-// the chain is recognised by its key field alone and is not walked.
-// checked counts the records walked. A record that does not frame or
-// checksum ends the walk: bad is its offset in blk (-1 when the walk ended
-// cleanly).
-func chainIn(blk []byte, key string, limit int, fn func(payload []byte) bool) (checked, bad int) {
-	n := 0 // chain records walked
-	for off := 0; off+logrec.HeaderSize <= len(blk) && n != limit; {
-		end := off + logrec.HeaderSize + int(binary.LittleEndian.Uint32(blk[off:]))
-		if end > len(blk) {
-			return checked + 1, off
-		}
-		payload := blk[off+logrec.HeaderSize : end]
-		k := wire.NewDecoder(payload).BytesField()
-		if n > 0 && string(k) != key {
-			break // past the chain
-		}
-		checked++
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(blk[off+4:]) {
-			return checked, off
-		}
-		off = end
-		if n == 0 && string(k) != key {
-			if string(k) > key {
-				break // keys ascend: the block holds no chain of key
-			}
-			continue
-		}
-		n++
-		if !fn(payload) {
-			break
-		}
-	}
-	return checked, -1
-}
-
-// walkChain runs chainIn over block bi of r while the bytes are still
-// mapped: one file reference spans the walk and fn, and both run under
-// readMapped. A fault or a corrupt record is recorded as a read error; fn
-// then has seen at most the verified records before it, and nothing more
-// after a fault. The result is false only when the run was retired
-// concurrently — the caller reloads the tables and retries.
-func (e *Engine) walkChain(r *run, bi int, key string, limit int, fn func(payload []byte) bool) bool {
-	if !r.file.acquire() {
-		return false
-	}
-	defer r.file.release()
-	e.blockReads.Add(1)
-	bad, checked := -1, 0
-	err := readMapped(func() { checked, bad = chainIn(r.block(bi), key, limit, fn) })
-	e.recordsChecked.Add(uint64(checked))
-	switch off := r.fences[bi].off; {
-	case err != nil:
-		e.recordErr(fmt.Errorf("sst: read run block %s@%d: %w", r.path, off, err))
-	case bad >= 0:
-		e.recordErr(fmt.Errorf("sst: corrupt record in run block %s@%d", r.path, off+int64(bad)))
-	}
-	return true
-}
-
-// probeScratch is the pooled per-probe state: one reusable Version (handed
-// to visibility predicates) and one reusable dependency-vector buffer.
-// Reads borrow it once per batch, so the steady-state point-read path
-// allocates nothing.
-type probeScratch struct {
-	dv  []hlc.Timestamp
-	ver store.Version
-}
-
-var probePool = sync.Pool{New: func() any { return new(probeScratch) }}
-
-// probeRun merges run r into the running best version for key: if the
-// freshest version of key in r that satisfies visible strictly beats cur
-// in last-writer-wins order, it is materialized (one allocation, only on
-// the winning path) and returned; otherwise cur comes back untouched. The
-// second result is false only when the run was retired concurrently — the
-// caller reloads the tables and retries.
-//
-// The walk goes down the chain newest first, decoding each record into the
-// pooled scratch in place in the mapping, and stops at the first record it
-// can decide on: one cur is not older than (nothing further down can win),
-// or the first visible one — the freshest visible, which is materialized.
-// It never goes past the versions the GC overlay leaves live. A Bloom miss
-// answers from memory alone. The visibility predicate sees sc.ver, whose
-// Value aliases the mapping: it must not retain it; logrec.Decode copies
-// everything it returns.
-func (e *Engine) probeRun(r *run, key string, visible store.VisibleFunc, cur *store.Version, sc *probeScratch) (*store.Version, bool) {
-	if !r.filter.mayContain(key) {
-		e.bloomSkips.Add(1)
-		return cur, true
-	}
-	bi := r.fenceFor(key)
-	limit, cut := r.live[key]
-	if bi < 0 || (cut && limit == 0) {
-		return cur, true // sorts before the run (a filter false positive), or GC cut the whole chain
-	}
-	if !cut {
-		limit = -1
-	}
-	v := cur
-	ok := e.walkChain(r, bi, key, limit, func(payload []byte) bool {
-		d := wire.NewDecoder(payload)
-		d.BytesField() // the key, matched by chainIn
-		tomb := d.Bool()
-		val := d.BytesField()
-		ver := &sc.ver
-		ver.UT, ver.RDT = d.Timestamp(), d.Timestamp()
-		ver.TxID, ver.SrcDC = d.Uvarint(), d.Byte()
-		sc.dv = sc.dv[:0]
-		for i := int(d.Uvarint()); i > 0; i-- {
-			sc.dv = append(sc.dv, d.Timestamp())
-		}
-		if d.Err() != nil {
-			e.recordErr(fmt.Errorf("sst: corrupt record in run %s: %w", r.path, d.Err()))
-			return false
-		}
-		ver.DV, ver.Value = sc.dv, val
-		if tomb {
-			ver.Value = nil
-		}
-		if cur != nil && !cur.Less(ver) {
-			return false // the resident version is at least as fresh as the rest of the chain
-		}
-		if !visible(ver) {
-			return true
-		}
-		if _, w, err := logrec.Decode(payload); err != nil {
-			e.recordErr(fmt.Errorf("sst: corrupt record in run %s: %w", r.path, err))
-		} else {
-			v = w
-		}
-		return false
-	})
-	sc.ver.Value = nil // drop the alias into the mapping
-	return v, ok
-}
-
-// countKey returns how many live versions of key run r holds: the GC
-// overlay's count when it has one, else the file chain's length, walking
-// at most one block with every walked record checksummed. The second
-// result is false only when the run was retired concurrently.
-func (e *Engine) countKey(r *run, key string) (int, bool) {
-	if n, ok := r.live[key]; ok {
-		return n, true
-	}
-	if !r.filter.mayContain(key) {
-		return 0, true
-	}
-	bi := r.fenceFor(key)
-	if bi < 0 {
-		return 0, true
-	}
-	n := 0
-	ok := e.walkChain(r, bi, key, -1, func([]byte) bool { n++; return true })
-	return n, ok
-}
-
-// runIterator streams a run's records in key order, one mapped block at a
-// time, yielding each key's full file chain in ascending last-writer-wins
-// order (the file holds it newest first; the GC overlay is the caller's to
-// apply — GC accounting needs the full chain, scans need the live one).
-// Every record it yields is checksummed.
-// The iterator holds a file reference from newRunIterator until close, and
-// every walk of the mapping runs under readMapped (see walk); what it
-// yields is decoded copies, valid after close. It only moves forward: next
-// steps to the following key, advanceTo jumps through the fence index to
-// the block of a later one.
-type runIterator struct {
-	e   *Engine
-	r   *run
-	bi  int    // next block to enter
-	blk []byte // unparsed remainder of the current block, in the mapping
-
-	key   string
-	chain []*store.Version // non-empty exactly while positioned on key
-
-	pkey string // first record of the next key, parsed past the boundary
-	pv   *store.Version
-	pok  bool
-
-	err error
-}
-
-// newRunIterator acquires the run's file. It returns nil only when the
-// run was already retired: impossible under flushMu, which serializes
-// retirement; a caller without it reloads the tables and retries.
-func newRunIterator(e *Engine, r *run) *runIterator {
-	if !r.file.acquire() {
-		return nil
-	}
-	return &runIterator{e: e, r: r}
-}
-
-func (it *runIterator) close() { it.r.file.release() }
-
-// walk runs fn, which reads the mapping, under readMapped: a fault fails
-// the iterator the way a corrupt record does.
-func (it *runIterator) walk(fn func()) {
-	if err := readMapped(fn); err != nil {
-		it.chain = it.chain[:0]
-		it.fail(fmt.Errorf("sst: read run %s: %w", it.r.path, err))
-	}
-}
-
-// advanceTo positions the iterator on the first key >= key at or after
-// its current position and reports whether there is one. When the fence
-// index places key in a block not entered yet, everything in between is
-// skipped untouched: the cost is the target block (plus the next one when
-// key's chain ends its block — next parses one record past the boundary),
-// not the distance travelled.
-func (it *runIterator) advanceTo(key string) bool {
-	if len(it.chain) > 0 && it.key >= key {
-		return true
-	}
-	if bi := it.r.fenceFor(key); bi >= it.bi {
-		// The rest of the current block and the lookahead record all sort
-		// before fences[bi].firstKey <= key.
-		it.bi, it.blk, it.pok = bi, nil, false
-	}
-	// Walk up to key inside the block without materializing what is
-	// skipped: only the record's leading key field is looked at.
-	if it.pok && it.pkey < key {
-		it.pok = false
-	}
-	it.walk(func() {
-		for !it.pok {
-			payload, ok := it.frame()
-			if !ok || string(wire.NewDecoder(payload).BytesField()) >= key {
-				break
-			}
-			it.blk = it.blk[logrec.HeaderSize+len(payload):]
-		}
-	})
-	return it.next()
-}
-
-// next advances to the next key, filling it.key and it.chain (reused
-// between calls — callers must consume before advancing). It returns
-// false at the end of the run, on a corrupt record or on a fault (both
-// surfaced via it.err and the engine health signal).
-func (it *runIterator) next() bool {
-	ok := false
-	it.walk(func() { ok = it.step() })
-	return ok
-}
-
-func (it *runIterator) step() bool {
-	it.chain = it.chain[:0]
-	if it.err != nil {
-		return false
-	}
-	if it.pok {
-		it.key = it.pkey
-		it.chain = append(it.chain, it.pv)
-		it.pok = false
-	} else {
-		k, v, ok := it.record()
-		if !ok {
-			return false
-		}
-		it.key = k
-		it.chain = append(it.chain, v)
-	}
-	for {
-		k, v, ok := it.record()
-		if ok && k == it.key {
-			it.chain = append(it.chain, v)
-			continue
-		}
-		if ok {
-			it.pkey, it.pv, it.pok = k, v, true
-		}
-		slices.Reverse(it.chain) // the file holds chains newest first
-		return true
-	}
-}
-
-// frame returns the payload of the next record without consuming it,
-// entering the next block when the current one is exhausted.
-func (it *runIterator) frame() ([]byte, bool) {
-	if it.err != nil {
-		return nil, false
-	}
-	for len(it.blk) == 0 {
-		if it.bi >= len(it.r.fences) {
-			return nil, false
-		}
-		it.blk = it.r.block(it.bi)
-		it.bi++
-		it.e.blockReads.Add(1)
-	}
-	if len(it.blk) < logrec.HeaderSize {
-		it.fail(fmt.Errorf("sst: torn record in run %s", it.r.path))
-		return nil, false
-	}
-	plen := int(binary.LittleEndian.Uint32(it.blk[:4]))
-	if logrec.HeaderSize+plen > len(it.blk) {
-		it.fail(fmt.Errorf("sst: torn record in run %s", it.r.path))
-		return nil, false
-	}
-	payload := it.blk[logrec.HeaderSize : logrec.HeaderSize+plen]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(it.blk[4:8]) {
-		it.fail(fmt.Errorf("sst: corrupt record in run %s", it.r.path))
-		return nil, false
-	}
-	return payload, true
-}
-
-// record parses and consumes one version record.
-func (it *runIterator) record() (string, *store.Version, bool) {
-	payload, ok := it.frame()
-	if !ok {
-		return "", nil, false
-	}
-	key, v, err := logrec.Decode(payload)
-	if err != nil {
-		it.fail(fmt.Errorf("sst: corrupt record in run %s: %w", it.r.path, err))
-		return "", nil, false
-	}
-	it.blk = it.blk[logrec.HeaderSize+len(payload):]
-	return key, v, true
-}
-
-func (it *runIterator) fail(err error) {
-	if it.err == nil {
-		it.err = err
-		it.e.recordErr(err)
-	}
 }

@@ -23,6 +23,21 @@
 // fsynced before they count as durable. The stripe count is not part of
 // the disk format: any Shards value reopens any directory.
 //
+// # Files
+//
+//   - sst.go: the options, the Engine, its counters and counting methods.
+//   - open.go: Open, recovery from the data directory, and Close.
+//   - log.go: the write path: the generation log, Put, PutBatch, Sync.
+//   - flush.go: Flush, and seal, the one step that makes a written run
+//     file a readable run.
+//   - compact.go: the size levels and compaction.
+//   - gc.go: version GC, incremental and streaming, and the overlay cuts.
+//   - read.go: the point-read path and its block probe.
+//   - scan.go: Scan, the run iterator, and cursorSet, the one k-way merge
+//     of run files that Scan, compaction and the streaming GC pass share.
+//   - runfile.go: the run file format: writer, footer, mapped file.
+//   - bloom.go: the per-run Bloom filter.
+//
 // Two rules keep the log and the memtable one state:
 //
 //   - Every write MUST land wholly in one generation's log and that
@@ -71,7 +86,7 @@
 //     truncated behind the engine — into a read error that degrades
 //     Healthy, instead of killing the process.
 //
-// Runs are tiered into size levels (level = log_fanout(size/flushBytes))
+// Runs are tiered into size levels (level = log_4(size/flushBytes))
 // and background compaction merges gen-contiguous groups of runs within
 // one level, so each compaction cycle's I/O is bounded by the size of one
 // level rather than the whole dataset; GC prunes run data logically
@@ -120,22 +135,13 @@
 package sst
 
 import (
-	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"slices"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
-	"wren/internal/hlc"
 	"wren/internal/obs"
 	"wren/internal/store"
 	"wren/internal/store/fsutil"
-	"wren/internal/store/logrec"
-	"wren/internal/wire"
 )
 
 const (
@@ -157,8 +163,6 @@ const (
 	// the benchmark's larger-than-memtable workload and no slower on its
 	// durable-commit one, at four times 16 KiB's fences.
 	DefaultBlockBytes = 4 << 10
-	// DefaultLevelFanout is the size ratio between adjacent run levels.
-	DefaultLevelFanout = 4
 
 	// versionOverhead approximates the per-version bookkeeping bytes used
 	// when sizing the memtable for the flush trigger.
@@ -193,62 +197,12 @@ type Options struct {
 	// and a proportionally larger fence index;
 	// servers always take the default, and tests force tiny blocks here.
 	BlockBytes int
-	// LevelFanout overrides the size ratio between adjacent run levels
-	// (0 selects DefaultLevelFanout; minimum 2).
-	LevelFanout int
-}
-
-// run is one immutable sorted run: a durable file plus the sparse
-// resident index serving lock-free reads — fence keys (one per block), a
-// Bloom filter over its distinct keys, and counters. It covers a
-// contiguous range of WAL generations and sits in a size level. Nothing
-// here is mutated after construction; GC publishes replacement run
-// structs wholesale (sharing the same refcounted file).
-//
-// live is the GC overlay: for each pruned key, how many of its file
-// versions are still live — the newest ones, which the file stores first,
-// so a probe stops after that many records and the cut versions are the
-// chain's tail. Cutting the oldest versions is sound because GC only ever
-// removes versions older than the surviving base. Readers of ascending
-// chains (runIterator) convert the count into a leading cut with cutOf. A
-// key whose whole chain is cut (live 0) stays in the FILE until compaction
-// rewrites it — the file key set is exactly what recovery would reload,
-// the set GC must consult before letting a tombstone leave the memtable.
-type run struct {
-	file           *runFile
-	path           string
-	minGen, maxGen uint64
-	level          int
-	fileSize       int64 // whole file, footer included
-	dataSize       int64 // data region only (sum of block lengths)
-
-	fences   []fence
-	filter   bloomFilter
-	versions int // version records in the FILE
-	keyCount int // distinct keys in the FILE
-
-	live     map[string]int // pruned key -> newest file versions still live
-	cutTotal int            // garbage versions in the file (chain lengths minus live)
-	deadKeys int            // keys whose whole chain is cut
-}
-
-// liveVersions is the number of versions reads can still observe.
-func (r *run) liveVersions() int { return r.versions - r.cutTotal }
-
-// cutOf converts a GC overlay's live count for key into how many of the n
-// versions of its ascending file chain, oldest first, are dead. A chain a
-// corrupt record cut short holds only its newest n versions, which may all
-// be live: the cut is never negative.
-func cutOf(live map[string]int, key string, n int) int {
-	if l, ok := live[key]; ok {
-		return max(n-l, 0)
-	}
-	return 0
 }
 
 // tables is the read snapshot: one atomic pointer swap publishes any
 // change to the source set, so readers always see a consistent tiering.
-// frozen is non-nil only while a flush is writing its run.
+// frozen is non-nil only while a flush is writing its run, and the flush
+// holds flushMu throughout: whoever else holds flushMu sees it nil.
 type tables struct {
 	active *store.Store
 	frozen *store.Store
@@ -263,7 +217,6 @@ type Engine struct {
 	compactRuns    int
 	compactGarbage int
 	blockBytes     int
-	levelFanout    int
 	mask           uint32
 	nShards        int
 
@@ -312,16 +265,19 @@ type Engine struct {
 	wg     sync.WaitGroup // background flushes and compactions
 	reg    *obs.Registry  // the owner's, from Observe; nil until then
 
-	// Counters, registered by Observe. recordsChecked counts run records
-	// point probes CRC-checked, in a block up to and down a key's chain;
-	// syncs counts log
-	// fsyncs (one per Sync that found unsynced appends, one per flush that
-	// rotated some out, one at Close), logWrites one per Put and per
-	// PutBatch; gcVisited counts keys GC passes examined, which must
-	// follow what was written, not what is stored, and the gauge gcPending
-	// the keys the last pass or flush left for a later floor to prune.
+	// Counters, registered by Observe. blockReads counts the blocks point
+	// probes walked and recordsChecked the run records they CRC-checked,
+	// in a block up to and down a key's chain; iterBlockReads counts the
+	// blocks run iterators (Scan, GC passes, compaction, Keys) entered.
+	// syncs counts log fsyncs (one per Sync that found unsynced appends,
+	// one per flush that rotated some out, one at Close), logWrites one per
+	// Put and per PutBatch; gcVisited counts keys GC passes examined, which
+	// must follow what was written, not what is stored, and the gauge
+	// gcPending the keys the last pass or flush left for a later floor to
+	// prune.
 	flushes, compactions, compactionBytes, recovered, truncated, runsLoaded obs.Counter
-	blockReads, recordsChecked, bloomSkips, syncs, logWrites, gcVisited     obs.Counter
+	blockReads, iterBlockReads, recordsChecked, bloomSkips                  obs.Counter
+	syncs, logWrites, gcVisited                                             obs.Counter
 	gcPending                                                               atomic.Int64
 }
 
@@ -329,8 +285,9 @@ type Engine struct {
 // owning server's registry has them all (see Observe).
 type Metrics struct{ e *Engine }
 
-// BlockReads returns how many run-file blocks reads have touched.
-func (m Metrics) BlockReads() int64 { return int64(m.e.blockReads.Load()) }
+// BlockReads returns how many run-file blocks reads have touched: point
+// probes (sst.block_reads) plus run iterators (sst.iter_block_reads).
+func (m Metrics) BlockReads() int64 { return int64(m.e.blockReads.Load() + m.e.iterBlockReads.Load()) }
 
 // BloomSkips returns how many run probes the Bloom filters answered
 // negatively without touching disk.
@@ -344,386 +301,11 @@ func (m Metrics) Compactions() int { return int(m.e.compactions.Load()) }
 
 var _ store.Engine = (*Engine)(nil)
 
-// Open creates or recovers an SST engine in opts.Dir: leftover temp files
-// are removed, run footers are loaded (dropping any run whose generation
-// interval a wider merged run subsumes — the footprint of a crash
-// mid-compaction), log generations a run already covers are deleted, and
-// the rest are replayed into a fresh memtable, truncating a torn tail.
-// Startup heap is bounded by record and footer sizes, not file sizes:
-// run data is never read at open, and WAL replay is streamed.
-func Open(opts Options) (*Engine, error) { return open(opts, fsutil.OS) }
-
-// open is Open over fsys, which tests set to a crashfs.
-func open(opts Options, fsys fsutil.FS) (*Engine, error) {
-	flushBytes := opts.FlushBytes
-	if flushBytes == 0 {
-		flushBytes = DefaultFlushBytes
-	}
-	compactRuns := opts.CompactRuns
-	if compactRuns == 0 {
-		compactRuns = DefaultCompactRuns
-	}
-	compactGarbage := opts.CompactGarbage
-	if compactGarbage == 0 {
-		compactGarbage = DefaultCompactGarbage
-	}
-	blockBytes := opts.BlockBytes
-	if blockBytes <= 0 {
-		blockBytes = DefaultBlockBytes
-	}
-	levelFanout := opts.LevelFanout
-	if levelFanout == 0 {
-		levelFanout = DefaultLevelFanout
-	}
-	if levelFanout < 2 {
-		levelFanout = 2
-	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("sst: create dir: %w", err)
-	}
-	lock, err := fsutil.ClaimDir(fsys, opts.Dir, "sst")
-	if err != nil {
-		return nil, fmt.Errorf("sst: %w", err)
-	}
-
-	n := store.ResolveShards(opts.Shards)
-	e := &Engine{
-		fs:             fsys,
-		dir:            opts.Dir,
-		flushBytes:     flushBytes,
-		compactRuns:    compactRuns,
-		compactGarbage: compactGarbage,
-		blockBytes:     blockBytes,
-		levelFanout:    levelFanout,
-		mask:           uint32(n - 1),
-		nShards:        n,
-		lock:           lock,
-		stripes:        make([]stripe, n),
-		written:        make([][]string, n),
-		pending:        make(map[string]struct{}),
-	}
-	for si := range e.stripes {
-		e.stripes[si].enc = wire.NewEncoder()
-	}
-	if err := e.recover(); err != nil {
-		if e.log != nil {
-			_ = e.log.F.Close()
-		}
-		_ = lock.Close()
-		return nil, err
-	}
-	// One directory sync covers every temp-file removal, superseded-log
-	// deletion and log creation above.
-	if err := fsys.SyncDir(opts.Dir); err != nil {
-		_ = e.Close()
-		return nil, fmt.Errorf("sst: sync dir: %w", err)
-	}
-	return e, nil
-}
-
-func (e *Engine) walPath(gen uint64) string {
-	return filepath.Join(e.dir, fmt.Sprintf("wal-%06d.log", gen))
-}
-
-func (e *Engine) runPath(minGen, maxGen uint64) string {
-	return filepath.Join(e.dir, fmt.Sprintf("run-%06d-%06d.sst", minGen, maxGen))
-}
-
-// levelOf places a run of the given file size on the size ladder: level 0
-// holds runs up to flushBytes*fanout, each level above holds runs up to
-// fanout times its predecessor.
-func (e *Engine) levelOf(size int64) int {
-	base := e.flushBytes
-	if base <= 0 {
-		base = DefaultFlushBytes
-	}
-	level := 0
-	threshold := base * int64(e.levelFanout)
-	for size >= threshold && level < 32 {
-		next := threshold * int64(e.levelFanout)
-		if next <= threshold { // overflow: everything else is the top level
-			break
-		}
-		threshold = next
-		level++
-	}
-	return level
-}
-
-// recover rebuilds the engine state from the data directory. Generations
-// start at 1, so a fresh directory begins with log generation 1 and no
-// runs.
-func (e *Engine) recover() (retErr error) {
-	entries, err := e.fs.ReadDir(e.dir)
-	if err != nil {
-		return fmt.Errorf("sst: read dir: %w", err)
-	}
-	type runRef struct {
-		path   string
-		lo, hi uint64
-	}
-	var runFiles []runRef
-	var tmps []string
-	var logGens []uint64
-	for _, ent := range entries {
-		name := ent.Name()
-		switch {
-		case name == "sst.meta" || isPerStripeLog(name):
-			return fmt.Errorf("sst: %s holds %s, a file of the per-stripe log layout: "+
-				"the engine keeps one wal-<gen>.log per generation and no sst.meta, and reads no older layout", e.dir, name)
-		case strings.HasSuffix(name, ".tmp"):
-			// A crash mid-flush or mid-compaction: the rename never
-			// happened, so the file holds nothing durable.
-			tmps = append(tmps, name)
-		case strings.HasSuffix(name, ".sst"):
-			var lo, hi uint64
-			if _, err := fmt.Sscanf(name, "run-%d-%d.sst", &lo, &hi); err != nil || lo == 0 || hi < lo {
-				return fmt.Errorf("sst: unrecognized run file %s", name)
-			}
-			runFiles = append(runFiles, runRef{path: filepath.Join(e.dir, name), lo: lo, hi: hi})
-		case strings.HasSuffix(name, ".log"):
-			var g uint64
-			if _, err := fmt.Sscanf(name, "wal-%d.log", &g); err != nil || g == 0 {
-				return fmt.Errorf("sst: unrecognized wal file %s", name)
-			}
-			logGens = append(logGens, g)
-		}
-	}
-	for _, name := range tmps {
-		if err := e.fs.Remove(filepath.Join(e.dir, name)); err != nil {
-			return fmt.Errorf("sst: remove leftover %s: %w", name, err)
-		}
-	}
-
-	// Drop runs whose generation interval a wider (merged) run subsumes:
-	// the footprint of a crash after a compaction rename but before the
-	// old files were deleted. Compaction only ever merges gen-contiguous
-	// groups, so the merged output's interval covers exactly its inputs —
-	// a subsumed file is always a superseded input, never an innocent
-	// bystander between two merged neighbours.
-	refs := runFiles[:0]
-	for _, r := range runFiles {
-		subsumed := false
-		for _, o := range runFiles {
-			if o != r && o.lo <= r.lo && r.hi <= o.hi {
-				subsumed = true
-				break
-			}
-		}
-		if subsumed {
-			if err := e.fs.Remove(r.path); err != nil {
-				return fmt.Errorf("sst: remove subsumed run %s: %w", r.path, err)
-			}
-			continue
-		}
-		refs = append(refs, r)
-	}
-	// Load surviving run indexes (footer only), newest first.
-	sort.Slice(refs, func(i, j int) bool { return refs[i].hi > refs[j].hi })
-	var runs []*run
-	defer func() {
-		if retErr != nil {
-			for _, r := range runs {
-				r.file.release()
-			}
-		}
-	}()
-	var maxCovered uint64
-	for _, ref := range refs {
-		r, err := loadRun(ref.path, ref.lo, ref.hi)
-		if err != nil {
-			return err
-		}
-		r.level = e.levelOf(r.fileSize)
-		runs = append(runs, r)
-		if r.maxGen > maxCovered {
-			maxCovered = r.maxGen
-		}
-		e.runsLoaded.Inc()
-	}
-
-	// Log generations a run covers are superseded; delete them. The rest
-	// are replayed, oldest generation first; the newest is the active one,
-	// created if no generation is left.
-	var gens []uint64
-	for _, g := range logGens {
-		if g <= maxCovered {
-			if err := e.fs.Remove(e.walPath(g)); err != nil {
-				return fmt.Errorf("sst: remove superseded wal: %w", err)
-			}
-			continue
-		}
-		gens = append(gens, g)
-	}
-	slices.Sort(gens)
-	if len(gens) == 0 {
-		gens = []uint64{maxCovered + 1}
-	}
-	activeGen := gens[len(gens)-1]
-
-	mem := store.NewSharded(e.nShards)
-	var memBytes int64
-	// Replay is streamed and batched: records flow through a bounded KV
-	// buffer into the memtable, so recovery heap tracks the memtable the
-	// log describes, never the log file size.
-	var kvs []store.KV
-	drain := func() {
-		mem.PutBatch(kvs)
-		kvs = kvs[:0]
-	}
-	replay := func(key string, v *store.Version) {
-		kvs = append(kvs, store.KV{Key: key, Version: v})
-		memBytes += writeSize(key, v)
-		e.recovered.Inc()
-		if len(kvs) >= 1024 {
-			drain()
-		}
-	}
-	// Every generation is recovered like the active one, torn tail cut;
-	// only the newest is kept open for appends. An older one — a frozen
-	// generation whose flush never completed, or the one before an empty
-	// newest generation (a crash between a flush's log creation and its
-	// freeze) — is closed, and the next flush's run covers it.
-	for _, g := range gens {
-		t, torn, err := fsutil.OpenTail(e.fs, e.walPath(g), func(r io.Reader) int64 {
-			return logrec.ScanReader(r, replay)
-		})
-		drain()
-		if err != nil {
-			return fmt.Errorf("sst: %w", err)
-		}
-		if torn {
-			e.truncated.Inc()
-		}
-		if g != activeGen {
-			_ = t.F.Close()
-			continue
-		}
-		e.log = &genLog{Tail: t}
-	}
-
-	e.gen = activeGen
-	e.minGen = gens[0]
-	e.memBytes.Store(memBytes)
-	e.gcStream = len(runs) > 0
-	e.tabs.Store(&tables{active: mem, runs: runs})
-	return nil
-}
-
-// isPerStripeLog reports whether name is a log file of the per-stripe
-// layout, wal-<gen>-<stripe>.log.
-func isPerStripeLog(name string) bool {
-	var g uint64
-	var si int
-	n, _ := fmt.Sscanf(name, "wal-%d-%d.log", &g, &si)
-	return n == 2
-}
-
 // writeSize approximates the memtable footprint of one version for the
 // flush trigger.
 func writeSize(key string, v *store.Version) int64 {
 	return int64(len(key)+len(v.Value)) + versionOverhead
 }
-
-// best returns the later of two versions under last-writer-wins order.
-func best(a, b *store.Version) *store.Version {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	if a.Less(b) {
-		return b
-	}
-	return a
-}
-
-// alwaysVisible is the visibility predicate of Latest: every version
-// qualifies.
-var alwaysVisible store.VisibleFunc = func(*store.Version) bool { return true }
-
-// mergeDisk folds the frozen memtable and every immutable run into cur,
-// the best version the active memtable produced for key. A probe fails
-// only when its run was retired mid-read (compaction released the file
-// after publishing the replacement tables), so the retry reloads the
-// tables — which no longer list that run — and terminates.
-func (e *Engine) mergeDisk(tabs *tables, key string, visible store.VisibleFunc, cur *store.Version, sc *probeScratch) *store.Version {
-	for {
-		v := cur
-		if tabs.frozen != nil {
-			v = best(v, tabs.frozen.ReadVisible(key, visible))
-		}
-		ok := true
-		for _, r := range tabs.runs {
-			if v, ok = e.probeRun(r, key, visible, v, sc); !ok {
-				break
-			}
-		}
-		if ok {
-			return v
-		}
-		tabs = e.tabs.Load()
-	}
-}
-
-// ReadVisible implements store.Engine: the freshest visible version
-// across the active memtable, the frozen memtable (if a flush is in
-// progress) and every immutable run. Runs are probed without any lock —
-// a Bloom-filter check, then at most one block of the mapping each.
-func (e *Engine) ReadVisible(key string, visible store.VisibleFunc) *store.Version {
-	tabs := e.tabs.Load()
-	v := tabs.active.ReadVisible(key, visible)
-	if tabs.frozen == nil && len(tabs.runs) == 0 {
-		return v
-	}
-	sc := probePool.Get().(*probeScratch)
-	v = e.mergeDisk(tabs, key, visible, v, sc)
-	probePool.Put(sc)
-	return v
-}
-
-// ReadVisibleBatch implements store.Engine.
-func (e *Engine) ReadVisibleBatch(keys []string, visible store.VisibleFunc) []*store.Version {
-	return e.ReadVisibleBatchInto(keys, visible, nil)
-}
-
-// ReadVisibleBatchInto implements store.Engine: the active memtable is
-// resolved with the striped batch read (one read-lock acquisition per
-// touched stripe), then each key is merged against the frozen memtable
-// and the immutable runs lock-free. With a large-enough caller buffer the
-// call performs no heap allocation on the memtable-hit path — run probes
-// run entirely in pooled scratch and only materialize a version when the
-// run strictly wins the last-writer-wins fold.
-func (e *Engine) ReadVisibleBatchInto(keys []string, visible store.VisibleFunc, out []*store.Version) []*store.Version {
-	tabs := e.tabs.Load()
-	out = tabs.active.ReadVisibleBatchInto(keys, visible, out)
-	if tabs.frozen == nil && len(tabs.runs) == 0 {
-		return out
-	}
-	sc := probePool.Get().(*probeScratch)
-	for j, k := range keys {
-		out[j] = e.mergeDisk(tabs, k, visible, out[j], sc)
-	}
-	probePool.Put(sc)
-	return out
-}
-
-// Latest implements store.Engine.
-func (e *Engine) Latest(key string) *store.Version {
-	tabs := e.tabs.Load()
-	v := tabs.active.Latest(key)
-	if tabs.frozen == nil && len(tabs.runs) == 0 {
-		return v
-	}
-	sc := probePool.Get().(*probeScratch)
-	v = e.mergeDisk(tabs, key, alwaysVisible, v, sc)
-	probePool.Put(sc)
-	return v
-}
-
-// GC implements store.Engine.
-func (e *Engine) GC(oldest hlc.Timestamp) int { return e.GCStats(oldest).Removed }
 
 // keySet collects the distinct live keys across every tier under flushMu:
 // memtable keys plus a streaming pass over each run file, skipping keys
@@ -731,11 +313,7 @@ func (e *Engine) GC(oldest hlc.Timestamp) int { return e.GCStats(oldest).Removed
 func (e *Engine) keySet() map[string]struct{} {
 	tabs := e.tabs.Load()
 	seen := make(map[string]struct{})
-	collect := func(k string) { seen[k] = struct{}{} }
-	tabs.active.ForEachKey(collect)
-	if tabs.frozen != nil {
-		tabs.frozen.ForEachKey(collect)
-	}
+	tabs.active.ForEachKey(func(k string) { seen[k] = struct{}{} })
 	for _, r := range tabs.runs {
 		it := newRunIterator(e, r)
 		if it == nil {
@@ -760,7 +338,7 @@ func (e *Engine) Keys() int {
 	e.flushMu.Lock()
 	defer e.flushMu.Unlock()
 	tabs := e.tabs.Load()
-	if tabs.frozen == nil && len(tabs.runs) == 0 {
+	if len(tabs.runs) == 0 {
 		return tabs.active.Keys()
 	}
 	return len(e.keySet())
@@ -774,36 +352,10 @@ func (e *Engine) Versions() int {
 	defer e.flushMu.Unlock()
 	tabs := e.tabs.Load()
 	n := tabs.active.Versions()
-	if tabs.frozen != nil {
-		n += tabs.frozen.Versions()
-	}
 	for _, r := range tabs.runs {
 		n += r.liveVersions()
 	}
 	return n
-}
-
-// VersionsOf implements store.Engine: memtable counts plus one block
-// read per run that may hold the key.
-func (e *Engine) VersionsOf(key string) int {
-	for {
-		tabs := e.tabs.Load()
-		n := tabs.active.VersionsOf(key)
-		if tabs.frozen != nil {
-			n += tabs.frozen.VersionsOf(key)
-		}
-		ok := true
-		for _, r := range tabs.runs {
-			var m int
-			if m, ok = e.countKey(r, key); !ok {
-				break // run retired mid-read: retry on fresh tables
-			}
-			n += m
-		}
-		if ok {
-			return n
-		}
-	}
 }
 
 // NumShards implements store.Engine.
@@ -818,109 +370,6 @@ func (e *Engine) ForEachKey(fn func(key string)) {
 	e.flushMu.Unlock()
 	for k := range seen {
 		fn(k)
-	}
-}
-
-// Scan implements store.Engine: a streaming merge of the memtables and
-// every run file over [start, end), in ascending key order. It takes no
-// engine lock — a scan never waits for a flush, a compaction or a GC pass.
-// Run files are pinned the way point reads pin them (pinRuns) and read
-// block-at-a-time; memtable keys come off the memtable's ordered key index
-// (store.KeysFrom), so a scan that stops early pays for the keys it
-// yielded, not for the memtable's size. Each yielded version is a
-// materialized copy — fn may retain it.
-func (e *Engine) Scan(start, end string, visible store.VisibleFunc, fn func(key string, v *store.Version) bool) error {
-	tabs, iters := e.pinRuns()
-	defer func() {
-		for _, it := range iters {
-			it.close()
-		}
-	}()
-
-	before := func(k string) bool { return end == "" || k < end }
-	mem := tabs.active.KeysFrom(start)
-	memLive := mem.Next() && before(mem.Key())
-	var frozen *store.KeyIter
-	frozenLive := false
-	if tabs.frozen != nil {
-		frozen = tabs.frozen.KeysFrom(start)
-		frozenLive = frozen.Next() && before(frozen.Key())
-	}
-	live := make([]bool, len(iters))
-	for i, it := range iters {
-		live[i] = it.advanceTo(start) && before(it.key)
-	}
-
-	for {
-		key := ""
-		have := false
-		if memLive {
-			key, have = mem.Key(), true
-		}
-		if frozenLive && (!have || frozen.Key() < key) {
-			key, have = frozen.Key(), true
-		}
-		for i, it := range iters {
-			if live[i] && (!have || it.key < key) {
-				key, have = it.key, true
-			}
-		}
-		if !have {
-			break
-		}
-		var v *store.Version
-		if memLive && mem.Key() == key {
-			v = best(v, tabs.active.ReadVisible(key, visible))
-			memLive = mem.Next() && before(mem.Key())
-		}
-		if frozenLive && frozen.Key() == key {
-			v = best(v, tabs.frozen.ReadVisible(key, visible))
-			frozenLive = frozen.Next() && before(frozen.Key())
-		}
-		for i, it := range iters {
-			if !live[i] || it.key != key {
-				continue
-			}
-			if cut := cutOf(it.r.live, key, len(it.chain)); cut < len(it.chain) {
-				v = best(v, store.ReadVisibleChain(it.chain[cut:], visible))
-			}
-			live[i] = it.next() && before(it.key)
-		}
-		if v != nil && v.Value != nil {
-			if !fn(key, v) {
-				return nil
-			}
-		}
-	}
-	for _, it := range iters {
-		if it.err != nil {
-			return it.err
-		}
-	}
-	return nil
-}
-
-// pinRuns loads the current tables and takes a file reference on every
-// run in them, so a compaction may retire the runs mid-scan but cannot
-// close them. A run already retired and released means newer tables were
-// published before its release: drop what was taken, reload and retry.
-func (e *Engine) pinRuns() (*tables, []*runIterator) {
-	for {
-		tabs := e.tabs.Load()
-		iters := make([]*runIterator, 0, len(tabs.runs))
-		for _, r := range tabs.runs {
-			it := newRunIterator(e, r)
-			if it == nil {
-				break
-			}
-			iters = append(iters, it)
-		}
-		if len(iters) == len(tabs.runs) {
-			return tabs, iters
-		}
-		for _, it := range iters {
-			it.close()
-		}
 	}
 }
 
@@ -949,8 +398,8 @@ func (e *Engine) Observe(reg *obs.Registry) {
 	for name, c := range map[string]*obs.Counter{
 		"flushes": &e.flushes, "compactions": &e.compactions, "compaction_bytes": &e.compactionBytes,
 		"recovered": &e.recovered, "truncated_logs": &e.truncated, "runs_loaded": &e.runsLoaded,
-		"block_reads": &e.blockReads, "records_checked": &e.recordsChecked, "bloom_skips": &e.bloomSkips,
-		"syncs": &e.syncs, "log_writes": &e.logWrites, "gc_visited": &e.gcVisited,
+		"block_reads": &e.blockReads, "iter_block_reads": &e.iterBlockReads, "records_checked": &e.recordsChecked,
+		"bloom_skips": &e.bloomSkips, "syncs": &e.syncs, "log_writes": &e.logWrites, "gc_visited": &e.gcVisited,
 	} {
 		reg.Func("sst."+name, c.Load)
 	}
@@ -1014,41 +463,4 @@ func (e *Engine) recordErr(err error) {
 	if first {
 		reg.Event("sst.degraded", "err", err, "dir", e.dir)
 	}
-}
-
-// Close implements store.Engine: it waits out the background work, forces
-// the active log generation to stable storage with one fdatasync (a clean
-// shutdown is always fully durable), closes the files, unmaps the
-// runs — released through their refcounts, so a straggling read finishes
-// first — and returns the first error the write path hit.
-func (e *Engine) Close() error {
-	e.mu.Lock()
-	if e.closed {
-		err := e.err
-		e.mu.Unlock()
-		return err
-	}
-	e.closed = true
-	e.mu.Unlock()
-
-	e.wg.Wait()
-	e.syncMu.Lock()
-	l := e.log
-	l.mu.Lock()
-	e.syncLog(l.F)
-	if err := l.F.Close(); err != nil {
-		e.recordErr(fmt.Errorf("sst: close: %w", err))
-	}
-	l.dirty = false
-	l.mu.Unlock()
-	e.syncMu.Unlock()
-	if tabs := e.tabs.Load(); tabs != nil {
-		for _, r := range tabs.runs {
-			r.file.release() // drops the table reference taken at creation
-		}
-	}
-	_ = e.lock.Close() // releases the directory lock
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.err
 }

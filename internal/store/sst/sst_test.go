@@ -709,6 +709,52 @@ func TestDeletedKeyStaysDeadAcrossFlushCrash(t *testing.T) {
 	}
 }
 
+// TestRunTombstoneShadowsLog is the same rule with the tiers swapped: a
+// tombstone already flushed to a run is the only durable witness over an
+// older version that arrived after it and lives in the log. GC past the
+// tombstone must not cut it while the log holds that version, or a
+// compaction takes it off the disk and a restart replays the version.
+func TestRunTombstoneShadowsLog(t *testing.T) {
+	opts := Options{Dir: t.TempDir(), Shards: 2, FlushBytes: -1, CompactRuns: -1}
+	e := mustOpen(t, opts)
+	e.Put("k", v("old", 100, 1))
+	e.Put("k", &store.Version{UT: 301, RDT: 301, TxID: 2})
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	e.Put("k", v("late", 250, 3)) // older than the tombstone, in the log only
+
+	e.GCStats(306)
+	e.Compact()
+	if got := e.ReadVisible("k", alwaysVisible); got != nil && got.Value != nil {
+		t.Fatalf("deleted key reads %q after GC and compaction", got.Value)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e = mustOpen(t, opts)
+	if got := e.ReadVisible("k", alwaysVisible); got != nil && got.Value != nil {
+		t.Fatalf("deleted key resurrected by a restart: %q", got.Value)
+	}
+
+	// Once a flush has retired the log generation, the chain goes.
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if res := e.GCStats(306); res.DroppedKeys != 1 {
+		t.Fatalf("GCStats after the flush = %+v, want the chain dropped", res)
+	}
+	e.Compact()
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e = mustOpen(t, opts)
+	defer e.Close()
+	if got := e.Latest("k"); got != nil {
+		t.Fatalf("key survived GC, compaction and a restart: %+v", got)
+	}
+}
+
 // TestSyncBarrier pins the engine's side of "engine logs are a recovery
 // accelerator; the txlog is the WAL", as counts: the put path issues no
 // fsync; a Sync with unsynced appends issues exactly one (one generation,
