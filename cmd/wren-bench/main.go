@@ -65,7 +65,7 @@ func parseArgs(args []string) (o bench.Options, figure string, err error) {
 	fs.DurationVar(&o.Measure, "measure", o.Measure, "measurement window per load point")
 	fs.IntVar(&o.KeysPerPartition, "keys", o.KeysPerPartition, "keys per partition")
 	fs.DurationVar(&o.ClockSkew, "skew", o.ClockSkew, "max clock skew per server")
-	fs.StringVar(&o.Server.StoreBackend, "store-backend", "memory", "storage engine: memory, wal or sst")
+	fs.StringVar(&o.Server.StoreBackend, "store-backend", "memory", "storage engine: memory or sst")
 	fs.StringVar(&o.Server.DataDir, "data-dir", "", "root data directory for durable backends; each benchmark cluster uses a fresh subdirectory (empty = per-cluster temp dir)")
 	fs.StringVar(&o.Server.FsyncPolicy, "fsync", "", "transaction-log fsync policy for durable backends: always, interval (default) or never")
 	fs.Int64Var(&o.Seed, "seed", o.Seed, "random seed")

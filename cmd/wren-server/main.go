@@ -51,7 +51,7 @@ func run(args []string) error {
 		applyMs    = fs.Duration("apply-interval", 5*time.Millisecond, "ΔR, idle fallback period of apply/replication and heartbeat pace (commits apply as they are decided)")
 		gossipMs   = fs.Duration("gossip-interval", 5*time.Millisecond, "ΔG, idle fallback period of stabilization gossip (Wren's stable times ride the transaction messages)")
 		gcEvery    = fs.Duration("gc-interval", 500*time.Millisecond, "GC period (negative disables)")
-		storeBack  = fs.String("store-backend", "memory", "storage engine: memory, wal or sst")
+		storeBack  = fs.String("store-backend", "memory", "storage engine: memory or sst")
 		dataDir    = fs.String("data-dir", "", "root data directory for durable backends (server writes under dc<m>-p<n>)")
 		fsync      = fs.String("fsync", "", "durable-backend fsync policy (honoured by the transaction log, the one fsync-before-ack point): always, interval (default) or never")
 	)

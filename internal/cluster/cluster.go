@@ -19,6 +19,7 @@ import (
 	"wren/internal/obs"
 	"wren/internal/replica"
 	"wren/internal/session"
+	"wren/internal/store/backend"
 	"wren/internal/transport"
 	"wren/internal/transport/chaos"
 	"wren/internal/transport/pool"
@@ -79,7 +80,7 @@ type Config struct {
 	// field is passed through as documented on replica.Config, except that
 	// an empty StoreBackend (FsyncPolicy) is taken from the
 	// WREN_STORE_BACKEND (WREN_FSYNC) environment variable, which is how
-	// CI runs the whole suite against each durable backend, and that a
+	// CI runs the whole suite against the durable backend, and that a
 	// durable backend with an empty DataDir gets a temporary root, removed
 	// again on Close.
 	Server replica.Config
@@ -229,7 +230,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 
 	var ephemeral string
-	if b := cfg.Server.StoreBackend; b != "" && b != "memory" && cfg.Server.DataDir == "" {
+	if cfg.Server.StoreBackend == backend.SST && cfg.Server.DataDir == "" {
 		dir, err := os.MkdirTemp("", "wren-data-*")
 		if err != nil {
 			fabric.Close()
@@ -456,7 +457,7 @@ func (c *Cluster) RemoteUpdateVisible(dc, p, srcDC int, ct hlc.Timestamp) bool {
 // server in the deployment has recorded, or nil while every engine is
 // fully healthy. Durable backends keep acknowledging from memory after a
 // log or flush failure, so benchmarks and tests use this to detect a
-// silently degraded shard log instead of discovering it at shutdown.
+// silently degraded engine log instead of discovering it at shutdown.
 func (c *Cluster) EnginesHealthy() error {
 	return c.firstErr(server.EngineHealthy)
 }

@@ -7,12 +7,13 @@ import (
 
 	"wren/internal/replica"
 	"wren/internal/replica/replicatest"
+	"wren/internal/store/backend"
 	"wren/internal/transport"
 )
 
 // These tests crash-torture the two durability gaps the transaction log
-// closes (previously the top open items in ROADMAP.md), on every durable
-// backend with fsync=always:
+// closes (previously the top open items in ROADMAP.md), on the durable
+// sst backend with fsync=always:
 //
 //   - a kill between the commit ACK and the apply pass must lose nothing:
 //     the restarted cluster serves every acknowledged transaction from
@@ -29,13 +30,13 @@ import (
 // what Kill therefore withholds, is the user-space shutdown work.)
 
 // crashConfig is the shared deployment shape for the crash tests.
-func crashConfig(proto Protocol, dcs int, dataDir string, backend string) Config {
+func crashConfig(proto Protocol, dcs int, dataDir string) Config {
 	return Config{
 		Protocol:      proto,
 		NumDCs:        dcs,
 		NumPartitions: 2,
 		Server: replica.Config{
-			StoreBackend: backend,
+			StoreBackend: backend.SST,
 			DataDir:      dataDir,
 			FsyncPolicy:  "always",
 			// Keep chains intact so Latest comparisons are deterministic.
@@ -45,12 +46,11 @@ func crashConfig(proto Protocol, dcs int, dataDir string, backend string) Config
 }
 
 // The crash scenarios run from the TestLifecycleConformance matrix in
-// lifecycle_conformance_test.go, which covers every protocol × durable
-// backend combination.
+// lifecycle_conformance_test.go, which covers every protocol.
 
-func testCrashBetweenAckAndApply(t *testing.T, proto Protocol, backend string) {
+func testCrashBetweenAckAndApply(t *testing.T, proto Protocol, tear bool) {
 	dataDir := t.TempDir()
-	cfg := crashConfig(proto, 1, dataDir, backend)
+	cfg := crashConfig(proto, 1, dataDir)
 
 	want := map[string]string{}
 	func() {
@@ -116,17 +116,14 @@ func testCrashBetweenAckAndApply(t *testing.T, proto Protocol, backend string) {
 	// Second life: every acknowledged transaction must come back through
 	// txlog recovery (replay or re-driven outcome). The held prepare comes
 	// back too, as a recovered prepare, which holds nothing.
-	cl, err := New(cfg)
-	if err != nil {
-		t.Fatalf("restart: %v", err)
-	}
+	cl := restartAfterCrash(t, cfg, dataDir, tear)
 	defer cl.Close()
 	requireReadable(t, cl, want)
 }
 
-func testCrashBeforeReplicate(t *testing.T, proto Protocol, backend string) {
+func testCrashBeforeReplicate(t *testing.T, proto Protocol, tear bool) {
 	dataDir := t.TempDir()
-	cfg := crashConfig(proto, 2, dataDir, backend)
+	cfg := crashConfig(proto, 2, dataDir)
 
 	want := map[string]string{}
 	func() {
@@ -190,10 +187,7 @@ func testCrashBeforeReplicate(t *testing.T, proto Protocol, backend string) {
 
 	// Second life: the healed cluster must reconverge from the persisted
 	// replication cursors — DC1 receives the re-sent tail.
-	cl, err := New(cfg)
-	if err != nil {
-		t.Fatalf("restart: %v", err)
-	}
+	cl := restartAfterCrash(t, cfg, dataDir, tear)
 	defer cl.Close()
 	deadline := time.Now().Add(15 * time.Second)
 	for {

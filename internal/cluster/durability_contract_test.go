@@ -9,8 +9,10 @@ import (
 	"time"
 
 	"wren/internal/hlc"
+	"wren/internal/store"
+	"wren/internal/store/logrec"
 	"wren/internal/store/sst"
-	"wren/internal/store/wal"
+	"wren/internal/wire"
 )
 
 // These tests state the durability contract of the transaction log (see
@@ -27,15 +29,10 @@ const lifecycleTick = time.Second
 // server's registry.
 func engineSyncs(t *testing.T, srv lifecycleServer) uint64 {
 	t.Helper()
-	switch e := srv.Store().(type) {
-	case *wal.Engine:
-		return srv.Obs().Value("wal.syncs")
-	case *sst.Engine:
-		return srv.Obs().Value("sst.syncs")
-	default:
-		t.Fatalf("engine %T has no fsync counter", e)
+	if _, ok := srv.Store().(*sst.Engine); !ok {
+		t.Fatalf("engine %T has no fsync counter", srv.Store())
 	}
-	return 0
+	return srv.Obs().Value("sst.syncs")
 }
 
 // awaitBarrier returns right after a release barrier ran on the server: the
@@ -92,7 +89,7 @@ func awaitApplied(t *testing.T, cl *Cluster, dc int, want map[string]string) {
 	}
 }
 
-// dropEngineLogs truncates every engine shard log under dataDir to zero:
+// dropEngineLogs truncates every engine log under dataDir to zero:
 // the state a power loss leaves when nothing the engine wrote since it was
 // opened had been fsynced. (The txlog lives one directory down and is not
 // touched.) It is at least as harsh as any real crash — logs a barrier did
@@ -109,6 +106,60 @@ func dropEngineLogs(t *testing.T, dataDir string) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// tearEngineLogs appends the first half of a record to the newest engine
+// log generation in every partition directory under dataDir: what a power
+// cut in the middle of an append leaves. It returns how many logs it tore.
+func tearEngineLogs(t *testing.T, dataDir string) int {
+	t.Helper()
+	logs, err := filepath.Glob(filepath.Join(dataDir, "dc*-p*", "wal-*.log"))
+	if err != nil || len(logs) == 0 {
+		t.Fatalf("no engine logs under %s (err=%v)", dataDir, err)
+	}
+	// Glob sorts, and generation numbers are zero-padded: the last log of
+	// each directory is its newest.
+	newest := map[string]string{}
+	for _, path := range logs {
+		newest[filepath.Dir(path)] = path
+	}
+	enc := wire.NewEncoder()
+	logrec.Append(enc, "torn", &store.Version{Value: []byte("never acknowledged"), UT: 1})
+	half := enc.Bytes()[:len(enc.Bytes())/2]
+	for _, path := range newest {
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = f.Write(half)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return len(newest)
+}
+
+// restartAfterCrash reopens a killed cluster from dataDir. With tear set,
+// the crash also tears every partition's engine log, and the restart must
+// have cut each torn tail.
+func restartAfterCrash(t *testing.T, cfg Config, dataDir string, tear bool) *Cluster {
+	t.Helper()
+	torn := 0
+	if tear {
+		torn = tearEngineLogs(t, dataDir)
+	}
+	cl, err := New(cfg)
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	if got := cl.Sum("sst.truncated_logs"); got < uint64(torn) {
+		cl.Close()
+		t.Fatalf("restart cut %d torn engine logs, want %d", got, torn)
+	}
+	return cl
 }
 
 func requireReadable(t *testing.T, cl *Cluster, want map[string]string) {
@@ -158,66 +209,64 @@ func requireReadable(t *testing.T, cl *Cluster, want map[string]string) {
 // in which they may be synced is the release barrier.
 func TestFsyncsPerCommit(t *testing.T) {
 	const n = 20
-	for _, backend := range []string{"wal", "sst"} {
-		t.Run(backend, func(t *testing.T) {
-			cfg := crashConfig(Wren, 1, t.TempDir(), backend)
-			cl, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cl.Close()
-			client, err := cl.NewClient(0, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer client.Close()
-			k0 := keyOwnedBy("fsyncs-a", 0, cfg.NumPartitions)
-			k1 := keyOwnedBy("fsyncs-b", 1, cfg.NumPartitions)
-			p0, p1 := lifecycleServerAt(cl, 0, 0), lifecycleServerAt(cl, 0, 1)
-			counts := func() (txlog, engine uint64) {
-				return p0.Obs().Value("txlog.syncs") + p1.Obs().Value("txlog.syncs"),
-					engineSyncs(t, p0) + engineSyncs(t, p1)
-			}
-			commitPair(t, client, k0, k1, "warm-up")
+	t.Run("sst", func(t *testing.T) {
+		cfg := crashConfig(Wren, 1, t.TempDir())
+		cl, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		client, err := cl.NewClient(0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer client.Close()
+		k0 := keyOwnedBy("fsyncs-a", 0, cfg.NumPartitions)
+		k1 := keyOwnedBy("fsyncs-b", 1, cfg.NumPartitions)
+		p0, p1 := lifecycleServerAt(cl, 0, 0), lifecycleServerAt(cl, 0, 1)
+		counts := func() (txlog, engine uint64) {
+			return p0.Obs().Value("txlog.syncs") + p1.Obs().Value("txlog.syncs"),
+				engineSyncs(t, p0) + engineSyncs(t, p1)
+		}
+		commitPair(t, client, k0, k1, "warm-up")
 
-			// A release barrier may land inside a window (one a second);
-			// it cannot land inside three in a row, so one clean window
-			// proves the apply path itself never syncs the engine.
-			cleanWindow := false
-			for attempt := 0; attempt < 3 && !cleanWindow; attempt++ {
-				tl0, eng0 := counts()
-				start := time.Now()
-				var last string
-				for i := 0; i < n; i++ {
-					last = fmt.Sprintf("v%d-%d", attempt, i)
-					commitPair(t, client, k0, k1, last)
-				}
-				awaitApplied(t, cl, 0, map[string]string{k0: last, k1: last})
-				tl1, eng1 := counts()
-				// Each lifecycle tick may add one flush per log.
-				ticks := uint64(time.Since(start)/lifecycleTick) + 1
-				if got, max := tl1-tl0, 2*n+2*ticks; got > max {
-					t.Fatalf("%d txlog fsyncs for %d acked two-partition commits, want at most %d", got, n, max)
-				}
-				t.Logf("attempt %d: %d commits, %d txlog fsyncs, %d engine-log fsyncs", attempt, n, tl1-tl0, eng1-eng0)
-				cleanWindow = eng1 == eng0
+		// A release barrier may land inside a window (one a second);
+		// it cannot land inside three in a row, so one clean window
+		// proves the apply path itself never syncs the engine.
+		cleanWindow := false
+		for attempt := 0; attempt < 3 && !cleanWindow; attempt++ {
+			tl0, eng0 := counts()
+			start := time.Now()
+			var last string
+			for i := 0; i < n; i++ {
+				last = fmt.Sprintf("v%d-%d", attempt, i)
+				commitPair(t, client, k0, k1, last)
 			}
-			if !cleanWindow {
-				t.Fatal("the engine's logs were fsynced in every window of applied commits: the apply path syncs them")
+			awaitApplied(t, cl, 0, map[string]string{k0: last, k1: last})
+			tl1, eng1 := counts()
+			// Each lifecycle tick may add one flush per log.
+			ticks := uint64(time.Since(start)/lifecycleTick) + 1
+			if got, max := tl1-tl0, 2*n+2*ticks; got > max {
+				t.Fatalf("%d txlog fsyncs for %d acked two-partition commits, want at most %d", got, n, max)
 			}
-			// The barrier does sync them — the counter is live.
-			awaitBarrier(t, p0)
-		})
-	}
+			t.Logf("attempt %d: %d commits, %d txlog fsyncs, %d engine-log fsyncs", attempt, n, tl1-tl0, eng1-eng0)
+			cleanWindow = eng1 == eng0
+		}
+		if !cleanWindow {
+			t.Fatal("the engine's logs were fsynced in every window of applied commits: the apply path syncs them")
+		}
+		// The barrier does sync them — the counter is live.
+		awaitBarrier(t, p0)
+	})
 }
 
 // testCrashAfterApplyBeforeEngineSync: acknowledged commits are applied to
 // the engine, whose logs nothing has synced, and the machine dies. The
 // engine comes back without them; the transaction log — which may only
 // forget a record after a barrier covered its apply — replays every one.
-func testCrashAfterApplyBeforeEngineSync(t *testing.T, proto Protocol, backend string) {
+func testCrashAfterApplyBeforeEngineSync(t *testing.T, proto Protocol, tear bool) {
 	dataDir := t.TempDir()
-	cfg := crashConfig(proto, 1, dataDir, backend)
+	cfg := crashConfig(proto, 1, dataDir)
 	want := map[string]string{}
 	func() {
 		cl, err := New(cfg)
@@ -231,8 +280,8 @@ func testCrashAfterApplyBeforeEngineSync(t *testing.T, proto Protocol, backend s
 		}
 		defer client.Close()
 		for i := 0; i < 6; i++ {
-			k0 := keyOwnedBy(fmt.Sprintf("tail-%s-%s-a%d", proto, backend, i), 0, cfg.NumPartitions)
-			k1 := keyOwnedBy(fmt.Sprintf("tail-%s-%s-b%d", proto, backend, i), 1, cfg.NumPartitions)
+			k0 := keyOwnedBy(fmt.Sprintf("tail-%s-a%d", proto, i), 0, cfg.NumPartitions)
+			k1 := keyOwnedBy(fmt.Sprintf("tail-%s-b%d", proto, i), 1, cfg.NumPartitions)
 			commitPair(t, client, k0, k1, fmt.Sprint("v", i))
 			want[k0], want[k1] = fmt.Sprint("v", i), fmt.Sprint("v", i)
 		}
@@ -240,10 +289,7 @@ func testCrashAfterApplyBeforeEngineSync(t *testing.T, proto Protocol, backend s
 	}()
 	dropEngineLogs(t, dataDir)
 
-	cl, err := New(cfg)
-	if err != nil {
-		t.Fatalf("restart: %v", err)
-	}
+	cl := restartAfterCrash(t, cfg, dataDir, tear)
 	defer cl.Close()
 	requireReadable(t, cl, want)
 }
@@ -252,11 +298,11 @@ func testCrashAfterApplyBeforeEngineSync(t *testing.T, proto Protocol, backend s
 // be released on the strength of it — the record must survive a compaction
 // of the transaction log — the server goes read-only, and a restart whose
 // engine lost the unsynced tail gets the transaction back from the log.
-func testEngineSyncFails(t *testing.T, proto Protocol, backend string) {
+func testEngineSyncFails(t *testing.T, proto Protocol, tear bool) {
 	dataDir := t.TempDir()
-	cfg := crashConfig(proto, 1, dataDir, backend)
+	cfg := crashConfig(proto, 1, dataDir)
 	cfg.Server.RepairInterval = -1
-	prefix := fmt.Sprintf("syncfail-%s-%s", proto, backend)
+	prefix := fmt.Sprintf("syncfail-%s", proto)
 	k0, k1 := keyOwnedBy(prefix+"-a", 0, cfg.NumPartitions), keyOwnedBy(prefix+"-b", 1, cfg.NumPartitions)
 	func() {
 		cl, err := New(cfg)
@@ -306,10 +352,7 @@ func testEngineSyncFails(t *testing.T, proto Protocol, backend string) {
 	}()
 	dropEngineLogs(t, dataDir)
 
-	cl, err := New(cfg)
-	if err != nil {
-		t.Fatalf("restart: %v", err)
-	}
+	cl := restartAfterCrash(t, cfg, dataDir, tear)
 	defer cl.Close()
 	requireReadable(t, cl, map[string]string{k0: "kept", k1: "kept"})
 }
@@ -318,8 +361,8 @@ func testEngineSyncFails(t *testing.T, proto Protocol, backend string) {
 // its own fsync — it waits for a sync covering the COMMIT record, which the
 // lifecycle tick provides — and still resolves the coordinator's decision
 // well inside the re-drive age.
-func testLazyCommitAck(t *testing.T, proto Protocol, backend string) {
-	cfg := crashConfig(proto, 1, t.TempDir(), backend)
+func testLazyCommitAck(t *testing.T, proto Protocol) {
+	cfg := crashConfig(proto, 1, t.TempDir())
 	cl, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +373,7 @@ func testLazyCommitAck(t *testing.T, proto Protocol, backend string) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	prefix := fmt.Sprintf("lazyack-%s-%s", proto, backend)
+	prefix := fmt.Sprintf("lazyack-%s", proto)
 	k0, k1 := keyOwnedBy(prefix+"-a", 0, cfg.NumPartitions), keyOwnedBy(prefix+"-b", 1, cfg.NumPartitions)
 	coord, cohort := lifecycleServerAt(cl, 0, 0), lifecycleServerAt(cl, 0, 1)
 
@@ -361,83 +404,81 @@ func testLazyCommitAck(t *testing.T, proto Protocol, backend string) {
 // engine barrier that covers the batch; and waiting for that barrier must
 // not look like a stalled link to the origin's stall detector.
 func TestReplicateAckFollowsBarrier(t *testing.T) {
-	for _, backend := range []string{"wal", "sst"} {
-		t.Run(backend, func(t *testing.T) {
-			cfg := crashConfig(Wren, 2, t.TempDir(), backend)
-			cfg.InterDCLatency = 3 * time.Millisecond
-			cl, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cl.Close()
-			client, err := cl.NewClient(0, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer client.Close()
-			key := keyOwnedBy("ackbarrier", 0, cfg.NumPartitions)
-			origin, receiver := lifecycleServerAt(cl, 0, 0), lifecycleServerAt(cl, 1, 0)
+	t.Run("sst", func(t *testing.T) {
+		cfg := crashConfig(Wren, 2, t.TempDir())
+		cfg.InterDCLatency = 3 * time.Millisecond
+		cl, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		client, err := cl.NewClient(0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer client.Close()
+		key := keyOwnedBy("ackbarrier", 0, cfg.NumPartitions)
+		origin, receiver := lifecycleServerAt(cl, 0, 0), lifecycleServerAt(cl, 1, 0)
 
-			type sent struct {
-				ct     hlc.Timestamp
-				syncs0 uint64 // receiver's engine fsyncs before the commit existed
+		type sent struct {
+			ct     hlc.Timestamp
+			syncs0 uint64 // receiver's engine fsyncs before the commit existed
+		}
+		var batches []sent
+		var head hlc.Timestamp
+		var headSince time.Time
+		var longest time.Duration
+		check := func() {
+			cursor := origin.TxLog().Cursor(1)
+			syncs := engineSyncs(t, receiver) // read AFTER the cursor
+			for len(batches) > 0 && batches[0].ct <= cursor {
+				if syncs <= batches[0].syncs0 {
+					t.Fatalf("cursor passed commit %v with no engine barrier at the receiver since before it was written", batches[0].ct)
+				}
+				batches = batches[1:]
 			}
-			var batches []sent
-			var head hlc.Timestamp
-			var headSince time.Time
-			var longest time.Duration
-			check := func() {
-				cursor := origin.TxLog().Cursor(1)
-				syncs := engineSyncs(t, receiver) // read AFTER the cursor
-				for len(batches) > 0 && batches[0].ct <= cursor {
-					if syncs <= batches[0].syncs0 {
-						t.Fatalf("cursor passed commit %v with no engine barrier at the receiver since before it was written", batches[0].ct)
-					}
-					batches = batches[1:]
-				}
-				now := time.Now()
-				if tail := origin.TxLog().UnreplicatedTail(1); len(tail) == 0 {
-					head = 0
-				} else if tail[0].CT != head {
-					head, headSince = tail[0].CT, now
-				} else if d := now.Sub(headSince); d > longest {
-					longest = d
-				}
+			now := time.Now()
+			if tail := origin.TxLog().UnreplicatedTail(1); len(tail) == 0 {
+				head = 0
+			} else if tail[0].CT != head {
+				head, headSince = tail[0].CT, now
+			} else if d := now.Sub(headSince); d > longest {
+				longest = d
 			}
-			// Long enough for the stall detector to trip, if anything would.
-			var last string
-			for start, i := time.Now(), 0; time.Since(start) < 4500*time.Millisecond; i++ {
-				syncs0 := engineSyncs(t, receiver)
-				last = fmt.Sprint("v", i)
-				tx, err := client.Begin()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := tx.Write(key, []byte(last)); err != nil {
-					t.Fatal(err)
-				}
-				ct, err := tx.Commit()
-				if err != nil {
-					t.Fatal(err)
-				}
-				batches = append(batches, sent{ct, syncs0})
-				for wait := time.Now(); time.Since(wait) < 40*time.Millisecond; time.Sleep(5 * time.Millisecond) {
-					check()
-				}
+		}
+		// Long enough for the stall detector to trip, if anything would.
+		var last string
+		for start, i := time.Now(), 0; time.Since(start) < 4500*time.Millisecond; i++ {
+			syncs0 := engineSyncs(t, receiver)
+			last = fmt.Sprint("v", i)
+			tx, err := client.Begin()
+			if err != nil {
+				t.Fatal(err)
 			}
-			for deadline := time.Now().Add(5 * lifecycleTick); len(batches) > 0; time.Sleep(5 * time.Millisecond) {
+			if err := tx.Write(key, []byte(last)); err != nil {
+				t.Fatal(err)
+			}
+			ct, err := tx.Commit()
+			if err != nil {
+				t.Fatal(err)
+			}
+			batches = append(batches, sent{ct, syncs0})
+			for wait := time.Now(); time.Since(wait) < 40*time.Millisecond; time.Sleep(5 * time.Millisecond) {
 				check()
-				if time.Now().After(deadline) {
-					t.Fatalf("%d commits never acknowledged by the receiver", len(batches))
-				}
 			}
-			// A stream rewinds when its cursor survives
-			// rewindStallTicks (3) lifecycle ticks; the barrier's
-			// latency must stay well under that.
-			if longest > 2*lifecycleTick {
-				t.Fatalf("the oldest unacknowledged commit waited %v: barrier latency reads as a stall", longest)
+		}
+		for deadline := time.Now().Add(5 * lifecycleTick); len(batches) > 0; time.Sleep(5 * time.Millisecond) {
+			check()
+			if time.Now().After(deadline) {
+				t.Fatalf("%d commits never acknowledged by the receiver", len(batches))
 			}
-			awaitApplied(t, cl, 1, map[string]string{key: last})
-		})
-	}
+		}
+		// A stream rewinds when its cursor survives
+		// rewindStallTicks (3) lifecycle ticks; the barrier's
+		// latency must stay well under that.
+		if longest > 2*lifecycleTick {
+			t.Fatalf("the oldest unacknowledged commit waited %v: barrier latency reads as a stall", longest)
+		}
+		awaitApplied(t, cl, 1, map[string]string{key: last})
+	})
 }

@@ -13,18 +13,24 @@ import (
 	"wren/internal/txlog"
 )
 
-// TestLifecycleConformance runs every transaction-lifecycle scenario over
-// the full protocol × durable-backend matrix. The scenarios exercise the
+// TestLifecycleConformance runs every transaction-lifecycle scenario for
+// every protocol on the durable sst backend. The scenarios exercise the
 // shared replica runtime (internal/replica) end to end — crash-torture of
 // the commit-record log, replication-cursor resend, health-driven
 // read-only admission, the probation readmit path, and client-side
 // commit failover — so a regression in the protocol-agnostic core, or in
 // either protocol's wiring onto it, fails here under a name that says
-// which protocol, backend and lifecycle stage broke.
+// which protocol and lifecycle stage broke.
+//
+// Under "sst" a crash scenario restarts from the engine's files as the
+// kill (or the scenario) left them. Every crash scenario runs again under
+// "wal", where the crash also tears the record the engine was appending
+// to its write-ahead log: the restart must cut the torn tail and still
+// serve every acknowledged commit.
 func TestLifecycleConformance(t *testing.T) {
-	scenarios := []struct {
+	crashes := []struct {
 		name string
-		run  func(t *testing.T, proto Protocol, backend string)
+		run  func(t *testing.T, proto Protocol, tear bool)
 	}{
 		// A kill between the commit ACK and the apply pass must lose
 		// nothing: recovery replays the commit-record log.
@@ -32,6 +38,17 @@ func TestLifecycleConformance(t *testing.T) {
 		// A kill after local apply but before Replicate traffic lands
 		// must reconverge from the persisted replication cursors.
 		{"crash-before-replicate", testCrashBeforeReplicate},
+		// The durability contract's release side (see
+		// durability_contract_test.go): the engine's unsynced log tail may
+		// die with the machine, and a failed engine barrier releases
+		// nothing.
+		{"crash-after-apply-before-engine-sync", testCrashAfterApplyBeforeEngineSync},
+		{"engine-sync-fails", testEngineSyncFails},
+	}
+	scenarios := []struct {
+		name string
+		run  func(t *testing.T, proto Protocol)
+	}{
 		// A degraded transaction log sheds the server into read-only
 		// admission: writes refused, reads still served.
 		{"readonly-admission", testReadOnlyRefusal},
@@ -41,22 +58,25 @@ func TestLifecycleConformance(t *testing.T) {
 		// With client failover enabled, a commit refused by a degraded
 		// coordinator lands through a healthy one instead.
 		{"failover-commit", testFailoverCommit},
-		// The durability contract's release side (see
-		// durability_contract_test.go): the engine's unsynced log tail may
-		// die with the machine, a failed engine barrier releases nothing,
-		// and a CommitAck rides on a sync it does not pay for.
-		{"crash-after-apply-before-engine-sync", testCrashAfterApplyBeforeEngineSync},
-		{"engine-sync-fails", testEngineSyncFails},
+		// A CommitAck rides on a sync it does not pay for.
 		{"lazy-commit-ack", testLazyCommitAck},
 	}
 	for _, proto := range []Protocol{Wren, Cure, HCure} {
-		for _, backend := range []string{"wal", "sst"} {
-			for _, sc := range scenarios {
-				proto, backend, sc := proto, backend, sc
-				t.Run(fmt.Sprintf("%s/%s/%s", proto, backend, sc.name), func(t *testing.T) {
-					sc.run(t, proto, backend)
+		for _, tear := range []bool{false, true} {
+			arm := "sst"
+			if tear {
+				arm = "wal"
+			}
+			for _, sc := range crashes {
+				t.Run(fmt.Sprintf("%s/%s/%s", proto, arm, sc.name), func(t *testing.T) {
+					sc.run(t, proto, tear)
 				})
 			}
+		}
+		for _, sc := range scenarios {
+			t.Run(fmt.Sprintf("%s/sst/%s", proto, sc.name), func(t *testing.T) {
+				sc.run(t, proto)
+			})
 		}
 	}
 }
@@ -109,13 +129,13 @@ func commitVia(t *testing.T, client Client, kvs map[string]string) error {
 	return err
 }
 
-// testReadOnlyRefusal is the backend-parameterized core of the admission
+// testReadOnlyRefusal is the durable-backend core of the admission
 // story (TestReadOnlyAdmission covers the wire health probe in depth):
 // degrading one partition's transaction log refuses writes through it as
 // coordinator and as 2PC cohort, while healthy partitions keep committing
 // and reads keep flowing.
-func testReadOnlyRefusal(t *testing.T, proto Protocol, backend string) {
-	cfg := crashConfig(proto, 1, t.TempDir(), backend)
+func testReadOnlyRefusal(t *testing.T, proto Protocol) {
+	cfg := crashConfig(proto, 1, t.TempDir())
 	cfg.Server.RepairInterval = -1 // pin the degradation: no automatic readmit
 	cl, err := New(cfg)
 	if err != nil {
@@ -123,7 +143,7 @@ func testReadOnlyRefusal(t *testing.T, proto Protocol, backend string) {
 	}
 	defer cl.Close()
 
-	prefix := fmt.Sprintf("conform-ro-%s-%s", proto, backend)
+	prefix := fmt.Sprintf("conform-ro-%s", proto)
 	k0 := keyOwnedBy(prefix+"-a", 0, cfg.NumPartitions)
 	k1 := keyOwnedBy(prefix+"-b", 1, cfg.NumPartitions)
 
@@ -183,8 +203,8 @@ func testReadOnlyRefusal(t *testing.T, proto Protocol, backend string) {
 // short RepairInterval the runtime's lifecycle loop repairs the log
 // (compaction rewrite + probe append) and readmits writes without a
 // restart — the satellite behaviour layered on txlog.Repair.
-func testProbationReadmit(t *testing.T, proto Protocol, backend string) {
-	cfg := crashConfig(proto, 1, t.TempDir(), backend)
+func testProbationReadmit(t *testing.T, proto Protocol) {
+	cfg := crashConfig(proto, 1, t.TempDir())
 	// Retried on every lifecycle tick (1s cadence) once degraded.
 	cfg.Server.RepairInterval = 50 * time.Millisecond
 	cl, err := New(cfg)
@@ -193,7 +213,7 @@ func testProbationReadmit(t *testing.T, proto Protocol, backend string) {
 	}
 	defer cl.Close()
 
-	prefix := fmt.Sprintf("conform-probation-%s-%s", proto, backend)
+	prefix := fmt.Sprintf("conform-probation-%s", proto)
 	k1 := keyOwnedBy(prefix, 1, cfg.NumPartitions)
 	client, err := cl.NewClient(0, 1)
 	if err != nil {
@@ -252,8 +272,8 @@ func testProbationReadmit(t *testing.T, proto Protocol, backend string) {
 // ClientFailover enabled, a commit refused by a degraded coordinator is
 // replayed once through a healthy partition and succeeds, carrying the
 // session's causal state with it.
-func testFailoverCommit(t *testing.T, proto Protocol, backend string) {
-	cfg := crashConfig(proto, 1, t.TempDir(), backend)
+func testFailoverCommit(t *testing.T, proto Protocol) {
+	cfg := crashConfig(proto, 1, t.TempDir())
 	cfg.Server.RepairInterval = -1 // the failed coordinator must STAY failed
 	cfg.ClientFailover = true
 	cl, err := New(cfg)
@@ -262,7 +282,7 @@ func testFailoverCommit(t *testing.T, proto Protocol, backend string) {
 	}
 	defer cl.Close()
 
-	prefix := fmt.Sprintf("conform-failover-%s-%s", proto, backend)
+	prefix := fmt.Sprintf("conform-failover-%s", proto)
 	// Owned by partition 1 so the replayed 2PC avoids the degraded log.
 	k1 := keyOwnedBy(prefix, 1, cfg.NumPartitions)
 	client, err := cl.NewClient(0, 0) // collocated with the soon-degraded coordinator

@@ -9,6 +9,7 @@ import (
 	"wren/internal/core"
 	"wren/internal/cure"
 	"wren/internal/replica"
+	"wren/internal/store/backend"
 )
 
 // TestReadOnlyAdmission proves the servers ACT on the durability health
@@ -30,7 +31,7 @@ func testReadOnlyAdmission(t *testing.T, proto Protocol) {
 		NumDCs:        1,
 		NumPartitions: 2,
 		Server: replica.Config{
-			StoreBackend: "wal",
+			StoreBackend: backend.SST,
 			DataDir:      t.TempDir(),
 			// Pin the degradation: this test asserts the STICKY read-only
 			// state, so the automatic probation exit must stay off (the

@@ -24,10 +24,8 @@ func TestReadPathStress(t *testing.T) {
 		backend string
 	}{
 		{"wren-memory", Wren, "memory"},
-		{"wren-wal", Wren, "wal"},
 		{"wren-sst", Wren, "sst"},
 		{"cure-memory", Cure, "memory"},
-		{"hcure-wal", HCure, "wal"},
 		{"hcure-sst", HCure, "sst"},
 	}
 	for _, v := range variants {
@@ -245,7 +243,7 @@ func stressReadPath(t *testing.T, proto Protocol, backendName string) {
 		t.Fatalf("stress made no progress: reads=%d writes=%d", readOps.Load(), writeOps.Load())
 	}
 	// No engine may have recorded a write-path failure under the churn: a
-	// silently-frozen shard log would otherwise survive until Close.
+	// silently-frozen engine log would otherwise survive until Close.
 	if err := cl.EnginesHealthy(); err != nil {
 		t.Fatalf("storage engine degraded during stress: %v", err)
 	}

@@ -23,7 +23,6 @@ func TestRegistryNames(t *testing.T) {
 	}
 	engine := map[string][]string{
 		backend.Memory: nil,
-		backend.WAL:    {"wal.compactions", "wal.recovered", "wal.syncs", "wal.truncated_shards"},
 		backend.SST: {"sst.block_reads", "sst.bloom_skips", "sst.compaction_bytes", "sst.compactions",
 			"sst.flushes", "sst.gc_pending", "sst.gc_visited", "sst.iter_block_reads", "sst.log_writes", "sst.records_checked",
 			"sst.recovered", "sst.runs_loaded", "sst.syncs", "sst.truncated_logs"},

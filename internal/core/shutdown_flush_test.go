@@ -7,7 +7,7 @@ import (
 
 	"wren/internal/hlc"
 	"wren/internal/replica/replicatest"
-	"wren/internal/store/wal"
+	"wren/internal/store/sst"
 	"wren/internal/transport"
 	"wren/internal/wire"
 )
@@ -34,7 +34,7 @@ func TestStopFlushesCommittedDespiteStuckPrepared(t *testing.T) {
 		ApplyInterval:  time.Hour,
 		GossipInterval: time.Hour,
 		GCInterval:     -1,
-		StoreBackend:   "wal", DataDir: dir, FsyncPolicy: "always",
+		StoreBackend:   "sst", DataDir: dir, FsyncPolicy: "always",
 	})
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
@@ -88,11 +88,11 @@ func TestStopFlushesCommittedDespiteStuckPrepared(t *testing.T) {
 
 	srv.Stop()
 
-	// Reopen the WAL the server wrote: the acknowledged commit must have
+	// Reopen the engine the server wrote: the acknowledged commit must have
 	// been flushed; the never-committed prepared write must not exist.
-	eng, err := wal.Open(wal.Options{Dir: filepath.Join(dir, "dc0-p0")})
+	eng, err := sst.Open(sst.Options{Dir: filepath.Join(dir, "dc0-p0")})
 	if err != nil {
-		t.Fatalf("reopen wal: %v", err)
+		t.Fatalf("reopen sst: %v", err)
 	}
 	defer eng.Close()
 	if v := eng.Latest("durable"); v == nil || string(v.Value) != "yes" {

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"wren/internal/hlc"
-	"wren/internal/store/wal"
+	"wren/internal/store/sst"
 	"wren/internal/transport"
 	"wren/internal/wire"
 )
@@ -32,7 +32,7 @@ func TestStopFlushesCommitAboveLocalClock(t *testing.T) {
 		ApplyInterval:  time.Hour,
 		GossipInterval: time.Hour,
 		GCInterval:     -1,
-		StoreBackend:   "wal", DataDir: dir, FsyncPolicy: "always",
+		StoreBackend:   "sst", DataDir: dir, FsyncPolicy: "always",
 	})
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
@@ -74,9 +74,9 @@ func TestStopFlushesCommitAboveLocalClock(t *testing.T) {
 
 	srv.Stop()
 
-	eng, err := wal.Open(wal.Options{Dir: filepath.Join(dir, "dc0-p0")})
+	eng, err := sst.Open(sst.Options{Dir: filepath.Join(dir, "dc0-p0")})
 	if err != nil {
-		t.Fatalf("reopen wal: %v", err)
+		t.Fatalf("reopen sst: %v", err)
 	}
 	defer eng.Close()
 	if v := eng.Latest("future"); v == nil || string(v.Value) != "yes" {

@@ -139,16 +139,15 @@ type Config struct {
 	// restart.
 	RepairInterval time.Duration
 	// StoreBackend selects the storage engine: backend.Memory (the ""
-	// default) keeps versions only in memory; backend.WAL adds per-shard
-	// append-only logs that are replayed on restart; backend.SST is the
-	// memtable+sorted-run engine (WAL over the active memtable only,
-	// immutable runs serving snapshot reads lock-free, merge compaction).
-	// Every backend opens store.DefaultShards lock stripes.
+	// default) keeps versions only in memory; backend.SST, the one durable
+	// engine, is the memtable+sorted-run engine (a log over the active
+	// memtable only, immutable runs serving snapshot reads lock-free,
+	// merge compaction). Every backend opens store.DefaultShards lock
+	// stripes.
 	StoreBackend string
 	// DataDir is the root directory durable backends write under. The
 	// server uses DataDir/dc<m>-p<n>, so servers of one deployment can
-	// share a root. Required when StoreBackend is backend.WAL or
-	// backend.SST.
+	// share a root. Required when StoreBackend is backend.SST.
 	DataDir string
 	// FsyncPolicy is the transaction log's sync policy: "always" (a record
 	// is stable before the acknowledgement it precedes leaves the server),

@@ -33,10 +33,11 @@ func TestConfigFillDefaultsAndValidate(t *testing.T) {
 		{"negative context TTL", func(c *Config) { c.TxContextTTL = -time.Second }, "negative TxContextTTL"},
 		{"negative admission cap", func(c *Config) { c.MaxInflightPerConn = -1 }, "negative MaxInflightPerConn"},
 		{"unknown backend", func(c *Config) { c.StoreBackend = "rocksdb" }, `unknown store backend "rocksdb"`},
-		{"wal without a directory", func(c *Config) { c.StoreBackend = backend.WAL }, "requires a data directory"},
+		// The retired engine's name is refused outright, not for the missing directory.
+		{"wal without a directory", func(c *Config) { c.StoreBackend = "wal" }, `unknown store backend "wal"`},
 		{"sst without a directory", func(c *Config) { c.StoreBackend = backend.SST }, "requires a data directory"},
 		{"unknown fsync policy", func(c *Config) {
-			c.StoreBackend, c.DataDir, c.FsyncPolicy = backend.WAL, dir, "sometimes"
+			c.StoreBackend, c.DataDir, c.FsyncPolicy = backend.SST, dir, "sometimes"
 		}, `unknown fsync policy "sometimes"`},
 		{"mistyped fsync policy on memory", func(c *Config) { c.FsyncPolicy = "alwayz" }, `unknown fsync policy "alwayz"`},
 		{"widest topology", func(c *Config) { c.NumDCs, c.NumPartitions = 256, 1<<16 }, ""},
@@ -110,4 +111,22 @@ func TestServerOpensDefaultShards(t *testing.T) {
 			}
 		})
 	}
+	// The retired engine's name opens no server and writes nothing under
+	// the DataDir it was given.
+	t.Run("wal", func(t *testing.T) {
+		dir := t.TempDir()
+		cfg := Config{NumDCs: 1, NumPartitions: 1, Network: net, StoreBackend: "wal", DataDir: dir}
+		cfg.FillDefaults()
+		const unknown = `unknown store backend "wal"`
+		if err := cfg.Validate("proto"); err == nil || !strings.Contains(err.Error(), unknown) {
+			t.Fatalf("Validate = %v, want %s", err, unknown)
+		}
+		if r, err := New("proto", cfg, nopProtocol{}); err == nil {
+			r.Kill()
+			t.Fatal("New opened a server on the retired wal backend")
+		}
+		if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+			t.Fatalf("refused server left %d entries under its DataDir (err %v), want none", len(ents), err)
+		}
+	})
 }

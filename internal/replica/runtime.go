@@ -122,7 +122,7 @@ import (
 // it reports whether the engine already holds key's version from txID, in
 // which case the write must not be re-inserted. Per KEY, not per
 // transaction — a kill can land mid-PutBatch, leaving some of a
-// transaction's shard logs appended and others not, and a
+// transaction's records appended and others not, and a
 // whole-transaction skip would lose the missing keys.
 type SkipFunc func(key string, txID uint64) bool
 
@@ -364,7 +364,7 @@ func New(name string, cfg Config, proto Protocol) (*Runtime, error) {
 	// lock and engine-type marker. The memory engine keeps nothing across a
 	// restart, so its log has no file either, whatever DataDir says.
 	tlDir := ""
-	if cfg.StoreBackend != "" && cfg.StoreBackend != backend.Memory {
+	if cfg.StoreBackend == backend.SST {
 		tlDir = filepath.Join(cfg.EngineDir(), "txlog")
 	}
 	tl, err := txlog.Open(txlog.Options{Dir: tlDir, NumDCs: cfg.NumDCs, SelfDC: cfg.DC, Fsync: cfg.FsyncPolicy})

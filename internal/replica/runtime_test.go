@@ -495,7 +495,7 @@ func TestEventsNameTheServer(t *testing.T) {
 	n.TxLog().InjectFailure(errors.New("disk gone"))
 	expect(degraded, "test dc0/p1: txlog.degraded err=disk gone")
 
-	cfg := Config{NumDCs: 1, NumPartitions: 2, Network: net, StoreBackend: backend.WAL, DataDir: t.TempDir()}
+	cfg := Config{NumDCs: 1, NumPartitions: 2, Network: net, StoreBackend: backend.SST, DataDir: t.TempDir()}
 	cfg.FillDefaults()
 	proto := &fakeProto{}
 	r, err := New("test", cfg, proto)

@@ -9,7 +9,6 @@ import (
 
 	"wren/internal/store"
 	"wren/internal/store/sst"
-	"wren/internal/store/wal"
 )
 
 // Backend names.
@@ -17,27 +16,23 @@ const (
 	// Memory is the in-memory lock-striped engine (the default). State is
 	// lost on restart.
 	Memory = "memory"
-	// WAL is the durable engine: the memory engine fronted by per-shard
-	// append-only logs that are replayed on startup.
-	WAL = "wal"
-	// SST is the memtable+sorted-run engine: a WAL covers only the active
-	// memtable, background flushes emit immutable sorted runs that serve
-	// snapshot reads lock-free, and merge compaction folds runs together.
+	// SST is the one durable engine: the memtable+sorted-run engine. A log
+	// covers only the active memtable, background flushes emit immutable
+	// sorted runs that serve snapshot reads lock-free, and merge
+	// compaction folds runs together.
 	SST = "sst"
 )
 
 // Names lists every recognized backend, for flag help and sweeps.
-var Names = []string{Memory, WAL, SST}
+var Names = []string{Memory, SST}
 
 // Options describes the engine one partition server wants. Every engine
-// opens store.DefaultShards lock stripes; a wal engine reopened over an
-// existing directory keeps the count it persisted (sst persists none).
+// opens store.DefaultShards lock stripes.
 type Options struct {
-	// Backend is Memory, WAL, SST, or "" (which selects Memory).
+	// Backend is Memory, SST, or "" (which selects Memory).
 	Backend string
 	// DataDir is the directory a durable backend writes under. Required
-	// for WAL and SST; ignored by Memory. Each server must get its own
-	// directory.
+	// for SST; ignored by Memory. Each server must get its own directory.
 	DataDir string
 	// Fsync is accepted only as "" or "never", the one discipline every
 	// engine follows: it never syncs its logs on its own, and its owner
@@ -53,13 +48,13 @@ func Validate(name, dataDir string) error {
 	switch name {
 	case "", Memory:
 		return nil
-	case WAL, SST:
+	case SST:
 		if dataDir == "" {
 			return fmt.Errorf("backend %q requires a data directory", name)
 		}
 		return nil
 	default:
-		return fmt.Errorf("unknown store backend %q (want %q, %q or %q)", name, Memory, WAL, SST)
+		return fmt.Errorf("unknown store backend %q (want %q or %q)", name, Memory, SST)
 	}
 }
 
@@ -71,12 +66,8 @@ func Open(opts Options) (store.Engine, error) {
 	if opts.Fsync != "" && opts.Fsync != "never" {
 		return nil, fmt.Errorf("backend: fsync %q: engines never sync on their own (want \"\" or \"never\")", opts.Fsync)
 	}
-	switch opts.Backend {
-	case WAL:
-		return wal.Open(wal.Options{Dir: opts.DataDir})
-	case SST:
+	if opts.Backend == SST {
 		return sst.Open(sst.Options{Dir: opts.DataDir})
-	default:
-		return store.NewMemoryEngine(store.DefaultShards), nil
 	}
+	return store.NewMemoryEngine(store.DefaultShards), nil
 }

@@ -1,11 +1,14 @@
 package backend
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"wren/internal/store"
 	"wren/internal/store/sst"
-	"wren/internal/store/wal"
 )
 
 func TestValidate(t *testing.T) {
@@ -15,8 +18,6 @@ func TestValidate(t *testing.T) {
 	}{
 		{"default", "", "", false},
 		{"memory", Memory, "", false},
-		{"wal with dir", WAL, "/tmp/x", false},
-		{"wal without dir", WAL, "", true},
 		{"sst with dir", SST, "/tmp/x", false},
 		{"sst without dir", SST, "", true},
 		{"unknown", "rocksdb", "/tmp/x", true},
@@ -41,18 +42,6 @@ func TestOpenSelectsEngine(t *testing.T) {
 	}
 	_ = eng.Close()
 
-	weng, err := Open(Options{Backend: WAL, DataDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := weng.(*wal.Engine); !ok {
-		t.Errorf("wal backend opened %T, want *wal.Engine", weng)
-	}
-	if weng.NumShards() != store.DefaultShards {
-		t.Errorf("NumShards = %d, want %d", weng.NumShards(), store.DefaultShards)
-	}
-	_ = weng.Close()
-
 	seng, err := Open(Options{Backend: SST, DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
@@ -65,9 +54,6 @@ func TestOpenSelectsEngine(t *testing.T) {
 	}
 	_ = seng.Close()
 
-	if _, err := Open(Options{Backend: WAL}); err == nil {
-		t.Error("wal backend without DataDir should fail to open")
-	}
 	if _, err := Open(Options{Backend: SST}); err == nil {
 		t.Error("sst backend without DataDir should fail to open")
 	}
@@ -75,7 +61,7 @@ func TestOpenSelectsEngine(t *testing.T) {
 		t.Error("unknown backend should fail to open")
 	}
 	// Engines never sync on their own: "never" is the only policy there is.
-	if _, err := Open(Options{Backend: WAL, DataDir: t.TempDir(), Fsync: "always"}); err == nil {
+	if _, err := Open(Options{Backend: SST, DataDir: t.TempDir(), Fsync: "always"}); err == nil {
 		t.Error("an engine fsync policy other than never should fail to open")
 	}
 	if e, err := Open(Options{Backend: SST, DataDir: t.TempDir(), Fsync: "never"}); err != nil {
@@ -85,42 +71,81 @@ func TestOpenSelectsEngine(t *testing.T) {
 	}
 }
 
-// TestCrossEngineDirRejected: a data directory created by one durable
-// engine must be refused by the other — each ignores the other's files,
-// so adopting the directory would silently serve empty state (and two
-// live engines would interleave writes into one directory).
+// TestCrossEngineDirRejected: a data directory left by the retired "wal"
+// engine must be refused by sst, not adopted. sst ignores the old engine's
+// files, so adopting the directory would silently serve empty state. The
+// refusal must leave every file as it was. The other way round, the old
+// name is no backend any more: it opens nothing, and the sst directory it
+// was pointed at reopens and recovers as before.
 func TestCrossEngineDirRejected(t *testing.T) {
-	for _, c := range []struct{ first, second string }{{WAL, SST}, {SST, WAL}} {
-		t.Run(c.first+"-then-"+c.second, func(t *testing.T) {
-			dir := t.TempDir()
-			eng, err := Open(Options{Backend: c.first, DataDir: dir})
-			if err != nil {
+	t.Run("wal-then-sst", func(t *testing.T) {
+		dir := t.TempDir()
+		old := map[string]string{
+			"store.lock":      "",
+			"store.engine":    "wal\n",
+			"wal.meta":        "shards=64\n",
+			"shard-00000.log": "records the wal engine wrote\n",
+		}
+		for name, body := range old {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			eng.Put("k", &store.Version{Value: []byte("v"), UT: 1})
+		}
 
-			// While the first engine is live, the shared lock rejects the
-			// second regardless of type.
-			if _, err := Open(Options{Backend: c.second, DataDir: dir}); err == nil {
-				t.Fatalf("%s opened a directory locked by a live %s engine", c.second, c.first)
+		eng, err := Open(Options{Backend: SST, DataDir: dir})
+		if err == nil {
+			_ = eng.Close()
+			t.Fatal("sst adopted a data directory the wal engine created")
+		}
+		if !strings.Contains(err.Error(), `created by the "wal" engine`) {
+			t.Fatalf("Open = %v, want the engine-type marker's refusal", err)
+		}
+
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != len(old) {
+			t.Errorf("the refused directory holds %d entries, want the %d it had", len(entries), len(old))
+		}
+		for _, ent := range entries {
+			want, ok := old[ent.Name()]
+			got, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+			if !ok || err != nil || !bytes.Equal(got, []byte(want)) {
+				t.Errorf("%s changed under the refused Open: %q, %v", ent.Name(), got, err)
 			}
-			if err := eng.Close(); err != nil {
-				t.Fatal(err)
+		}
+	})
+
+	t.Run("sst-then-wal", func(t *testing.T) {
+		dir := t.TempDir()
+		eng, err := Open(Options{Backend: SST, DataDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Put("k", &store.Version{Value: []byte("v"), UT: 1})
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		const unknown = `unknown store backend "wal"`
+		if err := Validate("wal", dir); err == nil || !strings.Contains(err.Error(), unknown) {
+			t.Errorf(`Validate("wal") = %v, want %s`, err, unknown)
+		}
+		if e, err := Open(Options{Backend: "wal", DataDir: dir}); err == nil || !strings.Contains(err.Error(), unknown) {
+			if e != nil {
+				_ = e.Close()
 			}
-			// After a clean close, the engine-type marker still refuses the
-			// mismatched engine...
-			if _, err := Open(Options{Backend: c.second, DataDir: dir}); err == nil {
-				t.Fatalf("%s adopted a closed %s data directory", c.second, c.first)
-			}
-			// ...while the original type reopens and recovers fine.
-			re, err := Open(Options{Backend: c.first, DataDir: dir})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := re.Latest("k"); got == nil || string(got.Value) != "v" {
-				t.Fatalf("recovered Latest = %+v, want v", got)
-			}
-			_ = re.Close()
-		})
-	}
+			t.Errorf(`Open("wal") = %v, want %s`, err, unknown)
+		}
+
+		re, err := Open(Options{Backend: SST, DataDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		if got := re.Latest("k"); got == nil || string(got.Value) != "v" {
+			t.Fatalf("recovered Latest = %+v, want v", got)
+		}
+	})
 }

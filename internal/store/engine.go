@@ -4,9 +4,9 @@ import "wren/internal/hlc"
 
 // Engine is the pluggable storage abstraction every partition server writes
 // through. The protocol layers (core, cure) program against this interface
-// only, so persistence backends — the in-memory lock-striped map, the
-// per-shard WAL in store/wal, future memtable+SST engines — slot in without
-// touching protocol code.
+// only, so persistence backends — the in-memory lock-striped map and the
+// memtable+sorted-run engine in store/sst — slot in without touching
+// protocol code.
 //
 // All methods must be safe for concurrent use. Version pointers handed to
 // Put/PutBatch are owned by the engine afterwards; callers must not mutate

@@ -1,7 +1,7 @@
 // Package enginetest is the conformance suite for store.Engine
-// implementations. Every backend — the in-memory lock-striped engine, the
-// WAL engine, future memtable+SST engines — must pass the same suite, so
-// the protocol layers can treat backends as interchangeable.
+// implementations. Every backend — the in-memory lock-striped engine and
+// the memtable+SST engine — must pass the same suite, so the protocol
+// layers can treat backends as interchangeable.
 package enginetest
 
 import (

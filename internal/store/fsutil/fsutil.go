@@ -94,9 +94,8 @@ func (osFS) SyncDir(dir string) error {
 func (f osFile) Datasync() error { return datasync(f.File) }
 
 // lockName is the advisory-lock file every durable engine locks,
-// whatever its type. One shared name is what makes the lock meaningful
-// across engine types: with per-engine names, a wal engine and an sst
-// engine could both "exclusively" own the same directory.
+// whatever its type, so that no two engines of any type can both
+// "exclusively" own the same directory.
 const lockName = "store.lock"
 
 // markerName is the engine-type marker file written on first claim, so a
@@ -133,28 +132,6 @@ func ClaimDir(fsys FS, dir, engine string) (io.Closer, error) {
 		return nil, err
 	}
 	return f, nil
-}
-
-// LoadOrInitShards returns the stripe count the data directory was created
-// with, persisting the resolved count on first open. The key→file mapping
-// is fixed the moment the first record is written: reopening with a
-// different stripe count would read too few files or route records into
-// the wrong one, so the persisted count is authoritative and a differing
-// option is overridden by the caller. A count outside (0, maxShards] or
-// not a power of two fails loudly — a clamped or guessed value would
-// silently desynchronize the mapping.
-func LoadOrInitShards(fsys FS, dir, metaName string, resolved, maxShards int) (int, error) {
-	path := filepath.Join(dir, metaName)
-	b, err := loadOrInit(fsys, path, fmt.Sprintf("shards=%d\n", resolved))
-	if err != nil {
-		return 0, err
-	}
-	var n int
-	if _, serr := fmt.Sscanf(string(b), "shards=%d", &n); serr != nil ||
-		n <= 0 || n > maxShards || n&(n-1) != 0 {
-		return 0, fmt.Errorf("corrupt meta file %s: %q", path, b)
-	}
-	return n, nil
 }
 
 // loadOrInit returns the contents of the small file at path, first writing

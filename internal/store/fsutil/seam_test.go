@@ -24,19 +24,16 @@ func newCrashFS(t *testing.T, dir string, seed int64) *crashfs.FS {
 }
 
 // TestSmallFilesSurvivePowerCut cuts the power after every operation of a
-// directory's first claim (the engine-type marker) and its shard-count
-// meta file, and claims each image again: both files must read back as
-// written or not at all — never empty — and once their writes returned,
-// as written.
+// directory's first claim, which writes the engine-type marker, and claims
+// each image again: the marker must read back as written or not at all —
+// never empty, which would refuse the directory as another engine's — and
+// once the claim returned, as written.
 func TestSmallFilesSurvivePowerCut(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		dir := t.TempDir()
 		c := newCrashFS(t, dir, seed)
-		lock, err := fsutil.ClaimDir(c, dir, "wal")
+		lock, err := fsutil.ClaimDir(c, dir, "sst")
 		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fsutil.LoadOrInitShards(c, dir, "wal.meta", 4, 64); err != nil {
 			t.Fatal(err)
 		}
 		lock.Close()
@@ -46,14 +43,14 @@ func TestSmallFilesSurvivePowerCut(t *testing.T) {
 			if err := c.Image(k, img); err != nil {
 				t.Fatal(err)
 			}
+			b, err := os.ReadFile(filepath.Join(img, "store.engine"))
+			if (err != nil || string(b) != "sst\n") && (!os.IsNotExist(err) || k == c.Ops()) {
+				t.Fatalf("%s: marker %q, %v; want \"sst\\n\" (or none, if the write is lost)", context, b, err)
+			}
 			ic := newCrashFS(t, img, 0)
-			lock, err := fsutil.ClaimDir(ic, img, "wal")
+			lock, err := fsutil.ClaimDir(ic, img, "sst")
 			if err != nil {
 				t.Fatalf("%s: claim: %v", context, err)
-			}
-			n, err := fsutil.LoadOrInitShards(ic, img, "wal.meta", 8, 64)
-			if err != nil || (n != 4 && (n != 8 || k == c.Ops())) {
-				t.Fatalf("%s: shard count %d, %v; want 4 (or 8, if the write is lost)", context, n, err)
 			}
 			lock.Close()
 		}

@@ -1,8 +1,7 @@
-// Package logrec defines the framed on-disk record format shared by the
-// durable storage engines (the per-shard WAL in store/wal, the
-// memtable+sorted-run engine in store/sst): one record per version,
-// length-prefixed and CRC32-checksummed, with the payload produced by the
-// internal/wire encoder. Keeping the format in one place means every log
+// Package logrec defines the framed on-disk record format of the durable
+// storage engine (the memtable+sorted-run engine in store/sst): one record
+// per version, length-prefixed and CRC32-checksummed, with the payload
+// produced by the internal/wire encoder. Keeping the format in one place means every log
 // and run file in a data directory is scanned, validated and truncated by
 // the exact same rules, and a future engine cannot drift from them.
 //

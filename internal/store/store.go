@@ -129,8 +129,8 @@ func New() *Store { return NewSharded(DefaultShards) }
 // ResolveShards returns the shard count NewSharded(n) would actually use:
 // n <= 0 selects DefaultShards, values above MaxShards are capped, and the
 // result is rounded up to the next power of two for mask-based indexing.
-// Durable engines use it to resolve a configured count before persisting
-// it, without building a throwaway store.
+// The sst engine uses it to resolve a configured count without building a
+// throwaway store.
 func ResolveShards(n int) int {
 	if n <= 0 {
 		n = DefaultShards
@@ -161,8 +161,8 @@ func (s *Store) NumShards() int { return len(s.shards) }
 
 // Fingerprint returns the FNV-1a hash of key — the fingerprint the store
 // stripes keys by. Exported so backends that keep per-shard side state
-// (e.g. the WAL engine's log files) can use the exact same key→shard
-// mapping as the in-memory stripes they mirror.
+// (the sst engine's stripes and GC counts) can use the exact same
+// key→shard mapping as the in-memory stripes they mirror.
 func Fingerprint(key string) uint32 { return fnv1a(key) }
 
 // fnv1a fingerprints a key without allocating (hash/fnv would force the
@@ -182,11 +182,6 @@ func fnv1a(key string) uint32 {
 
 func (s *Store) shardOf(key string) *shard {
 	return &s.shards[fnv1a(key)&s.mask]
-}
-
-// ShardIndex returns the index of the shard that owns key.
-func (s *Store) ShardIndex(key string) int {
-	return int(fnv1a(key) & s.mask)
 }
 
 // insertLocked splices v into chain keeping last-writer-wins order. Inserts
@@ -222,7 +217,7 @@ func (s *Store) PutBatch(kvs []KV) {
 		s.Put(kvs[0].Key, kvs[0].Version)
 		return
 	}
-	ForEachShardGroup(s.mask, kvs, func(id uint32, group []KV) {
+	forEachShardGroup(s.mask, kvs, func(id uint32, group []KV) {
 		sh := &s.shards[id]
 		sh.mu.Lock()
 		for _, kv := range group {
@@ -232,14 +227,12 @@ func (s *Store) PutBatch(kvs []KV) {
 	})
 }
 
-// ForEachShardGroup partitions kvs by key fingerprint under the given
+// forEachShardGroup partitions kvs by key fingerprint under the given
 // power-of-two mask and invokes fn once per touched shard with that
 // shard's members, in first-appearance order — the exact grouping
-// PutBatch uses internally. Engines that keep per-shard side state (the
-// WAL's log files) use it so their grouping can never drift from the
-// memory stripes'. The group slice is reused across calls; fn must not
-// retain it.
-func ForEachShardGroup(mask uint32, kvs []KV, fn func(shard uint32, group []KV)) {
+// PutBatch uses internally. The group slice is reused across calls; fn
+// must not retain it.
+func forEachShardGroup(mask uint32, kvs []KV, fn func(shard uint32, group []KV)) {
 	ids := make([]uint32, len(kvs))
 	for i := range kvs {
 		ids[i] = fnv1a(kvs[i].Key) & mask
@@ -523,23 +516,6 @@ func ChainCut(chain []*Version, base *Version, dropWhole bool) int {
 		}
 	}
 	return cut
-}
-
-// ShardSnapshot returns every version stored in shard si, in chain order
-// per key (oldest first under last-writer-wins). The returned Version
-// pointers are shared with the store and must be treated as read-only.
-// Backends use it to rewrite a shard's log during compaction.
-func (s *Store) ShardSnapshot(si int) []KV {
-	sh := &s.shards[si]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	var out []KV
-	for key, chain := range sh.chains {
-		for _, v := range chain {
-			out = append(out, KV{Key: key, Version: v})
-		}
-	}
-	return out
 }
 
 // Healthy implements Engine. The in-memory engine has no write path that

@@ -200,8 +200,7 @@ func (l *Log) compactFlushLocked() []lazyWaiter {
 }
 
 // writeTo streams the snapshot record by record through a throwaway
-// encoder and a buffered writer (the WAL engine's compaction discipline):
-// encoding the whole retained state into one buffer would pin a
+// encoder and a buffered writer: encoding the whole retained state into one buffer would pin a
 // rewrite-sized allocation for every burst of retained transactions.
 func (r *retained) writeTo(f fsutil.File) (written int64, err error) {
 	w := bufio.NewWriterSize(f, 1<<16)

@@ -105,12 +105,11 @@ type Config struct {
 	// negative disables).
 	GCInterval time.Duration
 	// StoreBackend selects each server's storage engine: "" or "memory"
-	// keeps versions only in memory; "wal" adds durable per-shard
-	// append-only logs replayed on restart; "sst" is the memtable+
-	// sorted-run engine — a WAL over the active memtable only, with
-	// background flushes to immutable sorted runs that serve snapshot
-	// reads lock-free and merge compaction folding them together. Both
-	// durable backends make a cluster restartable from the same DataDir.
+	// keeps versions only in memory; "sst", the one durable engine, is
+	// the memtable+sorted-run engine — a log over the active memtable
+	// only, with background flushes to immutable sorted runs that serve
+	// snapshot reads lock-free and merge compaction folding them
+	// together. It makes a cluster restartable from the same DataDir.
 	StoreBackend string
 	// DataDir is the root directory durable backends write under; every
 	// server uses its own dc<m>-p<n> subdirectory. Empty with a durable

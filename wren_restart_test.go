@@ -2,26 +2,95 @@ package wren
 
 import (
 	"fmt"
+	"io/fs"
+	"maps"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
 
 // TestClusterRestartRecovery is the acceptance test for the durable
-// backends: a cluster stopped and restarted from the same data directory
+// backend: a cluster stopped and restarted from the same data directory
 // must serve every transaction committed before the stop — and deletes
-// must stay deleted — whichever durable engine is underneath.
+// must stay deleted. A data directory the retired wal engine left is not
+// recovered: the restart refuses it and leaves it as it was.
 func TestClusterRestartRecovery(t *testing.T) {
-	for _, backend := range []string{"wal", "sst"} {
-		t.Run(backend, func(t *testing.T) { testClusterRestartRecovery(t, backend) })
+	t.Run("sst", testClusterRestartRecovery)
+	t.Run("wal", testRestartRefusesWALDir)
+}
+
+// testRestartRefusesWALDir: restarting over the data directory of a
+// deployment that ran the retired wal engine must fail loudly, whether the
+// restart asks for sst (which would otherwise serve the empty state it
+// finds there) or still names wal, and must not change a byte of it.
+func testRestartRefusesWALDir(t *testing.T) {
+	dataDir := t.TempDir()
+	for p := 0; p < 2; p++ {
+		dir := filepath.Join(dataDir, fmt.Sprintf("dc0-p%d", p))
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for name, body := range map[string]string{
+			"store.lock":      "",
+			"store.engine":    "wal\n",
+			"wal.meta":        "shards=64\n",
+			"shard-00000.log": fmt.Sprintf("records partition %d wrote\n", p),
+		} {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// snapshot maps every path under dataDir to its contents ("/" for a
+	// directory).
+	snapshot := func() map[string]string {
+		files := map[string]string{}
+		err := filepath.WalkDir(dataDir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() {
+				files[path] = "/"
+				return nil
+			}
+			b, err := os.ReadFile(path)
+			files[path] = string(b)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return files
+	}
+	before := snapshot()
+
+	for _, c := range []struct{ backend, want string }{
+		{"sst", `created by the "wal" engine`},
+		{"wal", `unknown store backend "wal"`},
+	} {
+		cfg := Config{NumDCs: 1, NumPartitions: 2, StoreBackend: c.backend, DataDir: dataDir, FsyncPolicy: "always"}
+		cl, err := NewCluster(cfg)
+		if err == nil {
+			cl.Close()
+			t.Fatalf("a %s cluster started over a wal data directory", c.backend)
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s restart: %v, want %s", c.backend, err, c.want)
+		}
+		if after := snapshot(); !maps.Equal(after, before) {
+			t.Fatalf("the refused %s restart changed the data directory:\n got %q\nwant %q", c.backend, after, before)
+		}
 	}
 }
 
-func testClusterRestartRecovery(t *testing.T, backend string) {
+func testClusterRestartRecovery(t *testing.T) {
 	dataDir := t.TempDir()
 	cfg := Config{
 		NumDCs:        1,
 		NumPartitions: 2,
-		StoreBackend:  backend,
+		StoreBackend:  "sst",
 		DataDir:       dataDir,
 		FsyncPolicy:   "always",
 	}
@@ -142,8 +211,8 @@ func testClusterRestartRecovery(t *testing.T, backend string) {
 	verify("second restart")
 }
 
-// TestClusterMemoryBackendForgets pins the baseline the WAL backend is
-// fixing: the default memory backend starts empty after a restart.
+// TestClusterMemoryBackendForgets pins the baseline the durable backend
+// fixes: the default memory backend starts empty after a restart.
 func TestClusterMemoryBackendForgets(t *testing.T) {
 	cfg := Config{NumDCs: 1, NumPartitions: 1}
 	cl, err := NewCluster(cfg)
