@@ -30,6 +30,7 @@ func Run(t *testing.T, open Factory) {
 	t.Run("GCAccounting", func(t *testing.T) { testGCAccounting(t, open(t)) })
 	t.Run("CountsAndIteration", func(t *testing.T) { testCounts(t, open(t)) })
 	t.Run("Scan", func(t *testing.T) { testScan(t, open(t)) })
+	t.Run("EmptyIsNotAbsent", func(t *testing.T) { testEmptyIsNotAbsent(t, open(t)) })
 	t.Run("ScanConcurrent", func(t *testing.T) { testScanConcurrent(t, open(t)) })
 	t.Run("ConcurrentUse", func(t *testing.T) { testConcurrent(t, open(t)) })
 	t.Run("Healthy", func(t *testing.T) { testHealthy(t, open(t)) })
@@ -435,6 +436,52 @@ func testScan(t *testing.T, e store.Engine) {
 // written before the scan started must appear, in order, with some
 // committed value — concurrent writes may or may not be observed but
 // must never corrupt the iteration.
+// testEmptyIsNotAbsent: an empty value reads back non-nil, with length 0,
+// through every read path — from a run file when the engine can flush one
+// — while a tombstone reads as a nil value and Scan leaves it out.
+func testEmptyIsNotAbsent(t *testing.T, e store.Engine) {
+	defer func() { _ = e.Close() }()
+	e.Put("empty", &store.Version{Value: []byte{}, UT: 1, TxID: 1})
+	e.Put("one", version("x", 2, 2))
+	e.Put("tomb", &store.Version{UT: 3, TxID: 3})
+	if f, ok := e.(interface{ Flush() error }); ok {
+		if err := f.Flush(); err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
+	}
+	check := func(path, key string, v *store.Version) {
+		t.Helper()
+		switch {
+		case v == nil:
+			t.Fatalf("%s(%q) = nil", path, key)
+		case key == "tomb" && v.Value != nil:
+			t.Fatalf("%s(%q): a tombstone read as value %q", path, key, v.Value)
+		case key == "empty" && (v.Value == nil || len(v.Value) != 0):
+			t.Fatalf("%s(%q): an empty value read as %#v, want non-nil and empty", path, key, v.Value)
+		case key == "one" && string(v.Value) != "x":
+			t.Fatalf("%s(%q) = %q, want \"x\"", path, key, v.Value)
+		}
+	}
+	keys := []string{"empty", "one", "tomb"}
+	for i, v := range e.ReadVisibleBatchInto(keys, all, nil) {
+		check("ReadVisibleBatchInto", keys[i], v)
+	}
+	for _, k := range keys {
+		check("ReadVisible", k, e.ReadVisible(k, all))
+	}
+	var scanned []string
+	if err := e.Scan("", "", all, func(key string, v *store.Version) bool {
+		check("Scan", key, v)
+		scanned = append(scanned, key)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(scanned) != "[empty one]" {
+		t.Fatalf("Scan yielded %q, want the empty value and \"one\"", scanned)
+	}
+}
+
 func testScanConcurrent(t *testing.T, e store.Engine) {
 	defer func() { _ = e.Close() }()
 	const stable = 50

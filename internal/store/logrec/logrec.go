@@ -23,6 +23,7 @@ import (
 	"hash/crc32"
 	"io"
 
+	"wren/internal/hlc"
 	"wren/internal/store"
 	"wren/internal/wire"
 )
@@ -61,26 +62,47 @@ func Append(enc *wire.Encoder, key string, v *store.Version) {
 	})
 }
 
-// Decode parses one record payload back into a version.
+// Decode parses one record payload back into a version it owns.
 func Decode(payload []byte) (string, *store.Version, error) {
-	d := wire.NewDecoder(payload)
-	key := d.String()
-	tombstone := d.Bool()
-	raw := d.BytesField()
-	v := &store.Version{
-		UT:    d.Timestamp(),
-		RDT:   d.Timestamp(),
-		TxID:  d.Uvarint(),
-		SrcDC: d.Byte(),
-		DV:    d.Timestamps(),
-	}
-	if err := d.Err(); err != nil {
+	v := new(store.Version)
+	key, _, err := DecodeInto(payload, v, nil)
+	if err != nil {
 		return "", nil, err
 	}
-	if !tombstone {
-		v.Value = append([]byte{}, raw...)
+	if v.Value != nil {
+		v.Value = append([]byte{}, v.Value...)
 	}
-	return key, v, nil
+	return string(key), v, nil
+}
+
+// DecodeInto parses one record payload into v without copying: the key
+// and v.Value alias payload (Value is nil for a tombstone and non-nil,
+// possibly empty, otherwise). The dependency vector is appended to dvs,
+// which is returned, and v.DV is the appended part, cap-limited (nil when
+// the record has none) — callers decoding many records share one buffer.
+func DecodeInto(payload []byte, v *store.Version, dvs []hlc.Timestamp) (key []byte, _ []hlc.Timestamp, err error) {
+	d := wire.NewDecoder(payload)
+	key = d.BytesField()
+	tombstone := d.Bool()
+	raw := d.BytesField()
+	v.UT, v.RDT = d.Timestamp(), d.Timestamp()
+	v.TxID, v.SrcDC = d.Uvarint(), d.Byte()
+	start := len(dvs)
+	for n := d.Uvarint(); n > 0 && d.Err() == nil; n-- {
+		dvs = append(dvs, d.Timestamp())
+	}
+	if err := d.Err(); err != nil {
+		return nil, dvs[:start], err
+	}
+	v.DV = nil
+	if len(dvs) > start {
+		v.DV = dvs[start:len(dvs):len(dvs)]
+	}
+	v.Value = nil
+	if !tombstone {
+		v.Value = raw[:len(raw):len(raw)]
+	}
+	return key, dvs, nil
 }
 
 // ScanFrames walks the intact prefix of a log file image, invoking fn with

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"wren/internal/store"
 )
@@ -156,38 +155,58 @@ func (e *Engine) compactLocked(inputs []*run) {
 	cs.seek("")
 	outLive := make(map[string]int) // kept tombstones: in the file, none live
 	var merged []*store.Version
-	for {
-		key, have := cs.least("", false)
-		if !have {
-			break
-		}
-		merged = merged[:0]
-		var lastFull *store.Version
-		for i, it := range cs.its {
-			if !cs.at[i] {
-				continue
+	// The chains' values alias the input mappings: addChain reads them, so
+	// the merge runs under readMapped, and a fault aborts it like a corrupt
+	// record.
+	fault := readMapped(func() {
+		for {
+			key, have := cs.least("", false)
+			if !have {
+				return
 			}
-			full := it.chain
-			if t := full[len(full)-1]; lastFull == nil || lastFull.Less(t) {
-				lastFull = t
+			merged = merged[:0]
+			var lastFull *store.Version
+			chains := 0
+			for i, it := range cs.its {
+				if !cs.at[i] {
+					continue
+				}
+				full := it.chain
+				if t := full[len(full)-1]; lastFull == nil || lastFull.Less(t) {
+					lastFull = t
+				}
+				if cut := cutOf(inputs[i].live, key, len(full)); cut < len(full) {
+					merged = append(merged, full[cut:]...)
+					chains++
+				}
 			}
-			if cut := cutOf(inputs[i].live, key, len(full)); cut < len(full) {
-				merged = append(merged, full[cut:]...)
+			if chains > 1 { // one chain is already in order
+				slices.SortFunc(merged, func(a, b *store.Version) int {
+					if a.Less(b) {
+						return -1
+					}
+					if b.Less(a) {
+						return 1
+					}
+					return 0
+				})
 			}
+			if len(merged) > 0 {
+				w.addChain(key, merged)
+			} else if lastFull.Value == nil && mayHold(outside, key) {
+				w.addChain(key, append(merged, lastFull))
+				outLive[key] = 0
+			}
+			cs.advance()
 		}
-		if len(merged) > 0 {
-			sort.Slice(merged, func(a, b int) bool { return merged[a].Less(merged[b]) })
-			w.addChain(key, merged)
-		} else if lastFull.Value == nil && mayHold(outside, key) {
-			w.addChain(key, append(merged, lastFull))
-			outLive[key] = 0
-		}
-		cs.advance()
+	})
+	if fault != nil {
+		e.recordErr(fmt.Errorf("sst: compaction: read run: %w", fault))
 	}
 	iterErr := cs.err()
 	cs.close()
-	if iterErr != nil {
-		w.abort() // the iterator already recorded the health error
+	if fault != nil || iterErr != nil {
+		w.abort() // a cursor failure is already recorded for Healthy
 		return
 	}
 

@@ -54,20 +54,35 @@ func (e *Engine) mergeDisk(tabs *tables, key string, visible store.VisibleFunc, 
 	}
 }
 
+// mergeBatch folds the frozen memtable and every run into out, the active
+// memtable's answers for keys. The run versions that win are materialized
+// together when the call ends (probeScratch.publish): one slab of versions
+// and one arena of values for the whole call, fresh each time because
+// callers keep what they are given.
+func (e *Engine) mergeBatch(tabs *tables, keys []string, visible store.VisibleFunc, out []*store.Version) {
+	if tabs.frozen == nil && len(tabs.runs) == 0 {
+		return
+	}
+	sc := probePool.Get().(*probeScratch)
+	for j, k := range keys {
+		if out[j] = e.mergeDisk(tabs, k, visible, out[j], sc); out[j] == &sc.win {
+			sc.wins = append(sc.wins, sc.win)
+			sc.slots = append(sc.slots, j)
+		}
+	}
+	sc.publish(out)
+	probePool.Put(sc)
+}
+
 // ReadVisible implements store.Engine: the freshest visible version
 // across the active memtable, the frozen memtable (if a flush is in
 // progress) and every immutable run. Runs are probed without any lock —
 // a Bloom-filter check, then at most one block of the mapping each.
 func (e *Engine) ReadVisible(key string, visible store.VisibleFunc) *store.Version {
 	tabs := e.tabs.Load()
-	v := tabs.active.ReadVisible(key, visible)
-	if tabs.frozen == nil && len(tabs.runs) == 0 {
-		return v
-	}
-	sc := probePool.Get().(*probeScratch)
-	v = e.mergeDisk(tabs, key, visible, v, sc)
-	probePool.Put(sc)
-	return v
+	keys, out := [1]string{key}, [1]*store.Version{tabs.active.ReadVisible(key, visible)}
+	e.mergeBatch(tabs, keys[:], visible, out[:])
+	return out[0]
 }
 
 // ReadVisibleBatch implements store.Engine.
@@ -80,33 +95,21 @@ func (e *Engine) ReadVisibleBatch(keys []string, visible store.VisibleFunc) []*s
 // touched stripe), then each key is merged against the frozen memtable
 // and the immutable runs lock-free. With a large-enough caller buffer the
 // call performs no heap allocation on the memtable-hit path — run probes
-// run entirely in pooled scratch and only materialize a version when the
-// run strictly wins the last-writer-wins fold.
+// run entirely in pooled scratch — and two when runs answer: the call's
+// version slab and value arena.
 func (e *Engine) ReadVisibleBatchInto(keys []string, visible store.VisibleFunc, out []*store.Version) []*store.Version {
 	tabs := e.tabs.Load()
 	out = tabs.active.ReadVisibleBatchInto(keys, visible, out)
-	if tabs.frozen == nil && len(tabs.runs) == 0 {
-		return out
-	}
-	sc := probePool.Get().(*probeScratch)
-	for j, k := range keys {
-		out[j] = e.mergeDisk(tabs, k, visible, out[j], sc)
-	}
-	probePool.Put(sc)
+	e.mergeBatch(tabs, keys, visible, out)
 	return out
 }
 
 // Latest implements store.Engine.
 func (e *Engine) Latest(key string) *store.Version {
 	tabs := e.tabs.Load()
-	v := tabs.active.Latest(key)
-	if tabs.frozen == nil && len(tabs.runs) == 0 {
-		return v
-	}
-	sc := probePool.Get().(*probeScratch)
-	v = e.mergeDisk(tabs, key, alwaysVisible, v, sc)
-	probePool.Put(sc)
-	return v
+	keys, out := [1]string{key}, [1]*store.Version{tabs.active.Latest(key)}
+	e.mergeBatch(tabs, keys[:], alwaysVisible, out[:])
+	return out[0]
 }
 
 // VersionsOf implements store.Engine: memtable counts plus one block
@@ -222,32 +225,105 @@ func (e *Engine) walkChain(r *run, bi int, key string, limit int, fn func(payloa
 	return true
 }
 
-// probeScratch is the pooled per-probe state: one reusable Version (handed
-// to visibility predicates) and one reusable dependency-vector buffer.
-// Reads borrow it once per batch, so the steady-state point-read path
-// allocates nothing.
+// probeScratch is the pooled state of one read call's run probes. ver is
+// the record being decided on, decoded in place (its Value aliases the
+// mapping); win is the current key's best run version so far, its value
+// and dependency vector copied into the staging buffers vals and dvs;
+// wins are the call's kept winners, each answering out[slots[i]], until
+// publish materializes them. Reads borrow it once per call, so the
+// steady-state point-read path allocates nothing but what it returns.
 type probeScratch struct {
 	dv  []hlc.Timestamp
 	ver store.Version
+
+	win   store.Version
+	wins  []store.Version
+	slots []int
+	vals  []byte
+	dvs   []hlc.Timestamp
 }
 
 var probePool = sync.Pool{New: func() any { return new(probeScratch) }}
 
+// maxStagedBytes bounds the staging buffer a pooled scratch keeps between
+// calls; one very large value must not stay pinned in the pool.
+const maxStagedBytes = 1 << 20
+
+// stage makes ver, whose value and dependency vector alias the mapping,
+// the current key's run winner, copying both into the staging buffers.
+// A non-tombstone value stays non-nil when it is empty.
+func (sc *probeScratch) stage(ver *store.Version) *store.Version {
+	sc.win = *ver
+	if ver.Value != nil {
+		sc.vals = append(sc.vals, ver.Value...)
+		n := len(sc.vals)
+		sc.win.Value = sc.vals[n-len(ver.Value) : n : n]
+		if len(ver.Value) == 0 {
+			sc.win.Value = []byte{}
+		}
+	}
+	if len(ver.DV) > 0 {
+		sc.dvs = append(sc.dvs, ver.DV...)
+		n := len(sc.dvs)
+		sc.win.DV = sc.dvs[n-len(ver.DV) : n : n]
+	}
+	return &sc.win
+}
+
+// publish materializes the call's kept winners into out: one slab for the
+// versions, one arena for their values, and — only when some version
+// carries one — one for their dependency vectors. Then it resets the
+// scratch for the next call.
+func (sc *probeScratch) publish(out []*store.Version) {
+	if len(sc.wins) > 0 {
+		slab := make([]store.Version, len(sc.wins))
+		valBytes, dvLen := 0, 0
+		for i := range sc.wins {
+			valBytes += len(sc.wins[i].Value)
+			dvLen += len(sc.wins[i].DV)
+		}
+		arena := make([]byte, 0, valBytes)
+		var dvs []hlc.Timestamp
+		if dvLen > 0 {
+			dvs = make([]hlc.Timestamp, 0, dvLen)
+		}
+		for i, w := range sc.wins {
+			if w.Value != nil {
+				arena = append(arena, w.Value...)
+				w.Value = arena[len(arena)-len(w.Value) : len(arena) : len(arena)]
+			}
+			if w.DV != nil {
+				dvs = append(dvs, w.DV...)
+				w.DV = dvs[len(dvs)-len(w.DV) : len(dvs) : len(dvs)]
+			}
+			slab[i] = w
+			out[sc.slots[i]] = &slab[i]
+		}
+	}
+	clear(sc.wins)
+	sc.wins, sc.slots, sc.dvs = sc.wins[:0], sc.slots[:0], sc.dvs[:0]
+	sc.win = store.Version{}
+	sc.vals = sc.vals[:0]
+	if cap(sc.vals) > maxStagedBytes {
+		sc.vals = nil
+	}
+}
+
 // probeRun merges run r into the running best version for key: if the
 // freshest version of key in r that satisfies visible strictly beats cur
-// in last-writer-wins order, it is materialized (one allocation, only on
-// the winning path) and returned; otherwise cur comes back untouched. The
-// second result is false only when the run was retired concurrently — the
-// caller reloads the tables and retries.
+// in last-writer-wins order, it is staged as the key's winner (sc.stage)
+// and &sc.win returned; otherwise cur comes back untouched. The second
+// result is false only when the run was retired concurrently — the caller
+// reloads the tables and retries.
 //
 // The walk goes down the chain newest first, decoding each record into the
 // pooled scratch in place in the mapping, and stops at the first record it
 // can decide on: one cur is not older than (nothing further down can win),
-// or the first visible one — the freshest visible, which is materialized.
-// It never goes past the versions the GC overlay leaves live. A Bloom miss
-// answers from memory alone. The visibility predicate sees sc.ver, whose
-// Value aliases the mapping: it must not retain it; logrec.Decode copies
-// everything it returns.
+// or the first visible one — the freshest visible, which is staged while
+// the mapping is still held. It never goes past the versions the GC
+// overlay leaves live. A Bloom miss answers from memory alone. The
+// visibility predicate sees sc.ver, whose Value aliases the mapping: it
+// must not retain it.
 func (e *Engine) probeRun(r *run, key string, visible store.VisibleFunc, cur *store.Version, sc *probeScratch) (*store.Version, bool) {
 	if !r.filter.mayContain(key) {
 		e.bloomSkips.Add(1)
@@ -263,24 +339,11 @@ func (e *Engine) probeRun(r *run, key string, visible store.VisibleFunc, cur *st
 	}
 	v := cur
 	ok := e.walkChain(r, bi, key, limit, func(payload []byte) bool {
-		d := wire.NewDecoder(payload)
-		d.BytesField() // the key, matched by chainIn
-		tomb := d.Bool()
-		val := d.BytesField()
 		ver := &sc.ver
-		ver.UT, ver.RDT = d.Timestamp(), d.Timestamp()
-		ver.TxID, ver.SrcDC = d.Uvarint(), d.Byte()
-		sc.dv = sc.dv[:0]
-		for i := int(d.Uvarint()); i > 0; i-- {
-			sc.dv = append(sc.dv, d.Timestamp())
-		}
-		if d.Err() != nil {
-			e.recordErr(fmt.Errorf("sst: corrupt record in run %s: %w", r.path, d.Err()))
+		var err error
+		if _, sc.dv, err = logrec.DecodeInto(payload, ver, sc.dv[:0]); err != nil {
+			e.recordErr(fmt.Errorf("sst: corrupt record in run %s: %w", r.path, err))
 			return false
-		}
-		ver.DV, ver.Value = sc.dv, val
-		if tomb {
-			ver.Value = nil
 		}
 		if cur != nil && !cur.Less(ver) {
 			return false // the resident version is at least as fresh as the rest of the chain
@@ -288,11 +351,7 @@ func (e *Engine) probeRun(r *run, key string, visible store.VisibleFunc, cur *st
 		if !visible(ver) {
 			return true
 		}
-		if _, w, err := logrec.Decode(payload); err != nil {
-			e.recordErr(fmt.Errorf("sst: corrupt record in run %s: %w", r.path, err))
-		} else {
-			v = w
-		}
+		v = sc.stage(ver)
 		return false
 	})
 	sc.ver.Value = nil // drop the alias into the mapping

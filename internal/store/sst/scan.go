@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"slices"
 
+	"wren/internal/hlc"
 	"wren/internal/store"
 	"wren/internal/store/logrec"
 	"wren/internal/wire"
@@ -18,10 +19,12 @@ import (
 // block-at-a-time; memtable keys come off the memtable's ordered key index
 // (store.KeysFrom), so a scan that stops early pays for the keys it
 // yielded, not for the memtable's size. Each yielded version is a
-// materialized copy — fn may retain it.
+// materialized copy — fn may retain it: a run's version is copied out of
+// the iterator and the mapping, under readMapped, before the cursors move.
 func (e *Engine) Scan(start, end string, visible store.VisibleFunc, fn func(key string, v *store.Version) bool) error {
 	tabs, cs := e.pinRuns(end)
 	defer cs.close()
+	var copies versionCopier
 
 	mem := tabs.active.KeysFrom(start)
 	memLive := mem.Next() && cs.before(mem.Key())
@@ -52,12 +55,23 @@ func (e *Engine) Scan(start, end string, visible store.VisibleFunc, fn func(key 
 			v = best(v, tabs.frozen.ReadVisible(key, visible))
 			frozenLive = frozen.Next() && cs.before(frozen.Key())
 		}
+		var inRun *store.Version
 		for i, it := range cs.its {
 			if !cs.at[i] {
 				continue
 			}
 			if cut := cutOf(it.r.live, key, len(it.chain)); cut < len(it.chain) {
-				v = best(v, store.ReadVisibleChain(it.chain[cut:], visible))
+				inRun = best(inRun, store.ReadVisibleChain(it.chain[cut:], visible))
+			}
+		}
+		if w := best(v, inRun); w != v {
+			v = nil // a tombstone yields nothing; the slab is reused by advance
+			if w.Value != nil {
+				if err := readMapped(func() { v = copies.copy(w) }); err != nil {
+					err = fmt.Errorf("sst: scan: read run value of %q: %w", key, err)
+					e.recordErr(err)
+					return err
+				}
 			}
 		}
 		cs.advance()
@@ -65,6 +79,38 @@ func (e *Engine) Scan(start, end string, visible store.VisibleFunc, fn func(key 
 			return nil
 		}
 	}
+}
+
+// versionCopier materializes the run versions a Scan yields a chunk at a
+// time: versions go into a slab of copyChunk, values into a shared buffer
+// of at least copyChunkBytes, so a yielded key costs its key string and a
+// share of a chunk. A retained version keeps its chunks alive.
+type versionCopier struct {
+	vers []store.Version
+	vals []byte
+}
+
+const (
+	copyChunk      = 32
+	copyChunkBytes = 4 << 10
+)
+
+// copy returns an owned copy of v, a non-tombstone version; an empty value
+// stays non-nil.
+func (c *versionCopier) copy(v *store.Version) *store.Version {
+	if len(c.vers) == cap(c.vers) {
+		c.vers = make([]store.Version, 0, copyChunk)
+	}
+	c.vers = append(c.vers, *v)
+	out := &c.vers[len(c.vers)-1]
+	n := len(v.Value)
+	if c.vals == nil || n > cap(c.vals)-len(c.vals) {
+		c.vals = make([]byte, 0, max(n, copyChunkBytes))
+	}
+	c.vals = append(c.vals, v.Value...)
+	out.Value = c.vals[len(c.vals)-n : len(c.vals) : len(c.vals)]
+	out.DV = slices.Clone(v.DV)
+	return out
 }
 
 // pinRuns loads the current tables and opens a cursor on every run in
@@ -165,10 +211,13 @@ func (cs *cursorSet) close() {
 // apply — GC accounting needs the full chain, scans need the live one).
 // Every record it yields is checksummed.
 // The iterator holds a file reference from newRunIterator until close, and
-// every walk of the mapping runs under readMapped (see walk); what it
-// yields is decoded copies, valid after close. It only moves forward: next
-// steps to the following key, advanceTo jumps through the fence index to
-// the block of a later one.
+// every walk of the mapping runs under readMapped (see walk). Records are
+// decoded in place: the chain's versions live in a slab the iterator
+// reuses on the next step, their values alias the mapping, and each chain
+// allocates only its key. So a chain is read only under readMapped and
+// never leaves the engine (see the package comment); Scan copies the
+// version it yields. It only moves forward: next steps to the following
+// key, advanceTo jumps through the fence index to the block of a later one.
 type runIterator struct {
 	e   *Engine
 	r   *run
@@ -176,11 +225,10 @@ type runIterator struct {
 	blk []byte // unparsed remainder of the current block, in the mapping
 
 	key   string
-	chain []*store.Version // non-empty exactly while positioned on key
+	chain []*store.Version // non-empty exactly while positioned on key; points into slab
 
-	pkey string // first record of the next key, parsed past the boundary
-	pv   *store.Version
-	pok  bool
+	slab []store.Version // the chain's versions, newest first as in the file
+	dvs  []hlc.Timestamp // their dependency vectors
 
 	err error
 }
@@ -210,29 +258,24 @@ func (it *runIterator) walk(fn func()) {
 // its current position and reports whether there is one. When the fence
 // index places key in a block not entered yet, everything in between is
 // skipped untouched: the cost is the target block (plus the next one when
-// key's chain ends its block — next parses one record past the boundary),
-// not the distance travelled.
+// key's chain ends its block — a step looks at one record past the
+// boundary), not the distance travelled.
 func (it *runIterator) advanceTo(key string) bool {
 	if len(it.chain) > 0 && it.key >= key {
 		return true
 	}
 	if bi := it.r.fenceFor(key); bi >= it.bi {
-		// The rest of the current block and the lookahead record all sort
-		// before fences[bi].firstKey <= key.
-		it.bi, it.blk, it.pok = bi, nil, false
+		// The rest of the current block sorts before fences[bi].firstKey <= key.
+		it.bi, it.blk = bi, nil
 	}
-	// Walk up to key inside the block without materializing what is
-	// skipped: only the record's leading key field is looked at.
-	if it.pok && it.pkey < key {
-		it.pok = false
-	}
+	// Walk up to key inside the block without decoding what is skipped:
+	// only the record's leading key field is looked at.
 	it.walk(func() {
-		for !it.pok {
+		for {
 			payload, ok := it.frame()
-			if !ok || string(wire.NewDecoder(payload).BytesField()) >= key {
+			if !ok || string(recordKey(payload)) >= key || !it.consume(payload) {
 				break
 			}
-			it.blk = it.blk[logrec.HeaderSize+len(payload):]
 		}
 	})
 	return it.next()
@@ -248,39 +291,47 @@ func (it *runIterator) next() bool {
 	return ok
 }
 
+// step decodes the next key's chain into the slab. The record after the
+// chain is recognised by its key field and left unconsumed for the next
+// step. A record that fails its checksum or does not decode ends the
+// chain at the versions before it (the error surfaces on the next step).
 func (it *runIterator) step() bool {
-	it.chain = it.chain[:0]
-	if it.err != nil {
+	it.chain, it.slab, it.dvs = it.chain[:0], it.slab[:0], it.dvs[:0]
+	for {
+		payload, ok := it.frame()
+		if !ok {
+			break
+		}
+		k := recordKey(payload)
+		if len(it.slab) > 0 && string(k) != it.key {
+			break
+		}
+		if !it.consume(payload) {
+			break
+		}
+		var v store.Version
+		var err error
+		if k, it.dvs, err = logrec.DecodeInto(payload, &v, it.dvs); err != nil {
+			it.fail(fmt.Errorf("sst: corrupt record in run %s: %w", it.r.path, err))
+			break
+		}
+		if len(it.slab) == 0 {
+			it.key = string(k)
+		}
+		it.slab = append(it.slab, v)
+	}
+	if len(it.slab) == 0 {
 		return false
 	}
-	if it.pok {
-		it.key = it.pkey
-		it.chain = append(it.chain, it.pv)
-		it.pok = false
-	} else {
-		k, v, ok := it.record()
-		if !ok {
-			return false
-		}
-		it.key = k
-		it.chain = append(it.chain, v)
+	for i := len(it.slab) - 1; i >= 0; i-- { // the file holds chains newest first
+		it.chain = append(it.chain, &it.slab[i])
 	}
-	for {
-		k, v, ok := it.record()
-		if ok && k == it.key {
-			it.chain = append(it.chain, v)
-			continue
-		}
-		if ok {
-			it.pkey, it.pv, it.pok = k, v, true
-		}
-		slices.Reverse(it.chain) // the file holds chains newest first
-		return true
-	}
+	return true
 }
 
 // frame returns the payload of the next record without consuming it,
-// entering the next block when the current one is exhausted.
+// entering the next block when the current one is exhausted. The payload
+// is not checksummed yet: consume does that.
 func (it *runIterator) frame() ([]byte, bool) {
 	if it.err != nil {
 		return nil, false
@@ -302,28 +353,21 @@ func (it *runIterator) frame() ([]byte, bool) {
 		it.fail(fmt.Errorf("sst: torn record in run %s", it.r.path))
 		return nil, false
 	}
-	payload := it.blk[logrec.HeaderSize : logrec.HeaderSize+plen]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(it.blk[4:8]) {
-		it.fail(fmt.Errorf("sst: corrupt record in run %s", it.r.path))
-		return nil, false
-	}
-	return payload, true
+	return it.blk[logrec.HeaderSize : logrec.HeaderSize+plen], true
 }
 
-// record parses and consumes one version record.
-func (it *runIterator) record() (string, *store.Version, bool) {
-	payload, ok := it.frame()
-	if !ok {
-		return "", nil, false
-	}
-	key, v, err := logrec.Decode(payload)
-	if err != nil {
-		it.fail(fmt.Errorf("sst: corrupt record in run %s: %w", it.r.path, err))
-		return "", nil, false
+// consume checksums the record frame returned and steps past it.
+func (it *runIterator) consume(payload []byte) bool {
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(it.blk[4:8]) {
+		it.fail(fmt.Errorf("sst: corrupt record in run %s", it.r.path))
+		return false
 	}
 	it.blk = it.blk[logrec.HeaderSize+len(payload):]
-	return key, v, true
+	return true
 }
+
+// recordKey is a record payload's leading key field.
+func recordKey(payload []byte) []byte { return wire.NewDecoder(payload).BytesField() }
 
 func (it *runIterator) fail(err error) {
 	if it.err == nil {

@@ -77,14 +77,29 @@
 //   - A reader MUST hold a file reference (runFile.acquire, or a
 //     runIterator) across the whole use of the mapped bytes, and no slice
 //     into a mapping may outlive it; the last release unmaps. Everything
-//     the engine returns is a copy (logrec.Decode copies key, value and
-//     dependency vector). A visibility predicate sees a Version whose
-//     Value aliases the mapping, and MUST NOT retain it.
+//     the engine returns is a copy. A visibility predicate sees a Version
+//     whose Value aliases the mapping, and MUST NOT retain it.
 //   - Every access to mapped bytes, frame headers included, MUST run under
 //     readMapped, which sets debug.SetPanicOnFault and turns the SIGBUS of
 //     a page the kernel cannot supply — an I/O error under it, or a file
 //     truncated behind the engine — into a read error that degrades
 //     Healthy, instead of killing the process.
+//   - A run iterator's chain aliases the mapping: its versions live in a
+//     slab the next step reuses and its values are slices of the mapping.
+//     A chain's values MUST be read only under readMapped (compaction
+//     merges and re-encodes under it), and a chain MUST NOT leave the
+//     engine or outlive the step that produced it: Scan copies the
+//     version it yields, under readMapped, before its cursors move, and
+//     the GC pass reads only timestamps and whether Value is nil.
+//
+// Who owns decoded bytes follows from that. A stored write owns its
+// bytes (the memtable keeps what Put was given). A read result shares one
+// allocation per call: the run versions one ReadVisibleBatchInto,
+// ReadVisible or Latest call returns come out of one version slab and one
+// value arena, fresh per call because callers keep them, and a Scan copies
+// what it yields into chunks shared by its next yields. A record that is
+// only re-encoded (compaction) or only compared (the GC pass) is never
+// materialized: a chain costs its key string.
 //
 // Runs are tiered into size levels (level = log_4(size/flushBytes))
 // and background compaction merges gen-contiguous groups of runs within

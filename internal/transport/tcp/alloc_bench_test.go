@@ -1,7 +1,9 @@
 package tcp
 
 import (
+	"bufio"
 	"encoding/binary"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -90,5 +92,48 @@ func TestFrameEncodePooledSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("pooled frame encode allocates %.1f times per message, want 0", allocs)
+	}
+}
+
+// loopReader serves the same bytes forever: a peer that keeps sending one
+// frame.
+type loopReader struct {
+	b   []byte
+	off int
+}
+
+func (r *loopReader) Read(p []byte) (int, error) {
+	n := copy(p, r.b[r.off:])
+	r.off = (r.off + n) % len(r.b)
+	return n, nil
+}
+
+// TestReadFrameAllocs pins what one frame read costs on the receive path:
+// a 20-item TxReadResp takes no more allocations than wire.Decode's pin
+// for a read result (4: the message, its items, one key string and one
+// value arena) — the frame buffer is reused, and nothing is copied twice.
+func TestReadFrameAllocs(t *testing.T) {
+	const wirePin = 4
+	items := make([]wire.Item, 20)
+	for i := range items {
+		items[i] = wire.Item{Key: fmt.Sprintf("user%08d", i), Value: make([]byte, 8), UT: 1 << 40, RDT: 1 << 39, TxID: uint64(i)}
+	}
+	m := &wire.TxReadResp{ReqID: 7, Items: items}
+	frame := encodeFrame(wire.NewEncoder(), transport.ServerID(0, 1), m)
+	pc := &peerConn{br: bufio.NewReaderSize(&loopReader{b: frame}, readBufSize)}
+	read := func() {
+		_, got, err := pc.read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r, ok := got.(*wire.TxReadResp); !ok || len(r.Items) != len(items) {
+			t.Fatalf("read %#v, want the 20-item TxReadResp", got)
+		}
+	}
+	read() // sizes the connection's frame buffer
+	if allocs := testing.AllocsPerRun(200, read); allocs > wirePin {
+		t.Fatalf("reading a 20-item TxReadResp frame allocates %.0f times, want at most %d", allocs, wirePin)
+	} else {
+		t.Logf("%.0f allocations per frame read", allocs)
 	}
 }

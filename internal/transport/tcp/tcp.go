@@ -591,7 +591,8 @@ type peerConn struct {
 
 	readMu  sync.Mutex
 	br      *bufio.Reader
-	readBuf []byte // scratch reused across frames; decoded with DecodeCopy
+	lenBuf  [4]byte // the frame length prefix; a local would escape through io.ReadFull
+	readBuf []byte  // scratch reused across frames; wire.Decode copies out of it
 
 	closeOnce sync.Once
 }
@@ -676,17 +677,18 @@ func (pc *peerConn) flush(enc *wire.Encoder, timeout time.Duration) error {
 
 // read decodes one frame, taking its bytes from the connection's buffered
 // reader. The frame body lands in a per-connection scratch buffer reused
-// across frames; the message is decoded with copy semantics
-// (wire.DecodeCopy) so nothing retained by handlers aliases the scratch.
+// across frames; wire.Decode copies what the message keeps out of it, so
+// nothing retained by handlers aliases the scratch. A read result costs
+// one value arena and one key string per message, not two copies per
+// field (see the wire package comment).
 func (pc *peerConn) read() (transport.NodeID, wire.Message, error) {
 	pc.readMu.Lock()
 	defer pc.readMu.Unlock()
 
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(pc.br, lenBuf[:]); err != nil {
+	if _, err := io.ReadFull(pc.br, pc.lenBuf[:]); err != nil {
 		return transport.NodeID{}, nil, err
 	}
-	frameLen := binary.BigEndian.Uint32(lenBuf[:])
+	frameLen := binary.BigEndian.Uint32(pc.lenBuf[:])
 	if frameLen < 9 || frameLen > maxFrameSize {
 		return transport.NodeID{}, nil, fmt.Errorf("tcp: bad frame length %d", frameLen)
 	}
@@ -703,7 +705,7 @@ func (pc *peerConn) read() (transport.NodeID, wire.Message, error) {
 		DC:   int(int32(binary.BigEndian.Uint32(body[1:5]))),
 		Node: int(int32(binary.BigEndian.Uint32(body[5:9]))),
 	}
-	msg, err := wire.DecodeCopy(kind, body[9:])
+	msg, err := wire.Decode(kind, body[9:])
 	if err != nil {
 		return transport.NodeID{}, nil, err
 	}

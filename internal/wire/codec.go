@@ -7,6 +7,27 @@
 // vector with one entry per DC). All byte accounting in the transport layer
 // is computed from these encodings, so the measured ratios come from the
 // real metadata layout, not from an analytic model.
+//
+// # Who owns decoded bytes
+//
+// Decode never aliases its payload, so a reader may reuse one buffer for
+// every frame (the TCP transport does), and it pays per message, not per
+// field:
+//
+//   - A stored write owns its bytes. Each value of a write set (the KVs of
+//     CommitReq, PrepareReq and ReplTx) is copied once into its own
+//     allocation: the memory engine keeps it as the version's value, and a
+//     shared allocation would let one surviving version pin a whole
+//     replication batch. Each write's key is its own string.
+//   - A read result shares one allocation per message. The Items of
+//     TxReadResp, SliceResp and ScanResp take one value arena and one key
+//     string per message, and a key list (TxReadReq, SliceReq) one string.
+//     Every value is cap-limited to its own bytes, so appending to one
+//     reallocates instead of overwriting its neighbour; a retained item
+//     keeps its whole message's arena alive.
+//
+// A zero-length value decodes as nil: the encoding does not tell an empty
+// value from an absent one (KV carries an explicit Tombstone flag).
 package wire
 
 import (
@@ -14,6 +35,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
+	"sync"
 
 	"wren/internal/hlc"
 )
@@ -164,9 +187,6 @@ type Decoder struct {
 	buf []byte
 	off int
 	err error
-	// copies makes BytesField return an owned copy instead of a slice
-	// aliasing buf, so the caller may reuse buf as scratch (DecodeCopy).
-	copies bool
 }
 
 // NewDecoder returns a Decoder over the given payload.
@@ -219,14 +239,7 @@ func (d *Decoder) Timestamp() hlc.Timestamp { return hlc.Timestamp(d.Fixed64()) 
 // decodes as nil.
 func (d *Decoder) Timestamps() []hlc.Timestamp {
 	n := d.Uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	if n > maxSliceLen {
-		d.fail(ErrTooLarge)
+	if !d.checkLen(n) || n == 0 {
 		return nil
 	}
 	out := make([]hlc.Timestamp, n)
@@ -256,21 +269,21 @@ func (d *Decoder) Byte() byte {
 // Bool reads a boolean.
 func (d *Decoder) Bool() bool { return d.Byte() != 0 }
 
-// BytesField reads a length-prefixed byte slice. The result aliases the
-// input buffer unless the decoder was built by DecodeCopy; aliasing
-// callers that retain it must copy.
-func (d *Decoder) BytesField() []byte {
-	b := d.rawBytes()
-	if d.copies && len(b) > 0 {
-		out := make([]byte, len(b))
-		copy(out, b)
-		return out
+// skip consumes n bytes.
+func (d *Decoder) skip(n uint64) {
+	if d.err != nil {
+		return
 	}
-	return b
+	if n > uint64(d.Remaining()) {
+		d.fail(ErrTruncated)
+		return
+	}
+	d.off += int(n)
 }
 
-// rawBytes reads a length-prefixed byte slice aliasing the input buffer.
-func (d *Decoder) rawBytes() []byte {
+// BytesField reads a length-prefixed byte slice aliasing the input
+// buffer; callers that retain it must copy.
+func (d *Decoder) BytesField() []byte {
 	n := d.Uvarint()
 	if d.err != nil {
 		return nil
@@ -288,31 +301,46 @@ func (d *Decoder) rawBytes() []byte {
 	return b
 }
 
-// String reads a length-prefixed string. The conversion already copies,
-// so copy mode never pays twice.
-func (d *Decoder) String() string { return string(d.rawBytes()) }
+// String reads a length-prefixed string.
+func (d *Decoder) String() string { return string(d.BytesField()) }
 
-// Strings reads a length-prefixed string slice.
+// Strings reads a length-prefixed string slice whose strings share one
+// allocation.
 func (d *Decoder) Strings() []string {
 	n := d.Uvarint()
+	if !d.checkLen(n) || n == 0 {
+		return nil
+	}
+	start, size := d.off, 0
+	for range n {
+		size += len(d.BytesField())
+	}
 	if d.err != nil {
 		return nil
 	}
-	if n == 0 {
-		return nil
-	}
-	if n > maxSliceLen {
-		d.fail(ErrTooLarge)
-		return nil
-	}
+	d.off = start
+	all := d.joined(int(n), size, func() []byte { return d.BytesField() })
 	out := make([]string, n)
 	for i := range out {
-		out[i] = d.String()
-	}
-	if d.err != nil {
-		return nil
+		l := len(d.BytesField())
+		out[i], all = all[:l], all[l:]
 	}
 	return out
+}
+
+// joined concatenates what field returns for each of the n records at the
+// current offset into one string of size bytes, then restores the offset,
+// so the caller walks the same records again and slices the string in
+// order.
+func (d *Decoder) joined(n, size int, field func() []byte) string {
+	start := d.off
+	var b strings.Builder
+	b.Grow(size)
+	for range n {
+		b.Write(field())
+	}
+	d.off = start
+	return b.String()
 }
 
 // Encode serializes a message payload (without framing).
@@ -338,31 +366,29 @@ func Size(m Message) int {
 	return e.Len() + headerSize
 }
 
-// Decode parses a message of the given kind from payload bytes. Byte
-// fields of the result alias payload.
+// Decode parses a message of the given kind from payload bytes. Nothing
+// in the result aliases payload (see the package comment for who owns
+// what), so the caller may reuse payload for the next frame at once.
 func Decode(kind Kind, payload []byte) (Message, error) {
-	return decodeWith(kind, &Decoder{buf: payload})
-}
-
-// DecodeCopy parses like Decode but deep-copies every byte field out of
-// payload, so the caller may immediately reuse payload as scratch for the
-// next frame (the TCP read path does, recycling one buffer per
-// connection instead of allocating per frame).
-func DecodeCopy(kind Kind, payload []byte) (Message, error) {
-	return decodeWith(kind, &Decoder{buf: payload, copies: true})
-}
-
-func decodeWith(kind Kind, d *Decoder) (Message, error) {
 	m, err := newMessage(kind)
 	if err != nil {
 		return nil, err
 	}
+	d := decoderPool.Get().(*Decoder)
+	*d = Decoder{buf: payload}
 	m.decodeFrom(d)
-	if d.err != nil {
-		return nil, fmt.Errorf("wire: decode %v: %w", kind, d.err)
+	err = d.err
+	*d = Decoder{}
+	decoderPool.Put(d)
+	if err != nil {
+		return nil, fmt.Errorf("wire: decode %v: %w", kind, err)
 	}
 	return m, nil
 }
+
+// decoderPool recycles Decode's decoder, which escapes through the
+// message's decodeFrom and would otherwise be one allocation per message.
+var decoderPool = sync.Pool{New: func() any { return new(Decoder) }}
 
 // sanity check that header constant fits real framing.
 var _ = func() int {
@@ -372,18 +398,20 @@ var _ = func() int {
 	return 0
 }()
 
-// checkLen validates a collection length against limits; used by message
-// decoders for nested collections.
+// checkLen validates a collection length before anything is allocated
+// for it: every element takes at least one byte, so a count beyond the
+// bytes left is a truncated (or lying) frame, refused before a slice of
+// that length exists.
 func (d *Decoder) checkLen(n uint64) bool {
 	if d.err != nil {
 		return false
 	}
-	if n > maxSliceLen {
+	if n > maxSliceLen || n > uint64(math.MaxInt32) {
 		d.fail(ErrTooLarge)
 		return false
 	}
-	if n > uint64(math.MaxInt32) {
-		d.fail(ErrTooLarge)
+	if n > uint64(d.Remaining()) {
+		d.fail(ErrTruncated)
 		return false
 	}
 	return true

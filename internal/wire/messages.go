@@ -162,14 +162,28 @@ func (it *Item) encodeTo(e *Encoder) {
 	e.Timestamps(it.DV)
 }
 
-func (it *Item) decodeFrom(d *Decoder) {
-	it.Key = d.String()
-	it.Value = append([]byte(nil), d.BytesField()...)
+// decodeFrom reads one item. Its key and value bytes are returned aliasing
+// the payload; decodeItems places them.
+func (it *Item) decodeFrom(d *Decoder) (key, val []byte) {
+	key, val = d.BytesField(), d.BytesField()
 	it.UT = d.Timestamp()
 	it.RDT = d.Timestamp()
 	it.TxID = d.Uvarint()
 	it.SrcDC = d.Byte()
 	it.DV = d.Timestamps()
+	return key, val
+}
+
+// skipItem steps over one item, returning its key and value bytes.
+func skipItem(d *Decoder) (key, val []byte) {
+	key, val = d.BytesField(), d.BytesField()
+	d.skip(8 + 8)
+	d.Uvarint()
+	d.skip(1)
+	if n := d.Uvarint(); d.checkLen(n) {
+		d.skip(8 * n)
+	}
+	return key, val
 }
 
 // KV is a raw write buffered in a transaction's write set. Tombstone marks
@@ -213,7 +227,7 @@ func decodeKVs(d *Decoder) []KV {
 	out := make([]KV, n)
 	for i := range out {
 		out[i].Key = d.String()
-		out[i].Value = append([]byte(nil), d.BytesField()...)
+		out[i].Value = append([]byte(nil), d.BytesField()...) // its own allocation
 		out[i].Tombstone = d.Bool()
 	}
 	return out
@@ -226,14 +240,34 @@ func encodeItems(e *Encoder, items []Item) {
 	}
 }
 
+// decodeItems reads a read result's items: a sizing walk, a walk that
+// copies every key into one string, and the decoding walk, which copies
+// every value into one arena (see the package comment).
 func decodeItems(d *Decoder) []Item {
 	n := d.Uvarint()
 	if !d.checkLen(n) || n == 0 {
 		return nil
 	}
+	start, keyBytes, valBytes := d.off, 0, 0
+	for range n {
+		k, v := skipItem(d)
+		keyBytes += len(k)
+		valBytes += len(v)
+	}
+	if d.err != nil {
+		return nil
+	}
+	d.off = start
+	keys := d.joined(int(n), keyBytes, func() []byte { k, _ := skipItem(d); return k })
+	arena := make([]byte, 0, valBytes)
 	out := make([]Item, n)
 	for i := range out {
-		out[i].decodeFrom(d)
+		k, v := out[i].decodeFrom(d)
+		out[i].Key, keys = keys[:len(k)], keys[len(k):]
+		if len(v) > 0 {
+			arena = append(arena, v...)
+			out[i].Value = arena[len(arena)-len(v) : len(arena) : len(arena)]
+		}
 	}
 	return out
 }

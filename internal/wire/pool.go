@@ -5,7 +5,14 @@ import "sync"
 // Read-path message pools. A slice read allocates three messages per hop
 // (SliceReq out, SliceResp back, TxReadResp to the client); pooling them —
 // together with the caller-buffer store reads and the pooled frame encoder
-// — makes the slice-read hot path allocation-free end to end.
+// — makes the slice-read hot path allocation-free end to end on the
+// in-memory transport, where the receiver gets the sender's pointer. Over
+// TCP every received frame is decoded into a fresh message: a read result
+// (TxReadResp, SliceResp, ScanResp) costs 4 allocations whatever its item
+// count — the message, its items, one key string and one value arena — a
+// key list (TxReadReq, SliceReq) 3, and a write set 2 per write plus 2
+// (TestDecodeReadResultAllocs and its neighbours, TestReadFrameAllocs in
+// transport/tcp).
 //
 // Ownership rule: the RECEIVER releases a pooled message. The in-memory
 // transport delivers the sender's pointer directly to the receiving
