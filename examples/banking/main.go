@@ -12,8 +12,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 	"strconv"
 	"time"
 
@@ -27,14 +29,14 @@ const (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
 func accountKey(i int) string { return fmt.Sprintf("account:%04d", i) }
 
-func run() error {
+func run(w io.Writer) error {
 	cluster, err := wren.NewCluster(wren.Config{
 		NumDCs:         1,
 		NumPartitions:  8,
@@ -71,7 +73,7 @@ func run() error {
 	for !cluster.LocalUpdateVisible(0, keys[0], ct) {
 		time.Sleep(time.Millisecond)
 	}
-	fmt.Printf("opened %d accounts with %d each (total %d) across %d partitions\n",
+	fmt.Fprintf(w, "opened %d accounts with %d each (total %d) across %d partitions\n",
 		accounts, initialBalance, accounts*initialBalance, cluster.NumPartitions())
 
 	// Transfers race with audits.
@@ -95,7 +97,7 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("final audit: total=%d after %d transfers and %d concurrent audits\n",
+			fmt.Fprintf(w, "final audit: total=%d after %d transfers and %d concurrent audits\n",
 				total, transfers, audits)
 			if total != accounts*initialBalance {
 				return fmt.Errorf("MONEY LEAK: total %d != %d", total, accounts*initialBalance)

@@ -8,7 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"wren"
@@ -17,12 +19,12 @@ import (
 var regions = []string{"Virginia", "Oregon", "Ireland", "Mumbai", "Sydney"}
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	cluster, err := wren.NewCluster(wren.Config{
 		NumDCs:          5,
 		NumPartitions:   4,
@@ -36,18 +38,18 @@ func run() error {
 	}
 	defer cluster.Close()
 
-	if err := visibilityTour(cluster); err != nil {
+	if err := visibilityTour(w, cluster); err != nil {
 		return err
 	}
-	if err := convergence(cluster); err != nil {
+	if err := convergence(w, cluster); err != nil {
 		return err
 	}
-	return partitionTolerance(cluster)
+	return partitionTolerance(w, cluster)
 }
 
 // visibilityTour commits in Virginia and times visibility everywhere.
-func visibilityTour(cluster *wren.Cluster) error {
-	fmt.Println("== update visibility across regions (committed in Virginia) ==")
+func visibilityTour(w io.Writer, cluster *wren.Cluster) error {
+	fmt.Fprintln(w, "== update visibility across regions (committed in Virginia) ==")
 	client, err := cluster.Client(0)
 	if err != nil {
 		return err
@@ -73,22 +75,22 @@ func visibilityTour(cluster *wren.Cluster) error {
 				visible = cluster.RemoteUpdateVisible(dc, "announcement", 0, ct)
 			}
 			if visible {
-				fmt.Printf("  %-10s visible after %v\n", regions[dc],
+				fmt.Fprintf(w, "  %-10s visible after %v\n", regions[dc],
 					time.Since(start).Round(time.Millisecond))
 				break
 			}
 			time.Sleep(500 * time.Microsecond)
 		}
 	}
-	fmt.Println("  (remote visibility is gated by BiST: an update is remote-visible only")
-	fmt.Println("   when updates from ALL remote DCs up to its dependency time arrived)")
+	fmt.Fprintln(w, "  (remote visibility is gated by BiST: an update is remote-visible only")
+	fmt.Fprintln(w, "   when updates from ALL remote DCs up to its dependency time arrived)")
 	return nil
 }
 
 // convergence issues concurrent conflicting writes from every region and
 // shows all replicas agree via last-writer-wins.
-func convergence(cluster *wren.Cluster) error {
-	fmt.Println("== concurrent conflicting writes converge (last-writer-wins) ==")
+func convergence(w io.Writer, cluster *wren.Cluster) error {
+	fmt.Fprintln(w, "== concurrent conflicting writes converge (last-writer-wins) ==")
 	cts := make([]wren.Timestamp, cluster.NumDCs())
 	for dc := 0; dc < cluster.NumDCs(); dc++ {
 		client, err := cluster.Client(dc)
@@ -107,7 +109,7 @@ func convergence(cluster *wren.Cluster) error {
 			return err
 		}
 		cts[dc] = ct
-		fmt.Printf("  %-10s wrote capital=%q at %v\n", regions[dc], regions[dc], ct)
+		fmt.Fprintf(w, "  %-10s wrote capital=%q at %v\n", regions[dc], regions[dc], ct)
 	}
 
 	// Wait until every write is visible everywhere, then read from each DC.
@@ -151,21 +153,21 @@ func convergence(cluster *wren.Cluster) error {
 		_, _ = tx.Commit()
 		client.Close()
 		v := string(got["capital"])
-		fmt.Printf("  %-10s reads capital=%q\n", regions[dc], v)
+		fmt.Fprintf(w, "  %-10s reads capital=%q\n", regions[dc], v)
 		if agreed == "" {
 			agreed = v
 		} else if v != agreed {
 			return fmt.Errorf("DIVERGENCE: %q vs %q", v, agreed)
 		}
 	}
-	fmt.Printf("  all regions converged on %q\n", agreed)
+	fmt.Fprintf(w, "  all regions converged on %q\n", agreed)
 	return nil
 }
 
 // partitionTolerance cuts Virginia off from Sydney and shows both keep
 // serving transactions; replication resumes after healing.
-func partitionTolerance(cluster *wren.Cluster) error {
-	fmt.Println("== availability under an inter-DC partition (Virginia <-> Sydney) ==")
+func partitionTolerance(w io.Writer, cluster *wren.Cluster) error {
+	fmt.Fprintln(w, "== availability under an inter-DC partition (Virginia <-> Sydney) ==")
 	cluster.PartitionInterDCLink(0, 4, true)
 
 	virginia, err := cluster.Client(0)
@@ -189,7 +191,7 @@ func partitionTolerance(cluster *wren.Cluster) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  Virginia committed during partition in %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(w, "  Virginia committed during partition in %v\n", time.Since(start).Round(time.Millisecond))
 
 	start = time.Now()
 	stx, err := sydney.Begin()
@@ -200,14 +202,14 @@ func partitionTolerance(cluster *wren.Cluster) error {
 	if _, err := stx.Commit(); err != nil {
 		return err
 	}
-	fmt.Printf("  Sydney committed during partition in %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(w, "  Sydney committed during partition in %v\n", time.Since(start).Round(time.Millisecond))
 
 	cluster.PartitionInterDCLink(0, 4, false)
 	start = time.Now()
 	for !cluster.RemoteUpdateVisible(4, "status:virginia", 0, ct) {
 		time.Sleep(time.Millisecond)
 	}
-	fmt.Printf("  after healing, Virginia's write reached Sydney in %v\n",
+	fmt.Fprintf(w, "  after healing, Virginia's write reached Sydney in %v\n",
 		time.Since(start).Round(time.Millisecond))
 	return nil
 }

@@ -7,19 +7,21 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"wren"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	cluster, err := wren.NewCluster(wren.Config{
 		NumDCs:         2,
 		NumPartitions:  4,
@@ -53,7 +55,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("committed greeting+audience at timestamp %v\n", ct)
+	fmt.Fprintf(w, "committed greeting+audience at timestamp %v\n", ct)
 
 	// Read-your-writes: the same session sees its writes immediately, even
 	// before the cluster-wide stable snapshot catches up (CANToR's
@@ -66,7 +68,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("same session reads: %s, %s (nonblocking, blocked=%v)\n",
+	fmt.Fprintf(w, "same session reads: %s, %s (nonblocking, blocked=%v)\n",
 		got["greeting"], got["audience"], tx2.Blocked())
 	if _, err := tx2.Commit(); err != nil {
 		return err
@@ -78,11 +80,11 @@ func run() error {
 	for !cluster.LocalUpdateVisible(0, "greeting", ct) {
 		time.Sleep(500 * time.Microsecond)
 	}
-	fmt.Printf("visible in DC0 (all partitions) after %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(w, "visible in DC0 (all partitions) after %v\n", time.Since(start).Round(time.Millisecond))
 	for !cluster.RemoteUpdateVisible(1, "greeting", 0, ct) {
 		time.Sleep(500 * time.Microsecond)
 	}
-	fmt.Printf("visible in DC1 after %v (WAN latency + stabilization)\n",
+	fmt.Fprintf(w, "visible in DC1 after %v (WAN latency + stabilization)\n",
 		time.Since(start).Round(time.Millisecond))
 
 	// A fresh client in DC 1 now reads the values from its own DC.
@@ -99,7 +101,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("DC1 reads: %s, %s\n", got["greeting"], got["audience"])
+	fmt.Fprintf(w, "DC1 reads: %s, %s\n", got["greeting"], got["audience"])
 	if _, err := tx3.Commit(); err != nil {
 		return err
 	}

@@ -14,19 +14,21 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"wren"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	cluster, err := wren.NewCluster(wren.Config{
 		NumDCs:         2,
 		NumPartitions:  4,
@@ -39,16 +41,16 @@ func run() error {
 	}
 	defer cluster.Close()
 
-	if err := photoAlbumScenario(cluster); err != nil {
+	if err := photoAlbumScenario(w, cluster); err != nil {
 		return err
 	}
-	return friendshipScenario(cluster)
+	return friendshipScenario(w, cluster)
 }
 
 // photoAlbumScenario replays COPS' classic anomaly and shows it cannot
 // happen under TCC.
-func photoAlbumScenario(cluster *wren.Cluster) error {
-	fmt.Println("== photo album (causal snapshot prevents the ACL anomaly) ==")
+func photoAlbumScenario(w io.Writer, cluster *wren.Cluster) error {
+	fmt.Fprintln(w, "== photo album (causal snapshot prevents the ACL anomaly) ==")
 	alice, err := cluster.Client(0)
 	if err != nil {
 		return err
@@ -113,7 +115,7 @@ func photoAlbumScenario(cluster *wren.Cluster) error {
 			if acl != "alice" {
 				return fmt.Errorf("ANOMALY: Bob saw %q with stale ACL %q", photos, acl)
 			}
-			fmt.Printf("Bob sees %q only together with ACL %q — anomaly impossible\n", photos, acl)
+			fmt.Fprintf(w, "Bob sees %q only together with ACL %q — anomaly impossible\n", photos, acl)
 			return nil
 		}
 		if time.Now().After(deadline) {
@@ -126,8 +128,8 @@ func photoAlbumScenario(cluster *wren.Cluster) error {
 
 // friendshipScenario shows atomic multi-item writes (both friendship edges
 // or neither).
-func friendshipScenario(cluster *wren.Cluster) error {
-	fmt.Println("== symmetric friendship (atomic multi-partition writes) ==")
+func friendshipScenario(w io.Writer, cluster *wren.Cluster) error {
+	fmt.Fprintln(w, "== symmetric friendship (atomic multi-partition writes) ==")
 	writer, err := cluster.Client(0)
 	if err != nil {
 		return err
@@ -140,7 +142,7 @@ func friendshipScenario(cluster *wren.Cluster) error {
 	defer observer.Close()
 
 	carolKey, daveKey := "friends:carol", "friends:dave"
-	fmt.Printf("(%q on partition %d, %q on partition %d)\n",
+	fmt.Fprintf(w, "(%q on partition %d, %q on partition %d)\n",
 		carolKey, wren.PartitionOf(carolKey, cluster.NumPartitions()),
 		daveKey, wren.PartitionOf(daveKey, cluster.NumPartitions()))
 
@@ -174,7 +176,7 @@ func friendshipScenario(cluster *wren.Cluster) error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("checked %d snapshots: friendship always symmetric\n", checks)
+			fmt.Fprintf(w, "checked %d snapshots: friendship always symmetric\n", checks)
 			return nil
 		default:
 		}

@@ -1,0 +1,3 @@
+package tcp
+
+type Stats struct{ Dials uint64 }

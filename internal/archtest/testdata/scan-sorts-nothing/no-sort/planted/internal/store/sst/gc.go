@@ -1,0 +1,3 @@
+package sst
+
+func (p *gcPass) streamAll() {}

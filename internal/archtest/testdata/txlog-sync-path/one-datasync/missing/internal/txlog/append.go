@@ -1,0 +1,3 @@
+package txlog // want
+
+func (l *Log) flushTo(target int64) { l.f.Datasync() }

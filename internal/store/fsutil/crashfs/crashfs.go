@@ -27,7 +27,8 @@
 // write, which is what the operation records; any other failing operation
 // changes nothing, but still takes its number.
 //
-// Only tests may import this package (a CI gate checks).
+// Only tests may import this package (TestArch/file-op-seam/crashfs-test-only
+// in internal/archtest checks, under go test ./...).
 package crashfs
 
 import (

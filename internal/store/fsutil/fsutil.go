@@ -2,7 +2,8 @@
 // transaction log: under internal/store and internal/txlog every operation
 // on a durable file — open or create, read, write, write-at, truncate,
 // seek, sync, datasync, rename, remove, read-dir, sync-dir — goes through
-// an FS and its Files, and nothing else touches a file (a CI gate checks).
+// an FS and its Files, and nothing else touches a file
+// (TestArch/file-op-seam in internal/archtest checks, under go test ./...).
 // OS is the production FS; directories are made with os.MkdirAll and taken
 // as durable.
 //
