@@ -226,6 +226,23 @@ var rules = []struct {
 		code:  []matcher{sel("syscall", "Mmap*")},
 		msg:   "syscall.Mmap outside internal/store/fsutil: map files through fsutil.MapFile"}},
 
+	// transport.Memory is the one in-process network: latency, DC cuts,
+	// fault rules and codec delivery live there, over one link type. A
+	// wrapper network, a second partition API or a pointer-cloning
+	// duplicate is a second network coming back; so is any third
+	// transport.Network beside Memory, tcp and the test-only SyncNet (the
+	// benchmark's tracer wraps tcp).
+	{"one-network", "no-second-network", ban{
+		scope: scope{pkgs: "./...", tests: true},
+		text:  regexp.MustCompile(`wren/internal/transport/chaos|SetDCLinkDown|cloneMessage|ChaosSeed`),
+		msg:   "the fault injector is transport.Memory's rules and cuts: use them"}},
+	{"one-network", "network-implementations", declBan{
+		scope: scope{pkgs: "./...", tests: true},
+		re:    regexp.MustCompile(`^func \w+\.Register$`),
+		allow: []string{"internal/transport.Memory.Register", "internal/transport/tcp.Network.Register",
+			"internal/replica/replicatest.SyncNet.Register", "benchmark.traceNet.Register"},
+		msg: "a third transport.Network: give transport.Memory the behaviour instead"}},
+
 	// A server's counters live in one obs registry and its lifecycle
 	// events go to the obs event log. The four metrics types left are
 	// views the frozen benchmark compiles against, with no state of their

@@ -1,0 +1,5 @@
+package replicatest
+
+type SyncNet struct{}
+
+func (n *SyncNet) Register(id transport.NodeID, h transport.Handler) {}

@@ -10,15 +10,15 @@ import (
 	"wren/internal/core"
 	"wren/internal/session"
 	"wren/internal/store"
-	"wren/internal/transport/chaos"
+	"wren/internal/transport"
 )
 
-// chaosConfig is fastConfig plus the fault injector and a client retry
-// budget sized for the short request timeouts these tests run with.
+// chaosConfig is fastConfig plus a seed for the network's faults and a
+// client retry budget sized for the short request timeouts these tests
+// run with.
 func chaosConfig(p Protocol, dcs, parts int) Config {
 	cfg := fastConfig(p, dcs, parts)
-	cfg.Chaos = true
-	cfg.ChaosSeed = 42
+	cfg.Seed = 42
 	cfg.RetryAttempts = 5
 	cfg.RetryBackoff = 2 * time.Millisecond
 	return cfg
@@ -125,7 +125,7 @@ func TestChaosCutMidCommitConvergence(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer cl.Close()
-			ch := cl.Chaos()
+			ch := cl.Network()
 
 			writer, err := cl.NewClient(0, 0)
 			if err != nil {
@@ -198,7 +198,7 @@ func TestChaosLossyClientLinks(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer cl.Close()
-			ch := cl.Chaos()
+			ch := cl.Network()
 
 			c, err := cl.NewClient(0, -1)
 			if err != nil {
@@ -206,7 +206,7 @@ func TestChaosLossyClientLinks(t *testing.T) {
 			}
 			defer c.Close()
 
-			ch.SetClientRule(0, chaos.Rule{DropProb: 0.05, DupProb: 0.05})
+			ch.SetClientRule(0, transport.Rule{DropProb: 0.05, DupProb: 0.05})
 
 			want := make(map[string][]byte) // acked writes: value pinned
 			var acked []string
@@ -279,7 +279,7 @@ func TestChaosFenceDelayedCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	ch := cl.Chaos()
+	ch := cl.Network()
 
 	c, err := cl.NewClient(0, 0)
 	if err != nil {
@@ -299,10 +299,10 @@ func TestChaosFenceDelayedCommit(t *testing.T) {
 	// after: probes issued once the rule is cleared are scheduled at their
 	// real send time and overtake the delayed commit in the link queue.
 	const commitDelay = 2 * time.Second
-	ch.SetClientRule(0, chaos.Rule{Delay: commitDelay})
+	ch.SetClientRule(0, transport.Rule{Delay: commitDelay})
 	ruleSet := time.Now()
 	restore := time.AfterFunc(300*time.Millisecond, func() {
-		ch.SetClientRule(0, chaos.Rule{})
+		ch.SetClientRule(0, transport.Rule{})
 	})
 	defer restore.Stop()
 
@@ -342,7 +342,7 @@ func TestChaosInDoubtResolve(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer cl.Close()
-			ch := cl.Chaos()
+			ch := cl.Network()
 
 			c, err := cl.NewClient(0, 0)
 			if err != nil {
@@ -424,7 +424,7 @@ func TestChaosReplicationLossResync(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	ch := cl.Chaos()
+	ch := cl.Network()
 
 	c, err := cl.NewClient(0, 0)
 	if err != nil {
@@ -432,7 +432,7 @@ func TestChaosReplicationLossResync(t *testing.T) {
 	}
 	defer c.Close()
 
-	ch.SetDCRule(0, 1, chaos.Rule{DropProb: 0.5})
+	ch.SetDCRule(0, 1, transport.Rule{DropProb: 0.5})
 
 	want := make(map[string][]byte)
 	var keys []string

@@ -21,7 +21,6 @@ import (
 	"wren/internal/session"
 	"wren/internal/store/backend"
 	"wren/internal/transport"
-	"wren/internal/transport/chaos"
 	"wren/internal/transport/pool"
 )
 
@@ -88,17 +87,11 @@ type Config struct {
 	// refused with a read-only error once, against a different healthy
 	// coordinator partition, instead of surfacing the error immediately.
 	ClientFailover bool
-	// Seed makes clock-skew assignment reproducible.
+	// Seed makes clock-skew assignment and the network's fault decisions
+	// reproducible.
 	Seed int64
 	// RequestTimeout bounds client round trips. Zero selects 10s.
 	RequestTimeout time.Duration
-	// Chaos interposes a fault-injecting wrapper between the deployment and
-	// its simulated network; the Chaos() accessor then exposes partition
-	// cuts and per-link loss/delay/duplication rules at runtime.
-	Chaos bool
-	// ChaosSeed seeds the chaos wrapper's fault decisions (reproducible
-	// runs). Only meaningful with Chaos set.
-	ChaosSeed int64
 	// RetryAttempts is the client retry budget: timed-out idempotent
 	// requests are retried this many extra times (Begin failing over to
 	// alternate coordinators), and an unacknowledged commit is resolved by
@@ -170,9 +163,6 @@ type Client interface {
 type Cluster struct {
 	cfg Config
 	net *transport.Memory
-	// chaosNet wraps net when cfg.Chaos is set; servers and clients are
-	// registered on it so every message crosses the fault injector.
-	chaosNet *chaos.Network
 
 	// servers[dc][partition] is a *core.Server under Wren and a
 	// *cure.Server under Cure and H-Cure.
@@ -221,19 +211,13 @@ func New(cfg Config) (*Cluster, error) {
 	} else {
 		latency = transport.UniformLatency(cfg.IntraDCLatency, cfg.InterDCLatency)
 	}
-	net := transport.NewMemory(latency)
-	var fabric transport.Network = net
-	var chaosNet *chaos.Network
-	if cfg.Chaos {
-		chaosNet = chaos.New(net, cfg.ChaosSeed)
-		fabric = chaosNet
-	}
+	net := transport.NewMemory(latency, cfg.Seed)
 
 	var ephemeral string
 	if cfg.Server.StoreBackend == backend.SST && cfg.Server.DataDir == "" {
 		dir, err := os.MkdirTemp("", "wren-data-*")
 		if err != nil {
-			fabric.Close()
+			net.Close()
 			return nil, fmt.Errorf("cluster: temp data dir: %w", err)
 		}
 		cfg.Server.DataDir = dir
@@ -249,7 +233,7 @@ func New(cfg Config) (*Cluster, error) {
 		return time.Duration(rng.Int63n(2*span+1)-span) * time.Microsecond
 	}
 
-	c := &Cluster{cfg: cfg, net: net, chaosNet: chaosNet, ephemeralDataDir: ephemeral}
+	c := &Cluster{cfg: cfg, net: net, ephemeralDataDir: ephemeral}
 	fail := func(err error) (*Cluster, error) {
 		c.Close()
 		return nil, err
@@ -260,7 +244,7 @@ func New(cfg Config) (*Cluster, error) {
 			scfg := cfg.Server
 			scfg.DC, scfg.Partition = dc, p
 			scfg.NumDCs, scfg.NumPartitions = cfg.NumDCs, cfg.NumPartitions
-			scfg.Network = fabric
+			scfg.Network = net
 			scfg.ClockSource = hlc.OffsetSource{Base: hlc.SystemSource{}, Offset: skewFor()}
 			scfg.UseHLC = cfg.Protocol == HCure
 			var srv server
@@ -283,23 +267,10 @@ func New(cfg Config) (*Cluster, error) {
 // Config returns the cluster's configuration.
 func (c *Cluster) Config() Config { return c.cfg }
 
-// Network exposes the underlying simulated network for byte accounting and
-// partition injection.
+// Network exposes the simulated network every server and client is
+// registered on: byte accounting, DC cuts and fault rules, while the
+// deployment is running.
 func (c *Cluster) Network() *transport.Memory { return c.net }
-
-// Chaos returns the fault-injection wrapper, or nil when the cluster was
-// built without Config.Chaos. Tests use it to cut and heal DC links and to
-// impose loss/delay/duplication rules while the deployment is running.
-func (c *Cluster) Chaos() *chaos.Network { return c.chaosNet }
-
-// fabric is the network deployments actually register on: the chaos
-// wrapper when present, the raw simulated network otherwise.
-func (c *Cluster) fabric() transport.Network {
-	if c.chaosNet != nil {
-		return c.chaosNet
-	}
-	return c.net
-}
 
 // poolNodeBase offsets pool-endpoint node indices far above per-session
 // client indices, so pooled link ids can never collide with the ids of
@@ -319,7 +290,7 @@ func (c *Cluster) poolForDC(dc int) (*pool.Pool, error) {
 	for i := range eps {
 		eps[i] = pool.Endpoint{
 			ID:  transport.ClientID(dc, poolNodeBase+i),
-			Net: c.fabric(),
+			Net: c.net,
 		}
 	}
 	p, err := pool.New(eps)
@@ -363,7 +334,7 @@ func (c *Cluster) NewClient(dc, coordinator int) (Client, error) {
 		DC: dc, ClientIndex: idx,
 		NumDCs:               c.cfg.NumDCs,
 		NumPartitions:        c.cfg.NumPartitions,
-		Network:              c.fabric(),
+		Network:              c.net,
 		CoordinatorPartition: coordinator,
 		RequestTimeout:       c.cfg.RequestTimeout,
 		Retry: session.RetryPolicy{
@@ -541,9 +512,7 @@ func (c *Cluster) stop(kill bool) {
 			p.Close()
 		}
 	}
-	// Closing the chaos wrapper drains its links and closes the inner
-	// simulated network.
-	c.fabric().Close()
+	c.net.Close()
 	if c.ephemeralDataDir != "" {
 		_ = os.RemoveAll(c.ephemeralDataDir)
 	}

@@ -178,3 +178,81 @@ func TestProtocolString(t *testing.T) {
 		t.Error("unknown protocol format wrong")
 	}
 }
+
+// TestWideRemoteRead reads 80 keys of one remote partition in one
+// Tx.Read: a slice that large reaches the client as a TxReadResp whose
+// items the fan-in folded in as a chunk (fanin.ChunkThreshold), so the
+// codec must carry the chunk. The reader's session is coordinated by
+// partition 0 and is not the writer's, whose cache would answer the read.
+func TestWideRemoteRead(t *testing.T) {
+	for _, proto := range allProtocols {
+		t.Run(proto.String(), func(t *testing.T) {
+			cl, err := New(fastConfig(proto, 1, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			writer, err := cl.NewClient(0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer writer.Close()
+			reader, err := cl.NewClient(0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer reader.Close()
+
+			want := map[string]string{}
+			var keys []string
+			for i := 0; len(keys) < 80; i++ {
+				if k := fmt.Sprintf("wide-%03d", i); partitionOf(k, 2) == 1 {
+					keys = append(keys, k)
+					want[k] = fmt.Sprintf("v%03d", i)
+				}
+			}
+			tx, err := writer.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range keys {
+				if err := tx.Write(k, []byte(want[k])); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+
+			read := func(keys ...string) map[string][]byte {
+				t.Helper()
+				tx, err := reader.Begin()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := tx.Read(keys...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				return got
+			}
+			for deadline := time.Now().Add(5 * time.Second); read(keys[0])[keys[0]] == nil; {
+				if time.Now().After(deadline) {
+					t.Fatal("the commit never became visible to a 1-key read")
+				}
+			}
+			got := read(keys...)
+			if len(got) != len(keys) {
+				t.Errorf("one read of %d keys returned %d", len(keys), len(got))
+			}
+			for _, k := range keys {
+				if string(got[k]) != want[k] {
+					t.Fatalf("key %s = %q, want %q", k, got[k], want[k])
+				}
+			}
+		})
+	}
+}

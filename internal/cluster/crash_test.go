@@ -135,7 +135,8 @@ func testCrashBeforeReplicate(t *testing.T, proto Protocol, tear bool) {
 		// Cut the WAN first: Replicate traffic to DC1 queues on the dead
 		// link and dies with the kill — the origin applies locally but the
 		// remote DC never hears about it.
-		cl.Network().SetDCLinkDown(0, 1, true)
+		cl.Network().Cut(0, 1)
+		cl.Network().Cut(1, 0)
 
 		client, err := cl.NewClient(0, 0)
 		if err != nil {

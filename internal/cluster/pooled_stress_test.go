@@ -11,7 +11,7 @@ import (
 
 	"wren/internal/core"
 	"wren/internal/replica"
-	"wren/internal/transport/chaos"
+	"wren/internal/transport"
 )
 
 // TestPooledPipeliningStress funnels many sessions through a SINGLE pooled
@@ -43,15 +43,13 @@ func TestPooledPipeliningStress(t *testing.T) {
 		RequestTimeout:  2 * time.Second,
 		RetryAttempts:   10,
 		RetryBackoff:    time.Millisecond,
-		Chaos:           true,
-		ChaosSeed:       7,
 		Seed:            7,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cl.Chaos().SetClientRule(0, chaos.Rule{DropProb: 0.02, DupProb: 0.05})
+	cl.Network().SetClientRule(0, transport.Rule{DropProb: 0.02, DupProb: 0.05})
 
 	const sessions = 12
 	const iters = 25
@@ -138,7 +136,7 @@ func TestPooledPipeliningStress(t *testing.T) {
 			t.Fatalf("pool leaks %d pending entries after drain", n)
 		}
 		t.Logf("pool stats: %+v, server sheds: %d, chaos: %v",
-			p.Stats(), cl.Sum("admission.shed"), cl.Chaos().Obs().Snapshot())
+			p.Stats(), cl.Sum("admission.shed"), cl.Network().Obs().Snapshot())
 	} else {
 		t.Fatal("cluster built no pool despite ClientPoolLinks=1")
 	}

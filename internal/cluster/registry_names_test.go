@@ -27,7 +27,7 @@ func TestRegistryNames(t *testing.T) {
 			"sst.flushes", "sst.gc_pending", "sst.gc_visited", "sst.iter_block_reads", "sst.log_writes", "sst.records_checked",
 			"sst.recovered", "sst.runs_loaded", "sst.syncs", "sst.truncated_logs"},
 	}
-	net := transport.NewMemory(nil)
+	net := transport.NewMemory(nil, 0)
 	defer net.Close()
 	for _, b := range backend.Names {
 		for _, proto := range []string{"wren", "cure"} {

@@ -8,7 +8,7 @@ import (
 
 	"wren/internal/core"
 	"wren/internal/cure"
-	"wren/internal/transport/chaos"
+	"wren/internal/transport"
 )
 
 var allProtocols = []Protocol{Wren, Cure, HCure}
@@ -254,9 +254,9 @@ func TestContextReleaseSurvivesBeginFailover(t *testing.T) {
 			// explicit release, the second attempt — travels normally.
 			const held = 300 * time.Millisecond
 			m0 := cl.Network().Obs().Value("net.msgs.client")
-			cl.Chaos().SetClientRule(0, chaos.Rule{Delay: held})
+			cl.Network().SetClientRule(0, transport.Rule{Delay: held})
 			ruleSet := time.Now()
-			lift := time.AfterFunc(held/6, func() { cl.Chaos().SetClientRule(0, chaos.Rule{}) })
+			lift := time.AfterFunc(held/6, func() { cl.Network().SetClientRule(0, transport.Rule{}) })
 			defer lift.Stop()
 
 			tx, err := c.Begin()
@@ -361,7 +361,7 @@ func TestChaosReadOnlySessionsLeaveNoContext(t *testing.T) {
 			commitKV(t, commitSession, "chaos-ro", []byte("v"))
 			commitSession.Close()
 
-			cl.Chaos().SetClientRule(0, chaos.Rule{DropProb: 0.02, DupProb: 0.02, ReorderProb: 0.05})
+			cl.Network().SetClientRule(0, transport.Rule{DropProb: 0.02, DupProb: 0.02, ReorderProb: 0.05})
 			const sessions, iters = 4, 40
 			done := make(chan int, sessions)
 			for s := 0; s < sessions; s++ {
@@ -400,15 +400,15 @@ func TestChaosReadOnlySessionsLeaveNoContext(t *testing.T) {
 			if total < sessions*iters/2 {
 				t.Fatalf("only %d of %d read-only transactions finished", total, sessions*iters)
 			}
-			faults := cl.Chaos().Obs().Snapshot()
-			cl.Chaos().ClearRules()
+			faults := cl.Network().Obs().Snapshot()
+			cl.Network().ClearRules()
 
 			// Drain: the sessions are closed; what they could not release
 			// themselves goes with the TTL sweep.
 			for p := 0; p < 2; p++ {
 				awaitOpenTxContexts(t, cl, 0, p, 0, cfg.Server.TxContextTTL+time.Second)
 			}
-			if expired, injected := ctxExpired(cl), faults.Get("chaos.dropped")+faults.Get("chaos.duplicated"); expired > injected {
+			if expired, injected := ctxExpired(cl), faults.Get("net.dropped")+faults.Get("net.duplicated"); expired > injected {
 				t.Errorf("TTL sweep expired %d contexts for %d injected faults over %d transactions: releases are not reaching the coordinators",
 					expired, injected, total)
 			}

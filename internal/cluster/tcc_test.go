@@ -238,7 +238,8 @@ func runTCCWorkload(t *testing.T, proto Protocol, dcs, parts int, duration time.
 					// Heal everything on exit.
 					for a := 0; a < dcs; a++ {
 						for b := a + 1; b < dcs; b++ {
-							h.cl.Network().SetDCLinkDown(a, b, false)
+							h.cl.Network().Heal(a, b)
+							h.cl.Network().Heal(b, a)
 						}
 					}
 					return
@@ -248,9 +249,11 @@ func runTCCWorkload(t *testing.T, proto Protocol, dcs, parts int, duration time.
 				if a == b {
 					continue
 				}
-				h.cl.Network().SetDCLinkDown(a, b, true)
+				h.cl.Network().Cut(a, b)
+				h.cl.Network().Cut(b, a)
 				time.Sleep(time.Duration(20+rng.Intn(60)) * time.Millisecond)
-				h.cl.Network().SetDCLinkDown(a, b, false)
+				h.cl.Network().Heal(a, b)
+				h.cl.Network().Heal(b, a)
 				time.Sleep(time.Duration(10+rng.Intn(30)) * time.Millisecond)
 			}
 		}()

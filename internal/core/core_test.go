@@ -36,7 +36,7 @@ func newTestCluster(t *testing.T, opts clusterOpts) *testCluster {
 	if opts.gcEvery == 0 {
 		opts.gcEvery = -1 // disabled unless a test opts in
 	}
-	net := transport.NewMemory(transport.UniformLatency(100*time.Microsecond, opts.interDC))
+	net := transport.NewMemory(transport.UniformLatency(100*time.Microsecond, opts.interDC), 0)
 	tc := &testCluster{t: t, net: net, dcs: opts.dcs, parts: opts.parts}
 	for dc := 0; dc < opts.dcs; dc++ {
 		row := make([]*Server, opts.parts)
@@ -413,7 +413,8 @@ func TestAvailabilityUnderInterDCPartition(t *testing.T) {
 
 	// Let stabilization warm up, then cut the WAN link.
 	time.Sleep(50 * time.Millisecond)
-	tc.net.SetDCLinkDown(0, 1, true)
+	tc.net.Cut(0, 1)
+	tc.net.Cut(1, 0)
 
 	// DC0 must keep serving transactions (availability).
 	start := time.Now()
@@ -439,7 +440,8 @@ func TestAvailabilityUnderInterDCPartition(t *testing.T) {
 	}
 
 	// Heal: the write must reach DC1 and RST must resume.
-	tc.net.SetDCLinkDown(0, 1, false)
+	tc.net.Heal(0, 1)
+	tc.net.Heal(1, 0)
 	r1 := tc.client(1)
 	eventually(t, 5*time.Second, "DC1 sees write after heal", func() bool {
 		got := readKeys(t, r1, "avail")
@@ -597,7 +599,7 @@ func TestTxLifecycleErrors(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	net := transport.NewMemory(nil)
+	net := transport.NewMemory(nil, 0)
 	defer net.Close()
 	bad := []ServerConfig{
 		{NumDCs: 0, NumPartitions: 1, Network: net},

@@ -22,7 +22,7 @@ import (
 
 func newAllocServer(tb testing.TB, backendName, dir string) *Server {
 	tb.Helper()
-	net := transport.NewMemory(nil)
+	net := transport.NewMemory(nil, 0)
 	s, err := NewServer(ServerConfig{
 		DC: 0, Partition: 0, NumDCs: 1, NumPartitions: 1, Network: net,
 		GCInterval:   -1,
@@ -156,7 +156,7 @@ func TestSliceReqServeAllocs(t *testing.T) {
 }
 
 func BenchmarkReadSlice8(b *testing.B) {
-	net := transport.NewMemory(nil)
+	net := transport.NewMemory(nil, 0)
 	defer net.Close()
 	s, err := NewServer(ServerConfig{
 		DC: 0, Partition: 0, NumDCs: 1, NumPartitions: 1, Network: net,

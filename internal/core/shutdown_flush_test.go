@@ -24,7 +24,7 @@ func (r *respRecorder) HandleMessage(_ transport.NodeID, m wire.Message) { r.ch 
 // (which would otherwise hold the apply upper bound under it forever).
 func TestStopFlushesCommittedDespiteStuckPrepared(t *testing.T) {
 	dir := t.TempDir()
-	net := transport.NewMemory(transport.UniformLatency(50*time.Microsecond, time.Millisecond))
+	net := transport.NewMemory(transport.UniformLatency(50*time.Microsecond, time.Millisecond), 0)
 	defer net.Close()
 	srv, err := NewServer(ServerConfig{
 		DC: 0, Partition: 0, NumDCs: 1, NumPartitions: 1,

@@ -10,7 +10,7 @@ import (
 // TestStoreShardsValidation: the stripe count is no longer a server knob;
 // a Cure server opens store.DefaultShards stripes.
 func TestStoreShardsValidation(t *testing.T) {
-	net := transport.NewMemory(transport.UniformLatency(0, 0))
+	net := transport.NewMemory(transport.UniformLatency(0, 0), 0)
 	defer net.Close()
 	srv, err := NewServer(ServerConfig{DC: 0, Partition: 0, NumDCs: 1, NumPartitions: 1, Network: net})
 	if err != nil {

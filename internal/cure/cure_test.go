@@ -43,7 +43,7 @@ func newTestCluster(t *testing.T, opts clusterOpts) *testCluster {
 	if opts.gcEvery == 0 {
 		opts.gcEvery = -1
 	}
-	net := transport.NewMemory(transport.UniformLatency(100*time.Microsecond, opts.interDC))
+	net := transport.NewMemory(transport.UniformLatency(100*time.Microsecond, opts.interDC), 0)
 	tc := &testCluster{t: t, net: net, dcs: opts.dcs, parts: opts.parts}
 	for dc := 0; dc < opts.dcs; dc++ {
 		row := make([]*Server, opts.parts)
@@ -412,7 +412,7 @@ func TestCureTxLifecycleErrors(t *testing.T) {
 }
 
 func TestCureConfigValidation(t *testing.T) {
-	net := transport.NewMemory(nil)
+	net := transport.NewMemory(nil, 0)
 	defer net.Close()
 	bad := []ServerConfig{
 		{NumDCs: 0, NumPartitions: 1, Network: net},

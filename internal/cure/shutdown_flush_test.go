@@ -21,7 +21,7 @@ func (r *respRecorder) HandleMessage(_ transport.NodeID, m wire.Message) { r.ch 
 // PhysicalNow() at shutdown — the final flush must apply it anyway.
 func TestStopFlushesCommitAboveLocalClock(t *testing.T) {
 	dir := t.TempDir()
-	net := transport.NewMemory(transport.UniformLatency(50*time.Microsecond, time.Millisecond))
+	net := transport.NewMemory(transport.UniformLatency(50*time.Microsecond, time.Millisecond), 0)
 	defer net.Close()
 	// A manual clock pinned near zero: every externally assigned commit
 	// timestamp is "in the future" for this participant.

@@ -12,7 +12,7 @@ import (
 )
 
 func TestConfigFillDefaultsAndValidate(t *testing.T) {
-	net := transport.NewMemory(nil)
+	net := transport.NewMemory(nil, 0)
 	defer net.Close()
 	dir := t.TempDir()
 	cases := []struct {
@@ -82,7 +82,7 @@ func (nopProtocol) OnStop(bool) {}
 // server also runs a transaction log, and the memory backend's has no
 // file: given a DataDir, a memory server writes nothing under it.
 func TestServerOpensDefaultShards(t *testing.T) {
-	net := transport.NewMemory(nil)
+	net := transport.NewMemory(nil, 0)
 	defer net.Close()
 	for _, name := range backend.Names {
 		t.Run(name, func(t *testing.T) {

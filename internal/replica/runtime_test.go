@@ -72,7 +72,7 @@ func (p *fakeProto) HandleMessage(from transport.NodeID, m wire.Message) {
 // newNet returns a zero-latency simulated network closed after the test,
 // once every runtime on it has stopped.
 func newNet(t *testing.T) *transport.Memory {
-	net := transport.NewMemory(nil)
+	net := transport.NewMemory(nil, 0)
 	t.Cleanup(net.Close)
 	return net
 }

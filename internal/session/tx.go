@@ -121,15 +121,6 @@ func (t *Tx) Read(keys ...string) (map[string][]byte, error) {
 		result[it.Key] = it.Value
 		t.rs[it.Key] = it.Value
 	}
-	// Large read sets arrive partly as chunks: slice buffers the fan-in
-	// retained by reference instead of copying into Items.
-	for _, chunk := range rr.Chunks {
-		for i := range chunk {
-			it := &chunk[i]
-			result[it.Key] = it.Value
-			t.rs[it.Key] = it.Value
-		}
-	}
 	// Keys absent from the reply are unwritten in this snapshot: record
 	// the absence so repeated reads stay stable.
 	for _, k := range missing {

@@ -85,7 +85,7 @@ func newTestPool(t *testing.T, net *transport.Memory, links int) *Pool {
 // checks every call gets back exactly the response to its own request —
 // the no-cross-session-leakage property the demux exists for.
 func TestConcurrentCallsExactlyOnce(t *testing.T) {
-	net := transport.NewMemory(transport.UniformLatency(0, 0))
+	net := transport.NewMemory(transport.UniformLatency(0, 0), 0)
 	defer net.Close()
 	srv := newEchoServer(net, transport.ServerID(0, 0))
 	p := newTestPool(t, net, 3)
@@ -146,7 +146,7 @@ func TestConcurrentCallsExactlyOnce(t *testing.T) {
 // late, and proves the orphan is dropped — a subsequent call on the same
 // conn must receive its own response, never the stale one.
 func TestTimeoutThenLateResponse(t *testing.T) {
-	net := transport.NewMemory(transport.UniformLatency(0, 0))
+	net := transport.NewMemory(transport.UniformLatency(0, 0), 0)
 	defer net.Close()
 	srv := newEchoServer(net, transport.ServerID(0, 0))
 	p := newTestPool(t, net, 1)
@@ -184,7 +184,7 @@ func TestTimeoutThenLateResponse(t *testing.T) {
 // TestTimeoutNoResponse: a request the server never answers must not leak
 // a pending entry past the caller's timeout.
 func TestTimeoutNoResponse(t *testing.T) {
-	net := transport.NewMemory(transport.UniformLatency(0, 0))
+	net := transport.NewMemory(transport.UniformLatency(0, 0), 0)
 	defer net.Close()
 	srv := newEchoServer(net, transport.ServerID(0, 0))
 	srv.setMute(true)
@@ -206,7 +206,7 @@ func TestTimeoutNoResponse(t *testing.T) {
 // endpoint, and arrive in issue order — the property that keeps a
 // session's commit from overtaking its own reads.
 func TestConnEndpointAffinity(t *testing.T) {
-	net := transport.NewMemory(transport.UniformLatency(0, 0))
+	net := transport.NewMemory(transport.UniformLatency(0, 0), 0)
 	defer net.Close()
 	srv := newEchoServer(net, transport.ServerID(0, 0))
 	p := newTestPool(t, net, 3)
@@ -238,7 +238,7 @@ func TestConnEndpointAffinity(t *testing.T) {
 // TestBusyRespDelivered: an admission refusal is a response like any other
 // — it must reach the caller that issued the shed request.
 func TestBusyRespDelivered(t *testing.T) {
-	net := transport.NewMemory(transport.UniformLatency(0, 0))
+	net := transport.NewMemory(transport.UniformLatency(0, 0), 0)
 	defer net.Close()
 	id := transport.ServerID(0, 0)
 	net.Register(id, transport.HandlerFunc(func(from transport.NodeID, m wire.Message) {
@@ -262,7 +262,7 @@ func TestBusyRespDelivered(t *testing.T) {
 // TestClosedPoolRefusesCalls: Close flips new calls to ErrClosed without
 // touching the shared network.
 func TestClosedPoolRefusesCalls(t *testing.T) {
-	net := transport.NewMemory(transport.UniformLatency(0, 0))
+	net := transport.NewMemory(transport.UniformLatency(0, 0), 0)
 	defer net.Close()
 	srv := newEchoServer(net, transport.ServerID(0, 0))
 	p := newTestPool(t, net, 1)

@@ -137,3 +137,41 @@ func TestReadFrameAllocs(t *testing.T) {
 		t.Logf("%.0f allocations per frame read", allocs)
 	}
 }
+
+// TestEnsureConnLiveAllocs: the writer loop calls ensureConn on every
+// wake, so on a live connection it must not allocate. A peerConn that the
+// read-loop goroutine's closure captured would move to the heap on every
+// call.
+func TestEnsureConnLiveAllocs(t *testing.T) {
+	got := make(chan struct{}, 1)
+	a, err := New(Config{Self: transport.ServerID(0, 0), ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	a.Register(transport.ServerID(0, 0), transport.HandlerFunc(
+		func(transport.NodeID, wire.Message) { got <- struct{}{} }))
+	b, err := New(Config{
+		Self:  transport.ServerID(0, 1),
+		Peers: map[transport.NodeID]string{transport.ServerID(0, 0): a.Addr()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	// A delivered message proves the writer loop's connection is up.
+	if err := b.Send(transport.ServerID(0, 1), transport.ServerID(0, 0), &wire.Heartbeat{}); err != nil {
+		t.Fatal(err)
+	}
+	<-got
+	b.mu.Lock()
+	p := b.peers[transport.ServerID(0, 0)]
+	b.mu.Unlock()
+	if allocs := testing.AllocsPerRun(100, func() {
+		if p.ensureConn() == nil {
+			t.Fatal("no live connection")
+		}
+	}); allocs != 0 {
+		t.Fatalf("ensureConn on a live connection allocates %.2f times per call, want 0", allocs)
+	}
+}

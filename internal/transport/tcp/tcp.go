@@ -552,12 +552,13 @@ func (p *peer) ensureConn() *peerConn {
 				p.n.redials.Add(1)
 			}
 			// Servers reply over the connection the request came from, so
-			// read it too.
+			// read it too. pc goes in as an argument: a captured pc would
+			// move to the heap on every call, live connection or not.
 			p.n.wg.Add(1)
-			go func() {
+			go func(pc *peerConn) {
 				defer p.n.wg.Done()
 				p.n.readLoop(pc, p)
-			}()
+			}(pc)
 			return pc
 		}
 		select {

@@ -1,17 +1,27 @@
 // Package transport provides the messaging substrate used by Wren and Cure
 // servers: point-to-point, lossless, FIFO channels (the paper's §II-A
-// assumption), with a configurable latency model for simulating a multi-DC
-// deployment, injectable inter-DC network partitions, and per-class byte
-// accounting from real encoded message sizes (the input to Figure 7a).
+// assumption), and per-class byte accounting from real encoded message
+// sizes (the input to Figure 7a).
 //
-// The in-memory implementation delivers each (sender, receiver) pair's
-// messages through a dedicated FIFO queue drained by one goroutine, so
-// delivery order always matches send order, exactly like a TCP connection.
+// Memory is the one in-process network. It owns everything a simulated
+// deployment's network does: a configurable latency model for a multi-DC
+// deployment, directed DC cuts that hold traffic losslessly until healed,
+// and seeded fault rules (drop, duplicate, delay, reorder) that break the
+// channel assumption on purpose, togglable at runtime so a test can cut a
+// WAN link in the middle of a 2PC and heal it later. Each (sender,
+// receiver) pair's messages go through one time-ordered queue drained by
+// one goroutine, so with no rule delivery order is send order, exactly
+// like a TCP connection. Every delivery is decoded from the message's
+// encoding, so the codec runs on every in-process hop as it does over
+// TCP (transport/tcp). Faults come from one seeded PRNG drawn at Send
+// time, so a single-threaded test replays the same faults for a seed.
 package transport
 
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -145,7 +155,30 @@ func AWSLatencies(scale float64) map[[2]int]time.Duration {
 
 const numClasses = int(wire.ClassControl) + 1
 
-// Memory is the in-process Network implementation.
+// Rule is the fault mix applied to messages sent over a matching link.
+// The zero Rule injects nothing.
+type Rule struct {
+	// DropProb is the probability in [0,1] that a message is silently
+	// dropped at send time.
+	DropProb float64
+	// DupProb is the probability that a message is delivered twice; the
+	// second copy is decoded afresh and scheduled independently.
+	DupProb float64
+	// Delay postpones delivery by a fixed amount, plus a uniformly random
+	// extra in [0, Jitter). Jitter alone is enough to reorder messages,
+	// since delivery follows scheduled time, not send order.
+	Delay  time.Duration
+	Jitter time.Duration
+	// ReorderProb is the probability a message is additionally pushed
+	// ReorderWindow behind its scheduled delivery, letting messages sent
+	// after it overtake. A zero ReorderWindow defaults to 1ms.
+	ReorderProb   float64
+	ReorderWindow time.Duration
+}
+
+// Memory is the in-process Network implementation. Every delivery is
+// wire.Decode of the message's encoding, so the sender keeps its message
+// and the receiver owns a fresh one, as over TCP.
 type Memory struct {
 	latency LatencyFunc
 
@@ -154,24 +187,33 @@ type Memory struct {
 	links    map[[2]NodeID]*link
 	closed   bool
 
-	downMu  sync.RWMutex
-	downDCs map[[2]int]bool
-	healGen chan struct{} // closed and replaced when a partition heals
+	// faultMu guards the fault rules, the cuts and the PRNG every fault
+	// is drawn from.
+	faultMu  sync.Mutex
+	rng      *rand.Rand
+	def      Rule
+	dcRules  map[[2]int]Rule // keyed (fromDC, toDC)
+	cliRules map[int]Rule    // keyed by the client endpoint's DC
+	cuts     map[[2]int]bool // directed (fromDC, toDC)
+	healGen  chan struct{}   // closed and replaced on every heal
 
 	// reg counts the traffic of each wire.Class (index 0 is no class):
 	// net.msgs.<class> and net.bytes.<class>, and net.inter_msgs.<class>
-	// and net.inter_bytes.<class> for the subset crossing DC boundaries.
-	reg                                *obs.Registry
-	msgs, bytes, interMsgs, interBytes [numClasses]*obs.Counter
+	// and net.inter_bytes.<class> for the subset crossing DC boundaries;
+	// and the injected faults.
+	reg                                  *obs.Registry
+	msgs, bytes, interMsgs, interBytes   [numClasses]*obs.Counter
+	dropped, duplicated, reordered, held *obs.Counter
 
 	wg sync.WaitGroup
 }
 
 var _ Network = (*Memory)(nil)
 
-// NewMemory builds an in-process network with the given latency model.
-// A nil latency function means zero latency everywhere.
-func NewMemory(latency LatencyFunc) *Memory {
+// NewMemory builds an in-process network with the given latency model;
+// every fault a rule injects is drawn from seed. A nil latency function
+// means zero latency everywhere.
+func NewMemory(latency LatencyFunc, seed int64) *Memory {
 	if latency == nil {
 		latency = func(NodeID, NodeID) time.Duration { return 0 }
 	}
@@ -179,7 +221,10 @@ func NewMemory(latency LatencyFunc) *Memory {
 		latency:  latency,
 		handlers: make(map[NodeID]Handler),
 		links:    make(map[[2]NodeID]*link),
-		downDCs:  make(map[[2]int]bool),
+		rng:      rand.New(rand.NewSource(seed)),
+		dcRules:  make(map[[2]int]Rule),
+		cliRules: make(map[int]Rule),
+		cuts:     make(map[[2]int]bool),
 		healGen:  make(chan struct{}),
 		reg:      obs.New("net"),
 	}
@@ -188,10 +233,16 @@ func NewMemory(latency LatencyFunc) *Memory {
 		n.msgs[c], n.bytes[c] = n.reg.Counter("net.msgs."+cls), n.reg.Counter("net.bytes."+cls)
 		n.interMsgs[c], n.interBytes[c] = n.reg.Counter("net.inter_msgs."+cls), n.reg.Counter("net.inter_bytes."+cls)
 	}
+	n.dropped, n.duplicated = n.reg.Counter("net.dropped"), n.reg.Counter("net.duplicated")
+	n.reordered, n.held = n.reg.Counter("net.reordered"), n.reg.Counter("net.held")
 	return n
 }
 
-// Obs returns the network's metrics registry.
+// Obs returns the network's registry: the per-class traffic counters,
+// and net.dropped, net.duplicated (extra copies injected), net.reordered
+// (pushed behind their send order) and net.held (a link parked behind a
+// cut). A dropped message is not counted as traffic; a duplicate is
+// counted twice.
 func (n *Memory) Obs() *obs.Registry { return n.reg }
 
 // Register implements Network.
@@ -201,10 +252,129 @@ func (n *Memory) Register(id NodeID, h Handler) {
 	n.handlers[id] = h
 }
 
-// Send implements Network. The message is enqueued on the (from, to) FIFO
-// link and delivered after the link latency. Inter-DC messages wait while
-// the DC pair is partitioned (they are queued, not dropped — the paper's
-// channels are lossless, like TCP with retries).
+// SetDefaultRule applies r to every link without a more specific rule.
+func (n *Memory) SetDefaultRule(r Rule) {
+	n.faultMu.Lock()
+	n.def = r
+	n.faultMu.Unlock()
+}
+
+// SetDCRule applies r to messages flowing fromDC -> toDC (directed).
+func (n *Memory) SetDCRule(fromDC, toDC int, r Rule) {
+	n.faultMu.Lock()
+	n.dcRules[[2]int{fromDC, toDC}] = r
+	n.faultMu.Unlock()
+}
+
+// SetClientRule applies r to links where either endpoint is a client in
+// the given DC (both request and response directions). It takes
+// precedence over DC rules, so tests can stress the client edge without
+// touching server-to-server replication.
+func (n *Memory) SetClientRule(dc int, r Rule) {
+	n.faultMu.Lock()
+	n.cliRules[dc] = r
+	n.faultMu.Unlock()
+}
+
+// ClearRules removes every rule (default included). Messages already
+// scheduled keep their delivery times; cuts are unaffected.
+func (n *Memory) ClearRules() {
+	n.faultMu.Lock()
+	n.def = Rule{}
+	clear(n.dcRules)
+	clear(n.cliRules)
+	n.faultMu.Unlock()
+}
+
+// Cut holds all traffic flowing fromDC -> toDC (directed, lossless) until
+// Heal: the paper's channels are lossless, like TCP with retries. Cutting
+// both directions partitions the DC pair; Cut(dc, dc) cuts a DC off from
+// itself.
+func (n *Memory) Cut(fromDC, toDC int) {
+	n.faultMu.Lock()
+	n.cuts[[2]int{fromDC, toDC}] = true
+	n.faultMu.Unlock()
+}
+
+// Heal releases a directed cut; held messages resume in order.
+func (n *Memory) Heal(fromDC, toDC int) {
+	n.faultMu.Lock()
+	delete(n.cuts, [2]int{fromDC, toDC})
+	n.wakeLocked()
+	n.faultMu.Unlock()
+}
+
+// HealAll releases every directed cut.
+func (n *Memory) HealAll() {
+	n.faultMu.Lock()
+	clear(n.cuts)
+	n.wakeLocked()
+	n.faultMu.Unlock()
+}
+
+// wakeLocked rotates the heal generation so links parked on the old
+// channel wake. Caller holds faultMu.
+func (n *Memory) wakeLocked() {
+	close(n.healGen)
+	n.healGen = make(chan struct{})
+}
+
+// isCut reports whether the directed DC pair is cut, returning the heal
+// channel to wait on when it is.
+func (n *Memory) isCut(fromDC, toDC int) (bool, chan struct{}) {
+	n.faultMu.Lock()
+	defer n.faultMu.Unlock()
+	return n.cuts[[2]int{fromDC, toDC}], n.healGen
+}
+
+// ruleFor resolves the rule for a (from, to) pair. Precedence: client
+// rule (either endpoint a client) > DC rule > default. Caller holds
+// faultMu.
+func (n *Memory) ruleFor(from, to NodeID) Rule {
+	if from.IsClient() {
+		if r, ok := n.cliRules[from.DC]; ok {
+			return r
+		}
+	}
+	if to.IsClient() {
+		if r, ok := n.cliRules[to.DC]; ok {
+			return r
+		}
+	}
+	if r, ok := n.dcRules[[2]int{from.DC, to.DC}]; ok {
+		return r
+	}
+	return n.def
+}
+
+// delayLocked draws the delay rule adds to one delivery. Caller holds
+// faultMu (the PRNG is not otherwise synchronized).
+func (n *Memory) delayLocked(rule Rule) time.Duration {
+	d := rule.Delay
+	if rule.Jitter > 0 {
+		d += time.Duration(n.rng.Int63n(int64(rule.Jitter)))
+	}
+	if rule.ReorderProb > 0 && n.rng.Float64() < rule.ReorderProb {
+		w := rule.ReorderWindow
+		if w <= 0 {
+			w = time.Millisecond
+		}
+		d += w
+		n.reordered.Inc()
+	}
+	return d
+}
+
+// encPool recycles Send's encoders: nothing Decode returns aliases the
+// payload, so the buffer is free again once Send returns.
+var encPool = sync.Pool{New: func() any { return wire.NewEncoder() }}
+
+// Send implements Network. The message is encoded once and each delivery
+// is a decode of those bytes; a message that does not round-trip is an
+// error naming its kind. A delivery is scheduled on the (from, to) link
+// at now + latency + the link rule's delay, and waits there while its DC
+// pair is cut. With no rule the schedule never goes backwards on a link,
+// so delivery order is send order, exactly like a TCP connection.
 func (n *Memory) Send(from, to NodeID, m wire.Message) error {
 	n.mu.RLock()
 	if n.closed {
@@ -217,30 +387,60 @@ func (n *Memory) Send(from, to NodeID, m wire.Message) error {
 	}
 	l := n.links[[2]NodeID{from, to}]
 	n.mu.RUnlock()
-
 	if l == nil {
-		l = n.getOrCreateLink(from, to)
-		if l == nil {
+		if l = n.getOrCreateLink(from, to); l == nil {
 			return ErrClosed
 		}
 	}
 
-	if from != to {
-		cls, sz := m.Class(), uint64(wire.Size(m))
-		n.msgs[cls].Inc()
-		n.bytes[cls].Add(sz)
-		if from.DC != to.DC {
-			n.interMsgs[cls].Inc()
-			n.interBytes[cls].Add(sz)
-		}
+	enc := encPool.Get().(*wire.Encoder)
+	defer func() {
+		enc.Reset()
+		encPool.Put(enc)
+	}()
+	wire.EncodeInto(enc, m)
+	c, err := wire.Decode(m.Kind(), enc.Bytes())
+	if err != nil {
+		return fmt.Errorf("transport: %v does not round-trip: %w", m.Kind(), err)
 	}
 
-	l.enqueue(delivery{
-		at:   time.Now().Add(n.latency(from, to)),
-		from: from,
-		msg:  m,
-	})
+	n.faultMu.Lock()
+	rule := n.ruleFor(from, to)
+	if rule.DropProb > 0 && n.rng.Float64() < rule.DropProb {
+		n.faultMu.Unlock()
+		n.dropped.Inc()
+		return nil
+	}
+	delay, dup, dupDelay := n.delayLocked(rule), false, time.Duration(0)
+	if rule.DupProb > 0 && n.rng.Float64() < rule.DupProb {
+		dup, dupDelay = true, n.delayLocked(rule)
+	}
+	n.faultMu.Unlock()
+
+	due, cls, sz := time.Now().Add(n.latency(from, to)), m.Class(), uint64(wire.Size(m))
+	n.count(from, to, cls, sz)
+	l.enqueue(c, due.Add(delay))
+	if dup {
+		c, _ = wire.Decode(m.Kind(), enc.Bytes()) // these bytes decoded once already
+		n.duplicated.Inc()
+		n.count(from, to, cls, sz)
+		l.enqueue(c, due.Add(dupDelay))
+	}
 	return nil
+}
+
+// count adds one message of sz bytes to the traffic counters; loopback
+// traffic is not network traffic.
+func (n *Memory) count(from, to NodeID, cls wire.Class, sz uint64) {
+	if from == to {
+		return
+	}
+	n.msgs[cls].Inc()
+	n.bytes[cls].Add(sz)
+	if from.DC != to.DC {
+		n.interMsgs[cls].Inc()
+		n.interBytes[cls].Add(sz)
+	}
 }
 
 func (n *Memory) getOrCreateLink(from, to NodeID) *link {
@@ -253,7 +453,7 @@ func (n *Memory) getOrCreateLink(from, to NodeID) *link {
 	if l, ok := n.links[key]; ok {
 		return l
 	}
-	l := newLink(n, from, to)
+	l := &link{net: n, from: from, to: to, notify: make(chan struct{}, 1), done: make(chan struct{})}
 	n.links[key] = l
 	n.wg.Add(1)
 	go func() {
@@ -261,35 +461,6 @@ func (n *Memory) getOrCreateLink(from, to NodeID) *link {
 		l.run()
 	}()
 	return l
-}
-
-// SetDCLinkDown partitions (or heals) the network between two DCs in both
-// directions. While down, messages queue and are delivered after healing.
-func (n *Memory) SetDCLinkDown(dcA, dcB int, down bool) {
-	if dcA > dcB {
-		dcA, dcB = dcB, dcA
-	}
-	n.downMu.Lock()
-	if down {
-		n.downDCs[[2]int{dcA, dcB}] = down
-		n.downMu.Unlock()
-		return
-	}
-	delete(n.downDCs, [2]int{dcA, dcB})
-	// Wake every link blocked on a partition by rotating the heal channel.
-	old := n.healGen
-	n.healGen = make(chan struct{})
-	n.downMu.Unlock()
-	close(old)
-}
-
-func (n *Memory) isDCLinkDown(dcA, dcB int) (bool, chan struct{}) {
-	if dcA > dcB {
-		dcA, dcB = dcB, dcA
-	}
-	n.downMu.RLock()
-	defer n.downMu.RUnlock()
-	return n.downDCs[[2]int{dcA, dcB}], n.healGen
 }
 
 // Close implements Network. It stops all delivery goroutines and waits for
@@ -310,23 +481,21 @@ func (n *Memory) Close() {
 	for _, l := range links {
 		l.close()
 	}
-	// Unblock any link waiting on a partition heal.
-	n.SetDCLinkDown(-1, -2, false)
 	n.wg.Wait()
 }
 
 type delivery struct {
-	at   time.Time
-	from NodeID
-	msg  wire.Message
+	at  time.Time
+	msg wire.Message
 }
 
-// link is a FIFO delivery queue for one (from, to) pair, drained by a
-// single goroutine so handler invocation order equals send order.
+// link is the delivery queue of one (from, to) pair, kept sorted by
+// scheduled time (equal times in enqueue order) and drained by a single
+// goroutine: delivery follows scheduled time, which is send order unless
+// a rule delayed a message.
 type link struct {
-	net  *Memory
-	from NodeID
-	to   NodeID
+	net      *Memory
+	from, to NodeID
 
 	mu     sync.Mutex
 	q      []delivery
@@ -335,23 +504,18 @@ type link struct {
 	done   chan struct{}
 }
 
-func newLink(n *Memory, from, to NodeID) *link {
-	return &link{
-		net:    n,
-		from:   from,
-		to:     to,
-		notify: make(chan struct{}, 1),
-		done:   make(chan struct{}),
-	}
-}
-
-func (l *link) enqueue(d delivery) {
+func (l *link) enqueue(m wire.Message, at time.Time) {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return
 	}
-	l.q = append(l.q, d)
+	// Scan from the tail: without a rule every delivery lands there.
+	i := len(l.q)
+	for i > 0 && l.q[i-1].at.After(at) {
+		i--
+	}
+	l.q = slices.Insert(l.q, i, delivery{at: at, msg: m})
 	l.mu.Unlock()
 	select {
 	case l.notify <- struct{}{}:
@@ -361,12 +525,14 @@ func (l *link) enqueue(d delivery) {
 
 func (l *link) close() {
 	l.mu.Lock()
-	alreadyClosed := l.closed
-	l.closed = true
-	l.mu.Unlock()
-	if !alreadyClosed {
-		close(l.done)
+	if l.closed {
+		l.mu.Unlock()
+		return
 	}
+	l.closed = true
+	l.q = nil
+	l.mu.Unlock()
+	close(l.done)
 }
 
 func (l *link) run() {
@@ -388,38 +554,37 @@ func (l *link) run() {
 		head := l.q[0]
 		l.mu.Unlock()
 
-		// Honor link latency.
 		if wait := time.Until(head.at); wait > 0 {
-			timer := time.NewTimer(wait)
+			t := time.NewTimer(wait)
 			select {
-			case <-timer.C:
+			case <-t.C:
+			case <-l.notify:
+				// An earlier-scheduled delivery may have arrived; re-read.
+				t.Stop()
+				continue
 			case <-l.done:
-				timer.Stop()
+				t.Stop()
 				return
 			}
 		}
 
-		// Honor inter-DC partitions: hold delivery until healed.
-		if l.from.DC != l.to.DC {
-			for {
-				down, heal := l.net.isDCLinkDown(l.from.DC, l.to.DC)
-				if !down {
-					break
-				}
-				select {
-				case <-heal:
-				case <-l.done:
-					return
-				}
+		if cut, heal := l.net.isCut(l.from.DC, l.to.DC); cut {
+			l.net.held.Inc()
+			select {
+			case <-heal:
+			case <-l.done:
+				return
 			}
+			continue
 		}
 
 		l.mu.Lock()
 		if l.closed || len(l.q) == 0 {
 			l.mu.Unlock()
-			return
+			continue
 		}
 		d := l.q[0]
+		l.q[0] = delivery{}
 		l.q = l.q[1:]
 		l.mu.Unlock()
 
@@ -427,7 +592,7 @@ func (l *link) run() {
 		h := l.net.handlers[l.to]
 		l.net.mu.RUnlock()
 		if h != nil {
-			h.HandleMessage(d.from, d.msg)
+			h.HandleMessage(l.from, d.msg)
 		}
 	}
 }

@@ -415,8 +415,10 @@ type TxReadResp struct {
 	// (one monolithic append), the fan-in detaches the arriving buffer and
 	// retains it whole. The field is wire-transparent — encoding flattens
 	// Items then Chunks into one item sequence and decoding always yields
-	// a flat Items — so only in-process consumers see chunks. Readers must
-	// iterate Items AND every chunk.
+	// a flat Items — so a receiver never sees chunks: both transports
+	// deliver decoded messages. Only a pointer-passing test fabric
+	// (replicatest.SyncNet) hands them over, and its reader iterates Items
+	// AND every chunk.
 	Chunks [][]Item
 	// BlockedMicros is the maximum time any constituent slice read spent
 	// blocked waiting for a snapshot to be installed (Cure/H-Cure only;

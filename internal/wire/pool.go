@@ -5,23 +5,24 @@ import "sync"
 // Read-path message pools. A slice read allocates three messages per hop
 // (SliceReq out, SliceResp back, TxReadResp to the client); pooling them —
 // together with the caller-buffer store reads and the pooled frame encoder
-// — makes the slice-read hot path allocation-free end to end on the
-// in-memory transport, where the receiver gets the sender's pointer. Over
-// TCP every received frame is decoded into a fresh message: a read result
-// (TxReadResp, SliceResp, ScanResp) costs 4 allocations whatever its item
-// count — the message, its items, one key string and one value arena — a
-// key list (TxReadReq, SliceReq) 3, and a write set 2 per write plus 2
-// (TestDecodeReadResultAllocs and its neighbours, TestReadFrameAllocs in
-// transport/tcp).
+// — makes the slice-read hot path allocation-free end to end on
+// replicatest.SyncNet, the synchronous test fabric that hands the receiver
+// the sender's pointer and that every allocation pin runs on. Both
+// transports decode every received message into a fresh one (the
+// in-memory network decodes the message's encoding, TCP the frame): a
+// read result (TxReadResp, SliceResp, ScanResp) costs 4 allocations
+// whatever its item count — the message, its items, one key string and
+// one value arena — a key list (TxReadReq, SliceReq) 3, and a write set 2
+// per write plus 2 (TestDecodeReadResultAllocs and its neighbours,
+// TestReadFrameAllocs in transport/tcp).
 //
-// Ownership rule: the RECEIVER releases a pooled message. The in-memory
-// transport delivers the sender's pointer directly to the receiving
-// handler, so the sender must never touch a message after Send; the
-// handler calls the matching Put once it has copied what it needs. Over
-// the TCP transport the receiver decodes a fresh message and releases that
-// one instead; the sender's copy is simply dropped to the GC (a pool miss,
-// not a leak). Releasing is always optional — a dropped message is
-// reclaimed by the GC like any other.
+// Ownership rule: the RECEIVER releases a pooled message. A transport
+// delivers a decoded copy, so the receiver releases that one and the
+// sender's copy is simply dropped to the GC (a pool miss, not a leak).
+// On SyncNet the handler gets the sender's pointer, so there the sender
+// must never touch a message after Send; the handler calls the matching
+// Put once it has copied what it needs. Releasing is always optional — a
+// dropped message is reclaimed by the GC like any other.
 
 var (
 	sliceReqPool   = sync.Pool{New: func() any { return new(SliceReq) }}

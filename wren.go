@@ -193,9 +193,20 @@ func (c *Cluster) ClientAt(dc, coordinatorPartition int) (Client, error) {
 // PartitionInterDCLink cuts (down=true) or heals (down=false) the network
 // between two DCs. While partitioned, each DC keeps serving transactions —
 // causal consistency is available under partition — and replication
-// resumes after healing.
+// resumes after healing. A DC is never cut off from itself: dcA == dcB
+// does nothing.
 func (c *Cluster) PartitionInterDCLink(dcA, dcB int, down bool) {
-	c.inner.Network().SetDCLinkDown(dcA, dcB, down)
+	net := c.inner.Network()
+	if dcA == dcB {
+		return
+	}
+	if down {
+		net.Cut(dcA, dcB)
+		net.Cut(dcB, dcA)
+		return
+	}
+	net.Heal(dcA, dcB)
+	net.Heal(dcB, dcA)
 }
 
 // LocalUpdateVisible reports whether an update committed in dc at ct is
