@@ -23,6 +23,7 @@ var (
 	ErrReadOnly  = session.ErrReadOnly
 	ErrAborted   = session.ErrAborted
 	ErrInDoubt   = session.ErrInDoubt
+	ErrTooLarge  = session.ErrTooLarge
 )
 
 type (

@@ -21,6 +21,7 @@ var (
 	ErrReadOnly  = session.ErrReadOnly
 	ErrAborted   = session.ErrAborted
 	ErrInDoubt   = session.ErrInDoubt
+	ErrTooLarge  = session.ErrTooLarge
 )
 
 // ClientConfig configures a Cure client session; NumDCs sizes its

@@ -92,6 +92,10 @@ var (
 	// original failure, so errors.Is(err, ErrTimeout) still holds. Matched
 	// with errors.Is.
 	ErrInDoubt = errors.New("session: commit outcome in doubt")
+	// ErrTooLarge is returned by Write and Delete for a key or value longer
+	// than wire.MaxFieldLen (4 MiB), which no server could decode. Nothing
+	// was buffered; the transaction stays usable. Matched with errors.Is.
+	ErrTooLarge = errors.New("session: key or value exceeds 4 MiB")
 )
 
 // DefaultRequestTimeout bounds each client-coordinator round trip.

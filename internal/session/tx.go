@@ -166,6 +166,9 @@ func (t *Tx) buffer(key string, value []byte) error {
 	if t.done {
 		return ErrTxDone
 	}
+	if len(key) > wire.MaxFieldLen || len(value) > wire.MaxFieldLen {
+		return fmt.Errorf("%w: key %d bytes, value %d bytes", ErrTooLarge, len(key), len(value))
+	}
 	if t.ws == nil {
 		t.ws = make(map[string][]byte)
 	}

@@ -1,7 +1,6 @@
 package tcp
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -95,23 +94,11 @@ func TestFrameEncodePooledSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// loopReader serves the same bytes forever: a peer that keeps sending one
-// frame.
-type loopReader struct {
-	b   []byte
-	off int
-}
-
-func (r *loopReader) Read(p []byte) (int, error) {
-	n := copy(p, r.b[r.off:])
-	r.off = (r.off + n) % len(r.b)
-	return n, nil
-}
-
-// TestReadFrameAllocs pins what one frame read costs on the receive path:
-// a 20-item TxReadResp takes no more allocations than wire.Decode's pin
-// for a read result (4: the message, its items, one key string and one
-// value arena) — the frame buffer is reused, and nothing is copied twice.
+// TestReadFrameAllocs pins what one frame costs the receive path's
+// splitter: a 20-item TxReadResp takes no more allocations than
+// wire.Decode's pin for a read result (4: the message, its items, one key
+// string and one value arena) — the frame is decoded where the read put
+// it, and nothing is copied twice.
 func TestReadFrameAllocs(t *testing.T) {
 	const wirePin = 4
 	items := make([]wire.Item, 20)
@@ -120,9 +107,10 @@ func TestReadFrameAllocs(t *testing.T) {
 	}
 	m := &wire.TxReadResp{ReqID: 7, Items: items}
 	frame := encodeFrame(wire.NewEncoder(), transport.ServerID(0, 1), m)
-	pc := &peerConn{br: bufio.NewReaderSize(&loopReader{b: frame}, readBufSize)}
+	s := newFrameSplitter()
 	read := func() {
-		_, got, err := pc.read()
+		s.filled(copy(s.space(), frame))
+		_, got, err := s.next()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +118,7 @@ func TestReadFrameAllocs(t *testing.T) {
 			t.Fatalf("read %#v, want the 20-item TxReadResp", got)
 		}
 	}
-	read() // sizes the connection's frame buffer
+	read()
 	if allocs := testing.AllocsPerRun(200, read); allocs > wirePin {
 		t.Fatalf("reading a 20-item TxReadResp frame allocates %.0f times, want at most %d", allocs, wirePin)
 	} else {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,25 +14,16 @@ import (
 	"wren/internal/wire"
 )
 
-// countingConn is a net.Conn that serves Reads from a prepared byte stream
-// (then reports EOF), collects Writes, and counts the calls a real socket
-// would pay a syscall or a poller-timer update for.
+// countingConn is a net.Conn that collects Writes and counts the calls a
+// real socket would pay a syscall or a poller-timer update for. It is not
+// a syscall.Conn, so a peerConn writes to it through net.Conn.Write.
 type countingConn struct {
 	net.Conn // nil: any method not overridden below must not be reached
 
 	mu        sync.Mutex
-	in        bytes.Reader
 	out       bytes.Buffer
-	reads     int
 	writes    int
 	deadlines int
-}
-
-func (c *countingConn) Read(p []byte) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.reads++
-	return c.in.Read(p)
 }
 
 func (c *countingConn) Write(p []byte) (int, error) {
@@ -50,10 +42,10 @@ func (c *countingConn) SetWriteDeadline(time.Time) error {
 
 func (c *countingConn) Close() error { return nil }
 
-func (c *countingConn) counts() (reads, writes, deadlines, written int) {
+func (c *countingConn) counts() (writes, deadlines, written int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.reads, c.writes, c.deadlines, c.out.Len()
+	return c.writes, c.deadlines, c.out.Len()
 }
 
 const burstFrames = 64
@@ -62,10 +54,29 @@ func burstMsg(i int) *wire.Heartbeat {
 	return &wire.Heartbeat{SrcDC: 1, Partition: 2, TS: hlc.New(int64(1000+i), 0)}
 }
 
-// TestBackToBackFramesCostOneRead hands a connection 64 frames that are
-// already "in the socket": the read loop must deliver all of them, in
-// order, for at most two Read calls (the second one sees the end of the
-// stream) — not two per frame.
+// loopbackPair returns the two ends of one loopback TCP connection.
+func loopbackPair(tb testing.TB) (client, server net.Conn) {
+	tb.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer l.Close()
+	client, err = net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	server, err = l.Accept()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return client, server
+}
+
+// TestBackToBackFramesCostOneRead writes 64 frames and the end of the
+// stream into a loopback socket before the read loop starts: the loop must
+// deliver all of them, in order, for at most two read calls (the second
+// one sees the end of the stream) — not two per frame.
 func TestBackToBackFramesCostOneRead(t *testing.T) {
 	self, from := transport.ServerID(0, 0), transport.ServerID(0, 1)
 	n, err := New(Config{Self: self})
@@ -83,9 +94,15 @@ func TestBackToBackFramesCostOneRead(t *testing.T) {
 	for i := 0; i < burstFrames; i++ {
 		stream = append(stream, encodeFrame(enc, from, burstMsg(i))...)
 	}
-	conn := &countingConn{}
-	conn.in.Reset(stream)
-	pc := newPeerConn(conn)
+	cli, srv := loopbackPair(t)
+	defer cli.Close()
+	if _, err := cli.Write(stream); err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	pc := newPeerConn(srv)
 	if !n.trackConn(pc) {
 		t.Fatal("network already closed")
 	}
@@ -99,9 +116,116 @@ func TestBackToBackFramesCostOneRead(t *testing.T) {
 			t.Fatalf("frame %d carries %v, want %v: order lost", i, ts, burstMsg(i).TS)
 		}
 	}
-	if reads, _, _, _ := conn.counts(); reads > 2 {
-		t.Fatalf("%d frames cost %d Read calls, want at most 2", burstFrames, reads)
+	if reads := n.Obs().Value("tcp.read_calls"); reads > 2 {
+		t.Fatalf("%d frames cost %d read calls, want at most 2", burstFrames, reads)
 	}
+}
+
+// TestOneReadPerDelivery runs 2 000 sequential request/response round
+// trips between two networks on loopback: every frame arrives alone, and
+// each side must pay at most 1.1 read calls per frame it delivered. A read
+// loop that probes the socket before it waits pays 2.
+func TestOneReadPerDelivery(t *testing.T) {
+	const rounds = 2000
+	srvID, cliID := transport.ServerID(0, 0), transport.ClientID(0, 1)
+	srv, err := New(Config{Self: srvID, ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var srvGot atomic.Int64 // the race detector sees no order through a socket
+	srv.Register(srvID, transport.HandlerFunc(func(from transport.NodeID, m wire.Message) {
+		srvGot.Add(1)
+		_ = srv.Send(srvID, from, m)
+	}))
+	cli, err := New(Config{Self: cliID, Peers: map[transport.NodeID]string{srvID: srv.Addr()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	echoes := make(chan struct{}, 1)
+	cli.Register(cliID, transport.HandlerFunc(func(transport.NodeID, wire.Message) { echoes <- struct{}{} }))
+
+	for i := 0; i < rounds; i++ {
+		if err := cli.Send(cliID, srvID, burstMsg(i)); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-echoes:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no echo for round %d", i)
+		}
+	}
+	for _, side := range []struct {
+		name      string
+		n         *Network
+		delivered int
+	}{{"server", srv, int(srvGot.Load())}, {"client", cli, rounds}} {
+		reads, writes := side.n.Obs().Value("tcp.read_calls"), side.n.Obs().Value("tcp.write_calls")
+		perFrame := float64(reads) / float64(side.delivered)
+		t.Logf("%s: %d frames delivered, %d read calls (%.3f per frame), %d write calls",
+			side.name, side.delivered, reads, perFrame, writes)
+		if side.delivered != rounds {
+			t.Fatalf("%s delivered %d frames, want %d", side.name, side.delivered, rounds)
+		}
+		if perFrame > 1.1 {
+			t.Errorf("%s: %.3f read calls per delivered frame, want at most 1.1", side.name, perFrame)
+		}
+	}
+}
+
+// TestHandlerEvictsItsOwnConnection evicts a connection from a handler
+// running on that connection's read loop. The loop holds the descriptor's
+// read reference while it dispatches, so an eviction that closed the
+// descriptor would wait for the loop, which waits for the handler: the
+// eviction must only shut the socket down and return.
+func TestHandlerEvictsItsOwnConnection(t *testing.T) {
+	srvID, cliID := transport.ServerID(0, 0), transport.ClientID(0, 1)
+	srv, err := New(Config{Self: srvID, ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	returned := make(chan struct{}, 1)
+	srv.Register(srvID, transport.HandlerFunc(func(from transport.NodeID, _ wire.Message) {
+		srv.mu.Lock()
+		pc := srv.learned[from]
+		srv.mu.Unlock()
+		srv.evictions.Add(1)
+		srv.forgetConn(pc, nil)
+		returned <- struct{}{}
+	}))
+	cli, err := New(Config{Self: cliID, Peers: map[transport.NodeID]string{srvID: srv.Addr()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if err := cli.Send(cliID, srvID, burstMsg(0)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-returned:
+	case <-time.After(time.Second):
+		// srv is left open: closing it would wait for the stuck loop.
+		t.Fatal("a handler evicting its own connection did not return within 1s")
+	}
+	// The loop then sees EOF and closes the descriptor, and the client
+	// redials. A frame sent before the client saw the shutdown is lost with
+	// the old connection, as on any dropped link, so retry until one lands.
+	deadline := time.Now().Add(5 * time.Second)
+	for landed := false; !landed; {
+		if time.Now().After(deadline) {
+			t.Fatal("the client's frames never arrived over a fresh connection")
+		}
+		if err := cli.Send(cliID, srvID, burstMsg(1)); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-returned:
+			landed = true
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+	srv.Close()
 }
 
 // TestQueuedBurstCostsOneWrite queues 64 frames to a peer before its writer
@@ -140,7 +264,7 @@ func TestQueuedBurstCostsOneWrite(t *testing.T) {
 	}()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if _, _, _, written := conn.counts(); written >= len(want) {
+		if _, _, written := conn.counts(); written >= len(want) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -151,7 +275,7 @@ func TestQueuedBurstCostsOneWrite(t *testing.T) {
 	p.close()
 	<-ran
 
-	_, writes, deadlines, _ := conn.counts()
+	writes, deadlines, _ := conn.counts()
 	if !bytes.Equal(conn.out.Bytes(), want) {
 		t.Fatalf("burst bytes differ from the %d frames encoded one by one", burstFrames)
 	}
@@ -184,7 +308,7 @@ func TestWriteDeadlineRearmedSparingly(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		_, writes, deadlines, _ := conn.counts()
+		writes, deadlines, _ := conn.counts()
 		if writes != burstFrames {
 			t.Fatalf("%d writes, want %d", writes, burstFrames)
 		}
@@ -195,7 +319,7 @@ func TestWriteDeadlineRearmedSparingly(t *testing.T) {
 		if err := pc.write(from, burstMsg(0), timeout); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, again, _ := conn.counts(); again != deadlines+1 {
+		if _, again, _ := conn.counts(); again != deadlines+1 {
 			t.Fatalf("deadline not re-armed after a quarter of the timeout (%d arms, then %d)", deadlines, again)
 		}
 	})

@@ -10,13 +10,31 @@
 // the inbound connection the request arrived on, so clients need no listen
 // address.
 //
-// Syscalls, not handlers, are what a round costs on loopback, so both
-// directions batch whatever is already there: a connection is read through
-// a 64 KiB buffer, so one read syscall per wake-up drains every frame the
-// socket holds, and a peer's writer encodes every frame queued at wake-up
-// into one buffer and writes the burst with one syscall. The write
-// deadline is re-armed at most once per WriteTimeout/4 rather than per
-// frame.
+// Syscalls, not handlers, are what a round costs on loopback, so each one
+// is counted (tcp.read_calls and tcp.write_calls, EAGAIN and EOF included)
+// and both directions batch whatever is already there:
+//
+//   - Reading (read.go): a connection's read loop lives inside one
+//     syscall.RawConn.Read for the connection's whole life. Each read fills
+//     a 64 KiB buffer, a pure splitter (frameSplitter) cuts it into frames,
+//     and every complete frame is dispatched before the next read. When the
+//     kernel reports the socket drained (Linux's TCP_INQ hint: no bytes and
+//     no FIN left), the loop waits for the poller's next edge instead of
+//     probing with a read that would return EAGAIN, so a frame that arrives
+//     alone costs one read. The loop never leaves RawConn.Read between
+//     reads: re-entering it clears the poller's readiness token, and an
+//     edge that arrived during dispatch would be lost.
+//   - Writing (write.go): a peer's writer encodes every frame queued at
+//     wake-up into one buffer and writes the burst with one syscall. The
+//     write deadline is re-armed at most once per WriteTimeout/4 rather
+//     than per frame.
+//
+// Handlers run inside the read loop, while it holds the descriptor's read
+// reference, and net.Conn.Close waits for every reference: a handler that
+// closed its own connection would wait for itself. So the read loop is the
+// descriptor's only closer. Every other path (an eviction, a peer's close,
+// Network.Close) shuts the socket down in both directions, which wakes the
+// loop with EOF; a connection that never got a loop is closed directly.
 //
 // Links self-heal. Each configured peer gets a dedicated writer goroutine
 // draining a bounded outbound queue; when a write or read fails the
@@ -30,14 +48,11 @@
 package tcp
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"math/rand"
 	"net"
 	"sync"
+	"syscall"
 	"time"
 
 	"wren/internal/obs"
@@ -48,8 +63,9 @@ import (
 const (
 	headerLen    = 4 + 1 + 4 + 4
 	maxFrameSize = 64 << 20
-	// maxRetainedReadBuf caps the per-connection read scratch kept between
-	// frames; a rare huge frame doesn't pin its buffer forever.
+	// maxRetainedReadBuf caps the per-connection scratch kept between
+	// frames too large for the read buffer; a rare huge frame doesn't pin
+	// its buffer forever.
 	maxRetainedReadBuf = 1 << 20
 	// readBufSize is the per-connection socket read buffer: one read
 	// syscall fetches every frame already in the socket, up to this much.
@@ -97,7 +113,7 @@ type Config struct {
 type Stats struct {
 	Dials      uint64 // successful connection establishments
 	Redials    uint64 // subset of Dials that replaced a failed connection
-	Evictions  uint64 // connections torn down after a read/write error
+	Evictions  uint64 // connections torn down after a write error or an undecodable frame
 	Overloaded uint64 // sends shed because a peer queue was full
 }
 
@@ -115,6 +131,7 @@ type Network struct {
 
 	reg                                   *obs.Registry
 	dials, redials, evictions, overloaded *obs.Counter
+	readCalls, writeCalls                 *obs.Counter // socket syscalls
 
 	wg sync.WaitGroup
 }
@@ -149,6 +166,8 @@ func New(cfg Config) (*Network, error) {
 		redials:    reg.Counter("tcp.redials"),
 		evictions:  reg.Counter("tcp.evictions"),
 		overloaded: reg.Counter("tcp.overloaded"),
+		readCalls:  reg.Counter("tcp.read_calls"),
+		writeCalls: reg.Counter("tcp.write_calls"),
 	}
 	if cfg.ListenAddr != "" {
 		l, err := net.Listen("tcp", cfg.ListenAddr)
@@ -295,7 +314,7 @@ func (n *Network) acceptLoop() {
 		}
 		pc := newPeerConn(conn)
 		if !n.trackConn(pc) {
-			pc.close()
+			_ = conn.Close() // no read loop will close it
 			return
 		}
 		n.wg.Add(1)
@@ -306,7 +325,8 @@ func (n *Network) acceptLoop() {
 	}
 }
 
-// trackConn records a live connection for Close; false when already closed.
+// trackConn records a live connection for Close and points its syscall
+// counts at this network's registry; false when already closed.
 func (n *Network) trackConn(pc *peerConn) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -314,12 +334,15 @@ func (n *Network) trackConn(pc *peerConn) bool {
 		return false
 	}
 	n.conns[pc] = struct{}{}
+	pc.reads, pc.writes = n.readCalls, n.writeCalls
 	return true
 }
 
-// forgetConn closes pc and removes every route through it: the live-conn
-// set, any learned entries, and the owning peer's current connection (so
-// the next queued frame redials immediately instead of failing first).
+// forgetConn shuts pc down and removes every route through it: the
+// live-conn set, any learned entries, and the owning peer's current
+// connection (so the next queued frame redials immediately instead of
+// failing first). It never waits for pc's read loop, so a handler running
+// inside that loop may call it.
 func (n *Network) forgetConn(pc *peerConn, owner *peer) {
 	pc.close()
 	n.mu.Lock()
@@ -339,380 +362,51 @@ func (n *Network) forgetConn(pc *peerConn, owner *peer) {
 	}
 }
 
-// readLoop decodes frames and dispatches them to the local handler,
-// learning the sender's identity so replies can reuse the connection.
-// owner is non-nil for managed (dialed) connections.
-func (n *Network) readLoop(pc *peerConn, owner *peer) {
-	defer n.forgetConn(pc, owner)
-	for {
-		from, msg, err := pc.read()
-		if err != nil {
-			return
-		}
-		n.mu.Lock()
-		if _, hasAddr := n.cfg.Peers[from]; !hasAddr {
-			// No configured route back: remember this connection. A fresh
-			// connection from the same sender (e.g. a restarted client)
-			// replaces the old entry.
-			if n.learned[from] != pc {
-				n.learned[from] = pc
-			}
-		}
-		h := n.handler
-		closed := n.closed
-		n.mu.Unlock()
-		if closed {
-			return
-		}
-		if h != nil {
-			h.HandleMessage(from, msg)
-		}
-	}
-}
-
-// outMsg is one queued outbound message; frames are encoded at write time
-// so the pooled encoder keeps the steady-state path allocation-free.
-type outMsg struct {
-	from transport.NodeID
-	m    wire.Message
-}
-
-// peer manages the self-healing link to one configured destination.
-type peer struct {
-	n    *Network
-	to   transport.NodeID
-	addr string
-
-	mu     sync.Mutex
-	q      []outMsg // queued frames are q[head:]
-	head   int
-	conn   *peerConn // current epoch's connection, nil while down
-	epoch  uint64
-	closed bool
-
-	notify chan struct{}
-	done   chan struct{}
-}
-
-func newPeer(n *Network, to transport.NodeID, addr string) *peer {
-	p := &peer{
-		n:      n,
-		to:     to,
-		addr:   addr,
-		notify: make(chan struct{}, 1),
-		done:   make(chan struct{}),
-	}
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		p.run()
-	}()
-	return p
-}
-
-func (p *peer) enqueue(msg outMsg) error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return ErrClosed
-	}
-	if len(p.q)-p.head >= p.n.cfg.MaxQueuedFrames {
-		p.mu.Unlock()
-		p.n.overloaded.Add(1)
-		return fmt.Errorf("%w: %d frames queued to %v", transport.ErrOverloaded, p.n.cfg.MaxQueuedFrames, p.to)
-	}
-	if p.head > 0 && len(p.q) == cap(p.q) {
-		// A queue that never runs empty: reclaim the popped prefix before
-		// growing, so capacity stays within twice the frame bound.
-		n := copy(p.q, p.q[p.head:])
-		clear(p.q[n:])
-		p.q, p.head = p.q[:n], 0
-	}
-	p.q = append(p.q, msg)
-	p.mu.Unlock()
-	select {
-	case p.notify <- struct{}{}:
-	default:
-	}
-	return nil
-}
-
-func (p *peer) close() {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	p.closed = true
-	pc := p.conn
-	p.conn = nil
-	p.q, p.head = nil, 0
-	p.mu.Unlock()
-	close(p.done)
-	if pc != nil {
-		pc.close()
-	}
-}
-
-// run is the writer loop: peek every frame queued at wake-up, ensure a
-// live connection (redialing with backoff as needed), write them as one
-// burst, and only then pop — a burst that fails mid-write is retried whole
-// on the next connection epoch.
-func (p *peer) run() {
-	var burst []outMsg
-	for {
-		var ok bool
-		if burst, ok = p.peek(burst[:0]); !ok {
-			return
-		}
-		pc := p.ensureConn()
-		if pc == nil {
-			return // closed while (re)dialing
-		}
-		sent, err := pc.writeBurst(burst, p.n.cfg.WriteTimeout)
-		clear(burst)
-		if err != nil {
-			p.n.evictions.Add(1)
-			p.n.forgetConn(pc, p)
-			continue // redial and resend the same frames
-		}
-		p.pop(sent)
-	}
-}
-
-// peek blocks until a frame is queued and appends a copy of the queue to
-// dst (enqueue may move the queue's backing array while the burst is being
-// written); it returns false when closed.
-func (p *peer) peek(dst []outMsg) ([]outMsg, bool) {
-	for {
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			return dst, false
-		}
-		if len(p.q) > p.head {
-			dst = append(dst, p.q[p.head:]...)
-			p.mu.Unlock()
-			return dst, true
-		}
-		p.mu.Unlock()
-		select {
-		case <-p.notify:
-		case <-p.done:
-			return dst, false
-		}
-	}
-}
-
-// pop drops the n oldest frames by advancing the head index; the slice is
-// rewound once it runs empty.
-func (p *peer) pop(n int) {
-	p.mu.Lock()
-	if n = min(n, len(p.q)-p.head); n > 0 { // close() may have emptied q
-		clear(p.q[p.head : p.head+n])
-		if p.head += n; p.head == len(p.q) {
-			p.q, p.head = p.q[:0], 0
-		}
-	}
-	p.mu.Unlock()
-}
-
-// ensureConn returns the live connection, dialing with capped exponential
-// backoff plus jitter until it succeeds or the peer closes (nil).
-func (p *peer) ensureConn() *peerConn {
-	p.mu.Lock()
-	pc := p.conn
-	p.mu.Unlock()
-	if pc != nil {
-		return pc
-	}
-
-	backoff := p.n.cfg.RedialBackoff
-	for {
-		d := net.Dialer{Timeout: p.n.cfg.DialTimeout, Cancel: p.done}
-		conn, err := d.Dial("tcp", p.addr)
-		if err == nil {
-			pc = newPeerConn(conn)
-			if !p.n.trackConn(pc) {
-				pc.close()
-				return nil
-			}
-			p.mu.Lock()
-			if p.closed {
-				p.mu.Unlock()
-				pc.close()
-				return nil
-			}
-			p.conn = pc
-			p.epoch++
-			redial := p.epoch > 1
-			p.mu.Unlock()
-			p.n.dials.Add(1)
-			if redial {
-				p.n.redials.Add(1)
-			}
-			// Servers reply over the connection the request came from, so
-			// read it too. pc goes in as an argument: a captured pc would
-			// move to the heap on every call, live connection or not.
-			p.n.wg.Add(1)
-			go func(pc *peerConn) {
-				defer p.n.wg.Done()
-				p.n.readLoop(pc, p)
-			}(pc)
-			return pc
-		}
-		select {
-		case <-p.done:
-			return nil
-		default:
-		}
-		// Uniform jitter in [0.5x, 1.5x) de-synchronizes a fleet of
-		// peers redialing the same restarted server.
-		sleep := backoff/2 + time.Duration(rand.Int63n(int64(backoff)))
-		select {
-		case <-time.After(sleep):
-		case <-p.done:
-			return nil
-		}
-		if backoff *= 2; backoff > p.n.cfg.RedialBackoffCap {
-			backoff = p.n.cfg.RedialBackoffCap
-		}
-	}
-}
-
-// peerConn wraps one TCP connection with serialized framed writes, a
-// buffered reader and a reusable frame buffer.
+// peerConn is one TCP connection: serialized framed writes from any
+// goroutine, and one read loop (read.go) that owns the descriptor.
 type peerConn struct {
 	conn net.Conn
+	raw  syscall.RawConn // nil when conn is not a socket (tests)
+
+	// reads and writes count the syscalls made on the socket; trackConn
+	// points them at the network's registry.
+	reads, writes *obs.Counter
 
 	writeMu sync.Mutex
 	// deadlineArmed is when the write deadline was last set; see
 	// armWriteDeadline. Guarded by writeMu.
 	deadlineArmed time.Time
-
-	readMu  sync.Mutex
-	br      *bufio.Reader
-	lenBuf  [4]byte // the frame length prefix; a local would escape through io.ReadFull
-	readBuf []byte  // scratch reused across frames; wire.Decode copies out of it
-
-	closeOnce sync.Once
+	// out and outErr carry one writeAll through the raw write callback,
+	// writable, which is bound once so a write allocates nothing. Guarded
+	// by writeMu.
+	out      []byte
+	outErr   error
+	writeRaw func(fd uintptr) bool
 }
 
 func newPeerConn(c net.Conn) *peerConn {
+	pc := &peerConn{conn: c, reads: new(obs.Counter), writes: new(obs.Counter)}
 	if tc, ok := c.(*net.TCPConn); ok {
 		_ = tc.SetNoDelay(true)
 	}
-	return &peerConn{conn: c, br: bufio.NewReaderSize(c, readBufSize)}
+	if sc, ok := c.(syscall.Conn); ok {
+		if raw, err := sc.SyscallConn(); err == nil {
+			pc.raw = raw
+			pc.writeRaw = pc.writable
+		}
+	}
+	return pc
 }
 
-// encPool recycles frame encoders across connections: steady-state framing
-// costs zero allocations instead of one encoder plus one payload plus one
-// frame buffer per message.
-var encPool = sync.Pool{New: func() any { return wire.NewEncoder() }}
-
-// encodeFrame serializes m with its frame header into enc's reused buffer:
-// [4-byte length][1-byte kind][4-byte from.DC][4-byte from.Node][payload].
-func encodeFrame(enc *wire.Encoder, from transport.NodeID, m wire.Message) []byte {
-	enc.Reset()
-	appendFrame(enc, from, m)
-	return enc.Bytes()
-}
-
-// appendFrame appends one framed message to whatever enc already holds.
-func appendFrame(enc *wire.Encoder, from transport.NodeID, m wire.Message) {
-	off := enc.Reserve(headerLen)
-	wire.EncodeInto(enc, m)
-	frame := enc.Bytes()[off:]
-	payloadLen := len(frame) - headerLen
-	binary.BigEndian.PutUint32(frame[0:4], uint32(1+4+4+payloadLen))
-	frame[4] = byte(m.Kind())
-	binary.BigEndian.PutUint32(frame[5:9], uint32(int32(from.DC)))
-	binary.BigEndian.PutUint32(frame[9:13], uint32(int32(from.Node)))
-}
-
-// armWriteDeadline keeps a write deadline between 3/4 and one timeout
-// ahead, re-arming it at most once per timeout/4: setting a deadline costs
-// a poller-timer update per call, and a stalled peer still fails the write
-// within timeout. Caller holds writeMu.
-func (pc *peerConn) armWriteDeadline(timeout time.Duration) {
-	if timeout <= 0 {
+// close shuts the connection down in both directions, which wakes its read
+// loop with EOF; the loop then closes the descriptor. Closing it here
+// would wait for the loop, and so for any handler it is running — possibly
+// the caller.
+func (pc *peerConn) close() {
+	if tc, ok := pc.conn.(*net.TCPConn); ok {
+		_ = tc.CloseRead()
+		_ = tc.CloseWrite()
 		return
 	}
-	if now := time.Now(); now.Sub(pc.deadlineArmed) >= timeout/4 {
-		_ = pc.conn.SetWriteDeadline(now.Add(timeout))
-		pc.deadlineArmed = now
-	}
-}
-
-func (pc *peerConn) write(from transport.NodeID, m wire.Message, timeout time.Duration) error {
-	enc := encPool.Get().(*wire.Encoder)
-	encodeFrame(enc, from, m)
-	return pc.flush(enc, timeout)
-}
-
-// writeBurst encodes the leading frames of msgs — all of them unless the
-// buffer reaches maxBurstBytes first — and writes them with one Write. It
-// returns how many frames the burst covered; on error none may be assumed
-// delivered.
-func (pc *peerConn) writeBurst(msgs []outMsg, timeout time.Duration) (int, error) {
-	enc := encPool.Get().(*wire.Encoder)
-	enc.Reset()
-	n := 0
-	for n < len(msgs) && len(enc.Bytes()) < maxBurstBytes {
-		appendFrame(enc, msgs[n].from, msgs[n].m)
-		n++
-	}
-	return n, pc.flush(enc, timeout)
-}
-
-// flush writes the frames encoded in enc with one Write, under the
-// connection's write lock and deadline, and returns enc to the pool.
-func (pc *peerConn) flush(enc *wire.Encoder, timeout time.Duration) error {
-	pc.writeMu.Lock()
-	pc.armWriteDeadline(timeout)
-	_, err := pc.conn.Write(enc.Bytes())
-	pc.writeMu.Unlock()
-	encPool.Put(enc)
-	return err
-}
-
-// read decodes one frame, taking its bytes from the connection's buffered
-// reader. The frame body lands in a per-connection scratch buffer reused
-// across frames; wire.Decode copies what the message keeps out of it, so
-// nothing retained by handlers aliases the scratch. A read result costs
-// one value arena and one key string per message, not two copies per
-// field (see the wire package comment).
-func (pc *peerConn) read() (transport.NodeID, wire.Message, error) {
-	pc.readMu.Lock()
-	defer pc.readMu.Unlock()
-
-	if _, err := io.ReadFull(pc.br, pc.lenBuf[:]); err != nil {
-		return transport.NodeID{}, nil, err
-	}
-	frameLen := binary.BigEndian.Uint32(pc.lenBuf[:])
-	if frameLen < 9 || frameLen > maxFrameSize {
-		return transport.NodeID{}, nil, fmt.Errorf("tcp: bad frame length %d", frameLen)
-	}
-	if cap(pc.readBuf) < int(frameLen) ||
-		(cap(pc.readBuf) > maxRetainedReadBuf && frameLen <= maxRetainedReadBuf) {
-		pc.readBuf = make([]byte, frameLen)
-	}
-	body := pc.readBuf[:frameLen]
-	if _, err := io.ReadFull(pc.br, body); err != nil {
-		return transport.NodeID{}, nil, err
-	}
-	kind := wire.Kind(body[0])
-	from := transport.NodeID{
-		DC:   int(int32(binary.BigEndian.Uint32(body[1:5]))),
-		Node: int(int32(binary.BigEndian.Uint32(body[5:9]))),
-	}
-	msg, err := wire.Decode(kind, body[9:])
-	if err != nil {
-		return transport.NodeID{}, nil, err
-	}
-	return from, msg, nil
-}
-
-func (pc *peerConn) close() {
-	pc.closeOnce.Do(func() { _ = pc.conn.Close() })
+	_ = pc.conn.Close()
 }

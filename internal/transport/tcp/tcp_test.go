@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -137,20 +138,23 @@ func TestSendAfterClose(t *testing.T) {
 
 // TestWrenOverTCP runs a real 1-DC, 2-partition Wren deployment over TCP
 // sockets with a TCP client — the cmd/wren-server + cmd/wren-cli path.
-func TestWrenOverTCP(t *testing.T) {
+// wrenOverTCP starts a one-DC, two-partition Wren deployment whose servers
+// and client each run over their own Network on loopback.
+func wrenOverTCP(t *testing.T) (nets []*Network, cliNet *Network, client *core.Client) {
+	t.Helper()
 	const (
 		dcs   = 1
 		parts = 2
 	)
 	// First pass: bind listeners to learn addresses.
-	nets := make([]*Network, parts)
+	nets = make([]*Network, parts)
 	addrs := make(map[transport.NodeID]string, parts)
 	for p := 0; p < parts; p++ {
 		n, err := New(Config{Self: transport.ServerID(0, p), ListenAddr: "127.0.0.1:0"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer n.Close()
+		t.Cleanup(n.Close)
 		nets[p] = n
 		addrs[transport.ServerID(0, p)] = n.Addr()
 	}
@@ -159,7 +163,6 @@ func TestWrenOverTCP(t *testing.T) {
 		nets[p].cfg.Peers = addrs
 	}
 
-	servers := make([]*core.Server, parts)
 	for p := 0; p < parts; p++ {
 		srv, err := core.NewServer(core.ServerConfig{
 			DC: 0, Partition: p, NumDCs: dcs, NumPartitions: parts,
@@ -172,8 +175,7 @@ func TestWrenOverTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 		srv.Start()
-		defer srv.Stop()
-		servers[p] = srv
+		t.Cleanup(srv.Stop)
 	}
 
 	cliNet, err := New(Config{
@@ -183,8 +185,8 @@ func TestWrenOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cliNet.Close()
-	client, err := core.NewClient(core.ClientConfig{
+	t.Cleanup(cliNet.Close)
+	client, err = core.NewClient(core.ClientConfig{
 		DC: 0, ClientIndex: 1, NumPartitions: parts,
 		Network:              cliNet,
 		CoordinatorPartition: 0,
@@ -193,7 +195,11 @@ func TestWrenOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return nets, cliNet, client
+}
 
+func TestWrenOverTCP(t *testing.T) {
+	_, _, client := wrenOverTCP(t)
 	tx, err := client.Begin()
 	if err != nil {
 		t.Fatal(err)
@@ -226,6 +232,42 @@ func TestWrenOverTCP(t *testing.T) {
 	}
 	if _, err := tx2.Commit(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOversizedWriteKeepsConnection writes a value above the wire's field
+// bound over TCP. The session refuses it before sending, so no server
+// drops the connection over a frame it cannot decode (tcp.evictions stays
+// 0 everywhere), and the next transaction commits.
+func TestOversizedWriteKeepsConnection(t *testing.T) {
+	nets, cliNet, client := wrenOverTCP(t)
+	tx, err := client.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Write("big", make([]byte, 5<<20)); !errors.Is(err, core.ErrTooLarge) {
+		t.Fatalf("Write of a 5 MiB value: %v, want ErrTooLarge", err)
+	}
+	if err := tx.Write("small", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	tx, err = client.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Write("small", []byte("w")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Commit(); err != nil {
+		t.Fatalf("the session's next transaction: %v", err)
+	}
+	for _, n := range append(nets, cliNet) {
+		if ev := n.Obs().Value("tcp.evictions"); ev != 0 {
+			t.Errorf("%s: tcp.evictions = %d, want 0", n.cfg.Self, ev)
+		}
 	}
 }
 
@@ -421,28 +463,44 @@ func TestSendShedsWhenQueueFull(t *testing.T) {
 	}
 }
 
-// BenchmarkFrameRead measures the per-frame read path; the body buffer is
-// reused across frames, so steady state should not allocate per byte of
-// payload.
+// BenchmarkFrameRead measures the receive path per frame over loopback
+// TCP: a writer streams Heartbeat frames about 64 KiB at a time, and the
+// read loop splits and delivers them. Steady state allocates only what
+// wire.Decode returns, and a read serves many frames.
 func BenchmarkFrameRead(b *testing.B) {
-	c1, c2 := net.Pipe()
-	defer c1.Close()
-	defer c2.Close()
-	pc := newPeerConn(c2)
+	self := transport.ServerID(0, 0)
+	n, err := New(Config{Self: self})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer n.Close()
+	delivered := 0
+	n.Register(self, transport.HandlerFunc(func(transport.NodeID, wire.Message) { delivered++ }))
+	cli, srv := loopbackPair(b)
+	defer cli.Close()
 	frame := encodeFrame(wire.NewEncoder(), transport.ServerID(0, 1),
 		&wire.Heartbeat{SrcDC: 1, Partition: 2, TS: hlc.New(7, 7)})
+	perBlock := (64 << 10) / len(frame)
+	block := bytes.Repeat(frame, perBlock)
 	go func() {
-		for {
-			if _, err := c1.Write(frame); err != nil {
+		for sent := 0; sent < b.N; sent += perBlock {
+			k := min(perBlock, b.N-sent)
+			if _, err := cli.Write(block[:k*len(frame)]); err != nil {
 				return
 			}
 		}
+		_ = cli.(*net.TCPConn).CloseWrite()
 	}()
+	pc := newPeerConn(srv)
+	if !n.trackConn(pc) {
+		b.Fatal("network already closed")
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := pc.read(); err != nil {
-			b.Fatal(err)
-		}
+	n.readLoop(pc, nil) // returns at the end of the stream
+	b.StopTimer()
+	if delivered != b.N {
+		b.Fatalf("delivered %d frames, want %d", delivered, b.N)
 	}
+	b.ReportMetric(float64(n.readCalls.Load())/float64(b.N), "reads/frame")
 }

@@ -47,9 +47,13 @@ var ErrTruncated = errors.New("wire: truncated message")
 // ErrTooLarge is returned when a length prefix exceeds sane limits.
 var ErrTooLarge = errors.New("wire: length prefix too large")
 
+// MaxFieldLen is the longest key or value a message can carry: Decode
+// refuses a longer byte field, so a sender must refuse it first.
+const MaxFieldLen = maxSliceLen
+
 const (
-	// maxSliceLen bounds decoded collection lengths to protect against
-	// corrupted or adversarial frames.
+	// maxSliceLen bounds decoded collection and byte-field lengths to
+	// protect against corrupted or adversarial frames.
 	maxSliceLen = 1 << 22
 	// headerSize is the per-message framing overhead accounted by Size:
 	// a 4-byte length prefix plus a 1-byte kind tag, mirroring the TCP
