@@ -11,13 +11,14 @@ import (
 
 // readLoop reads pc for its whole life and dispatches every frame to the
 // local handler, learning the sender's identity so replies can reuse the
-// connection. owner is non-nil for managed (dialed) connections. It is the
-// descriptor's only closer: see the package comment.
+// connection. pc.conn is a socket (dialed or accepted), and owner is
+// non-nil for managed (dialed) connections. It is the descriptor's only
+// closer: see the package comment.
 func (n *Network) readLoop(pc *peerConn, owner *peer) {
-	if pc.raw != nil {
+	if raw, err := pc.conn.(syscall.Conn).SyscallConn(); err == nil {
 		r := &reader{n: n, pc: pc, s: newFrameSplitter()}
-		enableInq(pc.raw)
-		_ = pc.raw.Read(r.readable)
+		enableInq(raw)
+		_ = raw.Read(r.readable)
 	}
 	n.forgetConn(pc, owner)
 	_ = pc.conn.Close()
@@ -70,10 +71,16 @@ func (r *reader) readable(fd uintptr) bool {
 }
 
 // deliver hands one frame to the local handler, first learning the
-// sender's connection when there is no configured route back; false once
-// the network is closed.
+// sender's connection when there is no configured route back; false, with
+// nothing delivered, once the network is closed or pc is shut down.
 func (n *Network) deliver(pc *peerConn, from transport.NodeID, msg wire.Message) bool {
 	n.mu.Lock()
+	// forgetConn marks pc shut before it takes mu to drop pc's routes, so
+	// checking here, under mu, never learns a forgotten connection.
+	if n.closed || pc.shut.Load() {
+		n.mu.Unlock()
+		return false
+	}
 	if _, hasAddr := n.cfg.Peers[from]; !hasAddr {
 		// No configured route back: remember this connection. A fresh
 		// connection from the same sender (e.g. a restarted client)
@@ -83,11 +90,7 @@ func (n *Network) deliver(pc *peerConn, from transport.NodeID, msg wire.Message)
 		}
 	}
 	h := n.handler
-	closed := n.closed
 	n.mu.Unlock()
-	if closed {
-		return false
-	}
 	if h != nil {
 		h.HandleMessage(from, msg)
 	}

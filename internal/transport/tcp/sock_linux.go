@@ -11,13 +11,17 @@ import (
 // left, so zero means a read now would return EAGAIN.
 const tcpInq = 36
 
-// enableInq asks the kernel for the TCP_INQ hint. Where it is refused,
-// recv reports every successful read as "more", and the loop probes once
-// per wake as net.Conn.Read does.
-func enableInq(raw syscall.RawConn) {
-	_ = raw.Control(func(fd uintptr) {
-		_ = syscall.SetsockoptInt(int(fd), syscall.SOL_TCP, tcpInq, 1)
-	})
+// enableInq asks the kernel for the TCP_INQ hint and reports whether it
+// was granted. Where it is refused, recv reports every successful read as
+// "more", and the loop probes once per wake as net.Conn.Read does.
+func enableInq(raw syscall.RawConn) bool {
+	var err error
+	if cerr := raw.Control(func(fd uintptr) {
+		err = syscall.SetsockoptInt(int(fd), syscall.SOL_TCP, tcpInq, 1)
+	}); cerr != nil {
+		return false
+	}
+	return err == nil
 }
 
 // sockReader issues one recvmsg per read; its control buffer lives in the

@@ -6,7 +6,7 @@ import "syscall"
 
 // enableInq has nothing to enable: without Linux's TCP_INQ hint the loop
 // cannot tell a drained socket from a short read.
-func enableInq(syscall.RawConn) {}
+func enableInq(syscall.RawConn) bool { return false }
 
 // sockReader issues plain reads.
 type sockReader struct{}

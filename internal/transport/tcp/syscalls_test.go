@@ -15,8 +15,7 @@ import (
 )
 
 // countingConn is a net.Conn that collects Writes and counts the calls a
-// real socket would pay a syscall or a poller-timer update for. It is not
-// a syscall.Conn, so a peerConn writes to it through net.Conn.Write.
+// real socket would pay a syscall or a poller-timer update for.
 type countingConn struct {
 	net.Conn // nil: any method not overridden below must not be reached
 
@@ -121,12 +120,30 @@ func TestBackToBackFramesCostOneRead(t *testing.T) {
 	}
 }
 
+// inqHint reports whether the kernel grants the TCP_INQ hint that lets a
+// read loop park without probing.
+func inqHint(tb testing.TB) bool {
+	cli, srv := loopbackPair(tb)
+	defer cli.Close()
+	defer srv.Close()
+	raw, err := srv.(*net.TCPConn).SyscallConn()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return enableInq(raw)
+}
+
 // TestOneReadPerDelivery runs 2 000 sequential request/response round
 // trips between two networks on loopback: every frame arrives alone, and
-// each side must pay at most 1.1 read calls per frame it delivered. A read
-// loop that probes the socket before it waits pays 2.
+// each side must pay at most 1.1 read calls per frame it delivered — a
+// read loop that probes the socket before it waits pays 2 — and at most
+// 1.1 write calls per frame it sent. Without the TCP_INQ hint (an OS other
+// than Linux, or a kernel before 4.18) the loop cannot tell a drained
+// socket from a short read and probes once per wake, so the read bound is
+// only logged there.
 func TestOneReadPerDelivery(t *testing.T) {
 	const rounds = 2000
+	hinted := inqHint(t)
 	srvID, cliID := transport.ServerID(0, 0), transport.ClientID(0, 1)
 	srv, err := New(Config{Self: srvID, ListenAddr: "127.0.0.1:0"})
 	if err != nil {
@@ -169,7 +186,15 @@ func TestOneReadPerDelivery(t *testing.T) {
 			t.Fatalf("%s delivered %d frames, want %d", side.name, side.delivered, rounds)
 		}
 		if perFrame > 1.1 {
-			t.Errorf("%s: %.3f read calls per delivered frame, want at most 1.1", side.name, perFrame)
+			if hinted {
+				t.Errorf("%s: %.3f read calls per delivered frame, want at most 1.1", side.name, perFrame)
+			} else {
+				t.Logf("%s: read bound not checked: no TCP_INQ hint on this kernel", side.name)
+			}
+		}
+		// Each side sends one frame per round, and the other waits for it.
+		if perSent := float64(writes) / rounds; perSent > 1.1 {
+			t.Errorf("%s: %.3f write calls per frame sent, want at most 1.1", side.name, perSent)
 		}
 	}
 }
@@ -226,6 +251,68 @@ func TestHandlerEvictsItsOwnConnection(t *testing.T) {
 		}
 	}
 	srv.Close()
+}
+
+// TestEvictedConnectionIsNotRelearned evicts a learned connection while
+// frames from its sender are still buffered behind the one being handled.
+// The loop must deliver none of them: each would learn the connection
+// again and route replies over a socket already shut down.
+func TestEvictedConnectionIsNotRelearned(t *testing.T) {
+	self, from := transport.ServerID(0, 0), transport.ClientID(0, 1)
+	n, err := New(Config{Self: self})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	var pc *peerConn
+	delivered, relearned := 0, 0
+	n.Register(self, transport.HandlerFunc(func(from transport.NodeID, _ wire.Message) {
+		n.mu.Lock()
+		l := n.learned[from]
+		n.mu.Unlock()
+		if delivered++; delivered == 1 {
+			n.evictions.Add(1)
+			n.forgetConn(l, nil)
+		} else if l == pc {
+			relearned++
+		}
+	}))
+
+	enc := wire.NewEncoder()
+	var stream []byte
+	for i := 0; i < burstFrames; i++ {
+		stream = append(stream, encodeFrame(enc, from, burstMsg(i))...)
+	}
+	cli, srv := loopbackPair(t)
+	defer cli.Close() // held open: the sender is still there
+	if _, err := cli.Write(stream); err != nil {
+		t.Fatal(err)
+	}
+	pc = newPeerConn(srv)
+	if !n.trackConn(pc) {
+		t.Fatal("network already closed")
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		n.readLoop(pc, nil)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the read loop of an evicted connection did not end")
+	}
+
+	if relearned > 0 || delivered != 1 {
+		t.Fatalf("after the eviction %d more frames were delivered, %d of them over a learned route back to the evicted connection; want none",
+			delivered-1, relearned)
+	}
+	n.mu.Lock()
+	l, ok := n.learned[from]
+	n.mu.Unlock()
+	if ok {
+		t.Fatalf("learned[%v] = %p after the loop ended (evicted %p), want no entry", from, l, pc)
+	}
 }
 
 // TestQueuedBurstCostsOneWrite queues 64 frames to a peer before its writer

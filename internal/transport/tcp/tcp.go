@@ -10,9 +10,10 @@
 // the inbound connection the request arrived on, so clients need no listen
 // address.
 //
-// Syscalls, not handlers, are what a round costs on loopback, so each one
-// is counted (tcp.read_calls and tcp.write_calls, EAGAIN and EOF included)
-// and both directions batch whatever is already there:
+// Syscalls, not handlers, are what a round costs on loopback, so they are
+// counted — tcp.read_calls every read syscall, EAGAIN and EOF included,
+// and tcp.write_calls every net.Conn.Write — and both directions batch
+// whatever is already there:
 //
 //   - Reading (read.go): a connection's read loop lives inside one
 //     syscall.RawConn.Read for the connection's whole life. Each read fills
@@ -34,7 +35,9 @@
 // closed its own connection would wait for itself. So the read loop is the
 // descriptor's only closer. Every other path (an eviction, a peer's close,
 // Network.Close) shuts the socket down in both directions, which wakes the
-// loop with EOF; a connection that never got a loop is closed directly.
+// loop with EOF, and marks the connection shut, which ends the loop before
+// it delivers another frame; a connection that never got a loop is closed
+// directly.
 //
 // Links self-heal. Each configured peer gets a dedicated writer goroutine
 // draining a bounded outbound queue; when a write or read fails the
@@ -52,7 +55,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"syscall"
+	"sync/atomic"
 	"time"
 
 	"wren/internal/obs"
@@ -366,34 +369,26 @@ func (n *Network) forgetConn(pc *peerConn, owner *peer) {
 // goroutine, and one read loop (read.go) that owns the descriptor.
 type peerConn struct {
 	conn net.Conn
-	raw  syscall.RawConn // nil when conn is not a socket (tests)
 
-	// reads and writes count the syscalls made on the socket; trackConn
-	// points them at the network's registry.
+	// reads and writes count the read syscalls and the Write calls made on
+	// the connection; trackConn points them at the network's registry.
 	reads, writes *obs.Counter
+
+	// shut is set once the connection is shut down. deliver checks it
+	// under Network.mu, so a frame still buffered behind an eviction is
+	// never delivered and never puts the connection back in learned.
+	shut atomic.Bool
 
 	writeMu sync.Mutex
 	// deadlineArmed is when the write deadline was last set; see
 	// armWriteDeadline. Guarded by writeMu.
 	deadlineArmed time.Time
-	// out and outErr carry one writeAll through the raw write callback,
-	// writable, which is bound once so a write allocates nothing. Guarded
-	// by writeMu.
-	out      []byte
-	outErr   error
-	writeRaw func(fd uintptr) bool
 }
 
 func newPeerConn(c net.Conn) *peerConn {
 	pc := &peerConn{conn: c, reads: new(obs.Counter), writes: new(obs.Counter)}
 	if tc, ok := c.(*net.TCPConn); ok {
 		_ = tc.SetNoDelay(true)
-	}
-	if sc, ok := c.(syscall.Conn); ok {
-		if raw, err := sc.SyscallConn(); err == nil {
-			pc.raw = raw
-			pc.writeRaw = pc.writable
-		}
 	}
 	return pc
 }
@@ -403,6 +398,7 @@ func newPeerConn(c net.Conn) *peerConn {
 // would wait for the loop, and so for any handler it is running — possibly
 // the caller.
 func (pc *peerConn) close() {
+	pc.shut.Store(true)
 	if tc, ok := pc.conn.(*net.TCPConn); ok {
 		_ = tc.CloseRead()
 		_ = tc.CloseWrite()

@@ -3,12 +3,9 @@ package tcp
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
-	"os"
 	"sync"
-	"syscall"
 	"time"
 
 	"wren/internal/transport"
@@ -285,56 +282,16 @@ func (pc *peerConn) writeBurst(msgs []outMsg, timeout time.Duration) (int, error
 	return n, pc.flush(enc, timeout)
 }
 
-// flush writes the frames encoded in enc with one write, under the
-// connection's write lock and deadline, and returns enc to the pool.
+// flush writes the frames encoded in enc with one net.Conn.Write, under
+// the connection's write lock and deadline, and returns enc to the pool.
+// The call counts as one write: it is one syscall unless the socket's send
+// buffer fills, when Write waits for the poller and writes the rest.
 func (pc *peerConn) flush(enc *wire.Encoder, timeout time.Duration) error {
 	pc.writeMu.Lock()
 	pc.armWriteDeadline(timeout)
-	err := pc.writeAll(enc.Bytes())
+	pc.writes.Add(1)
+	_, err := pc.conn.Write(enc.Bytes())
 	pc.writeMu.Unlock()
 	encPool.Put(enc)
 	return err
-}
-
-// writeAll writes p whole. On a socket it issues the same write syscalls
-// net.Conn.Write would — write, and on EAGAIN wait for the poller under
-// the write deadline — but counts each one. Caller holds writeMu.
-func (pc *peerConn) writeAll(p []byte) error {
-	if pc.raw == nil {
-		pc.writes.Add(1)
-		_, err := pc.conn.Write(p)
-		return err
-	}
-	pc.out, pc.outErr = p, nil
-	err := pc.raw.Write(pc.writeRaw)
-	if err == nil {
-		err = pc.outErr
-	}
-	pc.out, pc.outErr = nil, nil
-	return err
-}
-
-// writable is writeAll's RawConn.Write callback: it writes until out is
-// empty (true), the socket is full (false: wait for the poller), or a
-// write fails (true, with outErr set).
-func (pc *peerConn) writable(fd uintptr) bool {
-	for len(pc.out) > 0 {
-		pc.writes.Add(1)
-		n, err := syscall.Write(int(fd), pc.out)
-		if n > 0 {
-			pc.out = pc.out[n:]
-		}
-		switch {
-		case err == syscall.EINTR:
-		case err == syscall.EAGAIN:
-			return false
-		case err != nil:
-			pc.outErr = os.NewSyscallError("write", err)
-			return true
-		case n == 0:
-			pc.outErr = io.ErrShortWrite
-			return true
-		}
-	}
-	return true
 }
