@@ -43,12 +43,7 @@ func encodePrepare(e *wire.Encoder, txID uint64, pt, rst hlc.Timestamp, sv []hlc
 	e.Timestamp(pt)
 	e.Timestamp(rst)
 	e.Timestamps(sv)
-	e.Uvarint(uint64(len(writes)))
-	for i := range writes {
-		e.String(writes[i].Key)
-		e.BytesField(writes[i].Value)
-		e.Bool(writes[i].Tombstone)
-	}
+	e.KVs(writes)
 }
 
 func encodeCommit(e *wire.Encoder, txID uint64, ct hlc.Timestamp) {
@@ -136,8 +131,7 @@ func (l *Log) applyRecord(payload []byte) error {
 	var apply func()
 	switch kind := d.Byte(); kind {
 	case recPrepare:
-		p := &PreparedTx{TxID: d.Uvarint(), PT: d.Timestamp(), RST: d.Timestamp(), SV: d.Timestamps()}
-		p.Writes = decodeWrites(d)
+		p := &PreparedTx{TxID: d.Uvarint(), PT: d.Timestamp(), RST: d.Timestamp(), SV: d.Timestamps(), Writes: d.KVs()}
 		apply = func() {
 			l.prepared[p.TxID] = p
 			l.noteSeq(p.TxID)
@@ -190,17 +184,3 @@ func (l *Log) applyRecord(payload []byte) error {
 // noteSeq folds a transaction id's sequence component into the persisted
 // maximum (see recSeq).
 func (l *Log) noteSeq(txID uint64) { l.maxSeq = max(l.maxSeq, txID&seqMask) }
-
-func decodeWrites(d *wire.Decoder) []wire.KV {
-	n := d.Uvarint()
-	if d.Err() != nil || n == 0 || n > 1<<22 {
-		return nil
-	}
-	out := make([]wire.KV, n)
-	for i := range out {
-		out[i].Key = d.String()
-		out[i].Value = append([]byte(nil), d.BytesField()...)
-		out[i].Tombstone = d.Bool()
-	}
-	return out
-}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -91,5 +92,32 @@ func TestRecordFormatPinned(t *testing.T) {
 	}
 	if got := frames(t, l); !slices.Equal(got, rewrite) {
 		t.Fatalf("rewrite\n  %q\nwant\n  %q", got, rewrite)
+	}
+}
+
+// TestPrepareWriteCountBoundedByRecord: a short prepare record whose write
+// count claims 1<<22 writes is refused as torn, before a write set of that
+// length exists.
+func TestPrepareWriteCountBoundedByRecord(t *testing.T) {
+	l, err := Open(Options{Dir: t.TempDir(), NumDCs: 2, SelfDC: 0, Fsync: "never"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	e := wire.NewEncoder()
+	encodePrepare(e, 7, ts(10), ts(5), nil, nil)
+	record := append(e.Bytes()[:e.Len()-1], 0x80, 0x80, 0x80, 0x02) // the count 1<<22, and no writes
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = l.applyRecord(record)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a prepare claiming 1<<22 writes in 4 bytes applied; want it refused as torn")
+	}
+	if _, ok := l.prepared[7]; ok {
+		t.Error("the refused prepare is in the prepared set")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("refusing it allocated %d bytes, want under 1 MiB", grew)
 	}
 }

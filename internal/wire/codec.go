@@ -8,6 +8,27 @@
 // is computed from these encodings, so the measured ratios come from the
 // real metadata layout, not from an analytic model.
 //
+// # One codec per message
+//
+// Each message states its layout once, in a codec(c *Codec) method that
+// names every field in wire order. A Codec carries its direction —
+// encoding, sizing or decoding — and each primitive (Uvarint, Uint16,
+// Int64, Byte, Bool, Timestamp, Timestamps, String, Strings, Len, KVs,
+// Items) takes a pointer to the field: it appends the field's bytes,
+// counts them, or reads them into it. Encode, EncodeInto, Size and Decode
+// all run that one method, so a field cannot be added to one side only.
+// Every kind is listed once, in the kinds table (name, accounting class,
+// constructor); Kind.String, Decode and each message's Class read it.
+//
+// Adding a field to a message is one line in its codec plus an update of
+// its golden frame in TestFrameFormatPinned, which pins every kind's
+// bytes. Adding a kind is its constant, its table row, its Kind and Class
+// one-liners, its codec and its golden frame.
+//
+// Encoder and Decoder are the same primitives by value, for the framed
+// on-disk records (internal/store/logrec, internal/txlog) that are not
+// messages; a txlog prepare record's write set is coded by the same KVs.
+//
 // # Who owns decoded bytes
 //
 // Decode never aliases its payload, so a reader may reuse one buffer for
@@ -35,6 +56,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 	"sync"
 
@@ -51,6 +73,11 @@ var ErrTooLarge = errors.New("wire: length prefix too large")
 // refuses a longer byte field, so a sender must refuse it first.
 const MaxFieldLen = maxSliceLen
 
+// MaxFrameLen is the longest message any transport carries, counted as
+// Size counts it: a receiver drops a connection that sends a longer frame,
+// so a sender refuses the message instead of sending it.
+const MaxFrameLen = 64 << 20
+
 const (
 	// maxSliceLen bounds decoded collection and byte-field lengths to
 	// protect against corrupted or adversarial frames.
@@ -61,362 +88,435 @@ const (
 	headerSize = 5
 )
 
-// Encoder serializes message fields into an internal buffer. When sizeOnly
-// is set it only counts bytes, which lets Size run without allocating.
-type Encoder struct {
-	buf      []byte
-	n        int
-	sizeOnly bool
+// FrameLen returns the Size of a message whose encoded payload is
+// payloadLen bytes long, for a transport to hold against MaxFrameLen.
+func FrameLen(payloadLen int) int { return payloadLen + headerSize }
+
+// codecMode is the direction a Codec codes in.
+type codecMode uint8
+
+const (
+	encoding codecMode = iota // append each field to buf
+	sizing                    // count each field's bytes in n
+	decoding                  // read each field from buf at off
+)
+
+// Codec codes a message's fields in one direction (see the package
+// comment). Each primitive takes a pointer to the field; only decoding
+// writes through it, so concurrent encodes of one message are safe.
+type Codec struct {
+	buf  []byte    // encoding: the output; decoding: the input
+	off  int       // decoding: the read offset
+	n    int       // sizing: the bytes counted
+	err  error     // decoding: the first failure, after which reads return zero
+	mode codecMode // the zero Codec encodes
 }
 
-// NewEncoder returns an Encoder that writes into a fresh buffer.
-func NewEncoder() *Encoder { return &Encoder{} }
-
-// Bytes returns the encoded payload.
-func (e *Encoder) Bytes() []byte { return e.buf }
-
-// Len returns the number of bytes written (or counted).
-func (e *Encoder) Len() int { return e.n }
-
-// Reset clears the encoder for reuse, keeping the buffer capacity. Pooled
-// encoders (transport framing, WAL appends) call this between messages so
-// steady-state encoding does not allocate.
-func (e *Encoder) Reset() {
-	e.buf = e.buf[:0]
-	e.n = 0
-	e.sizeOnly = false
-}
-
-// Reserve appends n zero bytes and returns their offset, so callers can
-// back-patch a fixed-size header (length prefix, checksum) after the
-// payload is encoded.
-func (e *Encoder) Reserve(n int) int {
-	off := len(e.buf)
-	e.n += n
-	if e.sizeOnly {
-		return off
-	}
-	for i := 0; i < n; i++ {
-		e.buf = append(e.buf, 0)
-	}
-	return off
-}
-
-func (e *Encoder) writeByte(b byte) {
-	e.n++
-	if e.sizeOnly {
-		return
-	}
-	e.buf = append(e.buf, b)
-}
-
-// Uvarint appends an unsigned varint.
-func (e *Encoder) Uvarint(v uint64) {
-	if e.sizeOnly {
-		var tmp [binary.MaxVarintLen64]byte
-		e.n += binary.PutUvarint(tmp[:], v)
-		return
-	}
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	e.buf = append(e.buf, tmp[:n]...)
-	e.n += n
-}
-
-// Fixed64 appends a little-endian 8-byte integer. Timestamps use fixed
-// width so that message sizes are stable and comparable across protocols.
-func (e *Encoder) Fixed64(v uint64) {
-	e.n += 8
-	if e.sizeOnly {
-		return
-	}
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], v)
-	e.buf = append(e.buf, tmp[:]...)
-}
-
-// Timestamp appends an hlc.Timestamp.
-func (e *Encoder) Timestamp(t hlc.Timestamp) { e.Fixed64(uint64(t)) }
-
-// Timestamps appends a length-prefixed timestamp vector.
-func (e *Encoder) Timestamps(ts []hlc.Timestamp) {
-	e.Uvarint(uint64(len(ts)))
-	for _, t := range ts {
-		e.Timestamp(t)
+// Uvarint codes an unsigned varint.
+func (c *Codec) Uvarint(v *uint64) {
+	switch c.mode {
+	case encoding:
+		c.buf = binary.AppendUvarint(c.buf, *v)
+	case sizing:
+		c.n += uvarintLen(*v)
+	default:
+		*v = c.uvarint()
 	}
 }
 
-// Byte appends a single raw byte.
-func (e *Encoder) Byte(b byte) { e.writeByte(b) }
-
-// Bool appends a boolean as one byte.
-func (e *Encoder) Bool(b bool) {
-	if b {
-		e.writeByte(1)
-	} else {
-		e.writeByte(0)
+// Uint16 codes a uint16 as a varint.
+func (c *Codec) Uint16(v *uint16) {
+	x := uint64(*v)
+	c.Uvarint(&x)
+	if c.mode == decoding {
+		*v = uint16(x)
 	}
 }
 
-// Bytes appends a length-prefixed byte slice.
-func (e *Encoder) BytesField(b []byte) {
-	e.Uvarint(uint64(len(b)))
-	e.n += len(b)
-	if e.sizeOnly {
-		return
-	}
-	e.buf = append(e.buf, b...)
-}
-
-// String appends a length-prefixed string.
-func (e *Encoder) String(s string) {
-	e.Uvarint(uint64(len(s)))
-	e.n += len(s)
-	if e.sizeOnly {
-		return
-	}
-	e.buf = append(e.buf, s...)
-}
-
-// Strings appends a length-prefixed string slice.
-func (e *Encoder) Strings(ss []string) {
-	e.Uvarint(uint64(len(ss)))
-	for _, s := range ss {
-		e.String(s)
+// Int64 codes an int64 as the varint of its two's-complement bits.
+func (c *Codec) Int64(v *int64) {
+	x := uint64(*v)
+	c.Uvarint(&x)
+	if c.mode == decoding {
+		*v = int64(x)
 	}
 }
 
-// Decoder reads message fields from a byte slice.
-type Decoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-// NewDecoder returns a Decoder over the given payload.
-func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
-
-// Err returns the first error encountered while decoding.
-func (d *Decoder) Err() error { return d.err }
-
-// Remaining returns the number of unread bytes.
-func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
-
-func (d *Decoder) fail(err error) {
-	if d.err == nil {
-		d.err = err
+// Byte codes one raw byte.
+func (c *Codec) Byte(v *byte) {
+	switch c.mode {
+	case encoding:
+		c.buf = append(c.buf, *v)
+	case sizing:
+		c.n++
+	default:
+		*v = c.byte()
 	}
 }
 
-// Uvarint reads an unsigned varint.
-func (d *Decoder) Uvarint() uint64 {
-	if d.err != nil {
-		return 0
+// Bool codes a boolean as one byte; any non-zero byte decodes as true.
+func (c *Codec) Bool(v *bool) {
+	switch c.mode {
+	case encoding:
+		var b byte
+		if *v {
+			b = 1
+		}
+		c.buf = append(c.buf, b)
+	case sizing:
+		c.n++
+	default:
+		*v = c.byte() != 0
 	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail(ErrTruncated)
-		return 0
-	}
-	d.off += n
-	return v
 }
 
-// Fixed64 reads a little-endian 8-byte integer.
-func (d *Decoder) Fixed64() uint64 {
-	if d.err != nil {
-		return 0
+// Timestamp codes an hlc.Timestamp as a little-endian 8-byte integer.
+// Timestamps use fixed width so that message sizes are stable and
+// comparable across protocols.
+func (c *Codec) Timestamp(t *hlc.Timestamp) {
+	switch c.mode {
+	case encoding:
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, uint64(*t))
+	case sizing:
+		c.n += 8
+	default:
+		*t = hlc.Timestamp(c.fixed64())
 	}
-	if d.off+8 > len(d.buf) {
-		d.fail(ErrTruncated)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v
 }
 
-// Timestamp reads an hlc.Timestamp.
-func (d *Decoder) Timestamp() hlc.Timestamp { return hlc.Timestamp(d.Fixed64()) }
-
-// Timestamps reads a length-prefixed timestamp vector. A zero-length vector
+// Timestamps codes a length-prefixed timestamp vector. An empty vector
 // decodes as nil.
-func (d *Decoder) Timestamps() []hlc.Timestamp {
-	n := d.Uvarint()
-	if !d.checkLen(n) || n == 0 {
-		return nil
+func (c *Codec) Timestamps(ts *[]hlc.Timestamp) {
+	sized(c, ts)
+	for i := range *ts {
+		c.Timestamp(&(*ts)[i])
 	}
-	out := make([]hlc.Timestamp, n)
-	for i := range out {
-		out[i] = d.Timestamp()
-	}
-	if d.err != nil {
-		return nil
-	}
-	return out
 }
 
-// Byte reads a single raw byte.
-func (d *Decoder) Byte() byte {
-	if d.err != nil {
+// String codes a length-prefixed string.
+func (c *Codec) String(s *string) {
+	switch c.mode {
+	case encoding:
+		c.buf = binary.AppendUvarint(c.buf, uint64(len(*s)))
+		c.buf = append(c.buf, *s...)
+	case sizing:
+		c.n += uvarintLen(uint64(len(*s))) + len(*s)
+	default:
+		*s = string(c.bytesField())
+	}
+}
+
+// Strings codes a length-prefixed string slice. Decoded, its strings
+// share one allocation.
+func (c *Codec) Strings(ss *[]string) {
+	if c.mode == decoding {
+		*ss = c.strings()
+		return
+	}
+	c.Len(len(*ss))
+	for i := range *ss {
+		c.String(&(*ss)[i])
+	}
+}
+
+// Len codes a collection's length n and returns it. Decoding, it returns
+// the length read, refused (0, with the error set) beyond the bytes left:
+// every element takes at least one byte.
+func (c *Codec) Len(n int) int {
+	x := uint64(n)
+	c.Uvarint(&x)
+	if c.mode == decoding && !c.checkLen(x) {
 		return 0
 	}
-	if d.off >= len(d.buf) {
-		d.fail(ErrTruncated)
+	return int(x)
+}
+
+// sized codes the length of *s; decoding, it makes *s that long (nil when
+// empty) once Len has bounded the length by the bytes left.
+func sized[T any](c *Codec, s *[]T) {
+	if n := c.Len(len(*s)); c.mode == decoding && n > 0 {
+		*s = make([]T, n)
+	}
+}
+
+// KVs codes a write set. Decoded, each value is its own allocation (see
+// the package comment).
+func (c *Codec) KVs(kvs *[]KV) {
+	sized(c, kvs)
+	for i := range *kvs {
+		kv := &(*kvs)[i]
+		c.String(&kv.Key)
+		c.value(&kv.Value)
+		c.Bool(&kv.Tombstone)
+	}
+}
+
+// Items codes a read result: *items followed by every chunk, as one flat
+// sequence (TxReadResp's Chunks). Decoded, it is all in *items, whose
+// keys share one string and whose values share one arena.
+func (c *Codec) Items(items *[]Item, chunks [][]Item) {
+	if c.mode == decoding {
+		*items = c.items()
+		return
+	}
+	n := len(*items)
+	for _, ch := range chunks {
+		n += len(ch)
+	}
+	c.Len(n)
+	for i := range *items {
+		c.item(&(*items)[i])
+	}
+	for _, ch := range chunks {
+		for i := range ch {
+			c.item(&ch[i])
+		}
+	}
+}
+
+// item encodes or sizes one item: its key and value, then the rest.
+func (c *Codec) item(it *Item) {
+	c.String(&it.Key)
+	c.value(&it.Value)
+	it.codec(c)
+}
+
+// value codes a length-prefixed byte field that a decoded message owns.
+func (c *Codec) value(b *[]byte) {
+	switch c.mode {
+	case encoding:
+		c.buf = binary.AppendUvarint(c.buf, uint64(len(*b)))
+		c.buf = append(c.buf, *b...)
+	case sizing:
+		c.n += uvarintLen(uint64(len(*b))) + len(*b)
+	default:
+		*b = append([]byte(nil), c.bytesField()...) // its own allocation
+	}
+}
+
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// The decoding side of the primitives.
+
+func (c *Codec) fail(err error) {
+	if c.err == nil {
+		c.err = err
+	}
+}
+
+func (c *Codec) uvarint() uint64 {
+	if c.err != nil {
 		return 0
 	}
-	b := d.buf[d.off]
-	d.off++
+	v, n := binary.Uvarint(c.buf[c.off:])
+	if n <= 0 {
+		c.fail(ErrTruncated)
+		return 0
+	}
+	c.off += n
+	return v
+}
+
+func (c *Codec) fixed64() uint64 {
+	if c.err != nil {
+		return 0
+	}
+	if c.off+8 > len(c.buf) {
+		c.fail(ErrTruncated)
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(c.buf[c.off:])
+	c.off += 8
+	return v
+}
+
+func (c *Codec) byte() byte {
+	if c.err != nil {
+		return 0
+	}
+	if c.off >= len(c.buf) {
+		c.fail(ErrTruncated)
+		return 0
+	}
+	b := c.buf[c.off]
+	c.off++
 	return b
 }
 
-// Bool reads a boolean.
-func (d *Decoder) Bool() bool { return d.Byte() != 0 }
-
 // skip consumes n bytes.
-func (d *Decoder) skip(n uint64) {
-	if d.err != nil {
+func (c *Codec) skip(n uint64) {
+	if c.err != nil {
 		return
 	}
-	if n > uint64(d.Remaining()) {
-		d.fail(ErrTruncated)
+	if n > uint64(len(c.buf)-c.off) {
+		c.fail(ErrTruncated)
 		return
 	}
-	d.off += int(n)
+	c.off += int(n)
 }
 
-// BytesField reads a length-prefixed byte slice aliasing the input
-// buffer; callers that retain it must copy.
-func (d *Decoder) BytesField() []byte {
-	n := d.Uvarint()
-	if d.err != nil {
+// bytesField reads a length-prefixed byte field aliasing the input.
+func (c *Codec) bytesField() []byte {
+	n := c.uvarint()
+	if c.err != nil {
 		return nil
 	}
 	if n > maxSliceLen {
-		d.fail(ErrTooLarge)
+		c.fail(ErrTooLarge)
 		return nil
 	}
-	if d.off+int(n) > len(d.buf) {
-		d.fail(ErrTruncated)
+	if n > uint64(len(c.buf)-c.off) {
+		c.fail(ErrTruncated)
 		return nil
 	}
-	b := d.buf[d.off : d.off+int(n)]
-	d.off += int(n)
+	b := c.buf[c.off : c.off+int(n)]
+	c.off += int(n)
 	return b
 }
 
-// String reads a length-prefixed string.
-func (d *Decoder) String() string { return string(d.BytesField()) }
+// checkLen validates a collection length before anything is allocated
+// for it: every element takes at least one byte, so a count beyond the
+// bytes left is a truncated (or lying) frame, refused before a slice of
+// that length exists.
+func (c *Codec) checkLen(n uint64) bool {
+	if c.err != nil {
+		return false
+	}
+	if n > maxSliceLen || n > uint64(math.MaxInt32) {
+		c.fail(ErrTooLarge)
+		return false
+	}
+	if n > uint64(len(c.buf)-c.off) {
+		c.fail(ErrTruncated)
+		return false
+	}
+	return true
+}
 
-// Strings reads a length-prefixed string slice whose strings share one
-// allocation.
-func (d *Decoder) Strings() []string {
-	n := d.Uvarint()
-	if !d.checkLen(n) || n == 0 {
+// strings reads a string slice whose strings share one allocation.
+func (c *Codec) strings() []string {
+	n := c.uvarint()
+	if !c.checkLen(n) || n == 0 {
 		return nil
 	}
-	start, size := d.off, 0
+	start, size := c.off, 0
 	for range n {
-		size += len(d.BytesField())
+		size += len(c.bytesField())
 	}
-	if d.err != nil {
+	if c.err != nil {
 		return nil
 	}
-	d.off = start
-	all := d.joined(int(n), size, func() []byte { return d.BytesField() })
+	c.off = start
+	all := c.joined(int(n), size, func() []byte { return c.bytesField() })
 	out := make([]string, n)
 	for i := range out {
-		l := len(d.BytesField())
+		l := len(c.bytesField())
 		out[i], all = all[:l], all[l:]
 	}
 	return out
+}
+
+// items reads a read result's items: a sizing walk, a walk that copies
+// every key into one string, and the decoding walk, which copies every
+// value into one arena (see the package comment).
+func (c *Codec) items() []Item {
+	n := c.uvarint()
+	if !c.checkLen(n) || n == 0 {
+		return nil
+	}
+	start, keyBytes, valBytes := c.off, 0, 0
+	for range n {
+		k, v := c.skipItem()
+		keyBytes += len(k)
+		valBytes += len(v)
+	}
+	if c.err != nil {
+		return nil
+	}
+	c.off = start
+	keys := c.joined(int(n), keyBytes, func() []byte { k, _ := c.skipItem(); return k })
+	arena := make([]byte, 0, valBytes)
+	out := make([]Item, n)
+	for i := range out {
+		k, v := c.bytesField(), c.bytesField()
+		out[i].Key, keys = keys[:len(k)], keys[len(k):]
+		if len(v) > 0 {
+			arena = append(arena, v...)
+			out[i].Value = arena[len(arena)-len(v) : len(arena) : len(arena)]
+		}
+		out[i].codec(c)
+	}
+	return out
+}
+
+// skipItem steps over one item, returning its key and value bytes.
+func (c *Codec) skipItem() (key, val []byte) {
+	key, val = c.bytesField(), c.bytesField()
+	c.skip(8 + 8)
+	c.uvarint()
+	c.skip(1)
+	if n := c.uvarint(); c.checkLen(n) {
+		c.skip(8 * n)
+	}
+	return key, val
 }
 
 // joined concatenates what field returns for each of the n records at the
 // current offset into one string of size bytes, then restores the offset,
 // so the caller walks the same records again and slices the string in
 // order.
-func (d *Decoder) joined(n, size int, field func() []byte) string {
-	start := d.off
+func (c *Codec) joined(n, size int, field func() []byte) string {
+	start := c.off
 	var b strings.Builder
 	b.Grow(size)
 	for range n {
 		b.Write(field())
 	}
-	d.off = start
+	c.off = start
 	return b.String()
 }
 
 // Encode serializes a message payload (without framing).
 func Encode(m Message) []byte {
 	e := NewEncoder()
-	m.encodeTo(e)
+	m.codec(&e.c)
 	return e.Bytes()
 }
 
 // EncodeInto serializes a message payload into e, appending to whatever e
 // already holds. It lets callers reuse pooled encoders and prepend their
 // own framing without an intermediate copy.
-func EncodeInto(e *Encoder, m Message) {
-	m.encodeTo(e)
-}
+func EncodeInto(e *Encoder, m Message) { m.codec(&e.c) }
 
 // Size returns the number of bytes the message occupies on the wire,
 // including the frame header. This is the quantity the transport layer
 // accounts per message class.
 func Size(m Message) int {
-	e := &Encoder{sizeOnly: true}
-	m.encodeTo(e)
-	return e.Len() + headerSize
+	c := &Codec{mode: sizing}
+	m.codec(c)
+	return c.n + headerSize
 }
 
 // Decode parses a message of the given kind from payload bytes. Nothing
 // in the result aliases payload (see the package comment for who owns
 // what), so the caller may reuse payload for the next frame at once.
 func Decode(kind Kind, payload []byte) (Message, error) {
-	m, err := newMessage(kind)
-	if err != nil {
-		return nil, err
+	if int(kind) >= len(kinds) || kinds[kind].new == nil {
+		return nil, fmt.Errorf("wire: unknown message kind %d", kind)
 	}
-	d := decoderPool.Get().(*Decoder)
-	*d = Decoder{buf: payload}
-	m.decodeFrom(d)
-	err = d.err
-	*d = Decoder{}
-	decoderPool.Put(d)
+	m := kinds[kind].new()
+	c := decoderPool.Get().(*Codec)
+	*c = Codec{buf: payload, mode: decoding}
+	m.codec(c)
+	err := c.err
+	*c = Codec{}
+	decoderPool.Put(c)
 	if err != nil {
 		return nil, fmt.Errorf("wire: decode %v: %w", kind, err)
 	}
 	return m, nil
 }
 
-// decoderPool recycles Decode's decoder, which escapes through the
-// message's decodeFrom and would otherwise be one allocation per message.
-var decoderPool = sync.Pool{New: func() any { return new(Decoder) }}
-
-// sanity check that header constant fits real framing.
-var _ = func() int {
-	if headerSize != 4+1 {
-		panic("headerSize must match TCP framing")
-	}
-	return 0
-}()
-
-// checkLen validates a collection length before anything is allocated
-// for it: every element takes at least one byte, so a count beyond the
-// bytes left is a truncated (or lying) frame, refused before a slice of
-// that length exists.
-func (d *Decoder) checkLen(n uint64) bool {
-	if d.err != nil {
-		return false
-	}
-	if n > maxSliceLen || n > uint64(math.MaxInt32) {
-		d.fail(ErrTooLarge)
-		return false
-	}
-	if n > uint64(d.Remaining()) {
-		d.fail(ErrTruncated)
-		return false
-	}
-	return true
-}
+// decoderPool recycles Decode's codec, which escapes through the message's
+// codec method and would otherwise be one allocation per message.
+var decoderPool = sync.Pool{New: func() any { return new(Codec) }}

@@ -1,142 +1,6 @@
 package wire
 
-import (
-	"fmt"
-
-	"wren/internal/hlc"
-)
-
-// Kind identifies a message type on the wire.
-type Kind uint8
-
-// Message kinds. Values are part of the wire format; do not reorder.
-const (
-	KindStartTxReq Kind = iota + 1
-	KindStartTxResp
-	KindTxReadReq
-	KindTxReadResp
-	KindCommitReq
-	KindCommitResp
-	KindSliceReq
-	KindSliceResp
-	KindPrepareReq
-	KindPrepareResp
-	KindCommitTx
-	KindReplicate
-	KindHeartbeat
-	KindStableBroadcast
-	KindGCBroadcast
-	KindCommitAck
-	KindReplicateAck
-	KindHealthReq
-	KindHealthResp
-	KindTxStatusReq
-	KindTxStatusResp
-	KindScanReq
-	KindScanResp
-	KindBusyResp
-)
-
-// String implements fmt.Stringer for diagnostics.
-func (k Kind) String() string {
-	switch k {
-	case KindStartTxReq:
-		return "StartTxReq"
-	case KindStartTxResp:
-		return "StartTxResp"
-	case KindTxReadReq:
-		return "TxReadReq"
-	case KindTxReadResp:
-		return "TxReadResp"
-	case KindCommitReq:
-		return "CommitReq"
-	case KindCommitResp:
-		return "CommitResp"
-	case KindSliceReq:
-		return "SliceReq"
-	case KindSliceResp:
-		return "SliceResp"
-	case KindPrepareReq:
-		return "PrepareReq"
-	case KindPrepareResp:
-		return "PrepareResp"
-	case KindCommitTx:
-		return "CommitTx"
-	case KindReplicate:
-		return "Replicate"
-	case KindHeartbeat:
-		return "Heartbeat"
-	case KindStableBroadcast:
-		return "StableBroadcast"
-	case KindGCBroadcast:
-		return "GCBroadcast"
-	case KindCommitAck:
-		return "CommitAck"
-	case KindReplicateAck:
-		return "ReplicateAck"
-	case KindHealthReq:
-		return "HealthReq"
-	case KindHealthResp:
-		return "HealthResp"
-	case KindTxStatusReq:
-		return "TxStatusReq"
-	case KindTxStatusResp:
-		return "TxStatusResp"
-	case KindScanReq:
-		return "ScanReq"
-	case KindScanResp:
-		return "ScanResp"
-	case KindBusyResp:
-		return "BusyResp"
-	default:
-		return fmt.Sprintf("Kind(%d)", uint8(k))
-	}
-}
-
-// Class groups message kinds for byte accounting (paper Figure 7a).
-type Class uint8
-
-// Accounting classes.
-const (
-	// ClassClient covers client<->coordinator traffic.
-	ClassClient Class = iota + 1
-	// ClassTransaction covers intra-DC coordinator<->cohort traffic
-	// (slice reads, 2PC prepare/commit).
-	ClassTransaction
-	// ClassReplication covers inter-DC update propagation and heartbeats.
-	ClassReplication
-	// ClassStabilization covers intra-DC stable-time gossip
-	// (BiST in Wren, vector exchange in Cure).
-	ClassStabilization
-	// ClassControl covers garbage-collection coordination.
-	ClassControl
-)
-
-// String implements fmt.Stringer.
-func (c Class) String() string {
-	switch c {
-	case ClassClient:
-		return "client"
-	case ClassTransaction:
-		return "transaction"
-	case ClassReplication:
-		return "replication"
-	case ClassStabilization:
-		return "stabilization"
-	case ClassControl:
-		return "control"
-	default:
-		return fmt.Sprintf("Class(%d)", uint8(c))
-	}
-}
-
-// Message is implemented by every wire message.
-type Message interface {
-	Kind() Kind
-	Class() Class
-	encodeTo(e *Encoder)
-	decodeFrom(d *Decoder)
-}
+import "wren/internal/hlc"
 
 // Item is a versioned key-value pair as shipped to clients and replicas.
 // It mirrors the paper's tuple ⟨k, v, ut, rdt, id_T, sr⟩. For Cure/H-Cure,
@@ -152,38 +16,14 @@ type Item struct {
 	DV    []hlc.Timestamp // Cure only: one entry per DC
 }
 
-func (it *Item) encodeTo(e *Encoder) {
-	e.String(it.Key)
-	e.BytesField(it.Value)
-	e.Timestamp(it.UT)
-	e.Timestamp(it.RDT)
-	e.Uvarint(it.TxID)
-	e.Byte(it.SrcDC)
-	e.Timestamps(it.DV)
-}
-
-// decodeFrom reads one item. Its key and value bytes are returned aliasing
-// the payload; decodeItems places them.
-func (it *Item) decodeFrom(d *Decoder) (key, val []byte) {
-	key, val = d.BytesField(), d.BytesField()
-	it.UT = d.Timestamp()
-	it.RDT = d.Timestamp()
-	it.TxID = d.Uvarint()
-	it.SrcDC = d.Byte()
-	it.DV = d.Timestamps()
-	return key, val
-}
-
-// skipItem steps over one item, returning its key and value bytes.
-func skipItem(d *Decoder) (key, val []byte) {
-	key, val = d.BytesField(), d.BytesField()
-	d.skip(8 + 8)
-	d.Uvarint()
-	d.skip(1)
-	if n := d.Uvarint(); d.checkLen(n) {
-		d.skip(8 * n)
-	}
-	return key, val
+// codec codes an item's fields after its key and value, which Codec.Items
+// codes first (decoding, into the message's key string and value arena).
+func (it *Item) codec(c *Codec) {
+	c.Timestamp(&it.UT)
+	c.Timestamp(&it.RDT)
+	c.Uvarint(&it.TxID)
+	c.Byte(&it.SrcDC)
+	c.Timestamps(&it.DV)
 }
 
 // KV is a raw write buffered in a transaction's write set. Tombstone marks
@@ -210,68 +50,6 @@ func (kv KV) VersionValue() []byte {
 	return kv.Value
 }
 
-func encodeKVs(e *Encoder, kvs []KV) {
-	e.Uvarint(uint64(len(kvs)))
-	for i := range kvs {
-		e.String(kvs[i].Key)
-		e.BytesField(kvs[i].Value)
-		e.Bool(kvs[i].Tombstone)
-	}
-}
-
-func decodeKVs(d *Decoder) []KV {
-	n := d.Uvarint()
-	if !d.checkLen(n) || n == 0 {
-		return nil
-	}
-	out := make([]KV, n)
-	for i := range out {
-		out[i].Key = d.String()
-		out[i].Value = append([]byte(nil), d.BytesField()...) // its own allocation
-		out[i].Tombstone = d.Bool()
-	}
-	return out
-}
-
-func encodeItems(e *Encoder, items []Item) {
-	e.Uvarint(uint64(len(items)))
-	for i := range items {
-		items[i].encodeTo(e)
-	}
-}
-
-// decodeItems reads a read result's items: a sizing walk, a walk that
-// copies every key into one string, and the decoding walk, which copies
-// every value into one arena (see the package comment).
-func decodeItems(d *Decoder) []Item {
-	n := d.Uvarint()
-	if !d.checkLen(n) || n == 0 {
-		return nil
-	}
-	start, keyBytes, valBytes := d.off, 0, 0
-	for range n {
-		k, v := skipItem(d)
-		keyBytes += len(k)
-		valBytes += len(v)
-	}
-	if d.err != nil {
-		return nil
-	}
-	d.off = start
-	keys := d.joined(int(n), keyBytes, func() []byte { k, _ := skipItem(d); return k })
-	arena := make([]byte, 0, valBytes)
-	out := make([]Item, n)
-	for i := range out {
-		k, v := out[i].decodeFrom(d)
-		out[i].Key, keys = keys[:len(k)], keys[len(k):]
-		if len(v) > 0 {
-			arena = append(arena, v...)
-			out[i].Value = arena[len(arena)-len(v) : len(arena) : len(arena)]
-		}
-	}
-	return out
-}
-
 // Stab is the stabilization metadata that rides on the five intra-DC
 // transaction messages (SliceReq, SliceResp, PrepareReq, PrepareResp,
 // CommitTx): BiST's two scalars plus the demand rule that keeps an idle
@@ -289,23 +67,13 @@ type Stab struct {
 	Seen      hlc.Timestamp
 }
 
-func (s *Stab) encodeTo(e *Encoder) {
-	if *s == (Stab{}) {
-		e.Bool(false)
-		return
-	}
-	e.Bool(true)
-	e.Timestamp(s.Local)
-	e.Timestamp(s.RemoteMin)
-	e.Timestamp(s.Seen)
-}
-
-func (s *Stab) decodeFrom(d *Decoder) {
-	*s = Stab{}
-	if d.Bool() {
-		s.Local = d.Timestamp()
-		s.RemoteMin = d.Timestamp()
-		s.Seen = d.Timestamp()
+// codec codes a presence byte, then the three scalars if the stamp is set.
+func (s *Stab) codec(c *Codec) {
+	stamped := *s != Stab{}
+	if c.Bool(&stamped); stamped {
+		c.Timestamp(&s.Local)
+		c.Timestamp(&s.RemoteMin)
+		c.Timestamp(&s.Seen)
 	}
 }
 
@@ -323,26 +91,12 @@ type StartTxReq struct {
 	Done uint64
 }
 
-// Kind implements Message.
-func (*StartTxReq) Kind() Kind { return KindStartTxReq }
-
-// Class implements Message.
-func (*StartTxReq) Class() Class { return ClassClient }
-
-func (m *StartTxReq) encodeTo(e *Encoder) {
-	e.Uvarint(m.ReqID)
-	e.Timestamp(m.LST)
-	e.Timestamp(m.RST)
-	e.Timestamps(m.DV)
-	e.Uvarint(m.Done)
-}
-
-func (m *StartTxReq) decodeFrom(d *Decoder) {
-	m.ReqID = d.Uvarint()
-	m.LST = d.Timestamp()
-	m.RST = d.Timestamp()
-	m.DV = d.Timestamps()
-	m.Done = d.Uvarint()
+func (m *StartTxReq) codec(c *Codec) {
+	c.Uvarint(&m.ReqID)
+	c.Timestamp(&m.LST)
+	c.Timestamp(&m.RST)
+	c.Timestamps(&m.DV)
+	c.Uvarint(&m.Done)
 }
 
 // StartTxResp carries the transaction id and snapshot (Alg. 2 line 6).
@@ -354,26 +108,12 @@ type StartTxResp struct {
 	SV    []hlc.Timestamp // Cure: snapshot vector, one entry per DC
 }
 
-// Kind implements Message.
-func (*StartTxResp) Kind() Kind { return KindStartTxResp }
-
-// Class implements Message.
-func (*StartTxResp) Class() Class { return ClassClient }
-
-func (m *StartTxResp) encodeTo(e *Encoder) {
-	e.Uvarint(m.ReqID)
-	e.Uvarint(m.TxID)
-	e.Timestamp(m.LST)
-	e.Timestamp(m.RST)
-	e.Timestamps(m.SV)
-}
-
-func (m *StartTxResp) decodeFrom(d *Decoder) {
-	m.ReqID = d.Uvarint()
-	m.TxID = d.Uvarint()
-	m.LST = d.Timestamp()
-	m.RST = d.Timestamp()
-	m.SV = d.Timestamps()
+func (m *StartTxResp) codec(c *Codec) {
+	c.Uvarint(&m.ReqID)
+	c.Uvarint(&m.TxID)
+	c.Timestamp(&m.LST)
+	c.Timestamp(&m.RST)
+	c.Timestamps(&m.SV)
 }
 
 // TxReadReq asks the coordinator to read a set of keys within a transaction.
@@ -383,22 +123,10 @@ type TxReadReq struct {
 	Keys  []string
 }
 
-// Kind implements Message.
-func (*TxReadReq) Kind() Kind { return KindTxReadReq }
-
-// Class implements Message.
-func (*TxReadReq) Class() Class { return ClassClient }
-
-func (m *TxReadReq) encodeTo(e *Encoder) {
-	e.Uvarint(m.ReqID)
-	e.Uvarint(m.TxID)
-	e.Strings(m.Keys)
-}
-
-func (m *TxReadReq) decodeFrom(d *Decoder) {
-	m.ReqID = d.Uvarint()
-	m.TxID = d.Uvarint()
-	m.Keys = d.Strings()
+func (m *TxReadReq) codec(c *Codec) {
+	c.Uvarint(&m.ReqID)
+	c.Uvarint(&m.TxID)
+	c.Strings(&m.Keys)
 }
 
 // TxReadResp returns the items visible in the transaction snapshot.
@@ -426,36 +154,11 @@ type TxReadResp struct {
 	BlockedMicros int64
 }
 
-// Kind implements Message.
-func (*TxReadResp) Kind() Kind { return KindTxReadResp }
-
-// Class implements Message.
-func (*TxReadResp) Class() Class { return ClassClient }
-
-func (m *TxReadResp) encodeTo(e *Encoder) {
-	e.Uvarint(m.ReqID)
-	n := len(m.Items)
-	for _, c := range m.Chunks {
-		n += len(c)
-	}
-	e.Uvarint(uint64(n))
-	for i := range m.Items {
-		m.Items[i].encodeTo(e)
-	}
-	for _, c := range m.Chunks {
-		for i := range c {
-			c[i].encodeTo(e)
-		}
-	}
-	e.Uvarint(uint64(m.BlockedMicros))
-	e.Bool(m.Expired)
-}
-
-func (m *TxReadResp) decodeFrom(d *Decoder) {
-	m.ReqID = d.Uvarint()
-	m.Items = decodeItems(d)
-	m.BlockedMicros = int64(d.Uvarint())
-	m.Expired = d.Bool()
+func (m *TxReadResp) codec(c *Codec) {
+	c.Uvarint(&m.ReqID)
+	c.Items(&m.Items, m.Chunks)
+	c.Int64(&m.BlockedMicros)
+	c.Bool(&m.Expired)
 }
 
 // CommitReq ships the write set to the coordinator (Alg. 1 line 27).
@@ -466,24 +169,11 @@ type CommitReq struct {
 	Writes []KV
 }
 
-// Kind implements Message.
-func (*CommitReq) Kind() Kind { return KindCommitReq }
-
-// Class implements Message.
-func (*CommitReq) Class() Class { return ClassClient }
-
-func (m *CommitReq) encodeTo(e *Encoder) {
-	e.Uvarint(m.ReqID)
-	e.Uvarint(m.TxID)
-	e.Timestamp(m.HWT)
-	encodeKVs(e, m.Writes)
-}
-
-func (m *CommitReq) decodeFrom(d *Decoder) {
-	m.ReqID = d.Uvarint()
-	m.TxID = d.Uvarint()
-	m.HWT = d.Timestamp()
-	m.Writes = decodeKVs(d)
+func (m *CommitReq) codec(c *Codec) {
+	c.Uvarint(&m.ReqID)
+	c.Uvarint(&m.TxID)
+	c.Timestamp(&m.HWT)
+	c.KVs(&m.Writes)
 }
 
 // Commit error codes carried by CommitResp. Values are part of the wire
@@ -512,24 +202,11 @@ type CommitResp struct {
 	Err   string // human-readable detail when Code != CommitOK
 }
 
-// Kind implements Message.
-func (*CommitResp) Kind() Kind { return KindCommitResp }
-
-// Class implements Message.
-func (*CommitResp) Class() Class { return ClassClient }
-
-func (m *CommitResp) encodeTo(e *Encoder) {
-	e.Uvarint(m.ReqID)
-	e.Timestamp(m.CT)
-	e.Byte(m.Code)
-	e.String(m.Err)
-}
-
-func (m *CommitResp) decodeFrom(d *Decoder) {
-	m.ReqID = d.Uvarint()
-	m.CT = d.Timestamp()
-	m.Code = d.Byte()
-	m.Err = d.String()
+func (m *CommitResp) codec(c *Codec) {
+	c.Uvarint(&m.ReqID)
+	c.Timestamp(&m.CT)
+	c.Byte(&m.Code)
+	c.String(&m.Err)
 }
 
 // SliceReq is the coordinator-to-cohort read (Alg. 2 line 12). Wren sends
@@ -543,28 +220,13 @@ type SliceReq struct {
 	Stab  Stab
 }
 
-// Kind implements Message.
-func (*SliceReq) Kind() Kind { return KindSliceReq }
-
-// Class implements Message.
-func (*SliceReq) Class() Class { return ClassTransaction }
-
-func (m *SliceReq) encodeTo(e *Encoder) {
-	e.Uvarint(m.ReqID)
-	e.Strings(m.Keys)
-	e.Timestamp(m.LT)
-	e.Timestamp(m.RT)
-	e.Timestamps(m.SV)
-	m.Stab.encodeTo(e)
-}
-
-func (m *SliceReq) decodeFrom(d *Decoder) {
-	m.ReqID = d.Uvarint()
-	m.Keys = d.Strings()
-	m.LT = d.Timestamp()
-	m.RT = d.Timestamp()
-	m.SV = d.Timestamps()
-	m.Stab.decodeFrom(d)
+func (m *SliceReq) codec(c *Codec) {
+	c.Uvarint(&m.ReqID)
+	c.Strings(&m.Keys)
+	c.Timestamp(&m.LT)
+	c.Timestamp(&m.RT)
+	c.Timestamps(&m.SV)
+	m.Stab.codec(c)
 }
 
 // SliceResp returns the freshest visible versions for a slice read.
@@ -575,24 +237,11 @@ type SliceResp struct {
 	Stab          Stab
 }
 
-// Kind implements Message.
-func (*SliceResp) Kind() Kind { return KindSliceResp }
-
-// Class implements Message.
-func (*SliceResp) Class() Class { return ClassTransaction }
-
-func (m *SliceResp) encodeTo(e *Encoder) {
-	e.Uvarint(m.ReqID)
-	encodeItems(e, m.Items)
-	e.Uvarint(uint64(m.BlockedMicros))
-	m.Stab.encodeTo(e)
-}
-
-func (m *SliceResp) decodeFrom(d *Decoder) {
-	m.ReqID = d.Uvarint()
-	m.Items = decodeItems(d)
-	m.BlockedMicros = int64(d.Uvarint())
-	m.Stab.decodeFrom(d)
+func (m *SliceResp) codec(c *Codec) {
+	c.Uvarint(&m.ReqID)
+	c.Items(&m.Items, nil)
+	c.Int64(&m.BlockedMicros)
+	m.Stab.codec(c)
 }
 
 // PrepareReq is the first phase of the 2PC commit (Alg. 2 line 22).
@@ -607,32 +256,15 @@ type PrepareReq struct {
 	Stab   Stab
 }
 
-// Kind implements Message.
-func (*PrepareReq) Kind() Kind { return KindPrepareReq }
-
-// Class implements Message.
-func (*PrepareReq) Class() Class { return ClassTransaction }
-
-func (m *PrepareReq) encodeTo(e *Encoder) {
-	e.Uvarint(m.ReqID)
-	e.Uvarint(m.TxID)
-	e.Timestamp(m.LT)
-	e.Timestamp(m.RT)
-	e.Timestamp(m.HT)
-	e.Timestamps(m.SV)
-	encodeKVs(e, m.Writes)
-	m.Stab.encodeTo(e)
-}
-
-func (m *PrepareReq) decodeFrom(d *Decoder) {
-	m.ReqID = d.Uvarint()
-	m.TxID = d.Uvarint()
-	m.LT = d.Timestamp()
-	m.RT = d.Timestamp()
-	m.HT = d.Timestamp()
-	m.SV = d.Timestamps()
-	m.Writes = decodeKVs(d)
-	m.Stab.decodeFrom(d)
+func (m *PrepareReq) codec(c *Codec) {
+	c.Uvarint(&m.ReqID)
+	c.Uvarint(&m.TxID)
+	c.Timestamp(&m.LT)
+	c.Timestamp(&m.RT)
+	c.Timestamp(&m.HT)
+	c.Timestamps(&m.SV)
+	c.KVs(&m.Writes)
+	m.Stab.codec(c)
 }
 
 // PrepareResp carries the cohort's proposed commit timestamp, or a
@@ -646,26 +278,12 @@ type PrepareResp struct {
 	Stab  Stab
 }
 
-// Kind implements Message.
-func (*PrepareResp) Kind() Kind { return KindPrepareResp }
-
-// Class implements Message.
-func (*PrepareResp) Class() Class { return ClassTransaction }
-
-func (m *PrepareResp) encodeTo(e *Encoder) {
-	e.Uvarint(m.ReqID)
-	e.Uvarint(m.TxID)
-	e.Timestamp(m.PT)
-	e.String(m.Err)
-	m.Stab.encodeTo(e)
-}
-
-func (m *PrepareResp) decodeFrom(d *Decoder) {
-	m.ReqID = d.Uvarint()
-	m.TxID = d.Uvarint()
-	m.PT = d.Timestamp()
-	m.Err = d.String()
-	m.Stab.decodeFrom(d)
+func (m *PrepareResp) codec(c *Codec) {
+	c.Uvarint(&m.ReqID)
+	c.Uvarint(&m.TxID)
+	c.Timestamp(&m.PT)
+	c.String(&m.Err)
+	m.Stab.codec(c)
 }
 
 // CommitTx is the second phase of the 2PC commit (Alg. 2 line 26). A zero
@@ -679,22 +297,10 @@ type CommitTx struct {
 	Stab Stab
 }
 
-// Kind implements Message.
-func (*CommitTx) Kind() Kind { return KindCommitTx }
-
-// Class implements Message.
-func (*CommitTx) Class() Class { return ClassTransaction }
-
-func (m *CommitTx) encodeTo(e *Encoder) {
-	e.Uvarint(m.TxID)
-	e.Timestamp(m.CT)
-	m.Stab.encodeTo(e)
-}
-
-func (m *CommitTx) decodeFrom(d *Decoder) {
-	m.TxID = d.Uvarint()
-	m.CT = d.Timestamp()
-	m.Stab.decodeFrom(d)
+func (m *CommitTx) codec(c *Codec) {
+	c.Uvarint(&m.TxID)
+	c.Timestamp(&m.CT)
+	m.Stab.codec(c)
 }
 
 // ReplTx is one committed transaction inside a replication batch.
@@ -731,48 +337,19 @@ type Replicate struct {
 	Txs  []ReplTx
 }
 
-// Kind implements Message.
-func (*Replicate) Kind() Kind { return KindReplicate }
-
-// Class implements Message.
-func (*Replicate) Class() Class { return ClassReplication }
-
-func (m *Replicate) encodeTo(e *Encoder) {
-	e.Byte(m.SrcDC)
-	e.Uvarint(uint64(m.Partition))
-	e.Bool(m.Resync)
-	e.Timestamp(m.Prev)
-	e.Uvarint(uint64(len(m.Txs)))
+func (m *Replicate) codec(c *Codec) {
+	c.Byte(&m.SrcDC)
+	c.Uint16(&m.Partition)
+	c.Bool(&m.Resync)
+	c.Timestamp(&m.Prev)
+	sized(c, &m.Txs)
 	for i := range m.Txs {
 		t := &m.Txs[i]
-		e.Uvarint(t.TxID)
-		e.Timestamp(t.CT)
-		e.Timestamp(t.RST)
-		e.Timestamps(t.DV)
-		encodeKVs(e, t.Writes)
-	}
-}
-
-func (m *Replicate) decodeFrom(d *Decoder) {
-	m.SrcDC = d.Byte()
-	m.Partition = uint16(d.Uvarint())
-	m.Resync = d.Bool()
-	m.Prev = d.Timestamp()
-	n := d.Uvarint()
-	if !d.checkLen(n) {
-		return
-	}
-	if n == 0 {
-		return
-	}
-	m.Txs = make([]ReplTx, n)
-	for i := range m.Txs {
-		t := &m.Txs[i]
-		t.TxID = d.Uvarint()
-		t.CT = d.Timestamp()
-		t.RST = d.Timestamp()
-		t.DV = d.Timestamps()
-		t.Writes = decodeKVs(d)
+		c.Uvarint(&t.TxID)
+		c.Timestamp(&t.CT)
+		c.Timestamp(&t.RST)
+		c.Timestamps(&t.DV)
+		c.KVs(&t.Writes)
 	}
 }
 
@@ -784,22 +361,10 @@ type Heartbeat struct {
 	TS        hlc.Timestamp
 }
 
-// Kind implements Message.
-func (*Heartbeat) Kind() Kind { return KindHeartbeat }
-
-// Class implements Message.
-func (*Heartbeat) Class() Class { return ClassReplication }
-
-func (m *Heartbeat) encodeTo(e *Encoder) {
-	e.Byte(m.SrcDC)
-	e.Uvarint(uint64(m.Partition))
-	e.Timestamp(m.TS)
-}
-
-func (m *Heartbeat) decodeFrom(d *Decoder) {
-	m.SrcDC = d.Byte()
-	m.Partition = uint16(d.Uvarint())
-	m.TS = d.Timestamp()
+func (m *Heartbeat) codec(c *Codec) {
+	c.Byte(&m.SrcDC)
+	c.Uint16(&m.Partition)
+	c.Timestamp(&m.TS)
 }
 
 // StableBroadcast is the intra-DC stabilization exchange, broadcast by
@@ -815,24 +380,11 @@ type StableBroadcast struct {
 	VV        []hlc.Timestamp // Cure only
 }
 
-// Kind implements Message.
-func (*StableBroadcast) Kind() Kind { return KindStableBroadcast }
-
-// Class implements Message.
-func (*StableBroadcast) Class() Class { return ClassStabilization }
-
-func (m *StableBroadcast) encodeTo(e *Encoder) {
-	e.Uvarint(uint64(m.Partition))
-	e.Timestamp(m.Local)
-	e.Timestamp(m.RemoteMin)
-	e.Timestamps(m.VV)
-}
-
-func (m *StableBroadcast) decodeFrom(d *Decoder) {
-	m.Partition = uint16(d.Uvarint())
-	m.Local = d.Timestamp()
-	m.RemoteMin = d.Timestamp()
-	m.VV = d.Timestamps()
+func (m *StableBroadcast) codec(c *Codec) {
+	c.Uint16(&m.Partition)
+	c.Timestamp(&m.Local)
+	c.Timestamp(&m.RemoteMin)
+	c.Timestamps(&m.VV)
 }
 
 // CommitAck confirms to the coordinator that a cohort holds a DURABLE
@@ -846,20 +398,9 @@ type CommitAck struct {
 	Partition uint16 // the acknowledging cohort
 }
 
-// Kind implements Message.
-func (*CommitAck) Kind() Kind { return KindCommitAck }
-
-// Class implements Message.
-func (*CommitAck) Class() Class { return ClassTransaction }
-
-func (m *CommitAck) encodeTo(e *Encoder) {
-	e.Uvarint(m.TxID)
-	e.Uvarint(uint64(m.Partition))
-}
-
-func (m *CommitAck) decodeFrom(d *Decoder) {
-	m.TxID = d.Uvarint()
-	m.Partition = uint16(d.Uvarint())
+func (m *CommitAck) codec(c *Codec) {
+	c.Uvarint(&m.TxID)
+	c.Uint16(&m.Partition)
 }
 
 // ReplicateAck confirms to the sending replica that every transaction of a
@@ -874,22 +415,10 @@ type ReplicateAck struct {
 	UpTo      hlc.Timestamp
 }
 
-// Kind implements Message.
-func (*ReplicateAck) Kind() Kind { return KindReplicateAck }
-
-// Class implements Message.
-func (*ReplicateAck) Class() Class { return ClassReplication }
-
-func (m *ReplicateAck) encodeTo(e *Encoder) {
-	e.Byte(m.DC)
-	e.Uvarint(uint64(m.Partition))
-	e.Timestamp(m.UpTo)
-}
-
-func (m *ReplicateAck) decodeFrom(d *Decoder) {
-	m.DC = d.Byte()
-	m.Partition = uint16(d.Uvarint())
-	m.UpTo = d.Timestamp()
+func (m *ReplicateAck) codec(c *Codec) {
+	c.Byte(&m.DC)
+	c.Uint16(&m.Partition)
+	c.Timestamp(&m.UpTo)
 }
 
 // HealthReq asks a server for its durability/admission state, so operators
@@ -899,14 +428,9 @@ type HealthReq struct {
 	ReqID uint64
 }
 
-// Kind implements Message.
-func (*HealthReq) Kind() Kind { return KindHealthReq }
-
-// Class implements Message.
-func (*HealthReq) Class() Class { return ClassClient }
-
-func (m *HealthReq) encodeTo(e *Encoder)   { e.Uvarint(m.ReqID) }
-func (m *HealthReq) decodeFrom(d *Decoder) { m.ReqID = d.Uvarint() }
+func (m *HealthReq) codec(c *Codec) {
+	c.Uvarint(&m.ReqID)
+}
 
 // HealthResp reports a server's durability state: ReadOnly is set when the
 // server has shed into read-only admission, and Err carries the first
@@ -917,22 +441,10 @@ type HealthResp struct {
 	Err      string
 }
 
-// Kind implements Message.
-func (*HealthResp) Kind() Kind { return KindHealthResp }
-
-// Class implements Message.
-func (*HealthResp) Class() Class { return ClassClient }
-
-func (m *HealthResp) encodeTo(e *Encoder) {
-	e.Uvarint(m.ReqID)
-	e.Bool(m.ReadOnly)
-	e.String(m.Err)
-}
-
-func (m *HealthResp) decodeFrom(d *Decoder) {
-	m.ReqID = d.Uvarint()
-	m.ReadOnly = d.Bool()
-	m.Err = d.String()
+func (m *HealthResp) codec(c *Codec) {
+	c.Uvarint(&m.ReqID)
+	c.Bool(&m.ReadOnly)
+	c.String(&m.Err)
 }
 
 // TxStatusReq is the cooperative termination probe of the 2PC: a cohort
@@ -953,20 +465,9 @@ type TxStatusReq struct {
 	TxID  uint64
 }
 
-// Kind implements Message.
-func (*TxStatusReq) Kind() Kind { return KindTxStatusReq }
-
-// Class implements Message.
-func (*TxStatusReq) Class() Class { return ClassTransaction }
-
-func (m *TxStatusReq) encodeTo(e *Encoder) {
-	e.Uvarint(m.ReqID)
-	e.Uvarint(m.TxID)
-}
-
-func (m *TxStatusReq) decodeFrom(d *Decoder) {
-	m.ReqID = d.Uvarint()
-	m.TxID = d.Uvarint()
+func (m *TxStatusReq) codec(c *Codec) {
+	c.Uvarint(&m.ReqID)
+	c.Uvarint(&m.TxID)
 }
 
 // TxStatusResp answers a TxStatusReq: Committed with the decision's CT
@@ -980,24 +481,11 @@ type TxStatusResp struct {
 	Committed bool
 }
 
-// Kind implements Message.
-func (*TxStatusResp) Kind() Kind { return KindTxStatusResp }
-
-// Class implements Message.
-func (*TxStatusResp) Class() Class { return ClassTransaction }
-
-func (m *TxStatusResp) encodeTo(e *Encoder) {
-	e.Uvarint(m.ReqID)
-	e.Uvarint(m.TxID)
-	e.Timestamp(m.CT)
-	e.Bool(m.Committed)
-}
-
-func (m *TxStatusResp) decodeFrom(d *Decoder) {
-	m.ReqID = d.Uvarint()
-	m.TxID = d.Uvarint()
-	m.CT = d.Timestamp()
-	m.Committed = d.Bool()
+func (m *TxStatusResp) codec(c *Codec) {
+	c.Uvarint(&m.ReqID)
+	c.Uvarint(&m.TxID)
+	c.Timestamp(&m.CT)
+	c.Bool(&m.Committed)
 }
 
 // GCBroadcast exchanges the oldest snapshot visible to any running
@@ -1007,20 +495,9 @@ type GCBroadcast struct {
 	Oldest    hlc.Timestamp
 }
 
-// Kind implements Message.
-func (*GCBroadcast) Kind() Kind { return KindGCBroadcast }
-
-// Class implements Message.
-func (*GCBroadcast) Class() Class { return ClassControl }
-
-func (m *GCBroadcast) encodeTo(e *Encoder) {
-	e.Uvarint(uint64(m.Partition))
-	e.Timestamp(m.Oldest)
-}
-
-func (m *GCBroadcast) decodeFrom(d *Decoder) {
-	m.Partition = uint16(d.Uvarint())
-	m.Oldest = d.Timestamp()
+func (m *GCBroadcast) codec(c *Codec) {
+	c.Uint16(&m.Partition)
+	c.Timestamp(&m.Oldest)
 }
 
 // ScanReq asks one partition for its keys in [Start, End), read at the
@@ -1038,28 +515,13 @@ type ScanReq struct {
 	RT    hlc.Timestamp
 }
 
-// Kind implements Message.
-func (*ScanReq) Kind() Kind { return KindScanReq }
-
-// Class implements Message.
-func (*ScanReq) Class() Class { return ClassTransaction }
-
-func (m *ScanReq) encodeTo(e *Encoder) {
-	e.Uvarint(m.ReqID)
-	e.String(m.Start)
-	e.String(m.End)
-	e.Uvarint(m.Limit)
-	e.Timestamp(m.LT)
-	e.Timestamp(m.RT)
-}
-
-func (m *ScanReq) decodeFrom(d *Decoder) {
-	m.ReqID = d.Uvarint()
-	m.Start = d.String()
-	m.End = d.String()
-	m.Limit = d.Uvarint()
-	m.LT = d.Timestamp()
-	m.RT = d.Timestamp()
+func (m *ScanReq) codec(c *Codec) {
+	c.Uvarint(&m.ReqID)
+	c.String(&m.Start)
+	c.String(&m.End)
+	c.Uvarint(&m.Limit)
+	c.Timestamp(&m.LT)
+	c.Timestamp(&m.RT)
 }
 
 // ScanResp returns one partition's visible versions for a range scan, in
@@ -1071,22 +533,10 @@ type ScanResp struct {
 	More  bool
 }
 
-// Kind implements Message.
-func (*ScanResp) Kind() Kind { return KindScanResp }
-
-// Class implements Message.
-func (*ScanResp) Class() Class { return ClassTransaction }
-
-func (m *ScanResp) encodeTo(e *Encoder) {
-	e.Uvarint(m.ReqID)
-	encodeItems(e, m.Items)
-	e.Bool(m.More)
-}
-
-func (m *ScanResp) decodeFrom(d *Decoder) {
-	m.ReqID = d.Uvarint()
-	m.Items = decodeItems(d)
-	m.More = d.Bool()
+func (m *ScanResp) codec(c *Codec) {
+	c.Uvarint(&m.ReqID)
+	c.Items(&m.Items, nil)
+	c.Bool(&m.More)
 }
 
 // BusyResp is the server's admission pushback: the request identified by
@@ -1099,72 +549,6 @@ type BusyResp struct {
 	ReqID uint64
 }
 
-// Kind implements Message.
-func (*BusyResp) Kind() Kind { return KindBusyResp }
-
-// Class implements Message.
-func (*BusyResp) Class() Class { return ClassClient }
-
-func (m *BusyResp) encodeTo(e *Encoder) {
-	e.Uvarint(m.ReqID)
-}
-
-func (m *BusyResp) decodeFrom(d *Decoder) {
-	m.ReqID = d.Uvarint()
-}
-
-// newMessage allocates an empty message of the given kind.
-func newMessage(kind Kind) (Message, error) {
-	switch kind {
-	case KindStartTxReq:
-		return &StartTxReq{}, nil
-	case KindStartTxResp:
-		return &StartTxResp{}, nil
-	case KindTxReadReq:
-		return &TxReadReq{}, nil
-	case KindTxReadResp:
-		return &TxReadResp{}, nil
-	case KindCommitReq:
-		return &CommitReq{}, nil
-	case KindCommitResp:
-		return &CommitResp{}, nil
-	case KindSliceReq:
-		return &SliceReq{}, nil
-	case KindSliceResp:
-		return &SliceResp{}, nil
-	case KindPrepareReq:
-		return &PrepareReq{}, nil
-	case KindPrepareResp:
-		return &PrepareResp{}, nil
-	case KindCommitTx:
-		return &CommitTx{}, nil
-	case KindReplicate:
-		return &Replicate{}, nil
-	case KindHeartbeat:
-		return &Heartbeat{}, nil
-	case KindStableBroadcast:
-		return &StableBroadcast{}, nil
-	case KindGCBroadcast:
-		return &GCBroadcast{}, nil
-	case KindCommitAck:
-		return &CommitAck{}, nil
-	case KindReplicateAck:
-		return &ReplicateAck{}, nil
-	case KindHealthReq:
-		return &HealthReq{}, nil
-	case KindHealthResp:
-		return &HealthResp{}, nil
-	case KindTxStatusReq:
-		return &TxStatusReq{}, nil
-	case KindTxStatusResp:
-		return &TxStatusResp{}, nil
-	case KindScanReq:
-		return &ScanReq{}, nil
-	case KindScanResp:
-		return &ScanResp{}, nil
-	case KindBusyResp:
-		return &BusyResp{}, nil
-	default:
-		return nil, fmt.Errorf("wire: unknown message kind %d", kind)
-	}
+func (m *BusyResp) codec(c *Codec) {
+	c.Uvarint(&m.ReqID)
 }
