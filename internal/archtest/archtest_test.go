@@ -105,10 +105,22 @@ var rules = []struct {
 		code:  []matcher{goStmt},
 		msg:   "the streams run on the apply goroutine, never on one of their own"}},
 
-	// replica, txlog and sst are split by concern (see the file map in
-	// each package comment); a file over 600 lines is one growing back.
+	// Each wire message states its layout once, in its codec method, which
+	// Encode, EncodeInto, Size and Decode all run; an encodeTo/decodeFrom
+	// pair or an encode/decode helper beside the Codec primitives is a
+	// second, mirrored copy of a layout. TestFrameFormatPinned holds the
+	// bytes.
+	{"one-codec", "no-encode-decode-pair", declBan{
+		scope: scope{pkgs: "internal/wire"},
+		re:    regexp.MustCompile(`(?i)^func (\w+\.)?(encode|decode)\w*$`),
+		allow: []string{"internal/wire.Encode", "internal/wire.EncodeInto", "internal/wire.Decode"},
+		msg:   "a layout coded outside its codec method: code the field there"}},
+
+	// replica, txlog, sst, tcp and wire are split by concern (see the file
+	// map in each package comment); a file over 600 lines is one growing
+	// back.
 	{"file-size", "600-lines", maxLines{
-		scope: scope{pkgs: "internal/replica internal/txlog internal/store/sst internal/transport/tcp"},
+		scope: scope{pkgs: "internal/replica internal/txlog internal/store/sst internal/transport/tcp internal/wire"},
 		max:   600,
 		msg:   "split it by concern"}},
 

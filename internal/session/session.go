@@ -93,9 +93,12 @@ var (
 	// with errors.Is.
 	ErrInDoubt = errors.New("session: commit outcome in doubt")
 	// ErrTooLarge is returned by Write and Delete for a key or value longer
-	// than wire.MaxFieldLen (4 MiB), which no server could decode. Nothing
-	// was buffered; the transaction stays usable. Matched with errors.Is.
-	ErrTooLarge = errors.New("session: key or value exceeds 4 MiB")
+	// than wire.MaxFieldLen (4 MiB), which no server could decode: nothing
+	// was buffered, and the transaction stays usable. Commit returns it for
+	// a write set whose CommitReq is over wire.MaxFrameLen (64 MiB), which
+	// no transport carries: nothing was sent, and the transaction is over.
+	// Matched with errors.Is.
+	ErrTooLarge = errors.New("session: key, value or write set too large")
 )
 
 // DefaultRequestTimeout bounds each client-coordinator round trip.

@@ -468,3 +468,47 @@ func TestOverloadedCommitReleasesContext(t *testing.T) {
 		}
 	})
 }
+
+// TestCommitOverFrameBoundRefused: a write set whose CommitReq would be
+// over wire.MaxFrameLen is refused with ErrTooLarge before anything is
+// sent, and its context is released; one just under the bound commits.
+func TestCommitOverFrameBoundRefused(t *testing.T) {
+	value := make([]byte, wire.MaxFieldLen) // shared by every write
+	forEach(t, 0, func(t *testing.T, s *session.Session, f *fakeConn) {
+		for _, c := range []struct {
+			writes int
+			ok     bool
+		}{{15, true}, {16, false}} {
+			tx, err := s.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range c.writes {
+				if err := tx.Write(fmt.Sprintf("k%02d", i), value); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sent := len(f.commits())
+			_, err = tx.Commit()
+			if c.ok {
+				if err != nil || len(f.commits()) != sent+1 {
+					t.Fatalf("%d writes of 4 MiB: commit = %v after %d CommitReqs, want it sent and committed", c.writes, err, len(f.commits())-sent)
+				}
+				continue
+			}
+			if !errors.Is(err, session.ErrTooLarge) {
+				t.Fatalf("%d writes of 4 MiB: commit = %v, want ErrTooLarge", c.writes, err)
+			}
+			if n := len(f.commits()) - sent; n != 0 {
+				t.Fatalf("%d writes of 4 MiB: %d CommitReqs sent, want none", c.writes, n)
+			}
+			if _, err := s.Begin(); err != nil {
+				t.Fatal(err)
+			}
+			starts := sentOf[*wire.StartTxReq](f)
+			if done := starts[len(starts)-1].Done; done != tx.ID() && !f.released(tx.ID()) {
+				t.Fatalf("the refused transaction's context %d was not released", tx.ID())
+			}
+		}
+	})
+}

@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"wren/internal/hlc"
 	"wren/internal/store"
@@ -165,8 +166,10 @@ func Scan(buf []byte, fn func(key string, v *store.Version)) (good int) {
 // semantics are identical to ScanFrames — a torn header, zero length, torn
 // payload, failed checksum or rejected payload ends the scan — so recovery code can
 // switch between the two without changing its truncation rules. Memory use
-// is bounded by the largest single record, not the file size: the payload
-// buffer is reused across records and fn must not retain it.
+// is bounded by the largest single record, not the file size, and a length
+// prefix reserves no more than about twice the bytes behind it (see
+// readPayload): the payload buffer is reused across records and fn must not
+// retain it.
 func ScanReaderFrames(r io.Reader, fn func(payload []byte) error) (good int64) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
@@ -183,11 +186,7 @@ func ScanReaderFrames(r io.Reader, fn func(payload []byte) error) (good int64) {
 		if plen == 0 {
 			return good // zero-filled space: nothing writes an empty record
 		}
-		if int(plen) > cap(payload) {
-			payload = make([]byte, plen)
-		}
-		payload = payload[:plen]
-		if _, err := io.ReadFull(br, payload); err != nil {
+		if payload, ok = readPayload(br, payload, int(plen)); !ok {
 			return good // torn payload (or a corrupt length running off the file)
 		}
 		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[4:8]) {
@@ -199,6 +198,25 @@ func ScanReaderFrames(r io.Reader, fn func(payload []byte) error) (good int64) {
 		off += HeaderSize + int64(plen)
 		good = off
 	}
+}
+
+// readPayload reads the n bytes of a payload into buf, reusing its
+// capacity. A length prefix is not trusted until the bytes arrive: past
+// what buf already holds, the buffer grows by at most its own size per
+// read, so a corrupt length near 4 GiB over a short stream allocates about
+// twice the bytes present, not the length claimed.
+func readPayload(r io.Reader, buf []byte, n int) ([]byte, bool) {
+	buf = buf[:0]
+	for len(buf) < n {
+		step := min(n-len(buf), max(cap(buf)-len(buf), len(buf), 1<<16))
+		buf = slices.Grow(buf, step)
+		got, err := io.ReadFull(r, buf[len(buf):len(buf)+step])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			return buf, false
+		}
+	}
+	return buf, true
 }
 
 // ScanReader is ScanReaderFrames specialized to the version-record payload

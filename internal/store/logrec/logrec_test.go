@@ -3,6 +3,8 @@ package logrec
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
+	"slices"
 	"testing"
 
 	"wren/internal/hlc"
@@ -138,5 +140,43 @@ func TestScanStopsAtZeroFill(t *testing.T) {
 		if good := ScanReaderFrames(bytes.NewReader(buf), fn); good != int64(len(records)) || calls != 3 {
 			t.Fatalf("ScanReaderFrames over %d zero bytes: good=%d after %d records, want %d after 3", zeros, good, calls, len(records))
 		}
+	}
+}
+
+// TestScanReaderLengthBoundedByBytes: a header claiming 64 MiB over a
+// short tail ends the scan as torn, and reserves nothing near the length
+// it claims; records larger than the first read step still scan whole.
+func TestScanReaderLengthBoundedByBytes(t *testing.T) {
+	enc := wire.NewEncoder()
+	for i := 0; i < 3; i++ {
+		k, v := sample(i)
+		Append(enc, k, v)
+	}
+	big := &store.Version{Value: bytes.Repeat([]byte{7}, 300<<10), UT: 1}
+	Append(enc, "big", big)
+	k, v := sample(3)
+	Append(enc, k, v)
+	records := append([]byte(nil), enc.Bytes()...)
+
+	var got []string
+	good := ScanReader(bytes.NewReader(records), func(key string, v *store.Version) { got = append(got, key) })
+	if good != int64(len(records)) || len(got) != 5 || got[3] != "big" {
+		t.Fatalf("scan of 5 records (one of 300 KiB): good=%d of %d, keys %q", good, len(records), got)
+	}
+
+	lie := binary.LittleEndian.AppendUint32(slices.Clone(records), 64<<20)
+	lie = append(lie, 1, 2, 3, 4)           // a CRC nobody checks
+	lie = append(lie, make([]byte, 100)...) // and far fewer bytes than claimed
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	good = ScanReaderFrames(bytes.NewReader(lie), func([]byte) error { return nil })
+	runtime.ReadMemStats(&after)
+	if good != int64(len(records)) {
+		t.Fatalf("good=%d, want the %d bytes before the lying header", good, len(records))
+	}
+	// The reader's buffer, the reused 300 KiB payload buffer and the one
+	// step taken over the short tail, but never the 64 MiB claimed.
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("a header claiming 64 MiB over 100 bytes allocated %d bytes, want under 1 MiB", grew)
 	}
 }

@@ -166,7 +166,7 @@ func (s *frameSplitter) next() (transport.NodeID, wire.Message, error) {
 			return transport.NodeID{}, nil, nil
 		}
 		frameLen := binary.BigEndian.Uint32(s.buf[s.r:])
-		if frameLen < 9 || frameLen > maxFrameSize {
+		if frameLen < 9 || wire.FrameLen(int(frameLen)-9) > wire.MaxFrameLen {
 			return transport.NodeID{}, nil, fmt.Errorf("tcp: bad frame length %d", frameLen)
 		}
 		end := s.r + 4 + int(frameLen)

@@ -42,6 +42,15 @@ func splitChunks(s *frameSplitter, chunks ...[]byte) ([]splitFrame, error) {
 	return frames, nil
 }
 
+// encodeFrame serializes m with its frame header into enc's reused buffer.
+func encodeFrame(enc *wire.Encoder, from transport.NodeID, m wire.Message) []byte {
+	enc.Reset()
+	if err := appendFrame(enc, from, m); err != nil {
+		panic(err) // the tests frame messages well under the bound
+	}
+	return enc.Bytes()
+}
+
 // encodeFrames re-encodes frames into one stream.
 func encodeFrames(frames []splitFrame) []byte {
 	enc := wire.NewEncoder()

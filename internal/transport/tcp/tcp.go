@@ -64,8 +64,7 @@ import (
 )
 
 const (
-	headerLen    = 4 + 1 + 4 + 4
-	maxFrameSize = 64 << 20
+	headerLen = 4 + 1 + 4 + 4
 	// maxRetainedReadBuf caps the per-connection scratch kept between
 	// frames too large for the read buffer; a rare huge frame doesn't pin
 	// its buffer forever.
@@ -270,6 +269,9 @@ func (n *Network) Send(from, to transport.NodeID, m wire.Message) error {
 	// written synchronously under a deadline, and a dead connection is
 	// evicted so the next request's connection can be learned fresh.
 	if err := pc.write(from, m, n.cfg.WriteTimeout); err != nil {
+		if errors.Is(err, wire.ErrFrameTooLarge) {
+			return err // nothing was written: the connection is fine
+		}
 		n.evictions.Add(1)
 		n.forgetConn(pc, nil)
 		return fmt.Errorf("tcp: write to %v: %w", to, err)

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"wren/internal/core"
 	"wren/internal/hlc"
+	"wren/internal/obs"
 	"wren/internal/transport"
 	"wren/internal/wire"
 )
@@ -265,6 +267,83 @@ func TestOversizedWriteKeepsConnection(t *testing.T) {
 		t.Fatalf("the session's next transaction: %v", err)
 	}
 	for _, n := range append(nets, cliNet) {
+		if ev := n.Obs().Value("tcp.evictions"); ev != 0 {
+			t.Errorf("%s: tcp.evictions = %d, want 0", n.cfg.Self, ev)
+		}
+	}
+}
+
+// TestOversizedFrameDropped: a message over wire.MaxFrameLen is refused
+// where it is framed — on a dialed link the writer logs it and drops it,
+// on a learned one Send returns the error — and the connection carries on:
+// the next frame arrives over the one connection dialed, with no eviction.
+func TestOversizedFrameDropped(t *testing.T) {
+	srvID, cliID := transport.ServerID(0, 0), transport.ServerID(0, 1)
+	recvSrv := make(chan wire.Message, 4)
+	srv, err := New(Config{Self: srvID, ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.Register(srvID, transport.HandlerFunc(func(_ transport.NodeID, m wire.Message) { recvSrv <- m }))
+	recvCli := make(chan wire.Message, 4)
+	cli, err := New(Config{Self: cliID, Peers: map[transport.NodeID]string{srvID: srv.Addr()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	cli.Register(cliID, transport.HandlerFunc(func(_ transport.NodeID, m wire.Message) { recvCli <- m }))
+
+	value := make([]byte, wire.MaxFieldLen) // shared by every write
+	big := &wire.CommitReq{}
+	for i := range 17 {
+		big.Writes = append(big.Writes, wire.KV{Key: fmt.Sprint(i), Value: value})
+	}
+	refused, cancel := obs.Subscribe("tcp.frame_refused")
+	defer cancel()
+	receive := func(ch chan wire.Message, what string) wire.Message {
+		t.Helper()
+		select {
+		case m := <-ch:
+			return m
+		case <-time.After(5 * time.Second):
+			t.Fatalf("timeout waiting for %s", what)
+			return nil
+		}
+	}
+
+	if err := cli.Send(cliID, srvID, big); err != nil {
+		t.Fatalf("queueing the oversize frame: %v", err)
+	}
+	if err := cli.Send(cliID, srvID, &wire.Heartbeat{TS: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if hb, ok := receive(recvSrv, "the frame behind the oversize one").(*wire.Heartbeat); !ok || hb.TS != 1 {
+		t.Fatalf("server got %+v, want the heartbeat", hb)
+	}
+	select {
+	case ev := <-refused:
+		if !strings.Contains(ev.String(), "CommitReq") {
+			t.Errorf("refusal event %q does not name the kind", ev)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no tcp.frame_refused event")
+	}
+
+	// The server's replies go over the connection it learned.
+	if err := srv.Send(srvID, cliID, big); !errors.Is(err, wire.ErrFrameTooLarge) {
+		t.Fatalf("learned-route Send of %d bytes = %v, want ErrFrameTooLarge", wire.Size(big), err)
+	}
+	if err := srv.Send(srvID, cliID, &wire.Heartbeat{TS: 2}); err != nil {
+		t.Fatalf("learned-route Send after a refusal: %v", err)
+	}
+	if hb, ok := receive(recvCli, "the learned-route reply").(*wire.Heartbeat); !ok || hb.TS != 2 {
+		t.Fatalf("client got %+v, want the heartbeat", hb)
+	}
+	if d := cli.Obs().Value("tcp.dials"); d != 1 {
+		t.Errorf("tcp.dials = %d, want 1", d)
+	}
+	for _, n := range []*Network{srv, cli} {
 		if ev := n.Obs().Value("tcp.evictions"); ev != 0 {
 			t.Errorf("%s: tcp.evictions = %d, want 0", n.cfg.Self, ev)
 		}

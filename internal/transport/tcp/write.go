@@ -111,7 +111,7 @@ func (p *peer) run() {
 		if pc == nil {
 			return // closed while (re)dialing
 		}
-		sent, err := pc.writeBurst(burst, p.n.cfg.WriteTimeout)
+		sent, err := p.writeBurst(pc, burst)
 		clear(burst)
 		if err != nil {
 			p.n.evictions.Add(1)
@@ -227,24 +227,24 @@ func (p *peer) ensureConn() *peerConn {
 // frame buffer per message.
 var encPool = sync.Pool{New: func() any { return wire.NewEncoder() }}
 
-// encodeFrame serializes m with its frame header into enc's reused buffer:
+// appendFrame appends one framed message to whatever enc already holds:
 // [4-byte length][1-byte kind][4-byte from.DC][4-byte from.Node][payload].
-func encodeFrame(enc *wire.Encoder, from transport.NodeID, m wire.Message) []byte {
-	enc.Reset()
-	appendFrame(enc, from, m)
-	return enc.Bytes()
-}
-
-// appendFrame appends one framed message to whatever enc already holds.
-func appendFrame(enc *wire.Encoder, from transport.NodeID, m wire.Message) {
+// A message over wire.MaxFrameLen, which every receiver would refuse, is
+// refused here instead: enc is left as it was.
+func appendFrame(enc *wire.Encoder, from transport.NodeID, m wire.Message) error {
 	off := enc.Reserve(headerLen)
 	wire.EncodeInto(enc, m)
 	frame := enc.Bytes()[off:]
 	payloadLen := len(frame) - headerLen
+	if size := wire.FrameLen(payloadLen); size > wire.MaxFrameLen {
+		enc.Truncate(off)
+		return fmt.Errorf("%w: %v of %d bytes", wire.ErrFrameTooLarge, m.Kind(), size)
+	}
 	binary.BigEndian.PutUint32(frame[0:4], uint32(1+4+4+payloadLen))
 	frame[4] = byte(m.Kind())
 	binary.BigEndian.PutUint32(frame[5:9], uint32(int32(from.DC)))
 	binary.BigEndian.PutUint32(frame[9:13], uint32(int32(from.Node)))
+	return nil
 }
 
 // armWriteDeadline keeps a write deadline between 3/4 and one timeout
@@ -263,23 +263,35 @@ func (pc *peerConn) armWriteDeadline(timeout time.Duration) {
 
 func (pc *peerConn) write(from transport.NodeID, m wire.Message, timeout time.Duration) error {
 	enc := encPool.Get().(*wire.Encoder)
-	encodeFrame(enc, from, m)
+	enc.Reset()
+	if err := appendFrame(enc, from, m); err != nil {
+		encPool.Put(enc)
+		return err
+	}
 	return pc.flush(enc, timeout)
 }
 
 // writeBurst encodes the leading frames of msgs — all of them unless the
-// buffer reaches maxBurstBytes first — and writes them with one Write. It
-// returns how many frames the burst covered; on error none may be assumed
-// delivered.
-func (pc *peerConn) writeBurst(msgs []outMsg, timeout time.Duration) (int, error) {
+// buffer reaches maxBurstBytes first — and writes them to pc with one
+// Write. It returns how many frames the burst covered; on error none may
+// be assumed delivered. A frame over wire.MaxFrameLen is covered but not
+// written: it is logged as an event and dropped, since resending it on a
+// fresh connection could never succeed.
+func (p *peer) writeBurst(pc *peerConn, msgs []outMsg) (int, error) {
 	enc := encPool.Get().(*wire.Encoder)
 	enc.Reset()
 	n := 0
-	for n < len(msgs) && len(enc.Bytes()) < maxBurstBytes {
-		appendFrame(enc, msgs[n].from, msgs[n].m)
+	for n < len(msgs) && enc.Len() < maxBurstBytes {
+		if err := appendFrame(enc, msgs[n].from, msgs[n].m); err != nil {
+			p.n.reg.Event("tcp.frame_refused", "to", p.to, "err", err)
+		}
 		n++
 	}
-	return n, pc.flush(enc, timeout)
+	if enc.Len() == 0 {
+		encPool.Put(enc)
+		return n, nil
+	}
+	return n, pc.flush(enc, p.n.cfg.WriteTimeout)
 }
 
 // flush writes the frames encoded in enc with one net.Conn.Write, under

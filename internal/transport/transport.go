@@ -370,10 +370,10 @@ func (n *Memory) delayLocked(rule Rule) time.Duration {
 var encPool = sync.Pool{New: func() any { return wire.NewEncoder() }}
 
 // Send implements Network. The message is encoded once and each delivery
-// is a decode of those bytes; a message that does not round-trip is an
-// error naming its kind. A delivery is scheduled on the (from, to) link
-// at now + latency + the link rule's delay, and waits there while its DC
-// pair is cut. With no rule the schedule never goes backwards on a link,
+// is a decode of those bytes; a message that does not round-trip, or
+// whose Size is over wire.MaxFrameLen, is an error naming its kind. A
+// delivery is scheduled on the (from, to) link at now + latency + the
+// link rule's delay, and waits there while its DC pair is cut. With no rule the schedule never goes backwards on a link,
 // so delivery order is send order, exactly like a TCP connection.
 func (n *Memory) Send(from, to NodeID, m wire.Message) error {
 	n.mu.RLock()
@@ -399,6 +399,9 @@ func (n *Memory) Send(from, to NodeID, m wire.Message) error {
 		encPool.Put(enc)
 	}()
 	wire.EncodeInto(enc, m)
+	if size := wire.FrameLen(enc.Len()); size > wire.MaxFrameLen {
+		return fmt.Errorf("transport: %w: %v of %d bytes", wire.ErrFrameTooLarge, m.Kind(), size)
+	}
 	c, err := wire.Decode(m.Kind(), enc.Bytes())
 	if err != nil {
 		return fmt.Errorf("transport: %v does not round-trip: %w", m.Kind(), err)

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -421,6 +422,34 @@ func TestMemoryDeliversDecodedCopy(t *testing.T) {
 	}
 	if got.TxID != 5 || string(got.Writes[0].Value) != "v1" {
 		t.Fatalf("delivered TxID %d value %q, want what was sent (5, v1)", got.TxID, got.Writes[0].Value)
+	}
+}
+
+// TestMemorySendRefusesOverFrameBound: a message whose every field
+// decodes but whose frame is over wire.MaxFrameLen is Send's error, as on
+// TCP; it is neither delivered nor counted.
+func TestMemorySendRefusesOverFrameBound(t *testing.T) {
+	n := NewMemory(nil, 0)
+	defer n.Close()
+	recv := newCollector()
+	a, b := ServerID(0, 0), ServerID(0, 1)
+	n.Register(b, recv)
+	value := make([]byte, wire.MaxFieldLen) // shared by every write
+	big := &wire.CommitReq{}
+	for i := range 17 {
+		big.Writes = append(big.Writes, wire.KV{Key: strconv.Itoa(i), Value: value})
+	}
+	err := n.Send(a, b, big)
+	if !errors.Is(err, wire.ErrFrameTooLarge) || !strings.Contains(err.Error(), "CommitReq") {
+		t.Fatalf("Send of a %d-byte message = %v, want ErrFrameTooLarge naming CommitReq", wire.Size(big), err)
+	}
+	if got := totalBytes(n.Obs().Snapshot()); got != 0 {
+		t.Errorf("a refused message counted %d bytes", got)
+	}
+	select {
+	case <-recv.ch:
+		t.Fatal("a refused message was delivered")
+	case <-time.After(20 * time.Millisecond):
 	}
 }
 

@@ -69,6 +69,9 @@ var ErrTruncated = errors.New("wire: truncated message")
 // ErrTooLarge is returned when a length prefix exceeds sane limits.
 var ErrTooLarge = errors.New("wire: length prefix too large")
 
+// ErrFrameTooLarge is a transport's refusal of a message over MaxFrameLen.
+var ErrFrameTooLarge = errors.New("wire: message over the frame bound")
+
 // MaxFieldLen is the longest key or value a message can carry: Decode
 // refuses a longer byte field, so a sender must refuse it first.
 const MaxFieldLen = maxSliceLen

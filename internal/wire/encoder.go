@@ -1,6 +1,10 @@
 package wire
 
-import "wren/internal/hlc"
+import (
+	"slices"
+
+	"wren/internal/hlc"
+)
 
 // Encoder writes the codec's primitives by value into a reusable buffer,
 // for framed records that are not messages.
@@ -20,12 +24,16 @@ func (e *Encoder) Len() int { return len(e.c.buf) }
 // steady-state encoding does not allocate.
 func (e *Encoder) Reset() { e.c.buf = e.c.buf[:0] }
 
+// Truncate drops every byte past the first n, keeping the capacity.
+func (e *Encoder) Truncate(n int) { e.c.buf = e.c.buf[:n] }
+
 // Reserve appends n zero bytes and returns their offset, so callers can
 // back-patch a fixed-size header (length prefix, checksum) after the
 // payload is encoded.
 func (e *Encoder) Reserve(n int) int {
 	off := len(e.c.buf)
-	e.c.buf = append(e.c.buf, make([]byte, n)...)
+	e.c.buf = slices.Grow(e.c.buf, n)[:off+n]
+	clear(e.c.buf[off:])
 	return off
 }
 
