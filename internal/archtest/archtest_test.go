@@ -107,7 +107,7 @@ var rules = []struct {
 
 	// Each wire message states its layout once, in its codec method, which
 	// Encode, EncodeInto, Size and Decode all run; an encodeTo/decodeFrom
-	// pair or an encode/decode helper beside the Codec primitives is a
+	// pair or an encode/decode helper beside the coder primitives is a
 	// second, mirrored copy of a layout. TestFrameFormatPinned holds the
 	// bytes.
 	{"one-codec", "no-encode-decode-pair", declBan{

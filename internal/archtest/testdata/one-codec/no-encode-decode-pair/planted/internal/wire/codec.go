@@ -6,6 +6,6 @@ func EncodeInto(e *Encoder, m Message) {}
 
 func Decode(kind Kind, payload []byte) (Message, error) { return nil, nil }
 
-func (c *Codec) Uvarint(v *uint64) {}
+func (c *coder) Uvarint(v *uint64) {}
 
 func NewEncoder() *Encoder { return &Encoder{} }

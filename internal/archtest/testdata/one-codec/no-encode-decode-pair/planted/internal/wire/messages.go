@@ -2,7 +2,7 @@ package wire
 
 type Heartbeat struct{ TS uint64 }
 
-func (m *Heartbeat) codec(c *Codec) { c.Uvarint(&m.TS) }
+func (m *Heartbeat) codec(c *coder) { c.Uvarint(&m.TS) }
 
 func (m *Heartbeat) encodeTo(e *Encoder) { e.Uvarint(m.TS) } // want
 

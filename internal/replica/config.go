@@ -9,6 +9,7 @@ import (
 	"wren/internal/store/backend"
 	"wren/internal/transport"
 	"wren/internal/txlog"
+	"wren/internal/wire"
 )
 
 // Topology bounds the wire and the tx id format set: a DC travels as a
@@ -16,7 +17,7 @@ import (
 // id; a partition travels as a uint16, fills the id's next two bytes, and
 // must stay below transport.ClientBase to name a server, not a client.
 const (
-	maxDCs        = 1 << 8
+	maxDCs        = wire.MaxDCs
 	maxPartitions = transport.ClientBase
 )
 

@@ -95,8 +95,9 @@ var (
 	// ErrTooLarge is returned by Write and Delete for a key or value longer
 	// than wire.MaxFieldLen (4 MiB), which no server could decode: nothing
 	// was buffered, and the transaction stays usable. Commit returns it for
-	// a write set whose CommitReq is over wire.MaxFrameLen (64 MiB), which
-	// no transport carries: nothing was sent, and the transaction is over.
+	// a write set over wire.MaxWriteSetLen or wire.MaxWrites, which some
+	// message of the commit could not carry within wire.MaxFrameLen
+	// (64 MiB): nothing was sent, and the transaction is over.
 	// Matched with errors.Is.
 	ErrTooLarge = errors.New("session: key, value or write set too large")
 )

@@ -469,6 +469,43 @@ func TestOverloadedCommitReleasesContext(t *testing.T) {
 	})
 }
 
+// TestCommitAtWriteSetBound: a write set of exactly wire.MaxWriteSetLen
+// bytes is sent, and one a byte longer is refused with ErrTooLarge before
+// anything is sent: the bound is the one every carrier of the write set
+// fits (wire's TestMaxWriteSetLenFitsEveryCarrier), not the CommitReq's.
+func TestCommitAtWriteSetBound(t *testing.T) {
+	value := make([]byte, wire.MaxFieldLen) // shared by every write
+	forEach(t, 0, func(t *testing.T, s *session.Session, f *fakeConn) {
+		for _, extra := range []int{0, 1} {
+			tx, err := s.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, left := 0, wire.MaxWriteSetLen+extra; left > 0; i++ {
+				kv := wire.KV{Key: fmt.Sprintf("k%02d", i), Value: value[:min(len(value), left)]}
+				for wire.WriteLen(&kv) > left {
+					kv.Value = kv.Value[:len(kv.Value)-1]
+				}
+				if err := tx.Write(kv.Key, kv.Value); err != nil {
+					t.Fatal(err)
+				}
+				left -= wire.WriteLen(&kv)
+			}
+			sent := len(f.commits())
+			_, err = tx.Commit()
+			if extra == 0 {
+				if err != nil || len(f.commits()) != sent+1 {
+					t.Fatalf("a write set at the bound: commit = %v after %d CommitReqs, want it sent and committed", err, len(f.commits())-sent)
+				}
+				continue
+			}
+			if !errors.Is(err, session.ErrTooLarge) || len(f.commits()) != sent {
+				t.Fatalf("a write set a byte over the bound: commit = %v after %d CommitReqs, want ErrTooLarge and none", err, len(f.commits())-sent)
+			}
+		}
+	})
+}
+
 // TestCommitOverFrameBoundRefused: a write set whose CommitReq would be
 // over wire.MaxFrameLen is refused with ErrTooLarge before anything is
 // sent, and its context is released; one just under the bound commits.

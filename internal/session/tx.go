@@ -3,7 +3,6 @@ package session
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"wren/internal/hlc"
@@ -196,25 +195,22 @@ func (t *Tx) Commit() (hlc.Timestamp, error) {
 	defer s.clearTx(t)
 
 	writes := make([]wire.KV, 0, len(t.ws))
-	bytes := 0
+	size := 0
 	for k, v := range t.ws {
 		writes = append(writes, wire.KV{Key: k, Value: v, Tombstone: v == nil})
-		bytes += len(k) + len(v)
+		size += wire.WriteLen(&writes[len(writes)-1])
+	}
+	// Every hop of the commit carries the write set (the CommitReq, each
+	// cohort's PrepareReq, the Replicate to each peer DC), and no transport
+	// carries a frame over wire.MaxFrameLen: a write set that one of them
+	// could not carry is refused before anything is sent.
+	if size > wire.MaxWriteSetLen || len(writes) > wire.MaxWrites {
+		t.endLocal()
+		return 0, fmt.Errorf("%w: a write set of %d writes in %d bytes, over the %d-byte or %d-write bound", ErrTooLarge, len(writes), size, wire.MaxWriteSetLen, wire.MaxWrites)
 	}
 	s.mu.Lock()
 	hwt := s.hwt
 	s.mu.Unlock()
-	// No transport carries a frame over wire.MaxFrameLen. A write costs at
-	// most 16 bytes beyond its key and value and the request 64 more, so
-	// only a write set that could come near the bound pays for an exact
-	// Size, at the largest request id.
-	if bytes+16*len(writes)+64 > wire.MaxFrameLen {
-		req := &wire.CommitReq{ReqID: math.MaxUint64, TxID: t.ID(), HWT: hwt, Writes: writes}
-		if size := wire.Size(req); size > wire.MaxFrameLen {
-			t.endLocal()
-			return 0, fmt.Errorf("%w: a CommitReq of %d bytes, over the %d-byte frame bound", ErrTooLarge, size, wire.MaxFrameLen)
-		}
-	}
 
 	var resp wire.Message
 	var err error

@@ -48,6 +48,33 @@ func BenchmarkDecodeReplicateWren(b *testing.B) {
 	}
 }
 
+// benchReadResp is read_mem's read reply: 20 items of 8-byte values, with
+// an M-entry dependency vector per item for Cure.
+func benchReadResp(dcs int) *TxReadResp {
+	items := make([]Item, 20)
+	for i := range items {
+		items[i] = Item{Key: "user0000001" + string(rune('a'+i)), Value: []byte("8bytes!!"), UT: hlc.New(1_000_000, 3), RDT: hlc.New(900_000, 1), TxID: uint64(i)}
+		if dcs > 0 {
+			items[i].DV = make([]hlc.Timestamp, dcs)
+		}
+	}
+	return &TxReadResp{ReqID: 7, Items: items}
+}
+
+func BenchmarkDecodeTxReadResp(b *testing.B) {
+	for _, dcs := range []int{0, 5} {
+		payload := Encode(benchReadResp(dcs))
+		b.Run(map[int]string{0: "Wren", 5: "Cure5DC"}[dcs], func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Decode(KindTxReadResp, payload); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkSizeReplicate(b *testing.B) {
 	m := benchReplicate(0)
 	b.ReportAllocs()

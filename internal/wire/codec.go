@@ -10,13 +10,16 @@
 //
 // # One codec per message
 //
-// Each message states its layout once, in a codec(c *Codec) method that
-// names every field in wire order. A Codec carries its direction —
+// Each message states its layout once, in a codec(c *coder) method that
+// names every field in wire order. A coder carries its direction —
 // encoding, sizing or decoding — and each primitive (Uvarint, Uint16,
 // Int64, Byte, Bool, Timestamp, Timestamps, String, Strings, Len, KVs,
 // Items) takes a pointer to the field: it appends the field's bytes,
 // counts them, or reads them into it. Encode, EncodeInto, Size and Decode
 // all run that one method, so a field cannot be added to one side only.
+// A read result's items are walked once before they are decoded, to size
+// their shared key string and value arena; that walk runs Item's codec
+// too, in a fourth direction (skipping) that reads without keeping.
 // Every kind is listed once, in the kinds table (name, accounting class,
 // constructor); Kind.String, Decode and each message's Class read it.
 //
@@ -81,6 +84,46 @@ const MaxFieldLen = maxSliceLen
 // so a sender refuses the message instead of sending it.
 const MaxFrameLen = 64 << 20
 
+// MaxDCs is the most data centres a message can name: a DC travels as one
+// byte (Replicate.SrcDC), and a vector has one entry per DC.
+const MaxDCs = 1 << 8
+
+// MaxWrites is the most writes a write set can hold: Decode refuses a
+// longer one.
+const MaxWrites = maxSliceLen
+
+// MaxWriteSetLen is the most bytes a write set may take, counted as
+// WriteLen counts them, so that every message that carries it — the
+// CommitReq, a cohort's PrepareReq and a Replicate of the transaction
+// alone — is within MaxFrameLen, whatever its other fields hold.
+var MaxWriteSetLen = MaxFrameLen - writeSetCarrierLen()
+
+// WriteLen returns the bytes kv takes in a write set.
+func WriteLen(kv *KV) int {
+	c := coder{mode: sizing}
+	c.kv(kv)
+	return c.n
+}
+
+// writeSetCarrierLen is the most bytes a message adds to the write set it
+// carries: the largest Size of a carrier whose write set is empty, with
+// every varint at its widest and every vector at MaxDCs entries, plus the
+// widest write count in place of the empty one's single byte.
+func writeSetCarrierLen() int {
+	vec := make([]hlc.Timestamp, MaxDCs)
+	stab := Stab{Local: 1}
+	carriers := []Message{
+		&CommitReq{ReqID: math.MaxUint64, TxID: math.MaxUint64},
+		&PrepareReq{ReqID: math.MaxUint64, TxID: math.MaxUint64, SV: vec, Stab: stab},
+		&Replicate{Partition: math.MaxUint16, Txs: []ReplTx{{TxID: math.MaxUint64, DV: vec}}},
+	}
+	most := 0
+	for _, m := range carriers {
+		most = max(most, Size(m))
+	}
+	return most - 1 + uvarintLen(MaxWrites)
+}
+
 const (
 	// maxSliceLen bounds decoded collection and byte-field lengths to
 	// protect against corrupted or adversarial frames.
@@ -95,28 +138,30 @@ const (
 // payloadLen bytes long, for a transport to hold against MaxFrameLen.
 func FrameLen(payloadLen int) int { return payloadLen + headerSize }
 
-// codecMode is the direction a Codec codes in.
+// codecMode is the direction a coder codes in.
 type codecMode uint8
 
 const (
 	encoding codecMode = iota // append each field to buf
 	sizing                    // count each field's bytes in n
 	decoding                  // read each field from buf at off
+	skipping                  // decoding, keeping nothing a field owns
 )
 
-// Codec codes a message's fields in one direction (see the package
-// comment). Each primitive takes a pointer to the field; only decoding
-// writes through it, so concurrent encodes of one message are safe.
-type Codec struct {
+// coder codes a message's fields in one direction (see the package
+// comment). Each primitive takes a pointer to the field; only decoding and
+// skipping write through it, so concurrent encodes of one message are
+// safe.
+type coder struct {
 	buf  []byte    // encoding: the output; decoding: the input
 	off  int       // decoding: the read offset
 	n    int       // sizing: the bytes counted
 	err  error     // decoding: the first failure, after which reads return zero
-	mode codecMode // the zero Codec encodes
+	mode codecMode // the zero coder encodes
 }
 
 // Uvarint codes an unsigned varint.
-func (c *Codec) Uvarint(v *uint64) {
+func (c *coder) Uvarint(v *uint64) {
 	switch c.mode {
 	case encoding:
 		c.buf = binary.AppendUvarint(c.buf, *v)
@@ -128,25 +173,25 @@ func (c *Codec) Uvarint(v *uint64) {
 }
 
 // Uint16 codes a uint16 as a varint.
-func (c *Codec) Uint16(v *uint16) {
+func (c *coder) Uint16(v *uint16) {
 	x := uint64(*v)
 	c.Uvarint(&x)
-	if c.mode == decoding {
+	if c.reading() {
 		*v = uint16(x)
 	}
 }
 
 // Int64 codes an int64 as the varint of its two's-complement bits.
-func (c *Codec) Int64(v *int64) {
+func (c *coder) Int64(v *int64) {
 	x := uint64(*v)
 	c.Uvarint(&x)
-	if c.mode == decoding {
+	if c.reading() {
 		*v = int64(x)
 	}
 }
 
 // Byte codes one raw byte.
-func (c *Codec) Byte(v *byte) {
+func (c *coder) Byte(v *byte) {
 	switch c.mode {
 	case encoding:
 		c.buf = append(c.buf, *v)
@@ -158,7 +203,7 @@ func (c *Codec) Byte(v *byte) {
 }
 
 // Bool codes a boolean as one byte; any non-zero byte decodes as true.
-func (c *Codec) Bool(v *bool) {
+func (c *coder) Bool(v *bool) {
 	switch c.mode {
 	case encoding:
 		var b byte
@@ -176,7 +221,7 @@ func (c *Codec) Bool(v *bool) {
 // Timestamp codes an hlc.Timestamp as a little-endian 8-byte integer.
 // Timestamps use fixed width so that message sizes are stable and
 // comparable across protocols.
-func (c *Codec) Timestamp(t *hlc.Timestamp) {
+func (c *coder) Timestamp(t *hlc.Timestamp) {
 	switch c.mode {
 	case encoding:
 		c.buf = binary.LittleEndian.AppendUint64(c.buf, uint64(*t))
@@ -189,15 +234,18 @@ func (c *Codec) Timestamp(t *hlc.Timestamp) {
 
 // Timestamps codes a length-prefixed timestamp vector. An empty vector
 // decodes as nil.
-func (c *Codec) Timestamps(ts *[]hlc.Timestamp) {
-	sized(c, ts)
+func (c *coder) Timestamps(ts *[]hlc.Timestamp) {
+	if n := sized(c, ts); c.mode == skipping {
+		c.skip(8 * uint64(n))
+		return
+	}
 	for i := range *ts {
 		c.Timestamp(&(*ts)[i])
 	}
 }
 
 // String codes a length-prefixed string.
-func (c *Codec) String(s *string) {
+func (c *coder) String(s *string) {
 	switch c.mode {
 	case encoding:
 		c.buf = binary.AppendUvarint(c.buf, uint64(len(*s)))
@@ -211,7 +259,7 @@ func (c *Codec) String(s *string) {
 
 // Strings codes a length-prefixed string slice. Decoded, its strings
 // share one allocation.
-func (c *Codec) Strings(ss *[]string) {
+func (c *coder) Strings(ss *[]string) {
 	if c.mode == decoding {
 		*ss = c.strings()
 		return
@@ -222,42 +270,48 @@ func (c *Codec) Strings(ss *[]string) {
 	}
 }
 
-// Len codes a collection's length n and returns it. Decoding, it returns
+// Len codes a collection's length n and returns it. Reading, it returns
 // the length read, refused (0, with the error set) beyond the bytes left:
 // every element takes at least one byte.
-func (c *Codec) Len(n int) int {
+func (c *coder) Len(n int) int {
 	x := uint64(n)
 	c.Uvarint(&x)
-	if c.mode == decoding && !c.checkLen(x) {
+	if c.reading() && !c.checkLen(x) {
 		return 0
 	}
 	return int(x)
 }
 
-// sized codes the length of *s; decoding, it makes *s that long (nil when
-// empty) once Len has bounded the length by the bytes left.
-func sized[T any](c *Codec, s *[]T) {
-	if n := c.Len(len(*s)); c.mode == decoding && n > 0 {
+// sized codes the length of *s and returns it; decoding, it makes *s that
+// long (nil when empty) once Len has bounded the length by the bytes left.
+func sized[T any](c *coder, s *[]T) int {
+	n := c.Len(len(*s))
+	if c.mode == decoding && n > 0 {
 		*s = make([]T, n)
 	}
+	return n
 }
 
 // KVs codes a write set. Decoded, each value is its own allocation (see
 // the package comment).
-func (c *Codec) KVs(kvs *[]KV) {
+func (c *coder) KVs(kvs *[]KV) {
 	sized(c, kvs)
 	for i := range *kvs {
-		kv := &(*kvs)[i]
-		c.String(&kv.Key)
-		c.value(&kv.Value)
-		c.Bool(&kv.Tombstone)
+		c.kv(&(*kvs)[i])
 	}
+}
+
+// kv codes one write of a write set.
+func (c *coder) kv(kv *KV) {
+	c.String(&kv.Key)
+	c.value(&kv.Value)
+	c.Bool(&kv.Tombstone)
 }
 
 // Items codes a read result: *items followed by every chunk, as one flat
 // sequence (TxReadResp's Chunks). Decoded, it is all in *items, whose
 // keys share one string and whose values share one arena.
-func (c *Codec) Items(items *[]Item, chunks [][]Item) {
+func (c *coder) Items(items *[]Item, chunks [][]Item) {
 	if c.mode == decoding {
 		*items = c.items()
 		return
@@ -278,14 +332,14 @@ func (c *Codec) Items(items *[]Item, chunks [][]Item) {
 }
 
 // item encodes or sizes one item: its key and value, then the rest.
-func (c *Codec) item(it *Item) {
+func (c *coder) item(it *Item) {
 	c.String(&it.Key)
 	c.value(&it.Value)
 	it.codec(c)
 }
 
 // value codes a length-prefixed byte field that a decoded message owns.
-func (c *Codec) value(b *[]byte) {
+func (c *coder) value(b *[]byte) {
 	switch c.mode {
 	case encoding:
 		c.buf = binary.AppendUvarint(c.buf, uint64(len(*b)))
@@ -301,13 +355,16 @@ func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // The decoding side of the primitives.
 
-func (c *Codec) fail(err error) {
+// reading reports whether c reads its input: decoding or skipping.
+func (c *coder) reading() bool { return c.mode >= decoding }
+
+func (c *coder) fail(err error) {
 	if c.err == nil {
 		c.err = err
 	}
 }
 
-func (c *Codec) uvarint() uint64 {
+func (c *coder) uvarint() uint64 {
 	if c.err != nil {
 		return 0
 	}
@@ -320,7 +377,7 @@ func (c *Codec) uvarint() uint64 {
 	return v
 }
 
-func (c *Codec) fixed64() uint64 {
+func (c *coder) fixed64() uint64 {
 	if c.err != nil {
 		return 0
 	}
@@ -333,7 +390,7 @@ func (c *Codec) fixed64() uint64 {
 	return v
 }
 
-func (c *Codec) byte() byte {
+func (c *coder) byte() byte {
 	if c.err != nil {
 		return 0
 	}
@@ -347,7 +404,7 @@ func (c *Codec) byte() byte {
 }
 
 // skip consumes n bytes.
-func (c *Codec) skip(n uint64) {
+func (c *coder) skip(n uint64) {
 	if c.err != nil {
 		return
 	}
@@ -359,7 +416,7 @@ func (c *Codec) skip(n uint64) {
 }
 
 // bytesField reads a length-prefixed byte field aliasing the input.
-func (c *Codec) bytesField() []byte {
+func (c *coder) bytesField() []byte {
 	n := c.uvarint()
 	if c.err != nil {
 		return nil
@@ -381,7 +438,7 @@ func (c *Codec) bytesField() []byte {
 // for it: every element takes at least one byte, so a count beyond the
 // bytes left is a truncated (or lying) frame, refused before a slice of
 // that length exists.
-func (c *Codec) checkLen(n uint64) bool {
+func (c *coder) checkLen(n uint64) bool {
 	if c.err != nil {
 		return false
 	}
@@ -396,8 +453,9 @@ func (c *Codec) checkLen(n uint64) bool {
 	return true
 }
 
-// strings reads a string slice whose strings share one allocation.
-func (c *Codec) strings() []string {
+// strings reads a string slice whose strings share one allocation: a
+// walk that sizes it, then the decoding walk.
+func (c *coder) strings() []string {
 	n := c.uvarint()
 	if !c.checkLen(n) || n == 0 {
 		return nil
@@ -410,39 +468,44 @@ func (c *Codec) strings() []string {
 		return nil
 	}
 	c.off = start
-	all := c.joined(int(n), size, func() []byte { return c.bytesField() })
+	var all strings.Builder
+	all.Grow(size)
 	out := make([]string, n)
 	for i := range out {
-		l := len(c.bytesField())
-		out[i], all = all[:l], all[l:]
+		out[i] = appendString(&all, c.bytesField())
 	}
 	return out
 }
 
-// items reads a read result's items: a sizing walk, a walk that copies
-// every key into one string, and the decoding walk, which copies every
-// value into one arena (see the package comment).
-func (c *Codec) items() []Item {
+// items reads a read result's items: a skipping walk that sizes the key
+// string and the value arena, then the decoding walk, which copies every
+// key and value into them (see the package comment).
+func (c *coder) items() []Item {
 	n := c.uvarint()
 	if !c.checkLen(n) || n == 0 {
 		return nil
 	}
 	start, keyBytes, valBytes := c.off, 0, 0
+	c.mode = skipping
 	for range n {
-		k, v := c.skipItem()
+		var it Item
+		k, v := c.bytesField(), c.bytesField()
+		it.codec(c)
 		keyBytes += len(k)
 		valBytes += len(v)
 	}
+	c.mode = decoding
 	if c.err != nil {
 		return nil
 	}
 	c.off = start
-	keys := c.joined(int(n), keyBytes, func() []byte { k, _ := c.skipItem(); return k })
+	var keys strings.Builder
+	keys.Grow(keyBytes)
 	arena := make([]byte, 0, valBytes)
 	out := make([]Item, n)
 	for i := range out {
 		k, v := c.bytesField(), c.bytesField()
-		out[i].Key, keys = keys[:len(k)], keys[len(k):]
+		out[i].Key = appendString(&keys, k)
 		if len(v) > 0 {
 			arena = append(arena, v...)
 			out[i].Value = arena[len(arena)-len(v) : len(arena) : len(arena)]
@@ -452,31 +515,14 @@ func (c *Codec) items() []Item {
 	return out
 }
 
-// skipItem steps over one item, returning its key and value bytes.
-func (c *Codec) skipItem() (key, val []byte) {
-	key, val = c.bytesField(), c.bytesField()
-	c.skip(8 + 8)
-	c.uvarint()
-	c.skip(1)
-	if n := c.uvarint(); c.checkLen(n) {
-		c.skip(8 * n)
-	}
-	return key, val
-}
-
-// joined concatenates what field returns for each of the n records at the
-// current offset into one string of size bytes, then restores the offset,
-// so the caller walks the same records again and slices the string in
-// order.
-func (c *Codec) joined(n, size int, field func() []byte) string {
-	start := c.off
-	var b strings.Builder
-	b.Grow(size)
-	for range n {
-		b.Write(field())
-	}
-	c.off = start
-	return b.String()
+// appendString appends b to all and returns b's bytes as a string sharing
+// all's one allocation. A Builder that has room never moves or changes
+// what it holds, so every string it returned stays valid; each walk above
+// Grows it by what the decoding walk appends.
+func appendString(all *strings.Builder, b []byte) string {
+	all.Write(b)
+	s := all.String()
+	return s[len(s)-len(b):]
 }
 
 // Encode serializes a message payload (without framing).
@@ -495,7 +541,7 @@ func EncodeInto(e *Encoder, m Message) { m.codec(&e.c) }
 // including the frame header. This is the quantity the transport layer
 // accounts per message class.
 func Size(m Message) int {
-	c := &Codec{mode: sizing}
+	c := &coder{mode: sizing}
 	m.codec(c)
 	return c.n + headerSize
 }
@@ -508,11 +554,11 @@ func Decode(kind Kind, payload []byte) (Message, error) {
 		return nil, fmt.Errorf("wire: unknown message kind %d", kind)
 	}
 	m := kinds[kind].new()
-	c := decoderPool.Get().(*Codec)
-	*c = Codec{buf: payload, mode: decoding}
+	c := decoderPool.Get().(*coder)
+	*c = coder{buf: payload, mode: decoding}
 	m.codec(c)
 	err := c.err
-	*c = Codec{}
+	*c = coder{}
 	decoderPool.Put(c)
 	if err != nil {
 		return nil, fmt.Errorf("wire: decode %v: %w", kind, err)
@@ -522,4 +568,4 @@ func Decode(kind Kind, payload []byte) (Message, error) {
 
 // decoderPool recycles Decode's codec, which escapes through the message's
 // codec method and would otherwise be one allocation per message.
-var decoderPool = sync.Pool{New: func() any { return new(Codec) }}
+var decoderPool = sync.Pool{New: func() any { return new(coder) }}

@@ -8,7 +8,7 @@ import (
 
 // Encoder writes the codec's primitives by value into a reusable buffer,
 // for framed records that are not messages.
-type Encoder struct{ c Codec }
+type Encoder struct{ c coder }
 
 // NewEncoder returns an Encoder that writes into a fresh buffer.
 func NewEncoder() *Encoder { return &Encoder{} }
@@ -69,10 +69,10 @@ func (e *Encoder) KVs(kvs []KV) { e.c.KVs(&kvs) }
 
 // Decoder reads the codec's primitives by value from a byte slice, for
 // framed records that are not messages.
-type Decoder struct{ c Codec }
+type Decoder struct{ c coder }
 
 // NewDecoder returns a Decoder over the given payload.
-func NewDecoder(b []byte) *Decoder { return &Decoder{Codec{buf: b, mode: decoding}} }
+func NewDecoder(b []byte) *Decoder { return &Decoder{coder{buf: b, mode: decoding}} }
 
 // Err returns the first error encountered while decoding.
 func (d *Decoder) Err() error { return d.c.err }

@@ -116,7 +116,7 @@ func (c Class) String() string {
 type Message interface {
 	Kind() Kind
 	Class() Class
-	codec(c *Codec)
+	codec(c *coder)
 }
 
 func (*StartTxReq) Kind() Kind      { return KindStartTxReq }

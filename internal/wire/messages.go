@@ -16,9 +16,9 @@ type Item struct {
 	DV    []hlc.Timestamp // Cure only: one entry per DC
 }
 
-// codec codes an item's fields after its key and value, which Codec.Items
+// codec codes an item's fields after its key and value, which coder.Items
 // codes first (decoding, into the message's key string and value arena).
-func (it *Item) codec(c *Codec) {
+func (it *Item) codec(c *coder) {
 	c.Timestamp(&it.UT)
 	c.Timestamp(&it.RDT)
 	c.Uvarint(&it.TxID)
@@ -68,7 +68,7 @@ type Stab struct {
 }
 
 // codec codes a presence byte, then the three scalars if the stamp is set.
-func (s *Stab) codec(c *Codec) {
+func (s *Stab) codec(c *coder) {
 	stamped := *s != Stab{}
 	if c.Bool(&stamped); stamped {
 		c.Timestamp(&s.Local)
@@ -91,7 +91,7 @@ type StartTxReq struct {
 	Done uint64
 }
 
-func (m *StartTxReq) codec(c *Codec) {
+func (m *StartTxReq) codec(c *coder) {
 	c.Uvarint(&m.ReqID)
 	c.Timestamp(&m.LST)
 	c.Timestamp(&m.RST)
@@ -108,7 +108,7 @@ type StartTxResp struct {
 	SV    []hlc.Timestamp // Cure: snapshot vector, one entry per DC
 }
 
-func (m *StartTxResp) codec(c *Codec) {
+func (m *StartTxResp) codec(c *coder) {
 	c.Uvarint(&m.ReqID)
 	c.Uvarint(&m.TxID)
 	c.Timestamp(&m.LST)
@@ -123,7 +123,7 @@ type TxReadReq struct {
 	Keys  []string
 }
 
-func (m *TxReadReq) codec(c *Codec) {
+func (m *TxReadReq) codec(c *coder) {
 	c.Uvarint(&m.ReqID)
 	c.Uvarint(&m.TxID)
 	c.Strings(&m.Keys)
@@ -154,7 +154,7 @@ type TxReadResp struct {
 	BlockedMicros int64
 }
 
-func (m *TxReadResp) codec(c *Codec) {
+func (m *TxReadResp) codec(c *coder) {
 	c.Uvarint(&m.ReqID)
 	c.Items(&m.Items, m.Chunks)
 	c.Int64(&m.BlockedMicros)
@@ -169,7 +169,7 @@ type CommitReq struct {
 	Writes []KV
 }
 
-func (m *CommitReq) codec(c *Codec) {
+func (m *CommitReq) codec(c *coder) {
 	c.Uvarint(&m.ReqID)
 	c.Uvarint(&m.TxID)
 	c.Timestamp(&m.HWT)
@@ -202,7 +202,7 @@ type CommitResp struct {
 	Err   string // human-readable detail when Code != CommitOK
 }
 
-func (m *CommitResp) codec(c *Codec) {
+func (m *CommitResp) codec(c *coder) {
 	c.Uvarint(&m.ReqID)
 	c.Timestamp(&m.CT)
 	c.Byte(&m.Code)
@@ -220,7 +220,7 @@ type SliceReq struct {
 	Stab  Stab
 }
 
-func (m *SliceReq) codec(c *Codec) {
+func (m *SliceReq) codec(c *coder) {
 	c.Uvarint(&m.ReqID)
 	c.Strings(&m.Keys)
 	c.Timestamp(&m.LT)
@@ -237,7 +237,7 @@ type SliceResp struct {
 	Stab          Stab
 }
 
-func (m *SliceResp) codec(c *Codec) {
+func (m *SliceResp) codec(c *coder) {
 	c.Uvarint(&m.ReqID)
 	c.Items(&m.Items, nil)
 	c.Int64(&m.BlockedMicros)
@@ -256,7 +256,7 @@ type PrepareReq struct {
 	Stab   Stab
 }
 
-func (m *PrepareReq) codec(c *Codec) {
+func (m *PrepareReq) codec(c *coder) {
 	c.Uvarint(&m.ReqID)
 	c.Uvarint(&m.TxID)
 	c.Timestamp(&m.LT)
@@ -278,7 +278,7 @@ type PrepareResp struct {
 	Stab  Stab
 }
 
-func (m *PrepareResp) codec(c *Codec) {
+func (m *PrepareResp) codec(c *coder) {
 	c.Uvarint(&m.ReqID)
 	c.Uvarint(&m.TxID)
 	c.Timestamp(&m.PT)
@@ -297,7 +297,7 @@ type CommitTx struct {
 	Stab Stab
 }
 
-func (m *CommitTx) codec(c *Codec) {
+func (m *CommitTx) codec(c *coder) {
 	c.Uvarint(&m.TxID)
 	c.Timestamp(&m.CT)
 	m.Stab.codec(c)
@@ -337,7 +337,7 @@ type Replicate struct {
 	Txs  []ReplTx
 }
 
-func (m *Replicate) codec(c *Codec) {
+func (m *Replicate) codec(c *coder) {
 	c.Byte(&m.SrcDC)
 	c.Uint16(&m.Partition)
 	c.Bool(&m.Resync)
@@ -361,7 +361,7 @@ type Heartbeat struct {
 	TS        hlc.Timestamp
 }
 
-func (m *Heartbeat) codec(c *Codec) {
+func (m *Heartbeat) codec(c *coder) {
 	c.Byte(&m.SrcDC)
 	c.Uint16(&m.Partition)
 	c.Timestamp(&m.TS)
@@ -380,7 +380,7 @@ type StableBroadcast struct {
 	VV        []hlc.Timestamp // Cure only
 }
 
-func (m *StableBroadcast) codec(c *Codec) {
+func (m *StableBroadcast) codec(c *coder) {
 	c.Uint16(&m.Partition)
 	c.Timestamp(&m.Local)
 	c.Timestamp(&m.RemoteMin)
@@ -398,7 +398,7 @@ type CommitAck struct {
 	Partition uint16 // the acknowledging cohort
 }
 
-func (m *CommitAck) codec(c *Codec) {
+func (m *CommitAck) codec(c *coder) {
 	c.Uvarint(&m.TxID)
 	c.Uint16(&m.Partition)
 }
@@ -415,7 +415,7 @@ type ReplicateAck struct {
 	UpTo      hlc.Timestamp
 }
 
-func (m *ReplicateAck) codec(c *Codec) {
+func (m *ReplicateAck) codec(c *coder) {
 	c.Byte(&m.DC)
 	c.Uint16(&m.Partition)
 	c.Timestamp(&m.UpTo)
@@ -428,7 +428,7 @@ type HealthReq struct {
 	ReqID uint64
 }
 
-func (m *HealthReq) codec(c *Codec) {
+func (m *HealthReq) codec(c *coder) {
 	c.Uvarint(&m.ReqID)
 }
 
@@ -441,7 +441,7 @@ type HealthResp struct {
 	Err      string
 }
 
-func (m *HealthResp) codec(c *Codec) {
+func (m *HealthResp) codec(c *coder) {
 	c.Uvarint(&m.ReqID)
 	c.Bool(&m.ReadOnly)
 	c.String(&m.Err)
@@ -465,7 +465,7 @@ type TxStatusReq struct {
 	TxID  uint64
 }
 
-func (m *TxStatusReq) codec(c *Codec) {
+func (m *TxStatusReq) codec(c *coder) {
 	c.Uvarint(&m.ReqID)
 	c.Uvarint(&m.TxID)
 }
@@ -481,7 +481,7 @@ type TxStatusResp struct {
 	Committed bool
 }
 
-func (m *TxStatusResp) codec(c *Codec) {
+func (m *TxStatusResp) codec(c *coder) {
 	c.Uvarint(&m.ReqID)
 	c.Uvarint(&m.TxID)
 	c.Timestamp(&m.CT)
@@ -495,7 +495,7 @@ type GCBroadcast struct {
 	Oldest    hlc.Timestamp
 }
 
-func (m *GCBroadcast) codec(c *Codec) {
+func (m *GCBroadcast) codec(c *coder) {
 	c.Uint16(&m.Partition)
 	c.Timestamp(&m.Oldest)
 }
@@ -515,7 +515,7 @@ type ScanReq struct {
 	RT    hlc.Timestamp
 }
 
-func (m *ScanReq) codec(c *Codec) {
+func (m *ScanReq) codec(c *coder) {
 	c.Uvarint(&m.ReqID)
 	c.String(&m.Start)
 	c.String(&m.End)
@@ -533,7 +533,7 @@ type ScanResp struct {
 	More  bool
 }
 
-func (m *ScanResp) codec(c *Codec) {
+func (m *ScanResp) codec(c *coder) {
 	c.Uvarint(&m.ReqID)
 	c.Items(&m.Items, nil)
 	c.Bool(&m.More)
@@ -549,6 +549,6 @@ type BusyResp struct {
 	ReqID uint64
 }
 
-func (m *BusyResp) codec(c *Codec) {
+func (m *BusyResp) codec(c *coder) {
 	c.Uvarint(&m.ReqID)
 }

@@ -354,3 +354,54 @@ func TestStabOnCarriers(t *testing.T) {
 	// A partly filled stamp is not the zero value.
 	roundTrip(t, &CommitTx{TxID: 9, CT: ts(8, 8), Stab: Stab{Seen: ts(1, 0)}})
 }
+
+// writeSetOf returns a write set that WriteLen counts at exactly total
+// bytes: values of MaxFieldLen, then one value that makes up the rest.
+func writeSetOf(t *testing.T, total int) []KV {
+	value := make([]byte, MaxFieldLen) // shared by every write
+	var kvs []KV
+	left := total
+	for i := 0; left > 0; i++ {
+		kv := KV{Key: string(rune('a' + i))}
+		kv.Value = value[:min(MaxFieldLen, left)]
+		for WriteLen(&kv) > left {
+			kv.Value = kv.Value[:len(kv.Value)-1]
+		}
+		if len(kv.Value) == 0 && WriteLen(&kv) != left {
+			t.Fatalf("cannot make up the last %d bytes", left)
+		}
+		kvs = append(kvs, kv)
+		left -= WriteLen(&kv)
+	}
+	return kvs
+}
+
+// TestMaxWriteSetLenFitsEveryCarrier: the largest write set a client may
+// commit, sent in each message that carries it — with every other field
+// at its widest and Cure's vectors at MaxDCs entries — gives a frame
+// within MaxFrameLen, and the bound is no tighter than the widest write
+// count makes it.
+func TestMaxWriteSetLenFitsEveryCarrier(t *testing.T) {
+	writes := writeSetOf(t, MaxWriteSetLen)
+	vec := make([]hlc.Timestamp, MaxDCs)
+	stab := Stab{Local: 1, RemoteMin: 2, Seen: 3}
+	const wide = 1<<64 - 1
+	largest := 0
+	for _, m := range []Message{
+		&CommitReq{ReqID: wide, TxID: wide, HWT: wide, Writes: writes},
+		&PrepareReq{ReqID: wide, TxID: wide, SV: vec, Writes: writes, Stab: stab},
+		&Replicate{SrcDC: MaxDCs - 1, Partition: 1<<16 - 1, Resync: true, Txs: []ReplTx{{TxID: wide, DV: vec, Writes: writes}}},
+	} {
+		size := Size(m)
+		if size > MaxFrameLen {
+			t.Errorf("%v of a %d-byte write set: %d bytes, over MaxFrameLen %d", m.Kind(), MaxWriteSetLen, size, MaxFrameLen)
+		}
+		largest = max(largest, size)
+	}
+	if slack := MaxFrameLen - largest; slack > uvarintLen(MaxWrites)-1 {
+		t.Errorf("the largest carrier is %d bytes under MaxFrameLen, want at most the write count's %d", slack, uvarintLen(MaxWrites)-1)
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = WriteLen(&writes[0]) }); n != 0 {
+		t.Errorf("WriteLen allocated %.1f times, want 0", n)
+	}
+}
