@@ -257,6 +257,29 @@ func TestFsyncsPerCommit(t *testing.T) {
 		}
 		// The barrier does sync them — the counter is live.
 		awaitBarrier(t, p0)
+
+		// A write set on one partition commits in one phase: its cohort's
+		// one sync covers PREPARE and COMMIT, and the coordinator has no
+		// decision to sync. Both a remote cohort and the coordinator's own.
+		for _, k := range []string{k1, k0} {
+			tl0, _ := counts()
+			start := time.Now()
+			var last string
+			for i := 0; i < n; i++ {
+				last = fmt.Sprintf("one-%s-%d", k, i)
+				if err := commitVia(t, client, map[string]string{k: last}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			awaitApplied(t, cl, 0, map[string]string{k: last})
+			tl1, _ := counts()
+			ticks := uint64(time.Since(start)/lifecycleTick) + 1
+			if got, max := tl1-tl0, n+2*ticks; got > max {
+				t.Fatalf("%d txlog fsyncs for %d acked single-partition commits on partition %d, want at most %d",
+					got, n, partitionOf(k, cfg.NumPartitions), max)
+			}
+			t.Logf("%d single-partition commits on partition %d, %d txlog fsyncs", n, partitionOf(k, cfg.NumPartitions), tl1-tl0)
+		}
 	})
 }
 

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -81,62 +80,83 @@ func TestRoundsPerTransaction(t *testing.T) {
 			defer c.Close()
 
 			// One key per partition, so a read always crosses partitions.
-			keys := []string{"rounds-a", "rounds-b"}
-			for i := 0; partitionOf(keys[1], 2) == partitionOf(keys[0], 2); i++ {
-				keys[1] = fmt.Sprintf("rounds-b%d", i)
-			}
+			keys := []string{keyOwnedBy("rounds-a", 0, 2), keyOwnedBy("rounds-b", 1, 2)}
 
 			// expect runs n transactions and checks what they cost in pooled
-			// calls and client-class messages. A session held off the CPU for
-			// longer than the release grace between two transactions pays one
-			// explicit release for it, so a measurement that is off is retried:
-			// a real extra round is off every time.
-			expect := func(what string, n int, tx func(), perTxCalls, perTxMsgs uint64) {
+			// calls, client-class messages and, when perTxTxn is not negative,
+			// transaction-class messages between the partitions. A session
+			// held off the CPU for longer than the release grace between two
+			// transactions pays one explicit release for it, and a 2PC's lazy
+			// CommitAck can still be in flight when the window closes, so a
+			// measurement that is off is retried: a real extra message is off
+			// every time.
+			expect := func(what string, n int, tx func(), perTxCalls, perTxMsgs uint64, perTxTxn int) {
 				t.Helper()
-				wantCalls, wantMsgs := uint64(n)*perTxCalls, uint64(n)*perTxMsgs
-				var calls, msgs uint64
+				wantCalls, wantMsgs, wantTxn := uint64(n)*perTxCalls, uint64(n)*perTxMsgs, uint64(n*perTxTxn)
+				var calls, msgs, txn uint64
 				for attempt := 0; attempt < 3; attempt++ {
 					c0 := cl.ClientPool(0).Stats().Calls
 					m0 := cl.Network().Obs().Value("net.msgs.client")
+					x0 := cl.Network().Obs().Value("net.msgs.transaction")
 					for i := 0; i < n; i++ {
 						tx()
 					}
+					if perTxTxn >= 0 {
+						time.Sleep(20 * time.Millisecond) // the last commit's CommitAck
+					}
 					calls = cl.ClientPool(0).Stats().Calls - c0
 					msgs = cl.Network().Obs().Value("net.msgs.client") - m0
-					if calls == wantCalls && msgs == wantMsgs {
+					txn = cl.Network().Obs().Value("net.msgs.transaction") - x0
+					if calls == wantCalls && msgs == wantMsgs && (perTxTxn < 0 || txn == wantTxn) {
 						return
 					}
-					t.Logf("attempt %d: %d %s transactions cost %d calls and %d client messages", attempt, n, what, calls, msgs)
+					t.Logf("attempt %d: %d %s transactions cost %d calls, %d client and %d transaction messages", attempt, n, what, calls, msgs, txn)
 				}
-				t.Errorf("%d %s transactions cost %d calls and %d client messages, want exactly %d and %d",
-					n, what, calls, msgs, wantCalls, wantMsgs)
+				t.Errorf("%d %s transactions cost %d calls, %d client and %d transaction messages, want exactly %d, %d and %d",
+					n, what, calls, msgs, txn, wantCalls, wantMsgs, wantTxn)
 			}
 			const n = 20
 			readOnly := func() { readOnlyTx(t, c, keys...) }
-			update := func() {
-				tx, err := c.Begin()
-				if err != nil {
-					t.Fatalf("begin: %v", err)
-				}
-				if _, err := tx.Read(keys...); err != nil {
-					t.Fatalf("read: %v", err)
-				}
-				if err := tx.Write(keys[0], []byte("v")); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := tx.Commit(); err != nil {
-					t.Fatalf("commit: %v", err)
+			// The updates write keys they do not read, one per partition, so
+			// Wren's client cache never serves the read: the coordinator,
+			// partition 0, reads keys[1] through a SliceReq, and "remote" is
+			// written at a remote cohort.
+			local, remote := keyOwnedBy("rounds-w", 0, 2), keyOwnedBy("rounds-w", 1, 2)
+			updateOf := func(writes ...string) func() {
+				return func() {
+					tx, err := c.Begin()
+					if err != nil {
+						t.Fatalf("begin: %v", err)
+					}
+					if _, err := tx.Read(keys...); err != nil {
+						t.Fatalf("read: %v", err)
+					}
+					for _, k := range writes {
+						if err := tx.Write(k, []byte("v")); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if _, err := tx.Commit(); err != nil {
+						t.Fatalf("commit: %v", err)
+					}
 				}
 			}
+			update := updateOf(remote)
 
 			readOnly() // steady state: the next Begin has a release to carry
-			expect("read-only", n, readOnly, 2, 4)
+			expect("read-only", n, readOnly, 2, 4, -1)
 			if got := openTxContexts(cl, 0, 0); got > 1 {
 				t.Errorf("coordinator holds %d contexts for one session after %d read-only transactions, want at most 1", got, n)
 			}
 
 			update() // carries the last read-only transaction's release
-			expect("update", n, update, 3, 6)
+			// The read's SliceReq and SliceResp, and the one-phase commit's
+			// PrepareReq and PrepareResp to the remote cohort.
+			expect("update", n, update, 3, 6, 4)
+			// A write set on both partitions keeps the 2PC: the remote
+			// cohort's PrepareReq, PrepareResp, CommitTx and CommitAck (the
+			// coordinator's own are loopback, which is not network traffic).
+			expect("two-partition update", n, updateOf(local, remote), 3, 6, 6)
 			if got := openTxContexts(cl, 0, 0); got != 0 {
 				t.Errorf("coordinator holds %d contexts after the session's last commit, want 0", got)
 			}

@@ -17,13 +17,21 @@ type prepareVote struct {
 	err string
 }
 
-// prepareCall collects PrepareResp messages for one committing transaction.
-// seen (guarded by Runtime.mu) deduplicates votes by request id: a
-// duplicated or resent PrepareResp must not count twice, or the collection
-// would finish before every real cohort answered.
+// prepareCall is one committing transaction's wait for its votes, on
+// behalf of the client's request reqID on from. A 2PC's votes go to ch,
+// for its collection goroutine; seen (guarded by Runtime.mu) deduplicates
+// them by request id: a duplicated or resent PrepareResp must not count
+// twice, or the collection would finish before every real cohort
+// answered. A one-phase commit (onePhase) has no collection: its cohort's
+// one vote is the outcome, and handlePrepareResp answers the client.
 type prepareCall struct {
 	ch   chan prepareVote
 	seen map[uint64]struct{}
+
+	onePhase   bool
+	from       transport.NodeID
+	reqID      uint64
+	selfCohort bool // the coordinator wrote: it installs the commit itself
 }
 
 // recordDecisionLocked remembers a commit outcome (ct, or zero for
@@ -56,36 +64,6 @@ func (r *Runtime) txApplied(key string, txID uint64) bool {
 	return r.st.ReadVisible(key, func(v *store.Version) bool { return v.TxID == txID }) != nil
 }
 
-// NewTxID generates a globally unique transaction id: DC in the top byte,
-// partition in the next two, then a local sequence number. Sequence
-// numbers are drawn from blocks reserved in the transaction log, so on a
-// durable backend ids stay unique across restarts too (an id can outlive
-// this process in a cohort's log the moment it is handed out).
-func (r *Runtime) NewTxID() uint64 {
-	seq := r.txSeq.Add(1)
-	if seq > r.seqLimit.Load() {
-		r.reserveSeqs(seq)
-	}
-	return uint64(r.cfg.DC)<<56 | uint64(r.cfg.Partition)<<40 | seq
-}
-
-// reserveSeqs durably raises the sequence ceiling to a block past seq,
-// unless a concurrent caller already did.
-func (r *Runtime) reserveSeqs(seq uint64) {
-	r.seqMu.Lock()
-	defer r.seqMu.Unlock()
-	if seq >= r.seqLimit.Load() {
-		r.tl.ReserveSeqs(seq + seqBlockSize)
-		r.seqLimit.Store(seq + seqBlockSize)
-	}
-}
-
-// coordinatorOf decodes the coordinator server embedded in a transaction
-// id (see NewTxID: DC in the top byte, partition in the next two).
-func coordinatorOf(txID uint64) (dc, partition int) {
-	return int(txID >> 56), int(uint16(txID >> 40))
-}
-
 // goAsync runs fn on a tracked goroutine unless the server is draining.
 // The commit path uses it for the 2PC response collection and for the
 // waits on a transaction-log sync, which must not block a delivery link.
@@ -107,7 +85,11 @@ func (r *Runtime) goAsync(fn func()) {
 
 // commit runs the coordinator side of the two-phase commit (Algorithm 2
 // lines 17–28) for a transaction under snap: each cohort's PrepareReq
-// carries the snapshot and the proposal floor ht.
+// carries the snapshot and the proposal floor ht. A write set on one
+// partition commits in one phase: its cohort's proposal is the maximum
+// over one proposal, so the cohort decides (PrepareReq.Decide) and its vote
+// finishes the commit here (handlePrepareResp), with no decision record,
+// CommitTx or CommitAck.
 func (r *Runtime) commit(from transport.NodeID, m *wire.CommitReq, snap Snapshot, ht hlc.Timestamp) {
 	if len(m.Writes) == 0 {
 		// An empty CommitReq is a client's explicit context release: the
@@ -142,9 +124,10 @@ func (r *Runtime) commit(from transport.NodeID, m *wire.CommitReq, snap Snapshot
 	}
 	_, selfCohort := byPartition[r.cfg.Partition]
 
-	call := &prepareCall{
-		ch:   make(chan prepareVote, len(cohorts)),
-		seen: make(map[uint64]struct{}, len(cohorts)),
+	call := &prepareCall{onePhase: len(cohorts) == 1, from: from, reqID: m.ReqID, selfCohort: selfCohort}
+	if !call.onePhase {
+		call.ch = make(chan prepareVote, len(cohorts))
+		call.seen = make(map[uint64]struct{}, len(cohorts))
 	}
 	r.mu.Lock()
 	if ct, decided := r.lookupDecisionLocked(m.TxID); decided {
@@ -182,8 +165,11 @@ func (r *Runtime) commit(from transport.NodeID, m *wire.CommitReq, snap Snapshot
 	for _, c := range cohorts {
 		r.Send(transport.ServerID(r.cfg.DC, c.partition), &wire.PrepareReq{
 			ReqID: r.reqSeq.Add(1), TxID: m.TxID, LT: snap.LT, RT: snap.RT, HT: ht, SV: snap.SV,
-			Writes: c.writes, Stab: r.proto.StampStable(),
+			Writes: c.writes, Stab: r.proto.StampStable(), Decide: call.onePhase,
 		})
+	}
+	if call.onePhase {
+		return
 	}
 
 	r.goAsync(func() {
@@ -223,7 +209,7 @@ func (r *Runtime) commit(from transport.NodeID, m *wire.CommitReq, snap Snapshot
 			for _, c := range cohorts {
 				r.Send(transport.ServerID(r.cfg.DC, c.partition), &wire.CommitTx{TxID: m.TxID, CT: 0})
 			}
-			r.Send(from, &wire.CommitResp{ReqID: m.ReqID, Code: wire.CommitErrReadOnly, Err: errText})
+			r.answerCommit(call, 0, errText)
 		}
 		if refusal != "" {
 			// A degraded cohort refused its prepare: abort the 2PC (zero
@@ -261,17 +247,28 @@ func (r *Runtime) commit(from transport.NodeID, m *wire.CommitReq, snap Snapshot
 			out.Stab = r.proto.StampStable()
 			r.Send(transport.ServerID(r.cfg.DC, c.partition), out)
 		}
-		if !selfCohort {
-			// A coordinator that wrote nothing gets no CommitTx, and its
-			// version clock would sit below ct until the next tick, holding
-			// the DC's stable time under a commit its own client is about
-			// to be told of: treat the decision as the event it is.
-			r.proto.ObserveCommitTS(ct)
-			r.KickApply()
-		}
-		r.txCommitted.Inc()
-		r.Send(from, &wire.CommitResp{ReqID: m.ReqID, CT: ct})
+		r.answerCommit(call, ct, "")
 	})
+}
+
+// answerCommit gives the client of call its commit's outcome: ct, or the
+// typed refusal when refusal is set.
+func (r *Runtime) answerCommit(call *prepareCall, ct hlc.Timestamp, refusal string) {
+	if refusal != "" {
+		r.Send(call.from, &wire.CommitResp{ReqID: call.reqID, Code: wire.CommitErrReadOnly, Err: refusal})
+		return
+	}
+	if !call.selfCohort {
+		// A coordinator that wrote nothing gets no CommitTx (nor installs a
+		// one-phase commit), and its version clock would sit below ct until
+		// the next tick, holding the DC's stable time under a commit its
+		// own client is about to be told of: treat the outcome as the event
+		// it is.
+		r.proto.ObserveCommitTS(ct)
+		r.KickApply()
+	}
+	r.txCommitted.Inc()
+	r.Send(call.from, &wire.CommitResp{ReqID: call.reqID, CT: ct})
 }
 
 // Prepare runs the cohort side of the 2PC (Algorithm 3 lines 13–19):
@@ -290,6 +287,10 @@ func (r *Runtime) commit(from transport.NodeID, m *wire.CommitReq, snap Snapshot
 // violations TestTCCConformance* exhibited under CPU starvation, where the
 // preemption window between the two statements stretched to milliseconds.
 func (r *Runtime) Prepare(from transport.NodeID, m *wire.PrepareReq, ht hlc.Timestamp) {
+	if m.Decide {
+		r.decide(from, m, ht)
+		return
+	}
 	if err := r.Healthy(); err != nil {
 		// Degraded durability: refuse, so the coordinator aborts instead
 		// of committing a write set this cohort cannot log.
@@ -320,6 +321,90 @@ func (r *Runtime) Prepare(from transport.NodeID, m *wire.PrepareReq, ht hlc.Time
 	r.Send(from, r.checkedPrepareResp(resp))
 }
 
+// decide runs the cohort side of a one-phase commit (see commit): the
+// write set is the whole transaction's, so the proposal is the commit
+// timestamp, proposed and registered in the pending list as Prepare does.
+// The PREPARE and COMMIT records are appended back to back; the vote —
+// which is the outcome — and the move to the commit list both wait for
+// the one sync that covers the pair, and a failed sync withdraws the
+// commit (see the package comment). The outcome is recorded with the
+// coordinator's decisions: a duplicated request is answered from it, and
+// so is a client's termination probe.
+func (r *Runtime) decide(from transport.NodeID, m *wire.PrepareReq, ht hlc.Timestamp) {
+	refuse := func(errText string) {
+		r.Send(from, &wire.PrepareResp{ReqID: m.ReqID, TxID: m.TxID, Err: errText})
+	}
+	r.mu.Lock()
+	if _, inFlight := r.prepared[m.TxID]; inFlight {
+		r.mu.Unlock() // the first copy votes once its sync returns
+		return
+	}
+	ct, decided := r.lookupDecisionLocked(m.TxID)
+	if !decided {
+		// An outcome rotated out of memory, or from before a restart. The
+		// log holds an unsynced commit only while it is pending (above).
+		ct, decided = r.tl.CommitTS(m.TxID)
+	}
+	if decided {
+		r.mu.Unlock()
+		if ct == 0 {
+			refuse("transaction aborted (fenced by termination probe)")
+		} else {
+			r.Send(from, &wire.PrepareResp{ReqID: m.ReqID, TxID: m.TxID, PT: ct})
+		}
+		return
+	}
+	if err := r.Healthy(); err != nil {
+		r.recordDecisionLocked(m.TxID, 0)
+		r.mu.Unlock()
+		refuse(err.Error())
+		return
+	}
+	pt := r.Clock.TickPast(ht)
+	p := &txlog.PreparedTx{TxID: m.TxID, PT: pt, RST: m.RT, SV: m.SV, Writes: m.Writes}
+	r.prepared[m.TxID] = p
+	// A copy of this prepare recovered from a previous life never voted
+	// (its COMMIT did not reach the disk): this one supersedes it.
+	delete(r.recovered, m.TxID)
+	r.mu.Unlock()
+	// Logged outside mu, as Prepare logs: until settle the pending entry
+	// answers duplicates and probes, and holds the apply bound below pt.
+	c, lsn := r.tl.LogDecided(p)
+
+	settle := func() {
+		if err := r.tl.Healthy(); err != nil {
+			// Withdrawn while the pending prepare still holds the apply
+			// bound below pt, so no pass or rewind has taken the commit.
+			r.tl.Withdraw(m.TxID)
+			r.mu.Lock()
+			delete(r.prepared, m.TxID)
+			r.recordDecisionLocked(m.TxID, 0)
+			r.mu.Unlock()
+			refuse(err.Error())
+			r.KickApply()
+			return
+		}
+		r.proto.ObserveCommitTS(pt)
+		r.mu.Lock()
+		delete(r.prepared, m.TxID)
+		r.committed = append(r.committed, c)
+		r.recordDecisionLocked(m.TxID, pt)
+		r.mu.Unlock()
+		resp := &wire.PrepareResp{ReqID: m.ReqID, TxID: m.TxID, PT: pt}
+		resp.Stab = r.proto.StampStable()
+		r.Send(from, resp)
+		r.KickApply()
+	}
+	if r.tl.SyncOnAppend() {
+		r.goAsync(func() {
+			r.syncLog(lsn)
+			settle()
+		})
+		return
+	}
+	settle()
+}
+
 // checkedPrepareResp downgrades a prepare proposal to a refusal when the
 // append (or fsync) backing it failed: the proposal claims the write set
 // is recoverable here, and a vote whose own record never became durable
@@ -336,6 +421,22 @@ func (r *Runtime) handlePrepareResp(from transport.NodeID, m *wire.PrepareResp) 
 	r.ObserveStable(from, m.Stab)
 	r.mu.Lock()
 	call := r.pendingPrepare[m.TxID]
+	if call != nil && call.onePhase {
+		// The vote is the outcome: the entry goes and the outcome is
+		// recorded in one critical section, as the collection does.
+		ct := m.PT
+		if m.Err != "" {
+			ct = 0
+		}
+		delete(r.pendingPrepare, m.TxID)
+		r.recordDecisionLocked(m.TxID, ct)
+		r.mu.Unlock()
+		// The outcome is durable at the cohort, which voted after its
+		// sync, so the coordinator has nothing to log or sync.
+		r.answerCommit(call, ct, m.Err)
+		r.releaseClient(call.from)
+		return
+	}
 	if call != nil {
 		if _, dup := call.seen[m.ReqID]; dup {
 			call = nil // duplicated vote: count each cohort's answer once
@@ -438,29 +539,36 @@ func (r *Runtime) handleCommitAck(m *wire.CommitAck) {
 // grace) and the coordinator stays silent, leaving the prober to retry.
 //
 // Clients send the same probe (with a non-zero ReqID) after a commit
-// times out. For them the in-memory decision record answers too — it
-// covers resolved decisions the txlog no longer retains — and a "not
-// committed" answer FENCES the transaction id: the verdict licenses the
-// client to re-drive its write set on another coordinator, so a delayed
-// CommitReq surfacing later must find the id already aborted, never a
-// fresh 2PC.
+// times out: to the coordinator, or for a one-phase commit to its cohort,
+// which decided it. For them the in-memory decision record answers too —
+// it covers resolved decisions the txlog no longer retains — and so does
+// the log's committed set, which is what a one-phase cohort has after its
+// own restart. A prepare still in the pending list is undecided: silence.
+// Otherwise the answer is "not committed", and it FENCES the transaction
+// id: the verdict licenses the client to re-drive its write set on another
+// coordinator, so a delayed CommitReq or one-phase PrepareReq surfacing
+// later must find the id already aborted. A prepare recovered without its
+// outcome is aborted with it: if it was a one-phase commit's, its COMMIT
+// never reached the disk and it never voted.
 func (r *Runtime) handleTxStatusReq(from transport.NodeID, m *wire.TxStatusReq) {
 	ct, ok := r.tl.CoordDecision(m.TxID)
 	if !ok {
+		abort := false
 		r.mu.Lock()
-		if c, decided := r.lookupDecisionLocked(m.TxID); decided && c > 0 {
-			ct, ok = c, true
-		}
-		if !ok {
-			if _, inFlight := r.pendingPrepare[m.TxID]; inFlight {
-				r.mu.Unlock()
-				return
-			}
-			if m.ReqID != 0 {
-				r.recordDecisionLocked(m.TxID, 0)
-			}
+		if c, decided := r.lookupDecisionLocked(m.TxID); decided {
+			ct, ok = c, c > 0
+		} else if r.pendingPrepare[m.TxID] != nil || r.prepared[m.TxID] != nil {
+			r.mu.Unlock()
+			return
+		} else if ct, ok = r.tl.CommitTS(m.TxID); !ok && m.ReqID != 0 {
+			r.recordDecisionLocked(m.TxID, 0)
+			_, abort = r.recovered[m.TxID]
+			delete(r.recovered, m.TxID)
 		}
 		r.mu.Unlock()
+		if abort {
+			r.tl.LogAbort(m.TxID)
+		}
 	}
 	r.Send(from, &wire.TxStatusResp{ReqID: m.ReqID, TxID: m.TxID, CT: ct, Committed: ok})
 }

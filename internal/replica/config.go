@@ -61,8 +61,13 @@ const recoveryGrace = 15 * time.Second
 const redriveAfter = 5 * time.Second
 
 // resendBatchSize is how many transactions a rewind's Replicate carries,
-// unless the last timestamp's run makes it longer.
-const resendBatchSize = 128
+// and resendBatchBytes the most bytes it takes, unless the last
+// timestamp's run makes it longer (see rewindBatchLen). A quarter of the
+// frame bound leaves a run of small transactions room past it.
+const (
+	resendBatchSize  = 128
+	resendBatchBytes = wire.MaxFrameLen / 4
+)
 
 // lifecycleInterval is the period of the transaction-lifecycle maintenance
 // loop (status probes for recovered prepares, re-drives of unresolved

@@ -206,3 +206,33 @@ func (r *Runtime) admissionCounter(from transport.NodeID) *atomic.Int64 {
 	r.admMu.Unlock()
 	return ctr
 }
+
+// NewTxID generates a globally unique transaction id: DC in the top byte,
+// partition in the next two, then a local sequence number. Sequence
+// numbers are drawn from blocks reserved in the transaction log, so on a
+// durable backend ids stay unique across restarts too (an id can outlive
+// this process in a cohort's log the moment it is handed out).
+func (r *Runtime) NewTxID() uint64 {
+	seq := r.txSeq.Add(1)
+	if seq > r.seqLimit.Load() {
+		r.reserveSeqs(seq)
+	}
+	return uint64(r.cfg.DC)<<56 | uint64(r.cfg.Partition)<<40 | seq
+}
+
+// reserveSeqs durably raises the sequence ceiling to a block past seq,
+// unless a concurrent caller already did.
+func (r *Runtime) reserveSeqs(seq uint64) {
+	r.seqMu.Lock()
+	defer r.seqMu.Unlock()
+	if seq >= r.seqLimit.Load() {
+		r.tl.ReserveSeqs(seq + seqBlockSize)
+		r.seqLimit.Store(seq + seqBlockSize)
+	}
+}
+
+// coordinatorOf decodes the coordinator server embedded in a transaction
+// id (see NewTxID: DC in the top byte, partition in the next two).
+func coordinatorOf(txID uint64) (dc, partition int) {
+	return int(txID >> 56), int(uint16(txID >> 40))
+}

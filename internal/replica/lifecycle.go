@@ -124,17 +124,21 @@ func (r *Runtime) lifecycleTick() {
 	r.rewindStalled()
 }
 
-// rewindStalled is the go-back-N timer: a stream whose durable cursor has
-// not moved for rewindStallTicks ticks while transactions above it were
-// shipped — a batch or its acknowledgement lost to a broken link or a shed
-// queue, a gap refused, a peer restarted — rewinds to the cursor at the
-// apply goroutine's next ship.
+// rewindStalled is the go-back-N timer: a stream SendBounded gave up on
+// since the last tick, and one whose durable cursor has not moved for
+// rewindStallTicks ticks while transactions above it were shipped — a
+// batch or its acknowledgement lost to a broken link or a shed queue, a
+// gap refused, a peer restarted — rewinds to the cursor at the apply
+// goroutine's next ship.
 func (r *Runtime) rewindStalled() {
 	for dc := range r.streams {
 		if dc == r.cfg.DC {
 			continue
 		}
 		s := &r.streams[dc]
+		if s.down.Swap(false) {
+			s.rewind.Store(true)
+		}
 		cur := r.tl.Cursor(dc)
 		if cur != s.seen || s.sent.Load() <= cur {
 			s.seen, s.stalled = cur, 0
@@ -291,4 +295,60 @@ func (r *Runtime) handleHealthReq(from transport.NodeID, m *wire.HealthReq) {
 		resp.Err = err.Error()
 	}
 	r.Send(from, resp)
+}
+
+// Stop terminates the background loops, waits for them to exit, flushes
+// any transactions still on the commit list into the store, and closes
+// the storage engine and the transaction log. On a durable backend the
+// flush is an optimization, not the durability mechanism: an acknowledged
+// commit whose CommitTx was in flight when draining began is already
+// logged and is recovered on the next start.
+func (r *Runtime) Stop() { r.shutdown(false) }
+
+// Kill stops the server WITHOUT the final apply/flush, simulating a hard
+// kill for recovery tests: acknowledged-but-unapplied transactions stay
+// out of the engine and must come back through transaction-log recovery.
+// (In-process, file writes already handed to the OS survive regardless —
+// what Kill withholds is every shutdown courtesy the process performs.)
+func (r *Runtime) Kill() { r.shutdown(true) }
+
+func (r *Runtime) shutdown(kill bool) {
+	var flush bool
+	r.stopOnce.Do(func() {
+		r.drainMu.Lock()
+		r.draining = true
+		r.drainMu.Unlock()
+		r.proto.OnStop(kill)
+		close(r.stop)
+		flush = true
+	})
+	r.wg.Wait()
+	r.reqWG.Wait()
+	if !flush {
+		return
+	}
+	if !kill {
+		// Prepared-but-uncommitted transactions can never commit now, but
+		// their proposed timestamps would hold the apply upper bound below
+		// later acknowledged commits; drop them so the final apply flushes
+		// every transaction on the commit list. (Their prepares stay
+		// logged, so on a durable backend a commit decision that surfaces
+		// after a restart can still be honored.)
+		r.mu.Lock()
+		r.prepared = make(map[uint64]*txlog.PreparedTx)
+		r.mu.Unlock()
+		r.ApplyTick()
+		r.ship(false)
+		r.flushCommitted()
+		r.release()
+	}
+	if err := r.st.Close(); err != nil {
+		// The engine surfaces its first append/sync failure here; it
+		// must not vanish silently — acknowledged commits may not have
+		// reached disk.
+		r.reg.Event("store.close_failed", "err", err)
+	}
+	if err := r.tl.Close(); err != nil {
+		r.reg.Event("txlog.close_failed", "err", err)
+	}
 }

@@ -18,6 +18,10 @@ import (
 type stream struct {
 	sent   hlc.AtomicTimestamp // 0 until a rewind's first batch leaves
 	rewind atomic.Bool
+	// down is set when SendBounded gave up on the stream: ship skips it
+	// until the next lifecycle tick turns it into a rewind, so an
+	// unreachable DC costs one bounded send per tick, not one per pass.
+	down atomic.Bool
 	// seen is the cursor the last lifecycle tick saw; stalled counts the
 	// ticks since it last moved while sent was above it.
 	seen    hlc.Timestamp
@@ -56,15 +60,19 @@ func (r *Runtime) ship(heartbeat bool) bool {
 // shipTo sends dc's stream, when a rewind is pending, the log's records
 // above the durable cursor and at or below ts, and then every batch above
 // sent. It reports whether the stream is caught up: a send SendBounded
-// gives up on stops the stream for this call and leaves a rewind pending,
-// so the next call resumes from the log, not from a queue already drained.
+// gives up on marks the stream down, which stops it until the next
+// lifecycle tick leaves a rewind pending, so the stream resumes from the
+// log, not from a queue already drained.
 func (r *Runtime) shipTo(dc int, ts hlc.Timestamp, batches []*wire.Replicate) bool {
 	s := &r.streams[dc]
+	if s.down.Load() {
+		return false
+	}
 	to := transport.ServerID(dc, r.cfg.Partition)
 	send := func(b *wire.Replicate) bool {
 		b.Prev = s.sent.Load()
 		if !r.SendBounded(to, b) {
-			s.rewind.Store(true)
+			s.down.Store(true)
 			return false
 		}
 		s.sent.Store(b.Txs[len(b.Txs)-1].CT)
@@ -73,24 +81,20 @@ func (r *Runtime) shipTo(dc int, ts hlc.Timestamp, batches []*wire.Replicate) bo
 	if s.rewind.Load() {
 		s.rewind.Store(false)
 		s.sent.Store(0)
-		var b *wire.Replicate
+		var recs []wire.ReplTx
 		for _, t := range r.tl.UnreplicatedTail(dc) {
 			if t.CT > ts {
 				break
 			}
-			if b != nil && len(b.Txs) >= resendBatchSize && t.CT != b.Txs[len(b.Txs)-1].CT {
-				if !send(b) {
-					return false
-				}
-				b = nil
-			}
-			if b == nil {
-				b = &wire.Replicate{SrcDC: uint8(r.cfg.DC), Partition: uint16(r.cfg.Partition), Resync: true}
-			}
-			b.Txs = append(b.Txs, r.proto.ReplTxRecord(t))
+			recs = append(recs, r.proto.ReplTxRecord(t))
 		}
-		if b != nil && !send(b) {
-			return false
+		for len(recs) > 0 {
+			n := rewindBatchLen(recs)
+			b := &wire.Replicate{SrcDC: uint8(r.cfg.DC), Partition: uint16(r.cfg.Partition), Resync: true, Txs: recs[:n:n]}
+			if !send(b) {
+				return false
+			}
+			recs = recs[n:]
 		}
 	}
 	for _, b := range batches {
@@ -105,6 +109,39 @@ func (r *Runtime) shipTo(dc int, ts hlc.Timestamp, batches []*wire.Replicate) bo
 		}
 	}
 	return true
+}
+
+// rewindBatchLen is how many of recs, a rewind's records in commit-
+// timestamp order, its next batch carries: whole commit-timestamp runs
+// (see the package comment) up to resendBatchSize records, unless the
+// last run makes it longer, and up to resendBatchBytes, so a Replicate
+// stays within wire.MaxFrameLen: a run that would pass the budget starts
+// the next batch. One transaction always fits a frame alone
+// (wire.MaxWriteSetLen); only a run of large ones can pass the budget.
+func rewindBatchLen(recs []wire.ReplTx) int {
+	size := 0
+	for n := 0; n < len(recs); {
+		end, run := n, 0
+		for ; end < len(recs) && recs[end].CT == recs[n].CT; end++ {
+			run += replTxLen(&recs[end])
+		}
+		if n > 0 && (n >= resendBatchSize || size+run > resendBatchBytes) {
+			return n
+		}
+		size += run
+		n = end
+	}
+	return len(recs)
+}
+
+// replTxLen bounds the bytes t adds to a Replicate: its write set as
+// wire.WriteLen counts it, and its other fields at their widest.
+func replTxLen(t *wire.ReplTx) int {
+	n := 48 + 8*len(t.DV)
+	for i := range t.Writes {
+		n += wire.WriteLen(&t.Writes[i])
+	}
+	return n
 }
 
 // handleReplicate applies remotely committed transactions (Algorithm 4

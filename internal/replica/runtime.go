@@ -10,7 +10,8 @@
 //   - the durable transaction lifecycle: prepare/commit logging under the
 //     txlog package's durability contract (the transaction log is the one
 //     fsync-before-ack point; the engine's logs are synced only by the
-//     release barrier), CommitAck resolution, cooperative 2PC termination
+//     release barrier), the one-phase commit of a write set on one
+//     partition (below), CommitAck resolution, cooperative 2PC termination
 //     probes, and the periodic redrive of unresolved decisions;
 //   - restart recovery: replay of committed-but-unapplied transactions;
 //   - durable transaction-id block reservation;
@@ -54,11 +55,41 @@
 //     batch (release). An acknowledgement up to t therefore vouches for
 //     every transaction at or below t: the cursor only ever covers a
 //     contiguous prefix, and the log may forget what it covers, with no pin.
-//   - New rewinds every stream; a send SendBounded gives up on stops the
-//     stream for the call and leaves a rewind for the next; a stream whose
-//     cursor has not moved for rewindStallTicks lifecycle ticks while sent is
-//     above it is rewound. A heartbeat goes only to a DC whose stream is
-//     caught up.
+//   - New rewinds every stream; a send SendBounded gives up on marks the
+//     stream down, and ship skips it until the next lifecycle tick turns
+//     that into a rewind, so an unreachable DC costs each apply pass
+//     nothing; a stream whose cursor has not moved for rewindStallTicks
+//     lifecycle ticks while sent is above it is rewound. A rewind's batches
+//     stay under resendBatchBytes (a frame holds them). A heartbeat goes
+//     only to a DC whose stream is caught up.
+//
+// # One phase for a write set on one partition
+//
+// Wren's commit time is the maximum of the cohorts' proposals (Algorithm 2
+// lines 17–28). With one cohort that maximum is its proposal, so the
+// coordinator sends it a PrepareReq with Decide set and the cohort commits
+// alone at ct = pt: no COORD-COMMIT record, CommitTx, CommitAck or
+// collection goroutine. A write set on two or more partitions keeps the
+// 2PC. The rules (the txlog package states the durability half):
+//
+//   - A one-phase cohort MUST NOT vote or install before a sync covering its
+//     PREPARE and COMMIT. If that sync fails the transaction MUST be
+//     withdrawn (txlog.Log.Withdraw; CoordAbort is the model), and the
+//     coordinator gives the client the typed refusal.
+//   - The cohort records the outcome with the decisions. A duplicated
+//     Decide request for a decided transaction MUST be answered with the
+//     same PT and never prepared again; one for a fenced id MUST be refused.
+//   - A client's TxStatusReq (ReqID ≠ 0) for a one-phase transaction goes to
+//     its cohort, the decider (package session routes it). The cohort
+//     answers nothing while the transaction is in its pending list;
+//     committed with ct from memory, or after its own restart from the
+//     log's retained commits — the horizon a coordinator's retained
+//     decisions give; otherwise it aborts the transaction, fences the id and
+//     answers "not committed" — a recovered PREPARE whose COMMIT was torn
+//     included: it never voted.
+//   - The coordinator's side is the vote's handler: it records the outcome
+//     in memory and answers the client; when it wrote nothing it observes
+//     ct and kicks its apply goroutine, as after a 2PC decision.
 //
 // # One coordinator
 //
@@ -83,20 +114,20 @@
 // The package is split by concern:
 //
 //   - runtime.go: the Protocol seam, the Runtime and its accessors, New,
-//     Start/Stop and the message dispatch;
+//     Start and the message dispatch;
 //   - config.go: Config, its defaults and validation, and the runtime's
 //     fixed timings and sizes;
-//   - coordinator.go: the transaction contexts, StartTx, the read fan-out
-//     and fan-in, the commit entry and per-connection admission;
-//   - commit.go: both sides of the two-phase commit, the decision record,
-//     transaction ids and the TxStatus termination probes;
+//   - coordinator.go: the transaction contexts and ids, StartTx, the read
+//     fan-out and fan-in, the commit entry and per-connection admission;
+//   - commit.go: both sides of the two-phase and the one-phase commit, the
+//     decision record and the TxStatus termination probes;
 //   - apply.go: the apply goroutine and pass, install, the release barrier
 //     and the shutdown flush;
 //   - replicate.go: the replication streams, receiving and acknowledging
 //     their batches and heartbeats, and gap refusal;
-//   - lifecycle.go: restart recovery, the timer loops, the stall rewind,
-//     GC with context expiry, the repair probe, and health (Healthy,
-//     ReadOnly and the health probe).
+//   - lifecycle.go: restart recovery, Stop and Kill, the timer loops, the
+//     stall rewind, GC with context expiry, the repair probe, and health
+//     (Healthy, ReadOnly and the health probe).
 package replica
 
 import (
@@ -229,6 +260,9 @@ type Runtime struct {
 	// acknowledgements, the per-DC replication cursor, and restart
 	// recovery state (on the memory backend, without a file).
 	tl *txlog.Log
+	// syncLog is how a one-phase cohort waits for its records to be
+	// stable: tl.SyncTo, which tests replace to hold or fail the sync.
+	syncLog func(lsn int64)
 
 	// seqLimit is the durably reserved transaction-sequence ceiling;
 	// seqMu serializes block refills (see seqBlockSize).
@@ -393,6 +427,7 @@ func New(name string, cfg Config, proto Protocol) (*Runtime, error) {
 		Clock:          hlc.NewClock(cfg.ClockSource),
 		st:             eng,
 		tl:             tl,
+		syncLog:        tl.SyncTo,
 		VV:             hlc.NewAtomicVector(cfg.NumDCs),
 		prepared:       make(map[uint64]*txlog.PreparedTx),
 		recovered:      make(map[uint64]*recoveredPrepare),
@@ -478,62 +513,6 @@ func (r *Runtime) Start() {
 		go r.redriveRecovered()
 		r.every(lifecycleInterval, r.lifecycleTick)
 	})
-}
-
-// Stop terminates the background loops, waits for them to exit, flushes
-// any transactions still on the commit list into the store, and closes
-// the storage engine and the transaction log. On a durable backend the
-// flush is an optimization, not the durability mechanism: an acknowledged
-// commit whose CommitTx was in flight when draining began is already
-// logged and is recovered on the next start.
-func (r *Runtime) Stop() { r.shutdown(false) }
-
-// Kill stops the server WITHOUT the final apply/flush, simulating a hard
-// kill for recovery tests: acknowledged-but-unapplied transactions stay
-// out of the engine and must come back through transaction-log recovery.
-// (In-process, file writes already handed to the OS survive regardless —
-// what Kill withholds is every shutdown courtesy the process performs.)
-func (r *Runtime) Kill() { r.shutdown(true) }
-
-func (r *Runtime) shutdown(kill bool) {
-	var flush bool
-	r.stopOnce.Do(func() {
-		r.drainMu.Lock()
-		r.draining = true
-		r.drainMu.Unlock()
-		r.proto.OnStop(kill)
-		close(r.stop)
-		flush = true
-	})
-	r.wg.Wait()
-	r.reqWG.Wait()
-	if !flush {
-		return
-	}
-	if !kill {
-		// Prepared-but-uncommitted transactions can never commit now, but
-		// their proposed timestamps would hold the apply upper bound below
-		// later acknowledged commits; drop them so the final apply flushes
-		// every transaction on the commit list. (Their prepares stay
-		// logged, so on a durable backend a commit decision that surfaces
-		// after a restart can still be honored.)
-		r.mu.Lock()
-		r.prepared = make(map[uint64]*txlog.PreparedTx)
-		r.mu.Unlock()
-		r.ApplyTick()
-		r.ship(false)
-		r.flushCommitted()
-		r.release()
-	}
-	if err := r.st.Close(); err != nil {
-		// The engine surfaces its first append/sync failure here; it
-		// must not vanish silently — acknowledged commits may not have
-		// reached disk.
-		r.reg.Event("store.close_failed", "err", err)
-	}
-	if err := r.tl.Close(); err != nil {
-		r.reg.Event("txlog.close_failed", "err", err)
-	}
 }
 
 // HandleMessage implements transport.Handler: the runtime dispatches the

@@ -91,7 +91,13 @@ type node struct {
 
 func newNode(t *testing.T, net *transport.Memory, dc, partition, numDCs, numPartitions int, hold func(wire.Message) bool) *node {
 	t.Helper()
-	cfg := Config{DC: dc, Partition: partition, NumDCs: numDCs, NumPartitions: numPartitions, Network: net}
+	return newNodeWith(t, net, Config{DC: dc, Partition: partition, NumDCs: numDCs, NumPartitions: numPartitions, Network: net}, hold)
+}
+
+// newNodeWith is newNode for a runtime configured as cfg, registered on net
+// (cfg.Network may wrap it).
+func newNodeWith(t *testing.T, net *transport.Memory, cfg Config, hold func(wire.Message) bool) *node {
+	t.Helper()
 	cfg.FillDefaults()
 	if err := cfg.Validate("test"); err != nil {
 		t.Fatal(err)

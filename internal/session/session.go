@@ -10,8 +10,11 @@
 // pushback, the read-set/write-set bookkeeping of Read/Write/Delete, the
 // commit with its resolution state machine (timeout → TxStatusReq probe →
 // committed / fenced / in doubt), the release of finished contexts, and the
-// one set of Err* sentinels. A protocol plugs in through the four hooks of
-// the Protocol interface, and every round trip goes through one Conn.
+// one set of Err* sentinels. A commit's probes go to its decider: the
+// coordinator, or — for a write set on one partition, which that
+// partition's server commits in one phase (package replica) — that
+// server. A protocol plugs in through the four hooks of the Protocol
+// interface, and every round trip goes through one Conn.
 //
 // # Ending a transaction that wrote nothing: the release rule
 //

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"wren/internal/hlc"
+	"wren/internal/sharding"
 	"wren/internal/transport"
 	"wren/internal/wire"
 )
@@ -21,6 +22,10 @@ type Tx struct {
 	rsMiss    map[string]struct{} // keys known absent in this snapshot; allocated on first use
 	done      bool
 	doubt     error // why Commit ended in doubt; nil unless Resolve has work to do
+	// decider is the server that decides the commit, and so answers its
+	// termination probes: the coordinator, or for a write set on one
+	// partition that partition (see the package comment).
+	decider transport.NodeID
 
 	// BlockedMicros is the maximum time any read of this transaction spent
 	// blocked on a laggard partition (Figure 3b's measured quantity). It is
@@ -196,9 +201,19 @@ func (t *Tx) Commit() (hlc.Timestamp, error) {
 
 	writes := make([]wire.KV, 0, len(t.ws))
 	size := 0
+	cohort, onePhase := -1, true
 	for k, v := range t.ws {
 		writes = append(writes, wire.KV{Key: k, Value: v, Tombstone: v == nil})
 		size += wire.WriteLen(&writes[len(writes)-1])
+		if p := sharding.PartitionOf(k, s.cfg.NumPartitions); cohort < 0 {
+			cohort = p
+		} else if p != cohort {
+			onePhase = false
+		}
+	}
+	t.decider = t.coord
+	if onePhase {
+		t.decider = transport.ServerID(s.cfg.DC, cohort)
 	}
 	// Every hop of the commit carries the write set (the CommitReq, each
 	// cohort's PrepareReq, the Replicate to each peer DC), and no transport
@@ -274,19 +289,19 @@ func (t *Tx) finishCommit(ct hlc.Timestamp) {
 }
 
 // resolveCommit settles a commit whose acknowledgement was lost by
-// probing the coordinator with TxStatusReq. A committed verdict recovers
+// probing its decider with TxStatusReq. A committed verdict recovers
 // the commit timestamp and completes the session bookkeeping; a "not
 // committed" verdict is final — answering it fenced the transaction id on
-// the coordinator, so the original CommitReq can never land late and the
-// caller may safely re-run the transaction. If every probe also goes
-// unanswered (the 2PC may still be in flight, leaving the coordinator
-// deliberately silent), the outcome stays ErrInDoubt.
+// the decider, so the original commit can never land late and the caller
+// may safely re-run the transaction. If every probe also goes unanswered
+// (the commit may still be in flight, leaving the decider deliberately
+// silent), the outcome stays ErrInDoubt.
 func (t *Tx) resolveCommit(cause error) (hlc.Timestamp, error) {
 	s := t.s
 	t.doubt = cause
 	for attempt := 1; attempt <= s.cfg.Retry.Attempts; attempt++ {
 		time.Sleep(s.cfg.Retry.retryDelay(attempt))
-		resp, err := s.roundTrip(t.coord, func(reqID uint64) wire.Message {
+		resp, err := s.roundTrip(t.decider, func(reqID uint64) wire.Message {
 			return &wire.TxStatusReq{ReqID: reqID, TxID: t.ID()}
 		})
 		if err != nil {
@@ -310,7 +325,7 @@ func (t *Tx) resolveCommit(cause error) (hlc.Timestamp, error) {
 }
 
 // Resolve is the follow-up to a Commit that returned ErrInDoubt: it probes
-// the coordinator again, with the same verdicts as Commit's own probes —
+// the decider again, with the same verdicts as Commit's own probes —
 // the commit timestamp once the transaction is known committed, ErrAborted
 // once it is fenced, ErrInDoubt again while the coordinator stays silent.
 // On any other transaction it returns ErrTxDone.

@@ -174,6 +174,9 @@ type Rule struct {
 	// after it overtake. A zero ReorderWindow defaults to 1ms.
 	ReorderProb   float64
 	ReorderWindow time.Duration
+	// Kind, when set, limits the rule to messages of that kind; the others
+	// on the link pass as under the zero Rule.
+	Kind wire.Kind
 }
 
 // Memory is the in-process Network implementation. Every delivery is
@@ -409,6 +412,9 @@ func (n *Memory) Send(from, to NodeID, m wire.Message) error {
 
 	n.faultMu.Lock()
 	rule := n.ruleFor(from, to)
+	if rule.Kind != 0 && rule.Kind != m.Kind() {
+		rule = Rule{}
+	}
 	if rule.DropProb > 0 && n.rng.Float64() < rule.DropProb {
 		n.faultMu.Unlock()
 		n.dropped.Inc()

@@ -109,6 +109,11 @@ func (l *Log) Sync() {
 	l.syncTo(target)
 }
 
+// SyncTo is Sync for the records up to lsn, an LSN LogDecided returned:
+// it returns once they are stable, fsyncing only when no sync covered them
+// yet. Callers consult Healthy afterwards, as with Sync.
+func (l *Log) SyncTo(lsn int64) { l.syncTo(lsn) }
+
 func (l *Log) syncTo(target int64) {
 	l.flushMu.Lock()
 	l.sh.Mu.Lock()

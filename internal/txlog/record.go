@@ -3,6 +3,7 @@ package txlog
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 
 	"wren/internal/hlc"
@@ -123,62 +124,95 @@ func (l *Log) recover() error {
 	return nil
 }
 
-// applyRecord replays one scanned payload into the lifecycle state: each
-// kind decodes its fields, and the transition applies only if they all
-// decoded. A non-nil error marks the record torn, ending the scan there.
+// applyRecord replays one scanned payload into the lifecycle state. A
+// non-nil error marks the record torn, ending the scan there.
 func (l *Log) applyRecord(payload []byte) error {
+	apply, _, err := decodeRecord(payload)
+	if err != nil {
+		return err
+	}
+	apply(l)
+	return nil
+}
+
+// decodeRecord parses one record: apply replays it into a log's lifecycle
+// state, and encode writes it back through its kind's encoder. A record
+// decodes only if every field does and no byte is left over, and then
+// encode reproduces payload exactly: recovery accepts only what the
+// encoders write.
+func decodeRecord(payload []byte) (apply func(*Log), encode func(*wire.Encoder), err error) {
 	d := wire.NewDecoder(payload)
-	var apply func()
 	switch kind := d.Byte(); kind {
 	case recPrepare:
 		p := &PreparedTx{TxID: d.Uvarint(), PT: d.Timestamp(), RST: d.Timestamp(), SV: d.Timestamps(), Writes: d.KVs()}
-		apply = func() {
+		apply = func(l *Log) {
 			l.prepared[p.TxID] = p
 			l.noteSeq(p.TxID)
 		}
+		encode = func(e *wire.Encoder) { encodePrepare(e, p.TxID, p.PT, p.RST, p.SV, p.Writes) }
 	case recCommit:
 		txID, ct := d.Uvarint(), d.Timestamp()
-		apply = func() {
+		apply = func(l *Log) {
 			if p, ok := l.prepared[txID]; ok {
 				delete(l.prepared, txID)
 				l.committed[txID] = p.Committed(ct)
 			}
 			l.noteSeq(txID)
 		}
+		encode = func(e *wire.Encoder) { encodeCommit(e, txID, ct) }
 	case recCoordCommit:
-		txID, ct, n := d.Uvarint(), d.Timestamp(), d.Uvarint()
-		if n > 1<<16 {
-			return fmt.Errorf("txlog: cohort count %d out of range", n)
+		c := &CoordTx{TxID: d.Uvarint(), CT: d.Timestamp()}
+		// Every cohort takes at least one byte: a count past the bytes
+		// left is a lie, refused before anything is allocated for it.
+		n := d.Uvarint()
+		if n > uint64(d.Remaining()) {
+			return nil, nil, fmt.Errorf("txlog: cohort count %d past the record's end", n)
 		}
-		var cohorts []uint16
+		c.Cohorts = make([]uint16, 0, n)
 		for i := uint64(0); i < n; i++ {
-			cohorts = append(cohorts, uint16(d.Uvarint()))
+			p := d.Uvarint()
+			if p > math.MaxUint16 {
+				return nil, nil, fmt.Errorf("txlog: cohort %d out of range", p)
+			}
+			c.Cohorts = append(c.Cohorts, uint16(p))
 		}
-		apply = func() { l.decideLocked(txID, ct, cohorts) }
+		apply = func(l *Log) { l.decideLocked(c.TxID, c.CT, c.Cohorts) }
+		encode = func(e *wire.Encoder) { encodeCoordCommit(e, c) }
 	case recCursor:
 		dc, upTo := int(d.Byte()), d.Timestamp()
-		apply = func() {
+		apply = func(l *Log) {
 			if dc < l.numDCs && upTo > l.cursor[dc] {
 				l.cursor[dc] = upTo
 			}
 		}
+		encode = func(e *wire.Encoder) { encodeCursor(e, dc, upTo) }
 	case recAbort:
+		// An ABORT retires a prepare without an outcome, or takes back a
+		// one-phase commit whose sync failed (Withdraw).
 		txID := d.Uvarint()
-		apply = func() { delete(l.prepared, txID) }
+		apply = func(l *Log) {
+			delete(l.prepared, txID)
+			delete(l.committed, txID)
+		}
+		encode = func(e *wire.Encoder) { encodeAbort(e, txID) }
 	case recResolved:
 		txID := d.Uvarint()
-		apply = func() { delete(l.coord, txID) }
+		apply = func(l *Log) { delete(l.coord, txID) }
+		encode = func(e *wire.Encoder) { encodeResolved(e, txID) }
 	case recSeq:
 		seq := d.Uvarint()
-		apply = func() { l.maxSeq = max(l.maxSeq, seq) }
+		apply = func(l *Log) { l.maxSeq = max(l.maxSeq, seq) }
+		encode = func(e *wire.Encoder) { encodeSeq(e, seq) }
 	default:
-		return fmt.Errorf("txlog: unknown record kind %d", kind)
+		return nil, nil, fmt.Errorf("txlog: unknown record kind %d", kind)
 	}
 	if err := d.Err(); err != nil {
-		return err
+		return nil, nil, err
 	}
-	apply()
-	return nil
+	if n := d.Remaining(); n > 0 {
+		return nil, nil, fmt.Errorf("txlog: %d bytes past the end of a kind %d record", n, payload[0])
+	}
+	return apply, encode, nil
 }
 
 // noteSeq folds a transaction id's sequence component into the persisted

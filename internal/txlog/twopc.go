@@ -95,6 +95,52 @@ func (l *Log) LogCommit(c *CommittedTx) bool {
 	return true
 }
 
+// LogDecided records a one-phase commit: p's PREPARE and, right behind it,
+// its COMMIT at p.PT, appended back to back under one lock with no record
+// between them. The transaction moves straight to the committed set as the
+// returned CommittedTx (the caller's commit list shares it, as with
+// LogCommit). The returned LSN is what a sync must cover before the cohort
+// votes or installs (see the package contract); Withdraw undoes a commit
+// whose sync failed.
+func (l *Log) LogDecided(p *PreparedTx) (*CommittedTx, int64) {
+	c := p.Committed(p.PT)
+	l.sh.Mu.Lock()
+	defer l.sh.Mu.Unlock()
+	delete(l.prepared, p.TxID)
+	l.committed[p.TxID] = c
+	l.noteSeq(p.TxID)
+	l.appendLocked(func(e *wire.Encoder) { encodePrepare(e, p.TxID, p.PT, p.RST, p.SV, p.Writes) })
+	l.appendLocked(func(e *wire.Encoder) { encodeCommit(e, c.TxID, c.CT) })
+	return c, l.endLocked()
+}
+
+// Withdraw takes back a one-phase commit whose sync failed, before anyone
+// was told of it: the transaction leaves the committed set, so Repair's
+// rewrite drops it, and an ABORT record behind its COMMIT keeps a recovery
+// from replaying it. Like CoordAbort's RESOLVED, the record is not synced.
+func (l *Log) Withdraw(txID uint64) {
+	l.sh.Mu.Lock()
+	defer l.sh.Mu.Unlock()
+	if _, ok := l.committed[txID]; !ok {
+		return
+	}
+	delete(l.committed, txID)
+	l.appendLocked(func(e *wire.Encoder) { encodeAbort(e, txID) })
+}
+
+// CommitTS reports the commit timestamp of a committed transaction the log
+// still retains: a one-phase cohort answers a client's termination probe
+// from it after a restart.
+func (l *Log) CommitTS(txID uint64) (hlc.Timestamp, bool) {
+	l.sh.Mu.Lock()
+	defer l.sh.Mu.Unlock()
+	c, ok := l.committed[txID]
+	if !ok {
+		return 0, false
+	}
+	return c.CT, true
+}
+
 // LogCoordCommitSync records a coordinator commit decision — the record
 // whose durability backs the client acknowledgement — and, under
 // fsync=always, returns once a sync covers it and everything appended

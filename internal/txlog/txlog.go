@@ -7,10 +7,13 @@
 // accelerator behind it.
 //
 // Records: a cohort's PREPARE (proposed timestamp, snapshot metadata, the
-// write set), a cohort's COMMIT (final timestamp), the coordinator's
-// COORD-COMMIT decision (timestamp + cohort partitions) with the RESOLVED
-// or ABORT that retires it, a per-DC replicated-up-to CURSOR, and the
-// transaction-sequence floor.
+// write set), a cohort's COMMIT (final timestamp), the ABORT that retires a
+// prepare without an outcome or takes back a withdrawn one-phase commit,
+// the coordinator's COORD-COMMIT decision of a two-phase commit (timestamp
+// + cohort partitions) with the RESOLVED that retires it, a per-DC
+// replicated-up-to CURSOR, and the transaction-sequence floor. A record
+// applies at recovery only if it is exactly what its encoder writes
+// (FuzzApplyRecord).
 //
 // # Files
 //
@@ -24,6 +27,13 @@
 //
 // # Durability contract (fsync=always)
 //
+//   - A one-phase cohort (a write set on one partition: its vote is the
+//     outcome) appends PREPARE and COMMIT back to back (LogDecided), and
+//     MUST NOT vote or install before a sync covering both (SyncTo the LSN
+//     LogDecided returns), whoever its coordinator is. If that sync fails
+//     the commit MUST be withdrawn (Withdraw: out of the committed set, so
+//     Repair's rewrite drops it, and an ABORT record behind the COMMIT, so
+//     a recovery does not replay it), never voted for.
 //   - A PrepareResp to a REMOTE coordinator MUST follow a sync covering the
 //     PREPARE record. The coordinator's own cohort votes after the append:
 //     its PREPARE sits in the same file ahead of the decision, so the
@@ -60,7 +70,7 @@
 //     timer that fires after Close finds the log stopped and does nothing.
 //
 // Group commit is one mechanism: records are written to the file as they
-// are appended, and every waiter — urgent (Sync, LogCoordCommitSync) or
+// are appended, and every waiter — urgent (Sync, SyncTo, LogCoordCommitSync) or
 // lazy (AfterSync) — waits for one synced-offset watermark. The first
 // urgent waiter through flushMu fsyncs everything appended so far; those
 // queued behind it find their records covered and return without touching

@@ -72,6 +72,12 @@ var ErrTruncated = errors.New("wire: truncated message")
 // ErrTooLarge is returned when a length prefix exceeds sane limits.
 var ErrTooLarge = errors.New("wire: length prefix too large")
 
+// ErrNonCanonical is returned for a field no encoder writes: a varint in
+// more bytes than its value needs, or a boolean byte other than 0 or 1. A
+// decoder takes only what the encoder writes, so what decodes re-encodes
+// to the same bytes.
+var ErrNonCanonical = errors.New("wire: non-canonical encoding")
+
 // ErrFrameTooLarge is a transport's refusal of a message over MaxFrameLen.
 var ErrFrameTooLarge = errors.New("wire: message over the frame bound")
 
@@ -202,7 +208,7 @@ func (c *coder) Byte(v *byte) {
 	}
 }
 
-// Bool codes a boolean as one byte; any non-zero byte decodes as true.
+// Bool codes a boolean as one byte, 0 or 1.
 func (c *coder) Bool(v *bool) {
 	switch c.mode {
 	case encoding:
@@ -214,7 +220,11 @@ func (c *coder) Bool(v *bool) {
 	case sizing:
 		c.n++
 	default:
-		*v = c.byte() != 0
+		b := c.byte()
+		if b > 1 {
+			c.fail(ErrNonCanonical)
+		}
+		*v = b == 1
 	}
 }
 
@@ -371,6 +381,10 @@ func (c *coder) uvarint() uint64 {
 	v, n := binary.Uvarint(c.buf[c.off:])
 	if n <= 0 {
 		c.fail(ErrTruncated)
+		return 0
+	}
+	if n > 1 && c.buf[c.off+n-1] == 0 {
+		c.fail(ErrNonCanonical)
 		return 0
 	}
 	c.off += n

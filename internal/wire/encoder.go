@@ -100,7 +100,10 @@ func (d *Decoder) Timestamps() (ts []hlc.Timestamp) {
 func (d *Decoder) Byte() byte { return d.c.byte() }
 
 // Bool reads a boolean.
-func (d *Decoder) Bool() bool { return d.c.byte() != 0 }
+func (d *Decoder) Bool() (b bool) {
+	d.c.Bool(&b)
+	return b
+}
 
 // BytesField reads a length-prefixed byte slice aliasing the input
 // buffer; callers that retain it must copy.

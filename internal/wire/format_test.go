@@ -53,8 +53,9 @@ func goldenFrames() []goldenFrame {
 		{"SliceReq/cure", &SliceReq{ReqID: 11, Keys: []string{"k"}, SV: dv}, "0b01016b000000000000000000000000000000000300000100000000000000020000000000000003000000000000"},
 		{"SliceResp/wren", &SliceResp{ReqID: 12, Items: []Item{a, c}, Stab: stab}, "0c02016102763101000b00000000000000060000000000010100036363630576616c756501000d0000000000000008000000000003010000010100f4010000000002009001000000000300580200000000"},
 		{"SliceResp/cure", &SliceResp{ReqID: 12, Items: []Item{cureItem}, BlockedMicros: 42}, "0c01016102763101000b000000000000000600000000000101030000010000000000000002000000000000000300000000002a00"},
-		{"PrepareReq/wren", &PrepareReq{ReqID: 13, TxID: 99, LT: ts(1, 1), RT: ts(2, 2), HT: ts(3, 3), Writes: writes, Stab: stab}, "0d63010001000000000002000200000000000300030000000000000301780276310004676f6e65000105656d7074790000010100f4010000000002009001000000000300580200000000"},
-		{"PrepareReq/cure", &PrepareReq{ReqID: 13, TxID: 99, HT: ts(3, 3), SV: dv, Writes: writes[:1]}, "0d63000000000000000000000000000000000300030000000000030000010000000000000002000000000000000300000000000101780276310000"},
+		{"PrepareReq/wren", &PrepareReq{ReqID: 13, TxID: 99, LT: ts(1, 1), RT: ts(2, 2), HT: ts(3, 3), Writes: writes, Stab: stab}, "0d63010001000000000002000200000000000300030000000000000301780276310004676f6e65000105656d7074790000010100f401000000000200900100000000030058020000000000"},
+		{"PrepareReq/decide", &PrepareReq{ReqID: 13, TxID: 99, LT: ts(1, 1), RT: ts(2, 2), HT: ts(3, 3), Writes: writes[:1], Decide: true}, "0d6301000100000000000200020000000000030003000000000000010178027631000001"},
+		{"PrepareReq/cure", &PrepareReq{ReqID: 13, TxID: 99, HT: ts(3, 3), SV: dv, Writes: writes[:1]}, "0d6300000000000000000000000000000000030003000000000003000001000000000000000200000000000000030000000000010178027631000000"},
 		{"PrepareResp/wren", &PrepareResp{ReqID: 14, TxID: 99, PT: ts(77, 7), Stab: stab}, "0e6307004d000000000000010100f4010000000002009001000000000300580200000000"},
 		{"PrepareResp/refused", &PrepareResp{ReqID: 16, TxID: 100, Err: "txlog frozen"}, "106400000000000000000c74786c6f672066726f7a656e00"},
 		{"CommitTx/wren", &CommitTx{TxID: 99, CT: ts(88, 8), Stab: stab}, "630800580000000000010100f4010000000002009001000000000300580200000000"},

@@ -244,7 +244,10 @@ func (m *SliceResp) codec(c *coder) {
 	m.Stab.codec(c)
 }
 
-// PrepareReq is the first phase of the 2PC commit (Alg. 2 line 22).
+// PrepareReq is the first phase of the 2PC commit (Alg. 2 line 22). With
+// Decide set the write set is the whole transaction's, on one partition:
+// the cohort commits it alone at its proposal, and its PrepareResp is the
+// outcome (a one-phase commit; see package replica).
 type PrepareReq struct {
 	ReqID  uint64
 	TxID   uint64
@@ -254,6 +257,7 @@ type PrepareReq struct {
 	SV     []hlc.Timestamp
 	Writes []KV
 	Stab   Stab
+	Decide bool
 }
 
 func (m *PrepareReq) codec(c *coder) {
@@ -265,6 +269,7 @@ func (m *PrepareReq) codec(c *coder) {
 	c.Timestamps(&m.SV)
 	c.KVs(&m.Writes)
 	m.Stab.codec(c)
+	c.Bool(&m.Decide)
 }
 
 // PrepareResp carries the cohort's proposed commit timestamp, or a
